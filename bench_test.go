@@ -261,7 +261,6 @@ func BenchmarkAblationIntersect(b *testing.B) {
 	}{
 		{"merge", intersect.MergeCount},
 		{"adaptive", intersect.AdaptiveCount},
-		{"hash", intersect.HashCount},
 	}
 	for _, k := range kernels {
 		k := k

@@ -27,7 +27,7 @@ func main() {
 	var (
 		store    = flag.String("store", "graph.optstore", "input store path")
 		algo     = flag.String("algo", "opt", "algorithm: opt, opt-serial, mgt, cc-seq, cc-ds, graphchi")
-		model    = flag.String("model", "edge", "iterator model for opt: edge, vertex")
+		model    = flag.String("model", "edge", "iterator model for opt: edge, vertex, mgt")
 		threads  = flag.Int("threads", 2, "worker threads")
 		mem      = flag.Float64("mem", 0.15, "memory budget as a fraction of the graph size")
 		memPages = flag.Int("mempages", 0, "memory budget in pages (overrides -mem)")
@@ -65,8 +65,8 @@ func main() {
 		Codec:          *codec,
 		Backend:        *backend,
 	}
-	if *model == "vertex" {
-		opts.Model = opt.VertexIteratorModel
+	if opts.Model, err = parseModel(*model); err != nil {
+		fail(err)
 	}
 	if *progress {
 		opts.OnEvent = func(e opt.Event) {
@@ -143,6 +143,19 @@ func parseAlgo(s string) (opt.Algorithm, error) {
 		return opt.GraphChiTri, nil
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", s)
+	}
+}
+
+func parseModel(s string) (opt.IteratorModel, error) {
+	switch s {
+	case "edge":
+		return opt.EdgeIteratorModel, nil
+	case "vertex":
+		return opt.VertexIteratorModel, nil
+	case "mgt":
+		return opt.MGTInstanceModel, nil
+	default:
+		return 0, fmt.Errorf("unknown model %q (want edge, vertex or mgt)", s)
 	}
 }
 

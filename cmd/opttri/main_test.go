@@ -95,6 +95,23 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
+// TestParseModel: -model accepts exactly the three iterator models; a typo
+// must fail loudly instead of silently running the edge model.
+func TestParseModel(t *testing.T) {
+	for in, want := range map[string]opt.IteratorModel{
+		"edge": opt.EdgeIteratorModel, "vertex": opt.VertexIteratorModel, "mgt": opt.MGTInstanceModel,
+	} {
+		if got, err := parseModel(in); err != nil || got != want {
+			t.Fatalf("parseModel(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "vertx", "MGT"} {
+		if _, err := parseModel(in); err == nil || !strings.Contains(err.Error(), "edge, vertex or mgt") {
+			t.Fatalf("parseModel(%q) = %v, want an error listing the accepted models", in, err)
+		}
+	}
+}
+
 func TestNestedFileWriter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.tri")
 	f, err := os.Create(path)

@@ -73,26 +73,29 @@ type CoordinatorConfig struct {
 	Events events.Sink
 }
 
-// RunReport is the merged outcome of one distributed job.
+// RunReport is the merged outcome of one distributed job. The JSON tags
+// are the "report" object of an optd distributed-job status.
 type RunReport struct {
 	// Triangles is the exactly-once merged total.
-	Triangles int64
+	Triangles int64 `json:"triangles"`
 	// Tasks is the task-set size, Grid·(Grid+1)/2.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Dispatched counts every attempt launched; Retries counts the
 	// failure-driven relaunches among them and Stragglers the speculative
 	// duplicates.
-	Dispatched, Retries, Stragglers int
+	Dispatched int `json:"dispatched"`
+	Retries    int `json:"retries"`
+	Stragglers int `json:"stragglers"`
 	// Duplicates counts repeat result deliveries the ledger dropped — the
 	// straggler whose speculative replacement won still reports in, and
 	// lands here instead of the total.
-	Duplicates int
+	Duplicates int `json:"duplicates"`
 	// Failed lists tasks that exhausted their attempt budget.
-	Failed []TaskID
+	Failed []TaskID `json:"failed,omitempty"`
 	// Elapsed is the job wall time.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// PerTask holds the accepted result of every merged task, sorted by id.
-	PerTask []TaskResultMessage
+	PerTask []TaskResultMessage `json:"per_task,omitempty"`
 }
 
 // Coordinator drives one distributed job: it enumerates the shard-pair

@@ -112,24 +112,26 @@ type IterationStat struct {
 
 // Result is the uniform run report. On cancellation or device failure a
 // Runner returns a partial Result alongside the error, so callers can
-// report progress made before the interruption.
+// report progress made before the interruption. The JSON tags are the
+// "result" object of an optd job status.
 type Result struct {
 	// Algorithm is the registry name that produced the result.
-	Algorithm string
+	Algorithm string `json:"algorithm"`
 	// Triangles is the triangle count (so far, on a partial result).
-	Triangles int64
+	Triangles int64 `json:"triangles"`
 	// Iterations is the number of completed outer-loop iterations/blocks.
-	Iterations int
+	Iterations int `json:"iterations"`
 	// Elapsed is the wall-clock time, including simulated latency.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// PagesRead and PagesWritten are the I/O volumes in pages.
-	PagesRead, PagesWritten int64
+	PagesRead    int64 `json:"pages_read"`
+	PagesWritten int64 `json:"pages_written"`
 	// ReusedPages is the Δin buffered-page credit (OPT only).
-	ReusedPages int64
+	ReusedPages int64 `json:"reused_pages"`
 	// IntersectOps is the Eq. 3 min-model CPU cost.
-	IntersectOps int64
+	IntersectOps int64 `json:"intersect_ops"`
 	// IterStats is populated when Options.CollectIterStats is set.
-	IterStats []IterationStat
+	IterStats []IterationStat `json:"iter_stats,omitempty"`
 }
 
 // Runner executes one triangulation algorithm over a store whose data

@@ -126,13 +126,13 @@ func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 // events not tied to an iteration (RunStart/RunEnd, device-level I/O)
 // leave it at -1 when the emitter knows no iteration, but emitters that
 // lack the context may simply leave it 0 — consumers must treat Iteration
-// as informational only.
+// as informational only. The JSON tags are optd's SSE "progress" payload.
 type Event struct {
-	Kind      Kind
-	Algorithm string        // registry name of the emitting runner, if known
-	Iteration int           // outer-loop iteration / block index
-	N         int64         // kind-specific count (see Kind docs)
-	Elapsed   time.Duration // kind-specific duration (see Kind docs)
+	Kind      Kind          `json:"kind"`
+	Algorithm string        `json:"algorithm,omitempty"`  // registry name of the emitting runner, if known
+	Iteration int           `json:"iteration"`            // outer-loop iteration / block index
+	N         int64         `json:"n"`                    // kind-specific count (see Kind docs)
+	Elapsed   time.Duration `json:"elapsed_ns,omitempty"` // kind-specific duration (see Kind docs)
 }
 
 // Sink receives events. Implementations must be safe for concurrent use

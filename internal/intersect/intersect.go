@@ -175,27 +175,6 @@ func AdaptiveCount(a, b []uint32) int {
 	return MergeCount(a, b)
 }
 
-// HashCount returns |a ∩ b| by probing set membership of the shorter list's
-// elements in a map built over the longer list. It exists to make the Eq. 3
-// hash-model cost concrete and as an ablation comparator; the sorted kernels
-// above are faster in practice.
-func HashCount(a, b []uint32) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	m := make(map[uint32]struct{}, len(b))
-	for _, x := range b {
-		m[x] = struct{}{}
-	}
-	n := 0
-	for _, x := range a {
-		if _, ok := m[x]; ok {
-			n++
-		}
-	}
-	return n
-}
-
 // Contains reports whether sorted slice a contains x, by binary search.
 func Contains(a []uint32, x uint32) bool {
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })

@@ -3,13 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync"
-	"time"
 
 	"github.com/optlab/opt/internal/cluster"
-	"github.com/optlab/opt/internal/events"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 // DistSpec is the client-supplied description of one distributed job: a
@@ -38,298 +33,106 @@ type DistSpec struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// coordinatorConfig translates the spec, resolving the store to pin the
-// digest every agent must match.
-func (m *Manager) coordinatorConfig(id string, spec DistSpec) (cluster.CoordinatorConfig, error) {
-	var zero cluster.CoordinatorConfig
-	if len(spec.Agents) == 0 {
-		return zero, fmt.Errorf("%w: spec.agents is required", ErrBadRequest)
-	}
-	if spec.Grid < 0 {
-		return zero, fmt.Errorf("%w: spec.grid must be non-negative, got %d", ErrBadRequest, spec.Grid)
-	}
-	st, err := m.resolveStore(spec.Store)
-	if err != nil {
-		return zero, err
-	}
-	cfg := cluster.CoordinatorConfig{
-		Agents:      spec.Agents,
-		Grid:        spec.Grid,
-		Job:         id,
-		Store:       spec.Store,
-		Digest:      cluster.DigestOf(st).Sum(),
-		Codec:       spec.Codec,
-		Backend:     spec.Backend,
-		MemoryPages: spec.MemoryPages,
-		MaxAttempts: spec.MaxAttempts,
-	}
-	if spec.RetryBackoff != "" {
-		d, err := time.ParseDuration(spec.RetryBackoff)
-		if err != nil || d < 0 {
-			return zero, fmt.Errorf("%w: invalid retry_backoff %q", ErrBadRequest, spec.RetryBackoff)
-		}
-		cfg.RetryBackoff = d
-	}
-	if spec.StragglerAfter != "" {
-		d, err := time.ParseDuration(spec.StragglerAfter)
-		if err != nil || d < 0 {
-			return zero, fmt.Errorf("%w: invalid straggler_after %q", ErrBadRequest, spec.StragglerAfter)
-		}
-		cfg.StragglerAfter = d
-	}
-	return cfg, nil
-}
-
-// DistJob is one tracked distributed job. It reuses the job vocabulary —
-// State machine, SSE hub, metrics collector — so clients observe a
-// distributed run exactly like a local one, with the shard event kinds
-// (shard-dispatched / shard-retried / shard-merged) flowing through the
-// same stream.
-type DistJob struct {
-	ID   string
-	Spec DistSpec
-
-	digest    string
-	tasks     int
-	hub       *eventHub
-	collector *metrics.Collector
-
-	mu       sync.Mutex
-	state    State
-	cancel   context.CancelFunc
-	report   *cluster.RunReport
-	err      error
-	created  time.Time
-	started  time.Time
-	finished time.Time
-
-	done chan struct{}
-}
-
 // DistStatus is the JSON view of a distributed job.
 type DistStatus struct {
-	ID       string            `json:"id"`
-	State    string            `json:"state"`
-	Spec     DistSpec          `json:"spec"`
-	Digest   string            `json:"digest,omitempty"`
-	Tasks    int               `json:"tasks"`
-	Error    string            `json:"error,omitempty"`
-	Created  time.Time         `json:"created"`
-	Started  *time.Time        `json:"started,omitempty"`
-	Finished *time.Time        `json:"finished,omitempty"`
-	Report   *DistReportView   `json:"report,omitempty"`
-	Metrics  *metrics.Snapshot `json:"metrics,omitempty"`
+	JobStatus
+	Spec   DistSpec           `json:"spec"`
+	Digest string             `json:"digest,omitempty"`
+	Tasks  int                `json:"tasks"`
+	Report *cluster.RunReport `json:"report,omitempty"`
 }
 
-// DistReportView is the JSON shape of a cluster.RunReport.
-type DistReportView struct {
-	Triangles  int64                       `json:"triangles"`
-	Tasks      int                         `json:"tasks"`
-	Dispatched int                         `json:"dispatched"`
-	Retries    int                         `json:"retries"`
-	Stragglers int                         `json:"stragglers"`
-	Duplicates int                         `json:"duplicates"`
-	Failed     []cluster.TaskID            `json:"failed,omitempty"`
-	ElapsedNS  int64                       `json:"elapsed_ns"`
-	PerTask    []cluster.TaskResultMessage `json:"per_task,omitempty"`
-}
-
-func distViewOf(r *cluster.RunReport) *DistReportView {
-	if r == nil {
-		return nil
-	}
-	return &DistReportView{
-		Triangles:  r.Triangles,
-		Tasks:      r.Tasks,
-		Dispatched: r.Dispatched,
-		Retries:    r.Retries,
-		Stragglers: r.Stragglers,
-		Duplicates: r.Duplicates,
-		Failed:     r.Failed,
-		ElapsedNS:  int64(r.Elapsed),
-		PerTask:    r.PerTask,
-	}
-}
-
-// Status returns a consistent snapshot of the distributed job.
-func (j *DistJob) Status() DistStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := DistStatus{
-		ID:      j.ID,
-		State:   j.state.String(),
-		Spec:    j.Spec,
-		Digest:  j.digest,
-		Tasks:   j.tasks,
-		Created: j.created,
-		Report:  distViewOf(j.report),
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		s.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		s.Finished = &t
-	}
-	if j.state.Terminal() && j.collector != nil {
-		snap := j.collector.Snapshot()
-		s.Metrics = &snap
-	}
-	return s
-}
-
-// State returns the job's current state.
-func (j *DistJob) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *DistJob) Done() <-chan struct{} { return j.done }
-
-// Report returns the (possibly partial) merged report and error once the
-// job is terminal; nil/nil before that.
-func (j *DistJob) Report() (*cluster.RunReport, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, nil
-	}
-	return j.report, j.err
-}
-
-func (j *DistJob) finish(state State, rep *cluster.RunReport, err error) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.report = rep
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-	j.hub.Close()
+// distRun is the runner of a distributed job: a coordinator on a goroutine
+// of its own. It takes no pool slot and no budget pages — on a node that is
+// also an agent, a coordinator must never occupy a worker its own tasks may
+// need.
+type distRun struct {
+	spec DistSpec
+	cfg  cluster.CoordinatorConfig
+	// coord and tasks are set in place, once the job id names the tasks.
+	coord *cluster.Coordinator
+	tasks int
 }
 
 // SubmitDist validates and launches a distributed job. The coordinator
 // runs on a manager-joined goroutine under the manager's root context, so
 // a forced drain cancels it like any local job.
-func (m *Manager) SubmitDist(spec DistSpec) (*DistJob, error) {
-	if m.isDraining() {
-		return nil, ErrDraining
-	}
+func (m *Manager) SubmitDist(spec DistSpec) (*Job, error) {
 	if len(spec.Agents) == 0 {
 		spec.Agents = append([]string(nil), m.cfg.DefaultAgents...)
 	}
-	var timeout time.Duration
-	if spec.Timeout != "" {
-		d, err := time.ParseDuration(spec.Timeout)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("%w: invalid timeout %q", ErrBadRequest, spec.Timeout)
-		}
-		timeout = d
+	if len(spec.Agents) == 0 {
+		return nil, fmt.Errorf("%w: spec.agents is required", ErrBadRequest)
 	}
-
-	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		return nil, ErrDraining
+	if spec.Grid < 0 {
+		return nil, fmt.Errorf("%w: spec.grid must be non-negative, got %d", ErrBadRequest, spec.Grid)
 	}
-	m.distSeq++
-	id := "d" + strconv.FormatInt(m.distSeq, 10)
-	m.mu.Unlock()
-
-	cfg, err := m.coordinatorConfig(id, spec)
+	timeout, err := parseDuration("timeout", spec.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	job := &DistJob{
-		ID:        id,
-		Spec:      spec,
-		digest:    cfg.Digest,
-		hub:       newEventHub(m.cfg.EventBuffer),
-		collector: metrics.NewCollector(),
-		created:   time.Now(),
-		done:      make(chan struct{}),
+	backoff, err := parseDuration("retry_backoff", spec.RetryBackoff)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Events = events.Tee(job.collector, job.hub)
+	straggler, err := parseDuration("straggler_after", spec.StragglerAfter)
+	if err != nil {
+		return nil, err
+	}
+	// Resolving the store pins the digest every agent must match.
+	st, err := m.resolveStore(spec.Store)
+	if err != nil {
+		return nil, err
+	}
+	return m.admit(kindDist, timeout, &distRun{spec: spec, cfg: cluster.CoordinatorConfig{
+		Agents:         spec.Agents,
+		Grid:           spec.Grid,
+		Store:          spec.Store,
+		Digest:         cluster.DigestOf(st).Sum(),
+		Codec:          spec.Codec,
+		Backend:        spec.Backend,
+		MemoryPages:    spec.MemoryPages,
+		MaxAttempts:    spec.MaxAttempts,
+		RetryBackoff:   backoff,
+		StragglerAfter: straggler,
+	}})
+}
 
+// place builds the coordinator under the allocated id and starts its
+// goroutine, registered with the manager's join group in the same critical
+// section that checked draining — Drain can never miss it.
+func (r *distRun) place(m *Manager, j *Job) (*outcome, error) {
+	r.cfg.Job = j.ID
+	r.cfg.Events = j.sink()
 	dispatch := m.cfg.Dispatcher
 	if dispatch == nil {
 		dispatch = &cluster.HTTPDispatcher{Client: cluster.NewDefaultHTTPClient()}
 	}
-	coord, err := cluster.NewCoordinator(cfg, dispatch)
+	coord, err := cluster.NewCoordinator(r.cfg, dispatch)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	job.tasks = len(coord.Tasks())
-
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(m.rootCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(m.rootCtx)
-	}
-	job.mu.Lock()
-	job.cancel = cancel
-	job.state = StateRunning
-	job.started = time.Now()
-	job.mu.Unlock()
-
-	m.mu.Lock()
-	m.distJobs[id] = job
-	m.distOrder = append(m.distOrder, job)
-	m.mu.Unlock()
-
+	r.coord, r.tasks = coord, len(coord.Tasks())
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		defer cancel()
-		rep, err := coord.Run(ctx)
-		if err != nil {
-			job.finish(stateForError(err), rep, err)
-			return
-		}
-		job.finish(StateDone, rep, nil)
+		m.run(j)
 	}()
-	return job, nil
+	return nil, nil
 }
 
-// GetDist returns the distributed job with the given id.
-func (m *Manager) GetDist(id string) (*DistJob, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.distJobs[id]
-	return j, ok
+func (r *distRun) run(ctx context.Context, _ *Manager, j *Job) (outcome, error) {
+	j.markRunning()
+	rep, err := r.coord.Run(ctx)
+	return outcome{report: rep}, err
 }
 
-// DistJobs lists every tracked distributed job in submission order.
-func (m *Manager) DistJobs() []*DistJob {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*DistJob(nil), m.distOrder...)
-}
-
-// CancelDist cancels a distributed job; the coordinator winds down its
-// in-flight attempts and reports the partial merge.
-func (m *Manager) CancelDist(id string) (*DistJob, error) {
-	j, ok := m.GetDist(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+func (r *distRun) status(env JobStatus, out outcome) any {
+	return DistStatus{
+		JobStatus: env,
+		Spec:      r.spec,
+		Digest:    r.cfg.Digest,
+		Tasks:     r.tasks,
+		Report:    out.report,
 	}
-	j.mu.Lock()
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	return j, nil
 }

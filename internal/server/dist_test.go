@@ -1,17 +1,17 @@
-// Distributed-layer serving tests: the agent /tasks endpoint, the
-// coordinator /dist/jobs lifecycle over real HTTP agents, the aggregated
-// shard SSE stream, and cancellation.
+// Distributed-layer serving tests: the agent /tasks endpoint, distributed
+// admission (validation, default agents, the race against Drain). The
+// /dist/jobs lifecycle itself is TestJobLifecycle's, next to the local one.
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,134 +127,15 @@ func TestTasksEndpoint(t *testing.T) {
 
 	// The substrate's result cache serves a re-dispatched twin: same task
 	// again must hit the digest cache.
-	before := mgr.CacheHits()
+	before := mgr.Stats().CacheHits
 	if code, _ := postTask(t, ts, cluster.TaskMessage{
 		ID: cluster.MakeTaskID("w", cluster.Shard{I: 0, J: 1}), Job: "w",
 		Grid: 2, I: 0, J: 1, Store: "g", Digest: digest,
 	}); code != http.StatusOK {
 		t.Fatalf("re-dispatch: status %d", code)
 	}
-	if mgr.CacheHits() == before {
+	if mgr.Stats().CacheHits == before {
 		t.Fatal("re-dispatched twin missed the result cache")
-	}
-}
-
-// TestDistJobLifecycle is the coordinator E2E over real HTTP agents:
-// submit via POST /dist/jobs, watch the aggregated shard SSE stream, and
-// read back the exact merged report.
-func TestDistJobLifecycle(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	// Registered before the agents so it runs after their teardown (LIFO).
-	t.Cleanup(func() { testutil.WaitGoroutines(t, baseline, "distributed fleet") })
-	g := graph.Complete(25)
-	want := graph.CountTrianglesReference(g)
-	path, _ := buildDistStore(t, g)
-	agent1, _ := newAgent(t, path)
-	agent2, _ := newAgent(t, path)
-
-	coord := server.New(server.Config{Workers: 2, QueueDepth: 16})
-	if err := coord.RegisterStore("g", path); err != nil {
-		t.Fatal(err)
-	}
-	cts := httptest.NewServer(server.NewHandler(coord))
-	defer func() {
-		cts.Close()
-		coord.Drain(5 * time.Second)
-	}()
-
-	spec := server.DistSpec{
-		Store:  "g",
-		Agents: []string{agent1.URL, agent2.URL},
-		Grid:   2,
-	}
-	body, _ := json.Marshal(spec)
-	resp, err := cts.Client().Post(cts.URL+"/dist/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st server.DistStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.ID == "" {
-		t.Fatalf("submit: status %d, id %q", resp.StatusCode, st.ID)
-	}
-	if st.Tasks != 3 {
-		t.Fatalf("tasks = %d, want 3 for a 2×2 grid", st.Tasks)
-	}
-
-	// The SSE stream aggregates per-shard progress; reading to the "done"
-	// frame doubles as completion wait.
-	sresp, err := cts.Client().Get(cts.URL + "/dist/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content type %q", ct)
-	}
-	kinds := map[string]int{}
-	var done bool
-	scanner := bufio.NewScanner(sresp.Body)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if strings.HasPrefix(line, "event: done") {
-			done = true
-		}
-		if strings.HasPrefix(line, "data: ") && !done {
-			var e struct {
-				Kind string `json:"kind"`
-			}
-			if err := json.Unmarshal([]byte(line[len("data: "):]), &e); err == nil {
-				kinds[e.Kind]++
-			}
-		}
-		if done && strings.HasPrefix(line, "data: ") {
-			break
-		}
-	}
-	if !done {
-		t.Fatalf("stream ended without a done frame (kinds %v)", kinds)
-	}
-	if kinds["shard-dispatched"] != 3 || kinds["shard-merged"] != 3 {
-		t.Fatalf("shard event kinds = %v, want 3 dispatched + 3 merged", kinds)
-	}
-
-	// Final status: exact merge, metrics attached, listed.
-	gresp, err := cts.Client().Get(cts.URL + "/dist/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var final server.DistStatus
-	if err := json.NewDecoder(gresp.Body).Decode(&final); err != nil {
-		t.Fatal(err)
-	}
-	gresp.Body.Close()
-	if final.State != "done" {
-		t.Fatalf("state %q, error %q", final.State, final.Error)
-	}
-	if final.Report == nil || final.Report.Triangles != want {
-		t.Fatalf("report %+v, want %d triangles", final.Report, want)
-	}
-	if final.Report.Duplicates != 0 || len(final.Report.Failed) != 0 {
-		t.Fatalf("clean fleet reported %+v", final.Report)
-	}
-	if final.Metrics == nil || final.Metrics.ShardsMerged != 3 {
-		t.Fatalf("metrics %+v, want 3 shards merged", final.Metrics)
-	}
-
-	lresp, err := cts.Client().Get(cts.URL + "/dist/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list []server.DistStatus
-	if err := json.NewDecoder(lresp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	lresp.Body.Close()
-	if len(list) != 1 || list[0].ID != st.ID {
-		t.Fatalf("list = %+v", list)
 	}
 }
 
@@ -269,10 +150,10 @@ func TestSubmitDistValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []server.DistSpec{
-		{Store: "g"},                                              // no agents, no default fleet
-		{Store: "g", Agents: []string{"http://a"}, Grid: -1},      // bad grid
-		{Store: "nope", Agents: []string{"http://a"}},             // unknown store
-		{Store: "g", Agents: []string{"http://a"}, Timeout: "x"},  // bad duration
+		{Store: "g"}, // no agents, no default fleet
+		{Store: "g", Agents: []string{"http://a"}, Grid: -1},     // bad grid
+		{Store: "nope", Agents: []string{"http://a"}},            // unknown store
+		{Store: "g", Agents: []string{"http://a"}, Timeout: "x"}, // bad duration
 		{Store: "g", Agents: []string{"http://a"}, RetryBackoff: "-1s"},
 		{Store: "g", Agents: []string{"http://a"}, StragglerAfter: "zzz"},
 	}
@@ -280,46 +161,6 @@ func TestSubmitDistValidation(t *testing.T) {
 		if _, err := mgr.SubmitDist(spec); err == nil {
 			t.Errorf("case %d accepted: %+v", i, spec)
 		}
-	}
-}
-
-// TestDistCancel: a distributed job stuck on unreachable agents is
-// cancelled via the manager and lands in the canceled state with a partial
-// (empty) report.
-func TestDistCancel(t *testing.T) {
-	g := graph.Complete(10)
-	path, _ := buildDistStore(t, g)
-	blocked := make(chan struct{})
-	mgr := server.New(server.Config{
-		Dispatcher: cluster.DispatchFunc(func(ctx context.Context, agent string, task cluster.TaskMessage) (cluster.TaskResultMessage, error) {
-			select {
-			case <-blocked:
-			case <-ctx.Done():
-			}
-			return cluster.TaskResultMessage{}, ctx.Err()
-		}),
-	})
-	t.Cleanup(func() { close(blocked); mgr.Drain(5 * time.Second) })
-	if err := mgr.RegisterStore("g", path); err != nil {
-		t.Fatal(err)
-	}
-	job, err := mgr.SubmitDist(server.DistSpec{Store: "g", Agents: []string{"a"}, Grid: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.CancelDist(job.ID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-job.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled job never terminated")
-	}
-	if got := job.State().String(); got != "canceled" {
-		t.Fatalf("state %q, want canceled", got)
-	}
-	if _, err := mgr.CancelDist("d999"); err == nil {
-		t.Fatal("cancel of unknown dist job succeeded")
 	}
 }
 
@@ -347,5 +188,70 @@ func TestDistDefaultAgents(t *testing.T) {
 	}
 	if rep.Triangles != want {
 		t.Fatalf("merged %d, want %d", rep.Triangles, want)
+	}
+}
+
+// TestDistSubmitRacesDrain hammers distributed submits against Drain. The
+// admission critical section registers the coordinator goroutine before
+// Drain can observe the table, so when Drain returns every admitted job is
+// terminal, every later submit is refused, and no goroutine is left.
+func TestDistSubmitRacesDrain(t *testing.T) {
+	path, _ := buildDistStore(t, graph.Complete(10))
+	for round := 0; round < 20; round++ {
+		baseline := runtime.NumGoroutine()
+		mgr := server.New(server.Config{
+			Dispatcher: cluster.DispatchFunc(func(ctx context.Context, agent string, task cluster.TaskMessage) (cluster.TaskResultMessage, error) {
+				<-ctx.Done() // a task only ever ends by the forced drain
+				return cluster.TaskResultMessage{}, ctx.Err()
+			}),
+			DefaultAgents: []string{"a"},
+		})
+		if err := mgr.RegisterStore("g", path); err != nil {
+			t.Fatal(err)
+		}
+		const submitters = 8
+		var wg sync.WaitGroup
+		admitted := make([][]*server.Job, submitters)
+		start := make(chan struct{})
+		for i := 0; i < submitters; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				for {
+					job, err := mgr.SubmitDist(server.DistSpec{Store: "g", Grid: 2})
+					if errors.Is(err, server.ErrDraining) {
+						return
+					}
+					if err != nil {
+						t.Errorf("SubmitDist: %v", err)
+						return
+					}
+					admitted[i] = append(admitted[i], job)
+				}
+			}(i)
+		}
+		close(start)
+		mgr.Drain(time.Millisecond)
+		// Checked before the submitters are joined: whatever Drain admitted
+		// it has already finished.
+		live := 0
+		for _, j := range mgr.Jobs() {
+			if !j.State().Terminal() {
+				live++
+			}
+		}
+		if live != 0 {
+			t.Fatalf("round %d: %d admitted jobs still live after Drain returned", round, live)
+		}
+		wg.Wait()
+		for _, jobs := range admitted {
+			for _, j := range jobs {
+				if !j.State().Terminal() {
+					t.Fatalf("round %d: job %s admitted but %v after Drain", round, j.ID, j.State())
+				}
+			}
+		}
+		testutil.WaitGoroutines(t, baseline, "distributed submits racing drain")
 	}
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 
 	"github.com/optlab/opt/internal/cluster"
 )
@@ -25,7 +27,9 @@ const retryAfterSeconds = "1"
 //	GET    /stores           registered store names
 //	GET    /healthz          daemon stats (queue, budget, cache)
 //
-// The distributed layer adds:
+// The distributed layer adds the agent role's endpoint and, for the
+// coordinator role, the same five job routes under /dist/jobs — one handler
+// set serves both mounts:
 //
 //	POST   /tasks                 execute one shard-pair task (agent role);
 //	                              runs through the ordinary job substrate
@@ -36,25 +40,68 @@ const retryAfterSeconds = "1"
 //	GET    /dist/jobs/{id}/events aggregated per-shard progress (SSE)
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
-	h := &api{m: m}
-	mux.HandleFunc("POST /jobs", h.submit)
-	mux.HandleFunc("GET /jobs", h.list)
-	mux.HandleFunc("GET /jobs/{id}", h.get)
-	mux.HandleFunc("DELETE /jobs/{id}", h.cancel)
-	mux.HandleFunc("GET /jobs/{id}/events", h.stream)
-	mux.HandleFunc("GET /stores", h.stores)
-	mux.HandleFunc("GET /healthz", h.health)
-	mux.HandleFunc("POST /tasks", h.task)
-	mux.HandleFunc("POST /dist/jobs", h.distSubmit)
-	mux.HandleFunc("GET /dist/jobs", h.distList)
-	mux.HandleFunc("GET /dist/jobs/{id}", h.distGet)
-	mux.HandleFunc("DELETE /dist/jobs/{id}", h.distCancel)
-	mux.HandleFunc("GET /dist/jobs/{id}/events", h.distStream)
+	(&api{m: m, kind: kindLocal, submit: submitter(m.Submit)}).mount(mux, "/jobs")
+	(&api{m: m, kind: kindDist, submit: submitter(m.SubmitDist)}).mount(mux, "/dist/jobs")
+	mux.HandleFunc("GET /stores", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, m.Stores())
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, m.Stats())
+	})
+	// The agent role's endpoint: execute one shard-pair task frame through
+	// the local job substrate and answer with the result frame.
+	mux.HandleFunc("POST /tasks", func(w http.ResponseWriter, r *http.Request) {
+		t, err := decode[cluster.TaskMessage](r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		res, err := m.RunTask(r.Context(), t)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
+	})
 	return mux
 }
 
+// api is the one job handler set, mounted once per job kind. A mount
+// serves the jobs of its kind only: an id of the other kind is 404 there,
+// and the listing leaves the other kind out.
 type api struct {
-	m *Manager
+	m      *Manager
+	kind   string // id prefix of the jobs this mount serves
+	submit func(r *http.Request) (*Job, error)
+}
+
+func (h *api) mount(mux *http.ServeMux, prefix string) {
+	mux.HandleFunc("POST "+prefix, h.post)
+	mux.HandleFunc("GET "+prefix, h.list)
+	mux.HandleFunc("GET "+prefix+"/{id}", h.get)
+	mux.HandleFunc("DELETE "+prefix+"/{id}", h.cancel)
+	mux.HandleFunc("GET "+prefix+"/{id}/events", h.stream)
+}
+
+// decode reads the request's JSON body into a T.
+func decode[T any](r *http.Request) (T, error) {
+	var v T
+	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
+		return v, errors.Join(ErrBadRequest, err)
+	}
+	return v, nil
+}
+
+// submitter adapts a typed Manager submit method to a request handler's
+// needs: decode the kind's spec, admit it.
+func submitter[S any](submit func(S) (*Job, error)) func(*http.Request) (*Job, error) {
+	return func(r *http.Request) (*Job, error) {
+		spec, err := decode[S](r)
+		if err != nil {
+			return nil, err
+		}
+		return submit(spec)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -87,67 +134,63 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-func (h *api) submit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, errors.Join(ErrBadRequest, err))
-		return
+// lookup resolves the request's {id} to a job of this mount's kind,
+// answering 404 itself when there is none.
+func (h *api) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	id := r.PathValue("id")
+	job, ok := h.m.Get(id)
+	if !ok || !strings.HasPrefix(id, h.kind) {
+		writeError(w, fmt.Errorf("%w: %s", ErrNotFound, id))
+		return nil, false
 	}
-	job, err := h.m.Submit(spec)
+	return job, true
+}
+
+func (h *api) post(w http.ResponseWriter, r *http.Request) {
+	job, err := h.submit(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	st := job.Status()
 	code := http.StatusAccepted
-	if job.Status().Cached {
+	if s, ok := st.(Status); ok && s.Cached {
 		code = http.StatusOK // served from the result cache, already done
 	}
-	writeJSON(w, code, job.Status())
+	writeJSON(w, code, st)
 }
 
 func (h *api) list(w http.ResponseWriter, r *http.Request) {
-	jobs := h.m.Jobs()
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
+	out := []any{}
+	for _, j := range h.m.Jobs() {
+		if strings.HasPrefix(j.ID, h.kind) {
+			out = append(out, j.Status())
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (h *api) get(w http.ResponseWriter, r *http.Request) {
-	job, ok := h.m.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, ErrNotFound)
-		return
+	if job, ok := h.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, job.Status())
 	}
-	writeJSON(w, http.StatusOK, job.Status())
 }
 
 func (h *api) cancel(w http.ResponseWriter, r *http.Request) {
-	job, err := h.m.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
+	if job, ok := h.lookup(w, r); ok {
+		job.Cancel()
+		writeJSON(w, http.StatusAccepted, job.Status())
 	}
-	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
 // stream serves the job's progress as server-sent events: the buffered
 // history first, then live events, then one terminal "done" frame with
 // the final job status once the run reaches a terminal state.
 func (h *api) stream(w http.ResponseWriter, r *http.Request) {
-	job, ok := h.m.Get(r.PathValue("id"))
+	job, ok := h.lookup(w, r)
 	if !ok {
-		writeError(w, ErrNotFound)
 		return
 	}
-	streamHub(w, r, job.hub, func() any { return job.Status() })
-}
-
-// streamHub is the shared SSE pump behind the local and distributed event
-// endpoints: replay, then live events, then one "done" frame with the
-// final status once the hub closes.
-func streamHub(w http.ResponseWriter, r *http.Request, hub *eventHub, final func() any) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, errors.New("server: streaming unsupported by this connection"))
@@ -157,12 +200,10 @@ func streamHub(w http.ResponseWriter, r *http.Request, hub *eventHub, final func
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, live, cancel := hub.Subscribe()
+	replay, live, cancel := job.hub.Subscribe()
 	defer cancel()
 	for _, e := range replay {
-		if err := writeSSE(w, "progress", sseEvent{
-			Kind: e.Kind, Algorithm: e.Algorithm, Iteration: e.Iteration, N: e.N, ElapsedNS: int64(e.Elapsed),
-		}); err != nil {
+		if err := writeSSE(w, "progress", e); err != nil {
 			return
 		}
 	}
@@ -172,13 +213,11 @@ func streamHub(w http.ResponseWriter, r *http.Request, hub *eventHub, final func
 		case e, ok := <-live:
 			if !ok {
 				// Hub closed: the job is terminal; send the final status.
-				_ = writeSSE(w, "done", final())
+				_ = writeSSE(w, "done", job.Status())
 				flusher.Flush()
 				return
 			}
-			if err := writeSSE(w, "progress", sseEvent{
-				Kind: e.Kind, Algorithm: e.Algorithm, Iteration: e.Iteration, N: e.N, ElapsedNS: int64(e.Elapsed),
-			}); err != nil {
+			if err := writeSSE(w, "progress", e); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -186,78 +225,4 @@ func streamHub(w http.ResponseWriter, r *http.Request, hub *eventHub, final func
 			return
 		}
 	}
-}
-
-// task is the agent role's endpoint: execute one shard-pair task frame
-// through the local job substrate and answer with the result frame.
-func (h *api) task(w http.ResponseWriter, r *http.Request) {
-	var t cluster.TaskMessage
-	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		writeError(w, errors.Join(ErrBadRequest, err))
-		return
-	}
-	res, err := h.m.RunTask(r.Context(), t)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (h *api) distSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec DistSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, errors.Join(ErrBadRequest, err))
-		return
-	}
-	job, err := h.m.SubmitDist(spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-func (h *api) distList(w http.ResponseWriter, r *http.Request) {
-	jobs := h.m.DistJobs()
-	out := make([]DistStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (h *api) distGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := h.m.GetDist(r.PathValue("id"))
-	if !ok {
-		writeError(w, ErrNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
-func (h *api) distCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := h.m.CancelDist(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-func (h *api) distStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := h.m.GetDist(r.PathValue("id"))
-	if !ok {
-		writeError(w, ErrNotFound)
-		return
-	}
-	streamHub(w, r, job.hub, func() any { return job.Status() })
-}
-
-func (h *api) stores(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.m.Stores())
-}
-
-func (h *api) health(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.m.Stats())
 }

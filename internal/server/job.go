@@ -2,13 +2,13 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
 
+	"github.com/optlab/opt/internal/cluster"
 	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/metrics"
 )
 
@@ -24,15 +24,15 @@ type State int
 const (
 	// StateQueued: admitted, waiting for a worker (or for budget pages).
 	StateQueued State = iota
-	// StateRunning: dispatched to engine.Run with budget pages acquired.
+	// StateRunning: dispatched to its runner with everything it needs held.
 	StateRunning
-	// StateDone: finished with a full Result.
+	// StateDone: finished with a full outcome.
 	StateDone
 	// StateFailed: finished with an error that was not a cancellation.
 	StateFailed
 	// StateCanceled: cancelled by DELETE, per-job timeout, or drain; a
-	// partial Result may accompany the state, exactly as engine.Run
-	// reports it under cancellation.
+	// partial outcome may accompany the state, exactly as engine.Run and the
+	// coordinator report it under cancellation.
 	StateCanceled
 )
 
@@ -59,118 +59,56 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Spec is the client-supplied description of one triangulation job. Store
-// names a store registered with the daemon or a path to an .optstore file;
-// the remaining fields mirror the engine knobs (zero values select the
-// engine defaults).
-type Spec struct {
-	Store            string  `json:"store"`
-	Algorithm        string  `json:"algorithm"`
-	Model            string  `json:"model,omitempty"` // "", "edge", "vertex", "mgt"
-	Threads          int     `json:"threads,omitempty"`
-	MemoryPages      int     `json:"memory_pages,omitempty"`
-	MemoryFraction   float64 `json:"memory_fraction,omitempty"`
-	QueueDepth       int     `json:"queue_depth,omitempty"`
-	MaxCoalescePages int     `json:"max_coalesce_pages,omitempty"`
-	PrefetchDepth    int     `json:"prefetch_depth,omitempty"`
-	Timeout          string  `json:"timeout,omitempty"` // Go duration, e.g. "30s"
-	CollectIterStats bool    `json:"collect_iter_stats,omitempty"`
-	// Codec, when non-empty, requires the store to have been built with the
-	// named page codec; unknown names are rejected at admission and a
-	// mismatch fails the run.
-	Codec string `json:"codec,omitempty"`
-	// Backend selects the device backend the job's store is opened through
-	// ("portable", "native", "auto"; empty resolves via OPT_BACKEND then
-	// portable). Unknown names are rejected at admission.
-	Backend string `json:"backend,omitempty"`
-	// ShardGrid, ShardI, ShardJ restrict the job to one block-pair task of
-	// the 2D distributed decomposition (0/0/0 = unsharded). Only shard-aware
-	// algorithms accept them; agent optds receive their tasks as ordinary
-	// jobs carrying these fields.
-	ShardGrid int `json:"shard_grid,omitempty"`
-	ShardI    int `json:"shard_i,omitempty"`
-	ShardJ    int `json:"shard_j,omitempty"`
+// Job kinds, which double as the id prefix ("j1", "d1", …) and select the
+// API mount a job is visible under.
+const (
+	kindLocal = "j" // engine run on this node: Submit, POST /jobs, POST /tasks
+	kindDist  = "d" // coordinator run over agent optds: SubmitDist, POST /dist/jobs
+)
+
+// runner is what differs between job kinds; everything else — identity,
+// state machine, timestamps, cancellation, event hub, metrics, the done
+// channel — is the one lifecycle in Job.
+type runner interface {
+	// place runs inside the admission critical section (Manager.mu held)
+	// with the job's id allocated. It claims what the run needs — a slot in
+	// the worker queue, or a manager-joined goroutine of its own — or fails
+	// admission. A non-nil outcome means the answer is already known: the
+	// job completes as a cache hit without running.
+	place(m *Manager, j *Job) (*outcome, error)
+	// run executes the job under ctx, calling j.markRunning once it holds
+	// everything it waits for. A partial outcome may accompany an error.
+	run(ctx context.Context, m *Manager, j *Job) (outcome, error)
+	// status wraps the shared envelope in the kind's status document; out
+	// is the zero outcome until the job is terminal.
+	status(env JobStatus, out outcome) any
 }
 
-// engineOptions translates the spec into engine.Options (without an event
-// sink — the manager attaches the job-scoped sink at dispatch).
-func (s Spec) engineOptions() (engine.Options, error) {
-	opts := engine.Options{
-		Threads:          s.Threads,
-		MemoryPages:      s.MemoryPages,
-		MemoryFraction:   s.MemoryFraction,
-		QueueDepth:       s.QueueDepth,
-		MaxCoalescePages: s.MaxCoalescePages,
-		PrefetchDepth:    s.PrefetchDepth,
-		CollectIterStats: s.CollectIterStats,
-		Codec:            s.Codec,
-		Backend:          s.Backend,
-		ShardGrid:        s.ShardGrid,
-		ShardI:           s.ShardI,
-		ShardJ:           s.ShardJ,
-	}
-	switch s.Model {
-	case "", "edge":
-		opts.Model = engine.ModelEdge
-	case "vertex":
-		opts.Model = engine.ModelVertex
-	case "mgt":
-		opts.Model = engine.ModelMGTInstance
-	default:
-		return opts, fmt.Errorf("%w: unknown model %q (want edge, vertex or mgt)", ErrBadRequest, s.Model)
-	}
-	return opts, nil
+// outcome is what a finished run leaves behind.
+type outcome struct {
+	result  *engine.Result     // local job: the (possibly partial) engine result
+	report  *cluster.RunReport // distributed job: the (possibly partial) merge
+	metrics *metrics.Snapshot  // terminal per-job snapshot; finish fills it when nil
 }
 
-// timeout parses the per-job timeout, 0 when unset.
-func (s Spec) timeout() (time.Duration, error) {
-	if s.Timeout == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s.Timeout)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("%w: invalid timeout %q", ErrBadRequest, s.Timeout)
-	}
-	return d, nil
-}
-
-// digest keys the result cache: two specs with the same digest would run
-// the identical deterministic computation over the same store file, so a
-// completed Result can be served without admission. The resolved store
-// path (not the client's spelling) anchors the key.
-func (s Spec) digest(storePath string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%d\x00%v\x00%d\x00%d\x00%d\x00%v\x00%s\x00%s",
-		storePath, s.Algorithm, s.Model, s.Threads, s.MemoryPages, s.MemoryFraction,
-		s.QueueDepth, s.MaxCoalescePages, s.PrefetchDepth, s.CollectIterStats, s.Codec, s.Backend)
-	// The shard coordinates are part of the computation's identity: two
-	// block-pair tasks over the same store must never share a cache entry.
-	fmt.Fprintf(h, "\x00%d\x00%d\x00%d", s.ShardGrid, s.ShardI, s.ShardJ)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Job is one admitted triangulation request tracked by the manager's
-// in-memory job table.
+// Job is one admitted request — local or distributed — tracked by the
+// manager's job table.
 type Job struct {
-	// ID is the manager-assigned identifier ("j1", "j2", …).
+	// ID is the manager-assigned identifier: "j<n>" for local jobs, "d<n>"
+	// for distributed ones.
 	ID string
-	// Spec is the admitted request.
-	Spec Spec
 
-	storePath string // resolved store file path
-	algorithm string // resolved registry name
-	digest    string
-	pages     int // resolved memory budget in pages, acquired before running
+	kind    runner
+	timeout time.Duration // spec timeout, 0 = Config.DefaultTimeout
 
 	hub       *eventHub
 	collector *metrics.Collector
 
 	mu       sync.Mutex
 	state    State
-	cancel   context.CancelFunc // non-nil once the worker created the run context
-	result   *engine.Result
+	cancel   context.CancelFunc // non-nil once the run context exists
+	out      outcome
 	err      error
-	cached   bool
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -178,84 +116,53 @@ type Job struct {
 	done chan struct{} // closed on reaching a terminal state
 }
 
-// Status is the JSON view of a job served by the HTTP API.
-type Status struct {
-	ID        string            `json:"id"`
-	State     string            `json:"state"`
-	Spec      Spec              `json:"spec"`
-	Algorithm string            `json:"algorithm"`
-	Pages     int               `json:"pages,omitempty"` // resolved budget
-	Cached    bool              `json:"cached,omitempty"`
-	Error     string            `json:"error,omitempty"`
-	Created   time.Time         `json:"created"`
-	Started   *time.Time        `json:"started,omitempty"`
-	Finished  *time.Time        `json:"finished,omitempty"`
-	Result    *ResultView       `json:"result,omitempty"`
-	Metrics   *metrics.Snapshot `json:"metrics,omitempty"`
-}
-
-// ResultView is the JSON shape of an engine.Result. Partial results (a
-// cancelled or failed run) are served the same way, flagged by the job
-// state and error.
-type ResultView struct {
-	Algorithm    string                 `json:"algorithm"`
-	Triangles    int64                  `json:"triangles"`
-	Iterations   int                    `json:"iterations"`
-	ElapsedNS    time.Duration          `json:"elapsed_ns"`
-	PagesRead    int64                  `json:"pages_read"`
-	PagesWritten int64                  `json:"pages_written"`
-	ReusedPages  int64                  `json:"reused_pages"`
-	IntersectOps int64                  `json:"intersect_ops"`
-	IterStats    []engine.IterationStat `json:"iter_stats,omitempty"`
-}
-
-func viewOf(r *engine.Result) *ResultView {
-	if r == nil {
-		return nil
-	}
-	return &ResultView{
-		Algorithm:    r.Algorithm,
-		Triangles:    r.Triangles,
-		Iterations:   r.Iterations,
-		ElapsedNS:    r.Elapsed,
-		PagesRead:    r.PagesRead,
-		PagesWritten: r.PagesWritten,
-		ReusedPages:  r.ReusedPages,
-		IntersectOps: r.IntersectOps,
-		IterStats:    r.IterStats,
+func newJob(kind runner, timeout time.Duration, eventBuffer int) *Job {
+	return &Job{
+		kind:      kind,
+		timeout:   timeout,
+		hub:       newEventHub(eventBuffer),
+		collector: metrics.NewCollector(),
+		created:   time.Now(),
+		done:      make(chan struct{}),
 	}
 }
 
-// Status returns a consistent snapshot of the job.
-func (j *Job) Status() Status {
+// JobStatus is the part of the status document every job kind shares.
+// Status and DistStatus embed it, so its fields inline in their JSON.
+type JobStatus struct {
+	ID       string            `json:"id"`
+	State    string            `json:"state"`
+	Error    string            `json:"error,omitempty"`
+	Created  time.Time         `json:"created"`
+	Started  *time.Time        `json:"started,omitempty"`
+	Finished *time.Time        `json:"finished,omitempty"`
+	Metrics  *metrics.Snapshot `json:"metrics,omitempty"`
+}
+
+// Status returns a consistent snapshot of the job as the JSON document the
+// HTTP API serves: a Status for a local job, a DistStatus for a distributed
+// one.
+func (j *Job) Status() any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := Status{
-		ID:        j.ID,
-		State:     j.state.String(),
-		Spec:      j.Spec,
-		Algorithm: j.algorithm,
-		Pages:     j.pages,
-		Cached:    j.cached,
-		Created:   j.created,
-		Result:    viewOf(j.result),
+	env := JobStatus{
+		ID:      j.ID,
+		State:   j.state.String(),
+		Created: j.created,
+		Metrics: j.out.metrics,
 	}
 	if j.err != nil {
-		s.Error = j.err.Error()
+		env.Error = j.err.Error()
 	}
 	if !j.started.IsZero() {
 		t := j.started
-		s.Started = &t
+		env.Started = &t
 	}
 	if !j.finished.IsZero() {
 		t := j.finished
-		s.Finished = &t
+		env.Finished = &t
 	}
-	if j.state.Terminal() && j.collector != nil {
-		snap := j.collector.Snapshot()
-		s.Metrics = &snap
-	}
-	return s
+	return j.kind.status(env, j.out)
 }
 
 // State returns the job's current state.
@@ -268,27 +175,81 @@ func (j *Job) State() State {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the (possibly partial) result and error after the job
-// reached a terminal state; both are nil/nil before that.
+// Result returns a local job's (possibly partial) result and error after it
+// reached a terminal state; both are nil/nil before that, and the result is
+// nil for a distributed job.
 func (j *Job) Result() (*engine.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, nil
+	return j.out.result, j.err
+}
+
+// Report returns a distributed job's (possibly partial) merged report and
+// error once it is terminal; nil/nil before that, and the report is nil for
+// a local job.
+func (j *Job) Report() (*cluster.RunReport, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.out.report, j.err
+}
+
+// Cancel cancels the job: a queued job moves straight to canceled (its
+// goroutine will skip it), a running one has its context cancelled and
+// winds down — within an iteration for an engine run, after its in-flight
+// attempts for a coordinator — reporting the partial outcome. Cancelling a
+// terminal job is a no-op.
+func (j *Job) Cancel() {
+	j.mu.Lock()
+	cancel := j.cancel
+	queued := j.state == StateQueued && cancel == nil
+	j.mu.Unlock()
+	switch {
+	case queued:
+		j.finish(StateCanceled, outcome{}, fmt.Errorf("server: job %s canceled before start: %w", j.ID, context.Canceled))
+	case cancel != nil:
+		cancel()
 	}
-	return j.result, j.err
+}
+
+// sink is where the job's runner sends progress: the per-job metrics
+// collector and the SSE hub.
+func (j *Job) sink() events.Sink { return events.Tee(j.collector, j.hub) }
+
+// begin hands the run context's cancel func to the job. It reports false
+// when a DELETE finalized the job while it waited to start.
+func (j *Job) begin(cancel context.CancelFunc) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.cancel = cancel
+	return true
+}
+
+// markRunning moves the job from queued to running.
+func (j *Job) markRunning() {
+	j.mu.Lock()
+	j.state = StateRunning
+	j.started = time.Now()
+	j.mu.Unlock()
 }
 
 // finish moves the job to a terminal state, records the outcome, wakes
-// Done waiters, and closes the event hub so SSE streams terminate.
-func (j *Job) finish(state State, res *engine.Result, err error) {
+// Done waiters, and closes the event hub so SSE streams terminate. Only
+// the first call takes effect.
+func (j *Job) finish(state State, out outcome, err error) {
+	if out.metrics == nil {
+		snap := j.collector.Snapshot()
+		out.metrics = &snap
+	}
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		return
 	}
 	j.state = state
-	j.result = res
+	j.out = out
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()

@@ -1,0 +1,224 @@
+package server
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+
+	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/ssd"
+	"github.com/optlab/opt/internal/storage"
+)
+
+// Spec is the client-supplied description of one triangulation job. Store
+// names a store registered with the daemon or a path to an .optstore file;
+// the remaining fields mirror the engine knobs (zero values select the
+// engine defaults).
+type Spec struct {
+	Store            string  `json:"store"`
+	Algorithm        string  `json:"algorithm"`
+	Model            string  `json:"model,omitempty"` // "", "edge", "vertex", "mgt"
+	Threads          int     `json:"threads,omitempty"`
+	MemoryPages      int     `json:"memory_pages,omitempty"`
+	MemoryFraction   float64 `json:"memory_fraction,omitempty"`
+	QueueDepth       int     `json:"queue_depth,omitempty"`
+	MaxCoalescePages int     `json:"max_coalesce_pages,omitempty"`
+	PrefetchDepth    int     `json:"prefetch_depth,omitempty"`
+	Timeout          string  `json:"timeout,omitempty"` // Go duration, e.g. "30s"
+	CollectIterStats bool    `json:"collect_iter_stats,omitempty"`
+	// Codec, when non-empty, requires the store to have been built with the
+	// named page codec; unknown names are rejected at admission and a
+	// mismatch fails the run.
+	Codec string `json:"codec,omitempty"`
+	// Backend selects the device backend the job's store is opened through
+	// ("portable", "native", "auto"; empty resolves via OPT_BACKEND then
+	// portable). Unknown names are rejected at admission.
+	Backend string `json:"backend,omitempty"`
+	// ShardGrid, ShardI, ShardJ restrict the job to one block-pair task of
+	// the 2D distributed decomposition (0/0/0 = unsharded). Only shard-aware
+	// algorithms accept them; agent optds receive their tasks as ordinary
+	// jobs carrying these fields.
+	ShardGrid int `json:"shard_grid,omitempty"`
+	ShardI    int `json:"shard_i,omitempty"`
+	ShardJ    int `json:"shard_j,omitempty"`
+}
+
+// engineOptions translates the spec into engine.Options (without an event
+// sink — the run attaches the job-scoped sink at dispatch).
+func (s Spec) engineOptions() (engine.Options, error) {
+	opts := engine.Options{
+		Threads:          s.Threads,
+		MemoryPages:      s.MemoryPages,
+		MemoryFraction:   s.MemoryFraction,
+		QueueDepth:       s.QueueDepth,
+		MaxCoalescePages: s.MaxCoalescePages,
+		PrefetchDepth:    s.PrefetchDepth,
+		CollectIterStats: s.CollectIterStats,
+		Codec:            s.Codec,
+		Backend:          s.Backend,
+		ShardGrid:        s.ShardGrid,
+		ShardI:           s.ShardI,
+		ShardJ:           s.ShardJ,
+	}
+	switch s.Model {
+	case "", "edge":
+		opts.Model = engine.ModelEdge
+	case "vertex":
+		opts.Model = engine.ModelVertex
+	case "mgt":
+		opts.Model = engine.ModelMGTInstance
+	default:
+		return opts, fmt.Errorf("%w: unknown model %q (want edge, vertex or mgt)", ErrBadRequest, s.Model)
+	}
+	return opts, nil
+}
+
+// digest keys the result cache: two specs with the same digest would run
+// the identical deterministic computation over the same store file, so a
+// completed Result can be served without admission. The resolved store
+// path (not the client's spelling) anchors the key.
+func (s Spec) digest(storePath string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%d\x00%v\x00%d\x00%d\x00%d\x00%v\x00%s\x00%s",
+		storePath, s.Algorithm, s.Model, s.Threads, s.MemoryPages, s.MemoryFraction,
+		s.QueueDepth, s.MaxCoalescePages, s.PrefetchDepth, s.CollectIterStats, s.Codec, s.Backend)
+	// The shard coordinates are part of the computation's identity: two
+	// block-pair tasks over the same store must never share a cache entry.
+	fmt.Fprintf(h, "\x00%d\x00%d\x00%d", s.ShardGrid, s.ShardI, s.ShardJ)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Status is the JSON view of a local job served by the HTTP API.
+type Status struct {
+	JobStatus
+	Spec      Spec   `json:"spec"`
+	Algorithm string `json:"algorithm"`
+	Pages     int    `json:"pages,omitempty"` // resolved budget
+	Cached    bool   `json:"cached,omitempty"`
+	// Result is served the same way when partial (a cancelled or failed
+	// run), flagged by the job state and error.
+	Result *engine.Result `json:"result,omitempty"`
+}
+
+// localRun is the runner of a local job: it waits in the bounded queue for
+// a pool worker, acquires its pages from the global budget, and runs the
+// engine over the store's device.
+type localRun struct {
+	spec   Spec
+	store  *storage.Store
+	opts   engine.Options // validated at admission, MemoryPages resolved
+	digest string
+	cached bool // served from the result cache; set in place, before the job is visible
+}
+
+// Submit validates and admits a job. The fast path — a digest cache hit —
+// returns an already-completed job without consuming queue or budget
+// capacity. Admission failures are ErrBadRequest/ErrBudgetTooLarge
+// (rejected outright), ErrQueueFull (backpressure: retry later) or
+// ErrDraining (shutting down).
+func (m *Manager) Submit(spec Spec) (*Job, error) {
+	if spec.Algorithm == "" {
+		spec.Algorithm = "OPT"
+	}
+	opts, err := spec.engineOptions()
+	if err != nil {
+		return nil, err
+	}
+	timeout, err := parseDuration("timeout", spec.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := engine.ValidateFor(spec.Algorithm, opts); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	st, err := m.resolveStore(spec.Store)
+	if err != nil {
+		return nil, err
+	}
+	opts.MemoryPages = opts.Budget(st)
+	if total := m.budget.Total(); total > 0 && opts.MemoryPages > total {
+		return nil, fmt.Errorf("%w: job needs %d pages, global budget is %d", ErrBudgetTooLarge, opts.MemoryPages, total)
+	}
+	return m.admit(kindLocal, timeout, &localRun{spec: spec, store: st, opts: opts, digest: spec.digest(st.Path)})
+}
+
+// place serves the job from the result cache when its digest is known —
+// the job is recorded as done without ever touching the queue, budget, or a
+// worker — and otherwise claims a slot in the bounded worker queue.
+func (r *localRun) place(m *Manager, j *Job) (*outcome, error) {
+	if hit, ok := m.cache[r.digest]; ok {
+		m.hits++
+		r.cached = true
+		res := *hit.result
+		return &outcome{result: &res, metrics: hit.metrics}, nil
+	}
+	select {
+	case m.queue <- j:
+		return nil, nil
+	default:
+		return nil, ErrQueueFull
+	}
+}
+
+// run executes the job end to end: budget acquisition, device open, engine
+// dispatch, and the result-cache fill.
+func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error) {
+	// The budget wait happens while still queued: pages are only held by
+	// running jobs, so the in-use sum tracks actual concurrent budgets.
+	pages := r.opts.MemoryPages
+	if err := m.budget.Acquire(ctx, pages); err != nil {
+		return outcome{}, fmt.Errorf("server: job %s waiting for page budget: %w", j.ID, err)
+	}
+	defer m.budget.Release(pages)
+
+	b, err := ssd.ParseBackend(r.spec.Backend)
+	if err != nil {
+		// Unreachable after admission validation; belt and braces.
+		return outcome{}, fmt.Errorf("server: job %s: %w", j.ID, err)
+	}
+	dev, err := r.store.DeviceBackend(b)
+	if err != nil {
+		return outcome{}, fmt.Errorf("server: job %s opening device: %w", j.ID, err)
+	}
+	if m.cfg.WrapDevice != nil {
+		dev = m.cfg.WrapDevice(dev)
+	}
+	tempDir, err := os.MkdirTemp(m.cfg.TempDir, "optd-job-")
+	if err != nil {
+		_ = dev.Close()
+		return outcome{}, err
+	}
+	defer func() { _ = os.RemoveAll(tempDir) }()
+
+	opts := r.opts
+	opts.TempDir = tempDir
+	opts.Events = j.sink()
+
+	j.markRunning()
+	res, err := engine.Run(ctx, r.spec.Algorithm, r.store, dev, opts)
+	if cerr := dev.Close(); err == nil && cerr != nil {
+		err = cerr
+	}
+	out := outcome{result: res}
+	if err == nil {
+		snap := j.collector.Snapshot()
+		out.metrics = &snap
+		m.mu.Lock()
+		m.cache[r.digest] = out
+		m.mu.Unlock()
+	}
+	return out, err
+}
+
+func (r *localRun) status(env JobStatus, out outcome) any {
+	return Status{
+		JobStatus: env,
+		Spec:      r.spec,
+		Algorithm: r.spec.Algorithm,
+		Pages:     r.opts.MemoryPages,
+		Cached:    r.cached,
+		Result:    out.result,
+	}
+}

@@ -11,16 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"github.com/optlab/opt/internal/cluster"
-	"github.com/optlab/opt/internal/engine"
-	"github.com/optlab/opt/internal/events"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -54,8 +50,8 @@ type Config struct {
 	// running jobs; a job's resolved Options.MemoryPages is acquired from
 	// it before the run starts. 0 disables arbitration.
 	TotalPages int
-	// DefaultTimeout applies to jobs whose spec carries none (0 = no
-	// limit).
+	// DefaultTimeout applies to jobs, local and distributed, whose spec
+	// carries none (0 = no limit).
 	DefaultTimeout time.Duration
 	// EventBuffer is the per-job event ring/channel capacity (default 256).
 	EventBuffer int
@@ -89,23 +85,13 @@ type Manager struct {
 
 	mu       sync.Mutex
 	draining bool
-	seq      int64
-	jobs     map[string]*Job
+	seq      map[string]int64  // last id number handed out, per job kind
+	jobs     map[string]*Job   // every tracked job, local and distributed
 	order    []*Job            // insertion order for listing
 	stores   map[string]string // registered name → path
 	opened   map[string]*storage.Store
-	cache    map[string]*cacheEntry
+	cache    map[string]outcome // digest-keyed completed local runs
 	hits     int64
-
-	distSeq   int64
-	distJobs  map[string]*DistJob
-	distOrder []*DistJob
-}
-
-// cacheEntry is a digest-keyed completed result.
-type cacheEntry struct {
-	result  *engine.Result
-	metrics metrics.Snapshot
 }
 
 // New starts a manager with cfg's worker pool running.
@@ -123,11 +109,11 @@ func New(cfg Config) *Manager {
 		cfg:    cfg,
 		budget: NewPageBudget(cfg.TotalPages),
 		queue:  make(chan *Job, cfg.QueueDepth),
-		jobs:     make(map[string]*Job),
-		stores:   make(map[string]string),
-		opened:   make(map[string]*storage.Store),
-		cache:    make(map[string]*cacheEntry),
-		distJobs: make(map[string]*DistJob),
+		seq:    make(map[string]int64),
+		jobs:   make(map[string]*Job),
+		stores: make(map[string]string),
+		opened: make(map[string]*storage.Store),
+		cache:  make(map[string]outcome),
 	}
 	m.budget.SetHook(cfg.OnBudget)
 	m.rootCtx, m.cancelJobs = context.WithCancel(context.Background())
@@ -198,82 +184,37 @@ func (m *Manager) resolveStore(ref string) (*storage.Store, error) {
 	return st, nil
 }
 
-// Submit validates and admits a job. The fast path — a digest cache hit —
-// returns an already-completed job without consuming queue or budget
-// capacity. Admission failures are ErrBadRequest/ErrBudgetTooLarge
-// (rejected outright), ErrQueueFull (backpressure: retry later) or
-// ErrDraining (shutting down).
-func (m *Manager) Submit(spec Spec) (*Job, error) {
-	if m.isDraining() {
-		return nil, ErrDraining
-	}
-	if spec.Algorithm == "" {
-		spec.Algorithm = "OPT"
-	}
-	opts, err := spec.engineOptions()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := spec.timeout(); err != nil {
-		return nil, err
-	}
-	if err := engine.ValidateFor(spec.Algorithm, opts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	st, err := m.resolveStore(spec.Store)
-	if err != nil {
-		return nil, err
-	}
-	pages := opts.Budget(st)
-	if total := m.budget.Total(); total > 0 && pages > total {
-		return nil, fmt.Errorf("%w: job needs %d pages, global budget is %d", ErrBudgetTooLarge, pages, total)
-	}
-
-	job := &Job{
-		Spec:      spec,
-		storePath: st.Path,
-		algorithm: spec.Algorithm,
-		digest:    spec.digest(st.Path),
-		pages:     pages,
-		hub:       newEventHub(m.cfg.EventBuffer),
-		collector: metrics.NewCollector(),
-		created:   time.Now(),
-		done:      make(chan struct{}),
-	}
-
+// admit is the one admission path of every job kind. The draining check,
+// the id allocation, the kind's claim on a queue slot or goroutine, and the
+// table insert share one critical section, so Drain — which flips draining
+// under the same lock — joins every job that was ever admitted.
+func (m *Manager) admit(kind string, timeout time.Duration, r runner) (*Job, error) {
+	j := newJob(r, timeout, m.cfg.EventBuffer)
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	m.seq++
-	job.ID = "j" + strconv.FormatInt(m.seq, 10)
-	if hit, ok := m.cache[job.digest]; ok {
-		// Served from the result cache: the job is recorded in the table
-		// as done without ever touching the queue, budget, or a worker.
-		m.hits++
-		job.cached = true
-		job.started = job.created
-		res := *hit.result
-		m.jobs[job.ID] = job
-		m.order = append(m.order, job)
+	m.seq[kind]++
+	j.ID = kind + strconv.FormatInt(m.seq[kind], 10)
+	hit, err := r.place(m, j)
+	if err != nil {
 		m.mu.Unlock()
-		job.finish(StateDone, &res, nil)
-		return job, nil
+		return nil, err
 	}
-	select {
-	case m.queue <- job:
-	default:
-		m.mu.Unlock()
-		return nil, ErrQueueFull
+	if hit != nil {
+		j.started = j.created
 	}
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job)
+	m.jobs[j.ID] = j
+	m.order = append(m.order, j)
 	m.mu.Unlock()
-	return job, nil
+	if hit != nil {
+		j.finish(StateDone, *hit, nil)
+	}
+	return j, nil
 }
 
-// Get returns the job with the given id.
+// Get returns the job with the given id, local or distributed.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -281,55 +222,20 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs lists every tracked job in submission order.
+// Jobs lists every tracked job, local and distributed, in submission order.
 func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]*Job(nil), m.order...)
 }
 
-// Cancel cancels the job with the given id: a queued job moves straight
-// to canceled (the worker will skip it), a running one has its context
-// cancelled and winds down within an iteration, reporting the partial
-// result. Cancelling a terminal job is a no-op.
-func (m *Manager) Cancel(id string) (*Job, error) {
-	j, ok := m.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	j.mu.Lock()
-	cancel := j.cancel
-	queued := j.state == StateQueued && cancel == nil
-	j.mu.Unlock()
-	switch {
-	case queued:
-		j.finish(StateCanceled, nil, fmt.Errorf("server: job %s canceled before start: %w", id, context.Canceled))
-	case cancel != nil:
-		cancel()
-	}
-	return j, nil
-}
-
-func (m *Manager) isDraining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
-// CacheHits returns the number of submissions served from the result
-// cache.
-func (m *Manager) CacheHits() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits
-}
-
 // Drain shuts the manager down gracefully: admission stops immediately
-// (Submit fails with ErrDraining), in-flight and queued jobs get up to
-// deadline to finish, then every remaining job context is cancelled and
-// Drain waits for the workers to wind down — the engine contract bounds
-// that by one iteration per job. It reports whether the deadline forced
-// cancellation. Drain is idempotent; concurrent calls share the outcome.
+// (Submit and SubmitDist fail with ErrDraining), in-flight and queued jobs
+// get up to deadline to finish, then every remaining job context is
+// cancelled and Drain waits for the pool workers and the coordinator
+// goroutines to wind down — the engine contract bounds that by one
+// iteration per job. It reports whether the deadline forced cancellation.
+// Drain is idempotent; concurrent calls share the outcome.
 func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	m.mu.Lock()
 	if !m.draining {
@@ -338,22 +244,12 @@ func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	}
 	m.mu.Unlock()
 
-	workersDone := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(workersDone)
-	}()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case <-workersDone:
-	case <-timer.C:
-		forced = true
-		m.cancelJobs()
-		<-workersDone
-	}
-	// Idempotence: a second Drain finds the pool already stopped, and any
-	// job left queued was finalized by the worker loop before exit.
+	// Past the deadline every job context is cancelled, which bounds the
+	// wait below by one iteration per job. Stop reports false exactly when
+	// that cancellation already fired.
+	timer := time.AfterFunc(deadline, m.cancelJobs)
+	m.wg.Wait()
+	forced = !timer.Stop()
 	m.cancelJobs()
 	return forced
 }
@@ -367,99 +263,52 @@ func (m *Manager) worker() {
 	}
 }
 
-// run executes one job end to end: context and timeout setup, budget
-// acquisition, device open, engine dispatch, and terminal-state
-// accounting.
-func (m *Manager) run(job *Job) {
-	// A DELETE may have finalized the job while it sat in the queue.
-	if job.State().Terminal() {
-		return
+// run drives one admitted job of either kind through its lifecycle: run
+// context, hand-over of the cancel func, the kind's runner, terminal state.
+func (m *Manager) run(j *Job) {
+	ctx, cancel := m.jobContext(j.timeout)
+	defer cancel()
+	if !j.begin(cancel) {
+		return // a DELETE finalized the job while it waited
 	}
-	timeout, _ := job.Spec.timeout() // validated at admission
+	out, err := j.kind.run(ctx, m, j)
+	j.finish(stateFor(err), out, err)
+}
+
+// jobContext derives a job's run context from the manager's root context,
+// so a forced drain cancels it, bounded by the spec's timeout or, when the
+// spec carries none, by Config.DefaultTimeout.
+func (m *Manager) jobContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout == 0 {
 		timeout = m.cfg.DefaultTimeout
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
 	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(m.rootCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(m.rootCtx)
+		return context.WithTimeout(m.rootCtx, timeout)
 	}
-	defer cancel()
-	job.mu.Lock()
-	if job.state.Terminal() { // raced with DELETE
-		job.mu.Unlock()
-		return
-	}
-	job.cancel = cancel
-	job.mu.Unlock()
-
-	// The budget wait happens while still queued: pages are only held by
-	// running jobs, so the in-use sum tracks actual concurrent budgets.
-	if err := m.budget.Acquire(ctx, job.pages); err != nil {
-		job.finish(stateForError(err), nil, fmt.Errorf("server: job %s waiting for page budget: %w", job.ID, err))
-		return
-	}
-	defer m.budget.Release(job.pages)
-
-	st, err := m.resolveStore(job.storePath)
-	if err != nil {
-		job.finish(StateFailed, nil, err)
-		return
-	}
-	b, err := ssd.ParseBackend(job.Spec.Backend)
-	if err != nil {
-		// Unreachable after admission validation; belt and braces.
-		job.finish(StateFailed, nil, fmt.Errorf("server: job %s: %w", job.ID, err))
-		return
-	}
-	dev, err := st.DeviceBackend(b)
-	if err != nil {
-		job.finish(StateFailed, nil, fmt.Errorf("server: job %s opening device: %w", job.ID, err))
-		return
-	}
-	if m.cfg.WrapDevice != nil {
-		dev = m.cfg.WrapDevice(dev)
-	}
-
-	tempDir, err := os.MkdirTemp(m.cfg.TempDir, "optd-job-")
-	if err != nil {
-		_ = dev.Close()
-		job.finish(StateFailed, nil, err)
-		return
-	}
-	defer func() { _ = os.RemoveAll(tempDir) }()
-
-	opts, _ := job.Spec.engineOptions() // validated at admission
-	opts.MemoryPages = job.pages
-	opts.TempDir = tempDir
-	opts.Events = events.Tee(job.collector, job.hub)
-
-	job.mu.Lock()
-	job.state = StateRunning
-	job.started = time.Now()
-	job.mu.Unlock()
-
-	res, err := engine.Run(ctx, job.algorithm, st, dev, opts)
-	if cerr := dev.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err == nil {
-		m.mu.Lock()
-		m.cache[job.digest] = &cacheEntry{result: res, metrics: job.collector.Snapshot()}
-		m.mu.Unlock()
-		job.finish(StateDone, res, nil)
-		return
-	}
-	job.finish(stateForError(err), res, err)
+	return context.WithCancel(m.rootCtx)
 }
 
-// stateForError maps a run error onto the terminal state: cancellation
-// (DELETE, per-job timeout, drain) is StateCanceled, everything else
-// StateFailed.
-func stateForError(err error) State {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+// parseDuration parses the optional Go-duration spec field named field;
+// empty is 0.
+func parseDuration(field, s string) (time.Duration, error) {
+	if s == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("%w: invalid %s %q", ErrBadRequest, field, s)
+	}
+	return d, nil
+}
+
+// stateFor maps a run error onto the terminal state: nil is StateDone,
+// cancellation (DELETE, per-job timeout, drain) is StateCanceled,
+// everything else StateFailed.
+func stateFor(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return StateCanceled
 	}
 	return StateFailed

@@ -5,12 +5,10 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -106,16 +104,9 @@ func postJob(t *testing.T, ts *httptest.Server, spec server.Spec) (int, server.S
 
 func getStatus(t *testing.T, ts *httptest.Server, id string) server.Status {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs/%s = %d", id, resp.StatusCode)
-	}
+	_, raw := callStatus(t, ts, http.MethodGet, "/jobs/"+id, nil, http.StatusOK)
 	var st server.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -277,49 +268,10 @@ func TestBackpressureE2E(t *testing.T) {
 	testutil.WaitGoroutines(t, baseline, "job manager drain")
 }
 
-// TestDrainDeadlineForcesCancel pins the forced path: a job parked past
-// the drain deadline is cancelled, keeps its partial result, and the
-// workers still exit promptly.
-func TestDrainDeadlineForcesCancel(t *testing.T) {
-	path := buildStore(t, graph.Complete(10), 128)
-	baseline := runtime.NumGoroutine()
-	m := server.New(server.Config{Workers: 1, QueueDepth: 1})
-
-	job, err := m.Submit(server.Spec{Store: path, Algorithm: "test-blocking"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, m, job.ID, "running")
-
-	start := time.Now()
-	forced := m.Drain(100 * time.Millisecond)
-	if !forced {
-		t.Fatal("drain with a blocked job must report forced cancellation")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("forced drain took %v, want prompt wind-down after the deadline", d)
-	}
-	if st := job.State(); st != server.StateCanceled {
-		t.Fatalf("job state = %v, want canceled", st)
-	}
-	res, err := job.Result()
-	if res == nil || res.Triangles != 1 {
-		t.Fatalf("partial result %+v, want the runner's progress kept", res)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("job error = %v, want context.Canceled", err)
-	}
-	// Idempotent: a second drain returns immediately without forcing.
-	if m.Drain(time.Millisecond) {
-		t.Fatal("second drain reported forced")
-	}
-	testutil.WaitGoroutines(t, baseline, "job manager drain")
-}
-
-// TestCancelQueuedAndRunning covers DELETE for both lifecycle positions:
-// a queued job moves straight to canceled without running; a running job
-// winds down with a partial result and the canceled state.
-func TestCancelQueuedAndRunning(t *testing.T) {
+// TestCancelQueued covers DELETE for the lifecycle position only local
+// jobs wait in: a queued job moves straight to canceled without ever
+// running. (DELETE of a running job is TestJobLifecycle's, for both kinds.)
+func TestCancelQueued(t *testing.T) {
 	path := buildStore(t, graph.Complete(10), 128)
 	m := server.New(server.Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(server.NewHandler(m))
@@ -329,6 +281,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	release := make(chan struct{})
 	gate.Store(release)
 	defer gate.Store((chan struct{})(nil))
+	defer close(release)
 
 	running, err := m.Submit(server.Spec{Store: path, Algorithm: "test-gated"})
 	if err != nil {
@@ -339,44 +292,13 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	del := func(id string) (int, server.Status) {
-		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st server.Status
-		_ = json.NewDecoder(resp.Body).Decode(&st)
-		return resp.StatusCode, st
-	}
-
-	if code, _ := del(queued.ID); code != http.StatusAccepted {
-		t.Fatalf("DELETE queued = %d, want 202", code)
-	}
+	callStatus(t, ts, http.MethodDelete, "/jobs/"+queued.ID, nil, http.StatusAccepted)
 	waitState(t, m, queued.ID, "canceled")
 	if st := getStatus(t, ts, queued.ID); st.Started != nil {
 		t.Fatalf("queued job started=%v after cancel; it must never run", st.Started)
 	}
-
-	if code, _ := del(running.ID); code != http.StatusAccepted {
-		t.Fatalf("DELETE running = %d, want 202", code)
-	}
-	waitState(t, m, running.ID, "canceled")
-	res, runErr := running.Result()
-	if res == nil {
-		t.Fatal("cancelled running job lost its partial result")
-	}
-	if !errors.Is(runErr, context.Canceled) {
-		t.Fatalf("cancelled job error = %v, want context.Canceled", runErr)
-	}
-	// Cancelling a terminal job is a no-op, not an error.
-	if code, st := del(running.ID); code != http.StatusAccepted || st.State != "canceled" {
-		t.Fatalf("re-DELETE = %d/%s, want 202/canceled", code, st.State)
+	if res, err := queued.Result(); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued cancel left %+v / %v, want no result and context.Canceled", res, err)
 	}
 }
 
@@ -409,8 +331,14 @@ func TestResultCache(t *testing.T) {
 	if second.Result == nil || second.Result.Triangles != want {
 		t.Fatalf("cached result %+v, want %d triangles", second.Result, want)
 	}
-	if hits := m.CacheHits(); hits != 1 {
+	if hits := m.Stats().CacheHits; hits != 1 {
 		t.Fatalf("CacheHits = %d, want 1", hits)
+	}
+	// A hit serves the run's stored metrics snapshot, not an empty one.
+	for _, st := range []server.Status{second, getStatus(t, ts, second.ID)} {
+		if st.Metrics == nil || st.Metrics.PagesRead == 0 || st.Metrics.PagesRead != st.Result.PagesRead {
+			t.Fatalf("cached job metrics %+v, want the %d pages read of its result", st.Metrics, st.Result.PagesRead)
+		}
 	}
 
 	differing := spec
@@ -419,71 +347,6 @@ func TestResultCache(t *testing.T) {
 		t.Fatalf("differing spec = %d, want a fresh 202 run", code)
 	} else {
 		waitState(t, m, third.ID, "done")
-	}
-}
-
-// TestSSEStream reads a job's event stream end to end: buffered progress
-// replay, then the terminal "done" frame carrying the final status.
-func TestSSEStream(t *testing.T) {
-	g := graph.Complete(12)
-	want := graph.CountTrianglesReference(g)
-	path := buildStore(t, g, 128)
-	m := server.New(server.Config{Workers: 1, QueueDepth: 1})
-	ts := httptest.NewServer(server.NewHandler(m))
-	defer ts.Close()
-	defer m.Drain(5 * time.Second)
-
-	job, err := m.Submit(server.Spec{Store: path, Algorithm: "MGT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Get(ts.URL + "/jobs/" + job.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	var progress, done []string
-	var current string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			current = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			if current == "done" {
-				done = append(done, data)
-			} else {
-				progress = append(progress, data)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 1 {
-		t.Fatalf("got %d done frames, want exactly 1 (progress: %v)", len(done), progress)
-	}
-	joined := strings.Join(progress, "\n")
-	for _, kind := range []string{"run-start", "run-end"} {
-		if !strings.Contains(joined, fmt.Sprintf("%q", kind)) {
-			t.Errorf("progress frames missing kind %q:\n%s", kind, joined)
-		}
-	}
-	var final server.Status
-	if err := json.Unmarshal([]byte(done[0]), &final); err != nil {
-		t.Fatalf("done frame %q: %v", done[0], err)
-	}
-	if final.State != "done" || final.Result == nil || final.Result.Triangles != want {
-		t.Fatalf("done frame = %+v, want done with %d triangles", final, want)
-	}
-	if final.Metrics == nil || final.Metrics.PagesRead == 0 {
-		t.Fatalf("done frame metrics = %+v, want a per-job snapshot with I/O", final.Metrics)
 	}
 }
 
@@ -614,30 +477,5 @@ func TestRegisteredStores(t *testing.T) {
 	res, err := job.Result()
 	if err != nil || res.Triangles != want {
 		t.Fatalf("named-store job = %+v/%v, want %d triangles", res, err, want)
-	}
-}
-
-// TestJobTimeout pins the per-job deadline: a spec timeout expires, the
-// run is cancelled, and the state is canceled with the deadline error.
-func TestJobTimeout(t *testing.T) {
-	path := buildStore(t, graph.Complete(10), 128)
-	m := server.New(server.Config{Workers: 1, QueueDepth: 1})
-	defer m.Drain(5 * time.Second)
-
-	job, err := m.Submit(server.Spec{Store: path, Algorithm: "test-blocking", Timeout: "50ms"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-job.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("job timeout never fired")
-	}
-	if st := job.State(); st != server.StateCanceled {
-		t.Fatalf("state = %v, want canceled on timeout", st)
-	}
-	_, runErr := job.Result()
-	if !errors.Is(runErr, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want DeadlineExceeded", runErr)
 	}
 }

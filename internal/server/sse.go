@@ -29,10 +29,9 @@ type subscriber struct {
 	dropped int64 // events not delivered because ch was full
 }
 
+// newEventHub returns a hub keeping maxLen (Config.EventBuffer, defaulted
+// by New) events of history and per-subscriber backlog.
 func newEventHub(maxLen int) *eventHub {
-	if maxLen <= 0 {
-		maxLen = 256
-	}
 	return &eventHub{maxLen: maxLen, subs: make(map[*subscriber]struct{})}
 }
 
@@ -98,15 +97,6 @@ func (h *eventHub) Close() {
 		close(s.ch)
 		delete(h.subs, s)
 	}
-}
-
-// sseEvent is the JSON payload of one "progress" SSE message.
-type sseEvent struct {
-	Kind      events.Kind `json:"kind"`
-	Algorithm string      `json:"algorithm,omitempty"`
-	Iteration int         `json:"iteration"`
-	N         int64       `json:"n"`
-	ElapsedNS int64       `json:"elapsed_ns,omitempty"`
 }
 
 // writeSSE writes one server-sent event frame.

@@ -57,7 +57,7 @@ func (m *Manager) RunTask(ctx context.Context, t cluster.TaskMessage) (cluster.T
 	case <-ctx.Done():
 		// The coordinator hung up (straggler replacement won, or the whole
 		// job died): stop burning budget on a result nobody will merge.
-		_, _ = m.Cancel(job.ID)
+		job.Cancel()
 		<-job.Done()
 	}
 	res, err := job.Result()

@@ -99,10 +99,10 @@ type AsyncDevice struct {
 	dev     PageDevice
 	opts    AsyncOptions
 	queue   *reqQueue
-	done    chan struct{}
 	compl   chan completion
+	done    chan struct{} // closed when the dispatcher has exited
 	pending sync.WaitGroup
-	workers sync.WaitGroup // worker/ring + dispatcher goroutines, joined by Close
+	workers sync.WaitGroup // worker/ring engine goroutines, joined by Close
 	once    sync.Once
 
 	// Allocation-free read path: set when dev implements IntoReader.
@@ -111,10 +111,9 @@ type AsyncDevice struct {
 
 	// Ring engine: set when dev is a ringDevice with a live ring and the
 	// latency model is zero.
-	ring         ringDevice
-	slots        *ringSlots
-	slotFree     chan uint64
-	ringShutdown atomic.Bool
+	ring     ringDevice
+	slots    *ringSlots
+	slotFree chan uint64
 
 	// Request accounting: submissions and retirements of asynchronous
 	// requests, exposed so schedulers and tests can observe the in-flight
@@ -155,10 +154,7 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 	}
 	if ip, ok := dev.(InfoProvider); ok {
 		if info := ip.BackendInfo(); info.Backend == BackendNative && !info.Direct {
-			d.emit(events.DirectFallback, 1)
-			if m := opts.Metrics; m != nil {
-				m.AddDirectFallbacks(1)
-			}
+			d.note(events.DirectFallback, 1)
 		}
 	}
 	if rd, ok := dev.(ringDevice); ok && rd.RingEnabled() && d.into != nil && opts.Latency == (Latency{}) {
@@ -169,10 +165,7 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 		for i := 0; i < n; i++ {
 			d.slotFree <- uint64(i)
 		}
-		d.emit(events.RingDepth, int64(n))
-		if m := opts.Metrics; m != nil {
-			m.SetRingDepth(int64(n))
-		}
+		d.note(events.RingDepth, int64(n))
 		d.workers.Add(2)
 		go d.ringSubmitter()
 		go d.ringReaper()
@@ -182,7 +175,6 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 			go d.worker()
 		}
 	}
-	d.workers.Add(1)
 	go d.dispatcher()
 	return d
 }
@@ -205,12 +197,18 @@ func (d *AsyncDevice) RingActive() bool { return d.ring != nil }
 // slice is valid only until cb returns (see the buffer-lifetime note on
 // AsyncDevice).
 func (d *AsyncDevice) AsyncRead(first uint32, count int, cb func(data []byte, err error)) {
-	if m := d.opts.Metrics; m != nil {
+	d.submit(request{first: first, count: count, cb: cb})
+}
+
+// submit queues one asynchronous request for whichever engine drains the
+// queue.
+func (d *AsyncDevice) submit(req request) {
+	if m := d.opts.Metrics; m != nil && req.write == nil {
 		m.AddAsyncReads(1)
 	}
 	d.submitted.Add(1)
 	d.pending.Add(1)
-	d.queue.push(request{first: first, count: count, cb: cb})
+	d.queue.push(req)
 }
 
 // AsyncReadOwned is AsyncRead with caller-managed buffer lifetime: the
@@ -219,12 +217,7 @@ func (d *AsyncDevice) AsyncRead(first uint32, count int, cb func(data []byte, er
 // I/O scheduler uses it for coalesced reads whose segments are decoded on
 // worker goroutines after the completion callback has moved on.
 func (d *AsyncDevice) AsyncReadOwned(first uint32, count int, cb func(data []byte, err error)) {
-	if m := d.opts.Metrics; m != nil {
-		m.AddAsyncReads(1)
-	}
-	d.submitted.Add(1)
-	d.pending.Add(1)
-	d.queue.push(request{first: first, count: count, owned: true, cb: cb})
+	d.submit(request{first: first, count: count, owned: true, cb: cb})
 }
 
 // Recycle returns a buffer delivered by an AsyncReadOwned callback to the
@@ -270,9 +263,7 @@ func (d *AsyncDevice) AsyncReadScatter(first uint32, spans []int, cb func(seg in
 // AsyncWrite submits an asynchronous write. cb may be nil; if non-nil it
 // runs on the dispatcher with a nil data slice.
 func (d *AsyncDevice) AsyncWrite(first uint32, data []byte, cb func(data []byte, err error)) {
-	d.submitted.Add(1)
-	d.pending.Add(1)
-	d.queue.push(request{first: first, write: data, cb: cb})
+	d.submit(request{first: first, write: data, cb: cb})
 }
 
 // Submitted returns the number of asynchronous requests submitted so far.
@@ -300,11 +291,10 @@ func (d *AsyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
 	data, err := d.dev.ReadPages(first, count)
 	if m := d.opts.Metrics; m != nil {
 		m.AddSyncReads(1)
-		m.AddPagesRead(int64(count))
 		m.AddIOWait(sw.Elapsed())
 	}
 	if err == nil {
-		d.emit(events.PagesRead, int64(count))
+		d.note(events.PagesRead, int64(count))
 	}
 	return data, err
 }
@@ -314,23 +304,27 @@ func (d *AsyncDevice) WritePages(first uint32, data []byte) error {
 	if err := d.opts.Context.Err(); err != nil {
 		return err
 	}
+	pages := len(data) / d.dev.PageSize()
 	d.syncMu.Lock()
-	d.syncTh.Charge(d.opts.Latency.Cost(len(data) / d.dev.PageSize()))
+	d.syncTh.Charge(d.opts.Latency.Cost(pages))
 	d.syncMu.Unlock()
 	err := d.dev.WritePages(first, data)
-	if m := d.opts.Metrics; m != nil && err == nil {
-		m.AddPagesWritten(int64(len(data) / d.dev.PageSize()))
-	}
 	if err == nil {
-		d.emit(events.PagesWritten, int64(len(data)/d.dev.PageSize()))
+		d.note(events.PagesWritten, int64(pages))
 	}
 	return err
 }
 
-// emit forwards one I/O progress event to the configured sink, if any.
-func (d *AsyncDevice) emit(kind events.Kind, n int64) {
+// note accounts one device-level observation — pages transferred by any of
+// the synchronous, worker-pool or ring paths, or a native-backend event —
+// on both outlets: the run's collector and the event sink.
+func (d *AsyncDevice) note(kind events.Kind, n int64) {
+	e := events.Event{Kind: kind, Iteration: -1, N: n}
+	if m := d.opts.Metrics; m != nil {
+		m.Event(e)
+	}
 	if s := d.opts.Events; s != nil {
-		s.Event(events.Event{Kind: kind, Iteration: -1, N: n})
+		s.Event(e)
 	}
 }
 
@@ -351,9 +345,10 @@ func (d *AsyncDevice) Drain() { d.pending.Wait() }
 func (d *AsyncDevice) Close() {
 	d.once.Do(func() {
 		d.pending.Wait()
-		close(d.done)
 		d.queue.close()
-		d.workers.Wait()
+		d.workers.Wait() // every engine goroutine is gone: no sender is left
+		close(d.compl)
+		<-d.done
 	})
 }
 
@@ -362,65 +357,71 @@ func (d *AsyncDevice) worker() {
 	// Each worker is one device channel with its own latency throttle, so
 	// aggregate throughput scales with QueueDepth as real NCQ channels do.
 	var th Throttle
-	pageSize := d.dev.PageSize()
 	for {
-		req, ok := d.queue.pop()
+		req, ok := d.queue.pop(true)
 		if !ok {
 			return
 		}
-		// Cancellation drains in-flight requests: skip the I/O (and its
-		// simulated latency) and complete with the context's error so
-		// callbacks still run and Drain/Close unblock.
-		if err := d.opts.Context.Err(); err != nil {
-			if req.cb != nil {
-				d.compl <- completion{data: nil, err: err, cb: req.cb}
-			} else {
-				d.retire()
-			}
-			continue
+		if !d.serveInline(req, &th) {
+			th.Charge(d.opts.Latency.Cost(req.count))
+			d.finish(d.read(req))
 		}
-		if req.write != nil {
-			th.Charge(d.opts.Latency.Cost(len(req.write) / pageSize))
-			err := d.dev.WritePages(req.first, req.write)
-			if err == nil {
-				if m := d.opts.Metrics; m != nil {
-					m.AddPagesWritten(int64(len(req.write) / pageSize))
-				}
-				d.emit(events.PagesWritten, int64(len(req.write)/pageSize))
-			}
-			if req.cb != nil {
-				d.compl <- completion{data: nil, err: err, cb: req.cb}
-			} else {
-				d.retire()
-			}
-			continue
-		}
-		th.Charge(d.opts.Latency.Cost(req.count))
-		var data, recycle []byte
-		var err error
-		if d.into != nil && req.count > 0 {
-			// Allocation-free path: read into a recycled arena buffer,
-			// returned to the arena once the callback has consumed it.
-			buf := d.pool.Acquire(req.count * pageSize)
-			if err = d.into.ReadPagesInto(buf, req.first, req.count); err != nil {
-				d.pool.Release(buf)
-			} else {
-				data = buf
-				if !req.owned {
-					recycle = buf
-				}
-			}
-		} else {
-			data, err = d.dev.ReadPages(req.first, req.count)
-		}
-		if err == nil {
-			if m := d.opts.Metrics; m != nil {
-				m.AddPagesRead(int64(req.count))
-			}
-			d.emit(events.PagesRead, int64(req.count))
-		}
-		d.compl <- completion{data: data, err: err, cb: req.cb, recycle: recycle}
 	}
+}
+
+// serveInline completes, on the calling engine goroutine, the requests
+// neither engine gives a device channel or ring slot: everything once the
+// device context is done, and writes. It reports whether req was one.
+func (d *AsyncDevice) serveInline(req request, th *Throttle) bool {
+	// Cancellation drains queued requests: skip the I/O (and its simulated
+	// latency) and complete with the context's error so callbacks still run
+	// and Drain/Close unblock.
+	if err := d.opts.Context.Err(); err != nil {
+		d.finish(completion{err: err, cb: req.cb})
+		return true
+	}
+	if req.write == nil {
+		return false
+	}
+	pages := len(req.write) / d.dev.PageSize()
+	th.Charge(d.opts.Latency.Cost(pages))
+	err := d.dev.WritePages(req.first, req.write)
+	if err == nil {
+		d.note(events.PagesWritten, int64(pages))
+	}
+	d.finish(completion{err: err, cb: req.cb})
+	return true
+}
+
+// read performs req's read on the calling goroutine and returns its
+// completion.
+func (d *AsyncDevice) read(req request) completion {
+	if d.into != nil && req.count > 0 {
+		// Allocation-free path: read into a recycled arena buffer.
+		buf := d.pool.Acquire(req.count * d.dev.PageSize())
+		return d.readDone(req, buf, d.into.ReadPagesInto(buf, req.first, req.count))
+	}
+	data, err := d.dev.ReadPages(req.first, req.count)
+	if err == nil {
+		d.note(events.PagesRead, int64(req.count))
+	}
+	return completion{data: data, err: err, cb: req.cb}
+}
+
+// readDone builds the completion of a read into arena buffer buf: on
+// success buf is the data, returned to the arena once the callback has
+// consumed it unless the caller owns it; on failure it goes straight back.
+func (d *AsyncDevice) readDone(req request, buf []byte, err error) completion {
+	if err != nil {
+		d.pool.Release(buf)
+		return completion{err: err, cb: req.cb}
+	}
+	d.note(events.PagesRead, int64(req.count))
+	c := completion{data: buf, cb: req.cb}
+	if !req.owned {
+		c.recycle = buf
+	}
+	return c
 }
 
 // ringSlots correlates in-flight ring submissions (tag = slot index) with
@@ -474,58 +475,37 @@ func (s *ringSlots) takeAll() []slotEntry {
 func (d *AsyncDevice) ringSubmitter() {
 	defer d.workers.Done()
 	for {
-		req, ok := d.queue.pop()
+		req, ok := d.queue.pop(true)
 		if !ok {
 			d.flushBatch()
-			d.ringShutdown.Store(true)
 			// Wake the reaper; outstanding CQEs were all collected because
 			// Close drains pending requests before closing the queue.
 			_ = d.ring.SubmitNop(nopTag)
 			return
 		}
-		for {
+		for ; ok; req, ok = d.queue.pop(false) {
 			d.stageOne(req)
-			next, ok := d.queue.tryPop()
-			if !ok {
-				break
-			}
-			req = next
 		}
 		d.flushBatch()
 	}
 }
 
 // stageOne serves one request on the ring engine: reads become staged
-// SQEs; writes and cancellations complete synchronously, as on the worker
-// pool.
+// SQEs; everything else completes here, as on the worker pool.
 func (d *AsyncDevice) stageOne(req request) {
-	if err := d.opts.Context.Err(); err != nil {
-		d.finish(completion{err: err, cb: req.cb})
-		return
-	}
-	pageSize := d.dev.PageSize()
-	if req.write != nil {
-		err := d.dev.WritePages(req.first, req.write)
-		if err == nil {
-			if m := d.opts.Metrics; m != nil {
-				m.AddPagesWritten(int64(len(req.write) / pageSize))
-			}
-			d.emit(events.PagesWritten, int64(len(req.write)/pageSize))
-		}
-		d.finish(completion{err: err, cb: req.cb})
+	var th Throttle // the ring engine runs only without a latency model
+	if d.serveInline(req, &th) {
 		return
 	}
 	if req.count <= 0 {
-		_, err := d.dev.ReadPages(req.first, req.count) // canonical range error
-		d.finish(completion{err: err, cb: req.cb})
+		d.finish(d.read(req)) // canonical range error
 		return
 	}
 	slot := d.acquireSlot()
-	buf := d.pool.Acquire(req.count * pageSize)
+	buf := d.pool.Acquire(req.count * d.dev.PageSize())
 	if err := d.ring.PrepareRead(slot, buf, req.first, req.count); err != nil {
-		d.pool.Release(buf)
 		d.slotFree <- slot
-		d.finish(completion{err: err, cb: req.cb})
+		d.finish(d.readDone(req, buf, err))
 		return
 	}
 	d.slots.set(slot, req, buf)
@@ -550,21 +530,24 @@ func (d *AsyncDevice) acquireSlot() uint64 {
 func (d *AsyncDevice) flushBatch() {
 	n, err := d.ring.Submit()
 	if n > 0 {
-		if m := d.opts.Metrics; m != nil {
-			m.AddSubmittedBatch(int64(n))
-		}
-		d.emit(events.SubmittedBatch, int64(n))
+		d.note(events.SubmittedBatch, int64(n))
 	}
 	if err != nil {
-		for _, e := range d.slots.takeAll() {
-			d.pool.Release(e.buf)
-			d.finish(completion{err: err, cb: e.req.cb})
-		}
+		d.failOutstanding(err)
 	}
 }
 
-// finish hands one ring-engine completion to the dispatcher, honouring
-// callback-less requests the way the worker pool does.
+// failOutstanding completes every read staged or in flight on the ring
+// with err, so nothing hangs once the ring is unusable.
+func (d *AsyncDevice) failOutstanding(err error) {
+	for _, e := range d.slots.takeAll() {
+		d.finish(d.readDone(e.req, e.buf, err))
+	}
+}
+
+// finish is the one completion path of both engines: it hands the
+// completion to the dispatcher, or retires a callback-less request on the
+// spot.
 func (d *AsyncDevice) finish(c completion) {
 	if c.cb == nil {
 		if c.recycle != nil {
@@ -581,80 +564,42 @@ func (d *AsyncDevice) finish(c completion) {
 // the slot table, and forwards the completion to the dispatcher.
 func (d *AsyncDevice) ringReaper() {
 	defer d.workers.Done()
-	pageSize := d.dev.PageSize()
 	for {
 		tag, n, err, ok := d.ring.WaitCQE()
 		if !ok {
 			// The ring died under us (fd closed mid-run). Fail whatever is
 			// outstanding so Drain and Close still unblock.
-			for _, e := range d.slots.takeAll() {
-				d.pool.Release(e.buf)
-				d.finish(completion{err: err, cb: e.req.cb})
-			}
+			d.failOutstanding(err)
 			return
 		}
 		if tag == nopTag {
-			if d.ringShutdown.Load() {
-				return
-			}
-			continue
+			return // the submitter's shutdown signal
 		}
 		e, valid := d.slots.take(tag)
 		if !valid {
 			continue
 		}
-		want := e.req.count * pageSize
-		if err == nil && n < want {
+		if err == nil && n < len(e.buf) {
 			// Short ring read (racing truncation, signal). Re-read the
 			// whole range through preadv rather than patching the tail.
-			err = d.into.ReadPagesInto(e.buf[:want], e.req.first, e.req.count)
-		}
-		var data []byte
-		if err == nil {
-			data = e.buf[:want]
-			if m := d.opts.Metrics; m != nil {
-				m.AddPagesRead(int64(e.req.count))
-			}
-			d.emit(events.PagesRead, int64(e.req.count))
-		} else {
-			d.pool.Release(e.buf)
-			e.buf = nil
+			err = d.into.ReadPagesInto(e.buf, e.req.first, e.req.count)
 		}
 		d.slotFree <- tag
-		recycle := e.buf
-		if e.req.owned {
-			recycle = nil
-		}
-		d.finish(completion{data: data, err: err, cb: e.req.cb, recycle: recycle})
+		d.finish(d.readDone(e.req, e.buf, err))
 	}
 }
 
 // dispatcher is the callback thread: it executes completion callbacks
-// serially in completion order and recycles the read buffer afterwards.
+// serially in completion order and recycles the read buffer afterwards,
+// until Close closes the completion channel behind the last engine.
 func (d *AsyncDevice) dispatcher() {
-	defer d.workers.Done()
-	run := func(c completion) {
+	defer close(d.done)
+	for c := range d.compl {
 		c.cb(c.data, c.err)
 		if c.recycle != nil {
 			d.pool.Release(c.recycle)
 		}
 		d.retire()
-	}
-	for {
-		select {
-		case c := <-d.compl:
-			run(c)
-		case <-d.done:
-			// Drain anything that raced with shutdown.
-			for {
-				select {
-				case c := <-d.compl:
-					run(c)
-				default:
-					return
-				}
-			}
-		}
 	}
 }
 
@@ -685,40 +630,26 @@ func (q *reqQueue) push(r request) {
 	q.mu.Unlock()
 }
 
-// popLocked removes the head entry; callers hold q.mu and have checked
-// non-emptiness.
-func (q *reqQueue) popLocked() request {
-	r := q.items[q.head]
+// pop removes the head entry. With wait set it blocks while the queue is
+// empty and open; ok is false when the queue is closed and drained, or —
+// without wait, as the ring submitter gathers a batch — momentarily empty.
+func (q *reqQueue) pop(wait bool) (r request, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for wait && q.head == len(q.items) && !q.closed {
+		q.cond.Wait()
+	}
+	if q.head == len(q.items) {
+		return request{}, false
+	}
+	r = q.items[q.head]
 	q.items[q.head] = request{}
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return r
-}
-
-func (q *reqQueue) pop() (request, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.items) {
-		return request{}, false
-	}
-	return q.popLocked(), true
-}
-
-// tryPop pops without blocking; ok is false when the queue is momentarily
-// empty or closed. The ring submitter uses it to gather a batch.
-func (q *reqQueue) tryPop() (request, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) {
-		return request{}, false
-	}
-	return q.popLocked(), true
+	return r, true
 }
 
 func (q *reqQueue) close() {
