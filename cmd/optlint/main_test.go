@@ -269,4 +269,33 @@ func TestDriverSummaryCache(t *testing.T) {
 	if out != out2 {
 		t.Errorf("warm run report differs from cold run:\ncold:\n%s\nwarm:\n%s", out, out2)
 	}
+
+	// The same sources summarised by a linter with other fact semantics:
+	// only the fingerprint's version prefix differs, and the cache must not
+	// be trusted.
+	raw, err := os.ReadFile(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Fingerprint string          `json:"fingerprint"`
+		Summaries   json.RawMessage `json:"summaries"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	version, digest, ok := strings.Cut(file.Fingerprint, "-")
+	if !ok || !strings.HasPrefix(version, "v") {
+		t.Fatalf("cache fingerprint %q carries no version prefix", file.Fingerprint)
+	}
+	file.Fingerprint = version + "0-" + digest
+	if raw, err = json.Marshal(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr3, _ := runOptlint(t, "-summary-cache", cache, "./internal/events"); !strings.Contains(stderr3, "summary cache cold (stale cache)") {
+		t.Errorf("a cache written under another summary version was not read as cold:\n%s", stderr3)
+	}
 }

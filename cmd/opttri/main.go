@@ -21,6 +21,7 @@ import (
 
 	opt "github.com/optlab/opt"
 	"github.com/optlab/opt/cmd/internal/cli"
+	"github.com/optlab/opt/internal/engine"
 )
 
 func main() {
@@ -147,16 +148,15 @@ func parseAlgo(s string) (opt.Algorithm, error) {
 }
 
 func parseModel(s string) (opt.IteratorModel, error) {
-	switch s {
-	case "edge":
-		return opt.EdgeIteratorModel, nil
-	case "vertex":
-		return opt.VertexIteratorModel, nil
-	case "mgt":
-		return opt.MGTInstanceModel, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (want edge, vertex or mgt)", s)
+	m, err := engine.ParseModel(s)
+	if err != nil {
+		return 0, err
 	}
+	return map[engine.Model]opt.IteratorModel{
+		engine.ModelEdge:        opt.EdgeIteratorModel,
+		engine.ModelVertex:      opt.VertexIteratorModel,
+		engine.ModelMGTInstance: opt.MGTInstanceModel,
+	}[m], nil
 }
 
 // nestedFileWriter buffers nested records into a file in the same compact

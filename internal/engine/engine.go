@@ -35,6 +35,29 @@ const (
 	ModelMGTInstance
 )
 
+// modelNames holds the option spelling of every iterator model.
+var modelNames = [...]string{ModelEdge: "edge", ModelVertex: "vertex", ModelMGTInstance: "mgt"}
+
+// String returns the spelling ParseModel accepts for m.
+func (m Model) String() string {
+	if m < 0 || int(m) >= len(modelNames) {
+		return fmt.Sprintf("Model(%d)", int(m))
+	}
+	return modelNames[m]
+}
+
+// ParseModel resolves the -model / spec.model spelling of an iterator
+// model: edge, vertex or mgt. Anything else, the empty string included, is
+// an error naming the accepted spellings.
+func ParseModel(s string) (Model, error) {
+	for m, name := range modelNames {
+		if s == name {
+			return Model(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q (want edge, vertex or mgt)", s)
+}
+
 // Options is the engine-wide run configuration subsuming the per-package
 // option structs. Zero values select per-runner defaults.
 type Options struct {

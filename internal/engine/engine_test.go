@@ -311,3 +311,19 @@ func TestRunNilNilRunner(t *testing.T) {
 		t.Fatal("runner returning (nil, nil) must surface an error")
 	}
 }
+
+// TestParseModel: String and ParseModel are inverses over every model, and
+// anything else — the empty string included — is rejected with the one
+// message naming the accepted spellings.
+func TestParseModel(t *testing.T) {
+	for _, m := range []Model{ModelEdge, ModelVertex, ModelMGTInstance} {
+		if got, err := ParseModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, in := range []string{"", "vertx", "MGT", Model(9).String()} {
+		if _, err := ParseModel(in); err == nil || !strings.Contains(err.Error(), "edge, vertex or mgt") {
+			t.Errorf("ParseModel(%q) = %v, want an error listing the accepted models", in, err)
+		}
+	}
+}

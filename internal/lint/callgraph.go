@@ -34,8 +34,9 @@ type FuncInfo struct {
 	Pkg    *Package
 	IsTest bool // declared in a _test.go file
 
-	callees []string // sorted unique callee keys within the program
-	graph   *cfg     // lazily built body CFG, shared by the summary passes
+	callees []string  // sorted unique callee keys within the program
+	graph   *cfg      // lazily built body CFG, shared by the summary passes
+	flow    *lockFlow // lazily run must-held analysis over graph
 }
 
 // cfg returns the function's control-flow graph, building it on first use.
@@ -44,6 +45,14 @@ func (fi *FuncInfo) cfg() *cfg {
 		fi.graph = buildCFG(fi.Decl.Body, fi.Pkg.Info)
 	}
 	return fi.graph
+}
+
+// held returns the function's must-held lock sets, analyzing on first use.
+func (fi *FuncInfo) held() *lockFlow {
+	if fi.flow == nil {
+		fi.flow = mustHeld(fi.cfg(), fi.Pkg.Info)
+	}
+	return fi.flow
 }
 
 // Program is the module-wide view the interprocedural analyzers share: an

@@ -12,7 +12,7 @@ import (
 // questions the rules ask: "can control reach the function's normal exit
 // from here without passing a node for which pred holds?" (obligation
 // analysis) and "which locks are definitely held at this statement?"
-// (must-held analysis, dataflow.go).
+// (must-held analysis, lockflow.go).
 //
 // Panics and calls that never return (os.Exit, log.Fatal*, runtime.Goexit,
 // testing's Fatal/Skip family) end their block without an exit edge: an
@@ -252,7 +252,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 		}
 		b.frames = b.frames[:len(b.frames)-1]
 		if len(st.Body.List) == 0 {
-			// Empty select blocks forever: no successor.
+			// Empty select blocks forever: no successor. It has no comm
+			// statement to stand for it, so it is its own node.
+			cur.nodes = append(cur.nodes, st)
 			return nil
 		}
 		return after
@@ -347,6 +349,23 @@ func (b *cfgBuilder) findContinue(label *ast.Ident) *cfgBlock {
 	return nil
 }
 
+// enclosing returns n itself when n is one of g's nodes, otherwise the
+// innermost node containing it (deterministic over g.blocks order), nil
+// when there is none.
+func (g *cfg) enclosing(n ast.Node) ast.Node {
+	var best ast.Node
+	for _, blk := range g.blocks {
+		for _, cand := range blk.nodes {
+			if cand.Pos() <= n.Pos() && n.End() <= cand.End() {
+				if best == nil || (cand.Pos() >= best.Pos() && cand.End() <= best.End()) {
+					best = cand
+				}
+			}
+		}
+	}
+	return best
+}
+
 // neverReturns reports whether call is a statically known no-return call:
 // the builtin panic, runtime.Goexit, os.Exit, the log.Fatal family, or a
 // testing Fatal/Skip method.
@@ -378,4 +397,14 @@ func (b *cfgBuilder) neverReturns(call *ast.CallExpr) bool {
 		}
 	}
 	return false
+}
+
+// isPanic reports whether call is the builtin panic.
+func isPanic(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "panic"
 }

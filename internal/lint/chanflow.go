@@ -3,197 +3,106 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// NewChanflow builds the chanflow analyzer: no potentially blocking
-// channel operation while holding a mutex, anywhere in the module. This
-// is lockheld's invariant (DESIGN.md §7) generalized from the three
-// overlap-critical packages to the whole tree, with the discharges that
-// make it livable at module scale:
+// lockCheck is the held-lock checker: no potentially blocking operation (the
+// blockingOps vocabulary, lockflow.go) while a sync.Mutex/RWMutex is
+// definitely held (the CFG must-analysis, so branch-released locks do not
+// count). That is the micro-overlap deadlock class of Paper §5.4, where a
+// completion callback blocks on a queue whose consumer needs the lock the
+// callback holds. One checker is registered twice and the package path
+// picks which registration speaks, so every site gets exactly one finding:
 //
-//   - a select with a default clause never blocks;
-//   - a send on a channel provably buffered (every binding is
-//     `make(chan T, N)` with constant N ≥ 1, traced through the package's
-//     assignments) is accepted when the bounded-occupancy argument holds:
-//     the package's send sites on that channel number at most N and the
-//     flagged send is not inside a loop;
-//   - sync.Cond.Wait is exempt (it releases the mutex while parked);
-//   - //optlint:ignore chanflow <reason> for the residue.
-//
-// Flagged under a definitely-held lock (the CFG must-analysis, so
-// branch-released locks do not count): channel sends and receives, select
-// without default, sync.WaitGroup.Wait, and calls to in-module functions
-// whose summary proves they always block. The packages lockheld already
-// polices are skipped — one finding per site, under the stricter rule.
-func NewChanflow(skip []string) *Analyzer {
-	cf := &chanflow{skip: skip}
+//   - inside the strict (overlap-critical) packages it reports as lockheld
+//     with no discharges, and additionally bans any select and any call
+//     through a function-typed struct field (callbacks may block);
+//   - everywhere else it reports as chanflow with the discharges that make
+//     the rule livable at module scale: a select with a default clause
+//     never blocks, and a send on a channel provably buffered (every
+//     binding is `make(chan T, N)` with constant N ≥ 1, traced through the
+//     package's assignments) is accepted when the bounded-occupancy
+//     argument holds — the package's send sites on that channel number at
+//     most N and the flagged send is not inside a loop.
+func lockCheck(strict bool, strictPkgs []string) func(*Pass) {
+	return func(pass *Pass) {
+		if anyPathWithin(pass.Pkg.Path, strictPkgs) != strict {
+			return
+		}
+		for _, file := range pass.Pkg.Files {
+			funcBodies(file, func(body *ast.BlockStmt) {
+				checkHeldOps(pass, body, strict)
+			})
+		}
+	}
+}
+
+// NewLockheld builds the strict registration of the held-lock checker: it
+// reports in the packages within strictPkgs and nowhere else.
+func NewLockheld(strictPkgs []string) *Analyzer {
+	return &Analyzer{
+		Name: "lockheld",
+		Doc:  "no blocking operation (send/recv/range/select/Wait/Drain/callback) while holding a mutex",
+		Run:  lockCheck(true, strictPkgs),
+	}
+}
+
+// NewChanflow builds the module-wide registration of the held-lock
+// checker: it reports everywhere except the packages within strictPkgs,
+// which lockheld owns.
+func NewChanflow(strictPkgs []string) *Analyzer {
 	return &Analyzer{
 		Name: "chanflow",
-		Doc:  "no blocking channel op, WaitGroup.Wait, or always-blocking call under a held mutex, unless select-default or provably-buffered",
-		Run:  cf.run,
+		Doc:  "no blocking channel op (send/recv/range/select {}), Wait/Drain, or always-blocking call under a held mutex, unless select-default or provably-buffered",
+		Run:  lockCheck(false, strictPkgs),
 	}
 }
 
-type chanflow struct {
-	skip []string
-}
-
-func (cf *chanflow) run(pass *Pass) {
-	if anyPathWithin(pass.Pkg.Path, cf.skip) {
-		return // lockheld owns these packages with the stricter rule
-	}
-	for _, file := range pass.Pkg.Files {
-		funcBodies(file, func(body *ast.BlockStmt) {
-			cf.checkBody(pass, body)
-		})
-	}
-}
-
-// checkBody analyzes one function (or literal) body.
-func (cf *chanflow) checkBody(pass *Pass, body *ast.BlockStmt) {
+// checkHeldOps reports the blocking operations of one function (or
+// literal) body that run under a definitely-held mutex.
+func checkHeldOps(pass *Pass, body *ast.BlockStmt, strict bool) {
 	info := pass.Pkg.Info
 	// Cheap gate: a body with no mutex acquisition cannot hold a lock.
 	hasLock := false
 	topLevelStmts(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, op := mutexOp(info, call); op == opLock {
-				hasLock = true
-				return false
-			}
+		if call, ok := n.(*ast.CallExpr); ok && !hasLock {
+			_, op := mutexOp(info, call)
+			hasLock = op == opLock
 		}
 		return !hasLock
 	})
 	if !hasLock {
 		return
 	}
-
-	g := buildCFG(body, info)
-	heldAt := heldLocks(g, info)
-	par := parents(body)
-
-	// The comm statement of a select clause is part of the select's own
-	// blocking decision, not an independent op.
-	commOps := map[ast.Node]bool{}
-	topLevelStmts(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
+	var flow *lockFlow
+	var par map[ast.Node]ast.Node // built for the first send that needs the loop test
+	for _, op := range pass.Prog.blockingOps(info, body) {
+		if op.comm || (op.strictOnly && !strict) {
+			continue
 		}
-		for _, clause := range sel.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-				commOps[cc.Comm] = true
-				ast.Inspect(cc.Comm, func(x ast.Node) bool {
-					commOps[x] = true
-					return true
-				})
-			}
+		if flow == nil {
+			flow = mustHeld(buildCFG(body, info), info)
 		}
-		return true
-	})
-
-	report := func(n ast.Node, pos token.Pos, format string, args ...any) {
-		held := heldSetAt(g, heldAt, n)
+		held := flow.heldAt(op.at)
 		if len(held) == 0 {
-			return
+			continue
 		}
-		args = append(args, lockNames(held))
-		pass.Reportf(pos, format+" while holding %s: a blocked goroutine wedges every waiter of the lock", args...)
-	}
-
-	topLevelStmts(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			if commOps[x] {
-				return true
-			}
-			if cf.bufferedDischarge(pass, par, x) {
-				return true
-			}
-			report(x, x.Arrow, "blocking channel send")
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !commOps[x] {
-				report(x, x.OpPos, "blocking channel receive")
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(x) {
-				// The select itself is not a CFG node (its comm statements
-				// are); the held set at entry is the one at any comm clause.
-				probe := ast.Node(x)
-				for _, clause := range x.Body.List {
-					if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-						probe = cc.Comm
-						break
-					}
+		desc := op.desc
+		if !strict {
+			if send, ok := op.node.(*ast.SendStmt); ok {
+				if par == nil {
+					par = parents(body)
 				}
-				report(probe, x.Select, "select without default (blocks until a case is ready)")
-			}
-		case *ast.CallExpr:
-			if commOps[x] {
-				return true
-			}
-			if isWaitGroupMethod(info, x, "Wait") {
-				report(x, x.Pos(), "sync.WaitGroup.Wait")
-				return true
-			}
-			if name := condMethod(info, x); name == "Wait" {
-				return true // Cond.Wait releases the lock while parked
-			}
-			if pass.Prog != nil {
-				if key, ok := pass.Prog.staticCallee(info, x); ok {
-					if cs := pass.Prog.Summaries[key]; cs != nil && cs.Blocks {
-						report(x, x.Pos(), "call to "+key+", which always blocks ("+cs.BlocksWhy+"),")
-					}
+				if bufferedDischarge(pass, par, send) {
+					continue
 				}
 			}
-		}
-		return true
-	})
-}
-
-// selectHasDefault reports whether sel carries a default clause.
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// heldSetAt returns the must-held lockset in force at node n: the set
-// recorded for n itself when n is a CFG node, otherwise the innermost
-// recorded node containing n (deterministic over g.blocks order).
-func heldSetAt(g *cfg, heldAt map[ast.Node]lockset, n ast.Node) lockset {
-	if s, ok := heldAt[n]; ok {
-		return s
-	}
-	var best ast.Node
-	var bestHeld lockset
-	for _, blk := range g.blocks {
-		for _, cand := range blk.nodes {
-			if cand.Pos() <= n.Pos() && n.End() <= cand.End() {
-				if best == nil || (cand.Pos() >= best.Pos() && cand.End() <= best.End()) {
-					best = cand
-					bestHeld = heldAt[cand]
-				}
+			if call, ok := op.node.(*ast.CallExpr); ok && isWaitGroupMethod(info, call, "Wait") {
+				desc = "sync.WaitGroup.Wait" // the phrasing chanflow's fixtures pin
 			}
 		}
+		pass.Reportf(op.pos, "%s while holding %s: a blocked goroutine wedges every waiter of the lock", desc, held.names())
 	}
-	return bestHeld
-}
-
-// lockNames renders a lockset's keys sorted, for stable messages.
-func lockNames(s lockset) string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
 }
 
 // bufferedDischarge reports whether send is discharged by the
@@ -201,7 +110,7 @@ func lockNames(s lockset) string {
 // whose every binding in this package is make(chan T, N) with one
 // constant N ≥ 1, the package's send sites on it number ≤ N, and this
 // send is not inside a loop.
-func (cf *chanflow) bufferedDischarge(pass *Pass, par map[ast.Node]ast.Node, send *ast.SendStmt) bool {
+func bufferedDischarge(pass *Pass, par map[ast.Node]ast.Node, send *ast.SendStmt) bool {
 	obj := chanObject(pass.Pkg.Info, send.Chan)
 	if obj == nil {
 		return false

@@ -86,10 +86,9 @@ func runCondguard(pass *Pass) {
 			if len(calls) == 0 {
 				return
 			}
-			g := buildCFG(body, info)
-			held := heldLocks(g, info)
+			flow := mustHeld(buildCFG(body, info), info)
 			for _, cc := range calls {
-				if !lockHeldAt(g, held, cc.call) {
+				if len(flow.heldAt(cc.call)) == 0 {
 					pass.Reportf(cc.call.Pos(), "sync.Cond.%s without holding a mutex; notify under L or a waiter can miss the wakeup", cc.name)
 				}
 			}
@@ -155,26 +154,4 @@ func insideForLoop(body *ast.BlockStmt, par map[ast.Node]ast.Node, call *ast.Cal
 		}
 	}
 	return false
-}
-
-// lockHeldAt reports whether the must-held set on entry to the statement
-// containing call is non-empty. heldAt is keyed by cfg nodes (statements
-// and guard expressions); the innermost recorded node containing the call
-// carries its entry state. Statements earlier in the same basic block
-// have already been applied by the dataflow, so `mu.Lock()` on the line
-// above is credited.
-func lockHeldAt(g *cfg, heldAt map[ast.Node]lockset, call *ast.CallExpr) bool {
-	var best ast.Node
-	var bestHeld lockset
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if n.Pos() <= call.Pos() && call.End() <= n.End() {
-				if best == nil || (n.Pos() >= best.Pos() && n.End() <= best.End()) {
-					best = n
-					bestHeld = heldAt[n]
-				}
-			}
-		}
-	}
-	return best != nil && len(bestHeld) > 0
 }

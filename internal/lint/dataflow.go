@@ -1,64 +1,68 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
-// Dataflow queries over the cfg of one function body. Two analyses live
-// here: the obligation walk (cancelfree, poolpair — "can the normal exit
-// be reached without discharging?") and the must-held lock analysis
-// (condguard — "which mutexes are definitely held at this statement?").
+// Dataflow queries over the cfg of one function body: the obligation walk
+// (cancelfree, poolpair — "can the normal exit be reached without
+// discharging?"), its hit-seeking variant (arenaescape) and the whole-body
+// variant (the Blocks summary). The must-held lock analysis lives in
+// lockflow.go.
 
-// mayReachExitWithout reports whether the cfg's normal exit block is
-// reachable from the point just after node `from` without first passing a
-// node for which discharged returns true. `from` must be one of the nodes
-// recorded in the graph; when it is not found the answer is false (no
-// claim is made, keeping the caller silent rather than wrong).
-func (g *cfg) mayReachExitWithout(from ast.Node, discharged func(ast.Node) bool) bool {
-	for _, blk := range g.blocks {
-		for i, n := range blk.nodes {
-			if n == from {
-				return g.searchFrom(blk, i+1, discharged, map[*cfgBlock]bool{})
+// reach is the one forward DFS behind those queries. Scanning
+// blk.nodes[start:] and then the successor graph, it reports whether a
+// node for which hit holds — or, when hit is nil, the normal exit block —
+// can be reached without first passing a node for which barrier holds.
+func (g *cfg) reach(blk *cfgBlock, start int, barrier, hit func(ast.Node) bool, seen map[*cfgBlock]bool) bool {
+	for _, n := range blk.nodes[start:] {
+		if hit != nil && hit(n) {
+			return true
+		}
+		if barrier(n) {
+			return false
+		}
+	}
+	if hit == nil && blk == g.exit {
+		return true
+	}
+	for _, succ := range blk.succs {
+		if !seen[succ] {
+			seen[succ] = true
+			if g.reach(succ, 0, barrier, hit, seen) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// searchFrom scans blk.nodes[start:] and then the successor graph for a
-// discharge-free path to the exit block.
-func (g *cfg) searchFrom(blk *cfgBlock, start int, discharged func(ast.Node) bool, seen map[*cfgBlock]bool) bool {
-	for i := start; i < len(blk.nodes); i++ {
-		if discharged(blk.nodes[i]) {
-			return false
-		}
-	}
-	if blk == g.exit {
-		return true
-	}
-	for _, succ := range blk.succs {
-		if seen[succ] {
-			continue
-		}
-		seen[succ] = true
-		if g.searchFrom(succ, 0, discharged, seen) {
-			return true
+// scanAfter starts reach just after node `from`, which must be one of the
+// nodes recorded in the graph; when it is not found the answer is false
+// (no claim is made, keeping the caller silent rather than wrong).
+// arenaescape asks it: from a PutChunk node, is a tainted value used again
+// before its variable is rebound?
+func (g *cfg) scanAfter(from ast.Node, barrier, hit func(ast.Node) bool) bool {
+	for _, blk := range g.blocks {
+		for i, n := range blk.nodes {
+			if n == from {
+				return g.reach(blk, i+1, barrier, hit, map[*cfgBlock]bool{})
+			}
 		}
 	}
 	return false
 }
 
+// mayReachExitWithout reports whether the cfg's normal exit block is
+// reachable from the point just after node `from` without first passing a
+// node for which discharged returns true.
+func (g *cfg) mayReachExitWithout(from ast.Node, discharged func(ast.Node) bool) bool {
+	return g.scanAfter(from, discharged, nil)
+}
+
 // reachesExitWithout reports whether the normal exit is reachable from the
-// function's entry without passing a node for which pred holds — the
-// whole-body variant of mayReachExitWithout, used by the Blocks summary
-// ("does every normal path block?" ⇔ !reachesExitWithout(isBlocking)).
+// function's entry without passing a node for which pred holds ("does
+// every normal path block?" ⇔ !reachesExitWithout(isBlocking)).
 func (g *cfg) reachesExitWithout(pred func(ast.Node) bool) bool {
-	if g.entry == g.exit {
-		return true
-	}
-	return g.searchFrom(g.entry, 0, pred, map[*cfgBlock]bool{g.entry: true})
+	return g.reach(g.entry, 0, pred, nil, map[*cfgBlock]bool{g.entry: true})
 }
 
 // fallsOffEnd reports whether some path reaches the exit block by falling
@@ -80,176 +84,6 @@ func fallsOffEnd(g *cfg) bool {
 		}
 	}
 	return false
-}
-
-// scanAfter walks forward from just after node `from`, reporting whether a
-// node for which hit holds is reachable without first passing a node for
-// which barrier holds. Used by arenaescape: from a PutChunk node, is a
-// tainted value used again before its variable is rebound?
-func (g *cfg) scanAfter(from ast.Node, barrier, hit func(ast.Node) bool) bool {
-	for _, blk := range g.blocks {
-		for i, n := range blk.nodes {
-			if n == from {
-				return g.scanNodes(blk, i+1, barrier, hit, map[*cfgBlock]bool{})
-			}
-		}
-	}
-	return false
-}
-
-// scanNodes is scanAfter's DFS: nodes of blk from start, then successors.
-func (g *cfg) scanNodes(blk *cfgBlock, start int, barrier, hit func(ast.Node) bool, seen map[*cfgBlock]bool) bool {
-	for i := start; i < len(blk.nodes); i++ {
-		if hit(blk.nodes[i]) {
-			return true
-		}
-		if barrier(blk.nodes[i]) {
-			return false
-		}
-	}
-	for _, succ := range blk.succs {
-		if seen[succ] {
-			continue
-		}
-		seen[succ] = true
-		if g.scanNodes(succ, 0, barrier, hit, seen) {
-			return true
-		}
-	}
-	return false
-}
-
-// lockset maps a lock's printed receiver expression to the position of
-// the acquiring call, as in lockheld's lockSet; a separate type keeps the
-// two analyses' invariants (may vs must) from being mixed up.
-type lockset map[string]token.Pos
-
-func (s lockset) clone() lockset {
-	c := make(lockset, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-func (s lockset) equal(o lockset) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if _, ok := o[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// intersectLocks keeps only locks present in both sets (must-semantics at
-// control-flow merges).
-func intersectLocks(a, b lockset) lockset {
-	out := lockset{}
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// heldLocks runs a forward must-analysis over g: the result maps every
-// recorded node to the set of sync.Mutex/RWMutex receivers definitely
-// held when that node begins executing. Lock/RLock adds the receiver,
-// Unlock/RUnlock removes it; a deferred unlock changes nothing (the lock
-// stays held to the end of the function, which is the point). Merges
-// intersect, so a lock held on only one inbound path does not count —
-// exactly the conservatism condguard needs to avoid false "held" claims.
-func heldLocks(g *cfg, info *types.Info) map[ast.Node]lockset {
-	heldAt := map[ast.Node]lockset{}
-	in := map[*cfgBlock]lockset{g.entry: {}}
-	work := []*cfgBlock{g.entry}
-	out := map[*cfgBlock]lockset{}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		cur := in[blk].clone()
-		for _, n := range blk.nodes {
-			if prev, ok := heldAt[n]; !ok || !prev.equal(cur) {
-				heldAt[n] = cur.clone()
-			}
-			applyLockOps(n, info, cur)
-		}
-		out[blk] = cur
-		for _, succ := range blk.succs {
-			next, seen := in[succ]
-			if !seen {
-				in[succ] = cur.clone()
-				work = append(work, succ)
-				continue
-			}
-			merged := intersectLocks(next, cur)
-			if !merged.equal(next) {
-				in[succ] = merged
-				work = append(work, succ)
-			}
-		}
-	}
-	return heldAt
-}
-
-// applyLockOps updates held with every Lock/Unlock call contained in node
-// n, in source order, without descending into function literals (a nested
-// closure body runs at call time, not here). Deferred unlocks are
-// ignored: the lock remains held for the rest of the function.
-func applyLockOps(n ast.Node, info *types.Info, held lockset) {
-	if _, isDefer := n.(*ast.DeferStmt); isDefer {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch c := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			key, op := mutexOp(info, c)
-			switch op {
-			case opLock:
-				held[key] = c.Pos()
-			case opUnlock:
-				delete(held, key)
-			}
-		}
-		return true
-	})
-}
-
-// mutexOp classifies a call as acquiring or releasing a sync mutex,
-// returning the printed receiver expression as the lock's identity. It is
-// the types-aware twin of lockheld's lockOp, shared by the dataflow
-// analyses.
-func mutexOp(info *types.Info, call *ast.CallExpr) (string, int) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", opNone
-	}
-	var op int
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		op = opLock
-	case "Unlock", "RUnlock":
-		op = opUnlock
-	default:
-		return "", opNone
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", opNone
-	}
-	pkg, typ, ok := methodOn(fn)
-	if !ok || pkg != "sync" || (typ != "Mutex" && typ != "RWMutex") {
-		return "", opNone
-	}
-	return types.ExprString(sel.X), op
 }
 
 // funcBodies visits every function declaration and function literal in

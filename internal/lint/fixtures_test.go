@@ -50,6 +50,12 @@ func fixtureLoader(t *testing.T) *lint.Loader {
 // fixture/<rule>/<variant>.
 func loadFixture(t *testing.T, rule, variant string) *lint.Package {
 	t.Helper()
+	return loadFixtureAs(t, rule, variant, "fixture/"+rule+"/"+variant)
+}
+
+// loadFixtureAs typechecks testdata/<rule>/<variant> under importPath.
+func loadFixtureAs(t *testing.T, rule, variant, importPath string) *lint.Package {
+	t.Helper()
 	dir := filepath.Join("testdata", rule, variant)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -61,7 +67,7 @@ func loadFixture(t *testing.T, rule, variant string) *lint.Package {
 			names = append(names, e.Name())
 		}
 	}
-	pkg, err := fixtureLoader(t).LoadDir(dir, "fixture/"+rule+"/"+variant, names)
+	pkg, err := fixtureLoader(t).LoadDir(dir, importPath, names)
 	if err != nil {
 		t.Fatalf("loading fixture %s/%s: %v", rule, variant, err)
 	}
@@ -223,9 +229,11 @@ func TestConcurrencyDeterminism(t *testing.T) {
 		loadFixture(t, "lockorder", "multi"),
 		loadFixture(t, "lockorder", "bad"),
 		loadFixture(t, "chanflow", "bad"),
+		loadFixture(t, "lockheld", "bad"),
 		loadFixture(t, "waitjoin", "bad"),
 	}
-	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewChanflow(nil), lint.NewWaitjoin()}
+	strict := []string{"fixture/lockheld"}
+	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld(strict), lint.NewChanflow(strict), lint.NewWaitjoin()}
 	var base string
 	for _, workers := range []int{1, 2, 8} {
 		var out strings.Builder
@@ -274,11 +282,18 @@ func TestIoconfineScoping(t *testing.T) {
 	}
 }
 
-// TestDefaultRegistry pins the shipped rule set.
+// TestDefaultRegistry pins the shipped rule set, and that the held-lock
+// checker's two registrations split the module along one strict list: the
+// same violating package reports under exactly one of lockheld/chanflow
+// wherever it sits, never both and never neither.
 func TestDefaultRegistry(t *testing.T) {
 	var names []string
+	var heldLock []*lint.Analyzer
 	for _, a := range lint.Default("github.com/optlab/opt") {
 		names = append(names, a.Name)
+		if a.Name == "lockheld" || a.Name == "chanflow" {
+			heldLock = append(heldLock, a)
+		}
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %s is missing Doc or Run", a.Name)
 		}
@@ -290,5 +305,21 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)
+	}
+	for path, rule := range map[string]string{
+		"github.com/optlab/opt/internal/core/fixture":   "lockheld",
+		"github.com/optlab/opt/internal/ssd/fixture":    "lockheld",
+		"github.com/optlab/opt/internal/engine/fixture": "lockheld",
+		"github.com/optlab/opt/internal/server/fixture": "chanflow",
+		"github.com/optlab/opt/fixture":                 "chanflow",
+	} {
+		pkg := loadFixtureAs(t, "chanflow", "bad", path)
+		rules := map[string]int{}
+		for _, f := range lint.Analyze([]*lint.Package{pkg}, heldLock) {
+			rules[f.Rule]++
+		}
+		if len(rules) != 1 || rules[rule] == 0 {
+			t.Errorf("package %s: findings by rule = %v, want only %s", path, rules, rule)
+		}
 	}
 }

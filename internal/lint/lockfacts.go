@@ -9,11 +9,12 @@ import (
 	"strings"
 )
 
-// Abstract lock facts (DESIGN.md §16). Where lockheld and the must-held
-// dataflow key locks by their *printed receiver expression* — precise
-// enough inside one function, meaningless across functions — this file
-// names locks by a universe-independent abstract identity so facts can
-// travel through FuncSummary and meet in a module-wide lock-order graph:
+// Abstract lock facts (DESIGN.md §16). The must-held analysis (lockflow.go)
+// keys locks by their *printed receiver expression* — precise enough
+// inside one function, meaningless across functions — so this file also
+// names each lock by a universe-independent abstract identity, letting
+// facts travel through FuncSummary and meet in a module-wide lock-order
+// graph:
 //
 //	pkgpath.varname         package-level mutex variable
 //	pkgpath.Type.field      struct-field mutex, keyed by the type that
@@ -119,45 +120,6 @@ const (
 
 // --- abstract identity resolution ------------------------------------------
 
-// mutexOpAbs classifies call as an abstract mutex acquire/release. It is
-// the identity-aware twin of mutexOp: id is the abstract lock name ("" if
-// unresolvable), write distinguishes Lock/Unlock from RLock/RUnlock.
-func mutexOpAbs(info *types.Info, call *ast.CallExpr) (id string, write bool, op int) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false, opNone
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		op, write = opLock, true
-	case "RLock":
-		op, write = opLock, false
-	case "Unlock":
-		op, write = opUnlock, true
-	case "RUnlock":
-		op, write = opUnlock, false
-	default:
-		return "", false, opNone
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", false, opNone
-	}
-	pkg, typ, ok := methodOn(fn)
-	if !ok || pkg != "sync" || (typ != "Mutex" && typ != "RWMutex") {
-		return "", false, opNone
-	}
-	// A promoted method (type T struct{ sync.Mutex }; t.Lock()) reaches the
-	// mutex through embedded fields recorded in the selection's index path.
-	if s, ok := info.Selections[sel]; ok && len(s.Index()) > 1 {
-		if id := fieldPathIdent(s.Recv(), s.Index()[:len(s.Index())-1]); id != "" {
-			return id, write, op
-		}
-		return "", false, op
-	}
-	return lockIdentOf(info, sel.X), write, op
-}
-
 // lockIdentOf names the mutex denoted by receiver expression e, "" when
 // it has no stable abstract identity.
 func lockIdentOf(info *types.Info, e ast.Expr) string {
@@ -230,118 +192,6 @@ func fieldPathIdent(recv types.Type, index []int) string {
 	return id
 }
 
-// --- abstract must-held analysis -------------------------------------------
-
-// absHeld records how an abstract lock is held: Write distinguishes a
-// write hold from a read hold, Pos is the acquiring call.
-type absHeld struct {
-	Write bool
-	Pos   token.Pos
-}
-
-type absLockset map[string]absHeld
-
-func (s absLockset) clone() absLockset {
-	c := make(absLockset, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-func (s absLockset) equal(o absLockset) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k, v := range s {
-		ov, ok := o[k]
-		if !ok || ov.Write != v.Write {
-			return false
-		}
-	}
-	return true
-}
-
-// intersectAbs keeps locks held on both paths; a lock write-held on only
-// one path demotes to a read hold (must-semantics on the mode bit too).
-func intersectAbs(a, b absLockset) absLockset {
-	out := absLockset{}
-	for k, v := range a {
-		if ov, ok := b[k]; ok {
-			out[k] = absHeld{Write: v.Write && ov.Write, Pos: v.Pos}
-		}
-	}
-	return out
-}
-
-// applyAbsLockOps folds every abstract mutex op contained in node n into
-// held, in source order, without descending into function literals,
-// deferred calls, or spawned goroutines.
-func applyAbsLockOps(n ast.Node, info *types.Info, held absLockset) {
-	switch n.(type) {
-	case *ast.DeferStmt, *ast.GoStmt:
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch c := x.(type) {
-		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			id, write, op := mutexOpAbs(info, c)
-			if id == "" {
-				return true
-			}
-			switch op {
-			case opLock:
-				if prev, ok := held[id]; ok && prev.Write {
-					// Keep the stronger (and earlier) hold.
-					return true
-				}
-				held[id] = absHeld{Write: write, Pos: c.Pos()}
-			case opUnlock:
-				delete(held, id)
-			}
-		}
-		return true
-	})
-}
-
-// heldAbstractLocks runs the forward must-analysis over g with abstract
-// identities: the result maps every recorded node to the abstract locks
-// definitely held when the node begins executing. Merges intersect, and
-// deferred unlocks keep the lock held to the end of the function, exactly
-// like heldLocks.
-func heldAbstractLocks(g *cfg, info *types.Info) map[ast.Node]absLockset {
-	heldAt := map[ast.Node]absLockset{}
-	in := map[*cfgBlock]absLockset{g.entry: {}}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		cur := in[blk].clone()
-		for _, n := range blk.nodes {
-			if prev, ok := heldAt[n]; !ok || !prev.equal(cur) {
-				heldAt[n] = cur.clone()
-			}
-			applyAbsLockOps(n, info, cur)
-		}
-		for _, succ := range blk.succs {
-			next, seen := in[succ]
-			if !seen {
-				in[succ] = cur.clone()
-				work = append(work, succ)
-				continue
-			}
-			merged := intersectAbs(next, cur)
-			if !merged.equal(next) {
-				in[succ] = merged
-				work = append(work, succ)
-			}
-		}
-	}
-	return heldAt
-}
-
 // --- summary scan -----------------------------------------------------------
 
 // scanLockFacts computes the abstract lock facts of fi: which locks the
@@ -369,10 +219,10 @@ func (p *Program) scanLockFacts(fi *FuncInfo, s *FuncSummary) {
 		if !ok {
 			return
 		}
-		if id, write, op := mutexOpAbs(info, call); op != opNone {
+		if l, op := mutexOp(info, call); op != opNone {
 			hasLockOps = true
-			if op == opLock && id != "" {
-				directAcqs = append(directAcqs, acqOp{call, id, write})
+			if op == opLock && l.id != "" {
+				directAcqs = append(directAcqs, acqOp{call, l.id, l.write})
 			}
 			return
 		}
@@ -412,81 +262,34 @@ func (p *Program) scanLockFacts(fi *FuncInfo, s *FuncSummary) {
 	// conflict reports acquiring `a` while the same lock is already held
 	// as `h`; a read hold re-entered by a read acquire is the one benign
 	// combination.
-	conflict := func(callPos token.Pos, a LockAcq, h absHeld) {
-		if !a.Write && !h.Write {
+	conflict := func(callPos token.Pos, a LockAcq, h heldLock) {
+		if !a.Write && !h.write {
 			return
 		}
 		heldMode := "held"
-		if !h.Write {
+		if !h.write {
 			heldMode = "read-held"
 		}
 		switch {
 		case len(a.Chain) > 0:
-			addReport(callPos, fmt.Sprintf("call acquires %s while the same lock is already %s (acquired at %s): guaranteed self-deadlock", a.describe(), heldMode, site(h.Pos)))
-		case a.Write && !h.Write:
-			addReport(callPos, fmt.Sprintf("%s of %s upgrades a read hold (RLock at %s) to a write hold: guaranteed self-deadlock", "Lock", a.Lock, site(h.Pos)))
+			addReport(callPos, fmt.Sprintf("call acquires %s while the same lock is already %s (acquired at %s): guaranteed self-deadlock", a.describe(), heldMode, site(h.pos)))
+		case a.Write && !h.write:
+			addReport(callPos, fmt.Sprintf("%s of %s upgrades a read hold (RLock at %s) to a write hold: guaranteed self-deadlock", "Lock", a.Lock, site(h.pos)))
 		case a.Write:
-			addReport(callPos, fmt.Sprintf("Lock of %s while the same lock is already held (acquired at %s): guaranteed self-deadlock", a.Lock, site(h.Pos)))
+			addReport(callPos, fmt.Sprintf("Lock of %s while the same lock is already held (acquired at %s): guaranteed self-deadlock", a.Lock, site(h.pos)))
 		default:
-			addReport(callPos, fmt.Sprintf("RLock of %s while the same lock is write-held (Lock at %s): guaranteed self-deadlock", a.Lock, site(h.Pos)))
+			addReport(callPos, fmt.Sprintf("RLock of %s while the same lock is write-held (Lock at %s): guaranteed self-deadlock", a.Lock, site(h.pos)))
 		}
 	}
 
 	// Lifted acquires flow in from callees whether or not any lock is held
-	// here; edges and conflicts additionally need the must-held sets.
-	var g *cfg
-	var heldAt map[ast.Node]absLockset
-	if hasLockOps && (len(directAcqs) > 0 || len(calls) > 0) {
-		g = fi.cfg()
-		heldAt = heldAbstractLocks(g, info)
-	}
-	// heldFor finds the must-held set in force at call: the set recorded
-	// for the innermost CFG node containing it (lockHeldAt's containment
-	// search, over the deterministic g.blocks order).
-	heldFor := func(call *ast.CallExpr) absLockset {
-		if heldAt == nil {
+	// here; edges and conflicts additionally need the must-held sets, in
+	// identity space.
+	heldFor := func(call *ast.CallExpr) map[string]heldLock {
+		if !hasLockOps {
 			return nil
 		}
-		var best ast.Node
-		var bestHeld absLockset
-		for _, blk := range g.blocks {
-			for _, n := range blk.nodes {
-				if n.Pos() <= call.Pos() && call.End() <= n.End() {
-					if best == nil || (n.Pos() >= best.Pos() && n.End() <= best.End()) {
-						best = n
-						bestHeld = heldAt[n]
-					}
-				}
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		cur := bestHeld.clone()
-		// Replay ops textually before the call within the node (e.g. an
-		// earlier Lock in the same statement).
-		ast.Inspect(best, func(x ast.Node) bool {
-			switch c := x.(type) {
-			case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				if c == call || c.Pos() >= call.Pos() {
-					return true
-				}
-				if id, write, op := mutexOpAbs(info, c); id != "" {
-					switch op {
-					case opLock:
-						if prev, ok := cur[id]; !ok || !prev.Write {
-							cur[id] = absHeld{Write: write, Pos: c.Pos()}
-						}
-					case opUnlock:
-						delete(cur, id)
-					}
-				}
-			}
-			return true
-		})
-		return cur
+		return fi.held().heldAt(call).byIdentity()
 	}
 
 	for _, a := range directAcqs {
@@ -497,7 +300,7 @@ func (p *Program) scanLockFacts(fi *FuncInfo, s *FuncSummary) {
 				conflict(a.call.Pos(), fact, h)
 				continue
 			}
-			addEdge(LockEdge{Held: heldID, HeldSite: site(h.Pos), Acq: fact})
+			addEdge(LockEdge{Held: heldID, HeldSite: site(h.pos), Acq: fact})
 		}
 	}
 	for _, call := range calls {
@@ -520,7 +323,7 @@ func (p *Program) scanLockFacts(fi *FuncInfo, s *FuncSummary) {
 					conflict(call.Pos(), lifted, h)
 					continue
 				}
-				addEdge(LockEdge{Held: heldID, HeldSite: site(h.Pos), Acq: lifted})
+				addEdge(LockEdge{Held: heldID, HeldSite: site(h.pos), Acq: lifted})
 			}
 		}
 	}

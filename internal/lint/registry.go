@@ -5,13 +5,17 @@ package lint
 // encode PR-1's layering decisions; DESIGN.md ("Enforced invariants") maps
 // each rule to the paper section it protects.
 func Default(module string) []*Analyzer {
+	// The overlap-critical packages, named once: the held-lock checker
+	// reports there as lockheld (strict) and everywhere else as chanflow,
+	// so no package is covered by both registrations or by neither.
+	strict := []string{
+		module + "/internal/core",
+		module + "/internal/ssd",
+		module + "/internal/engine",
+	}
 	return []*Analyzer{
 		NewCtxflow(),
-		NewLockheld([]string{
-			module + "/internal/core",
-			module + "/internal/ssd",
-			module + "/internal/engine",
-		}),
+		NewLockheld(strict),
 		NewIoconfine([]string{
 			// internal/ssd covers the native Linux backend too: the raw
 			// io_uring/preadv/O_DIRECT syscalls in native_linux.go stay
@@ -39,15 +43,9 @@ func Default(module string) []*Analyzer {
 			module+"/internal/buffer",
 			module+"/internal/storage",
 		),
-		// The whole-module concurrency layer (DESIGN.md §16). chanflow skips
-		// the packages lockheld already polices with the stricter
-		// no-blocking-at-all rule, so every site gets exactly one finding.
+		// The whole-module concurrency layer (DESIGN.md §16).
 		NewLockorder(),
-		NewChanflow([]string{
-			module + "/internal/core",
-			module + "/internal/ssd",
-			module + "/internal/engine",
-		}),
+		NewChanflow(strict),
 		NewWaitjoin(),
 	}
 }

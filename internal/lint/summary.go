@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"io"
 	"reflect"
@@ -534,76 +533,27 @@ func padBools(b []bool, n int) []bool {
 
 // --- blocking facts --------------------------------------------------------
 
-// scanBlocks computes Blocks: a definitely blocking op on every normal
-// path. The op vocabulary matches lockheld's intra-function rule (send,
-// receive, select without default — whose comm clauses the CFG already
-// places on every path — Wait/Drain calls except sync.Cond.Wait) plus
-// callees that Block.
+// scanBlocks computes Blocks: an operation of the blockingOps vocabulary on
+// every normal path. A select's comm statements count like any other send
+// or receive — the CFG places one on every path through a select that has
+// no default — and BlocksWhy names the first operation in source order.
 func (p *Program) scanBlocks(fi *FuncInfo, s *FuncSummary) {
-	info := fi.Pkg.Info
-	isBlocking := func(n ast.Node) bool { return p.blockingDesc(info, n) != "" }
-	any := false
-	why := ""
-	whyPos := token.NoPos
 	g := fi.cfg()
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if d := p.blockingDesc(info, n); d != "" {
-				any = true
-				if whyPos == token.NoPos || n.Pos() < whyPos {
-					whyPos = n.Pos()
-					why = d
-				}
-			}
+	blocking := map[ast.Node]bool{}
+	why := ""
+	for _, op := range p.blockingOps(fi.Pkg.Info, fi.Decl.Body) {
+		if op.strictOnly {
+			continue
+		}
+		blocking[g.enclosing(op.at)] = true
+		if why == "" {
+			why = op.desc
 		}
 	}
-	if !any {
-		return
-	}
-	if !g.reachesExitWithout(isBlocking) {
+	if why != "" && !g.reachesExitWithout(func(n ast.Node) bool { return blocking[n] }) {
 		s.Blocks = true
 		s.BlocksWhy = why
 	}
-}
-
-// blockingDesc describes the potentially blocking operation n performs
-// directly (not inside a nested literal), "" if none.
-func (p *Program) blockingDesc(info *types.Info, n ast.Node) string {
-	desc := ""
-	ast.Inspect(n, func(x ast.Node) bool {
-		if desc != "" {
-			return false
-		}
-		switch e := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			desc = "channel send"
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				desc = "channel receive"
-			}
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok {
-					name := fn.Name()
-					if name == "Wait" || name == "Drain" {
-						if pkg, typ, ok := methodOn(fn); !ok || pkg != "sync" || typ != "Cond" {
-							desc = "blocking " + types.ExprString(sel.X) + "." + name + "()"
-							return false
-						}
-					}
-				}
-			}
-			if key, ok := p.staticCallee(info, e); ok {
-				if cs := p.Summaries[key]; cs != nil && cs.Blocks {
-					desc = "call to " + key + ", which always blocks (" + cs.BlocksWhy + ")"
-				}
-			}
-		}
-		return true
-	})
-	return desc
 }
 
 // --- requires-held facts ---------------------------------------------------
@@ -638,10 +588,8 @@ func (p *Program) scanHeld(fi *FuncInfo, s *FuncSummary) {
 	if len(ops) == 0 {
 		return
 	}
-	g := fi.cfg()
-	held := heldLocks(g, info)
 	for _, o := range ops {
-		if lockHeldAt(g, held, o.call) {
+		if len(fi.held().heldAt(o.call)) > 0 {
 			continue
 		}
 		pos := fi.Pkg.Fset.Position(o.call.Pos())
@@ -718,9 +666,15 @@ type summaryCacheFile struct {
 	Summaries   map[string]*FuncSummary `json:"summaries"`
 }
 
+// summaryVersion names the semantics of the summary facts. Bump it whenever
+// a change to the linter alters what any fact means (last: Blocks learned
+// range-over-channel and select {}), so caches computed by an older
+// binary over the same sources read as stale.
+const summaryVersion = 2
+
 // Fingerprint digests the exact file set of pkgs (paths and contents, in
-// sorted order) via the injected reader; the summary cache is valid only
-// while the fingerprint matches.
+// sorted order) via the injected reader, prefixed "v<summaryVersion>-";
+// the summary cache is valid only while the fingerprint matches.
 func Fingerprint(pkgs []*Package, read func(string) ([]byte, error)) (string, error) {
 	names := map[string]bool{}
 	for _, pkg := range pkgs {
@@ -750,7 +704,7 @@ func Fingerprint(pkgs []*Package, read func(string) ([]byte, error)) (string, er
 		h.Write(lenBuf[:])
 		h.Write(content)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return fmt.Sprintf("v%d-%s", summaryVersion, hex.EncodeToString(h.Sum(nil))), nil
 }
 
 // WriteSummaryCache serializes the program's summaries under fingerprint.

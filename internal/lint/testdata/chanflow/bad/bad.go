@@ -50,3 +50,42 @@ func callBlockingUnderLock(h *hub) int {
 	h.mu.Unlock()
 	return v
 }
+
+func rangeUnderLock(h *hub) (sum int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for v := range h.ch { // want "blocking range over channel while holding h\\.mu"
+		sum += v
+	}
+	return sum
+}
+
+func parkUnderLock(h *hub) {
+	h.mu.Lock()
+	select {} // want "select \\{\\} \\(blocks forever\\) while holding h\\.mu"
+}
+
+// park's only path is an empty select and forever's a range over a
+// channel: both are summarised as always blocking, naming the operation.
+func park() { select {} }
+
+func forever(c chan int) {
+	for range c {
+	}
+}
+
+func callParkedUnderLock(h *hub) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	forever(h.ch) // want "call to fixture/chanflow/bad\\.forever, which always blocks \\(blocking range over channel\\) while holding h\\.mu"
+	park()        // want "call to fixture/chanflow/bad\\.park, which always blocks \\(select \\{\\} \\(blocks forever\\)\\) while holding h\\.mu"
+}
+
+// Held sets are keyed by receiver: unlocking b's mutex does not release
+// a's, though both are the same field of one type.
+func crossUnlock(a, b *hub) {
+	a.mu.Lock()
+	b.mu.Unlock()
+	a.ch <- 1 // want "blocking channel send while holding a\\.mu"
+	a.mu.Unlock()
+}

@@ -61,3 +61,40 @@ func (g *guarded) await() {
 	}
 	g.mu.Unlock()
 }
+
+// index ranges over a slice and a map under the lock: only a range over a
+// channel parks.
+type index struct {
+	mu    sync.Mutex
+	items []int
+	byKey map[string]int
+}
+
+func (x *index) total() (sum int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, v := range x.items {
+		sum += v
+	}
+	for _, v := range x.byKey {
+		sum += v
+	}
+	return sum
+}
+
+// poll has a path that does not park (the default clause), so calling it
+// under the lock is not a call to an always-blocking function.
+func poll(c chan int) int {
+	select {
+	case v := <-c:
+		return v
+	default:
+		return 0
+	}
+}
+
+func pollUnderLock(h *hub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return poll(h.ch)
+}

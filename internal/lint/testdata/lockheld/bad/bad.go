@@ -42,3 +42,27 @@ func (w *worker) sel() {
 	default:
 	}
 }
+
+func (w *worker) drainAll() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for v := range w.ch { // want "range over channel while holding w\\.mu"
+		_ = v
+	}
+}
+
+// park's only path is an empty select and forever's a range over a
+// channel: both are summarised as always blocking, naming the operation.
+func park() { select {} }
+
+func forever(c chan int) {
+	for range c {
+	}
+}
+
+func (w *worker) callsBlocking() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	forever(w.ch) // want "call to fixture/lockheld/bad\\.forever, which always blocks \\(blocking range over channel\\) while holding w\\.mu"
+	park()        // want "call to fixture/lockheld/bad\\.park, which always blocks \\(select \\{\\} \\(blocks forever\\)\\) while holding w\\.mu"
+}

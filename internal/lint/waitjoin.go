@@ -98,13 +98,9 @@ func checkWaitjoin(pass *Pass, fi *FuncInfo) {
 		return
 	}
 
-	g := fi.cfg()
-	heldAt := heldAbstractLocks(g, info)
 	fset := fi.Pkg.Fset
 	for _, wait := range waits {
-		held := absHeldNodeAt(g, heldAt, wait)
-		type repKey struct{ lock string }
-		reported := map[repKey]bool{}
+		held := fi.held().heldAt(wait).byIdentity()
 		// Deterministic lock order for multi-lock holds.
 		ids := make([]string, 0, len(held))
 		for id := range held {
@@ -117,20 +113,16 @@ func checkWaitjoin(pass *Pass, fi *FuncInfo) {
 				if sa.acq.Lock != id {
 					continue
 				}
-				if !h.Write && !sa.acq.Write {
+				if !h.write && !sa.acq.Write {
 					continue // read-read: joiner and worker can overlap
 				}
-				if reported[repKey{id}] {
-					continue
-				}
-				reported[repKey{id}] = true
 				who := "the goroutine spawned at " + fset.Position(sa.spawn.Pos()).String()
 				if sa.fn != "" {
 					who += " (" + sa.fn + ")"
 				}
 				pass.Reportf(wait.Pos(),
 					"WaitGroup.Wait while holding %s (acquired at %s), but %s acquires %s: the worker can never finish and Wait never returns (wait-for cycle)",
-					id, fset.Position(h.Pos), who, sa.acq.describe())
+					id, fset.Position(h.pos), who, sa.acq.describe())
 				break
 			}
 		}
@@ -147,10 +139,10 @@ func collectLitAcquires(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, acqs *[]sp
 		if !ok {
 			return
 		}
-		if id, write, op := mutexOpAbs(info, call); op == opLock && id != "" {
+		if l, op := mutexOp(info, call); op == opLock && l.id != "" {
 			ps := fset.Position(call.Pos())
 			*acqs = append(*acqs, spawnedAcq{spawn: gs, acq: LockAcq{
-				Lock: id, Write: write,
+				Lock: l.id, Write: l.write,
 				Site: LockSite{File: ps.Filename, Line: ps.Line, Col: ps.Column},
 			}})
 			return
@@ -190,26 +182,4 @@ func waitGroupJoined(info *types.Info, par map[ast.Node]ast.Node, gs *ast.GoStmt
 		}
 	}
 	return addBeforeSpawn(info, par, gs)
-}
-
-// absHeldNodeAt returns the abstract must-held set in force at node n:
-// the set recorded for n itself when n is a CFG node, otherwise the
-// innermost recorded node containing it.
-func absHeldNodeAt(g *cfg, heldAt map[ast.Node]absLockset, n ast.Node) absLockset {
-	if s, ok := heldAt[n]; ok {
-		return s
-	}
-	var best ast.Node
-	var bestHeld absLockset
-	for _, blk := range g.blocks {
-		for _, cand := range blk.nodes {
-			if cand.Pos() <= n.Pos() && n.End() <= cand.End() {
-				if best == nil || (cand.Pos() >= best.Pos() && cand.End() <= best.End()) {
-					best = cand
-					bestHeld = heldAt[cand]
-				}
-			}
-		}
-	}
-	return bestHeld
 }

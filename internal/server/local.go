@@ -62,15 +62,12 @@ func (s Spec) engineOptions() (engine.Options, error) {
 		ShardI:           s.ShardI,
 		ShardJ:           s.ShardJ,
 	}
-	switch s.Model {
-	case "", "edge":
-		opts.Model = engine.ModelEdge
-	case "vertex":
-		opts.Model = engine.ModelVertex
-	case "mgt":
-		opts.Model = engine.ModelMGTInstance
-	default:
-		return opts, fmt.Errorf("%w: unknown model %q (want edge, vertex or mgt)", ErrBadRequest, s.Model)
+	if s.Model != "" { // an absent "model" is the edge model, engine.Options' zero value
+		m, err := engine.ParseModel(s.Model)
+		if err != nil {
+			return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		opts.Model = m
 	}
 	return opts, nil
 }
