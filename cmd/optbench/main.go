@@ -165,16 +165,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "[results written to %s]\n", *jsonOut)
-		// The I/O-scheduler ablation additionally lands in its own file so CI
-		// can diff the kernel counters without parsing the full sweep.
-		if kr := kernelsOnly(&report); kr != nil {
-			path := filepath.Join(filepath.Dir(*jsonOut), "BENCH_kernels.json")
-			if err := writeJSON(path, kr); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "[kernel counters written to %s]\n", path)
-		}
-		// The page-codec experiment likewise lands in its own file; it is the
+		// The page-codec experiment additionally lands in its own file; it is the
 		// committed baseline the -baseline flag compares against.
 		if pr := experimentOnly(&report, "pages"); pr != nil {
 			path := filepath.Join(filepath.Dir(*jsonOut), "BENCH_pages.json")
@@ -207,10 +198,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// kernelsOnly extracts the kernels experiment into a standalone report, or
-// returns nil when the sweep did not run it.
-func kernelsOnly(r *jsonReport) *jsonReport { return experimentOnly(r, "kernels") }
 
 // experimentOnly extracts one experiment into a standalone report sharing
 // the sweep's config, or returns nil when the sweep did not run it.

@@ -293,23 +293,22 @@ func Experiments() []string {
 
 // registry maps experiment ids to their implementations.
 var registry = map[string]func(*Harness) (*Table, error){
-	"table2":  Table2,
-	"table3":  Table3,
-	"fig3a":   Fig3a,
-	"fig3b":   Fig3b,
-	"fig4":    Fig4,
-	"fig5":    Fig5,
-	"table4":  Table4,
-	"fig6":    Fig6,
-	"table5":  Table5,
-	"table6":  Table6,
-	"fig7a":   Fig7a,
-	"fig7b":   Fig7b,
-	"fig7c":   Fig7c,
-	"table7":  Table7,
-	"kernels": Kernels,
-	"pages":   Pages,
-	"device":  Device,
+	"table2": Table2,
+	"table3": Table3,
+	"fig3a":  Fig3a,
+	"fig3b":  Fig3b,
+	"fig4":   Fig4,
+	"fig5":   Fig5,
+	"table4": Table4,
+	"fig6":   Fig6,
+	"table5": Table5,
+	"table6": Table6,
+	"fig7a":  Fig7a,
+	"fig7b":  Fig7b,
+	"fig7c":  Fig7c,
+	"table7": Table7,
+	"pages":  Pages,
+	"device": Device,
 }
 
 // Run executes one experiment by id and renders it to w as aligned text.

@@ -83,56 +83,19 @@ func TestTableRender(t *testing.T) {
 
 func TestExperimentsListStable(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 17 {
-		t.Fatalf("got %d experiments, want 17 (one per table/figure plus kernels, pages and device)", len(ids))
+	if len(ids) != 16 {
+		t.Fatalf("got %d experiments, want 16 (one per table/figure plus pages and device)", len(ids))
 	}
 	want := map[string]bool{
 		"table2": true, "table3": true, "table4": true, "table5": true,
 		"table6": true, "table7": true, "fig3a": true, "fig3b": true,
 		"fig4": true, "fig5": true, "fig6": true, "fig7a": true,
-		"fig7b": true, "fig7c": true, "kernels": true, "pages": true,
+		"fig7b": true, "fig7c": true, "pages": true,
 		"device": true,
 	}
 	for _, id := range ids {
 		if !want[id] {
 			t.Fatalf("unexpected experiment %q", id)
-		}
-	}
-}
-
-// TestKernelsExperiment checks the scheduler-ablation table's invariants at
-// tiny scale: coalescing engages and never increases the submission count.
-// (The >= 3x reduction on the default workload is pinned by the core tests.)
-func TestKernelsExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration sweep")
-	}
-	cfg := tinyConfig(t)
-	cfg.PageSize = 512 // enough pages for the external area to coalesce over
-	h, err := NewHarness(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	tb, err := h.Table("kernels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != len(fig3Datasets) {
-		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(fig3Datasets))
-	}
-	for _, row := range tb.Rows {
-		readsOff, err1 := strconv.ParseInt(row[1], 10, 64)
-		readsOn, err2 := strconv.ParseInt(row[2], 10, 64)
-		coalesced, err3 := strconv.ParseInt(row[4], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatalf("%s: unparsable counters in %v", row[0], row)
-		}
-		if readsOn > readsOff {
-			t.Errorf("%s: coalescing increased reads: %d > %d", row[0], readsOn, readsOff)
-		}
-		if coalesced == 0 {
-			t.Errorf("%s: no coalesced reads recorded", row[0])
 		}
 	}
 }
@@ -218,25 +181,6 @@ func TestDeviceExperiment(t *testing.T) {
 		}
 		if _, err := strconv.ParseFloat(row[10], 64); err != nil {
 			t.Errorf("%s/%s: unparsable elapsed_ms %q", key, row[2], row[10])
-		}
-	}
-}
-
-func BenchmarkKernelsExperiment(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Scale = 0.06
-	cfg.PageSize = 512
-	cfg.WorkDir = b.TempDir()
-	cfg.Latency = ssd.Latency{}
-	h, err := NewHarness(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Table("kernels"); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

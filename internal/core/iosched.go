@@ -40,8 +40,9 @@ type residentReq struct {
 // the next iteration's internal pages last, for the Δin_io credit — is
 // preserved at read granularity by issuing groups in descending page order.
 type ioSched struct {
-	r *runner
-	s *sched // nil in Serial mode: processing runs on the callback thread
+	r    *runner
+	s    *sched // nil in Serial mode: processing runs on the callback thread
+	iter int    // iteration index stamped on the events this scheduler emits
 
 	mu        sync.Mutex
 	queue     []extGroup // issue order (descending page); queue[idx:] unissued
@@ -53,8 +54,8 @@ type ioSched struct {
 	done      chan struct{}
 }
 
-func (r *runner) newIOSched(s *sched) *ioSched {
-	return &ioSched{r: r, s: s, done: make(chan struct{})}
+func (r *runner) newIOSched(s *sched, iter int) *ioSched {
+	return &ioSched{r: r, s: s, iter: iter, done: make(chan struct{})}
 }
 
 // start coalesces the request list, issues the initial read window, and
@@ -138,10 +139,7 @@ func (io *ioSched) issueGroup(g *extGroup) {
 		return
 	}
 	if len(g.reqs) > 1 {
-		r.emit(events.Event{Kind: events.CoalescedRead, N: int64(g.pages)})
-		if r.mx != nil {
-			r.mx.AddCoalescedRead(int64(g.pages))
-		}
+		r.note(events.Event{Kind: events.CoalescedRead, Iteration: io.iter, N: int64(g.pages)})
 	}
 	if r.opts.DisableMicroOverlap {
 		// Ablation: synchronous vectored read, no overlap — completions run
@@ -192,10 +190,7 @@ func (io *ioSched) readDone(g *extGroup, err error) {
 		if err != nil {
 			kind = events.PrefetchWasted
 		}
-		r.emit(events.Event{Kind: kind, N: 1})
-		if r.mx != nil {
-			r.mx.Event(events.Event{Kind: kind, N: 1})
-		}
+		r.note(events.Event{Kind: kind, Iteration: io.iter, N: 1})
 	}
 	io.pump()
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/optlab/opt/internal/buffer"
+	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
@@ -389,5 +391,70 @@ func BenchmarkOPTSerialCoalesced(b *testing.B) {
 		if _, err := RunFile(st, Options{Mode: Serial, MemoryPages: int(st.NumPages)/4 + 2}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSchedulerEventsCarryIteration pins the per-job timeline contract: every
+// CoalescedRead, Prefetch* and Morph event is stamped with the index of the
+// IterationStart…IterationEnd bracket it fires in — from the I/O scheduler
+// as much as from the internal-area loader — and the collector's counters
+// equal the sums of those events, since both are fed by one runner.note.
+func TestSchedulerEventsCarryIteration(t *testing.T) {
+	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 12_000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	st := buildStore(t, g, 128)
+	budget := int(st.NumPages)/4 + 2
+
+	for _, mode := range []Mode{Serial, Parallel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			open := -1 // index of the open iteration bracket, -1 between brackets
+			sums := map[events.Kind]int64{}
+			counts := map[events.Kind]int64{}
+			rec := events.Func(func(e events.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch e.Kind {
+				case events.IterationStart:
+					open = e.Iteration
+				case events.IterationEnd:
+					open = -1
+				case events.CoalescedRead, events.PrefetchHit, events.PrefetchWasted, events.Morph:
+					if e.Iteration != open {
+						t.Errorf("%v event stamped iteration %d inside bracket %d", e.Kind, e.Iteration, open)
+					}
+					sums[e.Kind] += e.N
+					counts[e.Kind]++
+				}
+			})
+			mx := metrics.NewCollector()
+			res, err := RunFile(st, Options{Mode: mode, Threads: 2, MemoryPages: budget, MaxCoalescePages: 4, Metrics: mx, Events: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations < 3 {
+				t.Fatalf("only %d iterations; the test needs at least 3", res.Iterations)
+			}
+			if counts[events.CoalescedRead] == 0 || counts[events.PrefetchHit] == 0 {
+				t.Fatalf("run emitted no scheduler events to check: %v", counts)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"CoalescedReads", mx.CoalescedReads(), counts[events.CoalescedRead]},
+				{"CoalescedPages", mx.CoalescedPages(), sums[events.CoalescedRead]},
+				{"PrefetchHits", mx.PrefetchHits(), sums[events.PrefetchHit]},
+				{"PrefetchWasted", mx.PrefetchWasted(), sums[events.PrefetchWasted]},
+				{"Morphs", mx.Morphs(), sums[events.Morph]},
+			} {
+				if c.got != c.want {
+					t.Errorf("collector %s = %d, events sum to %d", c.name, c.got, c.want)
+				}
+			}
+		})
 	}
 }

@@ -296,6 +296,17 @@ func (r *runner) emit(e events.Event) {
 	}
 }
 
+// note records one scheduler event (coalesced read, prefetch outcome, morph)
+// with both observers, the progress sink and the metrics collector, so a
+// counter cannot disagree with the sum of its events. These fire per read
+// or per iteration, never per intersection.
+func (r *runner) note(e events.Event) {
+	r.emit(e)
+	if r.mx != nil {
+		r.mx.Event(e)
+	}
+}
+
 // triangleCount returns the triangles discovered so far.
 func (r *runner) triangleCount() int64 {
 	if r.counts != nil {
@@ -442,10 +453,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 		}
 		spans := loadSpans[base:len(loadSpans):len(loadSpans)]
 		if len(grp) > 1 {
-			r.emit(events.Event{Kind: events.CoalescedRead, Iteration: index, N: int64(pages)})
-			if r.mx != nil {
-				r.mx.AddCoalescedRead(int64(pages))
-			}
+			r.note(events.Event{Kind: events.CoalescedRead, Iteration: index, N: int64(pages)})
 		}
 		r.dev.AsyncReadScatter(grp[0].first, spans, func(seg int, data []byte, err error) {
 			pl := grp[seg]
@@ -571,7 +579,7 @@ func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
 	}
 
 	t1 := time.Now()
-	io := r.newIOSched(nil)
+	io := r.newIOSched(nil, stat.Index)
 	io.start(reqs)
 	io.wait()
 	stat.ExternalTime = time.Since(t1)
@@ -598,7 +606,7 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 		// resident chunks — then submit the internal page tasks. The
 		// scheduler closes classExternal when the last request retires
 		// (immediately, when the list is empty).
-		io := r.newIOSched(s)
+		io := r.newIOSched(s, stat.Index)
 		io.start(reqs)
 		for _, c := range r.internalChunks {
 			if c == nil {
@@ -620,10 +628,7 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	stat.InternalTime = s.classWork(classInternal)
 	stat.ExternalTime = s.classWork(classExternal)
 	if m := s.morphCount(); m > 0 {
-		r.emit(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
-		if r.mx != nil {
-			r.mx.Event(events.Event{Kind: events.Morph, N: m})
-		}
+		r.note(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
 	}
 	if len(r.vset) > 0 {
 		stat.PhaseVirtual = s.maxClock(0)

@@ -217,7 +217,7 @@ func (o Options) Validate(info Info) error {
 	} else if o.ShardI < 0 || o.ShardJ < o.ShardI || o.ShardJ >= o.ShardGrid {
 		return fmt.Errorf("engine: Options.ShardI/ShardJ = (%d, %d) outside 0 ≤ i ≤ j < %d", o.ShardI, o.ShardJ, o.ShardGrid)
 	}
-	if f := o.MemoryFraction; f < 0 || f > 1 {
+	if f := o.MemoryFraction; !(f >= 0 && f <= 1) { // written so that NaN fails too
 		return fmt.Errorf("engine: Options.MemoryFraction must lie in (0, 1], got %v", f)
 	}
 	if o.OnTriangles != nil && !info.ListsTriangles {

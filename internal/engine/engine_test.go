@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -78,6 +79,7 @@ func TestValidate(t *testing.T) {
 		{"negative memory pages", Options{MemoryPages: -1}, full, true},
 		{"fraction above one", Options{MemoryFraction: 1.5}, full, true},
 		{"negative fraction", Options{MemoryFraction: -0.1}, full, true},
+		{"NaN fraction", Options{MemoryFraction: math.NaN()}, full, true},
 		{"fraction of exactly one", Options{MemoryFraction: 1}, full, false},
 		{"triangles from counting-only method", Options{OnTriangles: cb}, counting, true},
 		{"triangles from listing method", Options{OnTriangles: cb}, full, false},

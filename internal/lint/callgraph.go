@@ -280,32 +280,36 @@ func (p *Program) Callers(key string) int { return p.callerCount[key] }
 // of the program.
 func (p *Program) Summary(key string) *FuncSummary { return p.Summaries[key] }
 
-// sccOrder computes Tarjan's strongly connected components over the
-// callee edges and returns them in reverse topological order: every edge
-// leaving an SCC points at an earlier component, so processing in order
-// sees callee summaries before caller summaries. Keys inside a component
-// and the component sequence itself are deterministic (DFS over sorted
-// keys).
+// sccOrder returns the call graph's strongly connected components in
+// reverse topological order: every edge leaving an SCC points at an earlier
+// component, so processing in order sees callee summaries before caller
+// summaries.
 func (p *Program) sccOrder() [][]string {
 	keys := make([]string, 0, len(p.ByKey))
 	for k := range p.ByKey {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	return tarjanSCC(keys, func(v string) []string { return p.ByKey[v].callees })
+}
+
+// tarjanSCC runs Tarjan's algorithm over nodes and their succ edges — the
+// call graph here, the lock-order graph in lockorder.go. Components come
+// out successors-first; with sorted nodes and sorted succ lists the
+// component sequence and the (sorted) keys inside each are deterministic.
+func tarjanSCC(nodes []string, succ func(string) []string) [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
 	var order [][]string
-	next := 0
 	var strongconnect func(v string)
 	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
+		index[v] = len(index)
+		low[v] = index[v]
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range p.ByKey[v].callees {
+		for _, w := range succ(v) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
 				low[v] = min(low[v], low[w])
@@ -328,9 +332,9 @@ func (p *Program) sccOrder() [][]string {
 			order = append(order, scc)
 		}
 	}
-	for _, k := range keys {
-		if _, seen := index[k]; !seen {
-			strongconnect(k)
+	for _, v := range nodes {
+		if _, seen := index[v]; !seen {
+			strongconnect(v)
 		}
 	}
 	return order

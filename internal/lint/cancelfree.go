@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
+	"strings"
 )
 
 // NewCancelfree builds the cancelfree analyzer: the cancel function
@@ -24,178 +24,38 @@ import (
 // fix — inserting `defer cancel()` right after the creation — ships as a
 // SuggestedFix applied by `optlint -fix`.
 //
-// v3 consults the Program's summaries (DESIGN.md §13) in both directions:
-// an in-module wrapper whose summary marks a result as a cancel obligation
-// (CancelResults) creates a site at its callers, and passing the cancel
-// func to a callee whose summary proves a pure borrow no longer counts as
-// a discharge — only a callee that calls, stores or returns it does.
+// The rule is one registration of the obligation checker (obligation.go)
+// over the summary layer's CancelResults facts (DESIGN.md §13), which work
+// in both directions: an in-module wrapper whose summary marks a result as
+// a cancel func creates a site at its callers, and passing the cancel func
+// to a callee whose summary proves a pure borrow is not a discharge — only
+// a callee that calls, stores or returns it is.
 func NewCancelfree() *Analyzer {
+	ob := &obligation{
+		flags: (*Program).cancelResultsOf,
+		discarded: func(pass *Pass, as *ast.AssignStmt, call *ast.CallExpr) {
+			pass.Reportf(as.Pos(), "cancel func of %s discarded with _; the context can never be released",
+				pass.Prog.calleeName(pass.Pkg.Info, call))
+		},
+		leaked: func(pass *Pass, as *ast.AssignStmt, call *ast.CallExpr, id *ast.Ident) {
+			pos := pass.Pkg.Fset.Position(as.Pos())
+			// gofmt indents with tabs, so the column is the statement's depth.
+			indent := strings.Repeat("\t", pos.Column-1)
+			pass.report(Finding{
+				Pos:  pos,
+				Rule: pass.rule,
+				Message: fmt.Sprintf("cancel func %q of %s is not called on every path to return (context leak)",
+					id.Name, pass.Prog.calleeName(pass.Pkg.Info, call)),
+				Fix: &Fix{
+					Message: fmt.Sprintf("insert `defer %s()` after the context creation", id.Name),
+					Edits:   []TextEdit{{Pos: as.End(), End: as.End(), NewText: "\n" + indent + "defer " + id.Name + "()"}},
+				},
+			})
+		},
+	}
 	return &Analyzer{
 		Name: "cancelfree",
 		Doc:  "every context.WithCancel/WithTimeout/WithDeadline cancel func must be called on all exit paths",
-		Run:  runCancelfree,
+		Run:  ob.run,
 	}
-}
-
-// cancelSite is one obligation: the assignment, which LHS holds the cancel
-// func, and the printable source ("context.WithCancel" or a summary key).
-type cancelSite struct {
-	as     *ast.AssignStmt
-	lhsIdx int
-	src    string
-}
-
-func runCancelfree(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		funcBodies(file, func(body *ast.BlockStmt) {
-			var sites []cancelSite
-			topLevelStmts(body, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok {
-					sites = append(sites, cancelSitesOf(pass, as)...)
-				}
-				return true
-			})
-			if len(sites) == 0 {
-				return
-			}
-			g := buildCFG(body, info)
-			for _, site := range sites {
-				checkCancelSite(pass, g, site)
-			}
-		})
-	}
-}
-
-// cancelAssign reports the context constructor name ("WithCancel", …) when
-// as assigns the two results of a cancelable-context creation, "" when it
-// is anything else.
-func cancelAssign(info *types.Info, as *ast.AssignStmt) string {
-	if len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-		return ""
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := funcFor(info, call)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return ""
-	}
-	switch fn.Name() {
-	case "WithCancel", "WithCancelCause", "WithTimeout", "WithTimeoutCause",
-		"WithDeadline", "WithDeadlineCause":
-		return fn.Name()
-	}
-	return ""
-}
-
-// cancelSitesOf extracts the cancel obligations one assignment creates:
-// the context-package intrinsics, plus results an in-module callee's
-// summary marks as cancel functions (a WithTimeout wrapper, say).
-func cancelSitesOf(pass *Pass, as *ast.AssignStmt) []cancelSite {
-	info := pass.Pkg.Info
-	if ctor := cancelAssign(info, as); ctor != "" {
-		return []cancelSite{{as: as, lhsIdx: 1, src: "context." + ctor}}
-	}
-	if pass.Prog == nil || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	key, ok := pass.Prog.staticCallee(info, call)
-	if !ok {
-		return nil
-	}
-	cs := pass.Prog.Summaries[key]
-	if cs == nil {
-		return nil
-	}
-	var sites []cancelSite
-	for i := range as.Lhs {
-		if i < len(cs.CancelResults) && cs.CancelResults[i] {
-			sites = append(sites, cancelSite{as: as, lhsIdx: i, src: key})
-		}
-	}
-	return sites
-}
-
-// checkCancelSite analyzes one creation site inside graph g.
-func checkCancelSite(pass *Pass, g *cfg, site cancelSite) {
-	info := pass.Pkg.Info
-	as := site.as
-	if site.lhsIdx >= len(as.Lhs) {
-		return
-	}
-	target := as.Lhs[site.lhsIdx]
-	id, isIdent := target.(*ast.Ident)
-	switch {
-	case isIdent && id.Name == "_":
-		pass.Reportf(as.Pos(), "cancel func of %s discarded with _; the context can never be released", site.src)
-		return
-	case !isIdent:
-		// Stored straight into a field or element: ownership moved to the
-		// structure (the manager's rootCtx/cancelJobs pattern). Not ours.
-		return
-	}
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id] // `=` rebinding an existing variable
-	}
-	if obj == nil {
-		return
-	}
-	discharged := func(n ast.Node) bool { return dischargesObligation(pass.Prog, info, n, obj) }
-	if g.mayReachExitWithout(as, discharged) {
-		f := Finding{
-			Pos:     pass.Pkg.Fset.Position(as.Pos()),
-			Rule:    "cancelfree",
-			Message: fmt.Sprintf("cancel func %q of %s is not called on every path to return (context leak)", id.Name, site.src),
-		}
-		if end := as.End(); end.IsValid() {
-			indent := indentFor(pass.Pkg.Fset.Position(as.Pos()).Column)
-			f.Fix = &Fix{
-				Message: fmt.Sprintf("insert `defer %s()` after the context creation", id.Name),
-				Edits: []TextEdit{{
-					Pos:     end,
-					End:     end,
-					NewText: "\n" + indent + "defer " + id.Name + "()",
-				}},
-			}
-		}
-		pass.report(f)
-	}
-}
-
-// indentFor rebuilds the leading tabs of a statement that starts at the
-// given 1-based column, assuming tab indentation (gofmt's output).
-func indentFor(column int) string {
-	if column < 1 {
-		return ""
-	}
-	out := make([]byte, column-1)
-	for i := range out {
-		out[i] = '\t'
-	}
-	return string(out)
-}
-
-// referencesObject reports whether node n mentions obj at all, including
-// inside nested function literals (a capture hands the obligation to the
-// closure). The defining identifier itself does not count.
-func referencesObject(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := x.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -285,14 +285,19 @@ func TestIoconfineScoping(t *testing.T) {
 // TestDefaultRegistry pins the shipped rule set, and that the held-lock
 // checker's two registrations split the module along one strict list: the
 // same violating package reports under exactly one of lockheld/chanflow
-// wherever it sits, never both and never neither.
+// wherever it sits, never both and never neither. The obligation checker's
+// two registrations differ in scope instead: poolpair leaves the pool's own
+// package alone, cancelfree looks everywhere.
 func TestDefaultRegistry(t *testing.T) {
 	var names []string
-	var heldLock []*lint.Analyzer
+	var heldLock, owned []*lint.Analyzer
 	for _, a := range lint.Default("github.com/optlab/opt") {
 		names = append(names, a.Name)
 		if a.Name == "lockheld" || a.Name == "chanflow" {
 			heldLock = append(heldLock, a)
+		}
+		if a.Name == "poolpair" || a.Name == "cancelfree" {
+			owned = append(owned, a)
 		}
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %s is missing Doc or Run", a.Name)
@@ -320,6 +325,28 @@ func TestDefaultRegistry(t *testing.T) {
 		}
 		if len(rules) != 1 || rules[rule] == 0 {
 			t.Errorf("package %s: findings by rule = %v, want only %s", path, rules, rule)
+		}
+	}
+	for path, want := range map[string]string{
+		"github.com/optlab/opt/internal/buffer/fixture": "cancelfree",
+		"github.com/optlab/opt/internal/core/fixture":   "cancelfree,poolpair",
+	} {
+		pkgs := []*lint.Package{
+			loadFixtureAs(t, "poolpair", "bad", path+"/pool"),
+			loadFixtureAs(t, "cancelfree", "bad", path+"/cancel"),
+		}
+		rules := map[string]bool{}
+		for _, f := range lint.Analyze(pkgs, owned) {
+			rules[f.Rule] = true
+		}
+		var got []string
+		for _, name := range []string{"cancelfree", "poolpair"} {
+			if rules[name] {
+				got = append(got, name)
+			}
+		}
+		if strings.Join(got, ",") != want {
+			t.Errorf("packages under %s: obligation rules that fired = %v, want %s", path, got, want)
 		}
 	}
 }

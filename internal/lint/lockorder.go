@@ -83,12 +83,18 @@ func (p *Program) buildLockGraph() {
 	p.lockCycles = p.findLockCycles()
 }
 
-// findLockCycles enumerates the graph's elementary cycles: Tarjan SCCs
-// over the lock nodes, then for every in-component edge u→v the shortest
+// lockSCCs returns the lock graph's strongly connected components; sorted
+// nodes and adjacency keep the order deterministic.
+func (p *Program) lockSCCs() [][]string {
+	return tarjanSCC(p.lockNodes, func(v string) []string { return p.lockAdj[v] })
+}
+
+// findLockCycles enumerates the graph's elementary cycles: the SCCs over
+// the lock nodes, then for every in-component edge u→v the shortest
 // v⇝u return path, canonicalized by rotation and deduplicated — each
 // distinct node sequence is reported exactly once.
 func (p *Program) findLockCycles() []lockCycle {
-	sccs := tarjanLocks(p.lockNodes, p.lockAdj)
+	sccs := p.lockSCCs()
 	var cycles []lockCycle
 	seen := map[string]bool{}
 	for _, scc := range sccs {
@@ -157,53 +163,6 @@ func (p *Program) renderCycle(rot []string) lockCycle {
 	return c
 }
 
-// tarjanLocks runs Tarjan's SCC over the lock graph (iterating sorted
-// nodes and sorted adjacency, so component order is deterministic).
-func tarjanLocks(nodes []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
-	next := 0
-	var connect func(v string)
-	connect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				connect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(scc)
-			out = append(out, scc)
-		}
-	}
-	for _, n := range nodes {
-		if _, seen := index[n]; !seen {
-			connect(n)
-		}
-	}
-	return out
-}
-
 // shortestLockPath BFSes from src to dst inside the node set `in`,
 // returning the node sequence src..dst (nil if unreachable). Sorted
 // adjacency makes ties deterministic.
@@ -264,7 +223,7 @@ func rotateToMin(cyc []string) []string {
 // §16 renders the sanctioned lock hierarchy from.
 func (p *Program) WriteLockGraphDOT(w io.Writer) error {
 	cyclic := map[[2]string]bool{}
-	for _, scc := range tarjanLocks(p.lockNodes, p.lockAdj) {
+	for _, scc := range p.lockSCCs() {
 		if len(scc) < 2 {
 			continue
 		}

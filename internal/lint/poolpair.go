@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // NewPoolpair builds the poolpair analyzer for the buffer package at the
 // given import path: in non-test code, a value obtained from
@@ -22,229 +19,47 @@ import (
 // and the analyzer skips test files entirely — fixtures churn pools in
 // ways production code must not.
 //
-// v3 makes the obligation interprocedural via the Program's summaries
-// (DESIGN.md §13):
+// The rule is one registration of the obligation checker (obligation.go)
+// over the summary layer's OwnedResults facts, which makes it
+// interprocedural (DESIGN.md §13):
 //
 //   - passing the value to an in-module callee whose summary proves a pure
 //     borrow (no release, no escape, no return) does NOT discharge — the
-//     obligation stays here, where the per-function v2 rule wrongly
-//     assumed any pass was a hand-off;
+//     obligation stays here;
 //   - a call whose summary owns a result on every return path (a wrapper
 //     around GetChunk or Pool.Get, like core's getScratch) creates a new
-//     obligation at the caller, which per-function analysis could not see;
-//   - sync.Pool Gets hidden behind a type assertion
-//     (`p.Get().(*[]uint32)`) are recognized as obligation sites too.
+//     obligation at the caller;
+//   - sync.Pool Gets hidden behind a type assertion (`p.Get().(*[]uint32)`,
+//     comma-ok or not) are obligation sites too.
 //
 // Unknown callees (stdlib, interface dispatch, function values) still
-// count as transfers — exactly v2's conservatism, so the tree gains no
-// false positives.
+// count as transfers, so the tree gains no false positives. A result bound
+// to `_` or stored straight into a field is not tracked here.
 func NewPoolpair(bufferPath string) *Analyzer {
-	pp := &poolpair{bufferPath: bufferPath}
+	ob := &obligation{
+		flags:     (*Program).ownedResultsOf,
+		skipTests: true,
+		leaked: func(pass *Pass, as *ast.AssignStmt, call *ast.CallExpr, _ *ast.Ident) {
+			info := pass.Pkg.Info
+			var what, put string
+			switch {
+			case isGetChunkCall(info, call):
+				what, put = "chunk from buffer.GetChunk", "buffer.PutChunk"
+			case isPoolGetCall(info, call):
+				what, put = "value from sync.Pool Get", "Put"
+			default:
+				what, put = "pooled value from "+pass.Prog.calleeName(info, call)+" (whose summary owns the result)", "its pool"
+			}
+			pass.Reportf(as.Pos(), "%s is not handed back via %s (or otherwise released) on every path to return", what, put)
+		},
+	}
 	return &Analyzer{
 		Name: "poolpair",
 		Doc:  "buffer.GetChunk/PutChunk and sync.Pool Get/Put must pair on every path in non-test code",
-		Run:  pp.run,
-	}
-}
-
-type poolpair struct {
-	bufferPath string
-}
-
-// poolSite is one obligation: the assignment creating it, the obligated
-// identifier, and the message pieces describing the source.
-type poolSite struct {
-	as   *ast.AssignStmt
-	id   *ast.Ident
-	what string
-	put  string
-}
-
-func (pp *poolpair) run(pass *Pass) {
-	if pathWithin(pass.Pkg.Path, pp.bufferPath) {
-		return // the pool's own package defines the lifecycle
-	}
-	info := pass.Pkg.Info
-	for i, file := range pass.Pkg.Files {
-		if pass.Pkg.IsTest[i] {
-			continue
-		}
-		funcBodies(file, func(body *ast.BlockStmt) {
-			var sites []poolSite
-			topLevelStmts(body, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok {
-					sites = append(sites, pp.sitesOf(pass, as)...)
-				}
-				return true
-			})
-			if len(sites) == 0 {
-				return
+		Run: func(pass *Pass) {
+			if !pathWithin(pass.Pkg.Path, bufferPath) { // the pool's own package defines the lifecycle
+				ob.run(pass)
 			}
-			g := buildCFG(body, info)
-			for _, site := range sites {
-				pp.checkSite(pass, g, site)
-			}
-		})
+		},
 	}
-}
-
-// sitesOf extracts the pool obligations created by one assignment: the
-// Get intrinsics (with type assertions unwrapped) and callee results whose
-// summaries prove ownership on every return path.
-func (pp *poolpair) sitesOf(pass *Pass, as *ast.AssignStmt) []poolSite {
-	info := pass.Pkg.Info
-	if len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := unwrapAssert(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	if len(as.Lhs) == 1 {
-		if fn, ok := funcFor(info, call); ok && fn.Pkg() != nil {
-			if fn.Name() == "GetChunk" && pathWithin(fn.Pkg().Path(), pp.bufferPath) {
-				if id := obligatedIdent(as.Lhs[0]); id != nil {
-					return []poolSite{{as: as, id: id, what: "chunk from buffer.GetChunk", put: "buffer.PutChunk"}}
-				}
-				return nil
-			}
-			if isPoolGetCall(info, call) {
-				if id := obligatedIdent(as.Lhs[0]); id != nil {
-					return []poolSite{{as: as, id: id, what: "value from sync.Pool Get", put: "Put"}}
-				}
-				return nil
-			}
-		}
-	}
-	var cs *FuncSummary
-	var key string
-	if pass.Prog != nil {
-		if k, ok := pass.Prog.staticCallee(info, call); ok {
-			key, cs = k, pass.Prog.Summaries[k]
-		}
-	}
-	if cs == nil {
-		return nil
-	}
-	var sites []poolSite
-	for i, lhs := range as.Lhs {
-		if i >= len(cs.OwnedResults) || !cs.OwnedResults[i] {
-			continue
-		}
-		if id := obligatedIdent(lhs); id != nil {
-			sites = append(sites, poolSite{as: as, id: id,
-				what: "pooled value from " + key + " (whose summary owns the result)",
-				put:  "its pool"})
-		}
-	}
-	return sites
-}
-
-// obligatedIdent returns the plain identifier lhs binds, nil when the
-// value is dropped or stored elsewhere immediately (not trackable here).
-func obligatedIdent(lhs ast.Expr) *ast.Ident {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	return id
-}
-
-func (pp *poolpair) checkSite(pass *Pass, g *cfg, site poolSite) {
-	info := pass.Pkg.Info
-	obj := info.Defs[site.id]
-	if obj == nil {
-		obj = info.Uses[site.id]
-	}
-	if obj == nil {
-		return
-	}
-	discharged := func(n ast.Node) bool { return dischargesObligation(pass.Prog, info, n, obj) }
-	if g.mayReachExitWithout(site.as, discharged) {
-		pass.Reportf(site.as.Pos(), "%s is not handed back via %s (or otherwise released) on every path to return", site.what, site.put)
-	}
-}
-
-// dischargesObligation reports whether node n uses obj *as a value* — bare,
-// not through a field selector — in a position that moves or settles
-// ownership: returned, assigned away, sent, captured by a literal, invoked,
-// or passed to a call that releases or consumes it. `c.Recs` and
-// `c.FirstPage = 0` are reads/writes through the value and transfer
-// nothing; so — new in v3 — does passing it to an in-module callee whose
-// summary proves a pure borrow, or invoking a borrowing method on it.
-func dischargesObligation(prog *Program, info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	litDepth := 0
-	var stack []ast.Node
-	ast.Inspect(n, func(x ast.Node) bool {
-		if x == nil {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if _, isLit := top.(*ast.FuncLit); isLit {
-				litDepth--
-			}
-			return true
-		}
-		stack = append(stack, x)
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			litDepth++
-		}
-		if found {
-			return true // keep traversal (and the stack) balanced
-		}
-		id, isIdent := x.(*ast.Ident)
-		if !isIdent || info.Uses[id] != obj {
-			return true
-		}
-		if litDepth > 0 {
-			found = true // captured by a closure: the closure owns it now
-			return true
-		}
-		if len(stack) >= 2 {
-			switch parent := stack[len(stack)-2].(type) {
-			case *ast.SelectorExpr:
-				if parent.X == id {
-					// Field access or method call through the value. A method
-					// whose summary releases, stores or returns its receiver
-					// discharges; everything else is a plain use.
-					if prog != nil && len(stack) >= 3 {
-						if call, ok := stack[len(stack)-3].(*ast.CallExpr); ok && call.Fun == parent {
-							if cs := prog.callSummary(info, call); cs != nil {
-								if slot := cs.recvSlot(); slot >= 0 && !cs.Params[slot].borrows() {
-									found = true
-								}
-							}
-						}
-					}
-					return true
-				}
-			case *ast.StarExpr:
-				if parent.X == id {
-					return true // dereference: plain use
-				}
-			case *ast.CallExpr:
-				if parent.Fun == id {
-					found = true // invoked: discharges a callable obligation
-					return true
-				}
-				if prog != nil {
-					for i, a := range parent.Args {
-						if a != id {
-							continue
-						}
-						f := prog.argUseFacts(info, parent, i)
-						// A known pure borrow (len, a read-only helper) keeps
-						// the obligation here; anything else moves it.
-						found = !f.borrows()
-						return true
-					}
-				}
-				found = true
-				return true
-			}
-		}
-		found = true
-		return true
-	})
-	return found
 }

@@ -222,11 +222,8 @@ func (p *Program) callSummary(info *types.Info, call *ast.CallExpr) *FuncSummary
 // --- value-level obligation facts -----------------------------------------
 
 // scanValueFacts classifies every use of a parameter (or receiver) in fi's
-// body. The classification mirrors poolpair's v2 transfersOwnership —
-// field access and dereference are plain uses, any other bare appearance
-// moves the value — refined with callee summaries: a pass to a known
-// borrowing callee is a plain use; a pass to a releasing callee is a
-// release.
+// body with classifyUse. A deferred literal runs in this frame at exit, so
+// its uses count as the function's own; any other closure capture escapes.
 func (p *Program) scanValueFacts(fi *FuncInfo, slotOf map[types.Object]int, s *FuncSummary) {
 	info := fi.Pkg.Info
 	deferLit := map[*ast.FuncLit]bool{} // runs in this frame, at exit
@@ -268,12 +265,20 @@ func (p *Program) scanValueFacts(fi *FuncInfo, slotOf map[types.Object]int, s *F
 }
 
 // classifyUse folds one bare appearance of a tracked value into facts,
-// judging by the immediately enclosing node.
+// judging by the immediately enclosing node — the only place the linter
+// decides what an appearance does with a value; the summary fixpoint (for
+// parameters) and the obligation checker (for locals, obligation.go) both
+// ask it. Field access and dereference are plain uses, any other bare
+// appearance moves the value, refined with callee summaries: a pass to a
+// known borrowing callee is a plain use, a pass to a releasing callee is a
+// release. stack ends at id; a bare id with no enclosing node (an
+// expression the CFG holds on its own) counts as moved.
 func (p *Program) classifyUse(info *types.Info, stack []ast.Node, id *ast.Ident, f *ParamFacts) {
-	if len(stack) < 2 {
-		return
+	var encl ast.Node
+	if len(stack) >= 2 {
+		encl = stack[len(stack)-2]
 	}
-	switch parent := stack[len(stack)-2].(type) {
+	switch parent := encl.(type) {
 	case *ast.SelectorExpr:
 		if parent.X != id {
 			return
@@ -368,18 +373,27 @@ func (p *Program) argUseFacts(info *types.Info, call *ast.CallExpr, argIdx int) 
 
 // --- result ownership facts ------------------------------------------------
 
-// scanResultFacts computes OwnedResults and CancelResults: must-facts over
-// every normal return path.
+// scanResultFacts computes OwnedResults and CancelResults — the same
+// must-analysis over every normal return path, asked once per result kind.
 func (p *Program) scanResultFacts(fi *FuncInfo, s *FuncSummary) {
-	sig, _ := fi.Fn.Type().(*types.Signature)
-	if sig == nil || sig.Results().Len() == 0 {
-		return
-	}
-	nres := sig.Results().Len()
-	info := fi.Pkg.Info
-	owned := map[types.Object]bool{}
-	cancel := map[types.Object]bool{}
-	topLevelStmts(fi.Decl.Body, func(n ast.Node) bool {
+	copy(s.OwnedResults, p.mustResults(fi, (*Program).ownedResultsOf))
+	copy(s.CancelResults, p.mustResults(fi, (*Program).cancelResultsOf))
+}
+
+// resultFlags says, per result of call, which ones carry an obligation of
+// one kind: ownedResultsOf or cancelResultsOf.
+type resultFlags func(p *Program, info *types.Info, call *ast.CallExpr) []bool
+
+// resultSites is the one obligation site detector, shared by the summary
+// fixpoint and the obligation checker (obligation.go): it visits every
+// `x… := call` of body — `=` and the `Get().(*T)` / comma-ok assertion
+// forms included — once per flagged result bound to a plain identifier
+// (`_` too; the visitor decides what a discard means). A result assigned
+// straight into a field or element moved to that structure and is not a
+// site.
+func (p *Program) resultSites(info *types.Info, body *ast.BlockStmt, flags resultFlags,
+	visit func(as *ast.AssignStmt, call *ast.CallExpr, id *ast.Ident)) {
+	topLevelStmts(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
@@ -388,31 +402,41 @@ func (p *Program) scanResultFacts(fi *FuncInfo, s *FuncSummary) {
 		if !ok {
 			return true
 		}
-		ownedRes := p.ownedResultsOf(info, call)
-		cancelRes := p.cancelResultsOf(info, call)
+		set := flags(p, info, call)
 		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj == nil {
-				continue
-			}
-			if i < len(ownedRes) && ownedRes[i] {
-				owned[obj] = true
-			}
-			if i < len(cancelRes) && cancelRes[i] {
-				cancel[obj] = true
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && i < len(set) && set[i] {
+				visit(as, call, id)
 			}
 		}
 		return true
 	})
-	ownedAcc := allTrue(nres)
-	cancelAcc := allTrue(nres)
+}
+
+// mustResults reports, per result of fi, whether every normal return path
+// hands back a value flagged by flags: a local bound at a result site, or a
+// flagged call returned directly. nil when nothing is guaranteed.
+func (p *Program) mustResults(fi *FuncInfo, flags resultFlags) []bool {
+	sig, _ := fi.Fn.Type().(*types.Signature)
+	if sig == nil || sig.Results().Len() == 0 {
+		return nil
+	}
+	nres := sig.Results().Len()
+	info := fi.Pkg.Info
+	bound := map[types.Object]bool{}
+	p.resultSites(info, fi.Decl.Body, flags, func(_ *ast.AssignStmt, _ *ast.CallExpr, id *ast.Ident) {
+		if obj := info.ObjectOf(id); obj != nil {
+			bound[obj] = true
+		}
+	})
+	acc := make([]bool, nres)
+	for i := range acc {
+		acc[i] = true
+	}
+	and := func(r []bool) {
+		for i := range acc {
+			acc[i] = acc[i] && i < len(r) && r[i]
+		}
+	}
 	sawReturn := false
 	topLevelStmts(fi.Decl.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.ReturnStmt)
@@ -422,51 +446,34 @@ func (p *Program) scanResultFacts(fi *FuncInfo, s *FuncSummary) {
 		sawReturn = true
 		switch {
 		case len(rs.Results) == 0:
-			// Named results falling back: no ownership claim.
-			ownedAcc = andBools(ownedAcc, make([]bool, nres))
-			cancelAcc = andBools(cancelAcc, make([]bool, nres))
+			and(nil) // named results falling back: no ownership claim
 		case len(rs.Results) == 1 && nres > 1:
 			// return f(): tuple pass-through.
-			var ro, rc []bool
+			var r []bool
 			if call, ok := unwrapAssert(rs.Results[0]).(*ast.CallExpr); ok {
-				ro = p.ownedResultsOf(info, call)
-				rc = p.cancelResultsOf(info, call)
+				r = flags(p, info, call)
 			}
-			ownedAcc = andBools(ownedAcc, padBools(ro, nres))
-			cancelAcc = andBools(cancelAcc, padBools(rc, nres))
+			and(r)
 		default:
-			ro := make([]bool, nres)
-			rc := make([]bool, nres)
+			r := make([]bool, nres)
 			for i, e := range rs.Results {
-				if i >= nres {
-					break
-				}
-				e = unwrapAssert(e)
-				if id, ok := e.(*ast.Ident); ok {
-					obj := info.Uses[id]
-					ro[i] = owned[obj]
-					rc[i] = cancel[obj]
-					continue
-				}
-				if call, ok := e.(*ast.CallExpr); ok {
-					if o := p.ownedResultsOf(info, call); len(o) == 1 {
-						ro[i] = o[0]
-					}
-					if c := p.cancelResultsOf(info, call); len(c) == 1 {
-						rc[i] = c[0]
+				switch e := unwrapAssert(e).(type) {
+				case *ast.Ident:
+					r[i] = bound[info.Uses[e]]
+				case *ast.CallExpr:
+					if f := flags(p, info, e); len(f) == 1 {
+						r[i] = f[0]
 					}
 				}
 			}
-			ownedAcc = andBools(ownedAcc, ro)
-			cancelAcc = andBools(cancelAcc, rc)
+			and(r)
 		}
 		return true
 	})
 	if !sawReturn || fallsOffEnd(fi.cfg()) {
-		return // a no-return path reaches the exit: nothing is guaranteed
+		return nil // a no-return path reaches the exit: nothing is guaranteed
 	}
-	copy(s.OwnedResults, ownedAcc)
-	copy(s.CancelResults, cancelAcc)
+	return acc
 }
 
 // ownedResultsOf reports, per result of call, whether it is a fresh pool
@@ -505,30 +512,6 @@ func unwrapAssert(e ast.Expr) ast.Expr {
 		return ast.Unparen(ta.X)
 	}
 	return e
-}
-
-func allTrue(n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = true
-	}
-	return out
-}
-
-func andBools(a, b []bool) []bool {
-	for i := range a {
-		a[i] = a[i] && i < len(b) && b[i]
-	}
-	return a
-}
-
-func padBools(b []bool, n int) []bool {
-	if len(b) >= n {
-		return b[:n]
-	}
-	out := make([]bool, n)
-	copy(out, b)
-	return out
 }
 
 // --- blocking facts --------------------------------------------------------

@@ -44,3 +44,15 @@ func LoopLeak(ctx context.Context, n int) {
 	}
 	cancel()
 }
+
+// withBudget wraps WithTimeout: its summary marks result 1 as a cancel
+// func, so callers inherit the obligation.
+func withBudget(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, time.Second)
+}
+
+// Discarding a wrapper's cancel result is the same leak.
+func WrapperDiscarded(ctx context.Context) context.Context {
+	ctx, _ = withBudget(ctx) // want "cancel func of fixture/cancelfree/bad\\.withBudget discarded with _"
+	return ctx
+}

@@ -36,3 +36,14 @@ func PoolLeak(fail bool) {
 	}
 	scratch.Put(b)
 }
+
+var words = sync.Pool{New: func() any { return new([]uint32) }}
+
+// The comma-ok assertion form is the same Get: dropping v leaks it.
+func CommaOkLeak() int {
+	v, ok := words.Get().(*[]uint32) // want "value from sync\\.Pool Get is not handed back via Put"
+	if !ok {
+		return 0
+	}
+	return len(*v)
+}

@@ -64,3 +64,17 @@ func PanicPath(bad bool) {
 	}
 	buffer.PutChunk(c)
 }
+
+var words = sync.Pool{New: func() any { return new([]uint32) }}
+
+// The comma-ok assertion form, put back on every path.
+func CommaOkPaired() int {
+	v, ok := words.Get().(*[]uint32)
+	if !ok {
+		words.Put(v)
+		return 0
+	}
+	n := len(*v)
+	words.Put(v)
+	return n
+}

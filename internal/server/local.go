@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 
@@ -75,16 +76,18 @@ func (s Spec) engineOptions() (engine.Options, error) {
 // digest keys the result cache: two specs with the same digest would run
 // the identical deterministic computation over the same store file, so a
 // completed Result can be served without admission. The resolved store
-// path (not the client's spelling) anchors the key.
+// path (not the client's spelling) anchors the key; Timeout bounds how long
+// the job may run, not what it computes. Every other field is part of the
+// computation's identity, and hashing the spec's own JSON form puts a new
+// field in the key the moment it has a tag.
 func (s Spec) digest(storePath string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%d\x00%v\x00%d\x00%d\x00%d\x00%v\x00%s\x00%s",
-		storePath, s.Algorithm, s.Model, s.Threads, s.MemoryPages, s.MemoryFraction,
-		s.QueueDepth, s.MaxCoalescePages, s.PrefetchDepth, s.CollectIterStats, s.Codec, s.Backend)
-	// The shard coordinates are part of the computation's identity: two
-	// block-pair tasks over the same store must never share a cache entry.
-	fmt.Fprintf(h, "\x00%d\x00%d\x00%d", s.ShardGrid, s.ShardI, s.ShardJ)
-	return hex.EncodeToString(h.Sum(nil))
+	s.Store, s.Timeout = "", ""
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic(err) // a struct of strings, numbers and bools always marshals
+	}
+	sum := sha256.Sum256(append([]byte(storePath+"\x00"), b...))
+	return hex.EncodeToString(sum[:])
 }
 
 // Status is the JSON view of a local job served by the HTTP API.

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/ssd"
@@ -121,38 +123,64 @@ func BuildFileCodec(path string, g *graph.Graph, pageSize int, codecName string)
 		degree:      degree,
 		pageFirst:   pageFirst,
 	}
-	// Round the data region up to the O_DIRECT alignment: with an aligned
-	// page size this is what lets the native backend open the store
-	// O_DIRECT instead of demoting to buffered reads (DESIGN.md §14).
-	dirEnd := headerSize + int64(8*n) + int64(4*len(pages))
-	s.dataOffset = (dirEnd + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
+	readers := make([]io.Reader, len(pages))
+	for i, p := range pages {
+		readers[i] = bytes.NewReader(p)
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := s.writeHeader(bw); err != nil {
-		return nil, err
-	}
-	if err := s.writeDirectories(bw); err != nil {
-		return nil, err
-	}
-	if pad := s.dataOffset - dirEnd; pad > 0 {
-		if _, err := bw.Write(make([]byte, pad)); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range pages {
-		if _, err := bw.Write(p); err != nil {
-			return nil, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if err := s.writeFile(io.MultiReader(readers...)); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// writeFile assembles the store file both builders produce — header,
+// directories, zero padding up to dataOffset, then the data pages read from
+// pages — in a temp file beside s.Path, renamed into place only once
+// complete. The destination therefore never holds a half-written store: a
+// failed or cancelled build leaves whatever was there before (and no temp
+// file), and a device opened on the old store keeps reading the old pages,
+// since the rename replaces the directory entry rather than the file's
+// contents. Durability across power loss (fsync) is not attempted here.
+func (s *Store) writeFile(pages io.Reader) (err error) {
+	// Round the data region up to the O_DIRECT alignment: with an aligned
+	// page size this is what lets the native backend open the store
+	// O_DIRECT instead of demoting to buffered reads (DESIGN.md §14).
+	dirEnd := headerSize + int64(8*s.NumVertices) + int64(4)*int64(s.NumPages)
+	s.dataOffset = (dirEnd + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
+
+	tmp, err := os.CreateTemp(filepath.Dir(s.Path), filepath.Base(s.Path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	bw := bufio.NewWriterSize(tmp, 1<<20)
+	if err = s.writeHeader(bw); err != nil {
+		return err
+	}
+	if err = s.writeDirectories(bw); err != nil {
+		return err
+	}
+	if _, err = bw.Write(make([]byte, s.dataOffset-dirEnd)); err != nil {
+		return err
+	}
+	if _, err = io.Copy(bw, pages); err != nil {
+		return err
+	}
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if err = tmp.Chmod(0o644); err != nil { // CreateTemp's 0600 is not a store's mode
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), s.Path)
 }
 
 func (s *Store) writeHeader(w io.Writer) error {

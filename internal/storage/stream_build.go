@@ -11,7 +11,6 @@ import (
 
 	"github.com/optlab/opt/internal/extsort"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/ssd"
 )
 
 // EdgeScanner is a re-iterable source of undirected edges. Scan must call
@@ -57,9 +56,9 @@ func BuildFileStreaming(path string, src EdgeScanner, opts StreamBuildOptions) (
 
 // BuildFileStreamingContext is BuildFileStreaming with cancellation: when
 // ctx is done, the build stops within a bounded number of edges (both scan
-// passes and the external sort check the context periodically), removes
-// nothing it has already staged except via the normal temp-file cleanup,
-// and returns an error satisfying errors.Is(err, ctx.Err()).
+// passes, the external sort and the final page copy check the context
+// periodically), leaves path untouched and no temp file behind, and returns
+// an error satisfying errors.Is(err, ctx.Err()).
 func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner, opts StreamBuildOptions) (*Store, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -245,40 +244,27 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 		degree:      exactDeg,
 		pageFirst:   pageFirst,
 	}
-	// Same O_DIRECT alignment padding as BuildFileCodec: both writers must
-	// produce the layout Open documents.
-	dirEnd := headerSize + int64(8*n) + int64(4)*int64(w.emitted)
-	s.dataOffset = (dirEnd + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
-
-	// Assemble the final file: header, directories, padding, then the
-	// staged pages.
-	out, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer out.Close()
-	bw := bufio.NewWriterSize(out, 1<<20)
-	if err := s.writeHeader(bw); err != nil {
-		return nil, err
-	}
-	if err := s.writeDirectories(bw); err != nil {
-		return nil, err
-	}
-	if pad := s.dataOffset - dirEnd; pad > 0 {
-		if _, err := bw.Write(make([]byte, pad)); err != nil {
-			return nil, err
-		}
-	}
 	if _, err := stage.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if _, err := io.Copy(bw, bufio.NewReaderSize(stage, 1<<20)); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := s.writeFile(ctxReader{ctx, stage}); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// ctxReader fails reads once ctx is done, so copying the staged pages of a
+// large store into place stays cancellable.
+type ctxReader struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (c ctxReader) Read(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.r.Read(p)
 }
 
 // GraphScanner adapts an in-memory graph to EdgeScanner (for tests and for
