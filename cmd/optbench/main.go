@@ -57,6 +57,9 @@ type jsonExperiment struct {
 	Header  []string   `json:"header"`
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
+	// Ratio is the experiment's own statement of what -baseline gates; it
+	// comes from the running code, never from a baseline file.
+	Ratio *bench.Ratio `json:"-"`
 }
 
 func main() {
@@ -71,12 +74,8 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or csv")
 		timeout  = flag.Duration("timeout", 0, "cancel the sweep after this duration (0 = no limit)")
 		jsonOut  = flag.String("json", "BENCH.json", "write machine-readable results to this file ('' disables)")
-		baseline = flag.String("baseline", "", "compare the pages experiment against this committed BENCH_pages.json")
-		devBase  = flag.String("device-baseline", "", "compare the device experiment against this committed BENCH_device.json")
-		regress  = flag.Float64("regress", 0.15, "fail if elapsed_ms regresses by more than this fraction vs a baseline")
-		// Real cold-cache I/O is noisier than CPU-bound decode, so the
-		// device ratio gate gets more slack than the pages gate.
-		devRegress = flag.Float64("device-regress", 0.25, "fail if the device experiment's native/portable elapsed ratio regresses by more than this fraction vs the -device-baseline")
+		baseline = flag.String("baseline", "", "gate the experiment a committed BENCH_<id>.json holds: its same-run elapsed ratio must not regress against the file's")
+		regress  = flag.Float64("regress", 0.25, "fail if the gated ratio exceeds the baseline's by more than this fraction")
 		backend  = flag.String("backend", "", "device backend every experiment opens stores through: portable, native, auto ('' = $OPT_BACKEND, then portable)")
 	)
 	flag.Parse()
@@ -150,6 +149,7 @@ func main() {
 			Header:  t.Header,
 			Rows:    t.Rows,
 			Notes:   t.Notes,
+			Ratio:   t.Ratio,
 		})
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, elapsed.Round(time.Millisecond))
 	}
@@ -165,34 +165,33 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "[results written to %s]\n", *jsonOut)
-		// The page-codec experiment additionally lands in its own file; it is the
-		// committed baseline the -baseline flag compares against.
-		if pr := experimentOnly(&report, "pages"); pr != nil {
-			path := filepath.Join(filepath.Dir(*jsonOut), "BENCH_pages.json")
-			if err := writeJSON(path, pr); err != nil {
+		// An experiment that declares a gated ratio additionally lands in a
+		// file of its own, the committed baseline -baseline compares against.
+		for _, e := range report.Experiments {
+			if e.Ratio == nil {
+				continue
+			}
+			path := filepath.Join(filepath.Dir(*jsonOut), "BENCH_"+e.ID+".json")
+			if err := writeJSON(path, experimentOnly(&report, e.ID)); err != nil {
 				fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "[page-codec results written to %s]\n", path)
-		}
-		// So does the device-backend experiment, the -device-baseline target.
-		if dr := experimentOnly(&report, "device"); dr != nil {
-			path := filepath.Join(filepath.Dir(*jsonOut), "BENCH_device.json")
-			if err := writeJSON(path, dr); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "[device-backend results written to %s]\n", path)
+			fmt.Fprintf(os.Stderr, "[%s results written to %s]\n", e.ID, path)
 		}
 	}
 	if *baseline != "" {
-		if err := compareBaseline(&report, *baseline, *regress, "pages", []string{"dataset", "codec"}); err != nil {
+		data, err := os.ReadFile(*baseline)
+		if err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "[pages within %.0f%% of baseline %s]\n", *regress*100, *baseline)
-	}
-	if *devBase != "" {
-		if err := compareDeviceBaseline(&report, *devBase, *devRegress); err != nil {
-			fail(err)
+		var base jsonReport
+		if err := json.Unmarshal(data, &base); err != nil {
+			fail(fmt.Errorf("%s: %v", *baseline, err))
 		}
+		verdict, err := gate(&report, &base, *regress)
+		if err != nil {
+			fail(fmt.Errorf("%s: %v", *baseline, err))
+		}
+		fmt.Fprintf(os.Stderr, "[%s, baseline %s]\n", verdict, *baseline)
 	}
 	if runErr != nil {
 		os.Exit(1)
@@ -215,183 +214,79 @@ func experimentOnly(r *jsonReport, id string) *jsonReport {
 	return nil
 }
 
-// elapsedByKey indexes an experiment's elapsed_ms column by the given key
-// columns joined with "/", using the header so column order is not
-// load-bearing.
-func elapsedByKey(e *jsonExperiment, keyCols []string) (map[string]float64, error) {
+// ratioOf reduces an experiment to the figure of merit r names: Σ
+// elapsed_ms over the rows whose r.Column is r.Num, divided by Σ over the
+// rows where it is r.Den. Absolute times differ wildly across machines and
+// disks; how two variants compare in the SAME run transfers. ok is false
+// when the run has no numerator rows (the native backend off Linux).
+func ratioOf(e *jsonExperiment, r bench.Ratio) (ratio float64, ok bool, err error) {
 	col := map[string]int{}
 	for i, h := range e.Header {
 		col[h] = i
 	}
-	for _, want := range append([]string{"elapsed_ms"}, keyCols...) {
+	for _, want := range []string{r.Column, "elapsed_ms"} {
 		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("%s experiment has no %q column (header %v)", e.ID, want, e.Header)
+			return 0, false, fmt.Errorf("%s experiment has no %q column (header %v)", e.ID, want, e.Header)
 		}
 	}
-	out := make(map[string]float64, len(e.Rows))
+	sum := map[string]float64{}
 	for _, row := range e.Rows {
 		var ms float64
 		if _, err := fmt.Sscanf(row[col["elapsed_ms"]], "%g", &ms); err != nil {
-			return nil, fmt.Errorf("%s row %v: bad elapsed_ms: %v", e.ID, row, err)
+			return 0, false, fmt.Errorf("%s row %v: bad elapsed_ms: %v", e.ID, row, err)
 		}
-		parts := make([]string, len(keyCols))
-		for i, k := range keyCols {
-			parts[i] = row[col[k]]
-		}
-		out[strings.Join(parts, "/")] = ms
+		sum[row[col[r.Column]]] += ms
 	}
-	return out, nil
-}
-
-// compareBaseline compares one of the sweep's experiments against its
-// committed baseline file and errors when any row's elapsed time (keyed by
-// keyCols) regressed by more than tol, or when the configs are not
-// comparable. Rows only present on one side are reported but not fatal, so
-// adding a dataset, codec or backend does not require regenerating the
-// baseline in the same change.
-func compareBaseline(r *jsonReport, path string, tol float64, id string, keyCols []string) error {
-	cur := experimentOnly(r, id)
-	if cur == nil {
-		return fmt.Errorf("baseline comparison requested but the sweep did not run the %s experiment (add -exp %s)", id, id)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base jsonReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	bexp := experimentOnly(&base, id)
-	if bexp == nil {
-		return fmt.Errorf("%s has no %s experiment", path, id)
-	}
-	if base.Config != r.Config {
-		return fmt.Errorf("baseline config %+v does not match run config %+v; rerun with matching -scale/-pagesize/-threads/-lat-*/-backend or regenerate %s",
-			base.Config, r.Config, path)
-	}
-	got, err := elapsedByKey(&cur.Experiments[0], keyCols)
-	if err != nil {
-		return err
-	}
-	want, err := elapsedByKey(&bexp.Experiments[0], keyCols)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	var regressions []string
-	for key, baseMs := range want {
-		curMs, ok := got[key]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "optbench: baseline row %s missing from this run\n", key)
-			continue
-		}
-		if baseMs > 0 && curMs > baseMs*(1+tol) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.3fms vs baseline %.3fms (+%.0f%%)", key, curMs, baseMs, (curMs/baseMs-1)*100))
-		}
-	}
-	for key := range got {
-		if _, ok := want[key]; !ok {
-			fmt.Fprintf(os.Stderr, "optbench: row %s not in baseline (new %s?)\n", key, strings.Join(keyCols, "/"))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%s regressed beyond %.0f%%:\n  %s", id, tol*100, strings.Join(regressions, "\n  "))
-	}
-	return nil
-}
-
-// backendTotals sums the device experiment's elapsed_ms per backend.
-func backendTotals(e *jsonExperiment) (map[string]float64, error) {
-	col := map[string]int{}
-	for i, h := range e.Header {
-		col[h] = i
-	}
-	for _, want := range []string{"backend", "elapsed_ms"} {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("device experiment has no %q column (header %v)", want, e.Header)
-		}
-	}
-	out := map[string]float64{}
-	for _, row := range e.Rows {
-		var ms float64
-		if _, err := fmt.Sscanf(row[col["elapsed_ms"]], "%g", &ms); err != nil {
-			return nil, fmt.Errorf("device row %v: bad elapsed_ms: %v", row, err)
-		}
-		out[row[col["backend"]]] += ms
-	}
-	return out, nil
-}
-
-// deviceRatio reduces a device experiment to the native/portable aggregate
-// wall-time ratio, the machine-portable figure of merit: absolute device
-// times differ wildly across disks, but how the two backends compare on the
-// SAME disk in the same run transfers. The ok result is false when the run
-// has no native rows (non-Linux), which disables the comparison rather
-// than failing it.
-func deviceRatio(e *jsonExperiment) (ratio float64, ok bool, err error) {
-	totals, err := backendTotals(e)
-	if err != nil {
-		return 0, false, err
-	}
-	native, haveNative := totals["native"]
-	portable, havePortable := totals["portable"]
-	if !haveNative {
+	if _, have := sum[r.Num]; !have {
 		return 0, false, nil
 	}
-	if !havePortable || portable <= 0 {
-		return 0, false, fmt.Errorf("device experiment has no portable rows to compare against")
+	if sum[r.Den] <= 0 {
+		return 0, false, fmt.Errorf("%s experiment has no %s=%s rows to compare against", e.ID, r.Column, r.Den)
 	}
-	return native / portable, true, nil
+	return sum[r.Num] / sum[r.Den], true, nil
 }
 
-// compareDeviceBaseline gates the native backend's advantage over the
-// portable pool: the fresh run's native/portable aggregate elapsed ratio
-// must not exceed the committed baseline's ratio by more than tol. Unlike
-// the pages comparison this never compares absolute milliseconds — real
-// cold-cache device time does not transfer between machines, the
-// same-run backend ratio does.
-func compareDeviceBaseline(r *jsonReport, path string, tol float64) error {
-	cur := experimentOnly(r, "device")
-	if cur == nil {
-		return fmt.Errorf("baseline comparison requested but the sweep did not run the device experiment (add -exp device)")
+// gate is the one baseline check: base holds one experiment, the fresh
+// report must have run the same experiment under the same config, and the
+// fresh run's ratio (see ratioOf) must not exceed the ratio computed from
+// base's rows by more than tol. It returns the verdict line to print; a
+// run without numerator rows skips the check rather than failing it.
+func gate(cur, base *jsonReport, tol float64) (string, error) {
+	if len(base.Experiments) != 1 {
+		return "", fmt.Errorf("baseline holds %d experiments, want exactly one", len(base.Experiments))
 	}
-	data, err := os.ReadFile(path)
+	want := &base.Experiments[0]
+	fresh := experimentOnly(cur, want.ID)
+	if fresh == nil {
+		return "", fmt.Errorf("baseline is for the %s experiment, which this sweep did not run (add -exp %s)", want.ID, want.ID)
+	}
+	got := &fresh.Experiments[0]
+	if got.Ratio == nil {
+		return "", fmt.Errorf("the %s experiment declares no ratio to gate", got.ID)
+	}
+	if base.Config != cur.Config {
+		return "", fmt.Errorf("baseline config %+v does not match run config %+v; rerun with matching -scale/-pagesize/-threads/-lat-*/-backend or regenerate the file",
+			base.Config, cur.Config)
+	}
+	name := fmt.Sprintf("%s %s/%s elapsed ratio", got.ID, got.Ratio.Num, got.Ratio.Den)
+	gotRatio, ok, err := ratioOf(got, *got.Ratio)
 	if err != nil {
-		return err
-	}
-	var base jsonReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	bexp := experimentOnly(&base, "device")
-	if bexp == nil {
-		return fmt.Errorf("%s has no device experiment", path)
-	}
-	if base.Config != r.Config {
-		return fmt.Errorf("baseline config %+v does not match run config %+v; rerun with matching -scale/-pagesize/-threads/-lat-*/-backend or regenerate %s",
-			base.Config, r.Config, path)
-	}
-	got, ok, err := deviceRatio(&cur.Experiments[0])
-	if err != nil {
-		return err
+		return "", err
 	}
 	if !ok {
-		fmt.Fprintln(os.Stderr, "[device ratio check skipped: no native rows on this platform]")
-		return nil
+		return fmt.Sprintf("%s check skipped: this run has no %s rows", name, got.Ratio.Num), nil
 	}
-	want, ok, err := deviceRatio(&bexp.Experiments[0])
+	wantRatio, ok, err := ratioOf(want, *got.Ratio)
 	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+		return "", err
 	}
 	if !ok {
-		return fmt.Errorf("%s has no native rows; regenerate the baseline on Linux", path)
+		return "", fmt.Errorf("baseline has no %s rows; regenerate it where that variant runs", got.Ratio.Num)
 	}
-	if got > want*(1+tol) {
-		return fmt.Errorf("device: native/portable ratio %.3f regressed beyond %.0f%% of baseline %.3f", got, tol*100, want)
+	if gotRatio > wantRatio*(1+tol) {
+		return "", fmt.Errorf("%s %.3f regressed beyond %.0f%% of the baseline's %.3f", name, gotRatio, tol*100, wantRatio)
 	}
-	fmt.Fprintf(os.Stderr, "[device native/portable ratio %.3f within %.0f%% of baseline %.3f from %s]\n", got, tol*100, want, path)
-	return nil
+	return fmt.Sprintf("%s %.3f within %.0f%% of the baseline's %.3f", name, gotRatio, tol*100, wantRatio), nil
 }
 
 func writeJSON(path string, r *jsonReport) error {

@@ -66,7 +66,7 @@ func main() {
 		Codec:          *codec,
 		Backend:        *backend,
 	}
-	if opts.Model, err = parseModel(*model); err != nil {
+	if opts.Model, err = engine.ParseModel(*model); err != nil {
 		fail(err)
 	}
 	if *progress {
@@ -145,18 +145,6 @@ func parseAlgo(s string) (opt.Algorithm, error) {
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", s)
 	}
-}
-
-func parseModel(s string) (opt.IteratorModel, error) {
-	m, err := engine.ParseModel(s)
-	if err != nil {
-		return 0, err
-	}
-	return map[engine.Model]opt.IteratorModel{
-		engine.ModelEdge:        opt.EdgeIteratorModel,
-		engine.ModelVertex:      opt.VertexIteratorModel,
-		engine.ModelMGTInstance: opt.MGTInstanceModel,
-	}[m], nil
 }
 
 // nestedFileWriter buffers nested records into a file in the same compact

@@ -11,6 +11,7 @@ import (
 
 	opt "github.com/optlab/opt"
 	"github.com/optlab/opt/cmd/internal/cli"
+	"github.com/optlab/opt/internal/engine"
 )
 
 // TestPartialReportOnTimeout covers the graceful-shutdown report path: an
@@ -95,19 +96,20 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
-// TestParseModel: -model accepts exactly the three iterator models; a typo
-// must fail loudly instead of silently running the edge model.
+// TestParseModel: -model accepts exactly the three iterator models, each
+// resolving to its public constant; a typo must fail loudly instead of
+// silently running the edge model.
 func TestParseModel(t *testing.T) {
 	for in, want := range map[string]opt.IteratorModel{
 		"edge": opt.EdgeIteratorModel, "vertex": opt.VertexIteratorModel, "mgt": opt.MGTInstanceModel,
 	} {
-		if got, err := parseModel(in); err != nil || got != want {
-			t.Fatalf("parseModel(%q) = %v, %v; want %v", in, got, err, want)
+		if got, err := engine.ParseModel(in); err != nil || got != want {
+			t.Fatalf("-model %q = %v, %v; want %v", in, got, err, want)
 		}
 	}
 	for _, in := range []string{"", "vertx", "MGT"} {
-		if _, err := parseModel(in); err == nil || !strings.Contains(err.Error(), "edge, vertex or mgt") {
-			t.Fatalf("parseModel(%q) = %v, want an error listing the accepted models", in, err)
+		if _, err := engine.ParseModel(in); err == nil || !strings.Contains(err.Error(), "edge, vertex or mgt") {
+			t.Fatalf("-model %q = %v, want an error listing the accepted models", in, err)
 		}
 	}
 }

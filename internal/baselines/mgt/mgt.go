@@ -24,16 +24,19 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
+// scanSpan is the number of pages fetched per synchronous scan read: MGT
+// streams the graph sequentially, so the scan reads ahead in runs the way
+// any sequential reader does. It is the span every MGT number in
+// EXPERIMENTS.md was measured with, and one simulated per-read latency is
+// paid per span, not per page.
+const scanSpan = 16
+
 // Options configures an MGT run.
 type Options struct {
 	// MemoryPages is the buffer budget m in pages (the whole buffer forms
 	// the block; MGT has no external area). Defaults to a quarter of the
 	// store.
 	MemoryPages int
-	// ScanPages is the number of pages fetched per synchronous scan read
-	// (MGT streams the graph; 1 models the paper's page-at-a-time scan,
-	// larger values model read-ahead). Default 1.
-	ScanPages int
 	// Latency is the simulated device latency.
 	Latency ssd.Latency
 	// Output receives triangles; nil counts only.
@@ -66,9 +69,6 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 	}
 	if opts.MemoryPages <= 0 {
 		opts.MemoryPages = int(st.NumPages)/4 + 2
-	}
-	if opts.ScanPages <= 0 {
-		opts.ScanPages = 1
 	}
 	out := opts.Output
 	var counts *core.CountingOutput
@@ -170,7 +170,7 @@ func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, opts Options, out c
 	for p < st.NumPages {
 		// MGT re-reads every page of the graph per block, including the
 		// block's own pages: the strict (1 + ⌈P/m⌉)·P(G) behaviour of Eq. 7.
-		count := st.AlignedRange(p, opts.ScanPages)
+		count := st.AlignedRange(p, scanSpan)
 		data, err := dev.ReadPages(p, count)
 		if err != nil {
 			return 0, fmt.Errorf("mgt: scanning pages [%d,+%d): %w", p, count, err)

@@ -77,6 +77,17 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Ratio, when set, names the one figure of this experiment that a
+	// committed baseline gates (cmd/optbench -baseline).
+	Ratio *Ratio
+}
+
+// Ratio is a same-run figure of merit: Σ elapsed_ms over the rows whose
+// Column holds Num, divided by Σ over the rows where it holds Den. Ratios
+// of two variants measured in one run transfer between machines; absolute
+// milliseconds do not.
+type Ratio struct {
+	Column, Num, Den string
 }
 
 // RenderCSV writes the table as CSV (header row first, notes as trailing

@@ -71,6 +71,7 @@ func Device(h *Harness) (*Table, error) {
 			"dataset", "codec", "backend", "direct", "ring",
 			"reads", "batches", "bytes_read", "allocs", "checksum", "elapsed_ms",
 		},
+		Ratio: &Ratio{Column: "backend", Num: string(ssd.BackendNative), Den: string(ssd.BackendPortable)},
 	}
 	backends := []ssd.Backend{ssd.BackendPortable}
 	if ssd.NativeAvailable() {

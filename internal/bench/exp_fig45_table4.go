@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/optlab/opt/internal/baselines/cc"
-	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -20,11 +18,11 @@ func Fig4(h *Harness) (*Table, error) {
 	}
 	mem := budget(st, 0.15)
 
-	noMorph, err := h.runOPT(st, mem, optVariant{mode: core.Parallel, threads: 2, morphing: false, iterStats: true})
+	noMorph, err := h.runOPT(st, mem, 2, true)
 	if err != nil {
 		return nil, err
 	}
-	morph, err := h.runOPT(st, mem, optVariant{mode: core.Parallel, threads: 2, morphing: true, iterStats: true})
+	morph, err := h.runOPT(st, mem, 2, false)
 	if err != nil {
 		return nil, err
 	}
@@ -79,8 +77,8 @@ func Fig5(h *Harness) (*Table, error) {
 	}
 	methods := []method{
 		{"GraphChi-Tri", func(st *storage.Store, mem int) (*runResult, error) { return h.runGChi(st, mem, 1) }},
-		{"CC-Seq", func(st *storage.Store, mem int) (*runResult, error) { return h.runCC(st, cc.Seq, mem, nil) }},
-		{"CC-DS", func(st *storage.Store, mem int) (*runResult, error) { return h.runCC(st, cc.DS, mem, nil) }},
+		{"CC-Seq", func(st *storage.Store, mem int) (*runResult, error) { return h.runCC(st, "CC-Seq", mem, nil) }},
+		{"CC-DS", func(st *storage.Store, mem int) (*runResult, error) { return h.runCC(st, "CC-DS", mem, nil) }},
 		{"MGT", func(st *storage.Store, mem int) (*runResult, error) { return h.runMGT(st, mem, nil) }},
 		{"OPT_serial", func(st *storage.Store, mem int) (*runResult, error) { return h.runOPTSerial(st, mem, nil) }},
 	}

@@ -34,7 +34,7 @@ func (h *Harness) speedups(name string, maxThreads int) (*speedupSeries, error) 
 	}
 	// One run per method models every core count from the same task stream
 	// (internally consistent and Amdahl-bounded by construction).
-	optTimes, optRun, err := h.runOPTParallelSet(st, mem, set)
+	optTimes, optRun, err := h.runOPTParallelSet(st, mem, set, false)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,7 @@ func Pages(h *Harness) (*Table, error) {
 		Header: []string{
 			"dataset", "codec", "pages", "bytes/edge", "reduction", "triangles", "elapsed_ms",
 		},
+		Ratio: &Ratio{Column: "codec", Num: storage.CodecDeltaVarint, Den: storage.CodecRaw},
 	}
 	for _, name := range fig3Datasets {
 		g, err := h.proxy(name)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/optlab/opt/internal/baselines/cc"
 	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/diskio"
 	"github.com/optlab/opt/internal/gen"
@@ -153,7 +152,7 @@ func Table3(h *Harness) (*Table, error) {
 			return h.runMGT(st, budget(st, 0.15), out)
 		}},
 		{"CC-Seq", func(st *storage.Store, out core.Output) (*runResult, error) {
-			return h.runCC(st, cc.Seq, budget(st, 0.15), out)
+			return h.runCC(st, "CC-Seq", budget(st, 0.15), out)
 		}},
 	}
 	// Output-device write latency: flash writes cost several times reads.

@@ -5,15 +5,18 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/optlab/opt/internal/baselines/cc"
 	"github.com/optlab/opt/internal/baselines/gchi"
 	"github.com/optlab/opt/internal/baselines/inmem"
-	"github.com/optlab/opt/internal/baselines/mgt"
 	"github.com/optlab/opt/internal/core"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
+
+	// Registered for engine.Run; core and gchi are imported above.
+	_ "github.com/optlab/opt/internal/baselines/cc"
+	_ "github.com/optlab/opt/internal/baselines/mgt"
 )
 
 // repetitions is the repeat count for timing-sensitive experiment cells;
@@ -49,25 +52,47 @@ type runResult struct {
 	ReusedPages  int64
 	Iterations   int
 	IterStats    []core.IterationStat
-	BusyTime     time.Duration // parallelisable work observed (for p)
+	BusyTime     time.Duration // parallelisable work (virtual-core runs only, for p)
 }
 
-// budget converts a buffer fraction into pages (minimum 2).
+// budget converts a buffer fraction into pages by the engine's own rule.
 func budget(st *storage.Store, frac float64) int {
-	m := int(float64(st.NumPages) * frac)
-	if m < 2 {
-		m = 2
-	}
-	return m
+	return engine.Options{MemoryFraction: frac}.Budget(st)
 }
 
-type optVariant struct {
-	mode      core.Mode
-	model     core.ModelKind
-	threads   int
-	morphing  bool
-	iterStats bool
-	output    core.Output
+// run executes the registered algorithm name the way opttri and optd do:
+// engine.Run over a device opened through the configured backend, under
+// the harness's latency model. The paper tables therefore measure the
+// program users run, not a private instantiation of it.
+func (h *Harness) run(name string, st *storage.Store, opts engine.Options) (*runResult, error) {
+	base, err := h.device(st)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = base.Close() }() // read-only benchmark device
+	opts.Latency = h.cfg.Latency
+	opts.TempDir = h.workDir
+	res, err := engine.Run(h.ctx(), name, st, base, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &runResult{
+		Triangles:    res.Triangles,
+		Elapsed:      res.Elapsed,
+		PagesRead:    res.PagesRead,
+		PagesWritten: res.PagesWritten,
+		ReusedPages:  res.ReusedPages,
+		Iterations:   res.Iterations,
+		IterStats:    res.IterStats,
+	}, nil
+}
+
+// listing adapts an output sink to Options.OnTriangles; nil counts only.
+func listing(out core.Output) func(u, v uint32, ws []uint32) {
+	if out == nil {
+		return nil
+	}
+	return out.Emit
 }
 
 // useVirtualCores reports whether the requested core count exceeds the
@@ -77,74 +102,36 @@ func useVirtualCores(threads int) bool {
 	return threads > 1 && threads > runtime.NumCPU()
 }
 
-// runOPT executes the framework and collects the uniform result.
-func (h *Harness) runOPT(st *storage.Store, memPages int, v optVariant) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	copts := core.Options{
-		Model:            v.model,
-		Mode:             v.mode,
-		Threads:          v.threads,
-		MemoryPages:      memPages,
-		Latency:          h.cfg.Latency,
-		DisableMorphing:  !v.morphing,
-		Output:           v.output,
-		Metrics:          mx,
-		CollectIterStats: true,
-	}
-	if v.mode == core.Parallel && useVirtualCores(v.threads) {
-		copts.VirtualCores = v.threads
-		copts.Threads = 1
-	}
-	sw := metrics.StartStopwatch()
-	res, err := core.RunContext(h.ctx(), st, base, copts)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := sw.Elapsed()
-	if copts.VirtualCores > 0 {
-		elapsed = res.Elapsed // modelled multi-core time
-	}
-	out := &runResult{
-		Triangles:    res.Triangles,
-		Elapsed:      elapsed,
-		PagesRead:    mx.PagesRead(),
-		PagesWritten: mx.PagesWritten(),
-		ReusedPages:  mx.ReusedPages(),
-		Iterations:   res.Iterations,
-	}
-	if v.iterStats {
-		out.IterStats = res.IterStats
-	}
-	for _, s := range res.IterStats {
-		out.BusyTime += s.InternalTime + s.ExternalTime
-	}
-	if v.output != nil {
-		if c, ok := v.output.(*core.CountingOutput); ok {
-			out.Triangles = c.Triangles()
-		}
-	}
-	return out, nil
-}
-
 // runOPTSerial is the §3.3 serial variant.
 func (h *Harness) runOPTSerial(st *storage.Store, memPages int, output core.Output) (*runResult, error) {
-	return h.runOPT(st, memPages, optVariant{mode: core.Serial, threads: 1, output: output})
+	return h.run("OPT_serial", st, engine.Options{MemoryPages: memPages, OnTriangles: listing(output)})
+}
+
+// runOPT is full OPT on threads cores with per-iteration records. A core
+// count the host does not have takes the virtual-core model instead.
+func (h *Harness) runOPT(st *storage.Store, memPages, threads int, disableMorphing bool) (*runResult, error) {
+	if useVirtualCores(threads) {
+		_, rr, err := h.runOPTParallelSet(st, memPages, []int{threads}, disableMorphing)
+		return rr, err
+	}
+	return h.run("OPT", st, engine.Options{
+		MemoryPages: memPages, Threads: threads, DisableMorphing: disableMorphing, CollectIterStats: true,
+	})
 }
 
 // runOPTParallel is full OPT with morphing.
 func (h *Harness) runOPTParallel(st *storage.Store, memPages, threads int) (*runResult, error) {
-	return h.runOPT(st, memPages, optVariant{mode: core.Parallel, threads: threads, morphing: true})
+	return h.runOPT(st, memPages, threads, false)
 }
 
 // runOPTParallelSet runs full OPT once, modelling the elapsed time for
 // every core count in set via the virtual scheduler. The returned map is
-// internally consistent (same task stream for every count).
-func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int) (map[int]time.Duration, *runResult, error) {
+// internally consistent (same task stream for every count); Elapsed is the
+// modelled time of set[0] cores. It calls core directly, not engine.Run:
+// the virtual-core scheduler is a timing model of the harness that
+// engine.Options deliberately does not expose, so until ROADMAP 3 (c)
+// retires the simulator this is the one way to reach it.
+func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int, disableMorphing bool) (map[int]time.Duration, *runResult, error) {
 	base, err := h.device(st)
 	if err != nil {
 		return nil, nil, err
@@ -157,6 +144,7 @@ func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int) 
 		VirtualCoreSet:   set,
 		MemoryPages:      memPages,
 		Latency:          h.cfg.Latency,
+		DisableMorphing:  disableMorphing,
 		Metrics:          mx,
 		CollectIterStats: true,
 	})
@@ -168,6 +156,7 @@ func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int) 
 		Elapsed:    res.Elapsed,
 		PagesRead:  mx.PagesRead(),
 		Iterations: res.Iterations,
+		IterStats:  res.IterStats,
 	}
 	for _, s := range res.IterStats {
 		rr.BusyTime += s.PhaseVirtual // set[0] should be 1 core: total work
@@ -176,7 +165,8 @@ func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int) 
 }
 
 // runGChiSet runs GraphChi-Tri once, modelling elapsed for every core
-// count in set.
+// count in set. Like runOPTParallelSet it calls the algorithm package
+// directly because the virtual-core model is not an engine option.
 func (h *Harness) runGChiSet(st *storage.Store, memPages int, set []int) (map[int]time.Duration, *runResult, error) {
 	base, err := h.device(st)
 	if err != nil {
@@ -208,96 +198,22 @@ func (h *Harness) runGChiSet(st *storage.Store, memPages int, set []int) (map[in
 
 // runMGT executes the MGT baseline.
 func (h *Harness) runMGT(st *storage.Store, memPages int, output core.Output) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	sw := metrics.StartStopwatch()
-	res, err := mgt.RunContext(h.ctx(), st, base, mgt.Options{
-		MemoryPages: memPages,
-		ScanPages:   16, // sequential scan with read-ahead
-		Latency:     h.cfg.Latency,
-		Output:      output,
-		Metrics:     mx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &runResult{
-		Triangles:  res.Triangles,
-		Elapsed:    sw.Elapsed(),
-		PagesRead:  mx.PagesRead(),
-		Iterations: res.Blocks,
-	}, nil
+	return h.run("MGT", st, engine.Options{MemoryPages: memPages, OnTriangles: listing(output)})
 }
 
-// runCC executes a Chu–Cheng variant.
-func (h *Harness) runCC(st *storage.Store, variant cc.Variant, memPages int, output core.Output) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	sw := metrics.StartStopwatch()
-	res, err := cc.RunContext(h.ctx(), st, base, cc.Options{
-		Variant:     variant,
-		MemoryPages: memPages,
-		TempDir:     h.workDir,
-		Latency:     h.cfg.Latency,
-		Output:      output,
-		Metrics:     mx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &runResult{
-		Triangles:    res.Triangles,
-		Elapsed:      sw.Elapsed(),
-		PagesRead:    mx.PagesRead(),
-		PagesWritten: mx.PagesWritten(),
-		Iterations:   res.Iterations,
-	}, nil
+// runCC executes a Chu–Cheng variant by registry name (CC-Seq, CC-DS).
+func (h *Harness) runCC(st *storage.Store, name string, memPages int, output core.Output) (*runResult, error) {
+	return h.run(name, st, engine.Options{MemoryPages: memPages, OnTriangles: listing(output)})
 }
 
-// runGChi executes the GraphChi-Tri baseline.
+// runGChi executes the GraphChi-Tri baseline on threads cores, modelled
+// when the host does not have them.
 func (h *Harness) runGChi(st *storage.Store, memPages, threads int) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	gopts := gchi.Options{
-		MemoryPages: memPages,
-		Threads:     threads,
-		TempDir:     h.workDir,
-		Latency:     h.cfg.Latency,
-		Metrics:     mx,
-	}
 	if useVirtualCores(threads) {
-		gopts.VirtualCores = threads
-		gopts.Threads = 1
+		_, rr, err := h.runGChiSet(st, memPages, []int{threads})
+		return rr, err
 	}
-	sw := metrics.StartStopwatch()
-	res, err := gchi.RunContext(h.ctx(), st, base, gopts)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := sw.Elapsed()
-	if gopts.VirtualCores > 0 {
-		elapsed = res.Elapsed
-	}
-	return &runResult{
-		Triangles:    res.Triangles,
-		Elapsed:      elapsed,
-		PagesRead:    mx.PagesRead(),
-		PagesWritten: mx.PagesWritten(),
-		Iterations:   res.Iterations,
-		BusyTime:     res.BatchWork,
-	}, nil
+	return h.run("GraphChi-Tri", st, engine.Options{MemoryPages: memPages, Threads: threads})
 }
 
 // runIdeal measures the Eq. 6 reference: one synchronous sequential read of

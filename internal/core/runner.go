@@ -55,8 +55,6 @@ func (e engineRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDe
 		Threads:          opts.Threads,
 		MemoryPages:      opts.MemoryPages,
 		QueueDepth:       opts.QueueDepth,
-		MaxCoalescePages: opts.MaxCoalescePages,
-		PrefetchDepth:    opts.PrefetchDepth,
 		Latency:          opts.Latency,
 		DisableMorphing:  opts.DisableMorphing,
 		Output:           out,

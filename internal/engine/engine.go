@@ -58,79 +58,89 @@ func ParseModel(s string) (Model, error) {
 	return 0, fmt.Errorf("unknown model %q (want edge, vertex or mgt)", s)
 }
 
-// Options is the engine-wide run configuration subsuming the per-package
-// option structs. Zero values select per-runner defaults.
+// MarshalText renders m in its option spelling, so a Model is a string on
+// the wire.
+func (m Model) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText is ParseModel, except that the empty string is the edge
+// model: an absent and an empty "model" key are the same request.
+func (m *Model) UnmarshalText(b []byte) (err error) {
+	*m = ModelEdge
+	if len(b) > 0 {
+		*m, err = ParseModel(string(b))
+	}
+	return err
+}
+
+// Options is the engine-wide run configuration: the one struct between the
+// public API and an algorithm. Zero values select per-runner defaults. The
+// JSON tags are the keys of an optd job spec, which embeds Options; a field
+// tagged "-" is set by the layer that runs the job, never by a client.
 type Options struct {
 	// Model selects the iterator model for runners that support one.
-	Model Model
+	Model Model `json:"model,omitempty"`
 	// Threads is the worker count for parallel runners (0 = runner
 	// default).
-	Threads int
+	Threads int `json:"threads,omitempty"`
 	// MemoryPages is the buffer budget m in pages. When 0, MemoryFraction
 	// applies. Run resolves it before the Runner sees the options.
-	MemoryPages int
+	MemoryPages int `json:"memory_pages,omitempty"`
 	// MemoryFraction sets the budget as a fraction of the store size
 	// (0 selects the paper's 15% default; must otherwise lie in (0, 1]).
-	MemoryFraction float64
+	MemoryFraction float64 `json:"memory_fraction,omitempty"`
 	// QueueDepth is the FlashSSD channel parallelism (0 = default 8).
-	QueueDepth int
-	// MaxCoalescePages caps the pages the OPT I/O scheduler merges into one
-	// vectored read (0 = default 32, clamped to the external area; 1
-	// disables coalescing). Runners without an I/O scheduler ignore it.
-	MaxCoalescePages int
-	// PrefetchDepth bounds the coalesced reads the OPT I/O scheduler keeps
-	// in flight (0 = QueueDepth; 1 disables read-ahead). Runners without an
-	// I/O scheduler ignore it.
-	PrefetchDepth int
+	QueueDepth int `json:"queue_depth,omitempty"`
 	// Latency simulates device latency on every page access.
-	Latency ssd.Latency
+	Latency ssd.Latency `json:"-"`
 	// DisableMorphing turns off thread morphing (OPT only; Figure 4).
-	DisableMorphing bool
+	DisableMorphing bool `json:"-"`
 	// OnTriangles, when non-nil, receives every triangle in the nested
 	// representation ⟨u, v, {w…}⟩. It must be safe for concurrent calls.
 	// Validate rejects it for counting-only runners.
-	OnTriangles func(u, v uint32, ws []uint32)
+	OnTriangles func(u, v uint32, ws []uint32) `json:"-"`
 	// CollectIterStats records per-iteration timings where supported.
-	CollectIterStats bool
+	CollectIterStats bool `json:"collect_iter_stats,omitempty"`
 	// Codec, when non-empty, requires the store to have been built with the
 	// named page codec (see storage.Codecs); Run rejects a mismatch before
 	// dispatch. It documents a throughput assumption — e.g. a job tuned for
 	// deltavarint page counts — rather than converting the store.
-	Codec string
+	Codec string `json:"codec,omitempty"`
 	// Backend selects how the store device reaches the disk: "portable",
 	// "native", "auto", or empty for the ssd package's default resolution
 	// (the OPT_BACKEND environment variable, then portable). Validate
 	// rejects unknown names; callers that open the device themselves pass
 	// the same value to Store.DeviceBackend.
-	Backend string
+	Backend string `json:"backend,omitempty"`
 	// TempDir holds working files for runners that rewrite the graph.
-	TempDir string
+	TempDir string `json:"-"`
 	// Events receives progress events (nil disables the event layer).
-	Events events.Sink
+	Events events.Sink `json:"-"`
 	// ShardGrid selects the 2D vertex-block grid dimension g of the
 	// distributed layer (DESIGN.md §15): the vertex id space splits into g
 	// contiguous blocks and a run is restricted to one block-pair task.
 	// 0 disables sharding (and is the only value runners without shard
 	// support accept); 1 is a single task covering the whole store.
-	ShardGrid int
+	ShardGrid int `json:"shard_grid,omitempty"`
 	// ShardI and ShardJ are the block-pair coordinates of the task to run,
 	// 0 ≤ ShardI ≤ ShardJ < ShardGrid. Both must be 0 when ShardGrid is 0.
-	ShardI, ShardJ int
+	ShardI int `json:"shard_i,omitempty"`
+	ShardJ int `json:"shard_j,omitempty"`
 }
 
 // IterationStat describes one outer-loop iteration of an overlapped run
 // (Figure 4). It lives here so both the core framework and the public API
-// share one definition.
+// share one definition. The JSON tags are the "iter_stats" entries of an
+// optd job status.
 type IterationStat struct {
-	Index         int
-	InternalPages int           // pages covered by the internal area
-	ReusedPages   int           // of those, served from buffered frames (Δin)
-	ExternalReqs  int           // |L_i|: external chunk requests
-	InternalTime  time.Duration // busy time of the main (internal-home) thread side
-	ExternalTime  time.Duration // busy time of the callback (external-home) thread side
-	LoadTime      time.Duration // wall time of the internal-area load phase
-	PhaseVirtual  time.Duration // virtual-core makespan of the triangulation phase
-	Elapsed       time.Duration // wall (or modelled) time of the whole iteration
+	Index         int           `json:"index"`
+	InternalPages int           `json:"internal_pages"` // pages covered by the internal area
+	ReusedPages   int           `json:"reused_pages"`   // of those, served from buffered frames (Δin)
+	ExternalReqs  int           `json:"external_reqs"`  // |L_i|: external chunk requests
+	InternalTime  time.Duration `json:"internal_ns"`    // busy time of the main (internal-home) thread side
+	ExternalTime  time.Duration `json:"external_ns"`    // busy time of the callback (external-home) thread side
+	LoadTime      time.Duration `json:"load_ns"`        // wall time of the internal-area load phase
+	PhaseVirtual  time.Duration `json:"-"`              // virtual-core makespan of the triangulation phase (simulator only)
+	Elapsed       time.Duration `json:"elapsed_ns"`     // wall (or modelled) time of the whole iteration
 }
 
 // Result is the uniform run report. On cancellation or device failure a
@@ -196,8 +206,6 @@ func (o Options) Validate(info Info) error {
 		{"Threads", o.Threads},
 		{"QueueDepth", o.QueueDepth},
 		{"MemoryPages", o.MemoryPages},
-		{"MaxCoalescePages", o.MaxCoalescePages},
-		{"PrefetchDepth", o.PrefetchDepth},
 	}
 	for _, k := range nonNegative {
 		if k.v < 0 {

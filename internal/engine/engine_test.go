@@ -118,8 +118,6 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{"Threads", Options{Threads: -1}, full},
 		{"QueueDepth", Options{QueueDepth: -1}, full},
 		{"MemoryPages", Options{MemoryPages: -1}, full},
-		{"MaxCoalescePages", Options{MaxCoalescePages: -1}, full},
-		{"PrefetchDepth", Options{PrefetchDepth: -1}, full},
 		{"MemoryFraction", Options{MemoryFraction: 2}, full},
 		{"OnTriangles", Options{OnTriangles: func(u, v uint32, ws []uint32) {}}, counting},
 		{"Model", Options{Model: ModelVertex}, counting},

@@ -268,20 +268,20 @@ func (c *Collector) Reset() {
 // make it the per-job metrics export of the optd status API; durations
 // marshal as nanoseconds.
 type Snapshot struct {
-	PagesRead      int64         `json:"pages_read"`
-	PagesWritten   int64         `json:"pages_written"`
-	AsyncReads     int64         `json:"async_reads"`
-	SyncReads      int64         `json:"sync_reads"`
-	IntersectOps   int64         `json:"intersect_ops"`
-	Intersections  int64         `json:"intersections"`
-	Triangles      int64         `json:"triangles"`
-	ReusedPages    int64         `json:"reused_pages"`
-	Iterations     int64         `json:"iterations"`
-	Morphs         int64         `json:"morphs"`
-	CoalescedReads int64         `json:"coalesced_reads"`
-	CoalescedPages int64         `json:"coalesced_pages"`
-	PrefetchHits   int64         `json:"prefetch_hits"`
-	PrefetchWasted int64         `json:"prefetch_wasted"`
+	PagesRead      int64 `json:"pages_read"`
+	PagesWritten   int64 `json:"pages_written"`
+	AsyncReads     int64 `json:"async_reads"`
+	SyncReads      int64 `json:"sync_reads"`
+	IntersectOps   int64 `json:"intersect_ops"`
+	Intersections  int64 `json:"intersections"`
+	Triangles      int64 `json:"triangles"`
+	ReusedPages    int64 `json:"reused_pages"`
+	Iterations     int64 `json:"iterations"`
+	Morphs         int64 `json:"morphs"`
+	CoalescedReads int64 `json:"coalesced_reads"`
+	CoalescedPages int64 `json:"coalesced_pages"`
+	PrefetchHits   int64 `json:"prefetch_hits"`
+	PrefetchWasted int64 `json:"prefetch_wasted"`
 
 	SubmittedBatches int64 `json:"submitted_batches"`
 	BatchedReads     int64 `json:"batched_reads"`
@@ -292,9 +292,9 @@ type Snapshot struct {
 	ShardsRetried    int64 `json:"shards_retried"`
 	ShardsMerged     int64 `json:"shards_merged"`
 
-	IOWait         time.Duration `json:"io_wait_ns"`
-	ParallelWork   time.Duration `json:"parallel_work_ns"`
-	SerialWork     time.Duration `json:"serial_work_ns"`
+	IOWait       time.Duration `json:"io_wait_ns"`
+	ParallelWork time.Duration `json:"parallel_work_ns"`
+	SerialWork   time.Duration `json:"serial_work_ns"`
 }
 
 // Snapshot returns a copy of the current counter values.
@@ -324,9 +324,9 @@ func (c *Collector) Snapshot() Snapshot {
 		ShardsRetried:    c.shardsRetried.Load(),
 		ShardsMerged:     c.shardsMerged.Load(),
 
-		IOWait:         time.Duration(c.ioWait.Load()),
-		ParallelWork:   time.Duration(c.parallelWork.Load()),
-		SerialWork:     time.Duration(c.serialWork.Load()),
+		IOWait:       time.Duration(c.ioWait.Load()),
+		ParallelWork: time.Duration(c.parallelWork.Load()),
+		SerialWork:   time.Duration(c.serialWork.Load()),
 	}
 }
 

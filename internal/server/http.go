@@ -83,10 +83,13 @@ func (h *api) mount(mux *http.ServeMux, prefix string) {
 	mux.HandleFunc("GET "+prefix+"/{id}/events", h.stream)
 }
 
-// decode reads the request's JSON body into a T.
+// decode reads the request's JSON body into a T. A key T does not declare
+// is a 400 naming it: a misspelt knob must not silently run the default.
 func decode[T any](r *http.Request) (T, error) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
 		return v, errors.Join(ErrBadRequest, err)
 	}
 	return v, nil

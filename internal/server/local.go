@@ -13,64 +13,18 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
-// Spec is the client-supplied description of one triangulation job. Store
-// names a store registered with the daemon or a path to an .optstore file;
-// the remaining fields mirror the engine knobs (zero values select the
-// engine defaults).
+// Spec is the client-supplied description of one triangulation job: an
+// envelope around the engine's own run configuration. Store names a store
+// registered with the daemon or a path to an .optstore file; the embedded
+// options carry the wire keys of their JSON tags (zero values select the
+// engine defaults, unknown names are rejected at admission). The options
+// tagged "-" are not on the wire and not in the digest: the run sets
+// TempDir and Events itself, and in-process callers leave the rest zero.
 type Spec struct {
-	Store            string  `json:"store"`
-	Algorithm        string  `json:"algorithm"`
-	Model            string  `json:"model,omitempty"` // "", "edge", "vertex", "mgt"
-	Threads          int     `json:"threads,omitempty"`
-	MemoryPages      int     `json:"memory_pages,omitempty"`
-	MemoryFraction   float64 `json:"memory_fraction,omitempty"`
-	QueueDepth       int     `json:"queue_depth,omitempty"`
-	MaxCoalescePages int     `json:"max_coalesce_pages,omitempty"`
-	PrefetchDepth    int     `json:"prefetch_depth,omitempty"`
-	Timeout          string  `json:"timeout,omitempty"` // Go duration, e.g. "30s"
-	CollectIterStats bool    `json:"collect_iter_stats,omitempty"`
-	// Codec, when non-empty, requires the store to have been built with the
-	// named page codec; unknown names are rejected at admission and a
-	// mismatch fails the run.
-	Codec string `json:"codec,omitempty"`
-	// Backend selects the device backend the job's store is opened through
-	// ("portable", "native", "auto"; empty resolves via OPT_BACKEND then
-	// portable). Unknown names are rejected at admission.
-	Backend string `json:"backend,omitempty"`
-	// ShardGrid, ShardI, ShardJ restrict the job to one block-pair task of
-	// the 2D distributed decomposition (0/0/0 = unsharded). Only shard-aware
-	// algorithms accept them; agent optds receive their tasks as ordinary
-	// jobs carrying these fields.
-	ShardGrid int `json:"shard_grid,omitempty"`
-	ShardI    int `json:"shard_i,omitempty"`
-	ShardJ    int `json:"shard_j,omitempty"`
-}
-
-// engineOptions translates the spec into engine.Options (without an event
-// sink — the run attaches the job-scoped sink at dispatch).
-func (s Spec) engineOptions() (engine.Options, error) {
-	opts := engine.Options{
-		Threads:          s.Threads,
-		MemoryPages:      s.MemoryPages,
-		MemoryFraction:   s.MemoryFraction,
-		QueueDepth:       s.QueueDepth,
-		MaxCoalescePages: s.MaxCoalescePages,
-		PrefetchDepth:    s.PrefetchDepth,
-		CollectIterStats: s.CollectIterStats,
-		Codec:            s.Codec,
-		Backend:          s.Backend,
-		ShardGrid:        s.ShardGrid,
-		ShardI:           s.ShardI,
-		ShardJ:           s.ShardJ,
-	}
-	if s.Model != "" { // an absent "model" is the edge model, engine.Options' zero value
-		m, err := engine.ParseModel(s.Model)
-		if err != nil {
-			return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		opts.Model = m
-	}
-	return opts, nil
+	Store     string `json:"store"`
+	Algorithm string `json:"algorithm"`
+	Timeout   string `json:"timeout,omitempty"` // Go duration, e.g. "30s"
+	engine.Options
 }
 
 // digest keys the result cache: two specs with the same digest would run
@@ -84,7 +38,7 @@ func (s Spec) digest(storePath string) string {
 	s.Store, s.Timeout = "", ""
 	b, err := json.Marshal(s)
 	if err != nil {
-		panic(err) // a struct of strings, numbers and bools always marshals
+		panic(err) // strings, numbers, bools and a Model that renders any value always marshal
 	}
 	sum := sha256.Sum256(append([]byte(storePath+"\x00"), b...))
 	return hex.EncodeToString(sum[:])
@@ -106,9 +60,9 @@ type Status struct {
 // a pool worker, acquires its pages from the global budget, and runs the
 // engine over the store's device.
 type localRun struct {
-	spec   Spec
+	spec   Spec // validated at admission
 	store  *storage.Store
-	opts   engine.Options // validated at admission, MemoryPages resolved
+	pages  int // the resolved MemoryPages budget
 	digest string
 	cached bool // served from the result cache; set in place, before the job is visible
 }
@@ -122,26 +76,22 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if spec.Algorithm == "" {
 		spec.Algorithm = "OPT"
 	}
-	opts, err := spec.engineOptions()
-	if err != nil {
-		return nil, err
-	}
 	timeout, err := parseDuration("timeout", spec.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.ValidateFor(spec.Algorithm, opts); err != nil {
+	if err := engine.ValidateFor(spec.Algorithm, spec.Options); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	st, err := m.resolveStore(spec.Store)
 	if err != nil {
 		return nil, err
 	}
-	opts.MemoryPages = opts.Budget(st)
-	if total := m.budget.Total(); total > 0 && opts.MemoryPages > total {
-		return nil, fmt.Errorf("%w: job needs %d pages, global budget is %d", ErrBudgetTooLarge, opts.MemoryPages, total)
+	pages := spec.Budget(st)
+	if total := m.budget.Total(); total > 0 && pages > total {
+		return nil, fmt.Errorf("%w: job needs %d pages, global budget is %d", ErrBudgetTooLarge, pages, total)
 	}
-	return m.admit(kindLocal, timeout, &localRun{spec: spec, store: st, opts: opts, digest: spec.digest(st.Path)})
+	return m.admit(kindLocal, timeout, &localRun{spec: spec, store: st, pages: pages, digest: spec.digest(st.Path)})
 }
 
 // place serves the job from the result cache when its digest is known —
@@ -167,11 +117,10 @@ func (r *localRun) place(m *Manager, j *Job) (*outcome, error) {
 func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error) {
 	// The budget wait happens while still queued: pages are only held by
 	// running jobs, so the in-use sum tracks actual concurrent budgets.
-	pages := r.opts.MemoryPages
-	if err := m.budget.Acquire(ctx, pages); err != nil {
+	if err := m.budget.Acquire(ctx, r.pages); err != nil {
 		return outcome{}, fmt.Errorf("server: job %s waiting for page budget: %w", j.ID, err)
 	}
-	defer m.budget.Release(pages)
+	defer m.budget.Release(r.pages)
 
 	b, err := ssd.ParseBackend(r.spec.Backend)
 	if err != nil {
@@ -192,7 +141,8 @@ func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error)
 	}
 	defer func() { _ = os.RemoveAll(tempDir) }()
 
-	opts := r.opts
+	opts := r.spec.Options
+	opts.MemoryPages = r.pages
 	opts.TempDir = tempDir
 	opts.Events = j.sink()
 
@@ -217,7 +167,7 @@ func (r *localRun) status(env JobStatus, out outcome) any {
 		JobStatus: env,
 		Spec:      r.spec,
 		Algorithm: r.spec.Algorithm,
-		Pages:     r.opts.MemoryPages,
+		Pages:     r.pages,
 		Cached:    r.cached,
 		Result:    out.result,
 	}

@@ -170,12 +170,10 @@ func TestBackpressureE2E(t *testing.T) {
 	gate.Store(release)
 
 	spec := func(i int) server.Spec {
-		return server.Spec{
-			Store:       path,
-			Algorithm:   "test-gated",
+		return server.Spec{Store: path, Algorithm: "test-gated", Options: engine.Options{
 			MemoryPages: perJobPages,
 			Threads:     i + 1, // distinct digests: no accidental cache hits
-		}
+		}}
 	}
 
 	// Fill the pool: two jobs admitted and parked inside engine.Run with
@@ -288,7 +286,7 @@ func TestCancelQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, running.ID, "running")
-	queued, err := m.Submit(server.Spec{Store: path, Algorithm: "test-gated", Threads: 2})
+	queued, err := m.Submit(server.Spec{Store: path, Algorithm: "test-gated", Options: engine.Options{Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +312,7 @@ func TestResultCache(t *testing.T) {
 	defer ts.Close()
 	defer m.Drain(5 * time.Second)
 
-	spec := server.Spec{Store: path, Algorithm: "MGT", MemoryPages: 4}
+	spec := server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{MemoryPages: 4}}
 	code, first, _ := postJob(t, ts, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit = %d, want 202", code)
@@ -372,7 +370,7 @@ func TestBudgetSerializesJobs(t *testing.T) {
 
 	var jobs []*server.Job
 	for i := 0; i < 2; i++ {
-		j, err := m.Submit(server.Spec{Store: path, Algorithm: "MGT", MemoryPages: 8, Threads: i + 1})
+		j, err := m.Submit(server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{MemoryPages: 8, Threads: i + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,13 +405,12 @@ func TestSubmitValidation(t *testing.T) {
 		code int
 	}{
 		{"unknown algorithm", server.Spec{Store: path, Algorithm: "nope"}, http.StatusBadRequest},
-		{"bad model", server.Spec{Store: path, Algorithm: "MGT", Model: "diagonal"}, http.StatusBadRequest},
-		{"negative threads", server.Spec{Store: path, Algorithm: "MGT", Threads: -1}, http.StatusBadRequest},
+		{"negative threads", server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{Threads: -1}}, http.StatusBadRequest},
 		{"bad timeout", server.Spec{Store: path, Algorithm: "MGT", Timeout: "soon"}, http.StatusBadRequest},
-		{"unknown codec", server.Spec{Store: path, Algorithm: "MGT", Codec: "zstd"}, http.StatusBadRequest},
+		{"unknown codec", server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{Codec: "zstd"}}, http.StatusBadRequest},
 		{"missing store", server.Spec{Algorithm: "MGT"}, http.StatusBadRequest},
 		{"unreadable store", server.Spec{Store: path + ".missing", Algorithm: "MGT"}, http.StatusBadRequest},
-		{"budget too large", server.Spec{Store: path, Algorithm: "MGT", MemoryPages: 64}, http.StatusRequestEntityTooLarge},
+		{"budget too large", server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{MemoryPages: 64}}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		if code, _, _ := postJob(t, ts, tc.spec); code != tc.code {
@@ -421,7 +418,7 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 	// Validation errors must name the offending field uniformly.
-	_, err := m.Submit(server.Spec{Store: path, Algorithm: "MGT", Threads: -1})
+	_, err := m.Submit(server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{Threads: -1}})
 	if err == nil || !strings.Contains(err.Error(), "Options.Threads") {
 		t.Fatalf("Submit error %v, want it to name Options.Threads", err)
 	}

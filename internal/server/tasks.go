@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/cluster"
+	"github.com/optlab/opt/internal/engine"
 )
 
 // RunTask executes one distributed shard-pair task on this node by
@@ -38,16 +39,14 @@ func (m *Manager) RunTask(ctx context.Context, t cluster.TaskMessage) (cluster.T
 			return frame, nil
 		}
 	}
-	job, err := m.Submit(Spec{
-		Store:       t.Store,
-		Algorithm:   cluster.ShardRunnerName,
+	job, err := m.Submit(Spec{Store: t.Store, Algorithm: cluster.ShardRunnerName, Options: engine.Options{
 		MemoryPages: t.MemoryPages,
 		Codec:       t.Codec,
 		Backend:     t.Backend,
 		ShardGrid:   t.Grid,
 		ShardI:      t.I,
 		ShardJ:      t.J,
-	})
+	}})
 	if err != nil {
 		return frame, err
 	}

@@ -151,7 +151,7 @@ type uring struct {
 	cqMask uint32
 	cqes   []ioUringCQE
 
-	entries  uint32 // SQ depth
+	entries   uint32 // SQ depth
 	localTail uint32 // submitter's private copy of *sqTail
 	staged    uint32 // SQEs published but not yet pushed via enter
 }

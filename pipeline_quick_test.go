@@ -3,6 +3,7 @@ package opt
 import (
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -84,9 +85,15 @@ func TestListingMatchesCountProperty(t *testing.T) {
 		}
 		seen := map[[3]uint32]bool{}
 		bad := false
+		// OnTriangles must be safe for concurrent calls: even OPT_serial
+		// emits from the callback thread and, for buffer-resident chunks,
+		// from the caller's.
+		var mu sync.Mutex
 		res, err := Triangulate(st, Options{
 			Algorithm: OPTSerial, MemoryPages: 4,
 			OnTriangles: func(u, v uint32, ws []uint32) {
+				mu.Lock()
+				defer mu.Unlock()
 				for _, w := range ws {
 					if !(u < v && v < w) {
 						bad = true

@@ -159,30 +159,27 @@ func (a Algorithm) String() string {
 func Algorithms() []string { return engine.Names() }
 
 // IteratorModel selects the pluggable iterator model for OPT/OPTSerial.
-type IteratorModel int
+type IteratorModel = engine.Model
 
 // Iterator models (§2.2, §3.5).
 const (
 	// EdgeIteratorModel intersects n≻(u) ∩ n≻(v) per edge — the faster
 	// model, used by default (§5.1).
-	EdgeIteratorModel IteratorModel = iota
+	EdgeIteratorModel = engine.ModelEdge
 	// VertexIteratorModel checks pairs (v, w) ∈ n≻(u)² against E.
-	VertexIteratorModel
+	VertexIteratorModel = engine.ModelVertex
 	// MGTInstanceModel is the §3.5 degenerate instantiation of the
 	// framework (no internal triangulation, every adjacent vertex an
 	// external candidate) — included to demonstrate the framework's
 	// genericity. Prefer the MGT algorithm for the faithful baseline.
-	MGTInstanceModel
+	MGTInstanceModel = engine.ModelMGTInstance
 )
 
 // DeviceLatency simulates FlashSSD latency so the I/O-to-CPU cost ratio is
-// controllable regardless of the host's real storage (DESIGN.md §3).
-type DeviceLatency struct {
-	// PerRead is the fixed cost per read request.
-	PerRead time.Duration
-	// PerPage is the streaming cost per page.
-	PerPage time.Duration
-}
+// controllable regardless of the host's real storage (DESIGN.md §3):
+// PerRead is the fixed cost per read request, PerPage the streaming cost
+// per page.
+type DeviceLatency = ssd.Latency
 
 // Event is one progress observation emitted while a run executes: run and
 // iteration boundaries, page I/O, triangles found, thread morphing.
@@ -227,14 +224,6 @@ type Options struct {
 	// QueueDepth is the FlashSSD channel parallelism for OPT (default 8).
 	// Must be non-negative.
 	QueueDepth int
-	// MaxCoalescePages caps the pages OPT's I/O scheduler merges into one
-	// vectored read (0 = default 32, clamped to the external area; 1
-	// disables coalescing). Must be non-negative.
-	MaxCoalescePages int
-	// PrefetchDepth bounds the coalesced reads OPT's I/O scheduler keeps in
-	// flight as read-ahead (0 = QueueDepth; 1 disables read-ahead). Must be
-	// non-negative.
-	PrefetchDepth int
 	// Latency simulates device latency on every page read and write.
 	Latency DeviceLatency
 	// DisableMorphing turns off thread morphing (OPT only; Figure 4).
@@ -291,22 +280,6 @@ type Result struct {
 	IterStats []IterationStat
 }
 
-// engineModel maps the public model selector onto the engine's.
-func (o *Options) engineModel() engine.Model {
-	switch o.Model {
-	case VertexIteratorModel:
-		return engine.ModelVertex
-	case MGTInstanceModel:
-		return engine.ModelMGTInstance
-	default:
-		return engine.ModelEdge
-	}
-}
-
-func (o *Options) latency() ssd.Latency {
-	return ssd.Latency{PerRead: o.Latency.PerRead, PerPage: o.Latency.PerPage}
-}
-
 // Triangulate runs the selected disk-based triangulation algorithm over the
 // store. It is TriangulateContext with a background context.
 func Triangulate(s *Store, opts Options) (*Result, error) {
@@ -346,14 +319,12 @@ func TriangulateContext(ctx context.Context, s *Store, opts Options) (res *Resul
 		sink = events.Func(opts.OnEvent)
 	}
 	eres, err := engine.Run(ctx, opts.Algorithm.String(), st, base, engine.Options{
-		Model:            opts.engineModel(),
+		Model:            opts.Model,
 		Threads:          opts.Threads,
 		MemoryPages:      opts.MemoryPages,
 		MemoryFraction:   opts.MemoryFraction,
 		QueueDepth:       opts.QueueDepth,
-		MaxCoalescePages: opts.MaxCoalescePages,
-		PrefetchDepth:    opts.PrefetchDepth,
-		Latency:          opts.latency(),
+		Latency:          opts.Latency,
 		DisableMorphing:  opts.DisableMorphing,
 		OnTriangles:      opts.OnTriangles,
 		CollectIterStats: opts.CollectIterStats,
