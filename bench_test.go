@@ -155,8 +155,9 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAreaSplit sweeps the internal/external split away from
-// the paper's even m/2 default.
+// BenchmarkAblationAreaSplit sweeps the internal/external split around the
+// paper's even m/2, beside the split the planner picks for this store
+// (in = 0: no override).
 func BenchmarkAblationAreaSplit(b *testing.B) {
 	_, st := benchGraph(b, 4096)
 	m := int(st.NumPages) * 15 / 100
@@ -164,16 +165,22 @@ func BenchmarkAblationAreaSplit(b *testing.B) {
 		name string
 		in   int
 	}{
-		{"in25", m / 4}, {"in50", m / 2}, {"in75", 3 * m / 4},
+		{"in25", m / 4}, {"in50", m / 2}, {"in75", 3 * m / 4}, {"planned", 0},
 	} {
 		frac := frac
 		b.Run(frac.name, func(b *testing.B) {
+			opts := core.Options{Mode: core.Serial, MemoryPages: m}
+			if frac.in > 0 {
+				opts.InternalPages, opts.ExternalPages = frac.in, m-frac.in
+			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunFile(st, core.Options{
-					Mode: core.Serial, MemoryPages: m,
-					InternalPages: frac.in, ExternalPages: m - frac.in,
-				}); err != nil {
+				res, err := core.RunFile(st, opts)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(res.Iterations), "iterations")
 				}
 			}
 		})

@@ -25,8 +25,13 @@ type Chunk struct {
 	Arena     []uint32
 }
 
-// chunkFree recycles Chunk headers and their Recs/Arena backing arrays
-// between iterations so the steady-state external path allocates nothing.
+// chunkFree recycles Chunk headers and their Recs/Arena backing arrays. A
+// decode only stays allocation-free if the chunk it appends into has been
+// through PutChunk before, so the ownership rule is: whoever removes an
+// unpinned chunk from circulation recycles it — the Pool on eviction and
+// Clear, the framework for the internal-area chunks it took or loaded
+// (DESIGN.md §9). The list is process-wide on purpose: concurrent runs
+// (optd jobs) share warm chunks.
 var chunkFree = sync.Pool{New: func() any { return new(Chunk) }}
 
 // GetChunk returns a recycled (or fresh) Chunk with zeroed fields and
@@ -44,6 +49,9 @@ func GetChunk() *Chunk {
 // references to the chunk, its Recs, or its Arena; record contents are
 // cleared so the free list does not pin adjacency arrays from previous
 // graphs (the Arena holds no pointers, so its capacity is retained as is).
+// Built with -tags optpoison, the arena is also overwritten so that a
+// reader that kept a slice past this call sees PoisonVertex, not stale or
+// recycled neighbours (poison_on.go).
 func PutChunk(c *Chunk) {
 	if c == nil {
 		return
@@ -53,6 +61,7 @@ func PutChunk(c *Chunk) {
 	}
 	c.Recs = c.Recs[:0]
 	c.Arena = c.Arena[:0]
+	poison(c)
 	chunkFree.Put(c)
 }
 
@@ -102,9 +111,10 @@ func (p *Pool) OverflowPages() int {
 }
 
 // Insert adds a chunk pinned once, evicting unpinned chunks in FIFO order
-// as needed. It returns the number of pages evicted. Inserting a chunk
-// whose FirstPage is already present panics: the caller is responsible for
-// Lookup-before-load.
+// as needed (evicted chunks go to PutChunk: nobody pins them, so nobody
+// may still read them). It returns the number of chunks evicted. Inserting
+// a chunk whose FirstPage is already present panics: the caller is
+// responsible for Lookup-before-load.
 func (p *Pool) Insert(c *Chunk) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -125,8 +135,8 @@ func (p *Pool) Insert(c *Chunk) int {
 	return evicted
 }
 
-// evictOneLocked removes the oldest unpinned chunk. It reports whether an
-// eviction happened.
+// evictOneLocked removes the oldest unpinned chunk and recycles it. It
+// reports whether an eviction happened.
 func (p *Pool) evictOneLocked() bool {
 	for i, first := range p.fifo {
 		e, ok := p.chunks[first]
@@ -139,6 +149,7 @@ func (p *Pool) evictOneLocked() bool {
 		delete(p.chunks, first)
 		p.used -= e.chunk.NumPages
 		p.fifo = append(p.fifo[:i], p.fifo[i+1:]...)
+		PutChunk(e.chunk)
 		return true
 	}
 	return false
@@ -214,12 +225,19 @@ func (p *Pool) Take(first uint32) *Chunk {
 	return e.chunk
 }
 
-// Clear removes every chunk.
+// Clear removes every chunk. Unpinned chunks are recycled; a chunk somebody
+// still pins is only dropped, for the garbage collector to reclaim once its
+// last reader is done.
 func (p *Pool) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.chunks = make(map[uint32]*entry)
-	p.fifo = nil
+	for first, e := range p.chunks {
+		if e.pins == 0 {
+			PutChunk(e.chunk)
+		}
+		delete(p.chunks, first)
+	}
+	p.fifo = p.fifo[:0]
 	p.used = 0
 }
 

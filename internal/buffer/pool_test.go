@@ -281,3 +281,58 @@ func TestPoolConcurrent(t *testing.T) {
 		t.Fatalf("UsedPages = %d exceeds capacity with everything unpinned", p.UsedPages())
 	}
 }
+
+// filled returns a pooled chunk holding one record, as a decode leaves it.
+func filled(first uint32) *Chunk {
+	c := GetChunk()
+	c.FirstPage, c.NumPages = first, 1
+	c.Arena = append(c.Arena, first+1, first+2)
+	c.Recs = append(c.Recs, storage.VertexRec{ID: first, Adj: c.Arena[:2]})
+	return c
+}
+
+// recycled reports whether c went through PutChunk, which resets the chunk
+// it is handed before parking it (observing the free list itself would
+// depend on sync.Pool identity, which the runtime does not guarantee).
+func recycled(c *Chunk) bool { return len(c.Recs) == 0 && len(c.Arena) == 0 }
+
+// TestPoolRecyclesWhatItDrops pins the chunk-ownership rule: a chunk the
+// pool lets go of while nobody pins it — evicted by Insert or removed by
+// Clear — is handed to PutChunk, a pinned chunk never is, and a chunk that
+// left through Take belongs to the taker.
+func TestPoolRecyclesWhatItDrops(t *testing.T) {
+	p := NewPool(2)
+	victim, pinned := filled(0), filled(1)
+	p.Insert(victim)
+	p.Insert(pinned)
+	p.Unpin(0)
+	if got := p.Insert(filled(2)); got != 1 {
+		t.Fatalf("Insert evicted %d chunks, want 1", got)
+	}
+	if !recycled(victim) {
+		t.Error("evicted chunk was not recycled")
+	}
+	if recycled(pinned) {
+		t.Error("pinned chunk was recycled by an eviction pass")
+	}
+
+	p.Unpin(2)
+	idle := p.Lookup(2)
+	p.Unpin(2)
+	taken := p.Take(1)
+	p.Insert(filled(3)) // stays pinned
+	held := p.Lookup(3)
+	p.Clear()
+	if !recycled(idle) {
+		t.Error("Clear did not recycle an unpinned chunk")
+	}
+	if recycled(held) {
+		t.Error("Clear recycled a pinned chunk")
+	}
+	if recycled(taken) {
+		t.Error("a taken chunk was recycled by the pool it left")
+	}
+	if p.UsedPages() != 0 || len(p.Resident()) != 0 {
+		t.Error("Clear did not empty the pool")
+	}
+}

@@ -102,8 +102,8 @@ func (io *ioSched) pump() {
 	}
 }
 
-// admitOne pops the next group if the window has room — the first
-// outstanding group is always admitted; further groups need a free
+// admitOne pops the next group if the window has room — a group is always
+// admitted into an empty window, however large; further groups need a free
 // read-ahead slot and page budget — and accounts it as in flight. When
 // nothing can be admitted it releases the pumper role and returns nil,
 // atomically with the final check so a concurrent budget release cannot be
@@ -113,7 +113,7 @@ func (io *ioSched) admitOne() *extGroup {
 	defer io.mu.Unlock()
 	if io.idx < len(io.queue) {
 		g := &io.queue[io.idx]
-		if io.inflight == 0 || (io.inflight < io.r.prefetchDepth && io.inPages+g.pages <= io.r.mEx) {
+		if io.inPages == 0 || (io.inflight < io.r.prefetchDepth && io.inPages+g.pages <= io.r.mEx) {
 			io.idx++
 			g.prefetched = io.inflight > 0
 			io.inflight++

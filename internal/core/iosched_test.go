@@ -1,11 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/optlab/opt/internal/buffer"
 	"github.com/optlab/opt/internal/events"
@@ -13,6 +17,7 @@ import (
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
+	"github.com/optlab/opt/internal/storage"
 )
 
 // newTestRunner builds a runner over st's own file device. The caller must
@@ -456,5 +461,257 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// readRecorder is a PageDevice that logs every read it serves.
+type readRecorder struct {
+	ssd.PageDevice
+	mu    sync.Mutex
+	reads []pageRead
+}
+
+type pageRead struct {
+	first uint32
+	count int
+}
+
+func (d *readRecorder) ReadPages(first uint32, count int) ([]byte, error) {
+	d.mu.Lock()
+	d.reads = append(d.reads, pageRead{first, count})
+	d.mu.Unlock()
+	return d.PageDevice.ReadPages(first, count)
+}
+
+// take returns the reads logged so far, by first page, and clears the log.
+func (d *readRecorder) take() []pageRead {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := d.reads
+	d.reads = nil
+	slices.SortFunc(out, func(a, b pageRead) int { return cmp.Compare(a.first, b.first) })
+	return out
+}
+
+// sparseStore builds a ≥ 200-page store shaped like the sparse benchmark
+// workloads, scaled down: a degree-ordered R-MAT graph at 512-byte pages.
+func sparseStore(t testing.TB) (*graph.Graph, *storage.Store) {
+	t.Helper()
+	raw, err := gen.RMAT(gen.DefaultRMAT(1<<12, 30_000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	st := buildStore(t, g, 512)
+	if st.NumPages < 200 {
+		t.Fatalf("store has %d pages, the test needs ≥ 200", st.NumPages)
+	}
+	return g, st
+}
+
+// TestInternalLoadCoalescesByItsOwnArea pins the internal-area load's read
+// size to the internal area: with m_in = 64 beside a 8-page external area,
+// every iteration's load arrives as one read per ≤ 32 consecutive pages —
+// not as the external window's 2-page reads. Under EdgeIterator≻ every
+// external request lies above the internal range, so the reads inside
+// [lo, hi) are exactly the load.
+func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
+	_, st := sparseStore(t)
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	rec := &readRecorder{PageDevice: base}
+	r := newRunner(context.Background(), st, rec, Options{Mode: Serial, MemoryPages: 72, InternalPages: 64, ExternalPages: 8})
+	defer r.close()
+
+	for it, lo := 0, uint32(0); lo < st.NumPages && it < 3; it++ {
+		hi := internalRangeEnd(st, lo, r.mIn)
+		stat, err := r.iteration(it, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var load []pageRead
+		for _, rd := range rec.take() {
+			if rd.first < hi {
+				load = append(load, rd)
+			}
+		}
+		loaded := 0
+		for i, rd := range load {
+			loaded += rd.count
+			if rd.count > defaultCoalescePages && rd.count > st.AlignedRange(rd.first, 1) {
+				t.Errorf("iteration %d: load read [%d,+%d) exceeds the %d-page cap", it, rd.first, rd.count, defaultCoalescePages)
+			}
+			if i > 0 {
+				prev := load[i-1]
+				if prev.first+uint32(prev.count) == rd.first && prev.count+st.AlignedRange(rd.first, 1) <= defaultCoalescePages {
+					t.Errorf("iteration %d: load reads [%d,+%d) and [%d,+%d) are consecutive and fit one read",
+						it, prev.first, prev.count, rd.first, rd.count)
+				}
+			}
+		}
+		if want := int(hi-lo) - stat.ReusedPages; loaded != want {
+			t.Errorf("iteration %d: load read %d pages, want %d", it, loaded, want)
+		}
+		if it == 0 && len(load) > 3 {
+			t.Errorf("first load of %d pages took %d reads, want one per ≤ 32 pages", hi-lo, len(load))
+		}
+		lo = hi
+	}
+}
+
+// TestWindowKeepsReadsInFlight is the overlap lever's acceptance check: with
+// a device slow enough that reads outlast the CPU work, at least 30 % of
+// all device reads — the internal-area loads, which are never read-ahead,
+// included — are issued while another external read is still on the device
+// (a window that holds one group at a time scores ≈ 0.1 here).
+func TestWindowKeepsReadsInFlight(t *testing.T) {
+	g, st := sparseStore(t)
+	mx := metrics.NewCollector()
+	res, err := RunFile(st, Options{
+		Mode: Parallel, Threads: 2, MemoryPages: 48, InternalPages: 32, ExternalPages: 16,
+		Latency: ssd.Latency{PerRead: 300 * time.Microsecond}, Metrics: mx,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := graph.CountTrianglesReference(g); res.Triangles != want {
+		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
+	}
+	if share := float64(mx.PrefetchHits()) / float64(mx.AsyncReads()); share < 0.3 {
+		t.Fatalf("%d of %d reads were issued with another in flight (%.2f), want ≥ 0.30",
+			mx.PrefetchHits(), mx.AsyncReads(), share)
+	}
+}
+
+// TestWindowHonoursPageBudget drives admitOne by hand: whatever the state
+// of the reads, the pages admitted and not yet retired stay within m_ex,
+// except while one group larger than m_ex has the window to itself.
+func TestWindowHonoursPageBudget(t *testing.T) {
+	r, cleanup := newTestRunner(t, graph.Complete(20), 64, Options{Mode: Serial, MemoryPages: 16, InternalPages: 8, ExternalPages: 8})
+	defer cleanup()
+	io := r.newIOSched(nil, 0)
+	for _, pages := range []int{2, 2, 2, 2, 9, 2} {
+		io.queue = append(io.queue, extGroup{pages: pages})
+	}
+	var open []*extGroup // admitted, not yet retired
+	admitAll := func() {
+		for {
+			io.pumping = true
+			g := io.admitOne()
+			if g == nil {
+				return
+			}
+			open = append(open, g)
+			io.inflight-- // its read completes at once; it stays unretired
+			if io.inPages > r.mEx && len(open) > 1 {
+				t.Fatalf("window holds %d pages in %d groups, budget %d", io.inPages, len(open), r.mEx)
+			}
+		}
+	}
+	retireOldest := func() {
+		io.inPages -= open[0].pages
+		open = open[1:]
+	}
+	admitAll()
+	if len(open) != 4 || io.inPages != 8 {
+		t.Fatalf("a cold 8-page window admitted %d groups / %d pages, want 4 / 8", len(open), io.inPages)
+	}
+	for len(open) > 0 {
+		retireOldest()
+		admitAll()
+		if len(open) > 0 && open[len(open)-1].pages == 9 && len(open) != 1 {
+			t.Fatalf("the 9-page group shares the window with %d others", len(open)-1)
+		}
+	}
+	if io.idx != len(io.queue) {
+		t.Fatalf("window stalled with %d of %d groups issued", io.idx, len(io.queue))
+	}
+}
+
+// TestExternalPathSteadyStateAllocs is the chunk-recycling lever's
+// acceptance check: once a first run has warmed the free lists, a whole run
+// at an 8 % buffer allocates a small multiple of the store's size — the
+// per-run fixtures — instead of a fresh Recs/Arena per external page decode
+// (≈ 36 × the store when evicted chunks are dropped instead of recycled).
+func TestExternalPathSteadyStateAllocs(t *testing.T) {
+	if raceEnabled || poisonEnabled {
+		t.Skip("race instrumentation and the optpoison guard both make recycled chunks allocate")
+	}
+	_, st := sparseStore(t)
+	opts := Options{Mode: Parallel, Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100}
+	if _, err := RunFile(st, opts); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunFile(st, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeBytes := uint64(st.NumPages) * uint64(st.PageSize)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d iterations over a %d-byte store allocated %d bytes (%.1f×)",
+		res.Iterations, storeBytes, allocated, float64(allocated)/float64(storeBytes))
+	if allocated > 6*storeBytes {
+		t.Fatalf("second run allocated %d bytes, more than 6 × the store's %d", allocated, storeBytes)
+	}
+}
+
+// TestCloseRecyclesResidentChunks checks the last leg of the chunk-ownership
+// rule: what is still resident in the external area when the run ends goes
+// back to the free list, except a chunk somebody still pins.
+func TestCloseRecyclesResidentChunks(t *testing.T) {
+	r, cleanup := newTestRunner(t, graph.Complete(20), 64, Options{Mode: Serial, MemoryPages: 16})
+	newChunk := func(first uint32) *buffer.Chunk {
+		c := buffer.GetChunk()
+		c.FirstPage, c.NumPages = first, 1
+		c.Recs = append(c.Recs, storage.VertexRec{ID: first})
+		r.pool.Insert(c)
+		return c
+	}
+	idle, pinned := newChunk(0), newChunk(1)
+	r.pool.Unpin(0)
+	cleanup()
+	if len(idle.Recs) != 0 {
+		t.Error("unpinned resident chunk was not recycled at close")
+	}
+	if len(pinned.Recs) != 1 {
+		t.Error("pinned chunk was recycled at close")
+	}
+}
+
+// BenchmarkOPTParallelSparseIO is the sparse-io benchmark workload as a Go
+// benchmark — 16 000-vertex lj-density R-MAT, raw 4096-byte pages, OPT on 2
+// threads, 8 % buffer, 100 µs + 10 µs/page simulated latency — so B/op and
+// allocs/op of the whole external path show in the bench smoke.
+func BenchmarkOPTParallelSparseIO(b *testing.B) {
+	d, err := gen.DatasetByName("lj")
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := gen.RMAT(gen.DefaultRMAT(16000, int64(16000*d.Density), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	st := buildStore(b, g, 4096)
+	opts := Options{
+		Mode: Parallel, Threads: 2, MemoryPages: int(float64(st.NumPages) * 0.08),
+		Latency: ssd.Latency{PerRead: 100 * time.Microsecond, PerPage: 10 * time.Microsecond},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunFile(st, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(res.Iterations), "iterations")
+		}
 	}
 }

@@ -40,6 +40,15 @@ func (m Mode) String() string {
 	return "OPT"
 }
 
+// defaultCoalescePages is the most pages one vectored read covers.
+const defaultCoalescePages = 32
+
+// windowGroups is how many coalesced external reads always fit the external
+// area's page budget together: a read is capped at m_ex/windowGroups pages,
+// so while one group is decoded and intersected at least one more is on the
+// device (DESIGN.md §9; CHANGES.md PR 21 has the 2- against 4-group numbers).
+const windowGroups = 4
+
 // Options configures a framework run.
 type Options struct {
 	// Model selects the iterator model (default EdgeIterator, as in §5.1).
@@ -52,8 +61,9 @@ type Options struct {
 	// MemoryPages is the total buffer budget m. Defaults to one quarter of
 	// the store when 0.
 	MemoryPages int
-	// InternalPages (m_in) and ExternalPages (m_ex) override the default
-	// even split m_in = m_ex = m/2 of §5.1.
+	// InternalPages (m_in) and ExternalPages (m_ex) override the split of
+	// MemoryPages that planAreas otherwise chooses per store; they are the
+	// test and ablation seam.
 	InternalPages int
 	ExternalPages int
 	// QueueDepth is the FlashSSD channel parallelism (default 8).
@@ -78,9 +88,11 @@ type Options struct {
 	// behaviour.
 	DisableMicroOverlap bool
 	// MaxCoalescePages caps the pages merged into one vectored read by the
-	// I/O scheduler (DESIGN.md §9). 0 selects the default of 32, clamped to
-	// the external-area budget; 1 effectively disables coalescing (requests
-	// are never merged, though a multi-page chunk still reads as one).
+	// I/O scheduler (DESIGN.md §9). 0 selects the default of 32; either way
+	// an external read is clamped to m_ex/windowGroups and an internal-area
+	// read to the internal area. 1 effectively disables
+	// coalescing (requests are never merged, though a multi-page chunk still
+	// reads as one).
 	MaxCoalescePages int
 	// PrefetchDepth bounds the coalesced reads the scheduler keeps in
 	// flight (read-ahead). 0 selects the QueueDepth; 1 disables read-ahead,
@@ -158,7 +170,8 @@ type runner struct {
 	counts *CountingOutput
 
 	// I/O-scheduler knobs, resolved from Options (DESIGN.md §9).
-	maxCoalesce   int
+	maxCoalesce   int // pages per coalesced external read
+	loadCoalesce  int // pages per coalesced internal-area read
 	prefetchDepth int
 
 	// Per-iteration state.
@@ -166,10 +179,13 @@ type runner struct {
 	candSeen       *bits.Set
 	vex            []uint32
 
-	// Recycled backing arrays for the request list and coalescer: the
-	// steady-state external path reuses these across iterations instead of
-	// reallocating them (sub-slices alias the shared arrays, so each is
-	// rebuilt from scratch each iteration and never grows mid-iteration).
+	// Backing arrays of the request list and the coalescer, reused across
+	// iterations (sub-slices alias the shared arrays, so each is rebuilt
+	// from scratch each iteration and never grows mid-iteration). They are
+	// one half of what keeps the external path from allocating; the other is
+	// decoded chunks, which recycle through buffer.PutChunk under the
+	// ownership rule of DESIGN.md §9 — the pool for what it evicts, the
+	// runner for its internal-area chunks.
 	pairScratch     []uint64
 	reqScratch      []extReq
 	candScratch     []uint32
@@ -199,8 +215,8 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 	}
 	mIn, mEx := opts.InternalPages, opts.ExternalPages
 	if mIn <= 0 && mEx <= 0 {
-		mIn = opts.MemoryPages / 2
-		mEx = opts.MemoryPages - mIn
+		plan := planAreas(st, opts.Model, opts.MemoryPages)
+		mIn, mEx = plan.mIn, plan.mEx
 	} else if mIn <= 0 {
 		mIn = opts.MemoryPages - mEx
 	} else if mEx <= 0 {
@@ -219,13 +235,15 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		counts = &CountingOutput{}
 		out = counts
 	}
+	// An external read is also capped by the window, so windowGroups of
+	// them fit m_ex; the internal-area load has nothing to overlap with and
+	// is capped only by its own area.
 	maxCoalesce := opts.MaxCoalescePages
 	if maxCoalesce <= 0 {
-		maxCoalesce = 32
+		maxCoalesce = defaultCoalescePages
 	}
-	if maxCoalesce > mEx {
-		maxCoalesce = mEx
-	}
+	loadCoalesce := min(maxCoalesce, mIn)
+	maxCoalesce = min(maxCoalesce, max(1, mEx/windowGroups))
 	prefetchDepth := opts.PrefetchDepth
 	if prefetchDepth <= 0 {
 		prefetchDepth = opts.QueueDepth
@@ -242,6 +260,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		pool:          buffer.NewPool(mEx),
 		counts:        counts,
 		maxCoalesce:   maxCoalesce,
+		loadCoalesce:  loadCoalesce,
 		prefetchDepth: prefetchDepth,
 	}
 	r.vset = opts.VirtualCoreSet
@@ -257,7 +276,13 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 	return r
 }
 
-func (r *runner) close() { r.dev.Close() }
+// close stops the device and — with every callback returned, so nothing
+// reads the external area any more — hands the chunks still resident there
+// back to the free list for the next run.
+func (r *runner) close() {
+	r.dev.Close()
+	r.pool.Clear()
+}
 
 func (r *runner) fail(err error) {
 	if err == nil {
@@ -328,12 +353,8 @@ func (r *runner) run() (*Result, error) {
 			r.fail(err)
 			break
 		}
-		count := r.mIn
-		if rem := int(r.st.NumPages - lo); count > rem {
-			count = rem
-		}
-		count = r.st.AlignedRange(lo, count)
-		hi := lo + uint32(count)
+		hi := internalRangeEnd(r.st, lo, r.mIn)
+		count := int(hi - lo)
 
 		itStart := time.Now()
 		triBefore := r.triangleCount()
@@ -376,6 +397,14 @@ func (r *runner) run() (*Result, error) {
 		res.Metrics = r.mx.Snapshot()
 	}
 	return res, r.err
+}
+
+// internalRangeEnd returns the end of the internal range an iteration that
+// starts at page lo loads into an area of mIn pages: mIn pages or what is
+// left of the store, extended to a record boundary. The outer loop and the
+// planner that predicts it share this one definition.
+func internalRangeEnd(st *storage.Store, lo uint32, mIn int) uint32 {
+	return lo + uint32(st.AlignedRange(lo, min(mIn, int(st.NumPages-lo))))
 }
 
 // iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi).
@@ -442,7 +471,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 		pages := toLoad[i].span
 		for j < len(toLoad) &&
 			toLoad[j].first == toLoad[j-1].first+uint32(toLoad[j-1].span) &&
-			pages+toLoad[j].span <= r.maxCoalesce {
+			pages+toLoad[j].span <= r.loadCoalesce {
 			pages += toLoad[j].span
 			j++
 		}

@@ -171,7 +171,7 @@ func TestOPTEmptyAndEdgeless(t *testing.T) {
 }
 
 func TestOPTReusedPagesCredit(t *testing.T) {
-	// With the default even split and a dense enough graph, the external
+	// With the planned split and a dense enough graph, the external
 	// area of iteration i retains pages of iteration i+1's internal area:
 	// the Δin credit must be non-zero (§3.3, negative-overhead mechanism).
 	raw, _ := gen.RMAT(gen.DefaultRMAT(1<<10, 20_000, 3))

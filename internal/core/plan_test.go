@@ -1,0 +1,143 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/optlab/opt/internal/gen"
+	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/storage"
+)
+
+// rmatStore builds the differential sweep's R-MAT shape (1024 vertices,
+// 12 000 edges) at the given page size.
+func rmatStore(t testing.TB, seed int64, pageSize int) (*graph.Graph, *storage.Store) {
+	t.Helper()
+	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 12_000, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	return g, buildStore(t, g, pageSize)
+}
+
+// TestPlanPredictsRun pins what makes the planner a planner: from the page
+// directory alone it predicts the iteration count of the run exactly and
+// bounds the EdgeIterator≻ request list from above — to within 1 % once a
+// page holds tens of records (1024-byte pages here, 4096 in production);
+// at the sweep's 128-byte pages, one or two records each, some chunks above
+// the internal range have no neighbour in it and the bound is loose. The
+// areas it returns spend the budget exactly.
+func TestPlanPredictsRun(t *testing.T) {
+	for _, seed := range []int64{31, 42} {
+		for _, pageSize := range []int{128, 1024} {
+			g, st := rmatStore(t, seed, pageSize)
+			want := graph.CountTrianglesReference(g)
+			for _, pct := range []int{8, 15} {
+				t.Run(fmt.Sprintf("seed%d/page%d/%d%%", seed, pageSize, pct), func(t *testing.T) {
+					m := int(st.NumPages) * pct / 100
+					plan := planAreas(st, EdgeIterator, m)
+					if plan.mIn+plan.mEx != m || plan.mIn < m/2 {
+						t.Fatalf("plan %+v does not split m=%d with m_in ≥ m/2", plan, m)
+					}
+					res, err := RunFile(st, Options{Mode: Parallel, Threads: 2, MemoryPages: m, CollectIterStats: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Triangles != want {
+						t.Fatalf("triangles = %d, want %d", res.Triangles, want)
+					}
+					if res.Iterations != plan.iterations {
+						t.Errorf("iterations = %d, planned %d", res.Iterations, plan.iterations)
+					}
+					var reqs int64
+					for _, s := range res.IterStats {
+						reqs += int64(s.ExternalReqs)
+					}
+					if reqs > plan.reqs {
+						t.Errorf("external requests = %d, above the planned bound %d", reqs, plan.reqs)
+					}
+					if pageSize == 1024 && float64(reqs) < 0.99*float64(plan.reqs) {
+						t.Errorf("external requests = %d, planned %d: more than 1%% apart", reqs, plan.reqs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPlanBoundsOtherModels checks the mirrored prediction: for the
+// n≺-driven models the planned request count is the every-chunk upper bound.
+func TestPlanBoundsOtherModels(t *testing.T) {
+	_, st := rmatStore(t, 31, 128)
+	m := int(st.NumPages) * 15 / 100
+	for _, model := range []ModelKind{VertexIterator, MGTInstance} {
+		plan := planAreas(st, model, m)
+		res, err := RunFile(st, Options{Model: model, Mode: Serial, MemoryPages: m, CollectIterStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs int64
+		for _, s := range res.IterStats {
+			reqs += int64(s.ExternalReqs)
+		}
+		if res.Iterations != plan.iterations || reqs > plan.reqs || reqs == 0 {
+			t.Errorf("%v: run took %d iterations / %d requests, planned %d / ≤ %d",
+				model, res.Iterations, reqs, plan.iterations, plan.reqs)
+		}
+	}
+}
+
+// TestPlanLegalAreas covers the corners: budgets too small to split eight
+// ways, and a store whose largest chunk leaves no room to grow the internal
+// area, must still resolve to two areas of at least one page that sum to m.
+func TestPlanLegalAreas(t *testing.T) {
+	_, st := rmatStore(t, 31, 128)
+	for m := 2; m <= 4; m++ {
+		p := planAreas(st, EdgeIterator, m)
+		if p.mIn < 1 || p.mEx < 1 || p.mIn+p.mEx != m {
+			t.Errorf("m=%d: plan %+v", m, p)
+		}
+	}
+	if p := planAreas(st, EdgeIterator, 1); p.mIn != 1 || p.mEx != 1 {
+		t.Errorf("m=1: plan %+v, want the 1+1 minimum", p)
+	}
+
+	// K40 at 64-byte pages: every record spans 4 pages, so with m = 8 only
+	// the even split leaves the external area twice the largest chunk.
+	g := graph.Complete(40)
+	hub := buildStore(t, g, 64)
+	if span := hub.SpanOf(0); span <= 8/4 {
+		t.Fatalf("test store's records span %d pages, want > m/4", span)
+	}
+	if p := planAreas(hub, EdgeIterator, 8); p.mIn != 4 || p.mEx != 4 {
+		t.Errorf("hub store: plan %+v, want the even split", p)
+	}
+	res, err := RunFile(hub, Options{Mode: Parallel, Threads: 2, MemoryPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := graph.CountTrianglesReference(g); res.Triangles != want {
+		t.Errorf("hub store: triangles = %d, want %d", res.Triangles, want)
+	}
+}
+
+// TestExplicitAreasBypassPlanner keeps InternalPages/ExternalPages the test
+// seam: either one set means the planner is not consulted.
+func TestExplicitAreasBypassPlanner(t *testing.T) {
+	g := graph.Complete(40)
+	for _, tc := range []struct {
+		opts     Options
+		mIn, mEx int
+	}{
+		{Options{MemoryPages: 40, InternalPages: 7, ExternalPages: 33}, 7, 33},
+		{Options{MemoryPages: 40, InternalPages: 39}, 39, 1},
+		{Options{MemoryPages: 40, ExternalPages: 30}, 10, 30},
+	} {
+		r, cleanup := newTestRunner(t, g, 64, tc.opts)
+		if r.mIn != tc.mIn || r.mEx != tc.mEx {
+			t.Errorf("%+v: areas %d/%d, want %d/%d", tc.opts, r.mIn, r.mEx, tc.mIn, tc.mEx)
+		}
+		cleanup()
+	}
+}
