@@ -42,6 +42,47 @@ func (s *Set) Contains(i int) bool {
 	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// AddAll sets the bit of every element of list, RemoveAll clears them: a set
+// reused across many short-lived memberships is built and emptied in
+// O(|list|), not O(n). Both panic on an element out of range.
+func (s *Set) AddAll(list []uint32) {
+	for _, x := range list {
+		s.words[x/wordBits] |= 1 << (x % wordBits)
+	}
+}
+
+// RemoveAll clears the bit of every element of list.
+func (s *Set) RemoveAll(list []uint32) {
+	for _, x := range list {
+		s.words[x/wordBits] &^= 1 << (x % wordBits)
+	}
+}
+
+// CountMembers returns how many elements of list are in the set. Elements
+// out of range count as absent.
+func (s *Set) CountMembers(list []uint32) int {
+	words := s.words
+	n := 0
+	for _, x := range list {
+		if w := int(x / wordBits); w < len(words) {
+			n += int(words[w] >> (x % wordBits) & 1)
+		}
+	}
+	return n
+}
+
+// AppendMembers appends to dst the elements of list that are in the set, in
+// list order. Elements out of range count as absent.
+func (s *Set) AppendMembers(dst, list []uint32) []uint32 {
+	words := s.words
+	for _, x := range list {
+		if w := int(x / wordBits); w < len(words) && words[w]>>(x%wordBits)&1 != 0 {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0

@@ -190,3 +190,33 @@ func TestAndCountProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The list operations are what the edge kernels build, probe and empty a
+// reused set with: they must agree with Add / Contains / Remove one element
+// at a time, and treat an id beyond the capacity as absent.
+func TestListOperations(t *testing.T) {
+	s := NewSet(200)
+	held := []uint32{0, 3, 63, 64, 127, 199}
+	s.AddAll(held)
+	if s.Count() != len(held) {
+		t.Fatalf("AddAll left %d bits, want %d", s.Count(), len(held))
+	}
+	probe := []uint32{0, 1, 3, 62, 63, 64, 65, 128, 199, 200, 255, 256, 1 << 20}
+	want := []uint32{0, 3, 63, 64, 199}
+	if got := s.CountMembers(probe); got != len(want) {
+		t.Errorf("CountMembers = %d, want %d", got, len(want))
+	}
+	got := s.AppendMembers([]uint32{42}, probe)
+	if len(got) != 1+len(want) || got[0] != 42 {
+		t.Fatalf("AppendMembers = %v, want 42 then %v", got, want)
+	}
+	for i, x := range want {
+		if got[1+i] != x || !s.Contains(int(x)) {
+			t.Fatalf("AppendMembers = %v, want 42 then %v", got, want)
+		}
+	}
+	s.RemoveAll(held)
+	if s.Count() != 0 {
+		t.Fatalf("RemoveAll left %d bits", s.Count())
+	}
+}

@@ -50,14 +50,15 @@ func (shardRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDevic
 	return res, nil
 }
 
-// blockRecs holds the decoded adjacency lists of one vertex block,
-// indexed by v - lo. Entries outside the block are nil.
+// blockRecs holds n≻(v) of every vertex of one block — all the edge
+// iterator reads of a record — indexed by v - lo. Entries outside the block
+// are nil.
 type blockRecs struct {
 	lo, hi uint32
-	adj    [][]uint32
+	succ   [][]uint32
 }
 
-func (b *blockRecs) of(v uint32) []uint32 { return b.adj[v-b.lo] }
+func (b *blockRecs) of(v uint32) []uint32 { return b.succ[v-b.lo] }
 
 // CountShard counts the triangles owned by one block-pair task of grid
 // over the store: triangles whose base edge (u, v), u < v, has
@@ -89,25 +90,29 @@ func CountShard(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid
 		}
 	}
 
+	// The engine's edge kernel, record by record: u's partners in block J
+	// are one contiguous run of n≻(u), and each pair intersects n≻(v) with
+	// what follows v in n≻(u) — probed when the run is long enough to pay
+	// for a set (intersect.ProbePays), merged otherwise.
+	var probe intersect.Prober
 	var total int64
 	for u := blockI.lo; u < blockI.hi; u++ {
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		adjU := blockI.of(u)
+		nsU := blockI.of(u)
+		first := intersect.LowerBound(nsU, blockJ.lo)
+		partners := nsU[first : first+intersect.LowerBound(nsU[first:], blockJ.hi)]
+		set := probe.Fix(nsU, len(partners), st.NumVertices)
 		var row int64
-		for _, v := range adjU[intersect.UpperBound(adjU, u):] {
-			if v < blockJ.lo || v >= blockJ.hi {
-				continue
-			}
-			adjV := blockJ.of(v)
-			nsU := adjU[intersect.UpperBound(adjU, v):]
-			nsV := adjV[intersect.UpperBound(adjV, v):]
-			row += int64(intersect.MergeCount(nsU, nsV))
+		for i, v := range partners {
+			rest, nsV := nsU[first+i+1:], blockJ.of(v)
+			row += int64(intersect.AdaptiveBitmapCount(nsV, rest, set))
 			if res != nil {
-				res.IntersectOps += intersect.MinCost(nsU, nsV)
+				res.IntersectOps += intersect.MinCost(rest, nsV)
 			}
 		}
+		intersect.Unfix(set, nsU)
 		if row > 0 {
 			total += row
 			if sink != nil {
@@ -122,7 +127,7 @@ func CountShard(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid
 // device reads of at most chunk pages (extended to record-run boundaries).
 func loadBlock(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid Grid, i, chunk int, sink events.Sink, res *engine.Result) (*blockRecs, error) {
 	lo, hi := grid.Range(i)
-	b := &blockRecs{lo: lo, hi: hi, adj: make([][]uint32, hi-lo)}
+	b := &blockRecs{lo: lo, hi: hi, succ: make([][]uint32, hi-lo)}
 	if lo >= hi {
 		return b, nil
 	}
@@ -148,7 +153,7 @@ func loadBlock(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid 
 		}
 		for _, r := range recs {
 			if r.ID >= lo && r.ID < hi {
-				b.adj[r.ID-lo] = r.Adj
+				b.succ[r.ID-lo] = r.Adj[intersect.UpperBound(r.Adj, r.ID):]
 			}
 		}
 		p += uint32(n)

@@ -300,40 +300,60 @@ func TestOPTSchedulerKnobMatrix(t *testing.T) {
 }
 
 // TestExternalSteadyStateAllocs pins the zero-allocation guarantee of the
-// external hot path: with scratch buffers and hub sets warmed up,
-// ExternalTriangle (and its internal sibling) must not allocate.
+// hot path at both levels: with a work state in hand the two edge-iterator
+// kernels allocate nothing per record, and a whole warm external chunk task
+// — work state borrowed, every candidate record intersected, tally flushed,
+// work state returned — allocates nothing either.
 func TestExternalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and randomises sync.Pool caching")
 	}
-	g := graph.Complete(600) // every adjacency list is a hub (599 >= hubDegree)
-	st := buildStore(t, g, 512)
-	dev, err := st.Device()
+	// Every record has hundreds of partners: the probe path, set included.
+	r, cleanup := newTestRunner(t, graph.Complete(600), 512, Options{Mode: Serial, Metrics: metrics.NewCollector()})
+	defer cleanup()
+	st := r.st
+	data, err := r.dev.ReadPages(0, int(st.NumPages))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = dev.Close() }()
-	data, err := dev.ReadPages(0, int(st.NumPages))
+	c, err := r.decodeChunk(0, int(st.NumPages), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := st.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := newCtx(st, &CountingOutput{}, nil)
-	ctx.beginIteration(0, st.NumPages)
-	for _, rec := range recs {
-		ctx.addInternal(rec)
+	defer buffer.PutChunk(c)
+	// The lower half of the vertices is internal, the upper half external.
+	mid := st.FirstPageOf(300)
+	r.ctx.beginIteration(0, mid)
+	var cands []uint32
+	for _, rec := range c.Recs {
+		if r.ctx.InInternal(rec.ID) {
+			r.ctx.addInternal(rec)
+		} else {
+			cands = append(cands, rec.ID)
+		}
 	}
 	model := edgeIteratorModel{}
-	v := recs[100] // n≻ and n≺ both populated, hub-sized fixed side
+	in, ex := c.Recs[100], c.Recs[500]
 
-	if allocs := testing.AllocsPerRun(10, func() { model.ExternalTriangle(ctx, v) }); allocs != 0 {
-		t.Fatalf("ExternalTriangle: %v allocs/op at steady state, want 0", allocs)
+	w := r.ctx.getWork()
+	if allocs := testing.AllocsPerRun(10, func() { model.ExternalTriangle(r.ctx, w, ex) }); allocs != 0 {
+		t.Errorf("ExternalTriangle: %v allocs/op at steady state, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { model.InternalTriangle(ctx, v) }); allocs != 0 {
-		t.Fatalf("InternalTriangle: %v allocs/op at steady state, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { model.InternalTriangle(r.ctx, w, in) }); allocs != 0 {
+		t.Errorf("InternalTriangle: %v allocs/op at steady state, want 0", allocs)
+	}
+	if w.calls == 0 || w.triangles == 0 {
+		t.Fatalf("kernels tallied %d calls, %d triangles: the fixture exercises nothing", w.calls, w.triangles)
+	}
+	r.ctx.putWork(w)
+
+	req := extReq{first: 0, span: int(st.NumPages), cands: cands}
+	before := r.triangleCount()
+	if allocs := testing.AllocsPerRun(10, func() { r.processExternal(c, req) }); allocs != 0 {
+		t.Errorf("external chunk task: %v allocs/op at steady state, want 0", allocs)
+	}
+	if r.triangleCount() == before {
+		t.Fatal("the external chunk task found no triangle: the fixture exercises nothing")
 	}
 }
 

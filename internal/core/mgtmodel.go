@@ -20,7 +20,7 @@ import "github.com/optlab/opt/internal/storage"
 type mgtModel struct{}
 
 // InternalTriangle does nothing: MGT has no internal triangulation.
-func (mgtModel) InternalTriangle(*Ctx, storage.VertexRec) {}
+func (mgtModel) InternalTriangle(*Ctx, *work, storage.VertexRec) {}
 
 // ExternalCandidates emits every neighbor of the loaded record — lower and
 // higher ids alike, internal or not.
@@ -34,6 +34,6 @@ func (mgtModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, emit func(u ui
 // ExternalTriangle applies the vertex-iterator pair kernel: triangles
 // Δuvw with n(v) in the current block are found from the external record
 // u's ordered pairs.
-func (mgtModel) ExternalTriangle(ctx *Ctx, u storage.VertexRec) {
-	vertexIteratorPairs(ctx, u)
+func (mgtModel) ExternalTriangle(ctx *Ctx, w *work, u storage.VertexRec) {
+	vertexIteratorPairs(ctx, w, u)
 }

@@ -8,6 +8,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/intersect"
@@ -49,14 +50,14 @@ func (k ModelKind) String() string {
 type Model interface {
 	// InternalTriangle identifies the internal triangles contributed by the
 	// internal-area record u (InternalTriangleImpl in Algorithm 5).
-	InternalTriangle(ctx *Ctx, u storage.VertexRec)
+	InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec)
 	// ExternalCandidates reports the external candidate vertices derived
 	// from the freshly loaded internal record u
 	// (ExternalCandidateVertexImpl in Algorithm 7).
 	ExternalCandidates(ctx *Ctx, u storage.VertexRec, emit func(v uint32))
 	// ExternalTriangle identifies the external triangles contributed by the
 	// external-area record v (ExternalTriangleImpl in Algorithm 9).
-	ExternalTriangle(ctx *Ctx, v storage.VertexRec)
+	ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec)
 }
 
 // NewModel returns the Model for kind.
@@ -71,30 +72,72 @@ func NewModel(kind ModelKind) Model {
 	}
 }
 
-// Ctx gives models access to the internal area, the output sink, and the
-// cost counters for the current iteration. Because storage order matches
-// id order, the internal area is a contiguous vertex range [loVertex,
-// hiVertex): residency is one comparison and adjacency lookup one slice
-// index. The area is immutable while triangulation runs, so reads need no
-// locking.
+// Ctx gives models access to the internal area and the output sink of the
+// current iteration. Because storage order matches id order, the internal
+// area is a contiguous vertex range [loVertex, hiVertex): residency is one
+// comparison, adjacency lookup one slice index, and the internal neighbours
+// of any sorted list one contiguous sub-slice. The area is immutable while
+// triangulation runs, so reads need no locking.
 type Ctx struct {
 	store    *storage.Store
 	loPage   uint32     // internal range start (inclusive)
 	hiPage   uint32     // internal range end (exclusive)
 	loVertex uint32     // first vertex whose record starts in the range
 	hiVertex uint32     // one past the last such vertex
-	adj      [][]uint32 // adj[v-loVertex] = n(v); reused across iterations
-	out      Output
+	succ     [][]uint32 // succ[v-loVertex] = n≻(v); reused across iterations
+	out      Output     // nil: count only, nothing is emitted per pair
 	mx       *metrics.Collector
-	scratch  sync.Pool
-	hubSets  sync.Pool // *bits.Set over the vertex space, for hub kernels
+
+	// triangles is the run's count: the sum of every flushed work tally.
+	triangles atomic.Int64
+	works     sync.Pool // *work
 }
 
 func newCtx(store *storage.Store, out Output, mx *metrics.Collector) *Ctx {
 	c := &Ctx{store: store, out: out, mx: mx}
-	c.scratch.New = func() any { b := make([]uint32, 0, 256); return &b }
-	c.hubSets.New = func() any { return bits.NewSet(store.NumVertices) }
+	c.works.New = func() any { return &work{buf: make([]uint32, 0, 256)} }
 	return c
+}
+
+// work is what one chunk task owns while it runs: the tally of what its
+// intersections found and cost, the result scratch and the membership set.
+// A task borrows it once with getWork, hands it to the model for every
+// record of its chunk, and returns it with putWork, which adds the tally to
+// the shared totals — so the shared counters are touched once per task, not
+// four times per intersection, and a cancelled run's partial totals are
+// exactly the tasks that finished.
+type work struct {
+	calls, ops, triangles int64
+	buf                   []uint32 // intersection result; growth is retained
+	probe                 intersect.Prober
+}
+
+// getWork borrows a work state with a zero tally.
+func (c *Ctx) getWork() *work {
+	return c.works.Get().(*work)
+}
+
+// putWork flushes w's tally into the run's totals and returns w.
+func (c *Ctx) putWork(w *work) {
+	c.triangles.Add(w.triangles)
+	if c.mx != nil {
+		c.mx.AddIntersections(w.calls, w.ops)
+		c.mx.AddTriangles(w.triangles)
+	}
+	w.calls, w.ops, w.triangles = 0, 0, 0
+	c.works.Put(w)
+}
+
+// found tallies the triangles ⟨u, v, {ws…}⟩ and, when the run lists, emits
+// them in the nested representation.
+func (w *work) found(c *Ctx, u, v uint32, ws []uint32) {
+	if len(ws) == 0 {
+		return
+	}
+	w.triangles += int64(len(ws))
+	if c.out != nil {
+		c.out.Emit(u, v, ws)
+	}
 }
 
 // beginIteration resets the internal area for a new page range.
@@ -103,21 +146,20 @@ func (c *Ctx) beginIteration(lo, hi uint32) {
 	c.loVertex = c.store.FirstRecordOf(lo)
 	c.hiVertex = c.store.FirstRecordOf(hi)
 	n := int(c.hiVertex - c.loVertex)
-	if cap(c.adj) < n {
-		c.adj = make([][]uint32, n)
+	if cap(c.succ) < n {
+		c.succ = make([][]uint32, n)
 	} else {
-		c.adj = c.adj[:n]
-		for i := range c.adj {
-			c.adj[i] = nil
-		}
+		c.succ = c.succ[:n]
+		clear(c.succ)
 	}
 }
 
-// addInternal registers a decoded record in the internal area. It is called
-// only from the load phase (single goroutine at a time per framework
-// invariant) guarded by the caller.
+// addInternal registers a decoded record in the internal area, split once:
+// every model reads only n≻ of an internal vertex. It is called only from
+// the load phase (single goroutine at a time per framework invariant)
+// guarded by the caller.
 func (c *Ctx) addInternal(rec storage.VertexRec) {
-	c.adj[rec.ID-c.loVertex] = rec.Adj
+	c.succ[rec.ID-c.loVertex] = nsucc(rec.Adj, rec.ID)
 }
 
 // InInternal reports whether n(v) is resident in the internal area: one
@@ -126,60 +168,31 @@ func (c *Ctx) InInternal(v uint32) bool {
 	return v >= c.loVertex && v < c.hiVertex
 }
 
-// InternalAdj returns n(v) from the internal area; v must satisfy
+// internalSucc returns n≻(v) from the internal area; v must satisfy
 // InInternal.
-func (c *Ctx) InternalAdj(v uint32) []uint32 {
-	return c.adj[v-c.loVertex]
+func (c *Ctx) internalSucc(v uint32) []uint32 {
+	return c.succ[v-c.loVertex]
 }
 
-// Emit outputs the triangles ⟨u, v, {w…}⟩ in the nested representation.
-func (c *Ctx) Emit(u, v uint32, ws []uint32) {
-	c.out.Emit(u, v, ws)
-	if c.mx != nil {
-		c.mx.AddTriangles(int64(len(ws)))
+// internalPreds returns the u ∈ n≺(v) with n(u) internal — one contiguous
+// sub-slice of v's sorted list, found by its two bounds — and what follows
+// it in the list.
+func (c *Ctx) internalPreds(v storage.VertexRec) (preds, rest []uint32) {
+	a := v.Adj[intersect.LowerBound(v.Adj, c.loVertex):]
+	k := intersect.LowerBound(a, min(c.hiVertex, v.ID))
+	return a[:k], a[k:]
+}
+
+// pair tallies one intersection of a record — the pair's triangles are
+// stream ∩ fixed, both cut to the triangle's range — and lists them when the
+// run has an output; a counting run materialises nothing.
+func (w *work) pair(c *Ctx, u, v uint32, stream, fixed []uint32, set *bits.Set) {
+	if c.out == nil {
+		w.triangles += int64(intersect.AdaptiveBitmapCount(stream, fixed, set))
+		return
 	}
-}
-
-// countIntersect records one intersection under the Eq. 3 min cost model.
-func (c *Ctx) countIntersect(a, b []uint32) {
-	if c.mx != nil {
-		c.mx.AddIntersect(intersect.MinCost(a, b))
-	}
-}
-
-// getScratch borrows a reusable slice for intersection results.
-func (c *Ctx) getScratch() *[]uint32 {
-	return c.scratch.Get().(*[]uint32)
-}
-
-func (c *Ctx) putScratch(b *[]uint32) {
-	*b = (*b)[:0]
-	c.scratch.Put(b)
-}
-
-// hubDegree is the fixed-side adjacency length from which the edge-iterator
-// kernels build a dense membership set and switch to the bitset probe of
-// intersect.AdaptiveBitmap. The O(len) build amortises over the partner
-// loop, which runs at least len iterations for a list this long.
-const hubDegree = 256
-
-// getHubSet borrows a cleared dense membership set over the vertex space.
-// Callers fill it from a hub adjacency list and must return it through
-// putHubSet with the same list so the clear stays sparse (O(|list|), not
-// O(|V|)).
-func (c *Ctx) getHubSet(list []uint32) *bits.Set {
-	s := c.hubSets.Get().(*bits.Set)
-	for _, x := range list {
-		s.Add(int(x))
-	}
-	return s
-}
-
-func (c *Ctx) putHubSet(s *bits.Set, list []uint32) {
-	for _, x := range list {
-		s.Remove(int(x))
-	}
-	c.hubSets.Put(s)
+	w.buf = intersect.AdaptiveBitmap(w.buf[:0], stream, fixed, set)
+	w.found(c, u, v, w.buf)
 }
 
 // nsucc returns n≻(v): the suffix of adj with ids greater than v.
@@ -196,33 +209,24 @@ func npred(adj []uint32, v uint32) []uint32 {
 type edgeIteratorModel struct{}
 
 // InternalTriangle is Algorithm 6: for every edge (u, v) with both
-// adjacency lists internal, output n≻(u) ∩ n≻(v).
-func (edgeIteratorModel) InternalTriangle(ctx *Ctx, u storage.VertexRec) {
-	nsU := nsucc(u.Adj, u.ID)
-	if len(nsU) == 0 {
+// adjacency lists internal, output n≻(u) ∩ n≻(v). Nothing ≤ v is in n≻(v),
+// so the pair intersects n≻(v) with what follows v in n≻(u).
+func (edgeIteratorModel) InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec) {
+	nsU := ctx.internalSucc(u.ID)
+	// n≻(u) starts above u, itself internal: one bound delimits the partners.
+	partners := nsU[:intersect.LowerBound(nsU, ctx.hiVertex)]
+	if len(partners) == 0 {
 		return
 	}
-	buf := ctx.getScratch()
-	defer ctx.putScratch(buf)
-	// u is the fixed side of every intersection in the loop; for hubs a
-	// dense membership set turns each one into an O(|n≻(v)|) probe.
-	var set *bits.Set
-	if len(nsU) >= hubDegree {
-		set = ctx.getHubSet(nsU)
-		defer ctx.putHubSet(set, nsU)
+	// u is the fixed side of every intersection in the loop.
+	set := w.probe.Fix(nsU, len(partners), ctx.store.NumVertices)
+	w.calls += int64(len(partners))
+	for i, v := range partners {
+		nsV := ctx.internalSucc(v)
+		w.ops += intersect.MinCost(nsU, nsV)
+		w.pair(ctx, u.ID, v, nsV, nsU[i+1:], set)
 	}
-	for _, v := range nsU {
-		if !ctx.InInternal(v) {
-			continue
-		}
-		nsV := nsucc(ctx.InternalAdj(v), v)
-		ctx.countIntersect(nsU, nsV)
-		ws := intersect.AdaptiveBitmap((*buf)[:0], nsV, nsU, set)
-		if len(ws) > 0 {
-			ctx.Emit(u.ID, v, ws)
-		}
-		*buf = ws[:0] // retain growth so the steady state stays allocation-free
-	}
+	intersect.Unfix(set, nsU)
 }
 
 // ExternalCandidates is Algorithm 8: v ∈ n≻(u) with n(v) outside the
@@ -236,31 +240,25 @@ func (edgeIteratorModel) ExternalCandidates(ctx *Ctx, u storage.VertexRec, emit 
 }
 
 // ExternalTriangle is Algorithms 9 (lines 4–7) and 10: for the external
-// record v, every u ∈ n≺(v) with n(u) internal forms V_req^v; intersect
-// n≻(u) ∩ n≻(v) for each.
-func (edgeIteratorModel) ExternalTriangle(ctx *Ctx, v storage.VertexRec) {
-	nsV := nsucc(v.Adj, v.ID)
-	buf := ctx.getScratch()
-	defer ctx.putScratch(buf)
-	// v is the fixed side here (Algorithm 10 intersects n≻(v) against every
-	// internal partner u ∈ V_req^v), so hub handling mirrors Algorithm 6.
-	var set *bits.Set
-	if len(nsV) >= hubDegree {
-		set = ctx.getHubSet(nsV)
-		defer ctx.putHubSet(set, nsV)
+// record v, the u ∈ n≺(v) with n(u) internal form V_req^v; intersect
+// n≻(u) ∩ n≻(v) for each. Nothing ≤ v is in n≻(v), so n≻(u) is cut to the
+// ids above v first.
+func (edgeIteratorModel) ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec) {
+	partners, rest := ctx.internalPreds(v)
+	if len(partners) == 0 {
+		return
 	}
-	for _, u := range npred(v.Adj, v.ID) {
-		if !ctx.InInternal(u) {
-			continue
-		}
-		nsU := nsucc(ctx.InternalAdj(u), u)
-		ctx.countIntersect(nsU, nsV)
-		ws := intersect.AdaptiveBitmap((*buf)[:0], nsU, nsV, set)
-		if len(ws) > 0 {
-			ctx.Emit(u, v.ID, ws)
-		}
-		*buf = ws[:0] // retain growth so the steady state stays allocation-free
+	nsV := nsucc(rest, v.ID)
+	// v is the fixed side here: Algorithm 10 intersects n≻(v) against every
+	// internal partner u ∈ V_req^v.
+	set := w.probe.Fix(nsV, len(partners), ctx.store.NumVertices)
+	w.calls += int64(len(partners))
+	for _, u := range partners {
+		nsU := ctx.internalSucc(u)
+		w.ops += intersect.MinCost(nsU, nsV)
+		w.pair(ctx, u, v.ID, nsucc(nsU, v.ID), nsV, set)
 	}
+	intersect.Unfix(set, nsV)
 }
 
 // vertexIteratorModel is the VertexIterator≻ instance of OPT (§3.5).
@@ -268,8 +266,8 @@ type vertexIteratorModel struct{}
 
 // InternalTriangle is Algorithm 11: for the internal record u, check every
 // ordered pair (v, w) ∈ n≻(u) × n≻(u) with n(v) internal against E_in.
-func (vertexIteratorModel) InternalTriangle(ctx *Ctx, u storage.VertexRec) {
-	vertexIteratorPairs(ctx, u)
+func (vertexIteratorModel) InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec) {
+	vertexIteratorPairs(ctx, w, u)
 }
 
 // ExternalCandidates is Algorithm 12 (with the §3.5 filter): every
@@ -286,38 +284,33 @@ func (vertexIteratorModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, emi
 // ExternalTriangle is Algorithm 13 (corrected per the §3.5 prose): for the
 // external record u, check pairs (v, w) ∈ n≻(u) × n≻(u), id(v) ≺ id(w),
 // with n(v) internal, against E_in.
-func (vertexIteratorModel) ExternalTriangle(ctx *Ctx, u storage.VertexRec) {
-	vertexIteratorPairs(ctx, u)
+func (vertexIteratorModel) ExternalTriangle(ctx *Ctx, w *work, u storage.VertexRec) {
+	vertexIteratorPairs(ctx, w, u)
 }
 
 // vertexIteratorPairs performs the shared pair-checking kernel of
 // Algorithms 11 and 13. A triangle Δuvw is reported exactly once over the
 // whole run: in the single iteration whose internal area holds n(v).
-func vertexIteratorPairs(ctx *Ctx, u storage.VertexRec) {
+func vertexIteratorPairs(ctx *Ctx, w *work, u storage.VertexRec) {
 	ns := nsucc(u.Adj, u.ID)
 	if len(ns) < 2 {
 		return
 	}
-	buf := ctx.getScratch()
-	defer ctx.putScratch(buf)
 	for i, v := range ns[:len(ns)-1] {
 		if !ctx.InInternal(v) {
 			continue
 		}
-		adjV := ctx.InternalAdj(v)
+		nsV := ctx.internalSucc(v) // every x below is > v
 		rest := ns[i+1:]
-		if ctx.mx != nil {
-			ctx.mx.AddIntersect(int64(len(rest)))
-		}
-		ws := (*buf)[:0]
-		for _, w := range rest {
-			if intersect.Contains(adjV, w) {
-				ws = append(ws, w)
+		w.calls++
+		w.ops += int64(len(rest))
+		ws := w.buf[:0]
+		for _, x := range rest {
+			if intersect.Contains(nsV, x) {
+				ws = append(ws, x)
 			}
 		}
-		if len(ws) > 0 {
-			ctx.Emit(u.ID, v, ws)
-		}
-		*buf = ws[:0]
+		w.buf = ws
+		w.found(ctx, u.ID, v, ws)
 	}
 }

@@ -98,7 +98,7 @@ type Options struct {
 	// flight (read-ahead). 0 selects the QueueDepth; 1 disables read-ahead,
 	// restoring the one-read-at-a-time chain of Algorithm 9.
 	PrefetchDepth int
-	// Output receives triangles; defaults to a CountingOutput.
+	// Output receives triangles; nil counts them without emitting any.
 	Output Output
 	// Metrics receives cost counters; optional.
 	Metrics *metrics.Collector
@@ -156,18 +156,16 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 }
 
 type runner struct {
-	gctx   context.Context
-	st     *storage.Store
-	dev    *ssd.AsyncDevice
-	opts   Options
-	model  Model
-	ctx    *Ctx
-	out    Output
-	mx     *metrics.Collector
-	mIn    int
-	mEx    int
-	pool   *buffer.Pool // external area, persists across iterations
-	counts *CountingOutput
+	gctx  context.Context
+	st    *storage.Store
+	dev   *ssd.AsyncDevice
+	opts  Options
+	model Model
+	ctx   *Ctx
+	mx    *metrics.Collector
+	mIn   int
+	mEx   int
+	pool  *buffer.Pool // external area, persists across iterations
 
 	// I/O-scheduler knobs, resolved from Options (DESIGN.md §9).
 	maxCoalesce   int // pages per coalesced external read
@@ -229,12 +227,6 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		mEx = 1
 	}
 	mx := opts.Metrics
-	out := opts.Output
-	var counts *CountingOutput
-	if out == nil {
-		counts = &CountingOutput{}
-		out = counts
-	}
 	// An external read is also capped by the window, so windowGroups of
 	// them fit m_ex; the internal-area load has nothing to overlap with and
 	// is capped only by its own area.
@@ -253,12 +245,10 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		st:            st,
 		opts:          opts,
 		model:         NewModel(opts.Model),
-		out:           out,
 		mx:            mx,
 		mIn:           mIn,
 		mEx:           mEx,
 		pool:          buffer.NewPool(mEx),
-		counts:        counts,
 		maxCoalesce:   maxCoalesce,
 		loadCoalesce:  loadCoalesce,
 		prefetchDepth: prefetchDepth,
@@ -272,7 +262,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		Context:    ctx,
 		Events:     opts.Events,
 	})
-	r.ctx = newCtx(st, out, mx)
+	r.ctx = newCtx(st, opts.Output, mx)
 	return r
 }
 
@@ -332,16 +322,8 @@ func (r *runner) note(e events.Event) {
 	}
 }
 
-// triangleCount returns the triangles discovered so far.
-func (r *runner) triangleCount() int64 {
-	if r.counts != nil {
-		return r.counts.Triangles()
-	}
-	if r.mx != nil {
-		return r.mx.Triangles()
-	}
-	return 0
-}
+// triangleCount returns the triangles of every task finished so far.
+func (r *runner) triangleCount() int64 { return r.ctx.triangles.Load() }
 
 // run is Algorithm 3's outer loop.
 func (r *runner) run() (*Result, error) {
@@ -388,11 +370,7 @@ func (r *runner) run() (*Result, error) {
 		}
 		res.Elapsed = r.vtotals[0]
 	}
-	if r.counts != nil {
-		res.Triangles = r.counts.Triangles()
-	} else if r.mx != nil {
-		res.Triangles = r.mx.Triangles()
-	}
+	res.Triangles = r.triangleCount()
 	if r.mx != nil {
 		res.Metrics = r.mx.Snapshot()
 	}
@@ -598,9 +576,7 @@ func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
 			r.fail(err)
 			break
 		}
-		for _, rec := range c.Recs {
-			r.model.InternalTriangle(r.ctx, rec)
-		}
+		r.triangulateInternal(c)
 	}
 	stat.InternalTime = time.Since(t0)
 	if r.mx != nil {
@@ -647,9 +623,7 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 					r.fail(err)
 					return
 				}
-				for _, rec := range c.Recs {
-					r.model.InternalTriangle(r.ctx, rec)
-				}
+				r.triangulateInternal(c)
 			})
 		}
 		s.close(classInternal)
@@ -670,15 +644,27 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	}
 }
 
-// processExternal runs ExternalTriangle (Algorithm 9 lines 4–7) for every
-// candidate record in the chunk.
+// triangulateInternal is one internal chunk task: InternalTriangle
+// (Algorithm 5) for every record of the chunk, under one work state.
+func (r *runner) triangulateInternal(c *buffer.Chunk) {
+	w := r.ctx.getWork()
+	for _, rec := range c.Recs {
+		r.model.InternalTriangle(r.ctx, w, rec)
+	}
+	r.ctx.putWork(w)
+}
+
+// processExternal is one external chunk task: ExternalTriangle (Algorithm 9
+// lines 4–7) for every candidate record in the chunk, under one work state.
 func (r *runner) processExternal(c *buffer.Chunk, req extReq) {
+	w := r.ctx.getWork()
 	for _, rec := range c.Recs {
 		if !containsSorted(req.cands, rec.ID) {
 			continue
 		}
-		r.model.ExternalTriangle(r.ctx, rec)
+		r.model.ExternalTriangle(r.ctx, w, rec)
 	}
+	r.ctx.putWork(w)
 }
 
 func containsSorted(a []uint32, x uint32) bool {

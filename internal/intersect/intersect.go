@@ -105,39 +105,70 @@ func Adaptive(dst, a, b []uint32) []uint32 {
 	return Merge(dst, a, b)
 }
 
-// bitmapRatio is the length ratio beyond which AdaptiveBitmap prefers the
-// bitset probe over merge/galloping: probing is O(len(a)) with a ~1-cycle
-// membership test, so it wins once the fixed side b (the hub list backing
-// set) is much longer than the streamed side a.
-const bitmapRatio = 8
-
-// Bitmap intersects a against b using a prebuilt dense membership set over
-// b's elements: every x ∈ a with set.Contains(x) is appended to dst. It is
-// the kernel of choice for hub vertices, where one long adjacency list is
-// intersected against many short ones and the O(|b|) set build amortises
-// across partners. set must contain exactly the elements of b; a nil set
-// falls back to Adaptive.
-func Bitmap(dst, a, b []uint32, set *bits.Set) []uint32 {
-	if set == nil {
-		return Adaptive(dst, a, b)
-	}
-	for _, x := range a {
-		if set.Contains(int(x)) {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
-
-// AdaptiveBitmap intersects a and b like Adaptive, but when set is a
-// prebuilt membership set over b and b dominates a by bitmapRatio it uses
-// the constant-time bitset probe instead. The caller owns the set's
-// lifecycle (build once per hub list, clear after).
+// AdaptiveBitmap intersects a and b like Adaptive, unless set is a prebuilt
+// membership set holding b's elements: then every x ∈ a is probed against
+// it, len(a) independent loads whatever len(b) is. The caller owns the set's
+// lifecycle (Prober: build once per fixed list, clear after) and decides
+// with ProbePays whether building it is worth it. The set may hold more of
+// b's list than b itself, as long as the surplus lies below everything in a
+// — which is what lets a caller cut both lists to the ids that can still
+// close a triangle without rebuilding the set.
 func AdaptiveBitmap(dst, a, b []uint32, set *bits.Set) []uint32 {
-	if set != nil && len(a)*bitmapRatio <= len(b) {
-		return Bitmap(dst, a, b, set)
+	if set != nil {
+		return set.AppendMembers(dst, a)
 	}
 	return Adaptive(dst, a, b)
+}
+
+// AdaptiveBitmapCount returns |a ∩ b| under AdaptiveBitmap's contract, for
+// runs that count triangles without listing them.
+func AdaptiveBitmapCount(a, b []uint32, set *bits.Set) int {
+	if set != nil {
+		return set.CountMembers(a)
+	}
+	return AdaptiveCount(a, b)
+}
+
+// ProbePays is the cost rule of the edge kernels: one list — the fixed side,
+// n≻ of the record being processed — is intersected with k partners' lists.
+// Merging pays up to |fixed| steps per partner, k·|fixed| in all; a
+// membership set over the fixed side costs 2·|fixed| to build and clear and
+// then makes every pair a probe of the streamed side alone, the
+// min(|n≻(u)|, |n≻(v)|)-or-better of Eq. 3. So the set pays from the third
+// partner on. Probes of a sorted list are independent loads walking the set
+// forward, where a merge is one data-dependent chain of unpredictable
+// branches, which is why the rule needs no term for |V|.
+func ProbePays(k int) bool { return k > 2 }
+
+// Prober owns the membership set the edge kernels probe, reused from record
+// to record: empty between records, so building and clearing it costs
+// O(|fixed|), never O(|V|). Not safe for concurrent use; one per worker.
+type Prober struct {
+	set *bits.Set
+}
+
+// Fix returns the set holding fixed when its k partners make a set pay
+// (ProbePays), and nil when the pairs are to be merged. numVertices, the
+// same on every call, bounds every id the caller will ever fix. The caller hands the result — nil or
+// not — to AdaptiveBitmap or AdaptiveBitmapCount for each partner and then
+// to Unfix.
+func (p *Prober) Fix(fixed []uint32, k, numVertices int) *bits.Set {
+	if !ProbePays(k) {
+		return nil
+	}
+	if p.set == nil {
+		p.set = bits.NewSet(numVertices)
+	}
+	p.set.AddAll(fixed)
+	return p.set
+}
+
+// Unfix empties a set returned by Fix for the same list; a nil set is a
+// no-op.
+func Unfix(set *bits.Set, fixed []uint32) {
+	if set != nil {
+		set.RemoveAll(fixed)
+	}
 }
 
 // AdaptiveCount returns |a ∩ b| using the adaptive strategy.

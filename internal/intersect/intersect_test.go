@@ -236,9 +236,6 @@ func TestBitmapAgreesWithMerge(t *testing.T) {
 		sa, sb := sortedUnique(a), sortedUnique(b)
 		set := makeSet(sb, 3000)
 		want := Merge(nil, sa, sb)
-		if got := Bitmap(nil, sa, sb, set); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-			t.Fatalf("trial %d: Bitmap = %v, want %v", trial, got, want)
-		}
 		if got := AdaptiveBitmap(nil, sa, sb, set); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 			t.Fatalf("trial %d: AdaptiveBitmap = %v, want %v", trial, got, want)
 		}
@@ -249,9 +246,6 @@ func TestBitmapNilSetFallsBack(t *testing.T) {
 	a := []uint32{1, 3, 5}
 	b := []uint32{3, 4, 5}
 	want := []uint32{3, 5}
-	if got := Bitmap(nil, a, b, nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Bitmap(nil set) = %v, want %v", got, want)
-	}
 	if got := AdaptiveBitmap(nil, a, b, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AdaptiveBitmap(nil set) = %v, want %v", got, want)
 	}
@@ -260,26 +254,32 @@ func TestBitmapNilSetFallsBack(t *testing.T) {
 func TestBitmapAppendsToDst(t *testing.T) {
 	dst := []uint32{42}
 	b := []uint32{2, 3}
-	got := Bitmap(dst, []uint32{1, 2}, b, makeSet(b, 8))
+	got := AdaptiveBitmap(dst, []uint32{1, 2}, b, makeSet(b, 8))
 	want := []uint32{42, 2}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Bitmap with dst = %v, want %v", got, want)
+		t.Fatalf("AdaptiveBitmap with dst = %v, want %v", got, want)
 	}
 }
 
-// AdaptiveBitmap must only consult the set when b dominates a by
-// bitmapRatio; a set deliberately inconsistent with b exposes which branch
-// ran.
-func TestAdaptiveBitmapRatioGate(t *testing.T) {
-	poison := bits.NewSet(100) // empty: Bitmap through it finds nothing
-	a := seq(0, 10, 1)
-	bLong := seq(0, 90, 1) // len 90 >= 10*bitmapRatio
-	if got := AdaptiveBitmap(nil, a, bLong, poison); len(got) != 0 {
-		t.Fatalf("skewed AdaptiveBitmap ignored the set: got %v", got)
+// TestProbeRule pins the one comparison that replaced the hub-degree and
+// length-ratio gates: a set is built from the third partner on, and a set,
+// once given, is always probed — whatever the two lengths are. A set
+// deliberately inconsistent with b exposes which branch ran.
+func TestProbeRule(t *testing.T) {
+	for k, want := range []bool{false, false, false, true, true} {
+		if got := ProbePays(k); got != want {
+			t.Errorf("ProbePays(%d) = %v, want %v", k, got, want)
+		}
 	}
-	bShort := seq(0, 20, 1) // below the ratio: must use merge, not the set
-	if got := AdaptiveBitmap(nil, a, bShort, poison); len(got) != 10 {
-		t.Fatalf("balanced AdaptiveBitmap used the set: got %v", got)
+	poison := bits.NewSet(100) // empty: a probe through it finds nothing
+	a := seq(0, 10, 1)
+	for _, b := range [][]uint32{seq(0, 90, 1), seq(0, 20, 1), seq(0, 3, 1)} {
+		if got := AdaptiveBitmap(nil, a, b, poison); len(got) != 0 {
+			t.Errorf("AdaptiveBitmap(|a|=10, |b|=%d) ignored its set: got %v", len(b), got)
+		}
+		if got := AdaptiveBitmapCount(a, b, poison); got != 0 {
+			t.Errorf("AdaptiveBitmapCount(|a|=10, |b|=%d) ignored its set: got %d", len(b), got)
+		}
 	}
 }
 
@@ -290,7 +290,7 @@ func BenchmarkBitmapSkewed(b *testing.B) {
 	dst := make([]uint32, 0, len(x))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst = Bitmap(dst[:0], x, y, set)
+		dst = AdaptiveBitmap(dst[:0], x, y, set)
 	}
 	_ = dst
 }

@@ -27,7 +27,7 @@ import "go/ast"
 //     borrow (no release, no escape, no return) does NOT discharge — the
 //     obligation stays here;
 //   - a call whose summary owns a result on every return path (a wrapper
-//     around GetChunk or Pool.Get, like core's getScratch) creates a new
+//     around GetChunk or Pool.Get, like core's getWork) creates a new
 //     obligation at the caller;
 //   - sync.Pool Gets hidden behind a type assertion (`p.Get().(*[]uint32)`,
 //     comma-ok or not) are obligation sites too.

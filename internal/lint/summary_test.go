@@ -16,8 +16,8 @@ import (
 // fixtures.
 
 const (
-	keyGetScratch = "(github.com/optlab/opt/internal/core.Ctx).getScratch"
-	keyPutScratch = "(github.com/optlab/opt/internal/core.Ctx).putScratch"
+	keyGetWork    = "(github.com/optlab/opt/internal/core.Ctx).getWork"
+	keyPutWork    = "(github.com/optlab/opt/internal/core.Ctx).putWork"
 	keyPoolInsert = "(github.com/optlab/opt/internal/buffer.Pool).Insert"
 )
 
@@ -45,25 +45,25 @@ func loadModule(t *testing.T) ([]*lint.Package, *lint.Program) {
 }
 
 // TestRealTreeSummaries pins the cross-function facts the acceptance bar
-// names: getScratch owns its result through the type-asserted sync.Pool
-// Get (the transfer per-function v2 could not prove), putScratch releases
+// names: getWork owns its result through the type-asserted sync.Pool
+// Get (the transfer per-function v2 could not prove), putWork releases
 // its argument, and Pool.Insert stores the chunk it is given.
 func TestRealTreeSummaries(t *testing.T) {
 	_, prog := loadModule(t)
-	get := prog.Summaries[keyGetScratch]
+	get := prog.Summaries[keyGetWork]
 	if get == nil {
-		t.Fatalf("no summary for %s", keyGetScratch)
+		t.Fatalf("no summary for %s", keyGetWork)
 	}
 	if len(get.OwnedResults) != 1 || !get.OwnedResults[0] {
 		t.Errorf("%s OwnedResults = %v, want [true] (sync.Pool Get behind a type assertion transfers ownership)",
-			keyGetScratch, get.OwnedResults)
+			keyGetWork, get.OwnedResults)
 	}
-	put := prog.Summaries[keyPutScratch]
+	put := prog.Summaries[keyPutWork]
 	if put == nil {
-		t.Fatalf("no summary for %s", keyPutScratch)
+		t.Fatalf("no summary for %s", keyPutWork)
 	}
 	if len(put.Params) != 2 || !put.Params[1].Released {
-		t.Errorf("%s Params = %+v, want parameter b Released via sync.Pool Put", keyPutScratch, put.Params)
+		t.Errorf("%s Params = %+v, want parameter w Released via sync.Pool Put", keyPutWork, put.Params)
 	}
 	ins := prog.Summaries[keyPoolInsert]
 	if ins == nil {
@@ -177,7 +177,7 @@ func TestSummaryCacheRoundTrip(t *testing.T) {
 	if cold != warmed {
 		t.Fatalf("warm-start summaries differ from cold fixpoint")
 	}
-	if g := warm.Summaries[keyGetScratch]; g == nil || len(g.OwnedResults) != 1 || !g.OwnedResults[0] {
-		t.Fatalf("warm program lost %s OwnedResults", keyGetScratch)
+	if g := warm.Summaries[keyGetWork]; g == nil || len(g.OwnedResults) != 1 || !g.OwnedResults[0] {
+		t.Fatalf("warm program lost %s OwnedResults", keyGetWork)
 	}
 }

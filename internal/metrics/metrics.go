@@ -68,6 +68,13 @@ func (c *Collector) AddIntersect(ops int64) {
 	c.intersectOps.Add(ops)
 }
 
+// AddIntersections records calls intersections of ops total min-model cost
+// in one step: a task that tallies locally flushes through here.
+func (c *Collector) AddIntersections(calls, ops int64) {
+	c.intersectCall.Add(calls)
+	c.intersectOps.Add(ops)
+}
+
 // AddTriangles records n discovered triangles.
 func (c *Collector) AddTriangles(n int64) { c.triangles.Add(n) }
 

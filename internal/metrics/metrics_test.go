@@ -17,7 +17,7 @@ func TestCollectorCounters(t *testing.T) {
 	c.AddAsyncReads(4)
 	c.AddSyncReads(5)
 	c.AddIntersect(7)
-	c.AddIntersect(3)
+	c.AddIntersections(1, 3) // a task's flushed tally counts like its calls would
 	c.AddTriangles(11)
 	c.AddReusedPages(2)
 	c.AddIOWait(50 * time.Millisecond)

@@ -104,11 +104,7 @@ func (m *Manager) SubmitDist(spec DistSpec) (*Job, error) {
 func (r *distRun) place(m *Manager, j *Job) (*outcome, error) {
 	r.cfg.Job = j.ID
 	r.cfg.Events = j.sink()
-	dispatch := m.cfg.Dispatcher
-	if dispatch == nil {
-		dispatch = &cluster.HTTPDispatcher{Client: cluster.NewDefaultHTTPClient()}
-	}
-	coord, err := cluster.NewCoordinator(r.cfg, dispatch)
+	coord, err := cluster.NewCoordinator(r.cfg, m.cfg.Dispatcher)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -8,10 +8,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,6 +190,55 @@ func TestDistDefaultAgents(t *testing.T) {
 	}
 	if rep.Triangles != want {
 		t.Fatalf("merged %d, want %d", rep.Triangles, want)
+	}
+}
+
+// TestDistJobsShareAgentConnections: the daemon dials its agents through
+// one client, so a stream of distributed jobs reuses a handful of
+// connections — with a client per job every job left its own open until
+// the idle timeout, and a busy front grew by a goroutine pair and two
+// buffers per task on each side.
+func TestDistJobsShareAgentConnections(t *testing.T) {
+	g := graph.Complete(15)
+	want := graph.CountTrianglesReference(g)
+	path, _ := buildDistStore(t, g)
+	mgrAgent := server.New(server.Config{Workers: 2, QueueDepth: 16})
+	if err := mgrAgent.RegisterStore("g", path); err != nil {
+		t.Fatal(err)
+	}
+	var dialed atomic.Int64
+	agent := httptest.NewUnstartedServer(server.NewHandler(mgrAgent))
+	agent.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	agent.Start()
+	t.Cleanup(func() {
+		agent.Close()
+		mgrAgent.Drain(5 * time.Second)
+	})
+
+	mgr := server.New(server.Config{DefaultAgents: []string{agent.URL}})
+	t.Cleanup(func() { mgr.Drain(5 * time.Second) })
+	if err := mgr.RegisterStore("g", path); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 20
+	for i := 0; i < jobs; i++ {
+		job, err := mgr.SubmitDist(server.DistSpec{Store: "g", Grid: 2, MemoryPages: 8 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if rep, err := job.Report(); err != nil || rep.Triangles != want {
+			t.Fatalf("job %d: merged %+v, %v; want %d triangles", i, rep, err, want)
+		}
+	}
+	// A grid-2 job runs its three tasks concurrently: a few connections, not
+	// a few per job.
+	if n := dialed.Load(); n > 6 {
+		t.Fatalf("%d distributed jobs dialed the agent %d times, want a handful of reused connections", jobs, n)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -79,6 +80,7 @@ type Manager struct {
 	budget *PageBudget
 	queue  chan *Job
 	wg     sync.WaitGroup
+	agents *http.Client // behind the default Dispatcher; nil when Config supplies one
 
 	rootCtx    context.Context // parent of every job context; cancelled at the drain deadline
 	cancelJobs context.CancelFunc
@@ -87,7 +89,7 @@ type Manager struct {
 	draining bool
 	seq      map[string]int64  // last id number handed out, per job kind
 	jobs     map[string]*Job   // every tracked job, local and distributed
-	order    []*Job            // insertion order for listing
+	order    []*Job            // tracked jobs in submission order, for listing
 	stores   map[string]string // registered name → path
 	opened   map[string]*storage.Store
 	cache    map[string]outcome // digest-keyed completed local runs
@@ -114,6 +116,13 @@ func New(cfg Config) *Manager {
 		stores: make(map[string]string),
 		opened: make(map[string]*storage.Store),
 		cache:  make(map[string]outcome),
+	}
+	if m.cfg.Dispatcher == nil {
+		// One client for every distributed job of the daemon: a client per
+		// job left its agent connections — a goroutine pair and two buffers
+		// on each side — open until the idle timeout, long after the job.
+		m.agents = cluster.NewDefaultHTTPClient()
+		m.cfg.Dispatcher = &cluster.HTTPDispatcher{Client: m.agents}
 	}
 	m.budget.SetHook(cfg.OnBudget)
 	m.rootCtx, m.cancelJobs = context.WithCancel(context.Background())
@@ -184,6 +193,38 @@ func (m *Manager) resolveStore(ref string) (*storage.Store, error) {
 	return st, nil
 }
 
+// retainedJobs is how many finished jobs keep their full record — status,
+// outcome and event replay ring. Admission forgets older finished jobs
+// (GET and the event stream then answer 404); a queued or running job is
+// never forgotten, and the result cache, an outcome pointer per digest,
+// is not bounded by this.
+const retainedJobs = 256
+
+// forgetOldLocked drops the oldest terminal jobs beyond the newest
+// retainedJobs from the job table. Callers hold m.mu.
+func (m *Manager) forgetOldLocked() {
+	terminal := 0
+	for _, j := range m.order {
+		if j.State().Terminal() {
+			terminal++
+		}
+	}
+	if terminal <= retainedJobs {
+		return
+	}
+	kept := m.order[:0]
+	for _, j := range m.order {
+		if terminal > retainedJobs && j.State().Terminal() {
+			delete(m.jobs, j.ID)
+			terminal--
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(m.order[len(kept):])
+	m.order = kept
+}
+
 // admit is the one admission path of every job kind. The draining check,
 // the id allocation, the kind's claim on a queue slot or goroutine, and the
 // table insert share one critical section, so Drain — which flips draining
@@ -205,6 +246,7 @@ func (m *Manager) admit(kind string, timeout time.Duration, r runner) (*Job, err
 	if hit != nil {
 		j.started = j.created
 	}
+	m.forgetOldLocked()
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j)
 	m.mu.Unlock()
@@ -251,6 +293,9 @@ func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	m.wg.Wait()
 	forced = !timer.Stop()
 	m.cancelJobs()
+	if m.agents != nil {
+		m.agents.CloseIdleConnections()
+	}
 	return forced
 }
 

@@ -5,6 +5,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/server"
 	"github.com/optlab/opt/internal/ssd"
@@ -474,5 +476,119 @@ func TestRegisteredStores(t *testing.T) {
 	res, err := job.Result()
 	if err != nil || res.Triangles != want {
 		t.Fatalf("named-store job = %+v/%v, want %d triangles", res, err, want)
+	}
+}
+
+// chattyRunner emits chattyEvents numbered progress events and finds one
+// triangle: more events than a hub's replay ring holds.
+type chattyRunner struct{}
+
+const chattyEvents = 300
+
+func (chattyRunner) Run(_ context.Context, _ *storage.Store, _ ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	for i := 0; i < chattyEvents; i++ {
+		opts.Events.Event(events.Event{Kind: events.TrianglesFound, Iteration: i, N: 1})
+	}
+	return &engine.Result{Triangles: 1, Iterations: 1}, nil
+}
+
+// TestJobTableBounded pins the retention rule: the job table keeps the
+// newest 256 finished jobs and whatever is queued or running, a forgotten
+// job answers 404, the result cache outlives the table (every exact repeat
+// is still a hit), and a retained job's replay ring — now a real ring —
+// still hands a late subscriber its last 256 events in order.
+func TestJobTableBounded(t *testing.T) {
+	engine.Register(engine.Info{Name: "test-chatty"}, chattyRunner{})
+	path := buildStore(t, graph.Complete(12), 128)
+	m := server.New(server.Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(server.NewHandler(m))
+	defer ts.Close()
+	defer m.Drain(5 * time.Second)
+
+	const jobs = 300
+	spec := func(i int) server.Spec {
+		return server.Spec{Store: path, Algorithm: "test-chatty", Options: engine.Options{MemoryPages: 4 + i}}
+	}
+	ids := make([]string, jobs)
+	for i := range ids {
+		code, st, _ := postJob(t, ts, spec(i))
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: submit = %d, want 202", i, code)
+		}
+		ids[i] = st.ID
+		waitState(t, m, st.ID, "done")
+	}
+	if tracked := m.Stats().Jobs; tracked > 256+1 {
+		t.Fatalf("%d jobs tracked after %d ran, want ≤ 256 and the one in flight", tracked, jobs)
+	}
+	if _, ok := m.Get(ids[jobs-1]); !ok {
+		t.Fatal("the newest job was forgotten")
+	}
+	for _, sub := range []string{"", "/events"} {
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + ids[0] + sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /jobs/%s%s = %d, want 404 for a forgotten job", ids[0], sub, resp.StatusCode)
+		}
+	}
+
+	// The cache is keyed by digest, not by the job that filled it.
+	for i := 0; i < jobs; i++ {
+		code, st, _ := postJob(t, ts, spec(i))
+		if code != http.StatusOK || !st.Cached || st.Result == nil || st.Result.Triangles != 1 {
+			t.Fatalf("repeat of job %d = %d %+v, want a cached 200", i, code, st)
+		}
+	}
+	if hits := m.Stats().CacheHits; hits != jobs {
+		t.Fatalf("CacheHits = %d, want %d", hits, jobs)
+	}
+	if tracked := m.Stats().Jobs; tracked > 256+1 {
+		t.Fatalf("%d jobs tracked after the repeats, want ≤ 257", tracked)
+	}
+
+	// A fresh chatty job, subscribed to after it finished.
+	_, last, _ := postJob(t, ts, spec(jobs))
+	waitState(t, m, last.ID, "done")
+	resp, err := ts.Client().Get(ts.URL + "/jobs/" + last.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var replayed []int
+	frames := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var e struct {
+			Kind      string `json:"kind"`
+			Iteration int    `json:"iteration"`
+		}
+		if err := json.Unmarshal([]byte(data), &e); err != nil {
+			t.Fatalf("frame %q: %v", data, err)
+		}
+		if e.Kind == events.TrianglesFound.String() {
+			replayed = append(replayed, e.Iteration)
+		}
+		if e.Kind != "" {
+			frames++ // the closing done frame carries a status, not an event
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The run layer adds an event or two of its own after the runner's.
+	if frames != 256 || len(replayed) < 250 {
+		t.Fatalf("late subscriber replayed %d events, %d of them the runner's; want the ring's 256", frames, len(replayed))
+	}
+	for i, it := range replayed {
+		if want := chattyEvents - len(replayed) + i; it != want {
+			t.Fatalf("replayed event %d is number %d, want %d (the last ones, in order)", i, it, want)
+		}
 	}
 }

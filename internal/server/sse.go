@@ -17,7 +17,8 @@ import (
 // most recent history for late subscribers.
 type eventHub struct {
 	mu     sync.Mutex
-	ring   []events.Event // last ≤ cap events, ring[0] is the oldest
+	ring   []events.Event // last ≤ maxLen events; once full, ring[head] is the oldest
+	head   int
 	maxLen int
 	seq    int64 // events ever accepted (ring may have dropped the head)
 	subs   map[*subscriber]struct{}
@@ -45,8 +46,8 @@ func (h *eventHub) Event(e events.Event) {
 	}
 	h.seq++
 	if len(h.ring) == h.maxLen {
-		copy(h.ring, h.ring[1:])
-		h.ring[len(h.ring)-1] = e
+		h.ring[h.head] = e
+		h.head = (h.head + 1) % h.maxLen
 	} else {
 		h.ring = append(h.ring, e)
 	}
@@ -67,7 +68,7 @@ func (h *eventHub) Event(e events.Event) {
 func (h *eventHub) Subscribe() (replay []events.Event, ch <-chan events.Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = append([]events.Event(nil), h.ring...)
+	replay = append(append([]events.Event(nil), h.ring[h.head:]...), h.ring[:h.head]...)
 	s := &subscriber{ch: make(chan events.Event, h.maxLen)}
 	if h.closed {
 		close(s.ch)
