@@ -9,6 +9,7 @@ package baselines_test
 import (
 	"context"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -196,5 +197,79 @@ func TestBaselinesOnFaultyDevice(t *testing.T) {
 	faulty3 := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: 3}
 	if _, err := gchi.Run(st, faulty3, gchi.Options{MemoryPages: 4, TempDir: t.TempDir()}); err == nil {
 		t.Error("GraphChi on faulty device: want error")
+	}
+}
+
+// TestGraphChiTaskDonePerRecord: one per-record kernel at every thread
+// count — identical Triangles and IntersectOps — and, with RecordTasks, one
+// TaskDone per record streamed through the batch region, grouped by batch.
+func TestGraphChiTaskDonePerRecord(t *testing.T) {
+	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 17))
+	g, _ := graph.DegreeOrder(raw)
+	want := graph.CountTrianglesReference(g)
+	st, dev := buildStore(t, g, 128)
+	const batchRecords = 64
+
+	run := func(threads, memPages int, record bool) (res *gchi.Result, ops int64, perBatch map[int]int) {
+		t.Helper()
+		var mu sync.Mutex
+		perBatch = map[int]int{}
+		mx := metrics.NewCollector()
+		res, err := gchi.Run(st, dev, gchi.Options{
+			MemoryPages: memPages, Threads: threads, BatchRecords: batchRecords,
+			Metrics: mx, TempDir: t.TempDir(), RecordTasks: record,
+			Events: events.Func(func(e events.Event) {
+				if e.Kind == events.TaskDone {
+					mu.Lock()
+					perBatch[e.Iteration]++
+					mu.Unlock()
+				}
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Triangles != want {
+			t.Fatalf("threads=%d mem=%d: %d triangles, want %d", threads, memPages, res.Triangles, want)
+		}
+		return res, mx.IntersectOps(), perBatch
+	}
+	records := func(perBatch map[int]int) (n int) {
+		for b, c := range perBatch {
+			if c > batchRecords || b < 0 || b >= len(perBatch) {
+				t.Errorf("batch %d of %d holds %d records, at most %d fit", b, len(perBatch), c, batchRecords)
+			}
+			n += c
+		}
+		return n
+	}
+
+	// Several pivot blocks: every pass streams what is left of the graph.
+	res1, ops1, batches1 := run(1, 8, true)
+	if res1.Iterations < 2 {
+		t.Fatalf("%d pivot blocks, the test needs several", res1.Iterations)
+	}
+	for _, threads := range []int{2, 4} {
+		_, ops, batches := run(threads, 8, true)
+		if ops != ops1 || records(batches) != records(batches1) || len(batches) != len(batches1) {
+			t.Errorf("threads=%d: %d ops and %d records in %d batches; one thread had %d, %d and %d",
+				threads, ops, records(batches), len(batches), ops1, records(batches1), len(batches1))
+		}
+	}
+	if _, _, quiet := run(2, 8, false); len(quiet) != 0 {
+		t.Errorf("%d TaskDone events without RecordTasks", records(quiet))
+	}
+
+	// One pivot block holding the whole graph: the single pass streams
+	// every vertex that has a neighbour, once.
+	nonIsolated := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.Degree(graph.VertexID(v)) > 0 {
+			nonIsolated++
+		}
+	}
+	whole, _, batches := run(2, 4*int(st.NumPages), true)
+	if whole.Iterations != 1 || records(batches) != nonIsolated {
+		t.Errorf("whole-graph pivot: %d blocks, %d TaskDone events; want 1 and %d", whole.Iterations, records(batches), nonIsolated)
 	}
 }

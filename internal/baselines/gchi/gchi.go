@@ -41,15 +41,6 @@ type Options struct {
 	// BatchRecords is the number of streamed records per parallel batch
 	// (the sub-interval whose processing order is enforced). Default 256.
 	BatchRecords int
-	// VirtualCores, when positive, runs the batch region on one real
-	// thread but list-schedules the measured per-record durations onto
-	// this many virtual cores with a barrier per batch, modelling the
-	// multi-core run on hosts with fewer physical CPUs (the same
-	// substitution the OPT core uses; DESIGN.md §3). Threads is ignored.
-	VirtualCores int
-	// VirtualCoreSet models several core counts from the same run;
-	// Result.VirtualElapsed reports each. Overrides VirtualCores.
-	VirtualCoreSet []int
 	// TempDir holds the working files. Defaults to the store's directory.
 	TempDir string
 	// Latency is the simulated device latency.
@@ -59,26 +50,17 @@ type Options struct {
 	// Events receives progress events (iteration boundaries, page I/O);
 	// optional.
 	Events events.Sink
+	// RecordTasks times every streamed record of the batch region and
+	// reports it to Events as one events.TaskDone stamped with its batch
+	// (engine.Options.CollectIterStats).
+	RecordTasks bool
 }
 
 // Result reports a completed run.
 type Result struct {
 	Triangles  int64
-	Iterations int // pivot blocks processed
-	// Elapsed is the wall-clock time — or, with VirtualCores set, the
-	// modelled elapsed with the batch regions scaled by their virtual
-	// schedule.
-	Elapsed time.Duration
-	// BatchWork is the wall time spent inside the parallelisable per-batch
-	// intersection region; BatchWork/Elapsed at Threads=1 estimates the
-	// parallel fraction p of Table 5.
-	BatchWork time.Duration
-	// BatchVirtual is the virtual-schedule makespan of the batch regions
-	// (set only with VirtualCores).
-	BatchVirtual time.Duration
-	// VirtualElapsed maps each entry of VirtualCoreSet to its modelled
-	// elapsed time.
-	VirtualElapsed map[int]time.Duration
+	Iterations int           // pivot blocks processed
+	Elapsed    time.Duration // wall-clock time
 }
 
 // Run executes GraphChi-Tri over the store using base for the initial read.
@@ -105,9 +87,6 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 	}
 	if opts.TempDir == "" {
 		opts.TempDir = filepath.Dir(st.Path)
-	}
-	if len(opts.VirtualCoreSet) == 0 && opts.VirtualCores > 0 {
-		opts.VirtualCoreSet = []int{opts.VirtualCores}
 	}
 	dir, err := os.MkdirTemp(opts.TempDir, "gchi-*")
 	if err != nil {
@@ -143,7 +122,15 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 	if pivotBytes < int64(st.PageSize) {
 		pivotBytes = int64(st.PageSize)
 	}
-	var virtualTotals []time.Duration
+	// onRecord, set only when recording, reports one record of the batch
+	// region; batches counts the barriers passed so far, run-wide.
+	var onRecord func(batch int, d time.Duration)
+	if opts.RecordTasks && opts.Events != nil {
+		onRecord = func(batch int, d time.Duration) {
+			emit(events.Event{Kind: events.TaskDone, Iteration: batch, N: events.TaskInternal, Elapsed: d})
+		}
+	}
+	batches := 0
 	iter := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -160,23 +147,15 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 		if err != nil {
 			return finish(err)
 		}
-		tris, batchWork, batchVirtual, err := identify(cur, pivot, cm, opts)
+		tris, n, err := identify(cur, pivot, cm, opts, batches, onRecord)
 		res.Triangles += tris
-		res.BatchWork += batchWork
+		batches += n
 		if tris > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: iter - 1, N: tris})
 		}
 		if err != nil {
 			emit(events.Event{Kind: events.IterationEnd, Iteration: iter - 1, N: tris, Elapsed: time.Since(itStart)})
 			return finish(err)
-		}
-		if len(batchVirtual) > 0 {
-			if virtualTotals == nil {
-				virtualTotals = make([]time.Duration, len(batchVirtual))
-			}
-			for i, d := range batchVirtual {
-				virtualTotals[i] += d
-			}
 		}
 		// Odd iteration: remove processed edges, rewriting the remainder.
 		next := filepath.Join(dir, fmt.Sprintf("work-%d.ccg", iter))
@@ -192,23 +171,7 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 			break
 		}
 	}
-	res.Elapsed = time.Since(start)
-	if len(opts.VirtualCoreSet) > 0 {
-		// Replace the measured batch-region time with its virtual-core
-		// makespan; everything else (streaming, decode, rewrite) is the
-		// enforced-sequential remainder.
-		wall := res.Elapsed
-		res.VirtualElapsed = make(map[int]time.Duration, len(opts.VirtualCoreSet))
-		for i, c := range opts.VirtualCoreSet {
-			res.VirtualElapsed[c] = wall - res.BatchWork + virtualTotals[i]
-		}
-		res.BatchVirtual = virtualTotals[0]
-		res.Elapsed = res.VirtualElapsed[opts.VirtualCoreSet[0]]
-	}
-	if opts.Metrics != nil {
-		opts.Metrics.AddTriangles(res.Triangles)
-	}
-	return res, nil
+	return finish(nil)
 }
 
 // convertStore reads every store page through a latency-accounted device
@@ -271,105 +234,56 @@ func loadPivot(path string, pivotBytes int64, cm diskio.CostModel) (map[uint32][
 	return pivot, nil
 }
 
+// rec is one streamed record.
+type rec struct {
+	id  uint32
+	adj []uint32
+}
+
+// countRecord is the per-record kernel: for the streamed record v, every
+// u ∈ n≺(v) ∩ pivot contributes |n≻(u) ∩ n≻(v)| triangles. buf is the
+// calling thread's scratch, returned for reuse.
+func countRecord(pivot map[uint32][]uint32, mx *metrics.Collector, buf []uint32, v rec) (int64, []uint32) {
+	var local int64
+	nsV := nsucc(v.adj, v.id)
+	for _, u := range npred(v.adj, v.id) {
+		adjU, ok := pivot[u]
+		if !ok {
+			continue
+		}
+		nsU := nsucc(adjU, u)
+		if mx != nil {
+			mx.AddIntersect(intersect.MinCost(nsU, nsV))
+		}
+		buf = intersect.Adaptive(buf[:0], nsU, nsV)
+		local += int64(len(buf))
+	}
+	return local, buf
+}
+
 // identify streams the whole file and counts triangles whose lowest vertex
-// is in the pivot: for each streamed record v, every u ∈ n≺(v) ∩ pivot
-// contributes |n≻(u) ∩ n≻(v)| triangles. Batches of records are processed
-// in parallel with a barrier between batches (the enforced sequential
-// order).
-func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts Options) (int64, time.Duration, []time.Duration, error) {
+// is in the pivot, one countRecord per streamed record. Batches of records
+// are processed in parallel with a barrier between batches (the enforced
+// sequential order); it returns the count and the number of batches. With
+// onRecord set, every record is timed and reported under its batch's index,
+// counted from firstBatch.
+func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts Options, firstBatch int, onRecord func(batch int, d time.Duration)) (int64, int, error) {
 	r, err := diskio.NewStreamReader(path, cm)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
 	defer func() { _ = r.Close() }() // read-only pass; nothing to lose on close
 
-	type rec struct {
-		id  uint32
-		adj []uint32
-	}
-	var total int64
-	var batchWork time.Duration
+	batches := 0
 	batch := make([]rec, 0, opts.BatchRecords)
-	partial := make([]int64, max(opts.Threads, 1))
-
-	// countRecord is the per-record kernel shared by both execution modes.
-	var buf []uint32
-	countRecord := func(v rec) int64 {
-		var local int64
-		nsV := nsucc(v.adj, v.id)
-		for _, u := range npred(v.adj, v.id) {
-			adjU, ok := pivot[u]
-			if !ok {
-				continue
-			}
-			nsU := nsucc(adjU, u)
-			if opts.Metrics != nil {
-				opts.Metrics.AddIntersect(intersect.MinCost(nsU, nsV))
-			}
-			buf = intersect.Adaptive(buf[:0], nsU, nsV)
-			local += int64(len(buf))
-		}
-		return local
-	}
-
-	// processBatchVirtual runs the batch serially, list-scheduling measured
-	// per-record durations onto each virtual core set with a barrier at
-	// the batch boundary (the enforced sequential order of §4).
-	clockSets := make([][]time.Duration, len(opts.VirtualCoreSet))
-	for i, c := range opts.VirtualCoreSet {
-		if c < 1 {
-			c = 1
-		}
-		clockSets[i] = make([]time.Duration, c)
-	}
-	batchVirtual := make([]time.Duration, len(opts.VirtualCoreSet))
-	processBatchVirtual := func() {
-		if len(batch) == 0 {
-			return
-		}
-		batchStart := time.Now()
-		for _, clocks := range clockSets {
-			for i := range clocks {
-				clocks[i] = 0
-			}
-		}
-		for _, v := range batch {
-			t0 := time.Now()
-			total += countRecord(v)
-			d := time.Since(t0)
-			for _, clocks := range clockSets {
-				least := 0
-				for i := 1; i < len(clocks); i++ {
-					if clocks[i] < clocks[least] {
-						least = i
-					}
-				}
-				clocks[least] += d
-			}
-		}
-		for si, clocks := range clockSets {
-			mx := clocks[0]
-			for _, c := range clocks[1:] {
-				if c > mx {
-					mx = c
-				}
-			}
-			batchVirtual[si] += mx
-		}
-		batchWork += time.Since(batchStart)
-		batch = batch[:0]
-	}
+	partial := make([]int64, opts.Threads)
 
 	processBatch := func() {
-		if len(opts.VirtualCoreSet) > 0 {
-			processBatchVirtual()
-			return
-		}
 		if len(batch) == 0 {
 			return
 		}
-		batchStart := time.Now()
-		defer func() { batchWork += time.Since(batchStart) }()
+		index := firstBatch + batches
+		batches++
 		var wg sync.WaitGroup
 		for t := 0; t < opts.Threads; t++ {
 			t := t
@@ -377,21 +291,16 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 			go func() {
 				defer wg.Done()
 				var buf []uint32
-				var local int64
+				var local, n int64
 				for i := t; i < len(batch); i += opts.Threads {
-					v := batch[i]
-					nsV := nsucc(v.adj, v.id)
-					for _, u := range npred(v.adj, v.id) {
-						adjU, ok := pivot[u]
-						if !ok {
-							continue
-						}
-						nsU := nsucc(adjU, u)
-						if opts.Metrics != nil {
-							opts.Metrics.AddIntersect(intersect.MinCost(nsU, nsV))
-						}
-						buf = intersect.Adaptive(buf[:0], nsU, nsV)
-						local += int64(len(buf))
+					var start time.Time
+					if onRecord != nil {
+						start = time.Now()
+					}
+					n, buf = countRecord(pivot, opts.Metrics, buf, batch[i])
+					local += n
+					if onRecord != nil {
+						onRecord(index, time.Since(start))
 					}
 				}
 				partial[t] += local
@@ -407,7 +316,7 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 			break
 		}
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 		batch = append(batch, rec{id: id, adj: adj})
 		if len(batch) >= opts.BatchRecords {
@@ -415,10 +324,11 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 		}
 	}
 	processBatch()
+	var total int64
 	for _, x := range partial {
 		total += x
 	}
-	return total, batchWork, batchVirtual, nil
+	return total, batches, nil
 }
 
 // shrink streams the whole file once more and writes the remainder with

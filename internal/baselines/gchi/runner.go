@@ -31,6 +31,7 @@ func (engineRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDevi
 		Latency:     opts.Latency,
 		Metrics:     mx,
 		Events:      opts.Events,
+		RecordTasks: opts.CollectIterStats,
 	})
 	if res == nil {
 		return nil, err

@@ -12,9 +12,9 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
-// speedupSeries runs OPT and GraphChi-Tri at 1..threads cores and returns
-// elapsed times, plus the estimated parallel fraction p of each method
-// (from the 1-core run: parallelisable busy time / total elapsed).
+// speedupSeries holds the elapsed times of OPT and GraphChi-Tri at
+// 1..threads cores, plus the parallel fraction p of each method: its
+// parallelisable busy time over its 1-core elapsed.
 type speedupSeries struct {
 	optElapsed  []time.Duration
 	gchiElapsed []time.Duration
@@ -22,37 +22,33 @@ type speedupSeries struct {
 	pGChi       float64
 }
 
+// speedups records one run per method and replays it at every core count,
+// so a method's curve comes from one task stream: internally consistent and
+// Amdahl-bounded by construction.
 func (h *Harness) speedups(name string, maxThreads int) (*speedupSeries, error) {
 	_, st, err := h.proxyStore(name)
 	if err != nil {
 		return nil, err
 	}
 	mem := budget(st, 0.15)
-	set := make([]int, maxThreads)
-	for i := range set {
-		set[i] = i + 1 // set[0] = 1 core: the serial reference
-	}
-	// One run per method models every core count from the same task stream
-	// (internally consistent and Amdahl-bounded by construction).
-	optTimes, optRun, err := h.runOPTParallelSet(st, mem, set, false)
+	optRun, err := h.recordOPT(st, mem, false)
 	if err != nil {
 		return nil, err
 	}
-	gchiTimes, gchiRun, err := h.runGChiSet(st, mem, set)
+	gchiRun, err := h.recordGChi(st, mem)
 	if err != nil {
 		return nil, err
 	}
 	if optRun.Triangles != gchiRun.Triangles {
 		return nil, fmt.Errorf("speedups %s: counts disagree (%d vs %d)", name, optRun.Triangles, gchiRun.Triangles)
 	}
-	s := &speedupSeries{
-		pOPT:  clampFrac(float64(optRun.BusyTime) / float64(optTimes[1])),
-		pGChi: clampFrac(float64(gchiRun.BusyTime) / float64(gchiTimes[1])),
-	}
+	s := &speedupSeries{}
 	for c := 1; c <= maxThreads; c++ {
-		s.optElapsed = append(s.optElapsed, optTimes[c])
-		s.gchiElapsed = append(s.gchiElapsed, gchiTimes[c])
+		s.optElapsed = append(s.optElapsed, optRun.elapsed(c, true))
+		s.gchiElapsed = append(s.gchiElapsed, gchiRun.elapsed(c, true))
 	}
+	s.pOPT = clampFrac(float64(optRun.busy) / float64(s.optElapsed[0]))
+	s.pGChi = clampFrac(float64(gchiRun.busy) / float64(s.gchiElapsed[0]))
 	return s, nil
 }
 

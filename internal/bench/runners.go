@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/optlab/opt/internal/baselines/gchi"
 	"github.com/optlab/opt/internal/baselines/inmem"
 	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/engine"
@@ -14,8 +13,9 @@ import (
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 
-	// Registered for engine.Run; core and gchi are imported above.
+	// Registered for engine.Run; core is imported above.
 	_ "github.com/optlab/opt/internal/baselines/cc"
+	_ "github.com/optlab/opt/internal/baselines/gchi"
 	_ "github.com/optlab/opt/internal/baselines/mgt"
 )
 
@@ -52,7 +52,6 @@ type runResult struct {
 	ReusedPages  int64
 	Iterations   int
 	IterStats    []core.IterationStat
-	BusyTime     time.Duration // parallelisable work (virtual-core runs only, for p)
 }
 
 // budget converts a buffer fraction into pages by the engine's own rule.
@@ -95,10 +94,10 @@ func listing(out core.Output) func(u, v uint32, ws []uint32) {
 	return out.Emit
 }
 
-// useVirtualCores reports whether the requested core count exceeds the
-// host's physical CPUs, in which case the harness switches to the
-// virtual-core timing model (DESIGN.md §3).
-func useVirtualCores(threads int) bool {
+// modelled reports whether a run on this many cores is a replay of a
+// single-worker recording (replay.go) rather than real threads: the host
+// does not have the cores.
+func modelled(threads int) bool {
 	return threads > 1 && threads > runtime.NumCPU()
 }
 
@@ -108,92 +107,38 @@ func (h *Harness) runOPTSerial(st *storage.Store, memPages int, output core.Outp
 }
 
 // runOPT is full OPT on threads cores with per-iteration records. A core
-// count the host does not have takes the virtual-core model instead.
+// count the host does not have is modelled: Elapsed is the replay's, and
+// each iteration's two busy times are the longest clocks of the cores of
+// that home.
 func (h *Harness) runOPT(st *storage.Store, memPages, threads int, disableMorphing bool) (*runResult, error) {
-	if useVirtualCores(threads) {
-		_, rr, err := h.runOPTParallelSet(st, memPages, []int{threads}, disableMorphing)
-		return rr, err
+	if !modelled(threads) {
+		return h.run("OPT", st, engine.Options{
+			MemoryPages: memPages, Threads: threads, DisableMorphing: disableMorphing, CollectIterStats: true,
+		})
 	}
-	return h.run("OPT", st, engine.Options{
-		MemoryPages: memPages, Threads: threads, DisableMorphing: disableMorphing, CollectIterStats: true,
-	})
+	rec, err := h.recordOPT(st, memPages, disableMorphing)
+	if err != nil {
+		return nil, err
+	}
+	groups := replay(rec.tasks, threads, !disableMorphing)
+	rec.Elapsed = rec.serial + makespans(groups)
+	for i := range rec.IterStats {
+		s := &rec.IterStats[i]
+		s.InternalTime, s.ExternalTime = 0, 0
+		for core, clock := range groups[s.Index] {
+			if core%2 == 0 {
+				s.InternalTime = max(s.InternalTime, clock)
+			} else {
+				s.ExternalTime = max(s.ExternalTime, clock)
+			}
+		}
+	}
+	return rec.runResult, nil
 }
 
 // runOPTParallel is full OPT with morphing.
 func (h *Harness) runOPTParallel(st *storage.Store, memPages, threads int) (*runResult, error) {
 	return h.runOPT(st, memPages, threads, false)
-}
-
-// runOPTParallelSet runs full OPT once, modelling the elapsed time for
-// every core count in set via the virtual scheduler. The returned map is
-// internally consistent (same task stream for every count); Elapsed is the
-// modelled time of set[0] cores. It calls core directly, not engine.Run:
-// the virtual-core scheduler is a timing model of the harness that
-// engine.Options deliberately does not expose, so until ROADMAP 3 (c)
-// retires the simulator this is the one way to reach it.
-func (h *Harness) runOPTParallelSet(st *storage.Store, memPages int, set []int, disableMorphing bool) (map[int]time.Duration, *runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	res, err := core.RunContext(h.ctx(), st, base, core.Options{
-		Mode:             core.Parallel,
-		Threads:          1,
-		VirtualCoreSet:   set,
-		MemoryPages:      memPages,
-		Latency:          h.cfg.Latency,
-		DisableMorphing:  disableMorphing,
-		Metrics:          mx,
-		CollectIterStats: true,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rr := &runResult{
-		Triangles:  res.Triangles,
-		Elapsed:    res.Elapsed,
-		PagesRead:  mx.PagesRead(),
-		Iterations: res.Iterations,
-		IterStats:  res.IterStats,
-	}
-	for _, s := range res.IterStats {
-		rr.BusyTime += s.PhaseVirtual // set[0] should be 1 core: total work
-	}
-	return res.VirtualElapsed, rr, nil
-}
-
-// runGChiSet runs GraphChi-Tri once, modelling elapsed for every core
-// count in set. Like runOPTParallelSet it calls the algorithm package
-// directly because the virtual-core model is not an engine option.
-func (h *Harness) runGChiSet(st *storage.Store, memPages int, set []int) (map[int]time.Duration, *runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
-	mx := metrics.NewCollector()
-	res, err := gchi.RunContext(h.ctx(), st, base, gchi.Options{
-		MemoryPages:    memPages,
-		Threads:        1,
-		VirtualCoreSet: set,
-		TempDir:        h.workDir,
-		Latency:        h.cfg.Latency,
-		Metrics:        mx,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rr := &runResult{
-		Triangles:    res.Triangles,
-		Elapsed:      res.Elapsed,
-		PagesRead:    mx.PagesRead(),
-		PagesWritten: mx.PagesWritten(),
-		Iterations:   res.Iterations,
-		BusyTime:     res.BatchWork,
-	}
-	return res.VirtualElapsed, rr, nil
 }
 
 // runMGT executes the MGT baseline.
@@ -209,32 +154,45 @@ func (h *Harness) runCC(st *storage.Store, name string, memPages int, output cor
 // runGChi executes the GraphChi-Tri baseline on threads cores, modelled
 // when the host does not have them.
 func (h *Harness) runGChi(st *storage.Store, memPages, threads int) (*runResult, error) {
-	if useVirtualCores(threads) {
-		_, rr, err := h.runGChiSet(st, memPages, []int{threads})
-		return rr, err
+	if !modelled(threads) {
+		return h.run("GraphChi-Tri", st, engine.Options{MemoryPages: memPages, Threads: threads})
 	}
-	return h.run("GraphChi-Tri", st, engine.Options{MemoryPages: memPages, Threads: threads})
-}
-
-// runIdeal measures the Eq. 6 reference: one synchronous sequential read of
-// every page through the latency model plus the in-memory EdgeIterator≻ at
-// the Eq. 3 cost (inmem.Ideal: the kernel OPT itself runs).
-func (h *Harness) runIdeal(g *graph.Graph, st *storage.Store) (*runResult, error) {
-	base, err := h.device(st)
+	rec, err := h.recordGChi(st, memPages)
 	if err != nil {
 		return nil, err
 	}
+	rec.Elapsed = rec.elapsed(threads, true)
+	return rec.runResult, nil
+}
+
+// sweep reads every page of the store once, synchronously and in order, 16
+// pages a read, through the latency model: the load phase of the in-memory
+// references.
+func (h *Harness) sweep(st *storage.Store, mx *metrics.Collector) error {
+	base, err := h.device(st)
+	if err != nil {
+		return err
+	}
 	defer func() { _ = base.Close() }() // read-only benchmark device
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 1, Latency: h.cfg.Latency})
+	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 1, Latency: h.cfg.Latency, Metrics: mx})
 	defer dev.Close()
-	sw := metrics.StartStopwatch()
-	var p uint32
-	for p < st.NumPages {
-		count := st.AlignedRange(p, 16) // sequential streaming read
+	for p := uint32(0); p < st.NumPages; {
+		count := st.AlignedRange(p, 16)
 		if _, err := dev.ReadPages(p, count); err != nil {
-			return nil, err
+			return err
 		}
 		p += uint32(count)
+	}
+	return nil
+}
+
+// runIdeal measures the Eq. 6 reference: one sweep of the store plus the
+// in-memory EdgeIterator≻ at the Eq. 3 cost (inmem.Ideal: the kernel OPT
+// itself runs).
+func (h *Harness) runIdeal(g *graph.Graph, st *storage.Store) (*runResult, error) {
+	sw := metrics.StartStopwatch()
+	if err := h.sweep(st, nil); err != nil {
+		return nil, err
 	}
 	res := inmem.Ideal(g, int64(st.NumPages), nil, nil)
 	return &runResult{
@@ -247,22 +205,10 @@ func (h *Harness) runIdeal(g *graph.Graph, st *storage.Store) (*runResult, error
 // runInMemory measures an in-memory baseline including its load time
 // (§5.3: "in-memory methods include graph loading times").
 func (h *Harness) runInMemory(g *graph.Graph, st *storage.Store, method string) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
 	mx := metrics.NewCollector()
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 1, Latency: h.cfg.Latency, Metrics: mx})
-	defer dev.Close()
 	sw := metrics.StartStopwatch()
-	var p uint32
-	for p < st.NumPages {
-		count := st.AlignedRange(p, 16)
-		if _, err := dev.ReadPages(p, count); err != nil {
-			return nil, err
-		}
-		p += uint32(count)
+	if err := h.sweep(st, mx); err != nil {
+		return nil, err
 	}
 	var tris int64
 	switch method {

@@ -73,16 +73,6 @@ type Options struct {
 	// DisableMorphing turns off thread morphing (§3.4) for the Figure 4
 	// comparison. Ignored in Serial mode.
 	DisableMorphing bool
-	// VirtualCores, when positive, executes the Parallel mode on a single
-	// real worker but list-schedules the measured task durations onto this
-	// many virtual cores, reporting virtual phase times and elapsed. It
-	// reproduces the paper's multi-core experiments on hosts with fewer
-	// physical CPUs (DESIGN.md §3); Threads is ignored.
-	VirtualCores int
-	// VirtualCoreSet schedules the same run onto several core counts at
-	// once; Result.VirtualElapsed reports the modelled elapsed per count.
-	// Result.Elapsed reports the first entry's. Overrides VirtualCores.
-	VirtualCoreSet []int
 	// DisableMicroOverlap replaces asynchronous external reads with
 	// synchronous ones, an ablation that degrades OPT towards MGT's I/O
 	// behaviour.
@@ -92,17 +82,21 @@ type Options struct {
 	// an external read is clamped to m_ex/windowGroups and an internal-area
 	// read to the internal area. 1 effectively disables
 	// coalescing (requests are never merged, though a multi-page chunk still
-	// reads as one).
+	// reads as one). Like PrefetchDepth below it is a test and ablation
+	// seam: no caller of engine.Run sets it.
 	MaxCoalescePages int
 	// PrefetchDepth bounds the coalesced reads the scheduler keeps in
 	// flight (read-ahead). 0 selects the QueueDepth; 1 disables read-ahead,
-	// restoring the one-read-at-a-time chain of Algorithm 9.
+	// restoring the one-read-at-a-time chain of Algorithm 9. A test and
+	// ablation seam, as above.
 	PrefetchDepth int
 	// Output receives triangles; nil counts them without emitting any.
 	Output Output
 	// Metrics receives cost counters; optional.
 	Metrics *metrics.Collector
-	// CollectIterStats enables the per-iteration records used by Figure 4.
+	// CollectIterStats enables the per-iteration records used by Figure 4
+	// and, in Parallel mode with Events set, one events.TaskDone per chunk
+	// task.
 	CollectIterStats bool
 	// Events receives progress events (iteration boundaries, morphing, and
 	// — via the device — page I/O); optional.
@@ -117,14 +111,9 @@ type IterationStat = engine.IterationStat
 type Result struct {
 	Triangles  int64
 	Iterations int
-	// Elapsed is the wall-clock run time — or, when Options.VirtualCores
-	// is set, the modelled elapsed time on that many cores.
-	Elapsed   time.Duration
-	IterStats []IterationStat
-	Metrics   metrics.Snapshot
-	// VirtualElapsed maps each entry of Options.VirtualCoreSet to its
-	// modelled elapsed time.
-	VirtualElapsed map[int]time.Duration
+	Elapsed    time.Duration // wall-clock run time
+	IterStats  []IterationStat
+	Metrics    metrics.Snapshot
 }
 
 // extReq is one element of the request list L of Algorithm 4: a chunk to
@@ -194,16 +183,11 @@ type runner struct {
 
 	errOnce sync.Once
 	err     error
-	vset    []int // resolved virtual core set, nil when disabled
-	vtotals []time.Duration
 }
 
 func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) *runner {
 	if opts.Threads <= 0 {
 		opts.Threads = 2
-	}
-	if len(opts.VirtualCoreSet) == 0 && opts.VirtualCores > 0 {
-		opts.VirtualCoreSet = []int{opts.VirtualCores}
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 8
@@ -253,8 +237,6 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		loadCoalesce:  loadCoalesce,
 		prefetchDepth: prefetchDepth,
 	}
-	r.vset = opts.VirtualCoreSet
-	r.vtotals = make([]time.Duration, len(r.vset))
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
 		Latency:    opts.Latency,
@@ -343,11 +325,6 @@ func (r *runner) run() (*Result, error) {
 		r.emit(events.Event{Kind: events.IterationStart, Iteration: res.Iterations, N: int64(count)})
 		stat, err := r.iteration(res.Iterations, lo, hi)
 		stat.Elapsed = time.Since(itStart)
-		if len(r.vset) > 0 {
-			// Replace the triangulation phase's real (single-CPU) duration
-			// with the virtual-schedule makespan; the load phase stays real.
-			stat.Elapsed = stat.LoadTime + stat.PhaseVirtual
-		}
 		if found := r.triangleCount() - triBefore; found > 0 {
 			r.emit(events.Event{Kind: events.TrianglesFound, Iteration: res.Iterations, N: found})
 		}
@@ -363,13 +340,6 @@ func (r *runner) run() (*Result, error) {
 		lo = hi
 	}
 	res.Elapsed = time.Since(start)
-	if len(r.vset) > 0 {
-		res.VirtualElapsed = make(map[int]time.Duration, len(r.vset))
-		for i, c := range r.vset {
-			res.VirtualElapsed[c] = r.vtotals[i]
-		}
-		res.Elapsed = r.vtotals[0]
-	}
 	res.Triangles = r.triangleCount()
 	if r.mx != nil {
 		res.Metrics = r.mx.Snapshot()
@@ -597,15 +567,15 @@ func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
 // internal and external triangulation proceed concurrently on a morphing
 // worker pool (Algorithm 3 lines 9–11, §3.4).
 func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
-	var s *sched
-	realWorkers := r.opts.Threads
-	if len(r.vset) > 0 {
-		s = newVirtualSched(!r.opts.DisableMorphing, r.vset)
-		realWorkers = 1
-	} else {
-		s = newSched(!r.opts.DisableMorphing || r.opts.Threads == 1)
+	var onTask func(taskClass, time.Duration)
+	if r.opts.CollectIterStats && r.opts.Events != nil {
+		onTask = func(class taskClass, d time.Duration) {
+			r.emit(events.Event{Kind: events.TaskDone, Iteration: stat.Index, N: int64(class), Elapsed: d})
+		}
 	}
-	s.run(realWorkers, func() {
+	// A single worker has to run both classes whatever the policy says.
+	s := newSched(!r.opts.DisableMorphing || r.opts.Threads == 1, onTask)
+	s.run(r.opts.Threads, func() {
 		// DelegateExternalTriangle (line 9) precedes InternalTriangle
 		// (line 10): start the I/O scheduler — initial read window plus
 		// resident chunks — then submit the internal page tasks. The
@@ -632,12 +602,6 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	stat.ExternalTime = s.classWork(classExternal)
 	if m := s.morphCount(); m > 0 {
 		r.note(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
-	}
-	if len(r.vset) > 0 {
-		stat.PhaseVirtual = s.maxClock(0)
-		for i := range r.vset {
-			r.vtotals[i] += stat.LoadTime + s.maxClock(i)
-		}
 	}
 	if r.mx != nil {
 		r.mx.AddParallelWork(stat.InternalTime + stat.ExternalTime)

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCountingOutput(t *testing.T) {
@@ -152,7 +154,7 @@ func TestReadNestedTruncated(t *testing.T) {
 }
 
 func TestSchedMorphingStealsWork(t *testing.T) {
-	s := newSched(true)
+	s := newSched(true, nil)
 	var mu sync.Mutex
 	ran := 0
 	s.run(4, func() {
@@ -173,7 +175,8 @@ func TestSchedMorphingStealsWork(t *testing.T) {
 }
 
 func TestSchedNoMorphingSeparation(t *testing.T) {
-	s := newSched(false)
+	var told [2]atomic.Int64 // tasks the onTask hook saw, per class
+	s := newSched(false, func(c taskClass, _ time.Duration) { told[c].Add(1) })
 	var mu sync.Mutex
 	ran := map[taskClass]int{}
 	s.run(2, func() {
@@ -187,13 +190,16 @@ func TestSchedNoMorphingSeparation(t *testing.T) {
 	if ran[classInternal] != 10 || ran[classExternal] != 10 {
 		t.Fatalf("ran = %v", ran)
 	}
+	if in, ex := told[classInternal].Load(), told[classExternal].Load(); in != 10 || ex != 10 {
+		t.Fatalf("onTask saw %d internal and %d external tasks, want 10 and 10", in, ex)
+	}
 	if s.classWork(classInternal) == 0 && s.classWork(classExternal) == 0 {
 		t.Fatal("no work time recorded")
 	}
 }
 
 func TestSchedTasksSubmittedDuringRun(t *testing.T) {
-	s := newSched(true)
+	s := newSched(true, nil)
 	var mu sync.Mutex
 	total := 0
 	s.run(3, func() {

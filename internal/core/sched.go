@@ -7,19 +7,14 @@ import (
 
 // taskClass distinguishes the two thread roles of §3.2: internal
 // triangulation (the main thread's job) and external triangulation (the
-// callback thread's job).
+// callback thread's job). A class is the N of its task's events.TaskDone:
+// the values are events.TaskInternal and events.TaskExternal.
 type taskClass int
 
 const (
 	classInternal taskClass = iota
 	classExternal
 )
-
-// task is one unit of triangulation work: a chunk's worth of records.
-type task struct {
-	class taskClass
-	run   func()
-}
 
 // sched is the per-iteration work scheduler that realises the macro-level
 // overlap and thread morphing. Workers have a home class — internal workers
@@ -30,96 +25,35 @@ type task struct {
 type sched struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   [2][]task
-	closed   [2]bool // no more tasks of this class will arrive
-	inflight [2]int  // queued + running tasks per class
+	queues   [2][]func() // one task is a chunk's worth of records; the index is its class
+	closed   [2]bool     // no more tasks of this class will arrive
+	inflight [2]int      // queued + running tasks per class
 	morphing bool
-
-	// Virtual-core mode: tasks execute on the real workers as usual, but
-	// their measured durations are list-scheduled onto virtual cores
-	// (respecting vMorph as the stealing policy). Several core counts can
-	// be scheduled simultaneously from the same task stream, giving
-	// internally consistent speed-up curves from a single run. This
-	// reproduces the multi-core timing experiments on hosts with fewer
-	// physical CPUs than the paper's 6-core machine; see DESIGN.md §3.
-	virtual []int
-	vMorph  bool
-	vclocks [][]int64 // [set][core] nanoseconds
+	// onTask, when non-nil, is told the class and measured duration of every
+	// task as it finishes, outside mu.
+	onTask func(taskClass, time.Duration)
 
 	// busy wall-clock accounting per worker HOME, for the Figure 4
 	// thread-time series: without morphing each home only runs its own
 	// class and the idle home shows near-zero time; with morphing the two
 	// homes balance because idle workers steal the other class's tasks.
-	workTime [2]int64 // nanoseconds, guarded by mu
+	workTime [2]time.Duration // guarded by mu
 
 	// morphs counts thread-morph transitions: tasks a worker executed
-	// outside its home class (§3.4). Guarded by mu. Virtual mode leaves it
-	// 0 — its single real worker must run both classes by construction, so
-	// counting those steals would not reflect the morphing policy.
+	// outside its home class (§3.4). Guarded by mu.
 	morphs int64
 }
 
-func newSched(morphing bool) *sched {
-	s := &sched{morphing: morphing}
+func newSched(morphing bool, onTask func(taskClass, time.Duration)) *sched {
+	s := &sched{morphing: morphing, onTask: onTask}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// newVirtualSched returns a scheduler that executes tasks serially but
-// accounts their durations on each core count in coreSet under the given
-// morphing policy. The real execution always morphs (a single real worker
-// must run both classes).
-func newVirtualSched(policyMorph bool, coreSet []int) *sched {
-	if len(coreSet) == 0 {
-		coreSet = []int{1}
-	}
-	s := &sched{morphing: true, virtual: coreSet, vMorph: policyMorph}
-	s.vclocks = make([][]int64, len(coreSet))
-	for i, c := range coreSet {
-		if c < 1 {
-			c = 1
-		}
-		s.vclocks[i] = make([]int64, c)
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// vHome reports the home class of virtual core i: even cores play the main
-// thread, odd cores the callback thread.
-func vHome(i int) taskClass {
-	if i%2 == 1 {
-		return classExternal
-	}
-	return classInternal
-}
-
-// assignVirtualLocked places a completed task of the given class and
-// duration on the least-loaded eligible virtual core of every set. A
-// single-core set always accepts both classes (one thread must run
-// everything, as in OPT_serial).
-func (s *sched) assignVirtualLocked(class taskClass, d int64) {
-	for _, clocks := range s.vclocks {
-		best := -1
-		for i := range clocks {
-			if !s.vMorph && len(clocks) > 1 && vHome(i) != class {
-				continue
-			}
-			if best == -1 || clocks[i] < clocks[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			best = 0
-		}
-		clocks[best] += d
-	}
 }
 
 // submit enqueues one task.
 func (s *sched) submit(class taskClass, run func()) {
 	s.mu.Lock()
-	s.queues[class] = append(s.queues[class], run0(run))
+	s.queues[class] = append(s.queues[class], run)
 	s.inflight[class]++
 	// Broadcast under the mutex: an unlocked notify can fire between a
 	// worker's predicate check and its park, and that worker sleeps through
@@ -127,8 +61,6 @@ func (s *sched) submit(class taskClass, run func()) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
-
-func run0(fn func()) task { return task{run: fn} }
 
 // close marks a class as complete: no further submissions will arrive.
 func (s *sched) close(class taskClass) {
@@ -156,9 +88,7 @@ func (s *sched) worker(home taskClass) {
 				picked = home
 			} else if s.morphing && len(s.queues[other]) > 0 {
 				picked = other
-				if len(s.virtual) == 0 {
-					s.morphs++
-				}
+				s.morphs++
 			} else if s.doneLocked(home) && (s.morphing && s.doneLocked(other) ||
 				!s.morphing) {
 				// Home drained. Without morphing the worker retires once its
@@ -171,7 +101,7 @@ func (s *sched) worker(home taskClass) {
 				continue
 			}
 			q := s.queues[picked]
-			fn = q[len(q)-1].run
+			fn = q[len(q)-1]
 			s.queues[picked] = q[:len(q)-1]
 			break
 		}
@@ -179,14 +109,13 @@ func (s *sched) worker(home taskClass) {
 
 		start := time.Now()
 		fn()
-		d := time.Since(start).Nanoseconds()
+		d := time.Since(start)
+		if s.onTask != nil {
+			s.onTask(picked, d)
+		}
 
 		s.mu.Lock()
-		if len(s.virtual) > 0 {
-			s.assignVirtualLocked(picked, d)
-		} else {
-			s.workTime[home] += d
-		}
+		s.workTime[home] += d
 		s.inflight[picked]--
 		if s.doneLocked(picked) {
 			s.cond.Broadcast()
@@ -222,21 +151,11 @@ func (s *sched) run(threads int, submitFn func()) {
 }
 
 // classWork returns the accumulated busy time of the workers whose home is
-// the given class. In virtual mode it reports the first core set's maximum
-// clock among cores of that home.
+// the given class.
 func (s *sched) classWork(class taskClass) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.virtual) > 0 {
-		var mx int64
-		for i, c := range s.vclocks[0] {
-			if vHome(i) == class && c > mx {
-				mx = c
-			}
-		}
-		return time.Duration(mx)
-	}
-	return time.Duration(s.workTime[class])
+	return s.workTime[class]
 }
 
 // morphCount returns the number of thread-morph transitions recorded so
@@ -245,18 +164,4 @@ func (s *sched) morphCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.morphs
-}
-
-// maxClock returns the makespan of virtual core set `set`: the modelled
-// duration of the overlapped triangulation phase on that many cores.
-func (s *sched) maxClock(set int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var mx int64
-	for _, c := range s.vclocks[set] {
-		if c > mx {
-			mx = c
-		}
-	}
-	return time.Duration(mx)
 }

@@ -98,7 +98,8 @@ type Options struct {
 	// representation ⟨u, v, {w…}⟩. It must be safe for concurrent calls.
 	// Validate rejects it for counting-only runners.
 	OnTriangles func(u, v uint32, ws []uint32) `json:"-"`
-	// CollectIterStats records per-iteration timings where supported.
+	// CollectIterStats records per-iteration timings where supported and,
+	// with Events set, one events.TaskDone per unit of parallelisable work.
 	CollectIterStats bool `json:"collect_iter_stats,omitempty"`
 	// Codec, when non-empty, requires the store to have been built with the
 	// named page codec (see storage.Codecs); Run rejects a mismatch before
@@ -139,8 +140,7 @@ type IterationStat struct {
 	InternalTime  time.Duration `json:"internal_ns"`    // busy time of the main (internal-home) thread side
 	ExternalTime  time.Duration `json:"external_ns"`    // busy time of the callback (external-home) thread side
 	LoadTime      time.Duration `json:"load_ns"`        // wall time of the internal-area load phase
-	PhaseVirtual  time.Duration `json:"-"`              // virtual-core makespan of the triangulation phase (simulator only)
-	Elapsed       time.Duration `json:"elapsed_ns"`     // wall (or modelled) time of the whole iteration
+	Elapsed       time.Duration `json:"elapsed_ns"`     // wall time of the whole iteration
 }
 
 // Result is the uniform run report. On cancellation or device failure a

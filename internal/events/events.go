@@ -73,6 +73,19 @@ const (
 	// the distributed total (Iteration = task index; N = triangles the task
 	// contributed; Elapsed = the task's agent-side wall time).
 	ShardMerged
+	// TaskDone reports one finished unit of parallelisable work — a chunk
+	// task of OPT's scheduler, one streamed record of a GraphChi-Tri batch —
+	// and is emitted only by a run that collects iteration stats
+	// (Iteration = the barrier group the task belongs to: OPT's outer
+	// iteration, GraphChi-Tri's batch; N = the task class, TaskInternal or
+	// TaskExternal; Elapsed = the task's measured duration).
+	TaskDone
+)
+
+// Task classes, the N of a TaskDone event: the two thread roles of §3.2.
+const (
+	TaskInternal int64 = iota
+	TaskExternal
 )
 
 // String implements fmt.Stringer.
@@ -112,6 +125,8 @@ func (k Kind) String() string {
 		return "shard-retried"
 	case ShardMerged:
 		return "shard-merged"
+	case TaskDone:
+		return "task-done"
 	default:
 		return "unknown-event"
 	}

@@ -198,6 +198,11 @@ const (
 	EventPagesWritten   = events.PagesWritten
 	EventTrianglesFound = events.TrianglesFound
 	EventMorph          = events.Morph
+	// EventTaskDone is emitted only with CollectIterStats: one per chunk
+	// task of OPT (Iteration = the outer iteration) or streamed record of
+	// GraphChiTri (Iteration = its batch), N the task class (0 internal,
+	// 1 external), Elapsed its measured duration.
+	EventTaskDone = events.TaskDone
 	// Distributed-layer kinds, emitted by the optd coordinator while a
 	// sharded job progresses.
 	EventShardDispatched = events.ShardDispatched
@@ -235,7 +240,8 @@ type Options struct {
 	// OnEvent, when non-nil, receives progress events. It must be safe for
 	// concurrent calls and must not block: emitters sit on hot paths.
 	OnEvent func(Event)
-	// CollectIterStats records per-iteration timings (OPT/OPTSerial).
+	// CollectIterStats records per-iteration timings (OPT/OPTSerial) and,
+	// with OnEvent set, adds one EventTaskDone per task (OPT/GraphChiTri).
 	CollectIterStats bool
 	// TempDir is used by CCSeq/CCDS/GraphChiTri for remainder files.
 	TempDir string
