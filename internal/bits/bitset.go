@@ -121,6 +121,17 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
+// AppendTo appends every member to dst in ascending order.
+func (s *Set) AppendTo(dst []uint32) []uint32 {
+	for wi, w := range s.words {
+		for w != 0 {
+			dst = append(dst, uint32(wi*wordBits+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // ForEach calls fn for every set bit in ascending order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {

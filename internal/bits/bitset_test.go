@@ -145,6 +145,23 @@ func TestForEachOrder(t *testing.T) {
 	}
 }
 
+func TestAppendToOrder(t *testing.T) {
+	s := NewSet(300)
+	want := []uint32{0, 7, 63, 64, 190, 299}
+	for i := len(want) - 1; i >= 0; i-- {
+		s.Add(int(want[i]))
+	}
+	got := s.AppendTo([]uint32{1000})
+	if len(got) != len(want)+1 || got[0] != 1000 {
+		t.Fatalf("AppendTo onto [1000] = %v, want it followed by %v", got, want)
+	}
+	for i := range want {
+		if got[i+1] != want[i] {
+			t.Fatalf("AppendTo order: got %v, want %v", got[1:], want)
+		}
+	}
+}
+
 // TestSetAgainstMap cross-checks the bitset against a map-based model under a
 // random operation sequence.
 func TestSetAgainstMap(t *testing.T) {

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/buffer"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
@@ -36,12 +38,12 @@ func newTestRunner(t *testing.T, g *graph.Graph, pageSize int, opts Options) (*r
 	}
 }
 
-// allVertices returns every vertex id of the store's graph, the V_ex of a
-// hypothetical iteration with an empty internal area.
-func allVertices(n int) []uint32 {
-	vex := make([]uint32, n)
-	for i := range vex {
-		vex[i] = uint32(i)
+// allVertices returns every vertex id of the store's graph as a candidate
+// set, the V_ex of a hypothetical iteration with an empty internal area.
+func allVertices(n int) *bits.Set {
+	vex := bits.NewSet(n)
+	for v := 0; v < n; v++ {
+		vex.Add(v)
 	}
 	return vex
 }
@@ -61,7 +63,8 @@ func TestCoalesceGrouping(t *testing.T) {
 	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64, MaxCoalescePages: maxCoalesce})
 	defer cleanup()
 
-	reqs := r.buildRequests(allVertices(r.st.NumVertices))
+	r.vexSet = allVertices(r.st.NumVertices)
+	reqs := r.buildRequests()
 	if len(reqs) == 0 {
 		t.Fatal("empty request list")
 	}
@@ -134,7 +137,8 @@ func TestCoalesceSplitsAtResident(t *testing.T) {
 	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64})
 	defer cleanup()
 
-	reqs := r.buildRequests(allVertices(r.st.NumVertices))
+	r.vexSet = allVertices(r.st.NumVertices)
+	reqs := r.buildRequests()
 	if len(reqs) < 3 {
 		t.Fatalf("need at least 3 requests, got %d", len(reqs))
 	}
@@ -371,9 +375,9 @@ func TestBuildRequestsSteadyStateAllocs(t *testing.T) {
 	g, _ := graph.DegreeOrder(raw)
 	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64})
 	defer cleanup()
-	vex := allVertices(r.st.NumVertices)
+	r.vexSet = allVertices(r.st.NumVertices)
 	if allocs := testing.AllocsPerRun(10, func() {
-		reqs := r.buildRequests(vex)
+		reqs := r.buildRequests()
 		r.coalesce(reqs)
 	}); allocs != 0 {
 		t.Fatalf("buildRequests+coalesce: %v allocs/op at steady state, want 0", allocs)
@@ -394,11 +398,11 @@ func BenchmarkBuildAndCoalesce(b *testing.B) {
 	defer func() { _ = dev.Close() }()
 	r := newRunner(context.Background(), st, dev, Options{Mode: Serial, MemoryPages: 64})
 	defer r.close()
-	vex := allVertices(st.NumVertices)
+	r.vexSet = allVertices(st.NumVertices)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqs := r.buildRequests(vex)
+		reqs := r.buildRequests()
 		r.coalesce(reqs)
 	}
 }
@@ -704,11 +708,11 @@ func TestCloseRecyclesResidentChunks(t *testing.T) {
 	}
 }
 
-// BenchmarkOPTParallelSparseIO is the sparse-io benchmark workload as a Go
-// benchmark — 16 000-vertex lj-density R-MAT, raw 4096-byte pages, OPT on 2
-// threads, 8 % buffer, 100 µs + 10 µs/page simulated latency — so B/op and
-// allocs/op of the whole external path show in the bench smoke.
-func BenchmarkOPTParallelSparseIO(b *testing.B) {
+// benchSparse is the two sparse benchmark workloads as a Go benchmark —
+// 16 000-vertex lj-density R-MAT on 4096-byte pages of the given codec, OPT
+// on 2 threads, 8 % buffer, 100 µs + 10 µs/page simulated latency — so
+// B/op and allocs/op of the whole external path show in the bench smoke.
+func benchSparse(b *testing.B, codec string) {
 	d, err := gen.DatasetByName("lj")
 	if err != nil {
 		b.Fatal(err)
@@ -718,7 +722,10 @@ func BenchmarkOPTParallelSparseIO(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, _ := graph.DegreeOrder(raw)
-	st := buildStore(b, g, 4096)
+	st, err := storage.BuildFileCodec(filepath.Join(b.TempDir(), "g.optstore"), g, 4096, codec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts := Options{
 		Mode: Parallel, Threads: 2, MemoryPages: int(float64(st.NumPages) * 0.08),
 		Latency: ssd.Latency{PerRead: 100 * time.Microsecond, PerPage: 10 * time.Microsecond},
@@ -735,3 +742,10 @@ func BenchmarkOPTParallelSparseIO(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOPTParallelSparseIO is the sparse-io workload: raw pages.
+func BenchmarkOPTParallelSparseIO(b *testing.B) { benchSparse(b, storage.CodecRaw) }
+
+// BenchmarkOPTParallelSparseDV is the sparse-dv workload: the same graph and
+// options over deltavarint pages, under half as many.
+func BenchmarkOPTParallelSparseDV(b *testing.B) { benchSparse(b, storage.CodecDeltaVarint) }

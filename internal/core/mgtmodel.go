@@ -1,6 +1,9 @@
 package core
 
-import "github.com/optlab/opt/internal/storage"
+import (
+	"github.com/optlab/opt/internal/bits"
+	"github.com/optlab/opt/internal/storage"
+)
 
 // mgtModel instantiates MGT inside the OPT framework, demonstrating the
 // §3.5 genericity claim: (1) the internal triangulation does nothing,
@@ -22,13 +25,11 @@ type mgtModel struct{}
 // InternalTriangle does nothing: MGT has no internal triangulation.
 func (mgtModel) InternalTriangle(*Ctx, *work, storage.VertexRec) {}
 
-// ExternalCandidates emits every neighbor of the loaded record — lower and
+// ExternalCandidates adds every neighbor of the loaded record — lower and
 // higher ids alike, internal or not.
-func (mgtModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, emit func(u uint32)) {
-	for _, u := range v.Adj {
-		emit(u)
-	}
-	emit(v.ID) // the record itself pairs with other internal lists
+func (mgtModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, vex *bits.Set) {
+	vex.AddAll(v.Adj)
+	vex.Add(int(v.ID)) // the record itself pairs with other internal lists
 }
 
 // ExternalTriangle applies the vertex-iterator pair kernel: triangles

@@ -51,10 +51,11 @@ type Model interface {
 	// InternalTriangle identifies the internal triangles contributed by the
 	// internal-area record u (InternalTriangleImpl in Algorithm 5).
 	InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec)
-	// ExternalCandidates reports the external candidate vertices derived
+	// ExternalCandidates adds to vex the external candidate vertices derived
 	// from the freshly loaded internal record u
-	// (ExternalCandidateVertexImpl in Algorithm 7).
-	ExternalCandidates(ctx *Ctx, u storage.VertexRec, emit func(v uint32))
+	// (ExternalCandidateVertexImpl in Algorithm 7). Every id of u.Adj is
+	// below vex.Len(): runner.decodeChunk checked it.
+	ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *bits.Set)
 	// ExternalTriangle identifies the external triangles contributed by the
 	// external-area record v (ExternalTriangleImpl in Algorithm 9).
 	ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec)
@@ -200,11 +201,6 @@ func nsucc(adj []uint32, v uint32) []uint32 {
 	return adj[intersect.UpperBound(adj, v):]
 }
 
-// npred returns n≺(v): the prefix of adj with ids less than v.
-func npred(adj []uint32, v uint32) []uint32 {
-	return adj[:intersect.LowerBound(adj, v)]
-}
-
 // edgeIteratorModel is the EdgeIterator≻ instance of OPT (§3.2).
 type edgeIteratorModel struct{}
 
@@ -230,13 +226,10 @@ func (edgeIteratorModel) InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec
 }
 
 // ExternalCandidates is Algorithm 8: v ∈ n≻(u) with n(v) outside the
-// internal area must be fetched to the external area.
-func (edgeIteratorModel) ExternalCandidates(ctx *Ctx, u storage.VertexRec, emit func(v uint32)) {
-	for _, v := range nsucc(u.Adj, u.ID) {
-		if !ctx.InInternal(v) {
-			emit(v)
-		}
-	}
+// internal area must be fetched to the external area. u is internal, so
+// those are the ids of its list from hiVertex up — one suffix.
+func (edgeIteratorModel) ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *bits.Set) {
+	vex.AddAll(u.Adj[intersect.LowerBound(u.Adj, ctx.hiVertex):])
 }
 
 // ExternalTriangle is Algorithms 9 (lines 4–7) and 10: for the external
@@ -272,13 +265,10 @@ func (vertexIteratorModel) InternalTriangle(ctx *Ctx, w *work, u storage.VertexR
 
 // ExternalCandidates is Algorithm 12 (with the §3.5 filter): every
 // u ∈ n≺(v) whose list is not internal is a candidate — its pairs can only
-// be checked while v's list is resident.
-func (vertexIteratorModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, emit func(u uint32)) {
-	for _, u := range npred(v.Adj, v.ID) {
-		if !ctx.InInternal(u) {
-			emit(u)
-		}
-	}
+// be checked while v's list is resident. v is internal, so those are the ids
+// of its list below loVertex — one prefix.
+func (vertexIteratorModel) ExternalCandidates(ctx *Ctx, v storage.VertexRec, vex *bits.Set) {
+	vex.AddAll(v.Adj[:intersect.LowerBound(v.Adj, ctx.loVertex)])
 }
 
 // ExternalTriangle is Algorithm 13 (corrected per the §3.5 prose): for the

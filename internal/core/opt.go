@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -161,10 +160,11 @@ type runner struct {
 	loadCoalesce  int // pages per coalesced internal-area read
 	prefetchDepth int
 
-	// Per-iteration state.
+	// Per-iteration state. vexSet is V_ex: the models add candidates straight
+	// into it, and since records are stored in id order its members read
+	// ascending are already the request list's page order.
 	internalChunks []*buffer.Chunk
-	candSeen       *bits.Set
-	vex            []uint32
+	vexSet         *bits.Set
 
 	// Backing arrays of the request list and the coalescer, reused across
 	// iterations (sub-slices alias the shared arrays, so each is rebuilt
@@ -173,7 +173,6 @@ type runner struct {
 	// decoded chunks, which recycle through buffer.PutChunk under the
 	// ownership rule of DESIGN.md §9 — the pool for what it evicts, the
 	// runner for its internal-area chunks.
-	pairScratch     []uint64
 	reqScratch      []extReq
 	candScratch     []uint32
 	spanScratch     []int
@@ -233,6 +232,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		mIn:           mIn,
 		mEx:           mEx,
 		pool:          buffer.NewPool(mEx),
+		vexSet:        bits.NewSet(st.NumVertices),
 		maxCoalesce:   maxCoalesce,
 		loadCoalesce:  loadCoalesce,
 		prefetchDepth: prefetchDepth,
@@ -271,11 +271,17 @@ func (r *runner) fail(err error) {
 // the caller on success and never otherwise. Both the internal-area
 // callback and the external I/O scheduler funnel through here, so the
 // decode/repoint/recycle discipline optlint's arenaescape rule checks has
-// exactly one implementation.
+// exactly one implementation — and so has the check of what the bytes said
+// against the directories, which everything downstream indexes by: record
+// ids into the internal area, neighbor ids into the candidate and probe
+// sets.
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {
 	c := buffer.GetChunk()
 	recs, arena, err := r.st.DecodeAppend(c.Recs, c.Arena, data)
 	c.Recs, c.Arena = recs, arena
+	if err == nil {
+		err = r.checkChunk(first, span, recs, arena)
+	}
 	if err != nil {
 		buffer.PutChunk(c)
 		return nil, err
@@ -283,6 +289,28 @@ func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk
 	c.FirstPage = first
 	c.NumPages = span
 	return c, nil
+}
+
+// checkChunk holds the records decoded from pages [first, first+span) to
+// the directories: ids strictly ascending inside the vertex range the page
+// directory gives the chunk, every neighbor below |V| (one running maximum
+// over the chunk's arena, which holds nothing else).
+func (r *runner) checkChunk(first uint32, span int, recs []storage.VertexRec, arena []uint32) error {
+	next, end := r.st.FirstRecordOf(first), r.st.FirstRecordOf(first+uint32(span))
+	for _, rec := range recs {
+		if rec.ID < next || rec.ID >= end {
+			return fmt.Errorf("%w: pages [%d,+%d) hold record %d, outside [%d,%d) or out of order", storage.ErrCorruptPage, first, span, rec.ID, next, end)
+		}
+		next = rec.ID + 1
+	}
+	var top uint32
+	for _, x := range arena {
+		top = max(top, x)
+	}
+	if len(arena) > 0 && int(top) >= r.st.NumVertices {
+		return fmt.Errorf("%w: pages [%d,+%d) hold neighbor %d of %d vertices", storage.ErrCorruptPage, first, span, top, r.st.NumVertices)
+	}
+	return nil
 }
 
 // emit forwards one progress event to the configured sink, if any.
@@ -363,20 +391,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 	r.internalChunks = r.internalChunks[:0]
 
 	// V_ex ← ∅ (line 2; per-iteration in practice, reset after delegation).
-	// Candidates are deduplicated with a bitset and collected as a slice:
-	// far cheaper than a hash set at the rates Algorithm 7 produces them.
-	if r.candSeen == nil || r.candSeen.Len() < r.st.NumVertices {
-		r.candSeen = bits.NewSet(r.st.NumVertices)
-	} else {
-		r.candSeen.Clear()
-	}
-	r.vex = r.vex[:0]
-	emit := func(v uint32) {
-		if !r.candSeen.Contains(int(v)) {
-			r.candSeen.Add(int(v))
-			r.vex = append(r.vex, v)
-		}
-	}
+	r.vexSet.Clear()
 
 	// --- Load the internal area (lines 6–8). ---
 	// Pass 1: chunks retained in the external area from the previous
@@ -394,7 +409,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 			r.internalChunks = append(r.internalChunks, c)
 			for _, rec := range c.Recs {
 				r.ctx.addInternal(rec)
-				r.model.ExternalCandidates(r.ctx, rec, emit)
+				r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
 			}
 			stat.ReusedPages += c.NumPages
 			if r.mx != nil {
@@ -446,7 +461,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 			r.internalChunks[pl.idx] = c
 			for _, rec := range c.Recs {
 				r.ctx.addInternal(rec)
-				r.model.ExternalCandidates(r.ctx, rec, emit)
+				r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
 			}
 		})
 		i = j
@@ -459,7 +474,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 	}
 
 	// --- Build the request list L (Algorithm 4 lines 2–7). ---
-	reqs := r.buildRequests(r.vex)
+	reqs := r.buildRequests()
 	stat.ExternalReqs = len(reqs)
 
 	if r.opts.Mode == Serial {
@@ -483,51 +498,32 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 }
 
 // buildRequests groups V_ex by chunk into the ascending-page request list
-// L. The I/O scheduler's coalescer consumes it ascending (consecutive
-// pages merge into vectored reads) and then issues the groups in
-// descending page order, preserving Algorithm 4 line 3 — the pages of the
-// next iteration's internal area load last, so they stay resident in the
-// external pool when the iteration ends. All returned slices alias runner
-// scratch recycled across iterations.
-func (r *runner) buildRequests(vex []uint32) []extReq {
-	// Sort (page, vertex) pairs once; groups then fall out contiguously.
-	pairs := r.pairScratch[:0]
-	if cap(pairs) < len(vex) {
-		pairs = make([]uint64, 0, len(vex))
-	}
-	for _, v := range vex {
-		pairs = append(pairs, uint64(r.st.FirstPageOf(v))<<32|uint64(v))
-	}
-	slices.Sort(pairs)
-	r.pairScratch = pairs
-
-	// Pre-size from len(vex): every candidate lands in exactly one group,
-	// so the shared cands backing array never grows mid-build and the
-	// per-request sub-slices stay valid.
-	if cap(r.candScratch) < len(vex) {
-		r.candScratch = make([]uint32, 0, len(vex))
-	}
-	if cap(r.reqScratch) < len(vex) {
-		r.reqScratch = make([]extReq, 0, len(vex))
-	}
-	cands := r.candScratch[:0]
+// L. Nothing is sorted: records are stored in id order, so V_ex read
+// ascending is in page order already (storage.Open checked that the vertex
+// directory never decreases) and the candidates of one chunk are one run of
+// it. The I/O scheduler's coalescer consumes L ascending (consecutive pages
+// merge into vectored reads) and then issues the groups in descending page
+// order, preserving Algorithm 4 line 3 — the pages of the next iteration's
+// internal area load last, so they stay resident in the external pool when
+// the iteration ends. All returned slices alias runner scratch recycled
+// across iterations.
+func (r *runner) buildRequests() []extReq {
+	vex := r.vexSet.AppendTo(r.candScratch[:0])
+	r.candScratch = vex
 	reqs := r.reqScratch[:0]
-	for i := 0; i < len(pairs); {
-		first := uint32(pairs[i] >> 32)
-		j := i
-		base := len(cands)
-		for j < len(pairs) && uint32(pairs[j]>>32) == first {
-			cands = append(cands, uint32(pairs[j]))
+	for i := 0; i < len(vex); {
+		first := r.st.FirstPageOf(vex[i])
+		j := i + 1
+		for j < len(vex) && r.st.FirstPageOf(vex[j]) == first {
 			j++
 		}
 		reqs = append(reqs, extReq{
 			first: first,
 			span:  r.st.AlignedRange(first, 1),
-			cands: cands[base:len(cands):len(cands)],
+			cands: vex[i:j:j],
 		})
 		i = j
 	}
-	r.candScratch = cands
 	r.reqScratch = reqs
 	return reqs
 }

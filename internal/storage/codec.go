@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -29,16 +30,22 @@ type Codec interface {
 	// maxValBytes is the worst-case encoded size of a single value, used to
 	// size the per-codec minimum page (every run page must make progress).
 	maxValBytes() int
+	// minValBytes is the smallest encoded size of a single value: n values
+	// occupy at least n*minValBytes payload bytes, which is how the page
+	// decoder bounds a count read from a page before it sizes anything.
+	minValBytes() int
 	// encodedLen returns the exact payload size of encoding adj with the
 	// chain seeded by (prev, cont).
 	encodedLen(prev uint32, cont bool, adj []uint32) int
 	// encodeInto encodes as many leading values of adj as fit in dst,
 	// returning how many values were consumed and how many bytes written.
 	encodeInto(dst []byte, prev uint32, cont bool, adj []uint32) (vals, n int)
-	// decodeInto appends exactly count values decoded from src onto dst,
-	// returning the grown slice and the bytes consumed. Errors wrap
-	// ErrCorruptPage; arbitrary input must never panic.
-	decodeInto(dst []uint32, src []byte, count int, prev uint32, cont bool) ([]uint32, int, error)
+	// decodeInto fills dst with len(dst) values decoded from src, the chain
+	// seeded by (prev, cont), and returns the bytes consumed (up to the
+	// failing value on error). The caller has checked that src holds
+	// len(dst)·minValBytes bytes (decodeVals). Errors wrap ErrCorruptPage;
+	// arbitrary input must never panic.
+	decodeInto(dst []uint32, src []byte, prev uint32, cont bool) (int, error)
 }
 
 // Codec names accepted by CodecByName and the -codec CLI flags.
@@ -47,13 +54,17 @@ const (
 	CodecDeltaVarint = "deltavarint"
 )
 
-// Named errors for header validation (see Open).
+// Named errors for header and directory validation (see Open).
 var (
 	// ErrUnknownVersion is returned when a store header carries a version
 	// this build does not understand.
 	ErrUnknownVersion = errors.New("storage: unknown store version")
 	// ErrUnknownCodec is returned for an unregistered codec name or id.
 	ErrUnknownCodec = errors.New("storage: unknown page codec")
+	// ErrCorruptDirectory is returned for a vertex or page directory that
+	// cannot be that of records stored in id order; it is an ErrCorruptPage
+	// to errors.Is.
+	ErrCorruptDirectory = fmt.Errorf("%w directory", ErrCorruptPage)
 )
 
 var (
@@ -114,6 +125,7 @@ func (rawCodec) Name() string      { return CodecRaw }
 func (rawCodec) ID() uint16        { return 0 }
 func (rawCodec) countedRuns() bool { return false }
 func (rawCodec) maxValBytes() int  { return 4 }
+func (rawCodec) minValBytes() int  { return 4 }
 
 func (rawCodec) encodedLen(_ uint32, _ bool, adj []uint32) int { return 4 * len(adj) }
 
@@ -128,14 +140,18 @@ func (rawCodec) encodeInto(dst []byte, _ uint32, _ bool, adj []uint32) (int, int
 	return n, 4 * n
 }
 
-func (rawCodec) decodeInto(dst []uint32, src []byte, count int, _ uint32, _ bool) ([]uint32, int, error) {
-	if count > len(src)/4 {
-		return dst, 0, fmt.Errorf("%w: %d raw neighbors exceed %d payload bytes", ErrCorruptPage, count, len(src))
+// decodeInto is a sized copy, two values to an 8-byte load.
+func (rawCodec) decodeInto(dst []uint32, src []byte, _ uint32, _ bool) (int, error) {
+	n := 4 * len(dst)
+	for len(dst) >= 2 && len(src) >= 8 {
+		w := binary.LittleEndian.Uint64(src)
+		dst[0], dst[1] = uint32(w), uint32(w>>32)
+		dst, src = dst[2:], src[8:]
 	}
-	for i := 0; i < count; i++ {
-		dst = append(dst, getUint32(src[4*i:]))
+	if len(dst) == 1 && len(src) >= 4 {
+		dst[0] = getUint32(src)
 	}
-	return dst, 4 * count, nil
+	return n, nil
 }
 
 // deltaVarintCodec stores the first value of a record as an absolute
@@ -152,6 +168,7 @@ func (deltaVarintCodec) Name() string      { return CodecDeltaVarint }
 func (deltaVarintCodec) ID() uint16        { return 1 }
 func (deltaVarintCodec) countedRuns() bool { return true }
 func (deltaVarintCodec) maxValBytes() int  { return maxUvarint32Len }
+func (deltaVarintCodec) minValBytes() int  { return 1 }
 
 // uvarint32Len returns the encoded size of x.
 func uvarint32Len(x uint32) int {
@@ -233,20 +250,68 @@ func (deltaVarintCodec) encodeInto(dst []byte, prev uint32, cont bool, adj []uin
 	return vals, off
 }
 
-func (deltaVarintCodec) decodeInto(dst []uint32, src []byte, count int, prev uint32, cont bool) ([]uint32, int, error) {
+// short2 decodes the varint at the low end of w as if it were one or two
+// bytes long, without branching on which: c, the continuation bit of the
+// first byte, is the length less one and selects the second byte's seven
+// bits into d. Bit 14 of d (longVarint) is then the second byte's own
+// continuation bit — set when the varint is longer and d is not its value.
+func short2(w uint64) (d, c uint64) {
+	c = w >> 7 & 1
+	return w&0x7f | w>>1&0x7f80&-c, c
+}
+
+const longVarint = 1 << 14
+
+// decodeInto takes four values from one 8-byte load while that many values
+// and bytes remain, then one from a 2-byte load: every delta below 2¹⁴ —
+// nearly all of a sorted list — decodes with no branch on its length (see
+// short2). A longer value and the last byte of a page go through uvarint32,
+// which also owns the overflow and truncation errors.
+func (deltaVarintCodec) decodeInto(dst []uint32, src []byte, prev uint32, cont bool) (int, error) {
+	if !cont {
+		prev = 0 // the first value of a record is absolute
+	}
 	off := 0
-	for i := 0; i < count; i++ {
+	for i := 0; i < len(dst); {
+		if i+4 <= len(dst) && off+8 <= len(src) {
+			w := binary.LittleEndian.Uint64(src[off:])
+			d0, c0 := short2(w)
+			w = w >> 8 >> (8 * c0)
+			d1, c1 := short2(w)
+			w = w >> 8 >> (8 * c1)
+			d2, c2 := short2(w)
+			w = w >> 8 >> (8 * c2)
+			d3, c3 := short2(w)
+			if (d0|d1|d2|d3)&longVarint == 0 {
+				v0 := prev + uint32(d0)
+				v1 := v0 + uint32(d1)
+				v2 := v1 + uint32(d2)
+				v3 := v2 + uint32(d3)
+				d := dst[i : i+4 : i+4]
+				d[0], d[1], d[2], d[3] = v0, v1, v2, v3
+				prev = v3
+				off += 4 + int(c0+c1+c2+c3)
+				i += 4
+				continue
+			}
+		}
+		if off+2 <= len(src) {
+			if d, c := short2(uint64(binary.LittleEndian.Uint16(src[off:]))); d&longVarint == 0 {
+				prev += uint32(d)
+				dst[i] = prev
+				off += 1 + int(c)
+				i++
+				continue
+			}
+		}
 		d, n, err := uvarint32(src[off:])
 		if err != nil {
-			return dst, off, err
+			return off, err
 		}
 		off += n
-		v := d
-		if cont {
-			v = prev + d
-		}
-		dst = append(dst, v)
-		prev, cont = v, true
+		prev += d
+		dst[i] = prev
+		i++
 	}
-	return dst, off, nil
+	return off, nil
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Page kinds.
@@ -210,6 +211,23 @@ func DecodeRangeAppend(dst []VertexRec, arena []uint32, c Codec, pageSize int, d
 	return out, arena, err
 }
 
+// decodeVals appends count values decoded from src onto arena. count comes
+// from the page, so it is held against the payload before the arena grows —
+// a hostile degree is an error, never the size of an allocation — and the
+// arena is then sized once and the codec fills it in place.
+func decodeVals(c Codec, arena []uint32, src []byte, count uint32, prev uint32, cont bool) ([]uint32, int, error) {
+	if uint64(count)*uint64(c.minValBytes()) > uint64(len(src)) {
+		return arena, 0, fmt.Errorf("%w: %d neighbors exceed %d payload bytes", ErrCorruptPage, count, len(src))
+	}
+	end := len(arena) + int(count)
+	grown := slices.Grow(arena, int(count))[:end]
+	n, err := c.decodeInto(grown[len(arena):], src, prev, cont)
+	if err != nil {
+		return arena, n, err
+	}
+	return grown, n, nil
+}
+
 func decodeRange(out []VertexRec, arena []uint32, c Codec, pageSize int, data []byte) ([]VertexRec, []uint32, error) {
 	if len(data)%pageSize != 0 {
 		return out, arena, fmt.Errorf("%w: %d bytes not page aligned", ErrCorruptPage, len(data))
@@ -227,12 +245,12 @@ func decodeRange(out []VertexRec, arena []uint32, c Codec, pageSize int, data []
 					return out, arena, fmt.Errorf("%w: record header beyond page", ErrCorruptPage)
 				}
 				id := getUint32(page[off:])
-				deg := int(getUint32(page[off+4:]))
+				deg := getUint32(page[off+4:])
 				off += recHeaderSize
 				aStart := len(arena)
 				var n int
 				var err error
-				arena, n, err = c.decodeInto(arena, page[off:], deg, 0, false)
+				arena, n, err = decodeVals(c, arena, page[off:], deg, 0, false)
 				if err != nil {
 					return out, arena, fmt.Errorf("record body of vertex %d: %w", id, err)
 				}
@@ -241,47 +259,48 @@ func decodeRange(out []VertexRec, arena []uint32, c Codec, pageSize int, data []
 			}
 		case kindRunStart:
 			id := getUint32(page[pageHeaderSize:])
-			deg := int(getUint32(page[pageHeaderSize+4:]))
+			deg := getUint32(page[pageHeaderSize+4:])
 			payload := page[pageHeaderSize+recHeaderSize:]
 			count := deg
 			if c.countedRuns() {
-				count = int(getUint32(page[4:8]))
+				count = getUint32(page[4:8])
 				if count > deg {
 					return out, arena, fmt.Errorf("%w: run start holds %d of %d neighbors", ErrCorruptPage, count, deg)
 				}
-			} else if max := len(payload) / c.maxValBytes(); count > max {
+			} else if max := uint32(len(payload) / c.maxValBytes()); count > max {
 				count = max
 			}
 			aStart := len(arena)
 			var err error
-			arena, _, err = c.decodeInto(arena, payload, count, 0, false)
+			arena, _, err = decodeVals(c, arena, payload, count, 0, false)
 			if err != nil {
 				return out, arena, fmt.Errorf("run start of vertex %d: %w", id, err)
 			}
 			// Consume continuation pages, carrying the delta chain across
 			// page boundaries.
-			for len(arena)-aStart < deg {
+			for pending := deg - count; pending > 0; {
 				p++
 				if p >= numPages {
-					return out, arena, fmt.Errorf("%w: vertex %d needs %d more neighbors", ErrTruncatedRun, id, deg-(len(arena)-aStart))
+					return out, arena, fmt.Errorf("%w: vertex %d needs %d more neighbors", ErrTruncatedRun, id, pending)
 				}
 				page = data[p*pageSize : (p+1)*pageSize]
 				if page[2] != kindRunCont {
 					return out, arena, fmt.Errorf("%w: expected continuation page", ErrCorruptPage)
 				}
-				n := int(getUint32(page[4:8]))
-				if n > deg-(len(arena)-aStart) {
-					return out, arena, fmt.Errorf("%w: continuation holds %d of %d pending neighbors", ErrCorruptPage, n, deg-(len(arena)-aStart))
+				n := getUint32(page[4:8])
+				if n > pending {
+					return out, arena, fmt.Errorf("%w: continuation holds %d of %d pending neighbors", ErrCorruptPage, n, pending)
 				}
 				var prev uint32
 				cont := false
 				if len(arena) > aStart {
 					prev, cont = arena[len(arena)-1], true
 				}
-				arena, _, err = c.decodeInto(arena, page[pageHeaderSize:], n, prev, cont)
+				arena, _, err = decodeVals(c, arena, page[pageHeaderSize:], n, prev, cont)
 				if err != nil {
 					return out, arena, fmt.Errorf("run continuation of vertex %d: %w", id, err)
 				}
+				pending -= n
 			}
 			out = append(out, VertexRec{ID: id, Adj: arena[aStart:len(arena)]})
 		case kindRunCont:

@@ -218,7 +218,8 @@ func (s *Store) writeDirectories(w io.Writer) error {
 // Open reads the directories of a store file built by BuildFile. Both v1
 // ("OPTSTOR1", always raw pages) and v2 ("OPTSTOR2", codec id in the
 // header) files are accepted; unknown versions and codec ids are rejected
-// with ErrUnknownVersion / ErrUnknownCodec.
+// with ErrUnknownVersion / ErrUnknownCodec, directories that are not those
+// of records stored in id order with ErrCorruptDirectory.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -300,7 +301,42 @@ func Open(path string) (*Store, error) {
 	for i := range s.pageFirst {
 		s.pageFirst[i] = binary.LittleEndian.Uint32(pbuf[4*i:])
 	}
+	if err := s.checkDirectories(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return s, nil
+}
+
+// checkDirectories verifies what every reader of the directories relies on,
+// once at Open instead of at each use: records are stored in id order, so
+// the vertex directory never decreases and points inside the store, the
+// first-record entries of the page directory never decrease and name a
+// vertex, and page 0 starts a record. Ascending vertex id is then ascending
+// page (core builds its request list on that without sorting), and
+// FirstPageOf, AlignedRange and [FirstRecordOf(lo), FirstRecordOf(hi)) are
+// in range for whatever a caller derives from them.
+func (s *Store) checkDirectories() error {
+	var prev uint32
+	for v, p := range s.firstPage {
+		if p < prev || p >= s.NumPages {
+			return fmt.Errorf("%w: vertex %d starts in page %d (previous vertex in %d, %d pages)", ErrCorruptDirectory, v, p, prev, s.NumPages)
+		}
+		prev = p
+	}
+	if s.NumPages > 0 && s.pageFirst[0] == NoRecord {
+		return fmt.Errorf("%w: page 0 starts no record", ErrCorruptDirectory)
+	}
+	prev = 0
+	for p, v := range s.pageFirst {
+		if v == NoRecord {
+			continue
+		}
+		if v < prev || int(v) >= s.NumVertices {
+			return fmt.Errorf("%w: page %d starts with record %d (previous start %d, %d vertices)", ErrCorruptDirectory, p, v, prev, s.NumVertices)
+		}
+		prev = v
+	}
+	return nil
 }
 
 // Device opens the store's data-page region as a read-only file device
