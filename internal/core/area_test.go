@@ -1,0 +1,144 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/optlab/opt/internal/gen"
+	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/storage"
+)
+
+// TestInternalAreaFitsItsBudget drives every iteration of a run by hand on
+// the sparse and dense stores under all three models, and holds each
+// internal range to the rule of DESIGN.md §5:
+//   - the range contains the planner's (internalRangeEnd) at the same lo,
+//     and is exactly the planner's in the first iteration;
+//   - the ids the area holds plus recordWords per vertex stay within what
+//     the planner's pages decode to;
+//   - every list of the area is n≻ of its record as the store holds it,
+//     read after the iteration is over and its chunks recycled (under
+//     -tags optpoison a list still aliasing a recycled chunk reads
+//     buffer.PoisonVertex);
+//   - the device never has more than MemoryPages in reads at once.
+func TestInternalAreaFitsItsBudget(t *testing.T) {
+	_, sparse := sparseStore(t)
+	stores := []struct {
+		name string
+		st   *storage.Store
+	}{{"sparse", sparse}, {"dense", denseStore(t, 1)}}
+	for _, s := range stores {
+		for _, model := range []ModelKind{EdgeIterator, VertexIterator, MGTInstance} {
+			t.Run(fmt.Sprintf("%s/%v", s.name, model), func(t *testing.T) {
+				checkAreaBudget(t, s.st, model)
+			})
+		}
+	}
+}
+
+func checkAreaBudget(t *testing.T, st *storage.Store, model ModelKind) {
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	rec := &readRecorder{PageDevice: base, delay: 100 * time.Microsecond}
+	m := int(st.NumPages) * 8 / 100
+	r := newRunner(context.Background(), st, rec, Options{Model: model, Mode: Serial, MemoryPages: m})
+	defer r.close()
+
+	longer := 0
+	it := 0
+	for lo := uint32(0); lo < st.NumPages; it++ {
+		hi, ids := r.internalRange(lo)
+		pageHi := internalRangeEnd(st, lo, r.mIn)
+		if hi < pageHi || (it == 0 && hi != pageHi) {
+			t.Fatalf("iteration %d: range [%d,%d), the planner's is [%d,%d)", it, lo, hi, lo, pageHi)
+		}
+		if hi > pageHi {
+			longer++
+		}
+		budget := 0
+		for v := st.FirstRecordOf(lo); v < st.FirstRecordOf(pageHi); v++ {
+			budget += st.DegreeOf(v) + recordWords
+		}
+		if _, err := r.iteration(it, lo, hi, ids); err != nil {
+			t.Fatal(err)
+		}
+		c := r.ctx
+		if held := len(c.ids) + recordWords*int(c.hiVertex-c.loVertex); held > budget || len(c.ids) > ids {
+			t.Fatalf("iteration %d: the area holds %d ids (%d with headers), planned ≤ %d, budget %d",
+				it, len(c.ids), held, ids, budget)
+		}
+		data, err := base.ReadPages(lo, int(hi-lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := st.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if got, want := c.internalSucc(rec.ID), nsucc(rec.Adj, rec.ID); !slices.Equal(got, want) {
+				t.Fatalf("iteration %d: the area has n≻(%d) = %v, the store %v", it, rec.ID, got, want)
+			}
+		}
+		lo = hi
+	}
+	if model != VertexIterator && longer == 0 {
+		t.Errorf("%d iterations, none longer than the planner's: the fixture exercises nothing", it)
+	}
+	if rec.maxPages > m {
+		t.Errorf("the device had %d pages in reads at once, MemoryPages is %d", rec.maxPages, m)
+	}
+}
+
+// TestRangesAreDeterministic: the learned |n≻| that lengthen later internal
+// ranges come from every decode of the run, on whichever thread and in
+// whatever order, so the ranges must still be a function of the store and
+// the options alone — the same in Serial and Parallel mode at every thread
+// count, on either codec.
+func TestRangesAreDeterministic(t *testing.T) {
+	raw, err := gen.RMAT(gen.DefaultRMAT(1<<12, 30_000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	want := graph.CountTrianglesReference(g)
+	for _, codec := range storage.Codecs() {
+		t.Run(codec, func(t *testing.T) {
+			st, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "g.optstore"), g, 512, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := int(st.NumPages) * 8 / 100
+			var first []int
+			for _, opts := range []Options{{Mode: Serial}, {Mode: Parallel, Threads: 1}, {Mode: Parallel, Threads: 2}, {Mode: Parallel, Threads: 4}} {
+				opts.MemoryPages, opts.CollectIterStats = m, true
+				res, err := RunFile(st, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Triangles != want {
+					t.Fatalf("%v/%d: triangles = %d, want %d", opts.Mode, opts.Threads, res.Triangles, want)
+				}
+				var ranges []int
+				for _, s := range res.IterStats {
+					ranges = append(ranges, s.InternalPages)
+				}
+				if first == nil {
+					first = ranges
+					if plan := planAreas(st, EdgeIterator, m); len(ranges) >= plan.iterations {
+						t.Fatalf("%d iterations, planned %d: no range grew", len(ranges), plan.iterations)
+					}
+				} else if !slices.Equal(ranges, first) {
+					t.Errorf("%v/%d: internal ranges %v, Serial took %v", opts.Mode, opts.Threads, ranges, first)
+				}
+			}
+		})
+	}
+}

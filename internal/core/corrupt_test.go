@@ -10,6 +10,7 @@ import (
 
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/intersect"
 	"github.com/optlab/opt/internal/storage"
 	"github.com/optlab/opt/internal/testutil"
 )
@@ -67,12 +68,36 @@ func corruptStore(t *testing.T, st *storage.Store, neighbor, fromBack bool) *sto
 	return bad
 }
 
+// swappedStore builds g's store with the first two ids of n≻(v) swapped:
+// every id in range, the degree right, the list unsorted — under
+// deltavarint, a delta that wraps around 2³². No builder writes such a
+// list; the test writes it through Neighbors, which aliases the graph's
+// storage, and swaps the two back before it returns.
+func swappedStore(t *testing.T, g *graph.Graph, v uint32, codec string) *storage.Store {
+	t.Helper()
+	adj := g.Neighbors(v)
+	i := intersect.UpperBound(adj, v)
+	if len(adj)-i < 2 {
+		t.Fatalf("n≻(%d) has %d ids, the test swaps two", v, len(adj)-i)
+	}
+	adj[i], adj[i+1] = adj[i+1], adj[i]
+	defer func() { adj[i], adj[i+1] = adj[i+1], adj[i] }()
+	st, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "swapped.optstore"), g, 256, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestCorruptRecordFailsRun overwrites a record id or a neighbor id in a
-// valid store. Both index memory downstream — the internal area by record,
-// the candidate and probe bitsets by neighbor — so the run must end with
+// valid store, or swaps two neighbours of a record. The ids index memory
+// downstream — the internal area by record, the candidate and probe bitsets
+// by neighbor — and every bound that cuts a list, every kernel and every
+// learned |n≻| assumes a sorted one, so the run must end with
 // storage.ErrCorruptPage and whatever it had counted, on the page's first
 // decode (an early page is loaded as internal area, a late one read as an
-// external chunk), not with an index panic on a device goroutine.
+// external chunk), not with an index panic on a device goroutine or a
+// wrong count.
 func TestCorruptRecordFailsRun(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 8000, 17))
 	if err != nil {
@@ -84,31 +109,46 @@ func TestCorruptRecordFailsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		type corruption struct {
+			name string
+			bad  *storage.Store
+		}
+		var cases []corruption
 		for _, neighbor := range []bool{false, true} {
 			for _, fromBack := range []bool{false, true} {
-				bad := corruptStore(t, st, neighbor, fromBack)
-				for _, mode := range []Mode{Serial, Parallel} {
-					name := codec + "/record-id"
-					if neighbor {
-						name = codec + "/neighbor-id"
-					}
-					if fromBack {
-						name += "/late-page"
-					} else {
-						name += "/early-page"
-					}
-					t.Run(name+"/"+mode.String(), func(t *testing.T) {
-						baseline := runtime.NumGoroutine()
-						res, err := RunFile(bad, Options{Mode: mode, Threads: 2, MemoryPages: int(bad.NumPages) / 8})
-						if !errors.Is(err, storage.ErrCorruptPage) {
-							t.Fatalf("run over a corrupt page: err = %v, want storage.ErrCorruptPage", err)
-						}
-						if res == nil {
-							t.Fatal("no partial result alongside the error")
-						}
-						testutil.WaitGoroutines(t, baseline, "after a run that failed on a corrupt page")
-					})
+				name := codec + "/record-id"
+				if neighbor {
+					name = codec + "/neighbor-id"
 				}
+				if fromBack {
+					name += "/late-page"
+				} else {
+					name += "/early-page"
+				}
+				cases = append(cases, corruption{name, corruptStore(t, st, neighbor, fromBack)})
+			}
+		}
+		// Vertex 717: a swap that does not crash the unchecked kernels but
+		// makes them miss a triangle in every mode on either codec.
+		cases = append(cases, corruption{codec + "/swapped-neighbors", swappedStore(t, g, 717, codec)})
+		for _, c := range cases {
+			for _, mode := range []Mode{Serial, Parallel} {
+				t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+					baseline := runtime.NumGoroutine()
+					res, err := RunFile(c.bad, Options{Mode: mode, Threads: 2, MemoryPages: int(c.bad.NumPages) / 8})
+					if !errors.Is(err, storage.ErrCorruptPage) {
+						var got int64
+						if res != nil {
+							got = res.Triangles
+						}
+						t.Fatalf("run over a corrupt page: err = %v (%d triangles, %d in the intact graph), want storage.ErrCorruptPage",
+							err, got, graph.CountTrianglesReference(g))
+					}
+					if res == nil {
+						t.Fatal("no partial result alongside the error")
+					}
+					testutil.WaitGoroutines(t, baseline, "after a run that failed on a corrupt page")
+				})
 			}
 		}
 	}

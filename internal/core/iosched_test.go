@@ -327,7 +327,7 @@ func TestExternalSteadyStateAllocs(t *testing.T) {
 	defer buffer.PutChunk(c)
 	// The lower half of the vertices is internal, the upper half external.
 	mid := st.FirstPageOf(300)
-	r.ctx.beginIteration(0, mid)
+	r.ctx.beginIteration(0, mid, 0)
 	var cands []uint32
 	for _, rec := range c.Recs {
 		if r.ctx.InInternal(rec.ID) {
@@ -488,11 +488,15 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 	}
 }
 
-// readRecorder is a PageDevice that logs every read it serves.
+// readRecorder is a PageDevice that logs every read it serves, makes each
+// take delay, and records the most pages it ever had in reads at once.
 type readRecorder struct {
 	ssd.PageDevice
-	mu    sync.Mutex
-	reads []pageRead
+	delay    time.Duration
+	mu       sync.Mutex
+	reads    []pageRead
+	pages    int
+	maxPages int
 }
 
 type pageRead struct {
@@ -503,8 +507,15 @@ type pageRead struct {
 func (d *readRecorder) ReadPages(first uint32, count int) ([]byte, error) {
 	d.mu.Lock()
 	d.reads = append(d.reads, pageRead{first, count})
+	d.pages += count
+	d.maxPages = max(d.maxPages, d.pages)
 	d.mu.Unlock()
-	return d.PageDevice.ReadPages(first, count)
+	time.Sleep(d.delay)
+	data, err := d.PageDevice.ReadPages(first, count)
+	d.mu.Lock()
+	d.pages -= count
+	d.mu.Unlock()
+	return data, err
 }
 
 // take returns the reads logged so far, by first page, and clears the log.
@@ -551,8 +562,8 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 	defer r.close()
 
 	for it, lo := 0, uint32(0); lo < st.NumPages && it < 3; it++ {
-		hi := internalRangeEnd(st, lo, r.mIn)
-		stat, err := r.iteration(it, lo, hi)
+		hi, ids := r.internalRange(lo)
+		stat, err := r.iteration(it, lo, hi, ids)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,12 +50,13 @@ func (k ModelKind) String() string {
 // multiple worker goroutines.
 type Model interface {
 	// InternalTriangle identifies the internal triangles contributed by the
-	// internal-area record u (InternalTriangleImpl in Algorithm 5).
+	// internal-area record u (InternalTriangleImpl in Algorithm 5). u.Adj is
+	// n≻(u): the internal area keeps nothing else.
 	InternalTriangle(ctx *Ctx, w *work, u storage.VertexRec)
 	// ExternalCandidates adds to vex the external candidate vertices derived
-	// from the freshly loaded internal record u
-	// (ExternalCandidateVertexImpl in Algorithm 7). Every id of u.Adj is
-	// below vex.Len(): runner.decodeChunk checked it.
+	// from the freshly loaded internal record u, whole list included
+	// (ExternalCandidateVertexImpl in Algorithm 7). u.Adj is strictly
+	// ascending and below vex.Len(): runner.decodeChunk checked it.
 	ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *bits.Set)
 	// ExternalTriangle identifies the external triangles contributed by the
 	// external-area record v (ExternalTriangleImpl in Algorithm 9).
@@ -77,15 +79,19 @@ func NewModel(kind ModelKind) Model {
 // current iteration. Because storage order matches id order, the internal
 // area is a contiguous vertex range [loVertex, hiVertex): residency is one
 // comparison, adjacency lookup one slice index, and the internal neighbours
-// of any sorted list one contiguous sub-slice. The area is immutable while
-// triangulation runs, so reads need no locking.
+// of any sorted list one contiguous sub-slice. The area holds n≻(v) of each
+// internal vertex and nothing else — the only part of an internal list any
+// model reads once the load has identified the external candidates — copied
+// into one id arena, so no decoded chunk outlives the load (DESIGN.md §5).
+// The area is immutable while triangulation runs, so reads need no locking.
 type Ctx struct {
 	store    *storage.Store
 	loPage   uint32     // internal range start (inclusive)
 	hiPage   uint32     // internal range end (exclusive)
 	loVertex uint32     // first vertex whose record starts in the range
 	hiVertex uint32     // one past the last such vertex
-	succ     [][]uint32 // succ[v-loVertex] = n≻(v); reused across iterations
+	succ     [][]uint32 // succ[v-loVertex] = n≻(v), a sub-slice of ids
+	ids      []uint32   // the lists of succ back to back; reused across iterations
 	out      Output     // nil: count only, nothing is emitted per pair
 	mx       *metrics.Collector
 
@@ -141,8 +147,9 @@ func (w *work) found(c *Ctx, u, v uint32, ws []uint32) {
 	}
 }
 
-// beginIteration resets the internal area for a new page range.
-func (c *Ctx) beginIteration(lo, hi uint32) {
+// beginIteration resets the internal area for a new page range whose lists
+// n≻ hold at most ids ids in all, so the arena is sized once per iteration.
+func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 	c.loPage, c.hiPage = lo, hi
 	c.loVertex = c.store.FirstRecordOf(lo)
 	c.hiVertex = c.store.FirstRecordOf(hi)
@@ -153,14 +160,18 @@ func (c *Ctx) beginIteration(lo, hi uint32) {
 		c.succ = c.succ[:n]
 		clear(c.succ)
 	}
+	c.ids = slices.Grow(c.ids[:0], ids)
 }
 
 // addInternal registers a decoded record in the internal area, split once:
-// every model reads only n≻ of an internal vertex. It is called only from
-// the load phase (single goroutine at a time per framework invariant)
-// guarded by the caller.
+// every model reads only n≻ of an internal vertex, so that suffix is copied
+// into the id arena and the record's chunk can be recycled as soon as its
+// external candidates are identified. It is called only from the load
+// phase, one record at a time (the device's callback thread).
 func (c *Ctx) addInternal(rec storage.VertexRec) {
-	c.succ[rec.ID-c.loVertex] = nsucc(rec.Adj, rec.ID)
+	start := len(c.ids)
+	c.ids = append(c.ids, nsucc(rec.Adj, rec.ID)...)
+	c.succ[rec.ID-c.loVertex] = c.ids[start:len(c.ids):len(c.ids)]
 }
 
 // InInternal reports whether n(v) is resident in the internal area: one

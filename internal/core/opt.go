@@ -159,12 +159,23 @@ type runner struct {
 	maxCoalesce   int // pages per coalesced external read
 	loadCoalesce  int // pages per coalesced internal-area read
 	prefetchDepth int
+	// loadSlots holds one token per page of internal-area reads on the
+	// device: a semaphore of MemoryPages, filled by the issuing goroutine,
+	// drained by the read's completion callback.
+	loadSlots chan struct{}
+
+	// succLen[v] is |n≻(v)| once any chunk holding v has been decoded, and
+	// |n(v)| before: what v costs the internal area, as far as the run
+	// knows (internalRange).
+	succLen []uint32
 
 	// Per-iteration state. vexSet is V_ex: the models add candidates straight
 	// into it, and since records are stored in id order its members read
-	// ascending are already the request list's page order.
-	internalChunks []*buffer.Chunk
-	vexSet         *bits.Set
+	// ascending are already the request list's page order. taskBounds holds
+	// the first vertex of every chunk of the internal range, then hiVertex:
+	// one internal task per chunk.
+	vexSet     *bits.Set
+	taskBounds []uint32
 
 	// Backing arrays of the request list and the coalescer, reused across
 	// iterations (sub-slices alias the shared arrays, so each is rebuilt
@@ -172,7 +183,7 @@ type runner struct {
 	// one half of what keeps the external path from allocating; the other is
 	// decoded chunks, which recycle through buffer.PutChunk under the
 	// ownership rule of DESIGN.md §9 — the pool for what it evicts, the
-	// runner for its internal-area chunks.
+	// runner for an internal-area chunk once it is loaded.
 	reqScratch      []extReq
 	candScratch     []uint32
 	spanScratch     []int
@@ -223,6 +234,10 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 	if prefetchDepth <= 0 {
 		prefetchDepth = opts.QueueDepth
 	}
+	succLen := make([]uint32, st.NumVertices)
+	for v := range succLen {
+		succLen[v] = uint32(st.DegreeOf(uint32(v)))
+	}
 	r := &runner{
 		gctx:          ctx,
 		st:            st,
@@ -233,9 +248,11 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		mEx:           mEx,
 		pool:          buffer.NewPool(mEx),
 		vexSet:        bits.NewSet(st.NumVertices),
+		succLen:       succLen,
 		maxCoalesce:   maxCoalesce,
 		loadCoalesce:  loadCoalesce,
 		prefetchDepth: prefetchDepth,
+		loadSlots:     make(chan struct{}, opts.MemoryPages),
 	}
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
@@ -274,17 +291,20 @@ func (r *runner) fail(err error) {
 // exactly one implementation — and so has the check of what the bytes said
 // against the directories, which everything downstream indexes by: record
 // ids into the internal area, neighbor ids into the candidate and probe
-// sets.
+// sets. Every decode also tells the run |n≻(v)| of its records (succLen).
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {
 	c := buffer.GetChunk()
 	recs, arena, err := r.st.DecodeAppend(c.Recs, c.Arena, data)
 	c.Recs, c.Arena = recs, arena
 	if err == nil {
-		err = r.checkChunk(first, span, recs, arena)
+		err = r.checkChunk(first, span, recs)
 	}
 	if err != nil {
 		buffer.PutChunk(c)
 		return nil, err
+	}
+	for _, rec := range recs {
+		r.succLen[rec.ID] = uint32(len(nsucc(rec.Adj, rec.ID)))
 	}
 	c.FirstPage = first
 	c.NumPages = span
@@ -293,22 +313,35 @@ func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk
 
 // checkChunk holds the records decoded from pages [first, first+span) to
 // the directories: ids strictly ascending inside the vertex range the page
-// directory gives the chunk, every neighbor below |V| (one running maximum
-// over the chunk's arena, which holds nothing else).
-func (r *runner) checkChunk(first uint32, span int, recs []storage.VertexRec, arena []uint32) error {
+// directory gives the chunk, each list as long as the degree directory
+// says, strictly ascending and so below |V| when its last id is. Everything
+// downstream relies on sorted lists — the bounds that cut n≻ and the
+// candidate ranges, the kernels, the learned |n≻| that sizes later internal
+// ranges — so an unsorted list is a corrupt page, not a miscount.
+func (r *runner) checkChunk(first uint32, span int, recs []storage.VertexRec) error {
 	next, end := r.st.FirstRecordOf(first), r.st.FirstRecordOf(first+uint32(span))
 	for _, rec := range recs {
 		if rec.ID < next || rec.ID >= end {
 			return fmt.Errorf("%w: pages [%d,+%d) hold record %d, outside [%d,%d) or out of order", storage.ErrCorruptPage, first, span, rec.ID, next, end)
 		}
 		next = rec.ID + 1
-	}
-	var top uint32
-	for _, x := range arena {
-		top = max(top, x)
-	}
-	if len(arena) > 0 && int(top) >= r.st.NumVertices {
-		return fmt.Errorf("%w: pages [%d,+%d) hold neighbor %d of %d vertices", storage.ErrCorruptPage, first, span, top, r.st.NumVertices)
+		adj := rec.Adj
+		if len(adj) != r.st.DegreeOf(rec.ID) {
+			return fmt.Errorf("%w: record %d holds %d neighbors, its degree is %d", storage.ErrCorruptPage, rec.ID, len(adj), r.st.DegreeOf(rec.ID))
+		}
+		if len(adj) == 0 {
+			continue
+		}
+		prev := adj[0]
+		for _, x := range adj[1:] {
+			if x <= prev {
+				return fmt.Errorf("%w: neighbors %d, %d of record %d out of order", storage.ErrCorruptPage, prev, x, rec.ID)
+			}
+			prev = x
+		}
+		if int(prev) >= r.st.NumVertices {
+			return fmt.Errorf("%w: record %d holds neighbor %d of %d vertices", storage.ErrCorruptPage, rec.ID, prev, r.st.NumVertices)
+		}
 	}
 	return nil
 }
@@ -345,13 +378,13 @@ func (r *runner) run() (*Result, error) {
 			r.fail(err)
 			break
 		}
-		hi := internalRangeEnd(r.st, lo, r.mIn)
+		hi, ids := r.internalRange(lo)
 		count := int(hi - lo)
 
 		itStart := time.Now()
 		triBefore := r.triangleCount()
 		r.emit(events.Event{Kind: events.IterationStart, Iteration: res.Iterations, N: int64(count)})
-		stat, err := r.iteration(res.Iterations, lo, hi)
+		stat, err := r.iteration(res.Iterations, lo, hi, ids)
 		stat.Elapsed = time.Since(itStart)
 		if found := r.triangleCount() - triBefore; found > 0 {
 			r.emit(events.Event{Kind: events.TrianglesFound, Iteration: res.Iterations, N: found})
@@ -376,19 +409,61 @@ func (r *runner) run() (*Result, error) {
 }
 
 // internalRangeEnd returns the end of the internal range an iteration that
-// starts at page lo loads into an area of mIn pages: mIn pages or what is
-// left of the store, extended to a record boundary. The outer loop and the
-// planner that predicts it share this one definition.
+// starts at page lo would load into an area of mIn pages kept as decoded:
+// mIn pages or what is left of the store, extended to a record boundary.
+// The planner predicts a run with it, and it is the first range of every
+// run (internalRange).
 func internalRangeEnd(st *storage.Store, lo uint32, mIn int) uint32 {
 	return lo + uint32(st.AlignedRange(lo, min(mIn, int(st.NumPages-lo))))
 }
 
-// iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi).
-func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
+// recordWords is what an internal vertex costs beside its ids, in ids: a
+// decoded storage.VertexRec — id, padding and the Adj slice header — is 32
+// bytes, and the internal area keeps a 24-byte slice header per vertex.
+const recordWords = 8
+
+// internalRange returns the end of the internal range of the iteration that
+// starts at page lo, and the ids its lists n≻ hold at most (DESIGN.md §5).
+// The budget is what the planner's m_in pages at lo decode to:
+// Σ (|n(v)| + recordWords) over their records, from the degree directory.
+// The range then grows chunk by chunk while Σ (succLen[v] + recordWords)
+// fits the budget. succLen never exceeds the degree, so the first iteration
+// — nothing decoded yet — takes exactly internalRangeEnd, no range is
+// shorter than internalRangeEnd at its lo, and the area never holds more
+// than the planner's pages would decoded.
+func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
+	st := r.st
+	first := st.FirstRecordOf(lo)
+	budget := 0
+	for v, end := first, st.FirstRecordOf(internalRangeEnd(st, lo, r.mIn)); v < end; v++ {
+		budget += st.DegreeOf(v) + recordWords
+	}
+	held, v := 0, first
+	for hi = lo; hi < st.NumPages; {
+		next := hi + uint32(st.AlignedRange(hi, 1))
+		end := st.FirstRecordOf(next)
+		chunk := 0
+		for u := v; u < end; u++ {
+			chunk += int(r.succLen[u])
+		}
+		cost := chunk + recordWords*int(end-v)
+		if held+cost > budget {
+			break
+		}
+		held += cost
+		ids += chunk
+		hi, v = next, end
+	}
+	return hi, ids
+}
+
+// iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi),
+// whose lists n≻ hold at most ids ids.
+func (r *runner) iteration(index int, lo, hi uint32, ids int) (IterationStat, error) {
 	stat := IterationStat{Index: index, InternalPages: int(hi - lo)}
 	loadStart := time.Now()
-	r.ctx.beginIteration(lo, hi)
-	r.internalChunks = r.internalChunks[:0]
+	r.ctx.beginIteration(lo, hi, ids)
+	bounds := r.taskBounds[:0]
 
 	// V_ex ← ∅ (line 2; per-iteration in practice, reset after delegation).
 	r.vexSet.Clear()
@@ -398,33 +473,31 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 	// iteration are donated without I/O (the Δin credit enabled by the
 	// Algorithm 4 loading order).
 	type pendingLoad struct {
-		idx   int
 		first uint32
 		span  int
 	}
 	var toLoad []pendingLoad
 	for p := lo; p < hi; {
+		bounds = append(bounds, r.st.FirstRecordOf(p))
 		span := r.st.AlignedRange(p, 1)
 		if c := r.pool.Take(p); c != nil {
-			r.internalChunks = append(r.internalChunks, c)
-			for _, rec := range c.Recs {
-				r.ctx.addInternal(rec)
-				r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
-			}
 			stat.ReusedPages += c.NumPages
 			if r.mx != nil {
 				r.mx.AddReusedPages(int64(c.NumPages))
 			}
+			r.loadChunk(c)
 		} else {
-			r.internalChunks = append(r.internalChunks, nil)
-			toLoad = append(toLoad, pendingLoad{idx: len(r.internalChunks) - 1, first: p, span: span})
+			toLoad = append(toLoad, pendingLoad{first: p, span: span})
 		}
 		p += uint32(span)
 	}
+	r.taskBounds = append(bounds, r.ctx.hiVertex)
 	// Pass 2: asynchronous reads, with consecutive chunks coalesced into
-	// vectored reads just like the external path (DESIGN.md §9);
-	// IdentifyExternalCandidateVertex (Algorithm 7) runs on the callback
-	// thread per completed segment.
+	// vectored reads just like the external path (DESIGN.md §9), and at most
+	// MemoryPages of them on the device at once: the range may span more
+	// pages than the planner's m_in, and while it loads the external window
+	// is idle. IdentifyExternalCandidateVertex (Algorithm 7) runs on the
+	// callback thread per completed segment.
 	if cap(r.loadSpanScratch) < len(toLoad) {
 		r.loadSpanScratch = make([]int, 0, len(toLoad))
 	}
@@ -447,7 +520,19 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 		if len(grp) > 1 {
 			r.note(events.Event{Kind: events.CoalescedRead, Iteration: index, N: int64(pages)})
 		}
+		// A read larger than the whole semaphore takes all of it.
+		slots := min(pages, cap(r.loadSlots))
+		for range slots {
+			r.loadSlots <- struct{}{}
+		}
 		r.dev.AsyncReadScatter(grp[0].first, spans, func(seg int, data []byte, err error) {
+			if seg == len(grp)-1 {
+				defer func() {
+					for range slots {
+						<-r.loadSlots
+					}
+				}()
+			}
 			pl := grp[seg]
 			if err != nil {
 				r.fail(fmt.Errorf("core: loading internal pages [%d,+%d): %w", pl.first, pl.span, err))
@@ -458,11 +543,7 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 				r.fail(derr)
 				return
 			}
-			r.internalChunks[pl.idx] = c
-			for _, rec := range c.Recs {
-				r.ctx.addInternal(rec)
-				r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
-			}
+			r.loadChunk(c)
 		})
 		i = j
 	}
@@ -477,24 +558,26 @@ func (r *runner) iteration(index int, lo, hi uint32) (IterationStat, error) {
 	reqs := r.buildRequests()
 	stat.ExternalReqs = len(reqs)
 
+	// Lines 9–13. The internal area holds no chunk: nothing to unpin after.
+	// The external pool retains its pages for the next iteration's Δin
+	// credit.
 	if r.opts.Mode == Serial {
 		r.runSerial(reqs, &stat)
 	} else {
 		r.runParallel(reqs, &stat)
 	}
-	if r.err != nil {
-		return stat, r.err
-	}
+	return stat, r.err
+}
 
-	// Lines 12–13: unpin the internal area. Chunks go back to the recycle
-	// pool — nothing else references them once the iteration ends — while
-	// the external pool retains its pages for the next iteration's Δin
-	// credit.
-	for i, c := range r.internalChunks {
-		buffer.PutChunk(c)
-		r.internalChunks[i] = nil
+// loadChunk enters a decoded chunk into the internal area — n≻ of every
+// record copied, the external candidates identified from the whole list —
+// and recycles it: nothing reads the chunk after this.
+func (r *runner) loadChunk(c *buffer.Chunk) {
+	for _, rec := range c.Recs {
+		r.ctx.addInternal(rec)
+		r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
 	}
-	return stat, nil
+	buffer.PutChunk(c)
 }
 
 // buildRequests groups V_ex by chunk into the ascending-page request list
@@ -534,15 +617,12 @@ func (r *runner) buildRequests() []extReq {
 // I/O scheduler while the callback thread intersects.
 func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
 	t0 := time.Now()
-	for _, c := range r.internalChunks {
-		if c == nil {
-			continue
-		}
+	for i := 1; i < len(r.taskBounds); i++ {
 		if err := r.gctx.Err(); err != nil {
 			r.fail(err)
 			break
 		}
-		r.triangulateInternal(c)
+		r.triangulateInternal(r.taskBounds[i-1], r.taskBounds[i])
 	}
 	stat.InternalTime = time.Since(t0)
 	if r.mx != nil {
@@ -574,22 +654,19 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	s.run(r.opts.Threads, func() {
 		// DelegateExternalTriangle (line 9) precedes InternalTriangle
 		// (line 10): start the I/O scheduler — initial read window plus
-		// resident chunks — then submit the internal page tasks. The
-		// scheduler closes classExternal when the last request retires
-		// (immediately, when the list is empty).
+		// resident chunks — then submit the internal tasks, one per chunk of
+		// the range. The scheduler closes classExternal when the last
+		// request retires (immediately, when the list is empty).
 		io := r.newIOSched(s, stat.Index)
 		io.start(reqs)
-		for _, c := range r.internalChunks {
-			if c == nil {
-				continue
-			}
-			c := c
+		for i := 1; i < len(r.taskBounds); i++ {
+			from, to := r.taskBounds[i-1], r.taskBounds[i]
 			s.submit(classInternal, func() {
 				if err := r.gctx.Err(); err != nil {
 					r.fail(err)
 					return
 				}
-				r.triangulateInternal(c)
+				r.triangulateInternal(from, to)
 			})
 		}
 		s.close(classInternal)
@@ -604,12 +681,13 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	}
 }
 
-// triangulateInternal is one internal chunk task: InternalTriangle
-// (Algorithm 5) for every record of the chunk, under one work state.
-func (r *runner) triangulateInternal(c *buffer.Chunk) {
+// triangulateInternal is one internal task: InternalTriangle (Algorithm 5)
+// for every internal vertex v of [from, to), handed over with n≻(v) as its
+// list.
+func (r *runner) triangulateInternal(from, to uint32) {
 	w := r.ctx.getWork()
-	for _, rec := range c.Recs {
-		r.model.InternalTriangle(r.ctx, w, rec)
+	for v := from; v < to; v++ {
+		r.model.InternalTriangle(r.ctx, w, storage.VertexRec{ID: v, Adj: r.ctx.internalSucc(v)})
 	}
 	r.ctx.putWork(w)
 }

@@ -7,9 +7,12 @@ import "github.com/optlab/opt/internal/storage"
 // a percent exactly — every chunk on the side of the internal range its
 // model draws candidates from: above it for EdgeIterator≻ (n≻), below it
 // for VertexIterator≻ (n≺), all of the store for the MGT instance. So the
-// pages a run reads and the iterations it takes are a function of m_in and
-// the page directory alone. planAreas evaluates that function for a few
-// splits of the budget before any I/O and keeps the cheapest:
+// pages a run reads and the iterations it takes, with internal ranges of
+// m_in pages each, are a function of m_in and the page directory alone.
+// A run's first range is exactly that; its later ranges are longer, since
+// the internal area keeps only n≻ of what it loads (runner.internalRange),
+// so the prediction is an upper bound on both. planAreas evaluates it for a
+// few splits of the budget before any I/O and keeps the cheapest:
 //
 //	cost(m_in) = pages · (1 + planReadCost/m_ex) + iterations · planIterCost
 //

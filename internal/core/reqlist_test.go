@@ -113,8 +113,8 @@ func TestRequestListMatchesSortedReference(t *testing.T) {
 					defer cleanup()
 					requests := 0
 					for lo := uint32(0); lo < r.st.NumPages; {
-						hi := internalRangeEnd(r.st, lo, r.mIn)
-						r.ctx.beginIteration(lo, hi)
+						hi, ids := r.internalRange(lo)
+						r.ctx.beginIteration(lo, hi, ids)
 						r.vexSet.Clear()
 						data, err := r.dev.ReadPages(lo, int(hi-lo))
 						if err != nil {
