@@ -287,9 +287,9 @@ func (r *runner) fail(err error) {
 // the caller receives only the error — ownership of the chunk transfers to
 // the caller on success and never otherwise. Both the internal-area
 // callback and the external I/O scheduler funnel through here, so the
-// decode/repoint/recycle discipline optlint's arenaescape rule checks has
-// exactly one implementation — and so has the check of what the bytes said
-// against the directories, which everything downstream indexes by: record
+// decode/repoint/recycle discipline the optpoison build checks at run
+// time has exactly one implementation — and so has the check of what the
+// bytes said against the directories, which everything downstream indexes by: record
 // ids into the internal area, neighbor ids into the candidate and probe
 // sets. Every decode also tells the run |n≻(v)| of its records (succLen).
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {

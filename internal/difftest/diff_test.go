@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -135,23 +136,98 @@ func TestAllAlgorithmsMatchReference(t *testing.T) {
 			for _, budget := range budgets {
 				for _, name := range algos {
 					t.Run(fmt.Sprintf("%s/%s/m=%d/%s", w.name, codec, budget, name), func(t *testing.T) {
-						st, dev := buildStoreCodec(t, w.g, codec)
-						res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
-							MemoryPages: budget,
-							TempDir:     t.TempDir(),
-							Codec:       codec,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if res.Triangles != want {
-							t.Fatalf("counted %d triangles, reference says %d", res.Triangles, want)
-						}
-						if res.Algorithm != name {
-							t.Fatalf("result algorithm %q, want %q", res.Algorithm, name)
+						if got := count(t, name, w.g, codec, budget); got != want {
+							t.Fatalf("counted %d triangles, reference says %d", got, want)
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// count stores g under codec, runs algorithm name over it with a budget of
+// budget pages (0: the default fraction) and returns the triangle count.
+func count(t *testing.T, name string, g *graph.Graph, codec string, budget int) int64 {
+	t.Helper()
+	st, dev := buildStoreCodec(t, g, codec)
+	res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
+		MemoryPages: budget,
+		TempDir:     t.TempDir(),
+		Codec:       codec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != name {
+		t.Fatalf("result algorithm %q, want %q", res.Algorithm, name)
+	}
+	return res.Triangles
+}
+
+// edgeList returns g's edges, one entry per undirected edge.
+func edgeList(g *graph.Graph) []graph.Edge {
+	var edges []graph.Edge
+	g.Edges(func(u, v graph.VertexID) bool {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		return true
+	})
+	return edges
+}
+
+// TestMetamorphicCounts checks every registered algorithm against itself,
+// with no oracle: over every workload and page codec, relabelling the
+// vertices by a seeded permutation or shuffling the edge list (order and
+// endpoint orientation) leaves the count unchanged, and adding one edge
+// never lowers it. A tight budget keeps every run multi-iteration, where
+// ids decide what is internal and what is read from the store.
+func TestMetamorphicCounts(t *testing.T) {
+	const budget = 4
+	for _, w := range workloads(t) {
+		rng := rand.New(rand.NewSource(1))
+		n := w.g.NumVertices()
+		edges := edgeList(w.g)
+		perm := make([]graph.VertexID, n)
+		for i, p := range rng.Perm(n) {
+			perm[i] = graph.VertexID(p)
+		}
+		relabelled := graph.Relabel(w.g, perm)
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for i := range edges {
+			if rng.Intn(2) == 0 {
+				edges[i].U, edges[i].V = edges[i].V, edges[i].U
+			}
+		}
+		shuffled, err := graph.FromEdges(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One absent edge, when the graph has any (the clique has none).
+		var grown *graph.Graph
+		for tries := 0; tries < 100*n && grown == nil; tries++ {
+			u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+			if u != v && !w.g.HasEdge(u, v) {
+				if grown, err = graph.FromEdges(n, append(edges, graph.Edge{U: u, V: v})); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, codec := range codecs {
+			for _, name := range engine.Names() {
+				t.Run(fmt.Sprintf("%s/%s/%s", w.name, codec, name), func(t *testing.T) {
+					base := count(t, name, w.g, codec, budget)
+					if got := count(t, name, relabelled, codec, budget); got != base {
+						t.Errorf("relabelled: counted %d triangles, %d before", got, base)
+					}
+					if got := count(t, name, shuffled, codec, budget); got != base {
+						t.Errorf("shuffled edge list: counted %d triangles, %d before", got, base)
+					}
+					if grown != nil {
+						if got := count(t, name, grown, codec, budget); got < base {
+							t.Errorf("one edge added: counted %d triangles, %d before", got, base)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -4,47 +4,27 @@ import "go/ast"
 
 // Dataflow queries over the cfg of one function body: the obligation walk
 // (cancelfree, poolpair — "can the normal exit be reached without
-// discharging?"), its hit-seeking variant (arenaescape) and the whole-body
-// variant (the Blocks summary). The must-held lock analysis lives in
-// lockflow.go.
+// discharging?") and the whole-body variant (the Blocks summary). The
+// must-held lock analysis lives in lockflow.go.
 
 // reach is the one forward DFS behind those queries. Scanning
-// blk.nodes[start:] and then the successor graph, it reports whether a
-// node for which hit holds — or, when hit is nil, the normal exit block —
-// can be reached without first passing a node for which barrier holds.
-func (g *cfg) reach(blk *cfgBlock, start int, barrier, hit func(ast.Node) bool, seen map[*cfgBlock]bool) bool {
+// blk.nodes[start:] and then the successor graph, it reports whether the
+// normal exit block can be reached without first passing a node for which
+// barrier holds.
+func (g *cfg) reach(blk *cfgBlock, start int, barrier func(ast.Node) bool, seen map[*cfgBlock]bool) bool {
 	for _, n := range blk.nodes[start:] {
-		if hit != nil && hit(n) {
-			return true
-		}
 		if barrier(n) {
 			return false
 		}
 	}
-	if hit == nil && blk == g.exit {
+	if blk == g.exit {
 		return true
 	}
 	for _, succ := range blk.succs {
 		if !seen[succ] {
 			seen[succ] = true
-			if g.reach(succ, 0, barrier, hit, seen) {
+			if g.reach(succ, 0, barrier, seen) {
 				return true
-			}
-		}
-	}
-	return false
-}
-
-// scanAfter starts reach just after node `from`, which must be one of the
-// nodes recorded in the graph; when it is not found the answer is false
-// (no claim is made, keeping the caller silent rather than wrong).
-// arenaescape asks it: from a PutChunk node, is a tainted value used again
-// before its variable is rebound?
-func (g *cfg) scanAfter(from ast.Node, barrier, hit func(ast.Node) bool) bool {
-	for _, blk := range g.blocks {
-		for i, n := range blk.nodes {
-			if n == from {
-				return g.reach(blk, i+1, barrier, hit, map[*cfgBlock]bool{})
 			}
 		}
 	}
@@ -53,16 +33,25 @@ func (g *cfg) scanAfter(from ast.Node, barrier, hit func(ast.Node) bool) bool {
 
 // mayReachExitWithout reports whether the cfg's normal exit block is
 // reachable from the point just after node `from` without first passing a
-// node for which discharged returns true.
+// node for which discharged returns true. `from` must be one of the nodes
+// recorded in the graph; when it is not found the answer is false (no
+// claim is made, keeping the caller silent rather than wrong).
 func (g *cfg) mayReachExitWithout(from ast.Node, discharged func(ast.Node) bool) bool {
-	return g.scanAfter(from, discharged, nil)
+	for _, blk := range g.blocks {
+		for i, n := range blk.nodes {
+			if n == from {
+				return g.reach(blk, i+1, discharged, map[*cfgBlock]bool{})
+			}
+		}
+	}
+	return false
 }
 
 // reachesExitWithout reports whether the normal exit is reachable from the
 // function's entry without passing a node for which pred holds ("does
 // every normal path block?" ⇔ !reachesExitWithout(isBlocking)).
 func (g *cfg) reachesExitWithout(pred func(ast.Node) bool) bool {
-	return g.reach(g.entry, 0, pred, nil, map[*cfgBlock]bool{g.entry: true})
+	return g.reach(g.entry, 0, pred, map[*cfgBlock]bool{g.entry: true})
 }
 
 // fallsOffEnd reports whether some path reaches the exit block by falling

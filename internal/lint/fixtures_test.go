@@ -162,10 +162,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
 		{"gojoin", lint.NewGojoin()},
-		{"arenaescape", lint.NewArenaescape(
-			"github.com/optlab/opt/internal/buffer",
-			"github.com/optlab/opt/internal/storage",
-		)},
 		{"lockorder", lint.NewLockorder()},
 		{"chanflow", lint.NewChanflow(nil)},
 		{"waitjoin", lint.NewWaitjoin()},
@@ -183,7 +179,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 
 // TestInterprocFixtures exercises the summary layer across package
 // boundaries: the helper package's summaries (ownership transfer, pure
-// borrow, alias retention, transitive requires-held) drive findings — and
+// borrow, transitive requires-held) drive findings — and
 // silence — in the packages that call it. The helper itself must stay
 // clean, which the shared diffWant enforces since its files carry no want
 // comments.
@@ -192,10 +188,6 @@ func TestInterprocFixtures(t *testing.T) {
 	analyzers := []*lint.Analyzer{
 		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
 		lint.NewCondguard(),
-		lint.NewArenaescape(
-			"github.com/optlab/opt/internal/buffer",
-			"github.com/optlab/opt/internal/storage",
-		),
 	}
 	for _, variant := range []string{"bad", "ok"} {
 		t.Run(variant, func(t *testing.T) {
@@ -306,7 +298,7 @@ func TestDefaultRegistry(t *testing.T) {
 	want := []string{
 		"ctxflow", "lockheld", "ioconfine", "closecheck", "eventkind",
 		"cancelfree", "poolpair", "atomicfield", "condguard", "gojoin",
-		"arenaescape", "lockorder", "chanflow", "waitjoin",
+		"lockorder", "chanflow", "waitjoin",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)

@@ -37,12 +37,6 @@ func Default(module string) []*Analyzer {
 		NewAtomicfield(),
 		NewCondguard(),
 		NewGojoin(),
-		// arenaescape skips the arena's own packages: buffer defines the
-		// chunk lifecycle and storage's decoders hand slices out by design.
-		NewArenaescape(
-			module+"/internal/buffer",
-			module+"/internal/storage",
-		),
 		// The whole-module concurrency layer (DESIGN.md §16).
 		NewLockorder(),
 		NewChanflow(strict),

@@ -17,10 +17,8 @@ import (
 // needs to know about a callee without looking at its body, in the
 // RacerD-compositional style: obligation transfer (does passing a value in
 // release it, consume it, or merely borrow it?), result ownership (does the
-// callee hand back a pool obligation or a cancel func?), lock effects (does
-// it block? does it require the caller to hold a mutex?), and arena alias
-// facts (which params/results may alias pooled Chunk.Recs/Chunk.Arena
-// memory — computed by the taint engine in arenaescape.go).
+// callee hand back a pool obligation or a cancel func?) and lock effects
+// (does it block? does it require the caller to hold a mutex?).
 //
 // Facts are may-facts unless stated otherwise, and every fact is monotone
 // from an all-false bottom, so the SCC fixpoint in computeSummaries
@@ -41,9 +39,6 @@ type ParamFacts struct {
 	Returned bool `json:"returned,omitempty"`
 	// Called: the value is invoked as a function (discharges a cancel).
 	Called bool `json:"called,omitempty"`
-	// AliasEscapes: a slice aliasing the value's pooled arena is stored
-	// beyond the function's frame (field, global, channel, goroutine).
-	AliasEscapes bool `json:"aliasEscapes,omitempty"`
 }
 
 // borrows reports whether the facts amount to a pure borrow: the callee
@@ -68,9 +63,6 @@ type FuncSummary struct {
 	Key     string       `json:"key"`
 	HasRecv bool         `json:"hasRecv,omitempty"`
 	Params  []ParamFacts `json:"params,omitempty"`
-	// ResultAlias[i] lists the param slots whose pooled arena result i may
-	// alias (storage.DecodeAppend: results 0 and 1 alias slots 0 and 1).
-	ResultAlias [][]int `json:"resultAlias,omitempty"`
 	// OwnedResults[i]: on every normal return path, result i carries a
 	// fresh pool obligation (buffer.GetChunk / sync.Pool Get) the caller
 	// must discharge. Mixed nil-or-owned results stay false.
@@ -184,7 +176,6 @@ func emptySummary(fi *FuncInfo) *FuncSummary {
 	s.Params = make([]ParamFacts, len(paramObjects(fi)))
 	if sig != nil && sig.Results().Len() > 0 {
 		n := sig.Results().Len()
-		s.ResultAlias = make([][]int, n)
 		s.OwnedResults = make([]bool, n)
 		s.CancelResults = make([]bool, n)
 	}
@@ -205,7 +196,6 @@ func (p *Program) computeSummary(fi *FuncInfo) *FuncSummary {
 	p.scanBlocks(fi, s)
 	p.scanHeld(fi, s)
 	p.scanLockFacts(fi, s)
-	p.scanAlias(fi, slotOf, s)
 	return s
 }
 
@@ -324,8 +314,7 @@ func (p *Program) classifyUse(info *types.Info, stack []ast.Node, id *ast.Ident,
 	}
 }
 
-// mergeFacts folds src's obligation bits into dst (alias facts are merged
-// by the taint engine, not here).
+// mergeFacts folds src's obligation bits into dst.
 func mergeFacts(dst *ParamFacts, src ParamFacts) {
 	dst.Released = dst.Released || src.Released
 	dst.Escapes = dst.Escapes || src.Escapes
@@ -596,7 +585,7 @@ func (p *Program) scanHeld(fi *FuncInfo, s *FuncSummary) {
 
 // --- intrinsics ------------------------------------------------------------
 
-// The pool/codec intrinsics are matched by import-path suffix rather than
+// The pool intrinsics are matched by import-path suffix rather than
 // configured path so they hold under any module prefix — including the
 // fixture loader, whose packages import the real module packages.
 
@@ -626,19 +615,6 @@ func isPoolGetCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	pkg, typ, isMethod := methodOn(fn)
 	return isMethod && pkg == "sync" && typ == "Pool"
-}
-
-// isDecodeAppendCall matches storage.DecodeAppend/DecodeRangeAppend — the
-// arena-filling decoders whose first two results alias their first two
-// arguments. The summary of the real storage package proves the same facts
-// when it is part of the program; the intrinsic keeps subset runs sound.
-func isDecodeAppendCall(info *types.Info, call *ast.CallExpr) bool {
-	fn, ok := funcFor(info, call)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	name := fn.Name()
-	return (name == "DecodeAppend" || name == "DecodeRangeAppend") && pathSuffixWithin(fn.Pkg().Path(), "internal/storage")
 }
 
 // --- summary cache ---------------------------------------------------------

@@ -76,7 +76,7 @@ func TestRealTreeSummaries(t *testing.T) {
 
 // TestCoreDecodePathClean pins the other half of the acceptance bar: the
 // real decode → repoint → consume → recycle cycle in internal/core passes
-// poolpair and arenaescape with zero findings and zero suppressions.
+// poolpair with zero findings and zero suppressions.
 func TestCoreDecodePathClean(t *testing.T) {
 	pkgs, prog := loadModule(t)
 	var core []*lint.Package
@@ -88,13 +88,7 @@ func TestCoreDecodePathClean(t *testing.T) {
 	if len(core) == 0 {
 		t.Fatal("no core package loaded")
 	}
-	an := []*lint.Analyzer{
-		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
-		lint.NewArenaescape(
-			"github.com/optlab/opt/internal/buffer",
-			"github.com/optlab/opt/internal/storage",
-		),
-	}
+	an := []*lint.Analyzer{lint.NewPoolpair("github.com/optlab/opt/internal/buffer")}
 	for _, f := range lint.AnalyzeProgram(prog, core, an, 2) {
 		t.Errorf("unexpected finding on the core decode path: %s", f)
 	}
@@ -106,15 +100,11 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	pkgs := []*lint.Package{
 		loadFixture(t, "interproc", "helper"),
 		loadFixture(t, "interproc", "bad"),
-		loadFixture(t, "arenaescape", "bad"),
+		loadFixture(t, "poolpair", "bad"),
 	}
 	an := []*lint.Analyzer{
 		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
 		lint.NewCondguard(),
-		lint.NewArenaescape(
-			"github.com/optlab/opt/internal/buffer",
-			"github.com/optlab/opt/internal/storage",
-		),
 	}
 	render := func(fs []lint.Finding) []string {
 		out := make([]string, len(fs))

@@ -1,6 +1,6 @@
 // Package bad violates the interprocedural contracts helper's summaries
-// describe: a borrow mistaken for a hand-off, an arena alias escaping
-// through an exported API, and a transitively missing lock.
+// describe: a borrow mistaken for a hand-off and a transitively missing
+// lock.
 package bad
 
 import (
@@ -15,14 +15,6 @@ import (
 func borrowLeak() int {
 	c := buffer.GetChunk() // want "chunk from buffer\\.GetChunk is not handed back via buffer\\.PutChunk"
 	return helper.BorrowChunk(c)
-}
-
-// escapeViaHelper parks an arena alias in helper's package state and then
-// recycles the arena underneath it.
-func escapeViaHelper() {
-	c := buffer.GetChunk()
-	helper.KeepAlias(c.Arena) // want "alias of chunk c's pooled arena is passed to fixture/interproc/helper\\.KeepAlias, which retains an alias of it .*and then buffer\\.PutChunk"
-	buffer.PutChunk(c)
 }
 
 // relay forwards the notify without a lock: its own summary inherits the

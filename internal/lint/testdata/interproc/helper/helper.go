@@ -1,6 +1,6 @@
 // Package helper provides cross-package callees whose summaries the
 // interprocedural fixture tests consume: an ownership sink, a pure
-// borrow, an alias retainer, and a transitively lock-requiring notify.
+// borrow, and a transitively lock-requiring notify.
 package helper
 
 import (
@@ -8,8 +8,6 @@ import (
 
 	"github.com/optlab/opt/internal/buffer"
 )
-
-var retained []uint32
 
 // Consume takes ownership of c and releases it — callers' poolpair
 // obligations discharge through this summary (Released).
@@ -21,11 +19,6 @@ func Consume(c *buffer.Chunk) {
 // passing a chunk here discharges nothing at the caller.
 func BorrowChunk(c *buffer.Chunk) int {
 	return c.NumPages
-}
-
-// KeepAlias retains its argument in package state (AliasEscapes).
-func KeepAlias(xs []uint32) {
-	retained = xs
 }
 
 // Notify signals without locking: the held obligation propagates to every
