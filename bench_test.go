@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one Benchmark per experiment id; see DESIGN.md §4 for the index), plus
 // the ablation benchmarks for the design decisions DESIGN.md §5 calls out.
+// The ablations that need the framework's unexported seams — the area split
+// and the micro overlap — live in internal/core.
 //
 // The experiment benchmarks run the bench harness at a reduced scale so
 // `go test -bench=. -benchmem` completes in minutes; use cmd/optbench for
@@ -8,6 +10,7 @@
 package opt_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -15,7 +18,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/bench"
-	"github.com/optlab/opt/internal/core"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
@@ -75,17 +78,29 @@ func benchGraph(b *testing.B, pageSize int) (*graph.Graph, *storage.Store) {
 	return g, st
 }
 
+// runAlgo runs the algorithm registered as name over st's own file device
+// through engine.Run, the path every entry point takes.
+func runAlgo(b *testing.B, name string, st *storage.Store, opts engine.Options) *engine.Result {
+	b.Helper()
+	dev, err := st.Device()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = dev.Close() }() // read-only benchmark device
+	res, err := engine.Run(context.Background(), name, st, dev, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkOPTSerial measures the core serial framework end to end.
 func BenchmarkOPTSerial(b *testing.B) {
 	_, st := benchGraph(b, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFile(st, core.Options{Mode: core.Serial, MemoryPages: int(st.NumPages) * 15 / 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Triangles == 0 {
+		if res := runAlgo(b, "OPT_serial", st, engine.Options{}); res.Triangles == 0 {
 			b.Fatal("no triangles")
 		}
 	}
@@ -97,9 +112,7 @@ func BenchmarkOPTParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFile(st, core.Options{Mode: core.Parallel, Threads: 4, MemoryPages: int(st.NumPages) * 15 / 100}); err != nil {
-			b.Fatal(err)
-		}
+		runAlgo(b, "OPT", st, engine.Options{Threads: 4})
 	}
 }
 
@@ -155,38 +168,6 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAreaSplit sweeps the internal/external split around the
-// paper's even m/2, beside the split the planner picks for this store
-// (in = 0: no override).
-func BenchmarkAblationAreaSplit(b *testing.B) {
-	_, st := benchGraph(b, 4096)
-	m := int(st.NumPages) * 15 / 100
-	for _, frac := range []struct {
-		name string
-		in   int
-	}{
-		{"in25", m / 4}, {"in50", m / 2}, {"in75", 3 * m / 4}, {"planned", 0},
-	} {
-		frac := frac
-		b.Run(frac.name, func(b *testing.B) {
-			opts := core.Options{Mode: core.Serial, MemoryPages: m}
-			if frac.in > 0 {
-				opts.InternalPages, opts.ExternalPages = frac.in, m-frac.in
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunFile(st, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.Iterations), "iterations")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationQueueDepth sweeps the FlashSSD channel parallelism with
 // simulated latency, showing the micro-overlap benefit of deeper queues.
 func BenchmarkAblationQueueDepth(b *testing.B) {
@@ -196,34 +177,7 @@ func BenchmarkAblationQueueDepth(b *testing.B) {
 		depth := depth
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunFile(st, core.Options{
-					Mode: core.Serial, MemoryPages: int(st.NumPages) * 15 / 100,
-					QueueDepth: depth, Latency: lat,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMicroOverlap toggles asynchronous external reads.
-func BenchmarkAblationMicroOverlap(b *testing.B) {
-	_, st := benchGraph(b, 4096)
-	lat := ssd.Latency{PerRead: 20 * time.Microsecond, PerPage: 5 * time.Microsecond}
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"async", false}, {"sync", true}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunFile(st, core.Options{
-					Mode: core.Serial, MemoryPages: int(st.NumPages) * 15 / 100,
-					Latency: lat, DisableMicroOverlap: tc.disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				runAlgo(b, "OPT_serial", st, engine.Options{QueueDepth: depth, Latency: lat})
 			}
 		})
 	}
@@ -233,19 +187,10 @@ func BenchmarkAblationMicroOverlap(b *testing.B) {
 // framework.
 func BenchmarkAblationModel(b *testing.B) {
 	_, st := benchGraph(b, 4096)
-	for _, tc := range []struct {
-		name  string
-		model core.ModelKind
-	}{{"edge", core.EdgeIterator}, {"vertex", core.VertexIterator}} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
+	for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex} {
+		b.Run(model.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunFile(st, core.Options{
-					Mode: core.Serial, Model: tc.model,
-					MemoryPages: int(st.NumPages) * 15 / 100,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				runAlgo(b, "OPT_serial", st, engine.Options{Model: model})
 			}
 		})
 	}
@@ -293,11 +238,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 			_, st := benchGraph(b, ps)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunFile(st, core.Options{
-					Mode: core.Serial, MemoryPages: int(st.NumPages)*15/100 + 2,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				runAlgo(b, "OPT_serial", st, engine.Options{MemoryPages: int(st.NumPages)*15/100 + 2})
 			}
 		})
 	}

@@ -28,8 +28,8 @@ import (
 	"sort"
 	"time"
 
-	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/diskio"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
@@ -38,7 +38,8 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
-// Variant selects the partitioning heuristic.
+// Variant selects the partitioning heuristic. Each Variant is the
+// engine.Runner registered under its String name.
 type Variant int
 
 // Variants.
@@ -55,82 +56,44 @@ func (v Variant) String() string {
 	return "CC-Seq"
 }
 
-// Options configures a CC run.
-type Options struct {
-	Variant Variant
-	// MemoryPages is the buffer budget in pages of the input store's page
-	// size. Defaults to a quarter of the store.
-	MemoryPages int
-	// TempDir holds the per-iteration remainder files. Defaults to the
-	// store's directory.
-	TempDir string
-	// Latency is the simulated device latency, charged per page of
-	// remainder-file I/O as well as for the initial store read.
-	Latency ssd.Latency
-	// Output receives triangles (in the ids of the input store); nil counts
-	// only.
-	Output core.Output
-	// Metrics receives cost counters; optional.
-	Metrics *metrics.Collector
-	// Events receives progress events (iteration boundaries, page I/O);
-	// optional.
-	Events events.Sink
-
-	// ctx is the run's cancellation context, set by RunContext and
-	// propagated to every stream and device the run opens.
-	ctx context.Context
+func init() {
+	for _, v := range []Variant{Seq, DS} {
+		engine.Register(engine.Info{Name: v.String(), ListsTriangles: true}, v)
+	}
 }
 
-// Result reports a completed CC run.
-type Result struct {
-	Triangles  int64
-	Iterations int
-	Elapsed    time.Duration
-}
-
-// Run executes CC over the store using base for the initial read.
-func Run(st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	return RunContext(context.Background(), st, base, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is done the run stops
-// within one record of stream I/O and returns the partial Result
-// accumulated over completed iterations alongside an error satisfying
-// errors.Is(err, ctx.Err()).
-func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Run implements engine.Runner: the variant over the store, using base for
+// the initial read and TempDir (default: the store's directory) for the
+// per-iteration remainder files, whose I/O is charged to the latency model
+// like the store's. When ctx is done the run stops within one record of
+// stream I/O and returns the partial Result accumulated over completed
+// iterations alongside an error satisfying errors.Is(err, ctx.Err()).
+func (v Variant) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	tempDir := opts.TempDir
+	if tempDir == "" {
+		tempDir = filepath.Dir(st.Path)
 	}
-	opts.ctx = ctx
-	if opts.MemoryPages <= 0 {
-		opts.MemoryPages = int(st.NumPages)/4 + 2
-	}
-	if opts.TempDir == "" {
-		opts.TempDir = filepath.Dir(st.Path)
-	}
-	out := opts.Output
-	if out == nil {
-		out = &core.CountingOutput{}
-	}
-	dir, err := os.MkdirTemp(opts.TempDir, "cc-*")
+	dir, err := os.MkdirTemp(tempDir, "cc-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	start := time.Now()
-	res := &Result{}
+	mx := metrics.NewCollector()
+	cm := diskio.CostModel{
+		PageSize: st.PageSize, Latency: opts.Latency, Metrics: mx,
+		Context: ctx, Events: opts.Events,
+	}
 	emit := func(e events.Event) {
 		if opts.Events != nil {
-			e.Algorithm = opts.Variant.String()
+			e.Algorithm = v.String()
 			opts.Events.Event(e)
 		}
 	}
-	finish := func(err error) (*Result, error) {
-		res.Elapsed = time.Since(start)
-		if opts.Metrics != nil {
-			opts.Metrics.AddTriangles(res.Triangles)
-		}
+	iterations := 0
+	finish := func(err error) (*engine.Result, error) {
+		res := engine.NewResult(mx)
+		res.Iterations = iterations
 		return res, err
 	}
 
@@ -141,29 +104,27 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 	// without touching data pages).
 	var toOrig []graph.VertexID
 	var perm []graph.VertexID // original id -> processing id
-	if opts.Variant == DS {
+	if v == DS {
 		perm, toOrig = dsPermutation(st)
 	}
 	cur := filepath.Join(dir, "iter-0.ccg")
-	if err := convertStore(st, base, cur, perm, opts); err != nil {
+	if err := convertStore(st, base, cur, perm, cm); err != nil {
 		return finish(err)
 	}
 
 	budgetBytes := int64(opts.MemoryPages) * int64(st.PageSize)
-	iter := 0
-	for {
+	for iter := 1; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		iter++
 		if iter > st.NumVertices+2 {
 			return finish(fmt.Errorf("cc: no progress after %d iterations", iter))
 		}
 		itStart := time.Now()
 		emit(events.Event{Kind: events.IterationStart, Iteration: iter - 1})
 		next := filepath.Join(dir, fmt.Sprintf("iter-%d.ccg", iter))
-		tris, edgesLeft, err := iterate(cur, next, st.PageSize, budgetBytes, opts, out, toOrig)
-		res.Triangles += tris
+		tris, edgesLeft, err := iterate(cur, next, budgetBytes, cm, opts.OnTriangles, toOrig)
+		mx.AddTriangles(tris)
 		if tris > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: iter - 1, N: tris})
 		}
@@ -171,14 +132,13 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 		if err != nil {
 			return finish(err)
 		}
-		res.Iterations = iter
+		iterations = iter
 		os.Remove(cur)
 		cur = next
 		if edgesLeft == 0 {
-			break
+			return finish(nil)
 		}
 	}
-	return finish(nil)
 }
 
 // dsPermutation computes the degree-descending relabeling from the store
@@ -205,13 +165,13 @@ func dsPermutation(st *storage.Store) (perm, toOrig []graph.VertexID) {
 
 // convertStore reads every page of st through a latency-accounted device
 // and writes the stream-format working file (applying perm when non-nil).
-func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, opts Options) error {
+func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, cm diskio.CostModel) error {
 	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
-		QueueDepth: 1, Latency: opts.Latency, Metrics: opts.Metrics,
-		Context: opts.ctx, Events: opts.Events,
+		QueueDepth: 1, Latency: cm.Latency, Metrics: cm.Metrics,
+		Context: cm.Context, Events: cm.Events,
 	})
 	defer dev.Close()
-	w, err := newStreamWriter(path, st.PageSize, opts)
+	w, err := diskio.NewStreamWriter(path, cm)
 	if err != nil {
 		return err
 	}
@@ -268,9 +228,10 @@ func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []gr
 
 // iterate performs one partition-identify-shrink round: read curPath,
 // write the shrunken remainder to nextPath, and return the triangles found
-// plus the number of edges remaining.
-func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Options, out core.Output, toOrig []graph.VertexID) (int64, int64, error) {
-	r, err := newStreamReader(curPath, pageSize, opts)
+// plus the number of edges remaining. Triangles are listed to out when it is
+// non-nil.
+func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (int64, int64, error) {
+	r, err := diskio.NewStreamReader(curPath, cm)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -294,6 +255,9 @@ func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Opt
 	}
 
 	emit := func(u, v uint32, ws []uint32) {
+		if out == nil {
+			return
+		}
 		if toOrig != nil {
 			// The (u, v, w) roles follow the processing order; after mapping
 			// back to original ids each triangle's corners must be re-sorted
@@ -302,11 +266,11 @@ func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Opt
 			for _, w := range ws {
 				c := [3]uint32{ou, ov, uint32(toOrig[w])}
 				sort.Slice(c[:], func(i, j int) bool { return c[i] < c[j] })
-				out.Emit(c[0], c[1], c[2:3])
+				out(c[0], c[1], c[2:3])
 			}
 			return
 		}
-		out.Emit(u, v, ws)
+		out(u, v, ws)
 	}
 
 	var tris int64
@@ -314,9 +278,7 @@ func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Opt
 	intersectEmit := func(u uint32, adjU []uint32, v uint32, adjV []uint32) {
 		nsU := nsucc(adjU, u)
 		nsV := nsucc(adjV, v)
-		if opts.Metrics != nil {
-			opts.Metrics.AddIntersect(intersect.MinCost(nsU, nsV))
-		}
+		cm.Metrics.AddIntersect(intersect.MinCost(nsU, nsV))
 		buf = intersect.Adaptive(buf[:0], nsU, nsV)
 		if len(buf) > 0 {
 			tris += int64(len(buf))
@@ -335,7 +297,7 @@ func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Opt
 	}
 
 	// Stream the rest; find cross triangles and write the remainder.
-	w, err := newStreamWriter(nextPath, pageSize, opts)
+	w, err := diskio.NewStreamWriter(nextPath, cm)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -377,19 +339,3 @@ func iterate(curPath, nextPath string, pageSize int, budgetBytes int64, opts Opt
 
 func nsucc(adj []uint32, v uint32) []uint32 { return adj[intersect.UpperBound(adj, v):] }
 func npred(adj []uint32, v uint32) []uint32 { return adj[:intersect.LowerBound(adj, v)] }
-
-// newStreamWriter adapts the package options to the shared stream format.
-func newStreamWriter(path string, pageSize int, opts Options) (*diskio.StreamWriter, error) {
-	return diskio.NewStreamWriter(path, diskio.CostModel{
-		PageSize: pageSize, Latency: opts.Latency, Metrics: opts.Metrics,
-		Context: opts.ctx, Events: opts.Events,
-	})
-}
-
-// newStreamReader adapts the package options to the shared stream format.
-func newStreamReader(path string, pageSize int, opts Options) (*diskio.StreamReader, error) {
-	return diskio.NewStreamReader(path, diskio.CostModel{
-		PageSize: pageSize, Latency: opts.Latency, Metrics: opts.Metrics,
-		Context: opts.ctx, Events: opts.Events,
-	})
-}

@@ -9,21 +9,21 @@ package baselines_test
 import (
 	"context"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 
-	"github.com/optlab/opt/internal/baselines/cc"
-	"github.com/optlab/opt/internal/baselines/gchi"
-	"github.com/optlab/opt/internal/baselines/mgt"
 	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
+
+	// Each baseline registers its runner in init; the tests run them by name.
+	_ "github.com/optlab/opt/internal/baselines/cc"
+	_ "github.com/optlab/opt/internal/baselines/gchi"
+	_ "github.com/optlab/opt/internal/baselines/mgt"
 )
 
 func buildStore(t testing.TB, g *graph.Graph, pageSize int) (*storage.Store, *ssd.FileDevice) {
@@ -41,23 +41,30 @@ func buildStore(t testing.TB, g *graph.Graph, pageSize int) (*storage.Store, *ss
 	return st, dev
 }
 
+// run executes the algorithm registered as name over dev through engine.Run,
+// with a fresh temp dir for the runners that rewrite the graph.
+func run(t *testing.T, name string, st *storage.Store, dev ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	t.Helper()
+	opts.TempDir = t.TempDir()
+	return engine.Run(context.Background(), name, st, dev, opts)
+}
+
 func TestMGTIOCostEq7(t *testing.T) {
 	// MGT's read I/O is (1 + #blocks) · P(G): one block-load pass plus one
 	// full scan per block.
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 3))
 	g, _ := graph.DegreeOrder(raw)
 	st, dev := buildStore(t, g, 128)
-	mx := metrics.NewCollector()
-	res, err := mgt.Run(st, dev, mgt.Options{MemoryPages: int(st.NumPages) / 4, Metrics: mx})
+	res, err := run(t, "MGT", st, dev, engine.Options{MemoryPages: int(st.NumPages) / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPages := int64(res.Blocks+1) * int64(st.NumPages)
-	if got := mx.PagesRead(); got != wantPages {
-		t.Fatalf("MGT pages read = %d, want (1+%d)·%d = %d", got, res.Blocks, st.NumPages, wantPages)
+	wantPages := int64(res.Iterations+1) * int64(st.NumPages)
+	if res.PagesRead != wantPages {
+		t.Fatalf("MGT pages read = %d, want (1+%d)·%d = %d", res.PagesRead, res.Iterations, st.NumPages, wantPages)
 	}
-	if mx.PagesWritten() != 0 {
-		t.Fatalf("MGT wrote %d pages; it must be read-only", mx.PagesWritten())
+	if res.PagesWritten != 0 {
+		t.Fatalf("MGT wrote %d pages; it must be read-only", res.PagesWritten)
 	}
 }
 
@@ -73,7 +80,7 @@ func TestRegisteredMGTScansInRuns(t *testing.T) {
 		t.Fatalf("store has %d pages; the bound below needs at least 64", st.NumPages)
 	}
 	var reads atomic.Int64
-	res, err := engine.Run(context.Background(), "MGT", st, dev, engine.Options{
+	res, err := run(t, "MGT", st, dev, engine.Options{
 		MemoryPages: int(st.NumPages) / 4,
 		Events: events.Func(func(e events.Event) {
 			if e.Kind == events.PagesRead {
@@ -94,10 +101,10 @@ func TestRegisteredMGTScansInRuns(t *testing.T) {
 
 func TestCCListsTriangles(t *testing.T) {
 	g := graph.PaperExample()
-	for _, variant := range []cc.Variant{cc.Seq, cc.DS} {
+	for _, variant := range []string{"CC-Seq", "CC-DS"} {
 		st, dev := buildStore(t, g, 64)
 		out := &core.CollectingOutput{}
-		if _, err := cc.Run(st, dev, cc.Options{Variant: variant, MemoryPages: 2, Output: out, TempDir: t.TempDir()}); err != nil {
+		if _, err := run(t, variant, st, dev, engine.Options{MemoryPages: 2, OnTriangles: out.Emit}); err != nil {
 			t.Fatal(err)
 		}
 		tris := out.Triangles()
@@ -119,19 +126,18 @@ func TestCCWritesRemainders(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 3))
 	g, _ := graph.DegreeOrder(raw)
 	st, dev := buildStore(t, g, 128)
-	mx := metrics.NewCollector()
-	res, err := cc.Run(st, dev, cc.Options{MemoryPages: int(st.NumPages) / 5, Metrics: mx, TempDir: t.TempDir()})
+	res, err := run(t, "CC-Seq", st, dev, engine.Options{MemoryPages: int(st.NumPages) / 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Iterations < 2 {
 		t.Fatalf("iterations = %d, want >= 2 with a small buffer", res.Iterations)
 	}
-	if mx.PagesWritten() == 0 {
+	if res.PagesWritten == 0 {
 		t.Fatal("CC wrote no pages; the remainder rewrite is missing")
 	}
-	if mx.PagesRead() <= int64(st.NumPages) {
-		t.Fatalf("CC read %d pages, want more than one pass (%d)", mx.PagesRead(), st.NumPages)
+	if res.PagesRead <= int64(st.NumPages) {
+		t.Fatalf("CC read %d pages, want more than one pass (%d)", res.PagesRead, st.NumPages)
 	}
 }
 
@@ -140,20 +146,20 @@ func TestGraphChiDoesMoreIOThanCC(t *testing.T) {
 	// half the buffer; with equal budgets its total I/O exceeds CC's.
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 17))
 	g, _ := graph.DegreeOrder(raw)
-	budget := 8
+	opts := engine.Options{MemoryPages: 8}
 
 	stCC, devCC := buildStore(t, g, 128)
-	mxCC := metrics.NewCollector()
-	if _, err := cc.Run(stCC, devCC, cc.Options{MemoryPages: budget, Metrics: mxCC, TempDir: t.TempDir()}); err != nil {
+	resCC, err := run(t, "CC-Seq", stCC, devCC, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	stG, devG := buildStore(t, g, 128)
-	mxG := metrics.NewCollector()
-	if _, err := gchi.Run(stG, devG, gchi.Options{MemoryPages: budget, Metrics: mxG, TempDir: t.TempDir()}); err != nil {
+	resG, err := run(t, "GraphChi-Tri", stG, devG, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ioCC := mxCC.PagesRead() + mxCC.PagesWritten()
-	ioG := mxG.PagesRead() + mxG.PagesWritten()
+	ioCC := resCC.PagesRead + resCC.PagesWritten
+	ioG := resG.PagesRead + resG.PagesWritten
 	if ioG <= ioCC {
 		t.Fatalf("GraphChi I/O %d <= CC I/O %d; expected more", ioG, ioCC)
 	}
@@ -165,20 +171,20 @@ func TestSlowGroupVsFastGroupIO(t *testing.T) {
 	// group's total I/O exceeds MGT's.
 	raw, _ := gen.RMAT(gen.DefaultRMAT(1024, 16000, 23))
 	g, _ := graph.DegreeOrder(raw)
-	budget := 6
+	opts := engine.Options{MemoryPages: 6}
 
 	stM, devM := buildStore(t, g, 128)
-	mxM := metrics.NewCollector()
-	if _, err := mgt.Run(stM, devM, mgt.Options{MemoryPages: budget, Metrics: mxM}); err != nil {
+	resM, err := run(t, "MGT", stM, devM, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	stC, devC := buildStore(t, g, 128)
-	mxC := metrics.NewCollector()
-	if _, err := cc.Run(stC, devC, cc.Options{MemoryPages: budget, Metrics: mxC, TempDir: t.TempDir()}); err != nil {
+	resC, err := run(t, "CC-Seq", stC, devC, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mxC.PagesWritten() == 0 || mxM.PagesWritten() != 0 {
-		t.Fatalf("write split wrong: CC wrote %d, MGT wrote %d", mxC.PagesWritten(), mxM.PagesWritten())
+	if resC.PagesWritten == 0 || resM.PagesWritten != 0 {
+		t.Fatalf("write split wrong: CC wrote %d, MGT wrote %d", resC.PagesWritten, resM.PagesWritten)
 	}
 }
 
@@ -186,90 +192,13 @@ func TestBaselinesOnFaultyDevice(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(256, 3000, 29))
 	g, _ := graph.DegreeOrder(raw)
 	st, dev := buildStore(t, g, 128)
-	faulty := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: 5}
-	if _, err := mgt.Run(st, faulty, mgt.Options{MemoryPages: 4}); err == nil {
-		t.Error("MGT on faulty device: want error")
-	}
-	faulty2 := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: 3}
-	if _, err := cc.Run(st, faulty2, cc.Options{MemoryPages: 4, TempDir: t.TempDir()}); err == nil {
-		t.Error("CC on faulty device: want error")
-	}
-	faulty3 := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: 3}
-	if _, err := gchi.Run(st, faulty3, gchi.Options{MemoryPages: 4, TempDir: t.TempDir()}); err == nil {
-		t.Error("GraphChi on faulty device: want error")
-	}
-}
-
-// TestGraphChiTaskDonePerRecord: one per-record kernel at every thread
-// count — identical Triangles and IntersectOps — and, with RecordTasks, one
-// TaskDone per record streamed through the batch region, grouped by batch.
-func TestGraphChiTaskDonePerRecord(t *testing.T) {
-	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 17))
-	g, _ := graph.DegreeOrder(raw)
-	want := graph.CountTrianglesReference(g)
-	st, dev := buildStore(t, g, 128)
-	const batchRecords = 64
-
-	run := func(threads, memPages int, record bool) (res *gchi.Result, ops int64, perBatch map[int]int) {
-		t.Helper()
-		var mu sync.Mutex
-		perBatch = map[int]int{}
-		mx := metrics.NewCollector()
-		res, err := gchi.Run(st, dev, gchi.Options{
-			MemoryPages: memPages, Threads: threads, BatchRecords: batchRecords,
-			Metrics: mx, TempDir: t.TempDir(), RecordTasks: record,
-			Events: events.Func(func(e events.Event) {
-				if e.Kind == events.TaskDone {
-					mu.Lock()
-					perBatch[e.Iteration]++
-					mu.Unlock()
-				}
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		every int64
+	}{{"MGT", 5}, {"CC-Seq", 3}, {"GraphChi-Tri", 3}} {
+		faulty := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: tc.every}
+		if _, err := run(t, tc.name, st, faulty, engine.Options{MemoryPages: 4}); err == nil {
+			t.Errorf("%s on faulty device: want error", tc.name)
 		}
-		if res.Triangles != want {
-			t.Fatalf("threads=%d mem=%d: %d triangles, want %d", threads, memPages, res.Triangles, want)
-		}
-		return res, mx.IntersectOps(), perBatch
-	}
-	records := func(perBatch map[int]int) (n int) {
-		for b, c := range perBatch {
-			if c > batchRecords || b < 0 || b >= len(perBatch) {
-				t.Errorf("batch %d of %d holds %d records, at most %d fit", b, len(perBatch), c, batchRecords)
-			}
-			n += c
-		}
-		return n
-	}
-
-	// Several pivot blocks: every pass streams what is left of the graph.
-	res1, ops1, batches1 := run(1, 8, true)
-	if res1.Iterations < 2 {
-		t.Fatalf("%d pivot blocks, the test needs several", res1.Iterations)
-	}
-	for _, threads := range []int{2, 4} {
-		_, ops, batches := run(threads, 8, true)
-		if ops != ops1 || records(batches) != records(batches1) || len(batches) != len(batches1) {
-			t.Errorf("threads=%d: %d ops and %d records in %d batches; one thread had %d, %d and %d",
-				threads, ops, records(batches), len(batches), ops1, records(batches1), len(batches1))
-		}
-	}
-	if _, _, quiet := run(2, 8, false); len(quiet) != 0 {
-		t.Errorf("%d TaskDone events without RecordTasks", records(quiet))
-	}
-
-	// One pivot block holding the whole graph: the single pass streams
-	// every vertex that has a neighbour, once.
-	nonIsolated := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(graph.VertexID(v)) > 0 {
-			nonIsolated++
-		}
-	}
-	whole, _, batches := run(2, 4*int(st.NumPages), true)
-	if whole.Iterations != 1 || records(batches) != nonIsolated {
-		t.Errorf("whole-graph pivot: %d blocks, %d TaskDone events; want 1 and %d", whole.Iterations, records(batches), nonIsolated)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/diskio"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/intersect"
 	"github.com/optlab/opt/internal/metrics"
@@ -30,113 +31,77 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
-// Options configures a GraphChi-Tri run.
-type Options struct {
-	// MemoryPages is the buffer budget in input-store pages; half of it
-	// forms the pivot buffer (the "additional memory buffer" of §4).
-	MemoryPages int
-	// Threads is the number of goroutines for the per-batch intersection
-	// work ("execthreads"). 1 reproduces GraphChi-Tri_serial.
-	Threads int
-	// BatchRecords is the number of streamed records per parallel batch
-	// (the sub-interval whose processing order is enforced). Default 256.
-	BatchRecords int
-	// TempDir holds the working files. Defaults to the store's directory.
-	TempDir string
-	// Latency is the simulated device latency.
-	Latency ssd.Latency
-	// Metrics receives cost counters; optional.
-	Metrics *metrics.Collector
-	// Events receives progress events (iteration boundaries, page I/O);
-	// optional.
-	Events events.Sink
-	// RecordTasks times every streamed record of the batch region and
-	// reports it to Events as one events.TaskDone stamped with its batch
-	// (engine.Options.CollectIterStats).
-	RecordTasks bool
+// batchRecords is the number of streamed records per parallel batch: the
+// sub-interval whose processing order is enforced.
+const batchRecords = 256
+
+// runner is GraphChi-Tri's registered engine.Runner. It is a counting
+// method, so its Info advertises ListsTriangles=false and the engine rejects
+// Options.OnTriangles before dispatch.
+type runner struct{}
+
+func init() {
+	engine.Register(engine.Info{Name: "GraphChi-Tri", Parallel: true}, runner{})
 }
 
-// Result reports a completed run.
-type Result struct {
-	Triangles  int64
-	Iterations int           // pivot blocks processed
-	Elapsed    time.Duration // wall-clock time
-}
-
-// Run executes GraphChi-Tri over the store using base for the initial read.
-func Run(st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	return RunContext(context.Background(), st, base, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is done the run stops
-// within one record of stream I/O and returns the partial Result
-// accumulated over completed pivot blocks alongside an error satisfying
-// errors.Is(err, ctx.Err()).
-func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Run implements engine.Runner: GraphChi-Tri over the store, using base for
+// the initial read and TempDir (default: the store's directory) for the
+// working files. Half of MemoryPages forms the pivot buffer (the
+// "additional memory buffer" of §4), and Threads goroutines (default 1,
+// GraphChi-Tri_serial) share each batch's intersection work. With
+// CollectIterStats and Events set, every streamed record of the batch
+// region is timed and reported as one events.TaskDone stamped with its
+// batch. When ctx is done the run stops within one record of stream I/O and
+// returns the partial Result accumulated over completed pivot blocks
+// alongside an error satisfying errors.Is(err, ctx.Err()).
+func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	threads := max(opts.Threads, 1)
+	tempDir := opts.TempDir
+	if tempDir == "" {
+		tempDir = filepath.Dir(st.Path)
 	}
-	if opts.MemoryPages <= 0 {
-		opts.MemoryPages = int(st.NumPages)/4 + 2
-	}
-	if opts.Threads <= 0 {
-		opts.Threads = 1
-	}
-	if opts.BatchRecords <= 0 {
-		opts.BatchRecords = 256
-	}
-	if opts.TempDir == "" {
-		opts.TempDir = filepath.Dir(st.Path)
-	}
-	dir, err := os.MkdirTemp(opts.TempDir, "gchi-*")
+	dir, err := os.MkdirTemp(tempDir, "gchi-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	start := time.Now()
+	mx := metrics.NewCollector()
 	cm := diskio.CostModel{
-		PageSize: st.PageSize, Latency: opts.Latency, Metrics: opts.Metrics,
+		PageSize: st.PageSize, Latency: opts.Latency, Metrics: mx,
 		Context: ctx, Events: opts.Events,
 	}
-	res := &Result{}
 	emit := func(e events.Event) {
 		if opts.Events != nil {
 			e.Algorithm = "GraphChi-Tri"
 			opts.Events.Event(e)
 		}
 	}
-	finish := func(err error) (*Result, error) {
-		res.Elapsed = time.Since(start)
-		if opts.Metrics != nil {
-			opts.Metrics.AddTriangles(res.Triangles)
-		}
+	iterations := 0
+	finish := func(err error) (*engine.Result, error) {
+		res := engine.NewResult(mx)
+		res.Iterations = iterations
 		return res, err
 	}
 	cur := filepath.Join(dir, "work-0.ccg")
-	if err := convertStore(ctx, st, base, cur, cm, opts); err != nil {
+	if err := convertStore(st, base, cur, cm); err != nil {
 		return finish(err)
 	}
 
-	pivotBytes := int64(opts.MemoryPages) * int64(st.PageSize) / 2
-	if pivotBytes < int64(st.PageSize) {
-		pivotBytes = int64(st.PageSize)
-	}
+	pivotBytes := max(int64(opts.MemoryPages)*int64(st.PageSize)/2, int64(st.PageSize))
 	// onRecord, set only when recording, reports one record of the batch
 	// region; batches counts the barriers passed so far, run-wide.
 	var onRecord func(batch int, d time.Duration)
-	if opts.RecordTasks && opts.Events != nil {
+	if opts.CollectIterStats && opts.Events != nil {
 		onRecord = func(batch int, d time.Duration) {
 			emit(events.Event{Kind: events.TaskDone, Iteration: batch, N: events.TaskInternal, Elapsed: d})
 		}
 	}
 	batches := 0
-	iter := 0
-	for {
+	for iter := 1; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		iter++
 		if iter > st.NumVertices+2 {
 			return finish(fmt.Errorf("gchi: no progress after %d iterations", iter))
 		}
@@ -147,8 +112,8 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 		if err != nil {
 			return finish(err)
 		}
-		tris, n, err := identify(cur, pivot, cm, opts, batches, onRecord)
-		res.Triangles += tris
+		tris, n, err := identify(cur, pivot, cm, threads, batches, onRecord)
+		mx.AddTriangles(tris)
 		batches += n
 		if tris > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: iter - 1, N: tris})
@@ -166,20 +131,19 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 		}
 		os.Remove(cur)
 		cur = next
-		res.Iterations++
+		iterations++
 		if edgesLeft == 0 {
-			break
+			return finish(nil)
 		}
 	}
-	return finish(nil)
 }
 
 // convertStore reads every store page through a latency-accounted device
 // and writes the working file.
-func convertStore(ctx context.Context, st *storage.Store, base ssd.PageDevice, path string, cm diskio.CostModel, opts Options) error {
+func convertStore(st *storage.Store, base ssd.PageDevice, path string, cm diskio.CostModel) error {
 	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
-		QueueDepth: 1, Latency: opts.Latency, Metrics: opts.Metrics,
-		Context: ctx, Events: opts.Events,
+		QueueDepth: 1, Latency: cm.Latency, Metrics: cm.Metrics,
+		Context: cm.Context, Events: cm.Events,
 	})
 	defer dev.Close()
 	w, err := diskio.NewStreamWriter(path, cm)
@@ -252,9 +216,7 @@ func countRecord(pivot map[uint32][]uint32, mx *metrics.Collector, buf []uint32,
 			continue
 		}
 		nsU := nsucc(adjU, u)
-		if mx != nil {
-			mx.AddIntersect(intersect.MinCost(nsU, nsV))
-		}
+		mx.AddIntersect(intersect.MinCost(nsU, nsV))
 		buf = intersect.Adaptive(buf[:0], nsU, nsV)
 		local += int64(len(buf))
 	}
@@ -263,11 +225,11 @@ func countRecord(pivot map[uint32][]uint32, mx *metrics.Collector, buf []uint32,
 
 // identify streams the whole file and counts triangles whose lowest vertex
 // is in the pivot, one countRecord per streamed record. Batches of records
-// are processed in parallel with a barrier between batches (the enforced
-// sequential order); it returns the count and the number of batches. With
-// onRecord set, every record is timed and reported under its batch's index,
-// counted from firstBatch.
-func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts Options, firstBatch int, onRecord func(batch int, d time.Duration)) (int64, int, error) {
+// are processed by threads goroutines with a barrier between batches (the
+// enforced sequential order); it returns the count and the number of
+// batches. With onRecord set, every record is timed and reported under its
+// batch's index, counted from firstBatch.
+func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threads, firstBatch int, onRecord func(batch int, d time.Duration)) (int64, int, error) {
 	r, err := diskio.NewStreamReader(path, cm)
 	if err != nil {
 		return 0, 0, err
@@ -275,8 +237,8 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 	defer func() { _ = r.Close() }() // read-only pass; nothing to lose on close
 
 	batches := 0
-	batch := make([]rec, 0, opts.BatchRecords)
-	partial := make([]int64, opts.Threads)
+	batch := make([]rec, 0, batchRecords)
+	partial := make([]int64, threads)
 
 	processBatch := func() {
 		if len(batch) == 0 {
@@ -285,19 +247,19 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 		index := firstBatch + batches
 		batches++
 		var wg sync.WaitGroup
-		for t := 0; t < opts.Threads; t++ {
+		for t := 0; t < threads; t++ {
 			t := t
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				var buf []uint32
 				var local, n int64
-				for i := t; i < len(batch); i += opts.Threads {
+				for i := t; i < len(batch); i += threads {
 					var start time.Time
 					if onRecord != nil {
 						start = time.Now()
 					}
-					n, buf = countRecord(pivot, opts.Metrics, buf, batch[i])
+					n, buf = countRecord(pivot, cm.Metrics, buf, batch[i])
 					local += n
 					if onRecord != nil {
 						onRecord(index, time.Since(start))
@@ -319,7 +281,7 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, opts 
 			return 0, 0, err
 		}
 		batch = append(batch, rec{id: id, adj: adj})
-		if len(batch) >= opts.BatchRecords {
+		if len(batch) >= batchRecords {
 			processBatch()
 		}
 	}

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/optlab/opt/internal/core"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/intersect"
 	"github.com/optlab/opt/internal/metrics"
@@ -31,55 +31,23 @@ import (
 // paid per span, not per page.
 const scanSpan = 16
 
-// Options configures an MGT run.
-type Options struct {
-	// MemoryPages is the buffer budget m in pages (the whole buffer forms
-	// the block; MGT has no external area). Defaults to a quarter of the
-	// store.
-	MemoryPages int
-	// Latency is the simulated device latency.
-	Latency ssd.Latency
-	// Output receives triangles; nil counts only.
-	Output core.Output
-	// Metrics receives cost counters; optional.
-	Metrics *metrics.Collector
-	// Events receives progress events (block boundaries, page I/O);
-	// optional.
-	Events events.Sink
+// runner is MGT's registered engine.Runner.
+type runner struct{}
+
+func init() {
+	engine.Register(engine.Info{Name: "MGT", ListsTriangles: true}, runner{})
 }
 
-// Result reports a completed MGT run.
-type Result struct {
-	Triangles int64
-	Blocks    int
-	Elapsed   time.Duration
-}
-
-// Run executes MGT over the store using base for page I/O.
-func Run(st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	return RunContext(context.Background(), st, base, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is done the run stops at
-// the next block or scan read and returns the partial Result accumulated so
-// far alongside an error satisfying errors.Is(err, ctx.Err()).
-func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.MemoryPages <= 0 {
-		opts.MemoryPages = int(st.NumPages)/4 + 2
-	}
-	out := opts.Output
-	var counts *core.CountingOutput
-	if out == nil {
-		counts = &core.CountingOutput{}
-		out = counts
-	}
+// Run implements engine.Runner: MGT over the store using base for page I/O,
+// one block of MemoryPages at a time. When ctx is done the run stops at the
+// next block or scan read and returns the partial Result accumulated so far
+// alongside an error satisfying errors.Is(err, ctx.Err()).
+func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	mx := metrics.NewCollector()
 	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: 1, // MGT is strictly synchronous
 		Latency:    opts.Latency,
-		Metrics:    opts.Metrics,
+		Metrics:    mx,
 		Context:    ctx,
 		Events:     opts.Events,
 	})
@@ -91,13 +59,10 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 			opts.Events.Event(e)
 		}
 	}
-	start := time.Now()
-	res := &Result{}
-	finish := func(err error) (*Result, error) {
-		res.Elapsed = time.Since(start)
-		if opts.Metrics != nil {
-			opts.Metrics.AddTriangles(res.Triangles)
-		}
+	blocks := 0
+	finish := func(err error) (*engine.Result, error) {
+		res := engine.NewResult(mx)
+		res.Iterations = blocks
 		return res, err
 	}
 	var lo uint32
@@ -105,29 +70,25 @@ func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opt
 		if err := ctx.Err(); err != nil {
 			return finish(err)
 		}
-		count := opts.MemoryPages
-		if rem := int(st.NumPages - lo); count > rem {
-			count = rem
-		}
-		count = st.AlignedRange(lo, count)
+		count := st.AlignedRange(lo, max(1, min(opts.MemoryPages, int(st.NumPages-lo))))
 		hi := lo + uint32(count)
 
 		blkStart := time.Now()
-		emit(events.Event{Kind: events.IterationStart, Iteration: res.Blocks, N: int64(count)})
+		emit(events.Event{Kind: events.IterationStart, Iteration: blocks, N: int64(count)})
 		block, err := loadBlock(st, dev, lo, hi)
 		if err != nil {
 			return finish(err)
 		}
-		t, err := scan(st, dev, block, opts, out)
-		res.Triangles += t
+		t, err := scan(st, dev, block, mx, opts.OnTriangles)
+		mx.AddTriangles(t)
 		if t > 0 {
-			emit(events.Event{Kind: events.TrianglesFound, Iteration: res.Blocks, N: t})
+			emit(events.Event{Kind: events.TrianglesFound, Iteration: blocks, N: t})
 		}
-		emit(events.Event{Kind: events.IterationEnd, Iteration: res.Blocks, N: t, Elapsed: time.Since(blkStart)})
+		emit(events.Event{Kind: events.IterationEnd, Iteration: blocks, N: t, Elapsed: time.Since(blkStart)})
 		if err != nil {
 			return finish(err)
 		}
-		res.Blocks++
+		blocks++
 		lo = hi
 	}
 	return finish(nil)
@@ -162,8 +123,9 @@ func loadBlock(st *storage.Store, dev *ssd.AsyncDevice, lo, hi uint32) (*block, 
 }
 
 // scan streams the whole graph synchronously and applies the
-// vertex-iterator pair kernel against the block.
-func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, opts Options, out core.Output) (int64, error) {
+// vertex-iterator pair kernel against the block, listing what it finds to
+// out when out is non-nil.
+func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
 	var total int64
 	var ws []uint32
 	var p uint32
@@ -189,9 +151,7 @@ func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, opts Options, out c
 				if len(rest) == 0 {
 					continue
 				}
-				if opts.Metrics != nil {
-					opts.Metrics.AddIntersect(int64(len(rest)))
-				}
+				mx.AddIntersect(int64(len(rest)))
 				adjV := b.adj[v]
 				ws = ws[:0]
 				for _, w := range rest {
@@ -201,7 +161,9 @@ func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, opts Options, out c
 				}
 				if len(ws) > 0 {
 					total += int64(len(ws))
-					out.Emit(u.ID, v, ws)
+					if out != nil {
+						out(u.ID, v, ws)
+					}
 				}
 			}
 		}

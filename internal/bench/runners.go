@@ -51,7 +51,7 @@ type runResult struct {
 	PagesWritten int64
 	ReusedPages  int64
 	Iterations   int
-	IterStats    []core.IterationStat
+	IterStats    []engine.IterationStat
 }
 
 // budget converts a buffer fraction into pages by the engine's own rule.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/storage"
@@ -32,15 +33,15 @@ func TestInternalAreaFitsItsBudget(t *testing.T) {
 		st   *storage.Store
 	}{{"sparse", sparse}, {"dense", denseStore(t, 1)}}
 	for _, s := range stores {
-		for _, model := range []ModelKind{EdgeIterator, VertexIterator, MGTInstance} {
-			t.Run(fmt.Sprintf("%s/%v", s.name, model), func(t *testing.T) {
+		for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex, engine.ModelMGTInstance} {
+			t.Run(fmt.Sprintf("%s/%s", s.name, modelNames[model]), func(t *testing.T) {
 				checkAreaBudget(t, s.st, model)
 			})
 		}
 	}
 }
 
-func checkAreaBudget(t *testing.T, st *storage.Store, model ModelKind) {
+func checkAreaBudget(t *testing.T, st *storage.Store, model engine.Model) {
 	base, err := st.Device()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model ModelKind) {
 	defer func() { _ = base.Close() }()
 	rec := &readRecorder{PageDevice: base, delay: 100 * time.Microsecond}
 	m := int(st.NumPages) * 8 / 100
-	r := newRunner(context.Background(), st, rec, Options{Model: model, Mode: Serial, MemoryPages: m})
+	r := newRunner(context.Background(), st, rec, serial, engine.Options{Model: model, MemoryPages: m})
 	defer r.close()
 
 	longer := 0
@@ -89,7 +90,7 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model ModelKind) {
 		}
 		lo = hi
 	}
-	if model != VertexIterator && longer == 0 {
+	if model != engine.ModelVertex && longer == 0 {
 		t.Errorf("%d iterations, none longer than the planner's: the fixture exercises nothing", it)
 	}
 	if rec.maxPages > m {
@@ -117,14 +118,16 @@ func TestRangesAreDeterministic(t *testing.T) {
 			}
 			m := int(st.NumPages) * 8 / 100
 			var first []int
-			for _, opts := range []Options{{Mode: Serial}, {Mode: Parallel, Threads: 1}, {Mode: Parallel, Threads: 2}, {Mode: Parallel, Threads: 4}} {
-				opts.MemoryPages, opts.CollectIterStats = m, true
-				res, err := RunFile(st, opts)
+			for _, run := range []struct {
+				o       optRunner
+				threads int
+			}{{serial, 0}, {parallel, 1}, {parallel, 2}, {parallel, 4}} {
+				res, _, err := runFile(st, run.o, engine.Options{Threads: run.threads, MemoryPages: m, CollectIterStats: true})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Triangles != want {
-					t.Fatalf("%v/%d: triangles = %d, want %d", opts.Mode, opts.Threads, res.Triangles, want)
+					t.Fatalf("%v/%d: triangles = %d, want %d", run.o.mode, run.threads, res.Triangles, want)
 				}
 				var ranges []int
 				for _, s := range res.IterStats {
@@ -132,11 +135,11 @@ func TestRangesAreDeterministic(t *testing.T) {
 				}
 				if first == nil {
 					first = ranges
-					if plan := planAreas(st, EdgeIterator, m); len(ranges) >= plan.iterations {
+					if plan := planAreas(st, engine.ModelEdge, m); len(ranges) >= plan.iterations {
 						t.Fatalf("%d iterations, planned %d: no range grew", len(ranges), plan.iterations)
 					}
 				} else if !slices.Equal(ranges, first) {
-					t.Errorf("%v/%d: internal ranges %v, Serial took %v", opts.Mode, opts.Threads, ranges, first)
+					t.Errorf("%v/%d: internal ranges %v, Serial took %v", run.o.mode, run.threads, ranges, first)
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
@@ -132,10 +133,10 @@ func TestCorruptRecordFailsRun(t *testing.T) {
 		// makes them miss a triangle in every mode on either codec.
 		cases = append(cases, corruption{codec + "/swapped-neighbors", swappedStore(t, g, 717, codec)})
 		for _, c := range cases {
-			for _, mode := range []Mode{Serial, Parallel} {
-				t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+			for _, o := range []optRunner{serial, parallel} {
+				t.Run(c.name+"/"+o.mode.String(), func(t *testing.T) {
 					baseline := runtime.NumGoroutine()
-					res, err := RunFile(c.bad, Options{Mode: mode, Threads: 2, MemoryPages: int(c.bad.NumPages) / 8})
+					res, _, err := runFile(c.bad, o, engine.Options{Threads: 2, MemoryPages: int(c.bad.NumPages) / 8})
 					if !errors.Is(err, storage.ErrCorruptPage) {
 						var got int64
 						if res != nil {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -27,30 +27,28 @@ func denseStore(t testing.TB, seed int64) *storage.Store {
 }
 
 // BenchmarkOPTDenseCPU is the dense-cpu benchmark workload as a Go
-// benchmark — 15 % buffer, no simulated latency, a fresh Collector per op as
-// engineRunner attaches one — serial and on 2 threads, so the intersect
-// kernel's ms/op, the run's allocs/op and what the second thread buys show
-// in the bench smoke.
+// benchmark — 15 % buffer, no simulated latency — serial and on 2 threads,
+// so the intersect kernel's ms/op, the run's allocs/op and what the second
+// thread buys show in the bench smoke.
 func BenchmarkOPTDenseCPU(b *testing.B) {
 	st := denseStore(b, 1)
-	run := func(b *testing.B, opts Options) time.Duration {
-		opts.MemoryPages = int(float64(st.NumPages) * 0.15)
+	run := func(b *testing.B, o optRunner, threads int) time.Duration {
+		opts := engine.Options{Threads: threads, MemoryPages: int(float64(st.NumPages) * 0.15)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			opts.Metrics = metrics.NewCollector()
-			if _, err := RunFile(st, opts); err != nil {
+			if _, _, err := runFile(st, o, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 		return b.Elapsed() / time.Duration(b.N)
 	}
-	var serial time.Duration
-	b.Run("serial", func(b *testing.B) { serial = run(b, Options{Mode: Serial}) })
+	var one time.Duration
+	b.Run("serial", func(b *testing.B) { one = run(b, serial, 0) })
 	b.Run("threads=2", func(b *testing.B) {
-		parallel := run(b, Options{Mode: Parallel, Threads: 2})
-		if serial > 0 {
-			b.ReportMetric(float64(serial)/float64(parallel), "serial/parallel")
+		two := run(b, parallel, 2)
+		if one > 0 {
+			b.ReportMetric(float64(one)/float64(two), "serial/parallel")
 		}
 	})
 }

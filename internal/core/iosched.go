@@ -141,7 +141,7 @@ func (io *ioSched) issueGroup(g *extGroup) {
 	if len(g.reqs) > 1 {
 		r.note(events.Event{Kind: events.CoalescedRead, Iteration: io.iter, N: int64(g.pages)})
 	}
-	if r.opts.DisableMicroOverlap {
+	if r.seams.disableMicroOverlap {
 		// Ablation: synchronous vectored read, no overlap — completions run
 		// inline on the pumper.
 		data, err := r.dev.ReadPages(g.first, g.pages)
@@ -230,9 +230,7 @@ func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
 // pool at coalesce time — the Δin-style reuse path that needs no I/O.
 func (io *ioSched) processResident(res residentReq) {
 	r := io.r
-	if r.mx != nil {
-		r.mx.AddReusedPages(int64(res.c.NumPages))
-	}
+	r.mx.AddReusedPages(int64(res.c.NumPages))
 	work := func() {
 		r.processExternal(res.c, res.req)
 		r.pool.Unpin(res.c.FirstPage)

@@ -14,6 +14,7 @@ import (
 
 	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/buffer"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
@@ -22,16 +23,18 @@ import (
 	"github.com/optlab/opt/internal/storage"
 )
 
-// newTestRunner builds a runner over st's own file device. The caller must
-// invoke the returned cleanup.
-func newTestRunner(t *testing.T, g *graph.Graph, pageSize int, opts Options) (*runner, func()) {
+// newTestRunner builds o's runner over the store of g and its own file
+// device, with the budget resolved as engine.Run resolves it. The caller
+// must invoke the returned cleanup.
+func newTestRunner(t *testing.T, g *graph.Graph, pageSize int, o optRunner, opts engine.Options) (*runner, func()) {
 	t.Helper()
 	st := buildStore(t, g, pageSize)
 	dev, err := st.Device()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(context.Background(), st, dev, opts)
+	opts.MemoryPages = opts.Budget(st)
+	r := newRunner(context.Background(), st, dev, o, opts)
 	return r, func() {
 		r.close()
 		_ = dev.Close()
@@ -60,7 +63,7 @@ func TestCoalesceGrouping(t *testing.T) {
 	}
 	g, _ := graph.DegreeOrder(raw)
 	const maxCoalesce = 4
-	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64, MaxCoalescePages: maxCoalesce})
+	r, cleanup := newTestRunner(t, g, 128, optRunner{mode: Serial, seams: seams{maxCoalescePages: maxCoalesce}}, engine.Options{MemoryPages: 64})
 	defer cleanup()
 
 	r.vexSet = allVertices(r.st.NumVertices)
@@ -134,7 +137,7 @@ func TestCoalesceSplitsAtResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := graph.DegreeOrder(raw)
-	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64})
+	r, cleanup := newTestRunner(t, g, 128, serial, engine.Options{MemoryPages: 64})
 	defer cleanup()
 
 	r.vexSet = allVertices(r.st.NumVertices)
@@ -178,23 +181,21 @@ func TestOPTCoalescingReducesReads(t *testing.T) {
 	st := buildStore(t, g, 128)
 	budget := int(st.NumPages)/4 + 2
 
-	run := func(opts Options) (*Result, *metrics.Collector) {
-		mx := metrics.NewCollector()
-		opts.Metrics = mx
-		res, err := RunFile(st, opts)
+	run := func(o optRunner) (*engine.Result, *metrics.Collector) {
+		res, mx, err := runFile(st, o, engine.Options{MemoryPages: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, mx
 	}
-	baseRes, baseMx := run(Options{Mode: Serial, MemoryPages: budget, MaxCoalescePages: 1, PrefetchDepth: 1})
-	coalRes, coalMx := run(Options{Mode: Serial, MemoryPages: budget})
+	baseRes, baseMx := run(optRunner{mode: Serial, seams: seams{maxCoalescePages: 1, prefetchDepth: 1}})
+	coalRes, coalMx := run(serial)
 
 	if baseRes.Triangles != coalRes.Triangles {
 		t.Fatalf("triangles diverge: baseline %d, coalesced %d", baseRes.Triangles, coalRes.Triangles)
 	}
 	if baseMx.CoalescedReads() != 0 {
-		t.Fatalf("baseline coalesced %d reads with MaxCoalescePages=1", baseMx.CoalescedReads())
+		t.Fatalf("baseline coalesced %d reads with maxCoalescePages=1", baseMx.CoalescedReads())
 	}
 	if coalMx.CoalescedReads() == 0 {
 		t.Fatal("coalesced run recorded no coalesced reads")
@@ -211,7 +212,7 @@ func TestOPTCoalescingReducesReads(t *testing.T) {
 }
 
 // TestOPTPrefetchAccounting checks that read-ahead actually happens (hits
-// recorded) under the default PrefetchDepth and never happens when the
+// recorded) under the default prefetch depth and never happens when the
 // window is one read deep.
 func TestOPTPrefetchAccounting(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 12_000, 42))
@@ -222,8 +223,8 @@ func TestOPTPrefetchAccounting(t *testing.T) {
 	st := buildStore(t, g, 128)
 	budget := int(st.NumPages)/4 + 2
 
-	mx := metrics.NewCollector()
-	if _, err := RunFile(st, Options{Mode: Serial, MemoryPages: budget, MaxCoalescePages: 4, Metrics: mx}); err != nil {
+	_, mx, err := runFile(st, optRunner{mode: Serial, seams: seams{maxCoalescePages: 4}}, engine.Options{MemoryPages: budget})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if mx.PrefetchHits() == 0 {
@@ -233,12 +234,11 @@ func TestOPTPrefetchAccounting(t *testing.T) {
 		t.Fatalf("error-free run wasted %d prefetches", mx.PrefetchWasted())
 	}
 
-	mx = metrics.NewCollector()
-	if _, err := RunFile(st, Options{Mode: Serial, MemoryPages: budget, PrefetchDepth: 1, Metrics: mx}); err != nil {
+	if _, mx, err = runFile(st, optRunner{mode: Serial, seams: seams{prefetchDepth: 1}}, engine.Options{MemoryPages: budget}); err != nil {
 		t.Fatal(err)
 	}
 	if mx.PrefetchHits() != 0 || mx.PrefetchWasted() != 0 {
-		t.Fatalf("PrefetchDepth=1 still prefetched: hits=%d wasted=%d", mx.PrefetchHits(), mx.PrefetchWasted())
+		t.Fatalf("prefetchDepth=1 still prefetched: hits=%d wasted=%d", mx.PrefetchHits(), mx.PrefetchWasted())
 	}
 }
 
@@ -259,12 +259,12 @@ func TestOPTCoalescedReadFailure(t *testing.T) {
 	}
 	defer func() { _ = base.Close() }()
 
-	for _, mode := range []Mode{Serial, Parallel} {
+	for _, o := range []optRunner{serial, parallel} {
 		for _, every := range []int64{1, 4, 9} {
 			faulty := &ssd.FaultyDevice{PageDevice: base, FailEveryN: every}
-			_, err := Run(st, faulty, Options{Mode: mode, Threads: 2, MemoryPages: 16})
+			_, _, err := runWith(context.Background(), st, faulty, o, engine.Options{Threads: 2, MemoryPages: 16})
 			if !errors.Is(err, ssd.ErrInjected) {
-				t.Fatalf("%v FailEveryN=%d: err = %v, want ErrInjected", mode, every, err)
+				t.Fatalf("%v FailEveryN=%d: err = %v, want ErrInjected", o.mode, every, err)
 			}
 		}
 	}
@@ -285,11 +285,8 @@ func TestOPTSchedulerKnobMatrix(t *testing.T) {
 		for _, coalesce := range []int{0, 1, 3} {
 			for _, depth := range []int{0, 1, 2} {
 				for _, sync := range []bool{false, true} {
-					res, err := RunFile(st, Options{
-						Mode: mode, Threads: 2, MemoryPages: 16,
-						MaxCoalescePages: coalesce, PrefetchDepth: depth,
-						DisableMicroOverlap: sync,
-					})
+					o := optRunner{mode: mode, seams: seams{maxCoalescePages: coalesce, prefetchDepth: depth, disableMicroOverlap: sync}}
+					res, _, err := runFile(st, o, engine.Options{Threads: 2, MemoryPages: 16})
 					name := fmt.Sprintf("%v coalesce=%d depth=%d sync=%v", mode, coalesce, depth, sync)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -313,7 +310,7 @@ func TestExternalSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates and randomises sync.Pool caching")
 	}
 	// Every record has hundreds of partners: the probe path, set included.
-	r, cleanup := newTestRunner(t, graph.Complete(600), 512, Options{Mode: Serial, Metrics: metrics.NewCollector()})
+	r, cleanup := newTestRunner(t, graph.Complete(600), 512, serial, engine.Options{})
 	defer cleanup()
 	st := r.st
 	data, err := r.dev.ReadPages(0, int(st.NumPages))
@@ -373,7 +370,7 @@ func TestBuildRequestsSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := graph.DegreeOrder(raw)
-	r, cleanup := newTestRunner(t, g, 128, Options{Mode: Serial, MemoryPages: 64})
+	r, cleanup := newTestRunner(t, g, 128, serial, engine.Options{MemoryPages: 64})
 	defer cleanup()
 	r.vexSet = allVertices(r.st.NumVertices)
 	if allocs := testing.AllocsPerRun(10, func() {
@@ -396,7 +393,7 @@ func BenchmarkBuildAndCoalesce(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = dev.Close() }()
-	r := newRunner(context.Background(), st, dev, Options{Mode: Serial, MemoryPages: 64})
+	r := newRunner(context.Background(), st, dev, serial, engine.Options{MemoryPages: 64})
 	defer r.close()
 	r.vexSet = allVertices(st.NumVertices)
 	b.ReportAllocs()
@@ -417,7 +414,7 @@ func BenchmarkOPTSerialCoalesced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFile(st, Options{Mode: Serial, MemoryPages: int(st.NumPages)/4 + 2}); err != nil {
+		if _, _, err := runFile(st, serial, engine.Options{MemoryPages: int(st.NumPages)/4 + 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -459,8 +456,8 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 					counts[e.Kind]++
 				}
 			})
-			mx := metrics.NewCollector()
-			res, err := RunFile(st, Options{Mode: mode, Threads: 2, MemoryPages: budget, MaxCoalescePages: 4, Metrics: mx, Events: rec})
+			o := optRunner{mode: mode, seams: seams{maxCoalescePages: 4}}
+			res, mx, err := runFile(st, o, engine.Options{Threads: 2, MemoryPages: budget, Events: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -558,7 +555,7 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 	}
 	defer func() { _ = base.Close() }()
 	rec := &readRecorder{PageDevice: base}
-	r := newRunner(context.Background(), st, rec, Options{Mode: Serial, MemoryPages: 72, InternalPages: 64, ExternalPages: 8})
+	r := newRunner(context.Background(), st, rec, optRunner{mode: Serial, seams: seams{internalPages: 64, externalPages: 8}}, engine.Options{MemoryPages: 72})
 	defer r.close()
 
 	for it, lo := 0, uint32(0); lo < st.NumPages && it < 3; it++ {
@@ -604,10 +601,8 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 // (a window that holds one group at a time scores ≈ 0.1 here).
 func TestWindowKeepsReadsInFlight(t *testing.T) {
 	g, st := sparseStore(t)
-	mx := metrics.NewCollector()
-	res, err := RunFile(st, Options{
-		Mode: Parallel, Threads: 2, MemoryPages: 48, InternalPages: 32, ExternalPages: 16,
-		Latency: ssd.Latency{PerRead: 300 * time.Microsecond}, Metrics: mx,
+	res, mx, err := runFile(st, optRunner{mode: Parallel, seams: seams{internalPages: 32, externalPages: 16}}, engine.Options{
+		Threads: 2, MemoryPages: 48, Latency: ssd.Latency{PerRead: 300 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -625,7 +620,7 @@ func TestWindowKeepsReadsInFlight(t *testing.T) {
 // of the reads, the pages admitted and not yet retired stay within m_ex,
 // except while one group larger than m_ex has the window to itself.
 func TestWindowHonoursPageBudget(t *testing.T) {
-	r, cleanup := newTestRunner(t, graph.Complete(20), 64, Options{Mode: Serial, MemoryPages: 16, InternalPages: 8, ExternalPages: 8})
+	r, cleanup := newTestRunner(t, graph.Complete(20), 64, optRunner{mode: Serial, seams: seams{internalPages: 8, externalPages: 8}}, engine.Options{MemoryPages: 16})
 	defer cleanup()
 	io := r.newIOSched(nil, 0)
 	for _, pages := range []int{2, 2, 2, 2, 9, 2} {
@@ -676,13 +671,13 @@ func TestExternalPathSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation and the optpoison guard both make recycled chunks allocate")
 	}
 	_, st := sparseStore(t)
-	opts := Options{Mode: Parallel, Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100}
-	if _, err := RunFile(st, opts); err != nil {
+	opts := engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100}
+	if _, _, err := runFile(st, parallel, opts); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := RunFile(st, opts)
+	res, _, err := runFile(st, parallel, opts)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -700,7 +695,7 @@ func TestExternalPathSteadyStateAllocs(t *testing.T) {
 // rule: what is still resident in the external area when the run ends goes
 // back to the free list, except a chunk somebody still pins.
 func TestCloseRecyclesResidentChunks(t *testing.T) {
-	r, cleanup := newTestRunner(t, graph.Complete(20), 64, Options{Mode: Serial, MemoryPages: 16})
+	r, cleanup := newTestRunner(t, graph.Complete(20), 64, serial, engine.Options{MemoryPages: 16})
 	newChunk := func(first uint32) *buffer.Chunk {
 		c := buffer.GetChunk()
 		c.FirstPage, c.NumPages = first, 1
@@ -737,14 +732,14 @@ func benchSparse(b *testing.B, codec string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{
-		Mode: Parallel, Threads: 2, MemoryPages: int(float64(st.NumPages) * 0.08),
+	opts := engine.Options{
+		Threads: 2, MemoryPages: int(float64(st.NumPages) * 0.08),
 		Latency: ssd.Latency{PerRead: 100 * time.Microsecond, PerPage: 10 * time.Microsecond},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFile(st, opts)
+		res, _, err := runFile(st, parallel, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

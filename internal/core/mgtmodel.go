@@ -11,7 +11,7 @@ import (
 // candidate — without the "not internal" filter, so the block's own
 // records flow through the external area exactly like the full rescan of
 // the original MGT — and (3) the vertex-iterator pair kernel identifies
-// all triangles. Combine it with Options.DisableMicroOverlap to reproduce
+// all triangles. Combine it with the disableMicroOverlap seam to reproduce
 // MGT's synchronous I/O behaviour (§3.5 point 4); with asynchronous I/O
 // left on, the instance is strictly better than the original, as the
 // paper's Eq. 7 comparison anticipates.

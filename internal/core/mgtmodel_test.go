@@ -3,9 +3,9 @@ package core
 import (
 	"testing"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 // TestMGTInstanceMatchesReference validates the §3.5 genericity claim:
@@ -18,10 +18,8 @@ func TestMGTInstanceMatchesReference(t *testing.T) {
 	st := buildStore(t, g, 256)
 	for _, budget := range []int{2, 6, int(st.NumPages)/4 + 2} {
 		for _, sync := range []bool{false, true} {
-			res, err := RunFile(st, Options{
-				Model: MGTInstance, Mode: Serial,
-				MemoryPages: budget, DisableMicroOverlap: sync,
-			})
+			o := optRunner{mode: Serial, seams: seams{disableMicroOverlap: sync}}
+			res, _, err := runFile(st, o, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: budget})
 			if err != nil {
 				t.Fatalf("budget=%d sync=%v: %v", budget, sync, err)
 			}
@@ -36,7 +34,7 @@ func TestMGTInstanceMatchesReference(t *testing.T) {
 func TestMGTInstanceParallel(t *testing.T) {
 	g := graph.PaperExample()
 	st := buildStore(t, g, 64)
-	res, err := RunFile(st, Options{Model: MGTInstance, Mode: Parallel, Threads: 2, MemoryPages: 4})
+	res, _, err := runFile(st, parallel, engine.Options{Model: engine.ModelMGTInstance, Threads: 2, MemoryPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +49,7 @@ func TestMGTInstanceParallel(t *testing.T) {
 func TestMGTInstanceDoesNoInternalWork(t *testing.T) {
 	g := graph.Complete(12)
 	st := buildStore(t, g, 64)
-	mx := metrics.NewCollector()
-	res, err := RunFile(st, Options{Model: MGTInstance, Mode: Serial, MemoryPages: 4, Metrics: mx})
+	res, mx, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +70,7 @@ func TestMGTInstanceIOCheaperThanFullRescan(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 5000, 3))
 	g, _ := graph.DegreeOrder(raw)
 	st := buildStore(t, g, 128)
-	mx := metrics.NewCollector()
-	res, err := RunFile(st, Options{Model: MGTInstance, Mode: Serial, MemoryPages: 8, Metrics: mx})
+	res, mx, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,41 +9,13 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/optlab/opt/internal/bits"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/intersect"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
-
-// ModelKind selects the iterator model plugged into the framework.
-type ModelKind int
-
-// Supported iterator models.
-const (
-	EdgeIterator ModelKind = iota
-	VertexIterator
-	// MGTInstance plugs Hu et al.'s MGT into the framework as the §3.5
-	// degenerate instance: no internal triangulation, every adjacent
-	// vertex an external candidate, vertex-iterator pair kernel. Pair it
-	// with DisableMicroOverlap for the original's synchronous behaviour.
-	MGTInstance
-)
-
-// String implements fmt.Stringer.
-func (k ModelKind) String() string {
-	switch k {
-	case EdgeIterator:
-		return "EdgeIterator"
-	case VertexIterator:
-		return "VertexIterator"
-	case MGTInstance:
-		return "MGTInstance"
-	default:
-		return "UnknownModel"
-	}
-}
 
 // Model is the plug-in interface of the OPT framework (§3.2). Implementations
 // must be safe for concurrent calls: the framework invokes them from
@@ -56,19 +28,19 @@ type Model interface {
 	// ExternalCandidates adds to vex the external candidate vertices derived
 	// from the freshly loaded internal record u, whole list included
 	// (ExternalCandidateVertexImpl in Algorithm 7). u.Adj is strictly
-	// ascending and below vex.Len(): runner.decodeChunk checked it.
+	// ascending and below vex.Len(): Store.DecodeAppend checked it.
 	ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *bits.Set)
 	// ExternalTriangle identifies the external triangles contributed by the
 	// external-area record v (ExternalTriangleImpl in Algorithm 9).
 	ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec)
 }
 
-// NewModel returns the Model for kind.
-func NewModel(kind ModelKind) Model {
-	switch kind {
-	case VertexIterator:
+// NewModel returns the Model for m.
+func NewModel(m engine.Model) Model {
+	switch m {
+	case engine.ModelVertex:
 		return vertexIteratorModel{}
-	case MGTInstance:
+	case engine.ModelMGTInstance:
 		return mgtModel{}
 	default:
 		return edgeIteratorModel{}
@@ -93,11 +65,10 @@ type Ctx struct {
 	succ     [][]uint32 // succ[v-loVertex] = n≻(v), a sub-slice of ids
 	ids      []uint32   // the lists of succ back to back; reused across iterations
 	out      Output     // nil: count only, nothing is emitted per pair
-	mx       *metrics.Collector
 
-	// triangles is the run's count: the sum of every flushed work tally.
-	triangles atomic.Int64
-	works     sync.Pool // *work
+	// mx holds the run's totals: every work tally is flushed into it.
+	mx    *metrics.Collector
+	works sync.Pool // *work
 }
 
 func newCtx(store *storage.Store, out Output, mx *metrics.Collector) *Ctx {
@@ -126,11 +97,8 @@ func (c *Ctx) getWork() *work {
 
 // putWork flushes w's tally into the run's totals and returns w.
 func (c *Ctx) putWork(w *work) {
-	c.triangles.Add(w.triangles)
-	if c.mx != nil {
-		c.mx.AddIntersections(w.calls, w.ops)
-		c.mx.AddTriangles(w.triangles)
-	}
+	c.mx.AddIntersections(w.calls, w.ops)
+	c.mx.AddTriangles(w.triangles)
 	w.calls, w.ops, w.triangles = 0, 0, 0
 	c.works.Put(w)
 }

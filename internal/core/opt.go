@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,71 +49,63 @@ const defaultCoalescePages = 32
 // device (DESIGN.md §9; CHANGES.md PR 21 has the 2- against 4-group numbers).
 const windowGroups = 4
 
-// Options configures a framework run.
-type Options struct {
-	// Model selects the iterator model (default EdgeIterator, as in §5.1).
-	Model ModelKind
-	// Mode selects Serial or Parallel.
-	Mode Mode
-	// Threads is the worker count in Parallel mode (default 2: the main
-	// thread and the callback thread).
-	Threads int
-	// MemoryPages is the total buffer budget m. Defaults to one quarter of
-	// the store when 0.
-	MemoryPages int
-	// InternalPages (m_in) and ExternalPages (m_ex) override the split of
-	// MemoryPages that planAreas otherwise chooses per store; they are the
-	// test and ablation seam.
-	InternalPages int
-	ExternalPages int
-	// QueueDepth is the FlashSSD channel parallelism (default 8).
-	QueueDepth int
-	// Latency simulates device latency; zero runs at raw device speed.
-	Latency ssd.Latency
-	// DisableMorphing turns off thread morphing (§3.4) for the Figure 4
-	// comparison. Ignored in Serial mode.
-	DisableMorphing bool
-	// DisableMicroOverlap replaces asynchronous external reads with
+// seams is the test and ablation seam of a run: what only tests and the
+// ablation benchmarks of this package vary. Every registered runner leaves it
+// zero — the planner's split, the default coalescing and read-ahead,
+// asynchronous external reads — so no run knob reaches it.
+type seams struct {
+	// internalPages (m_in) and externalPages (m_ex) override the split of
+	// MemoryPages that planAreas otherwise chooses per store; one of them
+	// set gives the other the rest of the budget.
+	internalPages, externalPages int
+	// maxCoalescePages caps the pages merged into one vectored read by the
+	// I/O scheduler (DESIGN.md §9). 0 selects defaultCoalescePages; either
+	// way an external read is clamped to m_ex/windowGroups and an
+	// internal-area read to the internal area. 1 effectively disables
+	// coalescing (requests are never merged, though a multi-page chunk still
+	// reads as one).
+	maxCoalescePages int
+	// prefetchDepth bounds the coalesced reads the scheduler keeps in flight
+	// (read-ahead). 0 selects the device's queue depth; 1 disables
+	// read-ahead, restoring the one-read-at-a-time chain of Algorithm 9.
+	prefetchDepth int
+	// disableMicroOverlap replaces asynchronous external reads with
 	// synchronous ones, an ablation that degrades OPT towards MGT's I/O
 	// behaviour.
-	DisableMicroOverlap bool
-	// MaxCoalescePages caps the pages merged into one vectored read by the
-	// I/O scheduler (DESIGN.md §9). 0 selects the default of 32; either way
-	// an external read is clamped to m_ex/windowGroups and an internal-area
-	// read to the internal area. 1 effectively disables
-	// coalescing (requests are never merged, though a multi-page chunk still
-	// reads as one). Like PrefetchDepth below it is a test and ablation
-	// seam: no caller of engine.Run sets it.
-	MaxCoalescePages int
-	// PrefetchDepth bounds the coalesced reads the scheduler keeps in
-	// flight (read-ahead). 0 selects the QueueDepth; 1 disables read-ahead,
-	// restoring the one-read-at-a-time chain of Algorithm 9. A test and
-	// ablation seam, as above.
-	PrefetchDepth int
-	// Output receives triangles; nil counts them without emitting any.
-	Output Output
-	// Metrics receives cost counters; optional.
-	Metrics *metrics.Collector
-	// CollectIterStats enables the per-iteration records used by Figure 4
-	// and, in Parallel mode with Events set, one events.TaskDone per chunk
-	// task.
-	CollectIterStats bool
-	// Events receives progress events (iteration boundaries, morphing, and
-	// — via the device — page I/O); optional.
-	Events events.Sink
+	disableMicroOverlap bool
 }
 
-// IterationStat describes one outer-loop iteration (Figure 4). It is the
-// engine-wide definition; the alias keeps existing core callers compiling.
-type IterationStat = engine.IterationStat
+// optRunner is one OPT variant as the engine runs it: one value per Mode is
+// registered at init, so both variants flow through the same dispatch path
+// as every baseline, and its Run is the entry of Algorithm 3.
+type optRunner struct {
+	mode  Mode
+	seams seams
+}
 
-// Result reports a completed run.
-type Result struct {
-	Triangles  int64
-	Iterations int
-	Elapsed    time.Duration // wall-clock run time
-	IterStats  []IterationStat
-	Metrics    metrics.Snapshot
+func init() {
+	engine.Register(engine.Info{
+		Name:           Parallel.String(),
+		ListsTriangles: true,
+		Models:         true,
+		Parallel:       true,
+	}, optRunner{mode: Parallel})
+	engine.Register(engine.Info{
+		Name:           Serial.String(),
+		ListsTriangles: true,
+		Models:         true,
+	}, optRunner{mode: Serial})
+}
+
+// Run implements engine.Runner: Algorithm 3 over a store whose data pages
+// are served by base. When ctx is done the run stops within the current
+// iteration — queued device requests complete with the context's error, no
+// goroutines leak — and the partial Result accumulated so far is returned
+// alongside an error satisfying errors.Is(err, ctx.Err()).
+func (o optRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	r := newRunner(ctx, st, base, o, opts)
+	defer r.close()
+	return r.run()
 }
 
 // extReq is one element of the request list L of Algorithm 4: a chunk to
@@ -124,30 +117,13 @@ type extReq struct {
 	cands []uint32 // sorted
 }
 
-// Run executes the OPT framework over a store whose data pages are served
-// by base. It is the entry point corresponding to Algorithm 3.
-func Run(st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	return RunContext(context.Background(), st, base, opts)
-}
-
-// RunContext is Run with cancellation: when ctx is done the run stops
-// within the current iteration — queued device requests complete with the
-// context's error, no goroutines leak — and the partial Result accumulated
-// so far is returned alongside an error satisfying errors.Is(err, ctx.Err()).
-func RunContext(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r := newRunner(ctx, st, base, opts)
-	defer r.close()
-	return r.run()
-}
-
 type runner struct {
 	gctx  context.Context
 	st    *storage.Store
 	dev   *ssd.AsyncDevice
-	opts  Options
+	mode  Mode
+	seams seams
+	opts  engine.Options
 	model Model
 	ctx   *Ctx
 	mx    *metrics.Collector
@@ -155,7 +131,7 @@ type runner struct {
 	mEx   int
 	pool  *buffer.Pool // external area, persists across iterations
 
-	// I/O-scheduler knobs, resolved from Options (DESIGN.md §9).
+	// I/O-scheduler knobs, resolved from the seams (DESIGN.md §9).
 	maxCoalesce   int // pages per coalesced external read
 	loadCoalesce  int // pages per coalesced internal-area read
 	prefetchDepth int
@@ -195,17 +171,11 @@ type runner struct {
 	err     error
 }
 
-func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts Options) *runner {
+func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o optRunner, opts engine.Options) *runner {
 	if opts.Threads <= 0 {
-		opts.Threads = 2
+		opts.Threads = 2 // the main thread and the callback thread
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 8
-	}
-	if opts.MemoryPages <= 0 {
-		opts.MemoryPages = int(st.NumPages)/4 + 2
-	}
-	mIn, mEx := opts.InternalPages, opts.ExternalPages
+	mIn, mEx := o.seams.internalPages, o.seams.externalPages
 	if mIn <= 0 && mEx <= 0 {
 		plan := planAreas(st, opts.Model, opts.MemoryPages)
 		mIn, mEx = plan.mIn, plan.mEx
@@ -214,45 +184,32 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 	} else if mEx <= 0 {
 		mEx = opts.MemoryPages - mIn
 	}
-	if mIn < 1 {
-		mIn = 1
-	}
-	if mEx < 1 {
-		mEx = 1
-	}
-	mx := opts.Metrics
+	mIn, mEx = max(mIn, 1), max(mEx, 1)
 	// An external read is also capped by the window, so windowGroups of
 	// them fit m_ex; the internal-area load has nothing to overlap with and
 	// is capped only by its own area.
-	maxCoalesce := opts.MaxCoalescePages
-	if maxCoalesce <= 0 {
-		maxCoalesce = defaultCoalescePages
-	}
-	loadCoalesce := min(maxCoalesce, mIn)
-	maxCoalesce = min(maxCoalesce, max(1, mEx/windowGroups))
-	prefetchDepth := opts.PrefetchDepth
-	if prefetchDepth <= 0 {
-		prefetchDepth = opts.QueueDepth
-	}
+	maxCoalesce := cmp.Or(o.seams.maxCoalescePages, defaultCoalescePages)
 	succLen := make([]uint32, st.NumVertices)
 	for v := range succLen {
 		succLen[v] = uint32(st.DegreeOf(uint32(v)))
 	}
+	mx := metrics.NewCollector()
 	r := &runner{
-		gctx:          ctx,
-		st:            st,
-		opts:          opts,
-		model:         NewModel(opts.Model),
-		mx:            mx,
-		mIn:           mIn,
-		mEx:           mEx,
-		pool:          buffer.NewPool(mEx),
-		vexSet:        bits.NewSet(st.NumVertices),
-		succLen:       succLen,
-		maxCoalesce:   maxCoalesce,
-		loadCoalesce:  loadCoalesce,
-		prefetchDepth: prefetchDepth,
-		loadSlots:     make(chan struct{}, opts.MemoryPages),
+		gctx:         ctx,
+		st:           st,
+		mode:         o.mode,
+		seams:        o.seams,
+		opts:         opts,
+		model:        NewModel(opts.Model),
+		mx:           mx,
+		mIn:          mIn,
+		mEx:          mEx,
+		pool:         buffer.NewPool(mEx),
+		vexSet:       bits.NewSet(st.NumVertices),
+		succLen:      succLen,
+		maxCoalesce:  min(maxCoalesce, max(1, mEx/windowGroups)),
+		loadCoalesce: min(maxCoalesce, mIn),
+		loadSlots:    make(chan struct{}, opts.MemoryPages),
 	}
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
@@ -261,7 +218,12 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts
 		Context:    ctx,
 		Events:     opts.Events,
 	})
-	r.ctx = newCtx(st, opts.Output, mx)
+	r.prefetchDepth = cmp.Or(o.seams.prefetchDepth, r.dev.QueueDepth())
+	var out Output
+	if opts.OnTriangles != nil {
+		out = FuncOutput(opts.OnTriangles)
+	}
+	r.ctx = newCtx(st, out, mx)
 	return r
 }
 
@@ -287,17 +249,20 @@ func (r *runner) fail(err error) {
 // the caller receives only the error — ownership of the chunk transfers to
 // the caller on success and never otherwise. Both the internal-area
 // callback and the external I/O scheduler funnel through here, so the
-// decode/repoint/recycle discipline the optpoison build checks at run
-// time has exactly one implementation — and so has the check of what the
-// bytes said against the directories, which everything downstream indexes by: record
-// ids into the internal area, neighbor ids into the candidate and probe
-// sets. Every decode also tells the run |n≻(v)| of its records (succLen).
+// decode/repoint/recycle discipline the optpoison build checks at run time
+// has exactly one implementation. Store.DecodeAppend holds the records to
+// the directories, which everything downstream indexes by — record ids into
+// the internal area, neighbor ids into the candidate and probe sets — and
+// every bound and kernel relies on sorted lists; what only the caller can
+// check is that the device returned the pages asked for. Every decode also
+// tells the run |n≻(v)| of its records (succLen).
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {
 	c := buffer.GetChunk()
 	recs, arena, err := r.st.DecodeAppend(c.Recs, c.Arena, data)
 	c.Recs, c.Arena = recs, arena
-	if err == nil {
-		err = r.checkChunk(first, span, recs)
+	if err == nil && recs[0].ID != r.st.FirstRecordOf(first) {
+		err = fmt.Errorf("%w: pages [%d,+%d) start with record %d, page %d with %d",
+			storage.ErrCorruptPage, first, span, recs[0].ID, first, r.st.FirstRecordOf(first))
 	}
 	if err != nil {
 		buffer.PutChunk(c)
@@ -311,45 +276,10 @@ func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk
 	return c, nil
 }
 
-// checkChunk holds the records decoded from pages [first, first+span) to
-// the directories: ids strictly ascending inside the vertex range the page
-// directory gives the chunk, each list as long as the degree directory
-// says, strictly ascending and so below |V| when its last id is. Everything
-// downstream relies on sorted lists — the bounds that cut n≻ and the
-// candidate ranges, the kernels, the learned |n≻| that sizes later internal
-// ranges — so an unsorted list is a corrupt page, not a miscount.
-func (r *runner) checkChunk(first uint32, span int, recs []storage.VertexRec) error {
-	next, end := r.st.FirstRecordOf(first), r.st.FirstRecordOf(first+uint32(span))
-	for _, rec := range recs {
-		if rec.ID < next || rec.ID >= end {
-			return fmt.Errorf("%w: pages [%d,+%d) hold record %d, outside [%d,%d) or out of order", storage.ErrCorruptPage, first, span, rec.ID, next, end)
-		}
-		next = rec.ID + 1
-		adj := rec.Adj
-		if len(adj) != r.st.DegreeOf(rec.ID) {
-			return fmt.Errorf("%w: record %d holds %d neighbors, its degree is %d", storage.ErrCorruptPage, rec.ID, len(adj), r.st.DegreeOf(rec.ID))
-		}
-		if len(adj) == 0 {
-			continue
-		}
-		prev := adj[0]
-		for _, x := range adj[1:] {
-			if x <= prev {
-				return fmt.Errorf("%w: neighbors %d, %d of record %d out of order", storage.ErrCorruptPage, prev, x, rec.ID)
-			}
-			prev = x
-		}
-		if int(prev) >= r.st.NumVertices {
-			return fmt.Errorf("%w: record %d holds neighbor %d of %d vertices", storage.ErrCorruptPage, rec.ID, prev, r.st.NumVertices)
-		}
-	}
-	return nil
-}
-
 // emit forwards one progress event to the configured sink, if any.
 func (r *runner) emit(e events.Event) {
 	if s := r.opts.Events; s != nil {
-		e.Algorithm = r.opts.Mode.String()
+		e.Algorithm = r.mode.String()
 		s.Event(e)
 	}
 }
@@ -360,19 +290,19 @@ func (r *runner) emit(e events.Event) {
 // or per iteration, never per intersection.
 func (r *runner) note(e events.Event) {
 	r.emit(e)
-	if r.mx != nil {
-		r.mx.Event(e)
-	}
+	r.mx.Event(e)
 }
 
 // triangleCount returns the triangles of every task finished so far.
-func (r *runner) triangleCount() int64 { return r.ctx.triangles.Load() }
+func (r *runner) triangleCount() int64 { return r.mx.Triangles() }
 
 // run is Algorithm 3's outer loop.
-func (r *runner) run() (*Result, error) {
-	start := time.Now()
-	res := &Result{}
-	var lo uint32
+func (r *runner) run() (*engine.Result, error) {
+	var (
+		lo         uint32
+		iterations int
+		iterStats  []engine.IterationStat
+	)
 	for lo < r.st.NumPages {
 		if err := r.gctx.Err(); err != nil {
 			r.fail(err)
@@ -383,28 +313,25 @@ func (r *runner) run() (*Result, error) {
 
 		itStart := time.Now()
 		triBefore := r.triangleCount()
-		r.emit(events.Event{Kind: events.IterationStart, Iteration: res.Iterations, N: int64(count)})
-		stat, err := r.iteration(res.Iterations, lo, hi, ids)
+		r.emit(events.Event{Kind: events.IterationStart, Iteration: iterations, N: int64(count)})
+		stat, err := r.iteration(iterations, lo, hi, ids)
 		stat.Elapsed = time.Since(itStart)
 		if found := r.triangleCount() - triBefore; found > 0 {
-			r.emit(events.Event{Kind: events.TrianglesFound, Iteration: res.Iterations, N: found})
+			r.emit(events.Event{Kind: events.TrianglesFound, Iteration: iterations, N: found})
 		}
-		r.emit(events.Event{Kind: events.IterationEnd, Iteration: res.Iterations, N: r.triangleCount() - triBefore, Elapsed: stat.Elapsed})
+		r.emit(events.Event{Kind: events.IterationEnd, Iteration: iterations, N: r.triangleCount() - triBefore, Elapsed: stat.Elapsed})
 		if err != nil {
 			r.fail(err)
 			break
 		}
 		if r.opts.CollectIterStats {
-			res.IterStats = append(res.IterStats, stat)
+			iterStats = append(iterStats, stat)
 		}
-		res.Iterations++
+		iterations++
 		lo = hi
 	}
-	res.Elapsed = time.Since(start)
-	res.Triangles = r.triangleCount()
-	if r.mx != nil {
-		res.Metrics = r.mx.Snapshot()
-	}
+	res := engine.NewResult(r.mx)
+	res.Iterations, res.IterStats = iterations, iterStats
 	return res, r.err
 }
 
@@ -459,8 +386,8 @@ func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
 
 // iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi),
 // whose lists n≻ hold at most ids ids.
-func (r *runner) iteration(index int, lo, hi uint32, ids int) (IterationStat, error) {
-	stat := IterationStat{Index: index, InternalPages: int(hi - lo)}
+func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationStat, error) {
+	stat := engine.IterationStat{Index: index, InternalPages: int(hi - lo)}
 	loadStart := time.Now()
 	r.ctx.beginIteration(lo, hi, ids)
 	bounds := r.taskBounds[:0]
@@ -482,9 +409,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (IterationStat, er
 		span := r.st.AlignedRange(p, 1)
 		if c := r.pool.Take(p); c != nil {
 			stat.ReusedPages += c.NumPages
-			if r.mx != nil {
-				r.mx.AddReusedPages(int64(c.NumPages))
-			}
+			r.mx.AddReusedPages(int64(c.NumPages))
 			r.loadChunk(c)
 		} else {
 			toLoad = append(toLoad, pendingLoad{first: p, span: span})
@@ -561,7 +486,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (IterationStat, er
 	// Lines 9–13. The internal area holds no chunk: nothing to unpin after.
 	// The external pool retains its pages for the next iteration's Δin
 	// credit.
-	if r.opts.Mode == Serial {
+	if r.mode == Serial {
 		r.runSerial(reqs, &stat)
 	} else {
 		r.runParallel(reqs, &stat)
@@ -615,7 +540,7 @@ func (r *runner) buildRequests() []extReq {
 // triangulation first (single-threaded), then the external triangulation
 // with micro-level overlap only — coalesced reads kept in flight by the
 // I/O scheduler while the callback thread intersects.
-func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
+func (r *runner) runSerial(reqs []extReq, stat *engine.IterationStat) {
 	t0 := time.Now()
 	for i := 1; i < len(r.taskBounds); i++ {
 		if err := r.gctx.Err(); err != nil {
@@ -625,24 +550,20 @@ func (r *runner) runSerial(reqs []extReq, stat *IterationStat) {
 		r.triangulateInternal(r.taskBounds[i-1], r.taskBounds[i])
 	}
 	stat.InternalTime = time.Since(t0)
-	if r.mx != nil {
-		r.mx.AddSerialWork(stat.InternalTime)
-	}
+	r.mx.AddSerialWork(stat.InternalTime)
 
 	t1 := time.Now()
 	io := r.newIOSched(nil, stat.Index)
 	io.start(reqs)
 	io.wait()
 	stat.ExternalTime = time.Since(t1)
-	if r.mx != nil {
-		r.mx.AddSerialWork(stat.ExternalTime)
-	}
+	r.mx.AddSerialWork(stat.ExternalTime)
 }
 
 // runParallel executes the iteration tail with the macro-level overlap:
 // internal and external triangulation proceed concurrently on a morphing
 // worker pool (Algorithm 3 lines 9–11, §3.4).
-func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
+func (r *runner) runParallel(reqs []extReq, stat *engine.IterationStat) {
 	var onTask func(taskClass, time.Duration)
 	if r.opts.CollectIterStats && r.opts.Events != nil {
 		onTask = func(class taskClass, d time.Duration) {
@@ -676,9 +597,7 @@ func (r *runner) runParallel(reqs []extReq, stat *IterationStat) {
 	if m := s.morphCount(); m > 0 {
 		r.note(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
 	}
-	if r.mx != nil {
-		r.mx.AddParallelWork(stat.InternalTime + stat.ExternalTime)
-	}
+	r.mx.AddParallelWork(stat.InternalTime + stat.ExternalTime)
 }
 
 // triangulateInternal is one internal task: InternalTriangle (Algorithm 5)
@@ -697,35 +616,10 @@ func (r *runner) triangulateInternal(from, to uint32) {
 func (r *runner) processExternal(c *buffer.Chunk, req extReq) {
 	w := r.ctx.getWork()
 	for _, rec := range c.Recs {
-		if !containsSorted(req.cands, rec.ID) {
+		if _, ok := slices.BinarySearch(req.cands, rec.ID); !ok {
 			continue
 		}
 		r.model.ExternalTriangle(r.ctx, w, rec)
 	}
 	r.ctx.putWork(w)
-}
-
-func containsSorted(a []uint32, x uint32) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })
-	return i < len(a) && a[i] == x
-}
-
-// RunFile is a convenience wrapper that opens the store's own file device
-// and runs the framework.
-func RunFile(st *storage.Store, opts Options) (*Result, error) {
-	return RunFileContext(context.Background(), st, opts)
-}
-
-// RunFileContext is RunFile with cancellation.
-func RunFileContext(ctx context.Context, st *storage.Store, opts Options) (res *Result, err error) {
-	dev, err := st.Device()
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := dev.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return RunContext(ctx, st, dev, opts)
 }

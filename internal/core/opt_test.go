@@ -1,16 +1,55 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
+
+// The two registered variants with no seam set.
+var (
+	serial   = optRunner{mode: Serial}
+	parallel = optRunner{mode: Parallel}
+)
+
+// modelNames spells the iterator models as this package's subtests name them.
+var modelNames = map[engine.Model]string{
+	engine.ModelEdge: "EdgeIterator", engine.ModelVertex: "VertexIterator", engine.ModelMGTInstance: "MGTInstance",
+}
+
+// runWith is engine.Run for this package's tests: o — a registered variant,
+// with or without its seams set — over dev, or over st's own file device
+// when dev is nil, with the budget resolved as engine.Run resolves it. It
+// returns the run's collector beside the result, for the counters
+// engine.Result does not carry.
+func runWith(ctx context.Context, st *storage.Store, dev ssd.PageDevice, o optRunner, opts engine.Options) (*engine.Result, *metrics.Collector, error) {
+	if dev == nil {
+		fd, err := st.Device()
+		if err != nil {
+			return nil, nil, err
+		}
+		defer func() { _ = fd.Close() }() // read-only test device
+		dev = fd
+	}
+	opts.MemoryPages = opts.Budget(st)
+	r := newRunner(ctx, st, dev, o, opts)
+	defer r.close()
+	res, err := r.run()
+	return res, r.mx, err
+}
+
+// runFile is runWith over st's own file device, never cancelled.
+func runFile(st *storage.Store, o optRunner, opts engine.Options) (*engine.Result, *metrics.Collector, error) {
+	return runWith(context.Background(), st, nil, o, opts)
+}
 
 // buildStore materialises g into a store file in a test temp dir.
 func buildStore(t testing.TB, g *graph.Graph, pageSize int) *storage.Store {
@@ -23,10 +62,10 @@ func buildStore(t testing.TB, g *graph.Graph, pageSize int) *storage.Store {
 	return st
 }
 
-func runOn(t testing.TB, g *graph.Graph, pageSize int, opts Options) *Result {
+func runOn(t testing.TB, g *graph.Graph, pageSize int, o optRunner, opts engine.Options) *engine.Result {
 	t.Helper()
 	st := buildStore(t, g, pageSize)
-	res, err := RunFile(st, opts)
+	res, _, err := runFile(st, o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +76,14 @@ func TestOPTPaperExample(t *testing.T) {
 	// The Figure 2 walkthrough: tiny pages force several iterations; both
 	// models and both modes must find exactly the 5 triangles of G.
 	g := graph.PaperExample()
-	for _, model := range []ModelKind{EdgeIterator, VertexIterator} {
-		for _, mode := range []Mode{Serial, Parallel} {
-			res := runOn(t, g, 64, Options{
-				Model: model, Mode: mode, MemoryPages: 4, Threads: 2,
-			})
+	for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex} {
+		for _, o := range []optRunner{serial, parallel} {
+			res := runOn(t, g, 64, o, engine.Options{Model: model, MemoryPages: 4, Threads: 2})
 			if res.Triangles != 5 {
-				t.Errorf("%v/%v: triangles = %d, want 5", model, mode, res.Triangles)
+				t.Errorf("%v/%v: triangles = %d, want 5", model, o.mode, res.Triangles)
 			}
 			if res.Iterations < 1 {
-				t.Errorf("%v/%v: iterations = %d", model, mode, res.Iterations)
+				t.Errorf("%v/%v: iterations = %d", model, o.mode, res.Iterations)
 			}
 		}
 	}
@@ -55,7 +92,7 @@ func TestOPTPaperExample(t *testing.T) {
 func TestOPTListsExactTriangles(t *testing.T) {
 	g := graph.PaperExample()
 	out := &CollectingOutput{}
-	_ = runOn(t, g, 64, Options{Mode: Serial, MemoryPages: 4, Output: out})
+	_ = runOn(t, g, 64, serial, engine.Options{MemoryPages: 4, OnTriangles: out.Emit})
 	got := out.Triangles()
 	want := []Triangle{
 		{0, 1, 2}, // abc
@@ -90,22 +127,20 @@ func TestOPTMatchesReference(t *testing.T) {
 	for _, pageSize := range []int{128, 512} {
 		st := buildStore(t, g, pageSize)
 		budgets := []int{2, 4, int(st.NumPages)/10 + 2, int(st.NumPages)/4 + 2, int(st.NumPages) + 4}
-		for _, model := range []ModelKind{EdgeIterator, VertexIterator} {
-			for _, mode := range []Mode{Serial, Parallel} {
+		for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex} {
+			for _, o := range []optRunner{serial, parallel} {
 				for _, m := range budgets {
 					for _, threads := range []int{1, 2, 4} {
-						if mode == Serial && threads > 1 {
+						if o.mode == Serial && threads > 1 {
 							continue
 						}
-						res, err := RunFile(st, Options{
-							Model: model, Mode: mode, Threads: threads, MemoryPages: m,
-						})
+						res, _, err := runFile(st, o, engine.Options{Model: model, Threads: threads, MemoryPages: m})
 						if err != nil {
-							t.Fatalf("ps=%d %v/%v m=%d t=%d: %v", pageSize, model, mode, m, threads, err)
+							t.Fatalf("ps=%d %v/%v m=%d t=%d: %v", pageSize, model, o.mode, m, threads, err)
 						}
 						if res.Triangles != want {
 							t.Fatalf("ps=%d %v/%v m=%d t=%d: triangles = %d, want %d",
-								pageSize, model, mode, m, threads, res.Triangles, want)
+								pageSize, model, o.mode, m, threads, res.Triangles, want)
 						}
 					}
 				}
@@ -125,8 +160,8 @@ func TestOPTSpecialGraphs(t *testing.T) {
 		{"Star200", graph.Star(200), 0},
 	}
 	for _, tc := range cases {
-		for _, model := range []ModelKind{EdgeIterator, VertexIterator} {
-			res := runOn(t, tc.g, 64, Options{Model: model, Mode: Parallel, Threads: 4, MemoryPages: 6})
+		for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex} {
+			res := runOn(t, tc.g, 64, parallel, engine.Options{Model: model, Threads: 4, MemoryPages: 6})
 			if res.Triangles != tc.want {
 				t.Errorf("%s/%v: triangles = %d, want %d", tc.name, model, res.Triangles, tc.want)
 			}
@@ -139,8 +174,8 @@ func TestOPTOversizedAdjacencyLists(t *testing.T) {
 	// both the internal and the external area intact.
 	g := graph.Complete(40) // every list has 39 entries; page 64 holds 12
 	want := int64(40 * 39 * 38 / 6)
-	for _, model := range []ModelKind{EdgeIterator, VertexIterator} {
-		res := runOn(t, g, 64, Options{Model: model, Mode: Parallel, Threads: 2, MemoryPages: 8})
+	for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex} {
+		res := runOn(t, g, 64, parallel, engine.Options{Model: model, Threads: 2, MemoryPages: 8})
 		if res.Triangles != want {
 			t.Errorf("%v: triangles = %d, want %d", model, res.Triangles, want)
 		}
@@ -153,7 +188,7 @@ func TestOPTMinimalBuffer(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(256, 2000, 7))
 	g, _ := graph.DegreeOrder(raw)
 	want := graph.CountTrianglesReference(g)
-	res := runOn(t, g, 128, Options{Mode: Serial, MemoryPages: 2})
+	res := runOn(t, g, 128, serial, engine.Options{MemoryPages: 2})
 	if res.Triangles != want {
 		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
 	}
@@ -164,7 +199,7 @@ func TestOPTEmptyAndEdgeless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runOn(t, g, 64, Options{Mode: Parallel, MemoryPages: 2})
+	res := runOn(t, g, 64, parallel, engine.Options{MemoryPages: 2})
 	if res.Triangles != 0 {
 		t.Fatalf("triangles = %d, want 0", res.Triangles)
 	}
@@ -176,11 +211,9 @@ func TestOPTReusedPagesCredit(t *testing.T) {
 	// the Δin credit must be non-zero (§3.3, negative-overhead mechanism).
 	raw, _ := gen.RMAT(gen.DefaultRMAT(1<<10, 20_000, 3))
 	g, _ := graph.DegreeOrder(raw)
-	mx := metrics.NewCollector()
 	st := buildStore(t, g, 256)
-	if _, err := RunFile(st, Options{
-		Mode: Serial, MemoryPages: int(st.NumPages) / 5, Metrics: mx,
-	}); err != nil {
+	_, mx, err := runFile(st, serial, engine.Options{MemoryPages: int(st.NumPages) / 5})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if mx.ReusedPages() == 0 {
@@ -198,9 +231,8 @@ func TestOPTIterationStats(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 6000, 5))
 	g, _ := graph.DegreeOrder(raw)
 	st := buildStore(t, g, 128)
-	res, err := RunFile(st, Options{
-		Mode: Parallel, Threads: 2, MemoryPages: int(st.NumPages) / 4,
-		CollectIterStats: true,
+	res, _, err := runFile(st, parallel, engine.Options{
+		Threads: 2, MemoryPages: int(st.NumPages) / 4, CollectIterStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +263,14 @@ func TestOPTIOErrorPropagates(t *testing.T) {
 	defer func() { _ = base.Close() }()
 	for _, every := range []int64{1, 3, 7} {
 		faulty := &ssd.FaultyDevice{PageDevice: base, FailEveryN: every}
-		_, err = Run(st, faulty, Options{Mode: Parallel, Threads: 2, MemoryPages: 8})
+		_, _, err = runWith(context.Background(), st, faulty, parallel, engine.Options{Threads: 2, MemoryPages: 8})
 		if !errors.Is(err, ssd.ErrInjected) {
 			t.Fatalf("FailEveryN=%d: err = %v, want ErrInjected", every, err)
 		}
 	}
 	// Failure localised to one page mid-store (likely an external read).
 	faulty := &ssd.FaultyDevice{PageDevice: base, FailPage: st.NumPages / 2, FailPageSet: true}
-	if _, err = Run(st, faulty, Options{Mode: Serial, MemoryPages: 6}); !errors.Is(err, ssd.ErrInjected) {
+	if _, _, err = runWith(context.Background(), st, faulty, serial, engine.Options{MemoryPages: 6}); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("FailPage: err = %v, want ErrInjected", err)
 	}
 }
@@ -247,9 +279,7 @@ func TestOPTDisableMicroOverlap(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 6000, 9))
 	g, _ := graph.DegreeOrder(raw)
 	want := graph.CountTrianglesReference(g)
-	res := runOn(t, g, 128, Options{
-		Mode: Serial, MemoryPages: 8, DisableMicroOverlap: true,
-	})
+	res := runOn(t, g, 128, optRunner{mode: Serial, seams: seams{disableMicroOverlap: true}}, engine.Options{MemoryPages: 8})
 	if res.Triangles != want {
 		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
 	}
@@ -260,9 +290,7 @@ func TestOPTDisableMorphing(t *testing.T) {
 	g, _ := graph.DegreeOrder(raw)
 	want := graph.CountTrianglesReference(g)
 	for _, threads := range []int{2, 4} {
-		res := runOn(t, g, 128, Options{
-			Mode: Parallel, Threads: threads, MemoryPages: 8, DisableMorphing: true,
-		})
+		res := runOn(t, g, 128, parallel, engine.Options{Threads: threads, MemoryPages: 8, DisableMorphing: true})
 		if res.Triangles != want {
 			t.Fatalf("threads=%d: triangles = %d, want %d", threads, res.Triangles, want)
 		}
@@ -277,10 +305,8 @@ func TestOPTUnevenAreaSplit(t *testing.T) {
 	for _, split := range []struct{ in, ex int }{
 		{1, 7}, {7, 1}, {3, 5}, {0, 4}, {4, 0},
 	} {
-		res, err := RunFile(st, Options{
-			Mode: Parallel, Threads: 2, MemoryPages: 8,
-			InternalPages: split.in, ExternalPages: split.ex,
-		})
+		o := optRunner{mode: Parallel, seams: seams{internalPages: split.in, externalPages: split.ex}}
+		res, _, err := runFile(st, o, engine.Options{Threads: 2, MemoryPages: 8})
 		if err != nil {
 			t.Fatalf("split %+v: %v", split, err)
 		}
@@ -294,8 +320,8 @@ func TestOPTWithSimulatedLatency(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(256, 3000, 15))
 	g, _ := graph.DegreeOrder(raw)
 	want := graph.CountTrianglesReference(g)
-	res := runOn(t, g, 128, Options{
-		Mode: Parallel, Threads: 2, MemoryPages: 6,
+	res := runOn(t, g, 128, parallel, engine.Options{
+		Threads: 2, MemoryPages: 6,
 		Latency: ssd.Latency{PerRead: 200_000, PerPage: 50_000}, // 0.2ms + 0.05ms/page
 	})
 	if res.Triangles != want {
@@ -303,13 +329,7 @@ func TestOPTWithSimulatedLatency(t *testing.T) {
 	}
 }
 
-func TestModelKindString(t *testing.T) {
-	if EdgeIterator.String() != "EdgeIterator" || VertexIterator.String() != "VertexIterator" {
-		t.Fatal("ModelKind.String wrong")
-	}
-	if ModelKind(99).String() != "UnknownModel" {
-		t.Fatal("unknown ModelKind.String wrong")
-	}
+func TestModeString(t *testing.T) {
 	if Serial.String() != "OPT_serial" || Parallel.String() != "OPT" {
 		t.Fatal("Mode.String wrong")
 	}

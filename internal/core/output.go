@@ -18,19 +18,6 @@ type Output interface {
 	Emit(u, v uint32, ws []uint32)
 }
 
-// CountingOutput counts triangles and discards them — the GraphChi-Tri
-// comparison mode and the default for elapsed-time experiments (§5.2 notes
-// the paper reports times excluding output writing).
-type CountingOutput struct {
-	n atomic.Int64
-}
-
-// Emit implements Output.
-func (o *CountingOutput) Emit(_, _ uint32, ws []uint32) { o.n.Add(int64(len(ws))) }
-
-// Triangles returns the number of triangles emitted.
-func (o *CountingOutput) Triangles() int64 { return o.n.Load() }
-
 // Triangle is one fully expanded triangle with id(U) < id(V) < id(W).
 type Triangle struct {
 	U, V, W uint32

@@ -8,16 +8,6 @@ import (
 	"time"
 )
 
-func TestCountingOutput(t *testing.T) {
-	o := &CountingOutput{}
-	o.Emit(1, 2, []uint32{3, 4, 5})
-	o.Emit(1, 3, nil)
-	o.Emit(2, 3, []uint32{9})
-	if got := o.Triangles(); got != 4 {
-		t.Fatalf("Triangles = %d, want 4", got)
-	}
-}
-
 func TestCollectingOutputSorted(t *testing.T) {
 	o := &CollectingOutput{}
 	o.Emit(5, 6, []uint32{9, 7})

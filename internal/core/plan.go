@@ -1,6 +1,9 @@
 package core
 
-import "github.com/optlab/opt/internal/storage"
+import (
+	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/storage"
+)
 
 // The iteration planner (DESIGN.md §5). The external request list of an
 // iteration is at most — and, once a page holds tens of records, to within
@@ -51,7 +54,7 @@ func (p areaPlan) cost() float64 {
 // split of §5.1 is always one; a larger internal area qualifies only while
 // the external area still holds twice the store's largest chunk, so that a
 // multi-page adjacency list never has the area to itself.
-func planAreas(st *storage.Store, model ModelKind, m int) areaPlan {
+func planAreas(st *storage.Store, model engine.Model, m int) areaPlan {
 	// chunksBelow[p] counts the chunks starting in pages [0, p).
 	chunksBelow := make([]int32, st.NumPages+1)
 	maxSpan, span := 1, 0
@@ -77,9 +80,9 @@ func planAreas(st *storage.Store, model ModelKind, m int) areaPlan {
 			p.iterations++
 			from, to := hi, st.NumPages // EdgeIterator≻: candidates are n≻
 			switch model {
-			case VertexIterator:
+			case engine.ModelVertex:
 				from, to = 0, lo
-			case MGTInstance:
+			case engine.ModelMGTInstance:
 				from = 0
 			}
 			p.pages += int64(to - from)

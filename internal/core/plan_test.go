@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/storage"
@@ -35,11 +36,11 @@ func TestPlanPredictsRun(t *testing.T) {
 			for _, pct := range []int{8, 15} {
 				t.Run(fmt.Sprintf("seed%d/page%d/%d%%", seed, pageSize, pct), func(t *testing.T) {
 					m := int(st.NumPages) * pct / 100
-					plan := planAreas(st, EdgeIterator, m)
+					plan := planAreas(st, engine.ModelEdge, m)
 					if plan.mIn+plan.mEx != m || plan.mIn < m/2 {
 						t.Fatalf("plan %+v does not split m=%d with m_in ≥ m/2", plan, m)
 					}
-					res, err := RunFile(st, Options{Mode: Parallel, Threads: 2, MemoryPages: m, CollectIterStats: true})
+					res, _, err := runFile(st, parallel, engine.Options{Threads: 2, MemoryPages: m, CollectIterStats: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -56,7 +57,7 @@ func TestPlanPredictsRun(t *testing.T) {
 // checkPlanBounds holds a run to its plan: the first internal range is the
 // planner's, and neither the iterations nor the external requests exceed
 // the planned ones.
-func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *Result) {
+func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *engine.Result) {
 	t.Helper()
 	if len(res.IterStats) == 0 {
 		t.Fatal("run recorded no iteration")
@@ -79,10 +80,10 @@ func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *Result
 func TestPlanBoundsOtherModels(t *testing.T) {
 	_, st := rmatStore(t, 31, 128)
 	m := int(st.NumPages) * 15 / 100
-	for _, model := range []ModelKind{VertexIterator, MGTInstance} {
-		t.Run(model.String(), func(t *testing.T) {
+	for _, model := range []engine.Model{engine.ModelVertex, engine.ModelMGTInstance} {
+		t.Run(modelNames[model], func(t *testing.T) {
 			plan := planAreas(st, model, m)
-			res, err := RunFile(st, Options{Model: model, Mode: Serial, MemoryPages: m, CollectIterStats: true})
+			res, _, err := runFile(st, serial, engine.Options{Model: model, MemoryPages: m, CollectIterStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,12 +101,12 @@ func TestPlanBoundsOtherModels(t *testing.T) {
 func TestPlanLegalAreas(t *testing.T) {
 	_, st := rmatStore(t, 31, 128)
 	for m := 2; m <= 4; m++ {
-		p := planAreas(st, EdgeIterator, m)
+		p := planAreas(st, engine.ModelEdge, m)
 		if p.mIn < 1 || p.mEx < 1 || p.mIn+p.mEx != m {
 			t.Errorf("m=%d: plan %+v", m, p)
 		}
 	}
-	if p := planAreas(st, EdgeIterator, 1); p.mIn != 1 || p.mEx != 1 {
+	if p := planAreas(st, engine.ModelEdge, 1); p.mIn != 1 || p.mEx != 1 {
 		t.Errorf("m=1: plan %+v, want the 1+1 minimum", p)
 	}
 
@@ -116,10 +117,10 @@ func TestPlanLegalAreas(t *testing.T) {
 	if span := hub.SpanOf(0); span <= 8/4 {
 		t.Fatalf("test store's records span %d pages, want > m/4", span)
 	}
-	if p := planAreas(hub, EdgeIterator, 8); p.mIn != 4 || p.mEx != 4 {
+	if p := planAreas(hub, engine.ModelEdge, 8); p.mIn != 4 || p.mEx != 4 {
 		t.Errorf("hub store: plan %+v, want the even split", p)
 	}
-	res, err := RunFile(hub, Options{Mode: Parallel, Threads: 2, MemoryPages: 8})
+	res, _, err := runFile(hub, parallel, engine.Options{Threads: 2, MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +129,21 @@ func TestPlanLegalAreas(t *testing.T) {
 	}
 }
 
-// TestExplicitAreasBypassPlanner keeps InternalPages/ExternalPages the test
+// TestExplicitAreasBypassPlanner keeps internalPages/externalPages the test
 // seam: either one set means the planner is not consulted.
 func TestExplicitAreasBypassPlanner(t *testing.T) {
 	g := graph.Complete(40)
 	for _, tc := range []struct {
-		opts     Options
+		seams    seams
 		mIn, mEx int
 	}{
-		{Options{MemoryPages: 40, InternalPages: 7, ExternalPages: 33}, 7, 33},
-		{Options{MemoryPages: 40, InternalPages: 39}, 39, 1},
-		{Options{MemoryPages: 40, ExternalPages: 30}, 10, 30},
+		{seams{internalPages: 7, externalPages: 33}, 7, 33},
+		{seams{internalPages: 39}, 39, 1},
+		{seams{externalPages: 30}, 10, 30},
 	} {
-		r, cleanup := newTestRunner(t, g, 64, tc.opts)
+		r, cleanup := newTestRunner(t, g, 64, optRunner{mode: Serial, seams: tc.seams}, engine.Options{MemoryPages: 40})
 		if r.mIn != tc.mIn || r.mEx != tc.mEx {
-			t.Errorf("%+v: areas %d/%d, want %d/%d", tc.opts, r.mIn, r.mEx, tc.mIn, tc.mEx)
+			t.Errorf("%+v: areas %d/%d, want %d/%d", tc.seams, r.mIn, r.mEx, tc.mIn, tc.mEx)
 		}
 		cleanup()
 	}

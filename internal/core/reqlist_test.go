@@ -7,6 +7,7 @@ import (
 
 	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/buffer"
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
@@ -56,7 +57,7 @@ func sweepGraphs(t testing.TB) map[string]*graph.Graph {
 // of n≻(u), or of n≺(u), that is not internal; everything for the MGT
 // instance — deduplicated, then (page, vertex) pairs sorted and grouped by
 // page.
-func sortedReference(ctx *Ctx, model ModelKind, internal []storage.VertexRec) []extReq {
+func sortedReference(ctx *Ctx, model engine.Model, internal []storage.VertexRec) []extReq {
 	st := ctx.store
 	seen := bits.NewSet(st.NumVertices)
 	var pairs []uint64
@@ -68,19 +69,19 @@ func sortedReference(ctx *Ctx, model ModelKind, internal []storage.VertexRec) []
 	}
 	for _, u := range internal {
 		switch model {
-		case EdgeIterator:
+		case engine.ModelEdge:
 			for _, v := range u.Adj[intersect.UpperBound(u.Adj, u.ID):] {
 				if !ctx.InInternal(v) {
 					emit(v)
 				}
 			}
-		case VertexIterator:
+		case engine.ModelVertex:
 			for _, v := range u.Adj[:intersect.LowerBound(u.Adj, u.ID)] {
 				if !ctx.InInternal(v) {
 					emit(v)
 				}
 			}
-		case MGTInstance:
+		case engine.ModelMGTInstance:
 			for _, v := range u.Adj {
 				emit(v)
 			}
@@ -107,9 +108,9 @@ func sortedReference(ctx *Ctx, model ModelKind, internal []storage.VertexRec) []
 func TestRequestListMatchesSortedReference(t *testing.T) {
 	for name, g := range sweepGraphs(t) {
 		for _, pageSize := range []int{128, 1024} {
-			for _, model := range []ModelKind{EdgeIterator, VertexIterator, MGTInstance} {
-				t.Run(fmt.Sprintf("%s/page%d/%v", name, pageSize, model), func(t *testing.T) {
-					r, cleanup := newTestRunner(t, g, pageSize, Options{Model: model, Mode: Serial, MemoryPages: 8})
+			for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex, engine.ModelMGTInstance} {
+				t.Run(fmt.Sprintf("%s/page%d/%s", name, pageSize, modelNames[model]), func(t *testing.T) {
+					r, cleanup := newTestRunner(t, g, pageSize, serial, engine.Options{Model: model, MemoryPages: 8})
 					defer cleanup()
 					requests := 0
 					for lo := uint32(0); lo < r.st.NumPages; {

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -25,31 +25,29 @@ func TestTalliesExact(t *testing.T) {
 	}
 	runs := []struct {
 		name    string
-		opts    Options
+		o       optRunner
+		threads int
 		listing bool
 	}{
-		{"serial", Options{Mode: Serial}, false},
-		{"threads=1", Options{Mode: Parallel, Threads: 1}, false},
-		{"threads=2", Options{Mode: Parallel, Threads: 2}, false},
-		{"threads=4", Options{Mode: Parallel, Threads: 4}, false},
-		{"listing", Options{Mode: Parallel, Threads: 2}, true},
+		{"serial", serial, 0, false},
+		{"threads=1", parallel, 1, false},
+		{"threads=2", parallel, 2, false},
+		{"threads=4", parallel, 4, false},
+		{"listing", parallel, 2, true},
 	}
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
-			opts := run.opts
-			opts.MemoryPages = int(float64(st.NumPages) * 0.15)
-			mx := metrics.NewCollector()
-			opts.Metrics = mx
+			opts := engine.Options{Threads: run.threads, MemoryPages: int(float64(st.NumPages) * 0.15)}
 			var listed, found atomic.Int64
 			if run.listing {
-				opts.Output = FuncOutput(func(_, _ uint32, ws []uint32) { listed.Add(int64(len(ws))) })
+				opts.OnTriangles = func(_, _ uint32, ws []uint32) { listed.Add(int64(len(ws))) }
 			}
 			opts.Events = events.Func(func(e events.Event) {
 				if e.Kind == events.TrianglesFound {
 					found.Add(e.N)
 				}
 			})
-			res, err := RunFile(st, opts)
+			res, mx, err := runFile(st, run.o, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,27 +76,30 @@ func TestTalliesExact(t *testing.T) {
 // a task that never started.
 func TestCancelKeepsTallies(t *testing.T) {
 	_, st := sparseStore(t)
-	for _, opts := range []Options{{Mode: Serial}, {Mode: Parallel, Threads: 2}, {Mode: Parallel, Threads: 4}} {
+	for _, run := range []struct {
+		o       optRunner
+		threads int
+	}{{serial, 0}, {parallel, 2}, {parallel, 4}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var listed atomic.Int64
-		opts.MemoryPages = int(st.NumPages) / 4
-		opts.Metrics = metrics.NewCollector()
-		opts.Output = FuncOutput(func(_, _ uint32, ws []uint32) {
-			if listed.Add(int64(len(ws))) > 500 {
-				cancel()
-			}
+		res, mx, err := runWith(ctx, st, nil, run.o, engine.Options{
+			Threads: run.threads, MemoryPages: int(st.NumPages) / 4,
+			OnTriangles: func(_, _ uint32, ws []uint32) {
+				if listed.Add(int64(len(ws))) > 500 {
+					cancel()
+				}
+			},
 		})
-		res, err := RunFileContext(ctx, st, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v/%d: err = %v, want context.Canceled", opts.Mode, opts.Threads, err)
+			t.Fatalf("%v/%d: err = %v, want context.Canceled", run.o.mode, run.threads, err)
 		}
-		if res == nil || res.Triangles != listed.Load() || opts.Metrics.Triangles() != listed.Load() {
+		if res == nil || res.Triangles != listed.Load() || mx.Triangles() != listed.Load() {
 			t.Fatalf("%v/%d: partial result %+v (collector %d), the sink received %d",
-				opts.Mode, opts.Threads, res, opts.Metrics.Triangles(), listed.Load())
+				run.o.mode, run.threads, res, mx.Triangles(), listed.Load())
 		}
 		if res.Triangles <= 500 {
-			t.Fatalf("%v/%d: run stopped at %d triangles, before the sink cancelled it", opts.Mode, opts.Threads, res.Triangles)
+			t.Fatalf("%v/%d: run stopped at %d triangles, before the sink cancelled it", run.o.mode, run.threads, res.Triangles)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
@@ -48,7 +49,7 @@ func TestTaskDoneMatchesIterStats(t *testing.T) {
 
 	for _, threads := range []int{1, 2, 4} {
 		quiet := &taskLog{}
-		res, err := RunFile(st, Options{Mode: Parallel, Threads: threads, MemoryPages: mem, Events: quiet})
+		res, _, err := runFile(st, parallel, engine.Options{Threads: threads, MemoryPages: mem, Events: quiet})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestTaskDoneMatchesIterStats(t *testing.T) {
 		}
 
 		log := &taskLog{}
-		res, err = RunFile(st, Options{Mode: Parallel, Threads: threads, MemoryPages: mem, CollectIterStats: true, Events: log})
+		res, _, err = runFile(st, parallel, engine.Options{Threads: threads, MemoryPages: mem, CollectIterStats: true, Events: log})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 
@@ -147,20 +148,30 @@ func TestAllAlgorithmsMatchReference(t *testing.T) {
 }
 
 // count stores g under codec, runs algorithm name over it with a budget of
-// budget pages (0: the default fraction) and returns the triangle count.
+// budget pages (0: the default fraction) and returns the triangle count. A
+// Collector attached as the run's event sink must see the page I/O the
+// Result reports: every runner keeps its own collector private and counts
+// what its events say, so a sink is the one outside outlet, and it cannot
+// double a count.
 func count(t *testing.T, name string, g *graph.Graph, codec string, budget int) int64 {
 	t.Helper()
 	st, dev := buildStoreCodec(t, g, codec)
+	sink := metrics.NewCollector()
 	res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
 		MemoryPages: budget,
 		TempDir:     t.TempDir(),
 		Codec:       codec,
+		Events:      sink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Algorithm != name {
 		t.Fatalf("result algorithm %q, want %q", res.Algorithm, name)
+	}
+	if sink.PagesRead() != res.PagesRead || sink.PagesWritten() != res.PagesWritten {
+		t.Fatalf("sink counted %d pages read, %d written; the result has %d, %d",
+			sink.PagesRead(), sink.PagesWritten(), res.PagesRead, res.PagesWritten)
 	}
 	return res.Triangles
 }

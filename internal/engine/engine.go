@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -167,8 +168,23 @@ type Result struct {
 	IterStats []IterationStat `json:"iter_stats,omitempty"`
 }
 
+// NewResult returns the Result of a run whose counters mx collected: its
+// triangles, page I/O, Δin credit and Eq. 3 cost. The runner adds what only
+// it knows (Iterations, IterStats); Run stamps Algorithm and Elapsed.
+func NewResult(mx *metrics.Collector) *Result {
+	return &Result{
+		Triangles:    mx.Triangles(),
+		PagesRead:    mx.PagesRead(),
+		PagesWritten: mx.PagesWritten(),
+		ReusedPages:  mx.ReusedPages(),
+		IntersectOps: mx.IntersectOps(),
+	}
+}
+
 // Runner executes one triangulation algorithm over a store whose data
-// pages are served by dev. Implementations must honour ctx: on
+// pages are served by dev. A registered Runner is the algorithm's entry:
+// it reads Options directly and builds its Result from a private
+// metrics.Collector. Implementations must honour ctx: on
 // cancellation they return promptly (within one iteration) with a partial
 // Result and an error satisfying errors.Is(err, ctx.Err()), and must not
 // leak goroutines on any path.

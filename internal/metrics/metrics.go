@@ -127,9 +127,12 @@ func (c *Collector) AddSerialWork(d time.Duration) { c.serialWork.Add(int64(d)) 
 
 // Event implements events.Sink, so a Collector can be attached directly to
 // the execution engine's event layer and accumulate progress counters.
-// Counter-bearing kinds map onto the corresponding counters; attach a
-// Collector EITHER as an event sink OR as the direct Metrics collaborator
-// of a run, never both, or I/O and triangle counts double.
+// Counter-bearing kinds map onto the corresponding counters. Every runner
+// keeps its own collector, so one attached through engine.Options.Events
+// counts beside it and never doubles it. The layers that still take a
+// collector directly are ssd.AsyncOptions and diskio.CostModel: hand one
+// there EITHER as Metrics OR inside Events, never both, or I/O counts
+// double.
 func (c *Collector) Event(e events.Event) {
 	switch e.Kind {
 	case events.PagesRead:

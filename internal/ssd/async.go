@@ -185,6 +185,9 @@ func (d *AsyncDevice) PageSize() int { return d.dev.PageSize() }
 // NumPages returns the backing device's page count.
 func (d *AsyncDevice) NumPages() uint32 { return d.dev.NumPages() }
 
+// QueueDepth returns the number of device channels, the default resolved.
+func (d *AsyncDevice) QueueDepth() int { return d.opts.QueueDepth }
+
 // Metrics returns the collector, which may be nil.
 func (d *AsyncDevice) Metrics() *metrics.Collector { return d.opts.Metrics }
 

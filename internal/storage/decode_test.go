@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/optlab/opt/internal/gen"
@@ -145,6 +146,103 @@ func TestOpenChecksDirectories(t *testing.T) {
 			if !errors.Is(err, ErrCorruptDirectory) || !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("Open = %v, want ErrCorruptDirectory (an ErrCorruptPage)", err)
 			}
+		})
+	}
+}
+
+// TestDecodeChecksRecords holds Store.Decode to the directories. A clean
+// span decodes, and DecodeAppend onto the records of another span checks
+// only what it appended; then each case patches one thing of a valid store
+// — a directory entry, or a neighbor id past |V| in raw page bytes, or two
+// neighbors swapped by the writer — and the span must read ErrCorruptPage.
+func TestDecodeChecksRecords(t *testing.T) {
+	raw, err := gen.RMAT(gen.DefaultRMAT(256, 2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	for _, codec := range codecNames {
+		t.Run(codec, func(t *testing.T) {
+			s := buildAndOpenCodec(t, g, 128, codec)
+			dev, err := s.Device()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = dev.Close() }()
+			data, err := dev.ReadPages(0, int(s.NumPages))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := s.PageSize
+			mid := uint32(s.AlignedRange(0, int(s.NumPages)/2))
+			recs, arena, err := s.DecodeAppend(nil, nil, data[:int(mid)*ps])
+			if err == nil {
+				recs, _, err = s.DecodeAppend(recs, arena, data[int(mid)*ps:])
+			}
+			if err != nil || len(recs) != s.NumVertices {
+				t.Fatalf("two clean halves: %d records, %v", len(recs), err)
+			}
+
+			// The one-page chunk at mid, and the vertex whose record starts it.
+			v := s.FirstRecordOf(mid)
+			one := data[int(mid)*ps : int(mid)*ps+s.AlignedRange(mid, 1)*ps]
+			for _, tc := range []struct {
+				name  string
+				patch func(c *Store)
+				data  []byte
+			}{
+				{"degree directory", func(c *Store) { c.degree[v]++ }, one},
+				{"first record of the page", func(c *Store) { c.pageFirst[mid]-- }, one},
+				{"first record after the span", func(c *Store) {
+					next := mid + uint32(s.AlignedRange(mid, 1))
+					c.pageFirst[next]++
+				}, one},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					c := *s
+					c.degree, c.pageFirst = slices.Clone(s.degree), slices.Clone(s.pageFirst)
+					tc.patch(&c)
+					if _, err := c.Decode(tc.data); !errors.Is(err, ErrCorruptPage) {
+						t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+					}
+				})
+			}
+			if codec == CodecRaw {
+				t.Run("neighbor beyond |V|", func(t *testing.T) {
+					page := slices.Clone(data[:ps])
+					deg := getUint32(page[pageHeaderSize+4:])
+					if deg == 0 {
+						t.Fatal("the fixture's first record has no neighbor to patch")
+					}
+					putUint32(page[pageHeaderSize+recHeaderSize+4*int(deg-1):], NoRecord)
+					if _, err := s.Decode(page); !errors.Is(err, ErrCorruptPage) {
+						t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+					}
+				})
+			}
+			t.Run("unsorted list", func(t *testing.T) {
+				// Two neighbors of the densest vertex, the last in degree
+				// order, swapped in the graph the writer reads; Neighbors
+				// aliases its storage.
+				last := uint32(g.NumVertices() - 1)
+				adj := g.Neighbors(last)
+				adj[0], adj[1] = adj[1], adj[0]
+				defer func() { adj[0], adj[1] = adj[1], adj[0] }()
+				bad := buildAndOpenCodec(t, g, 128, codec)
+				bdev, err := bad.Device()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = bdev.Close() }()
+				first := bad.FirstPageOf(last)
+				span, err := bdev.ReadPages(first, bad.AlignedRange(first, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bad.Decode(span); !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+				}
+			})
 		})
 	}
 }

@@ -401,15 +401,74 @@ func (s *Store) AlignedRange(start uint32, count int) int {
 }
 
 // Decode decodes a raw page span read from the device, where data begins at
-// a page boundary, dispatching to the store's codec. See DecodeRange.
+// a page boundary, dispatching to the store's codec, and holds the records
+// to the directories (checkRecords). See DecodeRange.
 func (s *Store) Decode(data []byte) ([]VertexRec, error) {
-	return DecodeRange(s.codecOrRaw(), s.PageSize, data)
+	recs, _, err := s.DecodeAppend(nil, nil, data)
+	return recs, err
 }
 
 // DecodeAppend is Decode appending records onto dst and neighbors onto
-// arena; see DecodeRangeAppend.
+// arena; see DecodeRangeAppend. Only the records this call appends are
+// checked.
 func (s *Store) DecodeAppend(dst []VertexRec, arena []uint32, data []byte) ([]VertexRec, []uint32, error) {
-	return DecodeRangeAppend(dst, arena, s.codecOrRaw(), s.PageSize, data)
+	n := len(dst)
+	recs, arena, err := DecodeRangeAppend(dst, arena, s.codecOrRaw(), s.PageSize, data)
+	if err == nil {
+		err = s.checkRecords(recs[n:], len(data)/s.PageSize)
+	}
+	return recs, arena, err
+}
+
+// checkRecords holds the records decoded from a span of pages to the
+// directories, so no reader indexes memory by an id the bytes made up or
+// runs a kernel over an unsorted list. The span is named by the bytes: its
+// first record r0 must start its page p0 = FirstPageOf(r0), and since every
+// vertex has a record, the span then holds exactly the records
+// [FirstRecordOf(p0), FirstRecordOf(p0+pages)) in id order. Each list must
+// be as long as the degree directory says, strictly ascending, and so below
+// |V| when its last id is. Whether p0 is the page the caller asked for is
+// the caller's check.
+func (s *Store) checkRecords(recs []VertexRec, pages int) error {
+	if pages == 0 {
+		return nil
+	}
+	if len(recs) == 0 {
+		return fmt.Errorf("%w: %d pages hold no record", ErrCorruptPage, pages)
+	}
+	r0 := recs[0].ID
+	if int(r0) >= s.NumVertices {
+		return fmt.Errorf("%w: record %d of %d vertices", ErrCorruptPage, r0, s.NumVertices)
+	}
+	p0 := s.FirstPageOf(r0)
+	end := s.FirstRecordOf(p0 + uint32(pages))
+	if s.FirstRecordOf(p0) != r0 || int64(end)-int64(r0) != int64(len(recs)) {
+		return fmt.Errorf("%w: %d pages from page %d hold %d records from %d, the directories say [%d,%d)",
+			ErrCorruptPage, pages, p0, len(recs), r0, s.FirstRecordOf(p0), end)
+	}
+	for i, rec := range recs {
+		if rec.ID != r0+uint32(i) {
+			return fmt.Errorf("%w: record %d where %d belongs", ErrCorruptPage, rec.ID, r0+uint32(i))
+		}
+		adj := rec.Adj
+		if len(adj) != s.DegreeOf(rec.ID) {
+			return fmt.Errorf("%w: record %d holds %d neighbors, its degree is %d", ErrCorruptPage, rec.ID, len(adj), s.DegreeOf(rec.ID))
+		}
+		if len(adj) == 0 {
+			continue
+		}
+		prev := adj[0]
+		for _, x := range adj[1:] {
+			if x <= prev {
+				return fmt.Errorf("%w: neighbors %d, %d of record %d out of order", ErrCorruptPage, prev, x, rec.ID)
+			}
+			prev = x
+		}
+		if int(prev) >= s.NumVertices {
+			return fmt.Errorf("%w: record %d holds neighbor %d of %d vertices", ErrCorruptPage, rec.ID, prev, s.NumVertices)
+		}
+	}
+	return nil
 }
 
 // RawDataPages returns how many data pages the store's records would occupy

@@ -36,7 +36,7 @@ func TestVerifyCleanStores(t *testing.T) {
 			if rep.Edges != g.NumEdges() || rep.Vertices != g.NumVertices() {
 				t.Fatalf("%s/ps=%d: report %+v", name, ps, rep)
 			}
-			if rep.Asymmetric != 0 || rep.UnsortedRecs != 0 {
+			if rep.Asymmetric != 0 {
 				t.Fatalf("%s/ps=%d: clean store flagged: %+v", name, ps, rep)
 			}
 			if rep.MaxDegree != g.MaxDegree() {
