@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/gen"
@@ -17,16 +18,21 @@ import (
 // TestInternalAreaFitsItsBudget drives every iteration of a run by hand on
 // the sparse and dense stores under all three models, and holds each
 // internal range to the rule of DESIGN.md §5:
-//   - the range contains the planner's (internalRangeEnd) at the same lo,
-//     and is exactly the planner's in the first iteration;
-//   - the ids the area holds plus recordWords per vertex stay within what
-//     the planner's pages decode to;
+//   - the range contains the planner's (rangeEnd over the degrees) at the
+//     same lo, and is exactly planAreas' first range in the first iteration;
+//   - the bytes the area holds, its ids and one span entry per vertex, stay
+//     within what the m_in pages at lo decode to — and areaWords, what the
+//     range rule charges per vertex, is the size of a span entry;
 //   - every list of the area is n≻ of its record as the store holds it,
 //     read after the iteration is over and its chunks recycled (under
 //     -tags optpoison a list still aliasing a recycled chunk reads
 //     buffer.PoisonVertex);
 //   - the device never has more than MemoryPages in reads at once.
 func TestInternalAreaFitsItsBudget(t *testing.T) {
+	var c Ctx
+	if entry := unsafe.Sizeof(c.span[0]); areaWords*4 != entry {
+		t.Fatalf("the range rule charges %d bytes per vertex, a span entry is %d", areaWords*4, entry)
+	}
 	_, sparse := sparseStore(t)
 	stores := []struct {
 		name string
@@ -51,29 +57,31 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model engine.Model) {
 	m := int(st.NumPages) * 8 / 100
 	r := newRunner(context.Background(), st, rec, serial, engine.Options{Model: model, MemoryPages: m})
 	defer r.close()
+	plan := planAreas(st, model, m)
 
 	longer := 0
 	it := 0
 	for lo := uint32(0); lo < st.NumPages; it++ {
 		hi, ids := r.internalRange(lo)
-		pageHi := internalRangeEnd(st, lo, r.mIn)
-		if hi < pageHi || (it == 0 && hi != pageHi) {
-			t.Fatalf("iteration %d: range [%d,%d), the planner's is [%d,%d)", it, lo, hi, lo, pageHi)
+		planHi, _ := rangeEnd(st, lo, r.mIn, st.DegreeOf)
+		if hi < planHi || (it == 0 && hi != plan.first) {
+			t.Fatalf("iteration %d: range [%d,%d), the planner's is [%d,%d), its first [0,%d)", it, lo, hi, lo, planHi, plan.first)
 		}
-		if hi > pageHi {
+		if hi > planHi {
 			longer++
 		}
 		budget := 0
-		for v := st.FirstRecordOf(lo); v < st.FirstRecordOf(pageHi); v++ {
+		for v := st.FirstRecordOf(lo); v < st.FirstRecordOf(internalRangeEnd(st, lo, r.mIn)); v++ {
 			budget += st.DegreeOf(v) + recordWords
 		}
 		if _, err := r.iteration(it, lo, hi, ids); err != nil {
 			t.Fatal(err)
 		}
 		c := r.ctx
-		if held := len(c.ids) + recordWords*int(c.hiVertex-c.loVertex); held > budget || len(c.ids) > ids {
-			t.Fatalf("iteration %d: the area holds %d ids (%d with headers), planned ≤ %d, budget %d",
-				it, len(c.ids), held, ids, budget)
+		held := 4*len(c.ids) + int(unsafe.Sizeof(c.span[0]))*int(c.hiVertex-c.loVertex)
+		if held > 4*budget || len(c.ids) > ids {
+			t.Fatalf("iteration %d: the area holds %d ids (%d bytes with spans), planned ≤ %d ids, budget %d bytes",
+				it, len(c.ids), held, ids, 4*budget)
 		}
 		data, err := base.ReadPages(lo, int(hi-lo))
 		if err != nil {

@@ -432,7 +432,7 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 	}
 	g, _ := graph.DegreeOrder(raw)
 	st := buildStore(t, g, 128)
-	budget := int(st.NumPages)/4 + 2
+	budget := int(st.NumPages)/8 + 2
 
 	for _, mode := range []Mode{Serial, Parallel} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -587,8 +587,8 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 		if want := int(hi-lo) - stat.ReusedPages; loaded != want {
 			t.Errorf("iteration %d: load read %d pages, want %d", it, loaded, want)
 		}
-		if it == 0 && len(load) > 3 {
-			t.Errorf("first load of %d pages took %d reads, want one per ≤ 32 pages", hi-lo, len(load))
+		if want := (int(hi-lo) + defaultCoalescePages - 1) / defaultCoalescePages; it == 0 && len(load) > want {
+			t.Errorf("first load of %d pages took %d reads, want ≤ %d", hi-lo, len(load), want)
 		}
 		lo = hi
 	}

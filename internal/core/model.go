@@ -54,17 +54,18 @@ func NewModel(m engine.Model) Model {
 // of any sorted list one contiguous sub-slice. The area holds n≻(v) of each
 // internal vertex and nothing else — the only part of an internal list any
 // model reads once the load has identified the external candidates — copied
-// into one id arena, so no decoded chunk outlives the load (DESIGN.md §5).
+// into one id arena, so no decoded chunk outlives the load, and located by
+// one [start, end) pair per vertex, areaWords ids (DESIGN.md §5).
 // The area is immutable while triangulation runs, so reads need no locking.
 type Ctx struct {
 	store    *storage.Store
-	loPage   uint32     // internal range start (inclusive)
-	hiPage   uint32     // internal range end (exclusive)
-	loVertex uint32     // first vertex whose record starts in the range
-	hiVertex uint32     // one past the last such vertex
-	succ     [][]uint32 // succ[v-loVertex] = n≻(v), a sub-slice of ids
-	ids      []uint32   // the lists of succ back to back; reused across iterations
-	out      Output     // nil: count only, nothing is emitted per pair
+	loPage   uint32      // internal range start (inclusive)
+	hiPage   uint32      // internal range end (exclusive)
+	loVertex uint32      // first vertex whose record starts in the range
+	hiVertex uint32      // one past the last such vertex
+	span     [][2]uint32 // span[v-loVertex] = [start, end) of n≻(v) in ids
+	ids      []uint32    // the lists n≻ back to back; reused across iterations
+	out      Output      // nil: count only, nothing is emitted per pair
 
 	// mx holds the run's totals: every work tally is flushed into it.
 	mx    *metrics.Collector
@@ -122,11 +123,11 @@ func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 	c.loVertex = c.store.FirstRecordOf(lo)
 	c.hiVertex = c.store.FirstRecordOf(hi)
 	n := int(c.hiVertex - c.loVertex)
-	if cap(c.succ) < n {
-		c.succ = make([][]uint32, n)
+	if cap(c.span) < n {
+		c.span = make([][2]uint32, n)
 	} else {
-		c.succ = c.succ[:n]
-		clear(c.succ)
+		c.span = c.span[:n]
+		clear(c.span)
 	}
 	c.ids = slices.Grow(c.ids[:0], ids)
 }
@@ -135,11 +136,12 @@ func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 // every model reads only n≻ of an internal vertex, so that suffix is copied
 // into the id arena and the record's chunk can be recycled as soon as its
 // external candidates are identified. It is called only from the load
-// phase, one record at a time (the device's callback thread).
+// phase, one record at a time (the device's callback thread), in whatever
+// order the chunks complete.
 func (c *Ctx) addInternal(rec storage.VertexRec) {
 	start := len(c.ids)
 	c.ids = append(c.ids, nsucc(rec.Adj, rec.ID)...)
-	c.succ[rec.ID-c.loVertex] = c.ids[start:len(c.ids):len(c.ids)]
+	c.span[rec.ID-c.loVertex] = [2]uint32{uint32(start), uint32(len(c.ids))}
 }
 
 // InInternal reports whether n(v) is resident in the internal area: one
@@ -151,7 +153,8 @@ func (c *Ctx) InInternal(v uint32) bool {
 // internalSucc returns n≻(v) from the internal area; v must satisfy
 // InInternal.
 func (c *Ctx) internalSucc(v uint32) []uint32 {
-	return c.succ[v-c.loVertex]
+	s := c.span[v-c.loVertex]
+	return c.ids[s[0]:s[1]:s[1]]
 }
 
 // internalPreds returns the u ∈ n≺(v) with n(u) internal — one contiguous

@@ -117,6 +117,13 @@ type extReq struct {
 	cands []uint32 // sorted
 }
 
+// pendingLoad is one chunk of the internal range that the external area
+// does not hold, so the load reads it.
+type pendingLoad struct {
+	first uint32
+	span  int
+}
+
 type runner struct {
 	gctx  context.Context
 	st    *storage.Store
@@ -163,6 +170,7 @@ type runner struct {
 	reqScratch      []extReq
 	candScratch     []uint32
 	spanScratch     []int
+	loadScratch     []pendingLoad
 	loadSpanScratch []int
 	groupScratch    []extGroup
 	residentScratch []residentReq
@@ -335,34 +343,35 @@ func (r *runner) run() (*engine.Result, error) {
 	return res, r.err
 }
 
-// internalRangeEnd returns the end of the internal range an iteration that
-// starts at page lo would load into an area of mIn pages kept as decoded:
-// mIn pages or what is left of the store, extended to a record boundary.
-// The planner predicts a run with it, and it is the first range of every
-// run (internalRange).
+// internalRangeEnd returns the end of the m_in pages at lo whose decoded
+// records are the internal area's budget (rangeEnd): mIn pages or what is
+// left of the store, extended to a record boundary.
 func internalRangeEnd(st *storage.Store, lo uint32, mIn int) uint32 {
 	return lo + uint32(st.AlignedRange(lo, min(mIn, int(st.NumPages-lo))))
 }
 
-// recordWords is what an internal vertex costs beside its ids, in ids: a
-// decoded storage.VertexRec — id, padding and the Adj slice header — is 32
-// bytes, and the internal area keeps a 24-byte slice header per vertex.
+// recordWords is what a decoded vertex costs beside its ids, in ids: a
+// storage.VertexRec — id, padding and the Adj slice header — is 32 bytes.
+// It prices the budget: what m_in pages of chunks held decoded.
 const recordWords = 8
 
-// internalRange returns the end of the internal range of the iteration that
-// starts at page lo, and the ids its lists n≻ hold at most (DESIGN.md §5).
-// The budget is what the planner's m_in pages at lo decode to:
-// Σ (|n(v)| + recordWords) over their records, from the degree directory.
-// The range then grows chunk by chunk while Σ (succLen[v] + recordWords)
-// fits the budget. succLen never exceeds the degree, so the first iteration
-// — nothing decoded yet — takes exactly internalRangeEnd, no range is
-// shorter than internalRangeEnd at its lo, and the area never holds more
-// than the planner's pages would decoded.
-func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
-	st := r.st
+// areaWords is what the internal area holds per vertex beside its ids, in
+// ids: the [start, end) of n≻(v) in Ctx.ids.
+const areaWords = 2
+
+// rangeEnd returns the end of the internal range of the iteration that
+// starts at page lo, and Σ size(v) over its vertices (DESIGN.md §5).
+// The budget is what m_in pages at lo decode to: Σ (|n(v)| + recordWords)
+// over the records of internalRangeEnd, from the degree directory. The
+// range then grows chunk by chunk while Σ (size(v) + areaWords) fits the
+// budget. Both callers pass a size no larger than the degree — the runner
+// the |n≻(v)| it has learned (internalRange), the planner the degree itself
+// — so a range never ends before internalRangeEnd, and the runner's never
+// before the planner's at the same lo.
+func rangeEnd(st *storage.Store, lo uint32, mIn int, size func(v uint32) int) (hi uint32, ids int) {
 	first := st.FirstRecordOf(lo)
 	budget := 0
-	for v, end := first, st.FirstRecordOf(internalRangeEnd(st, lo, r.mIn)); v < end; v++ {
+	for v, end := first, st.FirstRecordOf(internalRangeEnd(st, lo, mIn)); v < end; v++ {
 		budget += st.DegreeOf(v) + recordWords
 	}
 	held, v := 0, first
@@ -371,9 +380,9 @@ func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
 		end := st.FirstRecordOf(next)
 		chunk := 0
 		for u := v; u < end; u++ {
-			chunk += int(r.succLen[u])
+			chunk += size(u)
 		}
-		cost := chunk + recordWords*int(end-v)
+		cost := chunk + areaWords*int(end-v)
 		if held+cost > budget {
 			break
 		}
@@ -382,6 +391,14 @@ func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
 		hi, v = next, end
 	}
 	return hi, ids
+}
+
+// internalRange returns the end of the internal range of the iteration that
+// starts at page lo, and the ids its lists n≻ hold at most: rangeEnd over
+// the learned succLen. Nothing is decoded before the first iteration, so
+// its range is exactly the planner's first.
+func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
+	return rangeEnd(r.st, lo, r.mIn, func(v uint32) int { return int(r.succLen[v]) })
 }
 
 // iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi),
@@ -399,11 +416,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 	// Pass 1: chunks retained in the external area from the previous
 	// iteration are donated without I/O (the Δin credit enabled by the
 	// Algorithm 4 loading order).
-	type pendingLoad struct {
-		first uint32
-		span  int
-	}
-	var toLoad []pendingLoad
+	toLoad := r.loadScratch[:0]
 	for p := lo; p < hi; {
 		bounds = append(bounds, r.st.FirstRecordOf(p))
 		span := r.st.AlignedRange(p, 1)
@@ -416,6 +429,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 		}
 		p += uint32(span)
 	}
+	r.loadScratch = toLoad
 	r.taskBounds = append(bounds, r.ctx.hiVertex)
 	// Pass 2: asynchronous reads, with consecutive chunks coalesced into
 	// vectored reads just like the external path (DESIGN.md §9), and at most

@@ -10,11 +10,12 @@ import (
 // a percent exactly — every chunk on the side of the internal range its
 // model draws candidates from: above it for EdgeIterator≻ (n≻), below it
 // for VertexIterator≻ (n≺), all of the store for the MGT instance. So the
-// pages a run reads and the iterations it takes, with internal ranges of
-// m_in pages each, are a function of m_in and the page directory alone.
-// A run's first range is exactly that; its later ranges are longer, since
-// the internal area keeps only n≻ of what it loads (runner.internalRange),
-// so the prediction is an upper bound on both. planAreas evaluates it for a
+// pages a run reads and the iterations it takes are a function of m_in and
+// the directories alone, given its ranges. The planner takes them from the
+// run's own rule, rangeEnd, charging every vertex its degree: that is
+// exactly a run's first range, and its later ranges are longer, since the
+// run charges the |n≻| it has learned by then (runner.internalRange), so
+// the prediction is an upper bound on both. planAreas evaluates it for a
 // few splits of the budget before any I/O and keeps the cheapest:
 //
 //	cost(m_in) = pages · (1 + planReadCost/m_ex) + iterations · planIterCost
@@ -40,6 +41,7 @@ const (
 // areaPlan is one split of the buffer and what the directory predicts for it.
 type areaPlan struct {
 	mIn, mEx   int
+	first      uint32 // end of the first internal range
 	iterations int
 	reqs       int64 // external requests (chunks) over the whole run
 	pages      int64 // pages those requests cover
@@ -76,7 +78,10 @@ func planAreas(st *storage.Store, model engine.Model, m int) areaPlan {
 			break
 		}
 		for lo := uint32(0); lo < st.NumPages; {
-			hi := internalRangeEnd(st, lo, p.mIn)
+			hi, _ := rangeEnd(st, lo, p.mIn, st.DegreeOf)
+			if lo == 0 {
+				p.first = hi
+			}
 			p.iterations++
 			from, to := hi, st.NumPages // EdgeIterator≻: candidates are n≻
 			switch model {

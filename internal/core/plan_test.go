@@ -22,12 +22,13 @@ func rmatStore(t testing.TB, seed int64, pageSize int) (*graph.Graph, *storage.S
 	return g, buildStore(t, g, pageSize)
 }
 
-// TestPlanPredictsRun pins what makes the planner a planner: from the page
-// directory alone it predicts the run's first internal range exactly and
+// TestPlanPredictsRun pins what makes the planner a planner: from the
+// directories alone it predicts the run's first internal range exactly and
 // bounds its iteration count and its EdgeIterator≻ request list from
-// above. Later ranges are longer than the planner's, since the internal
-// area keeps only n≻ of what it loads (DESIGN.md §5), so the bounds are not
-// tight. The areas it returns spend the budget exactly.
+// above. Later ranges are longer than the planner's, since the run charges
+// them the |n≻| it has learned where the planner charges the degree
+// (DESIGN.md §5), so the bounds are not tight. The areas it returns spend
+// the budget exactly.
 func TestPlanPredictsRun(t *testing.T) {
 	for _, seed := range []int64{31, 42} {
 		for _, pageSize := range []int{128, 1024} {
@@ -62,7 +63,7 @@ func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *engine
 	if len(res.IterStats) == 0 {
 		t.Fatal("run recorded no iteration")
 	}
-	if got, want := res.IterStats[0].InternalPages, int(internalRangeEnd(st, 0, plan.mIn)); got != want {
+	if got, want := res.IterStats[0].InternalPages, int(plan.first); got != want {
 		t.Errorf("first internal range = %d pages, planned %d", got, want)
 	}
 	var reqs int64

@@ -110,7 +110,7 @@ func TestRequestListMatchesSortedReference(t *testing.T) {
 		for _, pageSize := range []int{128, 1024} {
 			for _, model := range []engine.Model{engine.ModelEdge, engine.ModelVertex, engine.ModelMGTInstance} {
 				t.Run(fmt.Sprintf("%s/page%d/%s", name, pageSize, modelNames[model]), func(t *testing.T) {
-					r, cleanup := newTestRunner(t, g, pageSize, serial, engine.Options{Model: model, MemoryPages: 8})
+					r, cleanup := newTestRunner(t, g, pageSize, serial, engine.Options{Model: model, MemoryPages: 4})
 					defer cleanup()
 					requests := 0
 					for lo := uint32(0); lo < r.st.NumPages; {
