@@ -25,24 +25,44 @@ type extGroup struct {
 
 // residentReq is a request whose chunk was already resident in the external
 // pool when the request list was coalesced; it is served without I/O. The
-// chunk is pinned from coalesce time until processing finishes.
+// external pass pins the chunk from coalesce time until processing
+// finishes; the load takes it out of the pool.
 type residentReq struct {
 	c   *buffer.Chunk
 	req extReq
 }
 
-// ioSched drives the external request list L of one iteration through the
-// device (DESIGN.md §9). It replaces the one-read-at-a-time issue chain of
-// Algorithm 9 lines 9–13 with a windowed scheduler: requests touching
-// consecutive pages are coalesced into vectored reads, up to depth reads
-// are kept in flight (bounded read-ahead), and pool-resident chunks are
-// processed without touching the device. The Algorithm 4 loading order —
-// the next iteration's internal pages last, for the Δin_io credit — is
-// preserved at read granularity by issuing groups in descending page order.
+// pass is one of the two reads of an iteration: the internal-area load
+// (Algorithm 3 lines 6–8) or the external request list L (Algorithm 9).
+// Both run through the same scheduler and differ only in these values,
+// fixed per run by newRunner.
+type pass struct {
+	area    string // "internal" or "external", for error messages
+	window  int    // pages admitted and not yet retired (admitOne)
+	maxRead int    // pages per coalesced read (coalesce)
+	// keep marks the external pass: a resident chunk is pinned where it is,
+	// and a decoded one enters the external pool. The load takes resident
+	// chunks out of the pool and keeps none: loadChunk recycles them.
+	keep bool
+}
+
+// ioSched drives one pass of one iteration through the device (DESIGN.md
+// §9). It replaces the one-read-at-a-time issue chain of Algorithm 9 lines
+// 9–13 with a windowed scheduler: requests touching consecutive pages are
+// coalesced into vectored reads, up to depth reads are kept in flight
+// (bounded read-ahead) within the pass's page window, and pool-resident
+// chunks are processed without touching the device. The Algorithm 4
+// loading order — the next iteration's internal pages last, for the Δin_io
+// credit — is preserved at read granularity by issuing groups in
+// descending page order.
 type ioSched struct {
 	r    *runner
-	s    *sched // nil in Serial mode: processing runs on the callback thread
+	s    *sched // nil in Serial mode and for the load: work runs on the callback thread
 	iter int    // iteration index stamped on the events this scheduler emits
+	pass pass
+	// reused is the pages served from the external pool, written by start
+	// on the caller before the first read is issued.
+	reused int
 
 	mu        sync.Mutex
 	queue     []extGroup // issue order (descending page); queue[idx:] unissued
@@ -54,16 +74,18 @@ type ioSched struct {
 	done      chan struct{}
 }
 
-func (r *runner) newIOSched(s *sched, iter int) *ioSched {
-	return &ioSched{r: r, s: s, iter: iter, done: make(chan struct{})}
+func (r *runner) newIOSched(s *sched, iter int, p pass) *ioSched {
+	return &ioSched{r: r, s: s, iter: iter, pass: p, done: make(chan struct{})}
 }
 
-// start coalesces the request list, issues the initial read window, and
-// then processes pool-resident requests — in that order, so the first reads
-// are already in flight while resident chunks burn CPU. It returns without
-// waiting for completions; wait blocks until every constituent has retired.
+// start coalesces the request list, consumes the pool-resident requests,
+// and then issues the initial read window. Residents come first because
+// the load's consumer, loadChunk, writes the internal area without a lock:
+// with s == nil it would otherwise run on the caller while a read's
+// callback runs it too. start returns without waiting for completions;
+// wait blocks until every constituent has retired.
 func (io *ioSched) start(reqs []extReq) {
-	groups, residents := io.r.coalesce(reqs)
+	groups, residents := io.r.coalesce(reqs, io.pass)
 	io.mu.Lock()
 	io.queue = groups
 	io.idx = 0
@@ -73,13 +95,13 @@ func (io *ioSched) start(reqs []extReq) {
 		io.finish()
 		return
 	}
-	io.pump()
 	for i := range residents {
 		io.processResident(residents[i])
 	}
+	io.pump()
 }
 
-// wait blocks until the external phase of the iteration is done.
+// wait blocks until every request of the pass has retired.
 func (io *ioSched) wait() { <-io.done }
 
 // pump issues queued groups while the read-ahead window has room. Only one
@@ -113,7 +135,7 @@ func (io *ioSched) admitOne() *extGroup {
 	defer io.mu.Unlock()
 	if io.idx < len(io.queue) {
 		g := &io.queue[io.idx]
-		if io.inPages == 0 || (io.inflight < io.r.prefetchDepth && io.inPages+g.pages <= io.r.mEx) {
+		if io.inPages == 0 || (io.inflight < io.r.prefetchDepth && io.inPages+g.pages <= io.pass.window) {
 			io.idx++
 			g.prefetched = io.inflight > 0
 			io.inflight++
@@ -195,52 +217,66 @@ func (io *ioSched) readDone(g *extGroup, err error) {
 	io.pump()
 }
 
-// handleSeg consumes one segment of a completed group read: decode, insert
-// into the external pool, run ExternalTriangle over the candidates, retire.
-// In Parallel mode the CPU work runs as an external-class task; in Serial
-// mode it runs on the caller (the device's callback thread).
+// handleSeg consumes one segment of a completed group read: decode, then
+// the pass's consumer. In Parallel mode the external pass's CPU work runs
+// as an external-class task; otherwise it runs on the caller (the device's
+// callback thread), with no closure, so that path allocates nothing per
+// chunk.
 func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
-	r := io.r
-	req := g.reqs[seg]
 	if err != nil {
-		r.fail(fmt.Errorf("core: loading external pages [%d,+%d): %w", req.first, req.span, err))
+		req := g.reqs[seg]
+		io.r.fail(fmt.Errorf("core: loading %s pages [%d,+%d): %w", io.pass.area, req.first, req.span, err))
 		io.retire(g)
 		return
 	}
-	work := func() {
-		c, derr := r.decodeChunk(req.first, req.span, data)
-		if derr != nil {
-			r.fail(derr)
-			io.retire(g)
-			return
-		}
-		r.pool.Insert(c) // pinned once
-		r.processExternal(c, req)
-		r.pool.Unpin(c.FirstPage)
-		io.retire(g)
-	}
 	if io.s != nil {
-		io.s.submit(classExternal, work)
+		io.s.submit(classExternal, func() { io.decodeSeg(g, seg, data) })
 	} else {
-		work()
+		io.decodeSeg(g, seg, data)
 	}
 }
 
-// processResident serves one request from a chunk pinned in the external
-// pool at coalesce time — the Δin-style reuse path that needs no I/O.
+// decodeSeg decodes one segment into a chunk — which only the external pass
+// inserts into the pool, pinned once — and hands it to consume.
+func (io *ioSched) decodeSeg(g *extGroup, seg int, data []byte) {
+	req := g.reqs[seg]
+	c, err := io.r.decodeChunk(req.first, req.span, data)
+	if err != nil {
+		io.r.fail(err)
+		io.retire(g)
+		return
+	}
+	if io.pass.keep {
+		io.r.pool.Insert(c)
+	}
+	io.consume(c, req, g)
+}
+
+// processResident serves one request from a chunk found in the external
+// pool at coalesce time — the Δin reuse path that needs no I/O. Like
+// handleSeg it runs the consumer inline when there is no task scheduler.
 func (io *ioSched) processResident(res residentReq) {
-	r := io.r
-	r.mx.AddReusedPages(int64(res.c.NumPages))
-	work := func() {
-		r.processExternal(res.c, res.req)
-		r.pool.Unpin(res.c.FirstPage)
-		io.retire(nil)
-	}
+	io.reused += res.c.NumPages
+	io.r.mx.AddReusedPages(int64(res.c.NumPages))
 	if io.s != nil {
-		io.s.submit(classExternal, work)
+		io.s.submit(classExternal, func() { io.consume(res.c, res.req, nil) })
 	} else {
-		work()
+		io.consume(res.c, res.req, nil)
 	}
+}
+
+// consume is the pass's consumer of one chunk, resident or just decoded:
+// the load enters it into the internal area, which recycles it; the
+// external pass runs ExternalTriangle over the candidates and unpins it.
+// Then the request retires (g is nil for residents).
+func (io *ioSched) consume(c *buffer.Chunk, req extReq, g *extGroup) {
+	if io.pass.keep {
+		io.r.processExternal(c, req)
+		io.r.pool.Unpin(c.FirstPage)
+	} else {
+		io.r.loadChunk(c)
+	}
+	io.retire(g)
 }
 
 // retire marks one constituent done; g is nil for residents. Retiring a
@@ -273,9 +309,8 @@ func (io *ioSched) retire(g *extGroup) {
 	}
 }
 
-// finish closes the external phase exactly once per iteration: retire
-// reaches zero exactly once, and the empty-list case calls it directly
-// from start.
+// finish closes the pass exactly once: retire reaches zero exactly once,
+// and the empty-list case calls it directly from start.
 func (io *ioSched) finish() {
 	close(io.done)
 	if io.s != nil {
@@ -284,12 +319,13 @@ func (io *ioSched) finish() {
 }
 
 // coalesce partitions the ascending request list into groups of
-// consecutive-page runs of at most maxCoalesce pages each, splitting out
-// requests whose chunks are already pool-resident (pinned here, processed
-// without I/O). Groups are returned in descending page order, preserving
-// the Algorithm 4 loading order at read granularity. All returned slices
-// alias runner scratch reused across iterations.
-func (r *runner) coalesce(reqs []extReq) ([]extGroup, []residentReq) {
+// consecutive-page runs of at most p.maxRead pages each, splitting out
+// requests whose chunks are already pool-resident (pinned here by the
+// external pass, taken out of the pool by the load; served without I/O).
+// Groups are returned in descending page order, preserving the Algorithm 4
+// loading order at read granularity. All returned slices alias runner
+// scratch reused across passes.
+func (r *runner) coalesce(reqs []extReq, p pass) ([]extGroup, []residentReq) {
 	groups := r.groupScratch[:0]
 	residents := r.residentScratch[:0]
 	if cap(r.spanScratch) < len(reqs) {
@@ -297,7 +333,13 @@ func (r *runner) coalesce(reqs []extReq) ([]extGroup, []residentReq) {
 	}
 	spans := r.spanScratch[:0]
 	for i := 0; i < len(reqs); {
-		if c := r.pool.Lookup(reqs[i].first); c != nil {
+		var c *buffer.Chunk
+		if p.keep {
+			c = r.pool.Lookup(reqs[i].first)
+		} else {
+			c = r.pool.Take(reqs[i].first)
+		}
+		if c != nil {
 			residents = append(residents, residentReq{c: c, req: reqs[i]})
 			i++
 			continue
@@ -306,7 +348,7 @@ func (r *runner) coalesce(reqs []extReq) ([]extGroup, []residentReq) {
 		pages := reqs[i].span
 		for j < len(reqs) &&
 			reqs[j].first == reqs[j-1].first+uint32(reqs[j-1].span) &&
-			pages+reqs[j].span <= r.maxCoalesce &&
+			pages+reqs[j].span <= p.maxRead &&
 			!r.pool.Contains(reqs[j].first) {
 			pages += reqs[j].span
 			j++

@@ -71,7 +71,7 @@ func TestCoalesceGrouping(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Fatal("empty request list")
 	}
-	groups, residents := r.coalesce(reqs)
+	groups, residents := r.coalesce(reqs, r.external)
 	if len(residents) != 0 {
 		t.Fatalf("residents = %d on a cold pool", len(residents))
 	}
@@ -147,7 +147,7 @@ func TestCoalesceSplitsAtResident(t *testing.T) {
 	}
 	mid := reqs[len(reqs)/2]
 	r.pool.Insert(&buffer.Chunk{FirstPage: mid.first, NumPages: mid.span})
-	groups, residents := r.coalesce(reqs)
+	groups, residents := r.coalesce(reqs, r.external)
 	if len(residents) != 1 || residents[0].req.first != mid.first {
 		t.Fatalf("residents = %+v, want exactly chunk %d", residents, mid.first)
 	}
@@ -375,7 +375,7 @@ func TestBuildRequestsSteadyStateAllocs(t *testing.T) {
 	r.vexSet = allVertices(r.st.NumVertices)
 	if allocs := testing.AllocsPerRun(10, func() {
 		reqs := r.buildRequests()
-		r.coalesce(reqs)
+		r.coalesce(reqs, r.external)
 	}); allocs != 0 {
 		t.Fatalf("buildRequests+coalesce: %v allocs/op at steady state, want 0", allocs)
 	}
@@ -400,7 +400,7 @@ func BenchmarkBuildAndCoalesce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reqs := r.buildRequests()
-		r.coalesce(reqs)
+		r.coalesce(reqs, r.external)
 	}
 }
 
@@ -515,13 +515,13 @@ func (d *readRecorder) ReadPages(first uint32, count int) ([]byte, error) {
 	return data, err
 }
 
-// take returns the reads logged so far, by first page, and clears the log.
+// take returns the reads logged so far, in the order the device served
+// them, and clears the log.
 func (d *readRecorder) take() []pageRead {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := d.reads
 	d.reads = nil
-	slices.SortFunc(out, func(a, b pageRead) int { return cmp.Compare(a.first, b.first) })
 	return out
 }
 
@@ -570,6 +570,9 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 				load = append(load, rd)
 			}
 		}
+		// Groups are issued in descending page order and served by several
+		// device workers: only by page are two consecutive reads neighbours.
+		slices.SortFunc(load, func(a, b pageRead) int { return cmp.Compare(a.first, b.first) })
 		loaded := 0
 		for i, rd := range load {
 			loaded += rd.count
@@ -594,11 +597,50 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 	}
 }
 
+// TestInternalLoadSteadyStateAllocs pins what a warm internal-area load
+// allocates: the pass's scheduler and one completion closure per coalesced
+// read, nothing per chunk — a consumer wrapped in a closure on the
+// callback path would cost one allocation per chunk, and the range has
+// several times more chunks than reads.
+func TestInternalLoadSteadyStateAllocs(t *testing.T) {
+	if raceEnabled || poisonEnabled {
+		t.Skip("race instrumentation and the optpoison guard both make recycled chunks allocate")
+	}
+	_, st := sparseStore(t)
+	dev, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dev.Close() }()
+	r := newRunner(context.Background(), st, dev, serial, engine.Options{MemoryPages: int(st.NumPages) * 8 / 100})
+	defer r.close()
+	hi, ids := r.internalRange(0)
+	load := func() {
+		r.ctx.beginIteration(0, hi, ids)
+		r.vexSet.Clear()
+		r.loadInternal(0, 0, hi)
+	}
+	load() // grows the scratch, the free lists and the device's arena
+	before := r.mx.AsyncReads()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, load)
+	reads := float64(r.mx.AsyncReads()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
+	chunks := len(r.taskBounds) - 1
+	t.Logf("a warm load of %d chunks in %.0f reads allocates %.0f times", chunks, reads, allocs)
+	if chunks < 2*int(reads)+8 {
+		t.Fatalf("%d chunks in %.0f reads: the fixture exercises nothing", chunks, reads)
+	}
+	if allocs > reads+4 {
+		t.Fatalf("%.0f allocations, want ≤ %.0f reads + 4", allocs, reads)
+	}
+}
+
 // TestWindowKeepsReadsInFlight is the overlap lever's acceptance check: with
 // a device slow enough that reads outlast the CPU work, at least 30 % of
-// all device reads — the internal-area loads, which are never read-ahead,
-// included — are issued while another external read is still on the device
-// (a window that holds one group at a time scores ≈ 0.1 here).
+// all device reads are issued while another read of the same pass is still
+// on the device (a window that holds one group at a time scores ≈ 0.1
+// here). The internal-area load goes through the same window, so its
+// read-ahead counts too.
 func TestWindowKeepsReadsInFlight(t *testing.T) {
 	g, st := sparseStore(t)
 	res, mx, err := runFile(st, optRunner{mode: Parallel, seams: seams{internalPages: 32, externalPages: 16}}, engine.Options{
@@ -616,48 +658,62 @@ func TestWindowKeepsReadsInFlight(t *testing.T) {
 	}
 }
 
-// TestWindowHonoursPageBudget drives admitOne by hand: whatever the state
-// of the reads, the pages admitted and not yet retired stay within m_ex,
-// except while one group larger than m_ex has the window to itself.
+// TestWindowHonoursPageBudget drives admitOne by hand for both passes:
+// whatever the state of the reads, the pages admitted and not yet retired
+// stay within the pass's budget — m_ex for the external list, MemoryPages
+// for the internal-area load — except while one group larger than the
+// budget has the window to itself.
 func TestWindowHonoursPageBudget(t *testing.T) {
 	r, cleanup := newTestRunner(t, graph.Complete(20), 64, optRunner{mode: Serial, seams: seams{internalPages: 8, externalPages: 8}}, engine.Options{MemoryPages: 16})
 	defer cleanup()
-	io := r.newIOSched(nil, 0)
-	for _, pages := range []int{2, 2, 2, 2, 9, 2} {
-		io.queue = append(io.queue, extGroup{pages: pages})
-	}
-	var open []*extGroup // admitted, not yet retired
-	admitAll := func() {
-		for {
-			io.pumping = true
-			g := io.admitOne()
-			if g == nil {
-				return
+	for _, tc := range []struct {
+		name   string
+		pass   pass
+		budget int
+	}{
+		{"external", r.external, r.mEx},
+		{"load", r.load, r.opts.MemoryPages},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.budget
+			io := r.newIOSched(nil, 0, tc.pass)
+			for _, pages := range []int{b / 4, b / 4, b / 4, b / 4, b + 1, b / 4} {
+				io.queue = append(io.queue, extGroup{pages: pages})
 			}
-			open = append(open, g)
-			io.inflight-- // its read completes at once; it stays unretired
-			if io.inPages > r.mEx && len(open) > 1 {
-				t.Fatalf("window holds %d pages in %d groups, budget %d", io.inPages, len(open), r.mEx)
+			var open []*extGroup // admitted, not yet retired
+			admitAll := func() {
+				for {
+					io.pumping = true
+					g := io.admitOne()
+					if g == nil {
+						return
+					}
+					open = append(open, g)
+					io.inflight-- // its read completes at once; it stays unretired
+					if io.inPages > b && len(open) > 1 {
+						t.Fatalf("window holds %d pages in %d groups, budget %d", io.inPages, len(open), b)
+					}
+				}
 			}
-		}
-	}
-	retireOldest := func() {
-		io.inPages -= open[0].pages
-		open = open[1:]
-	}
-	admitAll()
-	if len(open) != 4 || io.inPages != 8 {
-		t.Fatalf("a cold 8-page window admitted %d groups / %d pages, want 4 / 8", len(open), io.inPages)
-	}
-	for len(open) > 0 {
-		retireOldest()
-		admitAll()
-		if len(open) > 0 && open[len(open)-1].pages == 9 && len(open) != 1 {
-			t.Fatalf("the 9-page group shares the window with %d others", len(open)-1)
-		}
-	}
-	if io.idx != len(io.queue) {
-		t.Fatalf("window stalled with %d of %d groups issued", io.idx, len(io.queue))
+			retireOldest := func() {
+				io.inPages -= open[0].pages
+				open = open[1:]
+			}
+			admitAll()
+			if len(open) != 4 || io.inPages != b {
+				t.Fatalf("a cold %d-page window admitted %d groups / %d pages, want 4 / %d", b, len(open), io.inPages, b)
+			}
+			for len(open) > 0 {
+				retireOldest()
+				admitAll()
+				if len(open) > 0 && open[len(open)-1].pages == b+1 && len(open) != 1 {
+					t.Fatalf("the %d-page group shares the window with %d others", b+1, len(open)-1)
+				}
+			}
+			if io.idx != len(io.queue) {
+				t.Fatalf("window stalled with %d of %d groups issued", io.idx, len(io.queue))
+			}
+		})
 	}
 }
 

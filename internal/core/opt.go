@@ -69,9 +69,9 @@ type seams struct {
 	// (read-ahead). 0 selects the device's queue depth; 1 disables
 	// read-ahead, restoring the one-read-at-a-time chain of Algorithm 9.
 	prefetchDepth int
-	// disableMicroOverlap replaces asynchronous external reads with
-	// synchronous ones, an ablation that degrades OPT towards MGT's I/O
-	// behaviour.
+	// disableMicroOverlap replaces the scheduler's asynchronous reads, the
+	// load's and the external list's, with synchronous ones, an ablation
+	// that degrades OPT towards MGT's I/O behaviour.
 	disableMicroOverlap bool
 }
 
@@ -110,18 +110,12 @@ func (o optRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevi
 
 // extReq is one element of the request list L of Algorithm 4: a chunk to
 // load into the external area together with V_ex^i, the candidate vertices
-// whose records it holds.
+// whose records it holds. The internal-area load is a list of them too, one
+// per chunk of its range, with no candidates.
 type extReq struct {
 	first uint32
 	span  int
 	cands []uint32 // sorted
-}
-
-// pendingLoad is one chunk of the internal range that the external area
-// does not hold, so the load reads it.
-type pendingLoad struct {
-	first uint32
-	span  int
 }
 
 type runner struct {
@@ -138,14 +132,10 @@ type runner struct {
 	mEx   int
 	pool  *buffer.Pool // external area, persists across iterations
 
-	// I/O-scheduler knobs, resolved from the seams (DESIGN.md §9).
-	maxCoalesce   int // pages per coalesced external read
-	loadCoalesce  int // pages per coalesced internal-area read
-	prefetchDepth int
-	// loadSlots holds one token per page of internal-area reads on the
-	// device: a semaphore of MemoryPages, filled by the issuing goroutine,
-	// drained by the read's completion callback.
-	loadSlots chan struct{}
+	// The two reads of an iteration through the I/O scheduler, and its
+	// read-ahead, resolved from the seams (DESIGN.md §9).
+	load, external pass
+	prefetchDepth  int
 
 	// succLen[v] is |n≻(v)| once any chunk holding v has been decoded, and
 	// |n(v)| before: what v costs the internal area, as far as the run
@@ -160,9 +150,9 @@ type runner struct {
 	vexSet     *bits.Set
 	taskBounds []uint32
 
-	// Backing arrays of the request list and the coalescer, reused across
+	// Backing arrays of the request lists and the coalescer, reused across
 	// iterations (sub-slices alias the shared arrays, so each is rebuilt
-	// from scratch each iteration and never grows mid-iteration). They are
+	// from scratch by every pass and never grows mid-pass). They are
 	// one half of what keeps the external path from allocating; the other is
 	// decoded chunks, which recycle through buffer.PutChunk under the
 	// ownership rule of DESIGN.md §9 — the pool for what it evicts, the
@@ -170,8 +160,7 @@ type runner struct {
 	reqScratch      []extReq
 	candScratch     []uint32
 	spanScratch     []int
-	loadScratch     []pendingLoad
-	loadSpanScratch []int
+	loadScratch     []extReq
 	groupScratch    []extGroup
 	residentScratch []residentReq
 
@@ -194,8 +183,10 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	}
 	mIn, mEx = max(mIn, 1), max(mEx, 1)
 	// An external read is also capped by the window, so windowGroups of
-	// them fit m_ex; the internal-area load has nothing to overlap with and
-	// is capped only by its own area.
+	// them fit m_ex. The internal-area load has nothing to overlap with: a
+	// read is capped only by its own area, and its window is the whole
+	// budget, since a range may span more pages than m_in and while it loads
+	// the external area is idle.
 	maxCoalesce := cmp.Or(o.seams.maxCoalescePages, defaultCoalescePages)
 	succLen := make([]uint32, st.NumVertices)
 	for v := range succLen {
@@ -203,21 +194,20 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	}
 	mx := metrics.NewCollector()
 	r := &runner{
-		gctx:         ctx,
-		st:           st,
-		mode:         o.mode,
-		seams:        o.seams,
-		opts:         opts,
-		model:        NewModel(opts.Model),
-		mx:           mx,
-		mIn:          mIn,
-		mEx:          mEx,
-		pool:         buffer.NewPool(mEx),
-		vexSet:       bits.NewSet(st.NumVertices),
-		succLen:      succLen,
-		maxCoalesce:  min(maxCoalesce, max(1, mEx/windowGroups)),
-		loadCoalesce: min(maxCoalesce, mIn),
-		loadSlots:    make(chan struct{}, opts.MemoryPages),
+		gctx:     ctx,
+		st:       st,
+		mode:     o.mode,
+		seams:    o.seams,
+		opts:     opts,
+		model:    NewModel(opts.Model),
+		mx:       mx,
+		mIn:      mIn,
+		mEx:      mEx,
+		pool:     buffer.NewPool(mEx),
+		vexSet:   bits.NewSet(st.NumVertices),
+		succLen:  succLen,
+		load:     pass{area: "internal", window: opts.MemoryPages, maxRead: min(maxCoalesce, mIn)},
+		external: pass{area: "external", window: mEx, maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
 	}
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
@@ -407,87 +397,11 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 	stat := engine.IterationStat{Index: index, InternalPages: int(hi - lo)}
 	loadStart := time.Now()
 	r.ctx.beginIteration(lo, hi, ids)
-	bounds := r.taskBounds[:0]
 
 	// V_ex ← ∅ (line 2; per-iteration in practice, reset after delegation).
 	r.vexSet.Clear()
 
-	// --- Load the internal area (lines 6–8). ---
-	// Pass 1: chunks retained in the external area from the previous
-	// iteration are donated without I/O (the Δin credit enabled by the
-	// Algorithm 4 loading order).
-	toLoad := r.loadScratch[:0]
-	for p := lo; p < hi; {
-		bounds = append(bounds, r.st.FirstRecordOf(p))
-		span := r.st.AlignedRange(p, 1)
-		if c := r.pool.Take(p); c != nil {
-			stat.ReusedPages += c.NumPages
-			r.mx.AddReusedPages(int64(c.NumPages))
-			r.loadChunk(c)
-		} else {
-			toLoad = append(toLoad, pendingLoad{first: p, span: span})
-		}
-		p += uint32(span)
-	}
-	r.loadScratch = toLoad
-	r.taskBounds = append(bounds, r.ctx.hiVertex)
-	// Pass 2: asynchronous reads, with consecutive chunks coalesced into
-	// vectored reads just like the external path (DESIGN.md §9), and at most
-	// MemoryPages of them on the device at once: the range may span more
-	// pages than the planner's m_in, and while it loads the external window
-	// is idle. IdentifyExternalCandidateVertex (Algorithm 7) runs on the
-	// callback thread per completed segment.
-	if cap(r.loadSpanScratch) < len(toLoad) {
-		r.loadSpanScratch = make([]int, 0, len(toLoad))
-	}
-	loadSpans := r.loadSpanScratch[:0]
-	for i := 0; i < len(toLoad); {
-		j := i + 1
-		pages := toLoad[i].span
-		for j < len(toLoad) &&
-			toLoad[j].first == toLoad[j-1].first+uint32(toLoad[j-1].span) &&
-			pages+toLoad[j].span <= r.loadCoalesce {
-			pages += toLoad[j].span
-			j++
-		}
-		grp := toLoad[i:j:j]
-		base := len(loadSpans)
-		for _, pl := range grp {
-			loadSpans = append(loadSpans, pl.span)
-		}
-		spans := loadSpans[base:len(loadSpans):len(loadSpans)]
-		if len(grp) > 1 {
-			r.note(events.Event{Kind: events.CoalescedRead, Iteration: index, N: int64(pages)})
-		}
-		// A read larger than the whole semaphore takes all of it.
-		slots := min(pages, cap(r.loadSlots))
-		for range slots {
-			r.loadSlots <- struct{}{}
-		}
-		r.dev.AsyncReadScatter(grp[0].first, spans, func(seg int, data []byte, err error) {
-			if seg == len(grp)-1 {
-				defer func() {
-					for range slots {
-						<-r.loadSlots
-					}
-				}()
-			}
-			pl := grp[seg]
-			if err != nil {
-				r.fail(fmt.Errorf("core: loading internal pages [%d,+%d): %w", pl.first, pl.span, err))
-				return
-			}
-			c, derr := r.decodeChunk(pl.first, pl.span, data)
-			if derr != nil {
-				r.fail(derr)
-				return
-			}
-			r.loadChunk(c)
-		})
-		i = j
-	}
-	r.loadSpanScratch = loadSpans
-	r.dev.Drain() // line 8: wait for IdentifyExternalCandidateVertex
+	stat.ReusedPages = r.loadInternal(index, lo, hi)
 	stat.LoadTime = time.Since(loadStart)
 	if r.err != nil {
 		return stat, r.err
@@ -506,6 +420,29 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 		r.runParallel(reqs, &stat)
 	}
 	return stat, r.err
+}
+
+// loadInternal loads the internal area of [lo, hi) (Algorithm 3 lines 6–8)
+// as the scheduler's load pass over one request per chunk (DESIGN.md §9),
+// and returns the pages taken from the external area without I/O — the Δin
+// credit of the Algorithm 4 loading order. The rest arrive in coalesced
+// reads. With no task scheduler every chunk is loaded on the callback
+// thread, IdentifyExternalCandidateVertex (Algorithm 7) included.
+func (r *runner) loadInternal(index int, lo, hi uint32) (reused int) {
+	bounds := r.taskBounds[:0]
+	load := r.loadScratch[:0]
+	for p := lo; p < hi; {
+		bounds = append(bounds, r.st.FirstRecordOf(p))
+		span := r.st.AlignedRange(p, 1)
+		load = append(load, extReq{first: p, span: span})
+		p += uint32(span)
+	}
+	r.loadScratch = load
+	r.taskBounds = append(bounds, r.ctx.hiVertex)
+	io := r.newIOSched(nil, index, r.load)
+	io.start(load)
+	io.wait() // line 8: wait for IdentifyExternalCandidateVertex
+	return io.reused
 }
 
 // loadChunk enters a decoded chunk into the internal area — n≻ of every
@@ -567,7 +504,7 @@ func (r *runner) runSerial(reqs []extReq, stat *engine.IterationStat) {
 	r.mx.AddSerialWork(stat.InternalTime)
 
 	t1 := time.Now()
-	io := r.newIOSched(nil, stat.Index)
+	io := r.newIOSched(nil, stat.Index, r.external)
 	io.start(reqs)
 	io.wait()
 	stat.ExternalTime = time.Since(t1)
@@ -588,11 +525,11 @@ func (r *runner) runParallel(reqs []extReq, stat *engine.IterationStat) {
 	s := newSched(!r.opts.DisableMorphing || r.opts.Threads == 1, onTask)
 	s.run(r.opts.Threads, func() {
 		// DelegateExternalTriangle (line 9) precedes InternalTriangle
-		// (line 10): start the I/O scheduler — initial read window plus
-		// resident chunks — then submit the internal tasks, one per chunk of
+		// (line 10): start the I/O scheduler — resident chunks plus the
+		// initial read window — then submit the internal tasks, one per chunk of
 		// the range. The scheduler closes classExternal when the last
 		// request retires (immediately, when the list is empty).
-		io := r.newIOSched(s, stat.Index)
+		io := r.newIOSched(s, stat.Index, r.external)
 		io.start(reqs)
 		for i := 1; i < len(r.taskBounds); i++ {
 			from, to := r.taskBounds[i-1], r.taskBounds[i]

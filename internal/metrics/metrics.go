@@ -234,18 +234,6 @@ func (c *Collector) DirectFallbacks() int64 { return c.directFallbacks.Load() }
 // IOWait returns the total time spent blocked on I/O.
 func (c *Collector) IOWait() time.Duration { return time.Duration(c.ioWait.Load()) }
 
-// ParallelFraction returns p, the fraction of recorded work that is
-// parallelisable, used for the Amdahl analysis of Table 5. It returns 0 when
-// no work has been recorded.
-func (c *Collector) ParallelFraction() float64 {
-	p := float64(c.parallelWork.Load())
-	s := float64(c.serialWork.Load())
-	if p+s == 0 {
-		return 0
-	}
-	return p / (p + s)
-}
-
 // Reset zeroes every counter.
 func (c *Collector) Reset() {
 	c.pagesRead.Store(0)

@@ -123,18 +123,6 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-func TestParallelFraction(t *testing.T) {
-	c := NewCollector()
-	if got := c.ParallelFraction(); got != 0 {
-		t.Fatalf("empty ParallelFraction = %v, want 0", got)
-	}
-	c.AddParallelWork(900 * time.Millisecond)
-	c.AddSerialWork(100 * time.Millisecond)
-	if got := c.ParallelFraction(); math.Abs(got-0.9) > 1e-9 {
-		t.Fatalf("ParallelFraction = %v, want 0.9", got)
-	}
-}
-
 func TestAmdahlBound(t *testing.T) {
 	cases := []struct {
 		p    float64
