@@ -166,11 +166,9 @@ func dsPermutation(st *storage.Store) (perm, toOrig []graph.VertexID) {
 // convertStore reads every page of st through a latency-accounted device
 // and writes the stream-format working file (applying perm when non-nil).
 func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, cm diskio.CostModel) error {
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
-		QueueDepth: 1, Latency: cm.Latency, Metrics: cm.Metrics,
-		Context: cm.Context, Events: cm.Events,
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
+		Latency: cm.Latency, Metrics: cm.Metrics, Context: cm.Context, Events: cm.Events,
 	})
-	defer dev.Close()
 	w, err := diskio.NewStreamWriter(path, cm)
 	if err != nil {
 		return err

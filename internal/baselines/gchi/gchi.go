@@ -141,11 +141,9 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 // convertStore reads every store page through a latency-accounted device
 // and writes the working file.
 func convertStore(st *storage.Store, base ssd.PageDevice, path string, cm diskio.CostModel) error {
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
-		QueueDepth: 1, Latency: cm.Latency, Metrics: cm.Metrics,
-		Context: cm.Context, Events: cm.Events,
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
+		Latency: cm.Latency, Metrics: cm.Metrics, Context: cm.Context, Events: cm.Events,
 	})
-	defer dev.Close()
 	w, err := diskio.NewStreamWriter(path, cm)
 	if err != nil {
 		return err

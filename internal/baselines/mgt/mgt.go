@@ -44,14 +44,12 @@ func init() {
 // alongside an error satisfying errors.Is(err, ctx.Err()).
 func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
 	mx := metrics.NewCollector()
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{
-		QueueDepth: 1, // MGT is strictly synchronous
-		Latency:    opts.Latency,
-		Metrics:    mx,
-		Context:    ctx,
-		Events:     opts.Events,
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
+		Latency: opts.Latency,
+		Metrics: mx,
+		Context: ctx,
+		Events:  opts.Events,
 	})
-	defer dev.Close()
 
 	emit := func(e events.Event) {
 		if opts.Events != nil {
@@ -106,7 +104,7 @@ func (b *block) contains(v uint32) bool {
 	return p >= b.lo && p < b.hi
 }
 
-func loadBlock(st *storage.Store, dev *ssd.AsyncDevice, lo, hi uint32) (*block, error) {
+func loadBlock(st *storage.Store, dev *ssd.SyncDevice, lo, hi uint32) (*block, error) {
 	data, err := dev.ReadPages(lo, int(hi-lo))
 	if err != nil {
 		return nil, fmt.Errorf("mgt: loading block [%d, %d): %w", lo, hi, err)
@@ -125,7 +123,7 @@ func loadBlock(st *storage.Store, dev *ssd.AsyncDevice, lo, hi uint32) (*block, 
 // scan streams the whole graph synchronously and applies the
 // vertex-iterator pair kernel against the block, listing what it finds to
 // out when out is non-nil.
-func scan(st *storage.Store, dev *ssd.AsyncDevice, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
+func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
 	var total int64
 	var ws []uint32
 	var p uint32

@@ -174,8 +174,7 @@ func (h *Harness) sweep(st *storage.Store, mx *metrics.Collector) error {
 		return err
 	}
 	defer func() { _ = base.Close() }() // read-only benchmark device
-	dev := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 1, Latency: h.cfg.Latency, Metrics: mx})
-	defer dev.Close()
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: h.cfg.Latency, Metrics: mx})
 	for p := uint32(0); p < st.NumPages; {
 		count := st.AlignedRange(p, 16)
 		if _, err := dev.ReadPages(p, count); err != nil {

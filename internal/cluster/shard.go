@@ -7,6 +7,7 @@ import (
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/intersect"
+	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -30,8 +31,9 @@ func init() {
 	engine.Register(engine.Info{Name: ShardRunnerName, Shards: true}, shardRunner{})
 }
 
-// Run implements engine.Runner.
-func (shardRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+// Run implements engine.Runner: the block loads read base through the
+// run's latency model, and the device reports their pages.
+func (shardRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
 	dim := opts.ShardGrid
 	if dim == 0 {
 		dim = 1
@@ -40,9 +42,11 @@ func (shardRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDevic
 	if err != nil {
 		return nil, err
 	}
+	mx := metrics.NewCollector()
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: opts.Latency, Metrics: mx, Context: ctx, Events: opts.Events})
 	res := &engine.Result{}
 	count, err := CountShard(ctx, st, dev, grid, Shard{I: opts.ShardI, J: opts.ShardJ}, opts.MemoryPages, opts.Events, res)
-	res.Triangles = count
+	res.Triangles, res.PagesRead = count, mx.PagesRead()
 	if err != nil {
 		return res, err
 	}
@@ -63,11 +67,11 @@ func (b *blockRecs) of(v uint32) []uint32 { return b.succ[v-b.lo] }
 // CountShard counts the triangles owned by one block-pair task of grid
 // over the store: triangles whose base edge (u, v), u < v, has
 // block(u) = shard.I and block(v) = shard.J. memPages bounds the pages a
-// single device read may cover (0 selects a small default); sink (may be
-// nil) receives PagesRead/TrianglesFound progress; res (may be nil)
-// accumulates the I/O and CPU cost counters. On cancellation or a device
+// single device read may cover (0 selects a small default); dev accounts
+// the pages read; sink (may be nil) receives TrianglesFound progress; res
+// (may be nil) accumulates the Eq. 3 CPU cost. On cancellation or a device
 // error the count so far is returned alongside the error.
-func CountShard(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid Grid, shard Shard, memPages int, sink events.Sink, res *engine.Result) (int64, error) {
+func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, shard Shard, memPages int, sink events.Sink, res *engine.Result) (int64, error) {
 	if shard.I < 0 || shard.J < shard.I || shard.J >= grid.Dim {
 		return 0, fmt.Errorf("cluster: shard (%d, %d) outside 0 ≤ i ≤ j < %d", shard.I, shard.J, grid.Dim)
 	}
@@ -78,13 +82,13 @@ func CountShard(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid
 	if chunk < 1 {
 		chunk = 1
 	}
-	blockI, err := loadBlock(ctx, st, dev, grid, shard.I, chunk, sink, res)
+	blockI, err := loadBlock(ctx, st, dev, grid, shard.I, chunk)
 	if err != nil {
 		return 0, err
 	}
 	blockJ := blockI
 	if shard.J != shard.I {
-		blockJ, err = loadBlock(ctx, st, dev, grid, shard.J, chunk, sink, res)
+		blockJ, err = loadBlock(ctx, st, dev, grid, shard.J, chunk)
 		if err != nil {
 			return 0, err
 		}
@@ -125,7 +129,7 @@ func CountShard(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid
 
 // loadBlock reads and decodes the vertex records of grid block i, issuing
 // device reads of at most chunk pages (extended to record-run boundaries).
-func loadBlock(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid Grid, i, chunk int, sink events.Sink, res *engine.Result) (*blockRecs, error) {
+func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int) (*blockRecs, error) {
 	lo, hi := grid.Range(i)
 	b := &blockRecs{lo: lo, hi: hi, succ: make([][]uint32, hi-lo)}
 	if lo >= hi {
@@ -140,12 +144,6 @@ func loadBlock(ctx context.Context, st *storage.Store, dev ssd.PageDevice, grid 
 		data, err := dev.ReadPages(p, n)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: reading pages [%d, %d) of block %d: %w", p, p+uint32(n), i, err)
-		}
-		if res != nil {
-			res.PagesRead += int64(n)
-		}
-		if sink != nil {
-			sink.Event(events.Event{Kind: events.PagesRead, Algorithm: ShardRunnerName, N: int64(n)})
 		}
 		recs, err := st.Decode(data)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/graph"
@@ -32,6 +33,10 @@ func buildStore(t testing.TB, g *graph.Graph, codec string) (*storage.Store, *ss
 	return st, dev
 }
 
+// syncDev is the synchronous device CountShard reads through, with no
+// latency and no outlets.
+func syncDev(dev ssd.PageDevice) *ssd.SyncDevice { return ssd.NewSyncDevice(dev, ssd.AsyncOptions{}) }
+
 // TestCountShardMatchesOracle is the store-backed differential: every
 // block-pair task, over every workload × codec × grid × chunk budget, must
 // match the in-memory oracle exactly, and the tasks must sum to the
@@ -40,7 +45,8 @@ func TestCountShardMatchesOracle(t *testing.T) {
 	for name, g := range workloads(t) {
 		want := graph.CountTrianglesReference(g)
 		for _, codec := range testCodecs {
-			st, dev := buildStore(t, g, codec)
+			st, base := buildStore(t, g, codec)
+			dev := syncDev(base)
 			for _, dim := range []int{1, 2, 4} {
 				for _, memPages := range []int{0, 4, 64} {
 					t.Run(fmt.Sprintf("%s/%s/dim=%d/m=%d", name, codec, dim, memPages), func(t *testing.T) {
@@ -91,6 +97,9 @@ func TestShardRunnerViaEngine(t *testing.T) {
 	if res.PagesRead == 0 || res.Iterations != 1 {
 		t.Fatalf("result counters not filled: %+v", res)
 	}
+	if res.PagesRead != int64(st.NumPages) {
+		t.Fatalf("a 1x1 run read %d pages, the store has %d", res.PagesRead, st.NumPages)
+	}
 
 	grid, err := NewGrid(3, st.NumVertices)
 	if err != nil {
@@ -125,7 +134,8 @@ func TestShardRunnerViaEngine(t *testing.T) {
 
 func TestCountShardValidation(t *testing.T) {
 	g := graph.Complete(10)
-	st, dev := buildStore(t, g, storage.CodecRaw)
+	st, base := buildStore(t, g, storage.CodecRaw)
+	dev := syncDev(base)
 	grid, err := NewGrid(2, st.NumVertices)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +166,7 @@ func TestCountShardDeviceFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := &ssd.FaultyDevice{PageDevice: dev}
-	want, err := CountShard(context.Background(), st, clean, grid, Shard{I: 0, J: 1}, 4, nil, nil)
+	want, err := CountShard(context.Background(), st, syncDev(clean), grid, Shard{I: 0, J: 1}, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestCountShardDeviceFault(t *testing.T) {
 	}
 	for k := int64(1); k <= reads; k++ {
 		faulty := &ssd.FaultyDevice{PageDevice: dev, FailAt: k}
-		got, err := CountShard(context.Background(), st, faulty, grid, Shard{I: 0, J: 1}, 4, nil, nil)
+		got, err := CountShard(context.Background(), st, syncDev(faulty), grid, Shard{I: 0, J: 1}, 4, nil, nil)
 		if !errors.Is(err, ssd.ErrInjected) {
 			t.Fatalf("FailAt=%d: err = %v, want ErrInjected", k, err)
 		}
@@ -185,7 +195,34 @@ func TestCountShardCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountShard(ctx, st, dev, grid, Shard{}, 0, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := CountShard(ctx, st, syncDev(dev), grid, Shard{}, 0, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestShardRunnerHonoursLatency: Options.Latency is charged on every page
+// access of a Shard2D run, as on every other runner's, so a run that reads
+// the store in k requests takes at least k × PerRead, less what the
+// throttle may credit back for oversleeping.
+func TestShardRunnerHonoursLatency(t *testing.T) {
+	g := workloads(t)["rmat"]
+	st, dev := buildStore(t, g, storage.CodecRaw)
+	counted := &ssd.FaultyDevice{PageDevice: dev}
+	lat := ssd.Latency{PerRead: 2 * time.Millisecond}
+	start := time.Now()
+	res, err := engine.Run(context.Background(), ShardRunnerName, st, counted, engine.Options{MemoryPages: 32, Latency: lat})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := graph.CountTrianglesReference(g); res.Triangles != want {
+		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
+	}
+	k := counted.Reads()
+	if k < 8 {
+		t.Fatalf("the run read the store in %d requests: too few to tell latency from noise", k)
+	}
+	if floor := time.Duration(k)*lat.PerRead - 4*ssd.SleepQuantum; elapsed < floor {
+		t.Fatalf("%d reads at %v each took %v, want ≥ %v", k, lat.PerRead, elapsed, floor)
 	}
 }

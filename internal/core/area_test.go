@@ -27,7 +27,8 @@ import (
 //     read after the iteration is over and its chunks recycled (under
 //     -tags optpoison a list still aliasing a recycled chunk reads
 //     buffer.PoisonVertex);
-//   - the device never has more than MemoryPages in reads at once.
+//   - the device never has more than MemoryPages in reads at once, and
+//     serves at least one.
 func TestInternalAreaFitsItsBudget(t *testing.T) {
 	var c Ctx
 	if entry := unsafe.Sizeof(c.span[0]); areaWords*4 != entry {
@@ -101,6 +102,7 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model engine.Model) {
 	if model != engine.ModelVertex && longer == 0 {
 		t.Errorf("%d iterations, none longer than the planner's: the fixture exercises nothing", it)
 	}
+	rec.requireReads(t)
 	if rec.maxPages > m {
 		t.Errorf("the device had %d pages in reads at once, MemoryPages is %d", rec.maxPages, m)
 	}

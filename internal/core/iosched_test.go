@@ -486,12 +486,16 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 }
 
 // readRecorder is a PageDevice that logs every read it serves, makes each
-// take delay, and records the most pages it ever had in reads at once.
+// take delay, and records the most pages it ever had in reads at once. It
+// hooks ReadPagesInto, the read the asynchronous layer issues; ReadPages,
+// which only the disableMicroOverlap ablation reaches, passes through
+// unlogged.
 type readRecorder struct {
 	ssd.PageDevice
 	delay    time.Duration
 	mu       sync.Mutex
 	reads    []pageRead
+	served   int // reads served, whether or not take has cleared them
 	pages    int
 	maxPages int
 }
@@ -501,18 +505,19 @@ type pageRead struct {
 	count int
 }
 
-func (d *readRecorder) ReadPages(first uint32, count int) ([]byte, error) {
+func (d *readRecorder) ReadPagesInto(buf []byte, first uint32, count int) error {
 	d.mu.Lock()
 	d.reads = append(d.reads, pageRead{first, count})
+	d.served++
 	d.pages += count
 	d.maxPages = max(d.maxPages, d.pages)
 	d.mu.Unlock()
 	time.Sleep(d.delay)
-	data, err := d.PageDevice.ReadPages(first, count)
+	err := d.PageDevice.ReadPagesInto(buf, first, count)
 	d.mu.Lock()
 	d.pages -= count
 	d.mu.Unlock()
-	return data, err
+	return err
 }
 
 // take returns the reads logged so far, in the order the device served
@@ -523,6 +528,18 @@ func (d *readRecorder) take() []pageRead {
 	out := d.reads
 	d.reads = nil
 	return out
+}
+
+// requireReads fails the test unless the recorder served at least one read:
+// a recorder that hooked a read the product never issues would pass every
+// bound it checks on zero reads.
+func (d *readRecorder) requireReads(t *testing.T) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.served == 0 {
+		t.Fatal("the device recorder served no read")
+	}
 }
 
 // sparseStore builds a ≥ 200-page store shaped like the sparse benchmark
@@ -595,6 +612,7 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 		}
 		lo = hi
 	}
+	rec.requireReads(t)
 }
 
 // TestInternalLoadSteadyStateAllocs pins what a warm internal-area load
@@ -640,10 +658,17 @@ func TestInternalLoadSteadyStateAllocs(t *testing.T) {
 // all device reads are issued while another read of the same pass is still
 // on the device (a window that holds one group at a time scores ≈ 0.1
 // here). The internal-area load goes through the same window, so its
-// read-ahead counts too.
+// read-ahead counts too. Every read the scheduler submits must reach the
+// device.
 func TestWindowKeepsReadsInFlight(t *testing.T) {
 	g, st := sparseStore(t)
-	res, mx, err := runFile(st, optRunner{mode: Parallel, seams: seams{internalPages: 32, externalPages: 16}}, engine.Options{
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	rec := &readRecorder{PageDevice: base}
+	res, mx, err := runWith(context.Background(), st, rec, optRunner{mode: Parallel, seams: seams{internalPages: 32, externalPages: 16}}, engine.Options{
 		Threads: 2, MemoryPages: 48, Latency: ssd.Latency{PerRead: 300 * time.Microsecond},
 	})
 	if err != nil {
@@ -651,6 +676,10 @@ func TestWindowKeepsReadsInFlight(t *testing.T) {
 	}
 	if want := graph.CountTrianglesReference(g); res.Triangles != want {
 		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
+	}
+	rec.requireReads(t)
+	if got := int64(len(rec.take())); got != mx.AsyncReads() {
+		t.Fatalf("the device served %d reads, the scheduler submitted %d", got, mx.AsyncReads())
 	}
 	if share := float64(mx.PrefetchHits()) / float64(mx.AsyncReads()); share < 0.3 {
 		t.Fatalf("%d of %d reads were issued with another in flight (%.2f), want ≥ 0.30",

@@ -115,11 +115,19 @@ func callStatus(t *testing.T, ts *httptest.Server, method, path string, body any
 	return st, raw
 }
 
-// follow reads a job's event stream to EOF and returns how often each
-// progress kind appeared plus the raw "done" frames.
-func follow(t *testing.T, ts *httptest.Server, path string) (kinds map[string]int, done [][]byte) {
+// follow reads a job's event stream to EOF — or, when until is not empty,
+// up to the first progress frame of that kind — and returns how often each
+// progress kind appeared plus the raw "done" frames. A stream still open
+// after 10 s fails the test.
+func follow(t *testing.T, ts *httptest.Server, path, until string) (kinds map[string]int, done [][]byte) {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +157,9 @@ func follow(t *testing.T, ts *httptest.Server, path string) (kinds map[string]in
 				t.Fatalf("progress frame %q: %v", data, err)
 			}
 			kinds[p.Kind]++
+			if p.Kind == until {
+				return kinds, done
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -170,6 +181,10 @@ type jobKind struct {
 	body func(timeout string, park bool) any
 	// partial returns the triangles a cancelled job kept and its error.
 	partial func(j *server.Job) (int64, error)
+	// counted is the progress kind that shows a parked job's one triangle
+	// is part of its outcome, so cancelling keeps it; "" when the runner
+	// returns the triangle with its partial result itself.
+	counted string
 	// finished checks the kind's own part of a completed job: progress
 	// kinds seen on the stream and the final status document.
 	finished func(t *testing.T, kinds map[string]int, raw []byte)
@@ -243,6 +258,9 @@ var jobKinds = []jobKind{
 			}
 			return rep.Triangles, err
 		},
+		// Shard (0,0) answers at once, but its triangle joins the report
+		// only when the coordinator merges it.
+		counted: "shard-merged",
 		finished: func(t *testing.T, kinds map[string]int, raw []byte) {
 			if kinds["shard-dispatched"] != 3 || kinds["shard-merged"] != 3 {
 				t.Errorf("progress kinds %v, want 3 dispatched + 3 merged for a 2×2 grid", kinds)
@@ -336,7 +354,7 @@ func TestJobLifecycle(t *testing.T) {
 			m, ts, want := k.fixture(t, false, server.Config{})
 			j := k.submit(t, m, ts, "", false)
 			// Following the live stream doubles as the completion wait.
-			kinds, done := follow(t, ts, k.mount+"/"+j.ID+"/events")
+			kinds, done := follow(t, ts, k.mount+"/"+j.ID+"/events", "")
 			if len(done) != 1 {
 				t.Fatalf("got %d done frames, want exactly 1 (progress %v)", len(done), kinds)
 			}
@@ -383,6 +401,11 @@ func TestJobLifecycle(t *testing.T) {
 			m, ts, _ := k.fixture(t, true, server.Config{})
 			j := k.submit(t, m, ts, "", true)
 			waitState(t, m, j.ID, "running")
+			if k.counted != "" {
+				if kinds, _ := follow(t, ts, k.mount+"/"+j.ID+"/events", k.counted); kinds[k.counted] == 0 {
+					t.Fatalf("event stream ended without %s (progress %v)", k.counted, kinds)
+				}
+			}
 			callStatus(t, ts, http.MethodDelete, k.mount+"/"+j.ID, nil, http.StatusAccepted)
 			k.wantCanceled(t, j, context.Canceled)
 			// Cancelling a terminal job is a no-op, not an error; the
@@ -443,7 +466,7 @@ func TestJobLifecycle(t *testing.T) {
 			waitDone(t, j)
 			// Attaching after completion replays the bounded history and
 			// then sends the one terminal frame.
-			kinds, done := follow(t, ts, k.mount+"/"+j.ID+"/events")
+			kinds, done := follow(t, ts, k.mount+"/"+j.ID+"/events", "")
 			if len(done) != 1 {
 				t.Fatalf("got %d done frames, want exactly 1", len(done))
 			}
@@ -521,7 +544,7 @@ func TestWireCompat(t *testing.T) {
 			if err := json.Unmarshal(posted, &first); err != nil {
 				t.Fatal(err)
 			}
-			_, done := follow(t, ts, k.mount+"/"+first.ID+"/events")
+			_, done := follow(t, ts, k.mount+"/"+first.ID+"/events", "")
 			if len(done) != 1 {
 				t.Fatalf("got %d done frames, want 1", len(done))
 			}

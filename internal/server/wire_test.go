@@ -107,7 +107,7 @@ func TestIterStatsWireNames(t *testing.T) {
 	_, ts, _ := jobKinds[0].fixture(t, false, server.Config{})
 	st, _ := callStatus(t, ts, http.MethodPost, "/jobs",
 		json.RawMessage(`{"store":"g","algorithm":"OPT","memory_pages":8,"collect_iter_stats":true}`), http.StatusAccepted)
-	_, done := follow(t, ts, "/jobs/"+st.ID+"/events")
+	_, done := follow(t, ts, "/jobs/"+st.ID+"/events", "")
 	if len(done) != 1 {
 		t.Fatalf("got %d done frames, want 1", len(done))
 	}

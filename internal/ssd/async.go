@@ -3,7 +3,6 @@ package ssd
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/optlab/opt/internal/buffer/arena"
@@ -24,7 +23,8 @@ func (l Latency) Cost(count int) time.Duration {
 	return l.PerRead + time.Duration(count)*l.PerPage
 }
 
-// AsyncOptions configures an AsyncDevice.
+// AsyncOptions configures an AsyncDevice, and — QueueDepth aside — a
+// SyncDevice.
 type AsyncOptions struct {
 	// QueueDepth is the number of device channels (concurrently progressing
 	// requests), modelling FlashSSD internal parallelism. Default 8.
@@ -34,25 +34,23 @@ type AsyncOptions struct {
 	// device: simulated per-channel latency and kernel completion order
 	// cannot coexist.
 	Latency Latency
-	// Metrics, if non-nil, receives page-read/write and async counters.
+	// Metrics, if non-nil, receives page-read and async counters.
 	Metrics *metrics.Collector
 	// Context, if non-nil, cancels the device: once it is done, queued and
 	// newly submitted requests complete immediately with the context's
 	// error (callbacks still run, so Drain and Close unblock as usual) and
 	// the synchronous paths fail fast. Defaults to context.Background().
 	Context context.Context
-	// Events, if non-nil, receives PagesRead/PagesWritten progress events
-	// per completed request, plus the native-backend kinds
+	// Events, if non-nil, receives a PagesRead progress event per completed
+	// read, plus the native-backend kinds
 	// (SubmittedBatch/RingDepth/DirectFallback) where they apply.
 	Events events.Sink
 }
 
-// request is one queued asynchronous operation.
+// request is one queued asynchronous read.
 type request struct {
 	first uint32
 	count int
-	write []byte // nil for reads
-	owned bool   // caller recycles the buffer (AsyncReadOwned)
 	cb    func(data []byte, err error)
 }
 
@@ -72,7 +70,7 @@ type ringDevice interface {
 // tags are slot indices, far below it.
 const nopTag = ^uint64(0)
 
-// AsyncDevice adds AsyncRead/AsyncWrite semantics on top of a PageDevice.
+// AsyncDevice adds AsyncRead semantics on top of a PageDevice.
 //
 // Requests enter an unbounded submission queue. Two engines can drain it:
 //
@@ -89,47 +87,34 @@ const nopTag = ^uint64(0)
 // asynchronous requests (Algorithm 9 lines 9–13) without deadlock because
 // the submission queue is unbounded.
 //
-// Buffer lifetime: when the backing device supports allocation-free reads
-// (IntoReader), read buffers come from an aligned arena and are recycled
-// as soon as the callback returns. The data slice passed to a callback is
-// therefore valid only for the duration of the callback; callers that need
-// the bytes longer either copy or submit through AsyncReadOwned, whose
-// buffer survives the callback until handed back via Recycle.
+// Every read lands in a buffer from an aligned arena. AsyncReadOwned hands
+// it to the callback to keep until it is given back through Recycle;
+// AsyncRead recycles it as soon as the callback returns, so the data slice
+// it delivers is valid only for the duration of the callback.
+//
+// The embedded SyncDevice is the blocking path, ReadPages, through the same
+// latency model and outlets.
 type AsyncDevice struct {
-	dev     PageDevice
-	opts    AsyncOptions
+	*SyncDevice
 	queue   *reqQueue
 	compl   chan completion
 	done    chan struct{} // closed when the dispatcher has exited
 	pending sync.WaitGroup
 	workers sync.WaitGroup // worker/ring engine goroutines, joined by Close
 	once    sync.Once
-
-	// Allocation-free read path: set when dev implements IntoReader.
-	into IntoReader
-	pool *arena.Arena
+	pool    *arena.Arena
 
 	// Ring engine: set when dev is a ringDevice with a live ring and the
 	// latency model is zero.
 	ring     ringDevice
 	slots    *ringSlots
 	slotFree chan uint64
-
-	// Request accounting: submissions and retirements of asynchronous
-	// requests, exposed so schedulers and tests can observe the in-flight
-	// depth without instrumenting callbacks.
-	submitted atomic.Int64
-	completed atomic.Int64
-
-	syncMu sync.Mutex
-	syncTh Throttle // throttle for the synchronous path
 }
 
 type completion struct {
-	data    []byte
-	err     error
-	cb      func(data []byte, err error)
-	recycle []byte // arena buffer to release once cb has returned
+	data []byte
+	err  error
+	cb   func(data []byte, err error)
 }
 
 // NewAsyncDevice starts the device channels and the callback dispatcher.
@@ -138,26 +123,19 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 8
 	}
-	if opts.Context == nil {
-		opts.Context = context.Background()
-	}
 	d := &AsyncDevice{
-		dev:   dev,
-		opts:  opts,
-		queue: newReqQueue(),
-		done:  make(chan struct{}),
-		compl: make(chan completion, opts.QueueDepth*2),
-	}
-	d.into, _ = dev.(IntoReader)
-	if d.into != nil {
-		d.pool = arena.New(DirectAlign)
+		SyncDevice: NewSyncDevice(dev, opts),
+		queue:      newReqQueue(),
+		done:       make(chan struct{}),
+		compl:      make(chan completion, opts.QueueDepth*2),
+		pool:       arena.New(DirectAlign),
 	}
 	if ip, ok := dev.(InfoProvider); ok {
 		if info := ip.BackendInfo(); info.Backend == BackendNative && !info.Direct {
 			d.note(events.DirectFallback, 1)
 		}
 	}
-	if rd, ok := dev.(ringDevice); ok && rd.RingEnabled() && d.into != nil && opts.Latency == (Latency{}) {
+	if rd, ok := dev.(ringDevice); ok && rd.RingEnabled() && opts.Latency == (Latency{}) {
 		d.ring = rd
 		n := rd.RingSlots()
 		d.slots = &ringSlots{entries: make([]slotEntry, n)}
@@ -179,58 +157,37 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 	return d
 }
 
-// PageSize returns the backing device's page size.
-func (d *AsyncDevice) PageSize() int { return d.dev.PageSize() }
-
-// NumPages returns the backing device's page count.
-func (d *AsyncDevice) NumPages() uint32 { return d.dev.NumPages() }
-
 // QueueDepth returns the number of device channels, the default resolved.
 func (d *AsyncDevice) QueueDepth() int { return d.opts.QueueDepth }
 
-// Metrics returns the collector, which may be nil.
-func (d *AsyncDevice) Metrics() *metrics.Collector { return d.opts.Metrics }
-
-// RingActive reports whether the io_uring engine is driving this device.
-func (d *AsyncDevice) RingActive() bool { return d.ring != nil }
-
-// AsyncRead submits an asynchronous read of count pages starting at first.
-// cb runs on the callback dispatcher goroutine when the read completes; it
-// corresponds to AsyncRead(pid, Callback, Args) in the paper. The data
-// slice is valid only until cb returns (see the buffer-lifetime note on
-// AsyncDevice).
-func (d *AsyncDevice) AsyncRead(first uint32, count int, cb func(data []byte, err error)) {
-	d.submit(request{first: first, count: count, cb: cb})
-}
-
-// submit queues one asynchronous request for whichever engine drains the
-// queue.
-func (d *AsyncDevice) submit(req request) {
-	if m := d.opts.Metrics; m != nil && req.write == nil {
+// AsyncReadOwned submits an asynchronous read of count pages starting at
+// first — AsyncRead(pid, Callback, Args) in the paper. cb runs on the
+// callback dispatcher goroutine when the read completes. The data slice
+// stays valid after cb returns, and the caller must hand it back through
+// Recycle once every consumer is done with it: the I/O scheduler decodes a
+// coalesced read's segments on worker goroutines after the callback has
+// moved on.
+func (d *AsyncDevice) AsyncReadOwned(first uint32, count int, cb func(data []byte, err error)) {
+	if m := d.opts.Metrics; m != nil {
 		m.AddAsyncReads(1)
 	}
-	d.submitted.Add(1)
 	d.pending.Add(1)
-	d.queue.push(req)
+	d.queue.push(request{first: first, count: count, cb: cb})
 }
 
-// AsyncReadOwned is AsyncRead with caller-managed buffer lifetime: the
-// data slice stays valid after the callback returns, and the caller must
-// hand it back through Recycle once every consumer is done with it. The
-// I/O scheduler uses it for coalesced reads whose segments are decoded on
-// worker goroutines after the completion callback has moved on.
-func (d *AsyncDevice) AsyncReadOwned(first uint32, count int, cb func(data []byte, err error)) {
-	d.submit(request{first: first, count: count, owned: true, cb: cb})
+// AsyncRead is AsyncReadOwned with the buffer recycled as soon as cb
+// returns, so data is valid only until then.
+func (d *AsyncDevice) AsyncRead(first uint32, count int, cb func(data []byte, err error)) {
+	d.AsyncReadOwned(first, count, func(data []byte, err error) {
+		cb(data, err)
+		d.Recycle(data)
+	})
 }
 
 // Recycle returns a buffer delivered by an AsyncReadOwned callback to the
-// device's arena. nil and foreign buffers are ignored, so error-path and
-// portable-path callers need no guards.
-func (d *AsyncDevice) Recycle(data []byte) {
-	if d.pool != nil && data != nil {
-		d.pool.Release(data)
-	}
-}
+// device's arena. nil and foreign buffers are ignored, so error-path
+// callers need no guards.
+func (d *AsyncDevice) Recycle(data []byte) { d.pool.Release(data) }
 
 // AsyncReadScatter submits one asynchronous vectored read covering
 // len(spans) consecutive page runs: segment i spans spans[i] pages and
@@ -246,7 +203,7 @@ func (d *AsyncDevice) AsyncReadScatter(first uint32, spans []int, cb func(seg in
 	for _, s := range spans {
 		total += s
 	}
-	pageSize := d.dev.PageSize()
+	pageSize := d.PageSize()
 	d.AsyncRead(first, total, func(data []byte, err error) {
 		if err != nil {
 			for i := range spans {
@@ -261,81 +218,6 @@ func (d *AsyncDevice) AsyncReadScatter(first uint32, spans []int, cb func(seg in
 			off = end
 		}
 	})
-}
-
-// AsyncWrite submits an asynchronous write. cb may be nil; if non-nil it
-// runs on the dispatcher with a nil data slice.
-func (d *AsyncDevice) AsyncWrite(first uint32, data []byte, cb func(data []byte, err error)) {
-	d.submit(request{first: first, write: data, cb: cb})
-}
-
-// Submitted returns the number of asynchronous requests submitted so far.
-func (d *AsyncDevice) Submitted() int64 { return d.submitted.Load() }
-
-// Completed returns the number of asynchronous requests fully retired
-// (callback returned, or no callback was registered).
-func (d *AsyncDevice) Completed() int64 { return d.completed.Load() }
-
-// InFlight returns the number of asynchronous requests submitted but not
-// yet retired.
-func (d *AsyncDevice) InFlight() int64 { return d.submitted.Load() - d.completed.Load() }
-
-// ReadPages performs a synchronous read through the same latency model,
-// blocking the caller — the access pattern of the MGT baseline, which uses
-// synchronous I/O only (§3.5).
-func (d *AsyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	if err := d.opts.Context.Err(); err != nil {
-		return nil, err
-	}
-	sw := metrics.StartStopwatch()
-	d.syncMu.Lock()
-	d.syncTh.Charge(d.opts.Latency.Cost(count))
-	d.syncMu.Unlock()
-	data, err := d.dev.ReadPages(first, count)
-	if m := d.opts.Metrics; m != nil {
-		m.AddSyncReads(1)
-		m.AddIOWait(sw.Elapsed())
-	}
-	if err == nil {
-		d.note(events.PagesRead, int64(count))
-	}
-	return data, err
-}
-
-// WritePages performs a synchronous write through the latency model.
-func (d *AsyncDevice) WritePages(first uint32, data []byte) error {
-	if err := d.opts.Context.Err(); err != nil {
-		return err
-	}
-	pages := len(data) / d.dev.PageSize()
-	d.syncMu.Lock()
-	d.syncTh.Charge(d.opts.Latency.Cost(pages))
-	d.syncMu.Unlock()
-	err := d.dev.WritePages(first, data)
-	if err == nil {
-		d.note(events.PagesWritten, int64(pages))
-	}
-	return err
-}
-
-// note accounts one device-level observation — pages transferred by any of
-// the synchronous, worker-pool or ring paths, or a native-backend event —
-// on both outlets: the run's collector and the event sink.
-func (d *AsyncDevice) note(kind events.Kind, n int64) {
-	e := events.Event{Kind: kind, Iteration: -1, N: n}
-	if m := d.opts.Metrics; m != nil {
-		m.Event(e)
-	}
-	if s := d.opts.Events; s != nil {
-		s.Event(e)
-	}
-}
-
-// retire marks one asynchronous request fully done: its callback has
-// returned, or it never had one.
-func (d *AsyncDevice) retire() {
-	d.completed.Add(1)
-	d.pending.Done()
 }
 
 // Drain blocks until every submitted asynchronous request has completed and
@@ -365,66 +247,47 @@ func (d *AsyncDevice) worker() {
 		if !ok {
 			return
 		}
-		if !d.serveInline(req, &th) {
+		if !d.serveCancelled(req) {
 			th.Charge(d.opts.Latency.Cost(req.count))
-			d.finish(d.read(req))
+			d.compl <- d.read(req)
 		}
 	}
 }
 
-// serveInline completes, on the calling engine goroutine, the requests
-// neither engine gives a device channel or ring slot: everything once the
-// device context is done, and writes. It reports whether req was one.
-func (d *AsyncDevice) serveInline(req request, th *Throttle) bool {
-	// Cancellation drains queued requests: skip the I/O (and its simulated
-	// latency) and complete with the context's error so callbacks still run
-	// and Drain/Close unblock.
-	if err := d.opts.Context.Err(); err != nil {
-		d.finish(completion{err: err, cb: req.cb})
-		return true
+// serveCancelled completes req on the calling engine goroutine once the
+// device context is done, and reports whether it did: cancellation drains
+// queued requests without their I/O (and its simulated latency), and
+// their callbacks still run with the context's error, so Drain and Close
+// unblock.
+func (d *AsyncDevice) serveCancelled(req request) bool {
+	err := d.opts.Context.Err()
+	if err != nil {
+		d.compl <- completion{err: err, cb: req.cb}
 	}
-	if req.write == nil {
-		return false
-	}
-	pages := len(req.write) / d.dev.PageSize()
-	th.Charge(d.opts.Latency.Cost(pages))
-	err := d.dev.WritePages(req.first, req.write)
-	if err == nil {
-		d.note(events.PagesWritten, int64(pages))
-	}
-	d.finish(completion{err: err, cb: req.cb})
-	return true
+	return err != nil
 }
 
-// read performs req's read on the calling goroutine and returns its
-// completion.
+// read performs req's read into an arena buffer on the calling goroutine
+// and returns its completion. A non-positive count gets no buffer, and the
+// device's range error.
 func (d *AsyncDevice) read(req request) completion {
-	if d.into != nil && req.count > 0 {
-		// Allocation-free path: read into a recycled arena buffer.
-		buf := d.pool.Acquire(req.count * d.dev.PageSize())
-		return d.readDone(req, buf, d.into.ReadPagesInto(buf, req.first, req.count))
+	var buf []byte
+	if req.count > 0 {
+		buf = d.pool.Acquire(req.count * d.PageSize())
 	}
-	data, err := d.dev.ReadPages(req.first, req.count)
-	if err == nil {
-		d.note(events.PagesRead, int64(req.count))
-	}
-	return completion{data: data, err: err, cb: req.cb}
+	return d.readDone(req, buf, d.dev.ReadPagesInto(buf, req.first, req.count))
 }
 
 // readDone builds the completion of a read into arena buffer buf: on
-// success buf is the data, returned to the arena once the callback has
-// consumed it unless the caller owns it; on failure it goes straight back.
+// success buf is the data, which the callback owns; on failure it goes
+// straight back to the arena.
 func (d *AsyncDevice) readDone(req request, buf []byte, err error) completion {
 	if err != nil {
 		d.pool.Release(buf)
 		return completion{err: err, cb: req.cb}
 	}
 	d.note(events.PagesRead, int64(req.count))
-	c := completion{data: buf, cb: req.cb}
-	if !req.owned {
-		c.recycle = buf
-	}
-	return c
+	return completion{data: buf, cb: req.cb}
 }
 
 // ringSlots correlates in-flight ring submissions (tag = slot index) with
@@ -493,22 +356,21 @@ func (d *AsyncDevice) ringSubmitter() {
 	}
 }
 
-// stageOne serves one request on the ring engine: reads become staged
-// SQEs; everything else completes here, as on the worker pool.
+// stageOne serves one request on the ring engine: a read becomes a staged
+// SQE; a cancelled or empty one completes here, as on the worker pool.
 func (d *AsyncDevice) stageOne(req request) {
-	var th Throttle // the ring engine runs only without a latency model
-	if d.serveInline(req, &th) {
+	if d.serveCancelled(req) {
 		return
 	}
 	if req.count <= 0 {
-		d.finish(d.read(req)) // canonical range error
+		d.compl <- d.read(req) // canonical range error
 		return
 	}
 	slot := d.acquireSlot()
-	buf := d.pool.Acquire(req.count * d.dev.PageSize())
+	buf := d.pool.Acquire(req.count * d.PageSize())
 	if err := d.ring.PrepareRead(slot, buf, req.first, req.count); err != nil {
 		d.slotFree <- slot
-		d.finish(d.readDone(req, buf, err))
+		d.compl <- d.readDone(req, buf, err)
 		return
 	}
 	d.slots.set(slot, req, buf)
@@ -544,22 +406,8 @@ func (d *AsyncDevice) flushBatch() {
 // with err, so nothing hangs once the ring is unusable.
 func (d *AsyncDevice) failOutstanding(err error) {
 	for _, e := range d.slots.takeAll() {
-		d.finish(d.readDone(e.req, e.buf, err))
+		d.compl <- d.readDone(e.req, e.buf, err)
 	}
-}
-
-// finish is the one completion path of both engines: it hands the
-// completion to the dispatcher, or retires a callback-less request on the
-// spot.
-func (d *AsyncDevice) finish(c completion) {
-	if c.cb == nil {
-		if c.recycle != nil {
-			d.pool.Release(c.recycle)
-		}
-		d.retire()
-		return
-	}
-	d.compl <- c
 }
 
 // ringReaper is the ring engine's single CQ reader: it blocks in
@@ -585,24 +433,22 @@ func (d *AsyncDevice) ringReaper() {
 		if err == nil && n < len(e.buf) {
 			// Short ring read (racing truncation, signal). Re-read the
 			// whole range through preadv rather than patching the tail.
-			err = d.into.ReadPagesInto(e.buf, e.req.first, e.req.count)
+			err = d.dev.ReadPagesInto(e.buf, e.req.first, e.req.count)
 		}
 		d.slotFree <- tag
-		d.finish(d.readDone(e.req, e.buf, err))
+		d.compl <- d.readDone(e.req, e.buf, err)
 	}
 }
 
-// dispatcher is the callback thread: it executes completion callbacks
-// serially in completion order and recycles the read buffer afterwards,
-// until Close closes the completion channel behind the last engine.
+// dispatcher is the callback thread, and the one completion path of both
+// engines: it runs completion callbacks serially in completion order,
+// marking each request done, until Close closes the completion channel
+// behind the last engine.
 func (d *AsyncDevice) dispatcher() {
 	defer close(d.done)
 	for c := range d.compl {
 		c.cb(c.data, c.err)
-		if c.recycle != nil {
-			d.pool.Release(c.recycle)
-		}
-		d.retire()
+		d.pending.Done()
 	}
 }
 

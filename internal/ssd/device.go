@@ -1,6 +1,6 @@
-// Package ssd provides the FlashSSD substrate: page-granular storage
-// devices with the AsyncRead(pid, callback, args) semantics the paper's
-// framework is built on (§3.2).
+// Package ssd provides the FlashSSD substrate: page-granular, read-only
+// storage devices with the AsyncRead(pid, callback, args) semantics the
+// paper's framework is built on (§3.2).
 //
 // The paper runs on a real Samsung 830 FlashSSD through Windows overlapped
 // I/O. What OPT exploits from that stack is precisely:
@@ -11,43 +11,41 @@
 //  3. completion callbacks — a callback thread runs CPU work per completion.
 //
 // AsyncDevice reproduces those three properties over any backing PageDevice:
-// submissions enter a bounded queue served by QueueDepth worker goroutines
-// (the device channels), and completions are dispatched in completion order
-// to a single dispatcher goroutine (the paper's callback thread). An
-// optional simulated latency makes the I/O-to-CPU cost ratio c of §3.3
-// controllable, so overlap effects are measurable regardless of host
+// submissions enter an unbounded queue served by QueueDepth worker
+// goroutines (the device channels) or by an io_uring ring, and completions
+// are dispatched in completion order to a single dispatcher goroutine (the
+// paper's callback thread). SyncDevice is the blocking read path of the
+// synchronous baselines (§3.5), and starts no goroutines. Both charge an
+// optional simulated latency, which makes the I/O-to-CPU cost ratio c of
+// §3.3 controllable, so overlap effects are measurable regardless of host
 // hardware.
 package ssd
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"sync"
+
+	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/metrics"
 )
 
-// PageDevice is synchronous page-granular storage.
+// PageDevice is synchronous, read-only page-granular storage.
 type PageDevice interface {
 	// ReadPages reads count consecutive pages starting at page first into a
 	// freshly allocated buffer of count*PageSize() bytes.
 	ReadPages(first uint32, count int) ([]byte, error)
-	// WritePages writes len(data)/PageSize() consecutive pages starting at
-	// page first. Implementations may extend the device.
-	WritePages(first uint32, data []byte) error
-	// NumPages returns the current number of pages on the device.
+	// ReadPagesInto is ReadPages into a caller-supplied buffer, which must
+	// hold at least count*PageSize() bytes; only that prefix is written. It
+	// is the read the asynchronous layer issues, into recycled arena
+	// buffers.
+	ReadPagesInto(buf []byte, first uint32, count int) error
+	// NumPages returns the number of pages on the device.
 	NumPages() uint32
 	// PageSize returns the page size in bytes.
 	PageSize() int
 	// Close releases resources.
 	Close() error
-}
-
-// IntoReader is the allocation-free read contract. Devices that implement
-// it read into a caller-supplied buffer instead of allocating one per call,
-// letting AsyncDevice recycle aligned buffers through an arena. buf must
-// hold at least count*PageSize() bytes; only the first count*PageSize()
-// bytes are written.
-type IntoReader interface {
-	ReadPagesInto(buf []byte, first uint32, count int) error
 }
 
 // Common device errors.
@@ -60,101 +58,66 @@ var (
 	ErrTooManyPages = errors.New("ssd: page count exceeds uint32 address space")
 )
 
-// MemDevice is an in-memory PageDevice used by tests and by experiments
-// whose I/O is fully simulated. It is safe for concurrent use: the async
-// layer's device channels read while a writer extends the store.
-type MemDevice struct {
-	pageSize int
-	mu       sync.RWMutex
-	data     []byte
-	closed   bool
+// SyncDevice reads through a backing PageDevice synchronously, charging the
+// latency model and accounting each read — the access pattern of MGT, which
+// uses synchronous I/O only (§3.5), of the other baselines' store
+// conversions and of the Shard2D block loads. It starts no goroutines and
+// owns nothing, so it needs no Close. AsyncDevice embeds one as its own
+// synchronous path.
+type SyncDevice struct {
+	dev  PageDevice
+	opts AsyncOptions
+
+	mu sync.Mutex
+	th Throttle
 }
 
-// NewMemDevice returns an empty MemDevice with the given page size.
-func NewMemDevice(pageSize int) *MemDevice {
-	if pageSize <= 0 {
-		panic("ssd: page size must be positive")
+// NewSyncDevice returns a synchronous device over dev. Of opts it uses
+// Latency, Metrics, Context and Events.
+func NewSyncDevice(dev PageDevice, opts AsyncOptions) *SyncDevice {
+	if opts.Context == nil {
+		opts.Context = context.Background()
 	}
-	return &MemDevice{pageSize: pageSize}
+	return &SyncDevice{dev: dev, opts: opts}
 }
 
-// PageSize implements PageDevice.
-func (d *MemDevice) PageSize() int { return d.pageSize }
+// PageSize returns the backing device's page size.
+func (d *SyncDevice) PageSize() int { return d.dev.PageSize() }
 
-// NumPages implements PageDevice.
-func (d *MemDevice) NumPages() uint32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return uint32(len(d.data) / d.pageSize)
-}
+// NumPages returns the backing device's page count.
+func (d *SyncDevice) NumPages() uint32 { return d.dev.NumPages() }
 
-// ReadPages implements PageDevice.
-func (d *MemDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, ErrClosed
+// ReadPages reads count pages starting at first, blocking the caller for
+// the read and its simulated latency. Once the device context is done it
+// fails fast with the context's error.
+func (d *SyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
+	if err := d.opts.Context.Err(); err != nil {
+		return nil, err
 	}
-	if count <= 0 {
-		return nil, fmt.Errorf("%w: count %d", ErrOutOfRange, count)
-	}
-	start := int64(first) * int64(d.pageSize)
-	end := start + int64(count)*int64(d.pageSize)
-	if end > int64(len(d.data)) {
-		return nil, fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), uint32(len(d.data)/d.pageSize))
-	}
-	out := make([]byte, end-start)
-	copy(out, d.data[start:end])
-	return out, nil
-}
-
-// ReadPagesInto implements IntoReader.
-func (d *MemDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if count <= 0 {
-		return fmt.Errorf("%w: count %d", ErrOutOfRange, count)
-	}
-	start := int64(first) * int64(d.pageSize)
-	end := start + int64(count)*int64(d.pageSize)
-	if end > int64(len(d.data)) {
-		return fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), uint32(len(d.data)/d.pageSize))
-	}
-	if want := int(end - start); len(buf) < want {
-		return fmt.Errorf("ssd: read buffer of %d bytes, want %d", len(buf), want)
-	}
-	copy(buf, d.data[start:end])
-	return nil
-}
-
-// WritePages implements PageDevice, extending the device as needed.
-func (d *MemDevice) WritePages(first uint32, data []byte) error {
+	sw := metrics.StartStopwatch()
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	d.th.Charge(d.opts.Latency.Cost(count))
+	d.mu.Unlock()
+	data, err := d.dev.ReadPages(first, count)
+	if m := d.opts.Metrics; m != nil {
+		m.AddSyncReads(1)
+		m.AddIOWait(sw.Elapsed())
 	}
-	if len(data)%d.pageSize != 0 {
-		return fmt.Errorf("ssd: write of %d bytes is not page aligned (page size %d)", len(data), d.pageSize)
+	if err == nil {
+		d.note(events.PagesRead, int64(count))
 	}
-	start := int64(first) * int64(d.pageSize)
-	end := start + int64(len(data))
-	if end > int64(len(d.data)) {
-		grown := make([]byte, end)
-		copy(grown, d.data)
-		d.data = grown
-	}
-	copy(d.data[start:end], data)
-	return nil
+	return data, err
 }
 
-// Close implements PageDevice.
-func (d *MemDevice) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	return nil
+// note accounts one device-level observation — pages transferred by any
+// read path, or a native-backend event — on both outlets: the run's
+// collector and the event sink.
+func (d *SyncDevice) note(kind events.Kind, n int64) {
+	e := events.Event{Kind: kind, Iteration: -1, N: n}
+	if m := d.opts.Metrics; m != nil {
+		m.Event(e)
+	}
+	if s := d.opts.Events; s != nil {
+		s.Event(e)
+	}
 }

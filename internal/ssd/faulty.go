@@ -46,23 +46,12 @@ func (d *FaultyDevice) ReadPages(first uint32, count int) ([]byte, error) {
 	return d.PageDevice.ReadPages(first, count)
 }
 
-// ReadPagesInto forwards to the wrapped device's IntoReader under the same
-// fault schedule, so the allocation-free read path stays fault-testable.
-// When the wrapped device does not implement IntoReader the call falls back
-// to ReadPages plus a copy.
+// ReadPagesInto implements PageDevice with the same fault injection.
 func (d *FaultyDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
 	if d.inject(first, count) {
 		return ErrInjected
 	}
-	if ir, ok := d.PageDevice.(IntoReader); ok {
-		return ir.ReadPagesInto(buf, first, count)
-	}
-	data, err := d.PageDevice.ReadPages(first, count)
-	if err != nil {
-		return err
-	}
-	copy(buf, data)
-	return nil
+	return d.PageDevice.ReadPagesInto(buf, first, count)
 }
 
 // BackendInfo forwards the wrapped device's backend description, defaulting

@@ -4,37 +4,26 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync"
+	"sync/atomic"
 )
 
-// FileDevice is a PageDevice backed by a region of an os.File, starting at
-// a byte offset (so a store file can carry a header before its page area).
-// Reads use positional I/O and are safe for concurrent use; writes extend
-// the file as needed.
+// FileDevice is a read-only PageDevice backed by a region of a file,
+// starting at a byte offset (so a store file can carry a header before its
+// page area). Reads use positional I/O and are safe for concurrent use.
 type FileDevice struct {
 	f        *os.File
 	offset   int64
 	pageSize int
-
-	mu       sync.RWMutex
 	numPages uint32
-	closed   bool
-	ownsFile bool
-}
-
-// NewFileDevice wraps an open file. offset is the byte position of page 0;
-// numPages is the number of valid pages. If ownsFile is true, Close closes
-// the file.
-func NewFileDevice(f *os.File, offset int64, pageSize int, numPages uint32, ownsFile bool) *FileDevice {
-	if pageSize <= 0 {
-		panic("ssd: page size must be positive")
-	}
-	return &FileDevice{f: f, offset: offset, pageSize: pageSize, numPages: numPages, ownsFile: ownsFile}
+	closed   atomic.Bool
 }
 
 // OpenFileDevice opens path read-only as a device whose pages start at
 // offset and run to the end of the file.
 func OpenFileDevice(path string, offset int64, pageSize int) (*FileDevice, error) {
+	if pageSize <= 0 {
+		panic("ssd: page size must be positive")
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -54,51 +43,31 @@ func OpenFileDevice(path string, offset int64, pageSize int) (*FileDevice, error
 		f.Close()
 		return nil, fmt.Errorf("%w: %s holds %d pages of %d bytes", ErrTooManyPages, path, n, pageSize)
 	}
-	return NewFileDevice(f, offset, pageSize, uint32(n), true), nil
+	return &FileDevice{f: f, offset: offset, pageSize: pageSize, numPages: uint32(n)}, nil
 }
 
 // PageSize implements PageDevice.
 func (d *FileDevice) PageSize() int { return d.pageSize }
 
 // NumPages implements PageDevice.
-func (d *FileDevice) NumPages() uint32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.numPages
-}
+func (d *FileDevice) NumPages() uint32 { return d.numPages }
 
 // ReadPages implements PageDevice.
 func (d *FileDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	n := d.numPages
-	d.mu.RUnlock()
-	if count <= 0 || int64(first)+int64(count) > int64(n) {
-		return nil, fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), n)
+	if err := d.checkRange(first, count); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, count*d.pageSize)
-	if _, err := d.f.ReadAt(buf, d.offset+int64(first)*int64(d.pageSize)); err != nil {
-		return nil, fmt.Errorf("ssd: read pages [%d,+%d): %w", first, count, err)
+	if err := d.ReadPagesInto(buf, first, count); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// ReadPagesInto implements IntoReader: the same positional read as
-// ReadPages, but into a caller-supplied buffer so the async layer can
-// recycle buffers instead of allocating one per coalesced read.
+// ReadPagesInto implements PageDevice.
 func (d *FileDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return ErrClosed
-	}
-	n := d.numPages
-	d.mu.RUnlock()
-	if count <= 0 || int64(first)+int64(count) > int64(n) {
-		return fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), n)
+	if err := d.checkRange(first, count); err != nil {
+		return err
 	}
 	want := count * d.pageSize
 	if len(buf) < want {
@@ -110,40 +79,26 @@ func (d *FileDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
 	return nil
 }
 
+// checkRange fails a read of a closed device, or of pages it does not hold.
+func (d *FileDevice) checkRange(first uint32, count int) error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	if count <= 0 || int64(first)+int64(count) > int64(d.numPages) {
+		return fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), d.numPages)
+	}
+	return nil
+}
+
 // BackendInfo implements InfoProvider for the portable backend.
 func (d *FileDevice) BackendInfo() BackendInfo {
 	return BackendInfo{Backend: BackendPortable}
 }
 
-// WritePages implements PageDevice.
-func (d *FileDevice) WritePages(first uint32, data []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if len(data)%d.pageSize != 0 {
-		return fmt.Errorf("ssd: write of %d bytes is not page aligned (page size %d)", len(data), d.pageSize)
-	}
-	if _, err := d.f.WriteAt(data, d.offset+int64(first)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("ssd: write pages at %d: %w", first, err)
-	}
-	if end := first + uint32(len(data)/d.pageSize); end > d.numPages {
-		d.numPages = end
-	}
-	return nil
-}
-
-// Close implements PageDevice.
+// Close implements PageDevice. Closing twice is harmless.
 func (d *FileDevice) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Swap(true) {
 		return nil
 	}
-	d.closed = true
-	if d.ownsFile {
-		return d.f.Close()
-	}
-	return nil
+	return d.f.Close()
 }

@@ -318,12 +318,6 @@ func (d *nativeDevice) PageSize() int { return d.pageSize }
 // NumPages implements PageDevice.
 func (d *nativeDevice) NumPages() uint32 { return d.numPages }
 
-// WritePages implements PageDevice. The native backend serves sealed store
-// files; nothing in the engine writes through a store device.
-func (d *nativeDevice) WritePages(first uint32, data []byte) error {
-	return errors.New("ssd: native device is read-only")
-}
-
 // Close implements PageDevice.
 func (d *nativeDevice) Close() error {
 	if d.closed.Swap(true) {
@@ -335,7 +329,11 @@ func (d *nativeDevice) Close() error {
 	return syscall.Close(d.fd)
 }
 
+// checkRange fails a read of a closed device, or of pages it does not hold.
 func (d *nativeDevice) checkRange(first uint32, count int) error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
 	if count <= 0 || int64(first)+int64(count) > int64(d.numPages) {
 		return fmt.Errorf("%w: pages [%d, %d) of %d", ErrOutOfRange, first, int64(first)+int64(count), d.numPages)
 	}
@@ -350,35 +348,23 @@ func alignedBuf(n int) []byte {
 	return raw[off : off+n : off+n]
 }
 
-// ReadPages implements PageDevice.
+// ReadPages implements PageDevice, into an aligned buffer under O_DIRECT.
 func (d *nativeDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
 	if err := d.checkRange(first, count); err != nil {
 		return nil, err
 	}
-	want := count * d.pageSize
-	var buf []byte
-	if d.info.Direct {
-		buf = alignedBuf(want)
-	} else {
-		buf = make([]byte, want)
-	}
-	if err := d.preadFull(buf, d.offset+int64(first)*int64(d.pageSize)); err != nil {
-		return nil, fmt.Errorf("ssd: read pages [%d,+%d): %w", first, count, err)
+	buf := alignedBuf(count * d.pageSize)
+	if err := d.ReadPagesInto(buf, first, count); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// ReadPagesInto implements IntoReader. Under O_DIRECT an unaligned caller
+// ReadPagesInto implements PageDevice. Under O_DIRECT an unaligned caller
 // buffer is served through an aligned bounce buffer plus a copy; the async
 // layer always passes arena-aligned buffers, so the bounce is reserved for
 // direct synchronous callers.
 func (d *nativeDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
 	if err := d.checkRange(first, count); err != nil {
 		return err
 	}
@@ -442,9 +428,6 @@ func (d *nativeDevice) RingSlots() int { return int(d.ring.entries) }
 // RingSlots: the slot's iovec stays pinned until the CQE for tag arrives.
 // Submitter-goroutine only.
 func (d *nativeDevice) PrepareRead(tag uint64, buf []byte, first uint32, count int) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
 	if err := d.checkRange(first, count); err != nil {
 		return err
 	}

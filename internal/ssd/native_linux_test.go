@@ -67,9 +67,6 @@ func TestNativeMatchesReadAt(t *testing.T) {
 	if _, err := d.ReadPages(63, 2); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out of range: %v", err)
 	}
-	if err := d.WritePages(0, make([]byte, 256)); err == nil {
-		t.Fatal("native device write: want error")
-	}
 }
 
 // TestNativeRingThroughAsync drives the full ring engine: AsyncDevice over
@@ -92,7 +89,7 @@ func TestNativeRingThroughAsync(t *testing.T) {
 	})
 	ad := NewAsyncDevice(d, AsyncOptions{QueueDepth: 4, Metrics: mx, Events: sink})
 	defer ad.Close()
-	if !ad.RingActive() {
+	if ad.ring == nil {
 		t.Fatal("ring engine not engaged")
 	}
 	if ringDepthEvents.Load() != 1 || mx.RingDepth() != int64(d.RingSlots()) {
@@ -191,7 +188,7 @@ func TestRingSetupFallback(t *testing.T) {
 			}
 			ad := NewAsyncDevice(d, AsyncOptions{QueueDepth: 2})
 			defer ad.Close()
-			if ad.RingActive() {
+			if ad.ring != nil {
 				t.Fatal("async device engaged a dead ring")
 			}
 			var bad atomic.Int64
@@ -278,7 +275,7 @@ func TestFaultyAroundNative(t *testing.T) {
 	fd := &FaultyDevice{PageDevice: d, FailAt: 3}
 	ad := NewAsyncDevice(fd, AsyncOptions{QueueDepth: 1})
 	defer ad.Close()
-	if ad.RingActive() {
+	if ad.ring != nil {
 		t.Fatal("ring engine engaged through the fault wrapper")
 	}
 	var injected, ok atomic.Int64

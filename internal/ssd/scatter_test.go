@@ -12,8 +12,7 @@ import (
 // whose segments arrive in order, each a sub-slice of the one read buffer
 // with the right pages.
 func TestAsyncReadScatter(t *testing.T) {
-	base := NewMemDevice(64)
-	fillPages(t, base, 16)
+	base := newMemDevice(64, 16)
 	mx := metrics.NewCollector()
 	d := NewAsyncDevice(base, AsyncOptions{Metrics: mx})
 	defer d.Close()
@@ -65,8 +64,7 @@ func TestAsyncReadScatter(t *testing.T) {
 // TestAsyncReadScatterFailure checks the error fan-out contract: a failed
 // coalesced read must fail every constituent segment exactly once.
 func TestAsyncReadScatterFailure(t *testing.T) {
-	base := NewMemDevice(64)
-	fillPages(t, base, 16)
+	base := newMemDevice(64, 16)
 	faulty := &FaultyDevice{PageDevice: base, FailEveryN: 1}
 	d := NewAsyncDevice(faulty, AsyncOptions{})
 	defer d.Close()
@@ -93,34 +91,5 @@ func TestAsyncReadScatterFailure(t *testing.T) {
 	}
 	if faulty.Reads() != 1 {
 		t.Fatalf("device reads = %d, want 1", faulty.Reads())
-	}
-}
-
-// TestAsyncDeviceAccounting checks the submitted/completed counters that
-// the I/O scheduler and tests use to observe in-flight depth.
-func TestAsyncDeviceAccounting(t *testing.T) {
-	base := NewMemDevice(64)
-	fillPages(t, base, 8)
-	d := NewAsyncDevice(base, AsyncOptions{})
-	defer d.Close()
-
-	if d.Submitted() != 0 || d.Completed() != 0 || d.InFlight() != 0 {
-		t.Fatalf("fresh device: submitted=%d completed=%d inflight=%d", d.Submitted(), d.Completed(), d.InFlight())
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		d.AsyncRead(uint32(i%8), 1, func([]byte, error) {})
-	}
-	d.AsyncWrite(0, make([]byte, 64), nil)
-	d.AsyncReadScatter(0, []int{1, 1}, func(int, []byte, error) {})
-	d.Drain()
-	if d.Submitted() != n+2 {
-		t.Fatalf("submitted = %d, want %d", d.Submitted(), n+2)
-	}
-	if d.Completed() != d.Submitted() {
-		t.Fatalf("after Drain: completed = %d, submitted = %d", d.Completed(), d.Submitted())
-	}
-	if d.InFlight() != 0 {
-		t.Fatalf("after Drain: inflight = %d, want 0", d.InFlight())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,23 +14,8 @@ import (
 	"github.com/optlab/opt/internal/metrics"
 )
 
-func fillPages(t *testing.T, d PageDevice, numPages int) {
-	t.Helper()
-	ps := d.PageSize()
-	buf := make([]byte, numPages*ps)
-	for p := 0; p < numPages; p++ {
-		for i := 0; i < ps; i++ {
-			buf[p*ps+i] = byte(p)
-		}
-	}
-	if err := d.WritePages(0, buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemDeviceReadWrite(t *testing.T) {
-	d := NewMemDevice(64)
-	fillPages(t, d, 4)
+func TestMemDeviceRead(t *testing.T) {
+	d := newMemDevice(64, 4)
 	if d.NumPages() != 4 {
 		t.Fatalf("NumPages = %d, want 4", d.NumPages())
 	}
@@ -43,8 +29,7 @@ func TestMemDeviceReadWrite(t *testing.T) {
 }
 
 func TestMemDeviceOutOfRange(t *testing.T) {
-	d := NewMemDevice(64)
-	fillPages(t, d, 2)
+	d := newMemDevice(64, 2)
 	if _, err := d.ReadPages(1, 2); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
@@ -54,38 +39,21 @@ func TestMemDeviceOutOfRange(t *testing.T) {
 }
 
 func TestMemDeviceClosed(t *testing.T) {
-	d := NewMemDevice(64)
-	fillPages(t, d, 1)
+	d := newMemDevice(64, 1)
 	if err := d.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
 	if _, err := d.ReadPages(0, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if err := d.WritePages(0, make([]byte, 64)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("write err = %v, want ErrClosed", err)
-	}
-}
-
-func TestMemDeviceUnalignedWrite(t *testing.T) {
-	d := NewMemDevice(64)
-	if err := d.WritePages(0, make([]byte, 65)); err == nil {
-		t.Fatal("unaligned write: want error")
-	}
 }
 
 func TestFileDevice(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	const offset = 100 // header region
+	d, err := OpenFileDevice(patternFile(t, offset, 32, 5), offset, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const offset = 100 // header region
-	if _, err := f.WriteAt([]byte("HDR"), 0); err != nil {
-		t.Fatal(err)
-	}
-	d := NewFileDevice(f, offset, 32, 0, true)
-	fillPages(t, d, 5)
 	if d.NumPages() != 5 {
 		t.Fatalf("NumPages = %d, want 5", d.NumPages())
 	}
@@ -96,43 +64,29 @@ func TestFileDevice(t *testing.T) {
 	if !bytes.Equal(got, bytes.Repeat([]byte{4}, 32)) {
 		t.Fatalf("page 4 content = %v", got[:4])
 	}
+	if got, err = d.ReadPages(0, 2); err != nil || got[0] != 0 || got[32] != 1 {
+		t.Fatalf("pages 0-1: %v, content %v", err, got)
+	}
+	if _, err := d.ReadPages(5, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("err = %v, want ErrOutOfRange", err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-
-	// Reopen read-only via OpenFileDevice.
-	rd, err := OpenFileDevice(path, offset, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = rd.Close() }()
-	if rd.NumPages() != 5 {
-		t.Fatalf("reopened NumPages = %d, want 5", rd.NumPages())
-	}
-	got, err = rd.ReadPages(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0 || got[32] != 1 {
-		t.Fatal("reopened content wrong")
-	}
-	if _, err := rd.ReadPages(5, 1); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("err = %v, want ErrOutOfRange", err)
+	if _, err := d.ReadPages(0, 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read after Close: err = %v, want ErrClosed", err)
 	}
 }
 
 func TestFileDeviceConcurrentReads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	d, err := OpenFileDevice(patternFile(t, 0, 128, 64), 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewFileDevice(f, 0, 128, 0, true)
 	defer func() { _ = d.Close() }()
-	fillPages(t, d, 64)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -155,8 +109,7 @@ func TestFileDeviceConcurrentReads(t *testing.T) {
 }
 
 func TestAsyncReadCallbacksRunSerially(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 32)
+	mem := newMemDevice(64, 32)
 	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 4})
 	defer d.Close()
 
@@ -194,8 +147,7 @@ func TestAsyncReadCallbacksRunSerially(t *testing.T) {
 // callback computes, the device keeps serving queued reads, so total time is
 // far below the serial sum of I/O and CPU.
 func TestMicroOverlap(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 16)
+	mem := newMemDevice(64, 16)
 	lat := Latency{PerRead: 2 * time.Millisecond}
 	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 8, Latency: lat})
 	defer d.Close()
@@ -225,8 +177,7 @@ func TestMicroOverlap(t *testing.T) {
 func TestAsyncReadFromCallbackChaining(t *testing.T) {
 	// Algorithm 9 chains: each completion submits the next request. This
 	// must not deadlock even with QueueDepth 1.
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 50)
+	mem := newMemDevice(64, 50)
 	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 1})
 	defer d.Close()
 
@@ -251,43 +202,64 @@ func TestAsyncReadFromCallbackChaining(t *testing.T) {
 	}
 }
 
-func TestAsyncWriteAndSyncPath(t *testing.T) {
-	mem := NewMemDevice(64)
+// TestSyncDeviceReads checks the synchronous path: content, one sync read
+// and its pages on the collector, and the simulated latency charged to the
+// caller.
+func TestSyncDeviceReads(t *testing.T) {
 	m := metrics.NewCollector()
-	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 2, Metrics: m})
-	defer d.Close()
-
-	page := bytes.Repeat([]byte{7}, 64)
-	var wrote atomic.Bool
-	d.AsyncWrite(0, page, func(_ []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		wrote.Store(true)
-	})
-	d.AsyncWrite(1, page, nil) // nil callback path
-	d.Drain()
-	if !wrote.Load() {
-		t.Fatal("write callback did not run")
-	}
-	got, err := d.ReadPages(0, 2)
+	lat := Latency{PerRead: 2 * SleepQuantum}
+	d := NewSyncDevice(newMemDevice(64, 4), AsyncOptions{Latency: lat, Metrics: m})
+	start := time.Now()
+	got, err := d.ReadPages(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 7 || got[64] != 7 {
-		t.Fatal("async write content wrong")
+	if elapsed := time.Since(start); elapsed < lat.PerRead-SleepQuantum {
+		t.Fatalf("a %v read returned after %v", lat.PerRead, elapsed)
 	}
-	if m.PagesWritten() != 2 {
-		t.Fatalf("PagesWritten = %d, want 2", m.PagesWritten())
+	if got[0] != 2 || got[64] != 3 {
+		t.Fatal("sync read content wrong")
 	}
-	if m.SyncReads() != 1 || m.PagesRead() != 2 {
-		t.Fatalf("metrics: sync=%d read=%d", m.SyncReads(), m.PagesRead())
+	if m.SyncReads() != 1 || m.PagesRead() != 2 || m.AsyncReads() != 0 {
+		t.Fatalf("metrics: sync=%d read=%d async=%d", m.SyncReads(), m.PagesRead(), m.AsyncReads())
+	}
+}
+
+// TestSyncDeviceStartsNoGoroutines pins what sets the synchronous baselines'
+// device apart from AsyncDevice: building one, reading through it and
+// closing what it reads leaves the goroutine count where it was. The
+// AsyncDevice over the same file shows the count does move when a device
+// starts goroutines.
+func TestSyncDeviceStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fd, err := OpenFileDevice(patternFile(t, 0, 64, 8), 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewSyncDevice(fd, AsyncOptions{Latency: Latency{PerRead: SleepQuantum}})
+	for p := uint32(0); p < 8; p += 2 {
+		if _, err := d.ReadPages(p, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if during := runtime.NumGoroutine(); during != before {
+		t.Fatalf("goroutines %d with a sync device open, %d before", during, before)
+	}
+	ad := NewAsyncDevice(fd, AsyncOptions{QueueDepth: 2})
+	if during := runtime.NumGoroutine(); during <= before {
+		t.Fatalf("goroutines %d with an async device open, %d before: the count cannot tell", during, before)
+	}
+	ad.Close()
+	if err := fd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d after closing, %d before", after, before)
 	}
 }
 
 func TestAsyncMetricsCounts(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 10)
+	mem := newMemDevice(64, 10)
 	m := metrics.NewCollector()
 	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 4, Metrics: m})
 	defer d.Close()
@@ -308,8 +280,7 @@ func TestAsyncMetricsCounts(t *testing.T) {
 }
 
 func TestAsyncErrorDelivery(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 4)
+	mem := newMemDevice(64, 4)
 	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 2})
 	defer d.Close()
 	var gotErr atomic.Value
@@ -326,8 +297,7 @@ func TestAsyncErrorDelivery(t *testing.T) {
 }
 
 func TestFaultyDevice(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 8)
+	mem := newMemDevice(64, 8)
 	fd := &FaultyDevice{PageDevice: mem, FailEveryN: 3}
 	var fails int
 	for i := 0; i < 9; i++ {
@@ -362,8 +332,7 @@ func TestLatencyCost(t *testing.T) {
 }
 
 func TestAsyncCloseIdempotent(t *testing.T) {
-	mem := NewMemDevice(64)
-	d := NewAsyncDevice(mem, AsyncOptions{})
+	d := NewAsyncDevice(newMemDevice(64, 1), AsyncOptions{})
 	d.Close()
 	d.Close()
 }
@@ -410,28 +379,17 @@ func TestOpenFileDevicePageCountBoundary(t *testing.T) {
 }
 
 func TestReadPagesInto(t *testing.T) {
-	devices := map[string]PageDevice{}
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 8)
-	devices["mem"] = mem
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	fd, err := OpenFileDevice(patternFile(t, 0, 64, 8), 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := NewFileDevice(f, 0, 64, 0, true)
 	defer func() { _ = fd.Close() }()
-	fillPages(t, fd, 8)
-	devices["file"] = fd
+	devices := map[string]PageDevice{"mem": newMemDevice(64, 8), "file": fd}
 
 	for name, d := range devices {
 		t.Run(name, func(t *testing.T) {
-			ir, ok := d.(IntoReader)
-			if !ok {
-				t.Fatalf("%T does not implement IntoReader", d)
-			}
 			buf := make([]byte, 3*64)
-			if err := ir.ReadPagesInto(buf, 2, 3); err != nil {
+			if err := d.ReadPagesInto(buf, 2, 3); err != nil {
 				t.Fatal(err)
 			}
 			want, err := d.ReadPages(2, 3)
@@ -444,19 +402,19 @@ func TestReadPagesInto(t *testing.T) {
 			// Oversized buffers are allowed; only the prefix is written.
 			big := make([]byte, 4*64)
 			big[3*64] = 0xEE
-			if err := ir.ReadPagesInto(big, 2, 3); err != nil {
+			if err := d.ReadPagesInto(big, 2, 3); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(big[:3*64], want) || big[3*64] != 0xEE {
 				t.Fatal("oversized buffer mishandled")
 			}
-			if err := ir.ReadPagesInto(make([]byte, 64), 2, 3); err == nil {
+			if err := d.ReadPagesInto(make([]byte, 64), 2, 3); err == nil {
 				t.Fatal("short buffer: want error")
 			}
-			if err := ir.ReadPagesInto(buf, 7, 3); !errors.Is(err, ErrOutOfRange) {
+			if err := d.ReadPagesInto(buf, 7, 3); !errors.Is(err, ErrOutOfRange) {
 				t.Fatalf("out of range: err = %v, want ErrOutOfRange", err)
 			}
-			if err := ir.ReadPagesInto(buf, 0, 0); !errors.Is(err, ErrOutOfRange) {
+			if err := d.ReadPagesInto(buf, 0, 0); !errors.Is(err, ErrOutOfRange) {
 				t.Fatalf("count=0: err = %v, want ErrOutOfRange", err)
 			}
 		})
@@ -464,9 +422,7 @@ func TestReadPagesInto(t *testing.T) {
 }
 
 func TestFaultyDeviceReadPagesInto(t *testing.T) {
-	mem := NewMemDevice(64)
-	fillPages(t, mem, 8)
-	fd := &FaultyDevice{PageDevice: mem, FailAt: 2}
+	fd := &FaultyDevice{PageDevice: newMemDevice(64, 8), FailAt: 2}
 	buf := make([]byte, 64)
 	if err := fd.ReadPagesInto(buf, 0, 1); err != nil {
 		t.Fatalf("read 1: %v", err)
@@ -485,21 +441,19 @@ func TestFaultyDeviceReadPagesInto(t *testing.T) {
 	}
 }
 
-// TestAsyncReadSteadyStateAllocs pins the satellite win: with an
-// IntoReader underneath, the async read loop recycles arena buffers and
-// the submit→read→callback cycle stops allocating once warm.
+// TestAsyncReadSteadyStateAllocs pins the path the I/O scheduler takes,
+// AsyncReadOwned with the buffer handed back through Recycle: reads land in
+// recycled arena buffers, so the submit→read→callback cycle stops
+// allocating once warm.
 func TestAsyncReadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under the race detector")
 	}
-	path := filepath.Join(t.TempDir(), "pages.bin")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	fd, err := OpenFileDevice(patternFile(t, 0, 512, 64), 0, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := NewFileDevice(f, 0, 512, 0, true)
 	defer func() { _ = fd.Close() }()
-	fillPages(t, fd, 64)
 	d := NewAsyncDevice(fd, AsyncOptions{QueueDepth: 2})
 	defer d.Close()
 
@@ -508,10 +462,11 @@ func TestAsyncReadSteadyStateAllocs(t *testing.T) {
 		if err != nil || len(data) != 4*512 {
 			bad.Add(1)
 		}
+		d.Recycle(data)
 	}
 	warm := func() {
 		for p := uint32(0); p+4 <= 64; p += 4 {
-			d.AsyncRead(p, 4, cb)
+			d.AsyncReadOwned(p, 4, cb)
 		}
 		d.Drain()
 	}
@@ -525,5 +480,35 @@ func TestAsyncReadSteadyStateAllocs(t *testing.T) {
 	// make([]byte) of the old path (≥16/run) must be gone.
 	if avg > 2 {
 		t.Fatalf("steady-state allocs per 16-read run = %v, want ≤ 2", avg)
+	}
+}
+
+// TestAsyncReadRecycles pins what makes AsyncRead a wrapper and not a second
+// completion path: it hands every buffer back to the arena once cb returns,
+// so warm rounds of reads take next to nothing new from it (a dropped
+// Recycle would take one buffer per read).
+func TestAsyncReadRecycles(t *testing.T) {
+	d := NewAsyncDevice(newMemDevice(512, 64), AsyncOptions{QueueDepth: 2})
+	defer d.Close()
+	round := func() {
+		for p := uint32(0); p+4 <= 64; p += 4 {
+			d.AsyncRead(p, 4, func(data []byte, err error) {
+				if err != nil || len(data) != 4*512 {
+					t.Errorf("read at %d: %d bytes, %v", p, len(data), err)
+				}
+			})
+		}
+		d.Drain()
+	}
+	for i := 0; i < 5; i++ {
+		round()
+	}
+	before, _ := d.pool.Stats()
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	if after, _ := d.pool.Stats(); after-before >= 16 {
+		t.Fatalf("%d warm rounds of 16 reads took %d fresh arena buffers", rounds, after-before)
 	}
 }

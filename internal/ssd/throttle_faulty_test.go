@@ -99,16 +99,6 @@ func TestThrottlePerGoroutine(t *testing.T) {
 	}
 }
 
-// faultyBase builds a MemDevice with pages pages for wrapping.
-func faultyBase(t *testing.T, pageSize, pages int) *MemDevice {
-	t.Helper()
-	d := NewMemDevice(pageSize)
-	if err := d.WritePages(0, make([]byte, pageSize*pages)); err != nil {
-		t.Fatalf("seeding device: %v", err)
-	}
-	return d
-}
-
 // TestFaultyDeviceEveryNConcurrent hammers FailEveryN from many goroutines:
 // the atomic read counter must make the failure count exact, not
 // approximate, and the race detector must stay quiet.
@@ -118,9 +108,7 @@ func TestFaultyDeviceEveryNConcurrent(t *testing.T) {
 		perG       = 300
 		everyN     = 3
 	)
-	base := faultyBase(t, 64, 4)
-	defer func() { _ = base.Close() }()
-	dev := &FaultyDevice{PageDevice: base, FailEveryN: everyN}
+	dev := &FaultyDevice{PageDevice: newMemDevice(64, 4), FailEveryN: everyN}
 
 	var wg sync.WaitGroup
 	injected := make([]int64, goroutines)
@@ -160,9 +148,7 @@ func TestFaultyDeviceEveryNConcurrent(t *testing.T) {
 // under concurrency: every read covering the poisoned page fails, every
 // read missing it succeeds.
 func TestFaultyDeviceFailPageConcurrent(t *testing.T) {
-	base := faultyBase(t, 64, 8)
-	defer func() { _ = base.Close() }()
-	dev := &FaultyDevice{PageDevice: base, FailPage: 5, FailPageSet: true}
+	dev := &FaultyDevice{PageDevice: newMemDevice(64, 8), FailPage: 5, FailPageSet: true}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
