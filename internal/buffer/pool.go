@@ -135,6 +135,17 @@ func (p *Pool) Insert(c *Chunk) int {
 	return evicted
 }
 
+// TrimTo evicts unpinned chunks in FIFO order, as Insert does, until the
+// pool holds at most max pages or every chunk left is pinned, and returns
+// the pages it then holds. Evicted chunks go to PutChunk.
+func (p *Pool) TrimTo(max int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.used > max && p.evictOneLocked() {
+	}
+	return p.used
+}
+
 // evictOneLocked removes the oldest unpinned chunk and recycles it. It
 // reports whether an eviction happened.
 func (p *Pool) evictOneLocked() bool {

@@ -296,10 +296,62 @@ func filled(first uint32) *Chunk {
 // depend on sync.Pool identity, which the runtime does not guarantee).
 func recycled(c *Chunk) bool { return len(c.Recs) == 0 && len(c.Arena) == 0 }
 
+// TestPoolTrimTo checks TrimTo: it evicts unpinned chunks oldest first,
+// stops as soon as the pool fits, never evicts a pinned chunk however far
+// the pool is over, and returns the pages held.
+func TestPoolTrimTo(t *testing.T) {
+	p := NewPool(8)
+	for first := uint32(0); first < 5; first++ {
+		p.Insert(chunk(first, 1))
+	}
+	p.Unpin(3)
+	p.Unpin(1)
+	p.Unpin(4)
+	// 0 and 2 stay pinned. Oldest first: 1, then 3; 4 survives.
+	if used := p.TrimTo(3); used != 3 {
+		t.Fatalf("TrimTo(3) = %d, want 3", used)
+	}
+	if p.Contains(1) || p.Contains(3) || !p.Contains(4) {
+		t.Fatalf("TrimTo(3) left %v resident, want 0, 2 and 4", p.Resident())
+	}
+	if used := p.TrimTo(5); used != 3 {
+		t.Fatalf("TrimTo above the pages held evicted: used = %d, want 3", used)
+	}
+	if used := p.TrimTo(-1); used != 2 {
+		t.Fatalf("TrimTo(-1) = %d, want the 2 pinned pages", used)
+	}
+	if !p.Contains(0) || !p.Contains(2) || p.UsedPages() != 2 {
+		t.Fatalf("TrimTo evicted a pinned chunk: %v resident", p.Resident())
+	}
+}
+
+// TestPoolTrimToAllocatesNothing checks that a warm trim, one that evicts,
+// allocates nothing: admission calls it under the I/O scheduler's lock for
+// every read it would otherwise refuse.
+func TestPoolTrimToAllocatesNothing(t *testing.T) {
+	const runs = 20
+	pools := make([]*Pool, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range pools {
+		pools[i] = NewPool(4)
+		for first := uint32(0); first < 4; first++ {
+			pools[i].Insert(filled(first))
+			pools[i].Unpin(first)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		pools[i].TrimTo(1)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm TrimTo allocates %v times, want 0", allocs)
+	}
+}
+
 // TestPoolRecyclesWhatItDrops pins the chunk-ownership rule: a chunk the
-// pool lets go of while nobody pins it — evicted by Insert or removed by
-// Clear — is handed to PutChunk, a pinned chunk never is, and a chunk that
-// left through Take belongs to the taker.
+// pool lets go of while nobody pins it — evicted by Insert or TrimTo, or
+// removed by Clear — is handed to PutChunk, a pinned chunk never is, and a
+// chunk that left through Take belongs to the taker.
 func TestPoolRecyclesWhatItDrops(t *testing.T) {
 	p := NewPool(2)
 	victim, pinned := filled(0), filled(1)
@@ -314,6 +366,15 @@ func TestPoolRecyclesWhatItDrops(t *testing.T) {
 	}
 	if recycled(pinned) {
 		t.Error("pinned chunk was recycled by an eviction pass")
+	}
+	trimmed := filled(5)
+	p.Insert(trimmed)
+	p.Unpin(5)
+	if used := p.TrimTo(2); used != 2 || !recycled(trimmed) {
+		t.Errorf("TrimTo(2) = %d, recycled %v: want 2 pages and the trimmed chunk recycled", used, recycled(trimmed))
+	}
+	if recycled(pinned) {
+		t.Error("pinned chunk was recycled by TrimTo")
 	}
 
 	p.Unpin(2)

@@ -18,7 +18,7 @@ type extGroup struct {
 	pages      int      // total pages = sum(spans)
 	spans      []int    // page span per constituent, in segment order
 	reqs       []extReq // constituents, ascending page order (aliases L)
-	left       int      // constituents not yet retired
+	left       int      // constituents not yet decoded (release)
 	prefetched bool     // issued while another read was already in flight
 	data       []byte   // owned read buffer, recycled when left hits 0
 }
@@ -37,9 +37,11 @@ type residentReq struct {
 // Both run through the same scheduler and differ only in these values,
 // fixed per run by newRunner.
 type pass struct {
-	area    string // "internal" or "external", for error messages
-	window  int    // pages admitted and not yet retired (admitOne)
-	maxRead int    // pages per coalesced read (coalesce)
+	area string // "internal" or "external", for error messages
+	// window bounds the pages admitted and not yet decoded (admitOne); in
+	// the external pass, plus the pool's pages.
+	window  int
+	maxRead int // pages per coalesced read (coalesce)
 	// keep marks the external pass: a resident chunk is pinned where it is,
 	// and a decoded one enters the external pool. The load takes resident
 	// chunks out of the pool and keeps none: loadChunk recycles them.
@@ -57,7 +59,7 @@ type pass struct {
 // descending page order.
 type ioSched struct {
 	r    *runner
-	s    *sched // nil in Serial mode and for the load: work runs on the callback thread
+	s    *sched // set by runParallel; nil in Serial mode and for the load: work runs on the callback thread
 	iter int    // iteration index stamped on the events this scheduler emits
 	pass pass
 	// reused is the pages served from the external pool, written by start
@@ -68,28 +70,30 @@ type ioSched struct {
 	queue     []extGroup // issue order (descending page); queue[idx:] unissued
 	idx       int
 	inflight  int  // coalesced reads submitted but not yet completed
-	inPages   int  // pages admitted to the window and not yet fully retired
+	inPages   int  // pages admitted to the window and not yet decoded
 	remaining int  // constituent requests (incl. residents) not yet retired
-	pumping   bool // a goroutine is inside the pump loop
+	pumping   bool // a goroutine holds the pumper role: start, or one inside issue
 	done      chan struct{}
 }
 
-func (r *runner) newIOSched(s *sched, iter int, p pass) *ioSched {
-	return &ioSched{r: r, s: s, iter: iter, pass: p, done: make(chan struct{})}
+func (r *runner) newIOSched(iter int, p pass) *ioSched {
+	return &ioSched{r: r, iter: iter, pass: p, done: make(chan struct{})}
 }
 
 // start coalesces the request list, consumes the pool-resident requests,
 // and then issues the initial read window. Residents come first because
 // the load's consumer, loadChunk, writes the internal area without a lock:
 // with s == nil it would otherwise run on the caller while a read's
-// callback runs it too. start returns without waiting for completions;
-// wait blocks until every constituent has retired.
+// callback runs it too. So start holds the pumper role from the outset,
+// and a resident's retire cannot issue a read. start returns without
+// waiting for completions; wait blocks until every constituent has retired.
 func (io *ioSched) start(reqs []extReq) {
 	groups, residents := io.r.coalesce(reqs, io.pass)
 	io.mu.Lock()
 	io.queue = groups
 	io.idx = 0
 	io.remaining = len(reqs)
+	io.pumping = true
 	io.mu.Unlock()
 	if len(reqs) == 0 {
 		io.finish()
@@ -98,7 +102,7 @@ func (io *ioSched) start(reqs []extReq) {
 	for i := range residents {
 		io.processResident(residents[i])
 	}
-	io.pump()
+	io.issue()
 }
 
 // wait blocks until every request of the pass has retired.
@@ -115,6 +119,12 @@ func (io *ioSched) pump() {
 	}
 	io.pumping = true
 	io.mu.Unlock()
+	io.issue()
+}
+
+// issue is the pumper's loop: it issues groups until admitOne, which then
+// gives up the pumper role, refuses one.
+func (io *ioSched) issue() {
 	for {
 		g := io.admitOne()
 		if g == nil {
@@ -133,9 +143,9 @@ func (io *ioSched) pump() {
 func (io *ioSched) admitOne() *extGroup {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	if io.idx < len(io.queue) {
+	if io.idx < len(io.queue) && (io.inPages == 0 || io.inflight < io.r.prefetchDepth) {
 		g := &io.queue[io.idx]
-		if io.inPages == 0 || (io.inflight < io.r.prefetchDepth && io.inPages+g.pages <= io.pass.window) {
+		if io.fits(g.pages) || io.inPages == 0 {
 			io.idx++
 			g.prefetched = io.inflight > 0
 			io.inflight++
@@ -147,6 +157,19 @@ func (io *ioSched) admitOne() *extGroup {
 	return nil
 }
 
+// fits reports whether pages more fit the pass's window. The external pass
+// shares it with the pool: what is on the device or awaiting decode, plus
+// every chunk resident, at most 2·m_ex pages. To make room it evicts the
+// pool's unpinned chunks, oldest first — in the order Insert would evict
+// them anyway — but never a pinned one. The caller holds io.mu.
+func (io *ioSched) fits(pages int) bool {
+	room := io.pass.window - io.inPages - pages
+	if !io.pass.keep {
+		return room >= 0
+	}
+	return io.r.pool.TrimTo(room) <= room
+}
+
 // issueGroup submits one coalesced read. Under cancellation the group is
 // retired synchronously without touching the device; the pump loop then
 // drains the rest of the queue the same way, without recursion.
@@ -155,8 +178,9 @@ func (io *ioSched) issueGroup(g *extGroup) {
 	if err := r.gctx.Err(); err != nil {
 		r.fail(err)
 		io.readDone(g, err)
-		for range g.reqs {
-			io.retire(g)
+		for _, span := range g.spans {
+			io.release(g, span, nil)
+			io.retire()
 		}
 		return
 	}
@@ -226,7 +250,8 @@ func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
 	if err != nil {
 		req := g.reqs[seg]
 		io.r.fail(fmt.Errorf("core: loading %s pages [%d,+%d): %w", io.pass.area, req.first, req.span, err))
-		io.retire(g)
+		io.release(g, req.span, nil)
+		io.retire()
 		return
 	}
 	if io.s != nil {
@@ -236,20 +261,43 @@ func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
 	}
 }
 
-// decodeSeg decodes one segment into a chunk — which only the external pass
-// inserts into the pool, pinned once — and hands it to consume.
+// decodeSeg decodes one segment into a chunk, releases the segment's raw
+// pages — the external pass inserting the chunk into the pool, pinned once,
+// in the same step — refills the window, and hands the chunk to consume.
 func (io *ioSched) decodeSeg(g *extGroup, seg int, data []byte) {
 	req := g.reqs[seg]
 	c, err := io.r.decodeChunk(req.first, req.span, data)
+	io.release(g, req.span, c)
 	if err != nil {
 		io.r.fail(err)
-		io.retire(g)
+		io.retire()
 		return
 	}
-	if io.pass.keep {
+	io.pump()
+	io.consume(c, req)
+}
+
+// release takes span decoded (or failed) pages of g out of the window, and
+// recycles g's read buffer once its last segment is released. A decoded
+// external chunk c enters the pool in the same critical section (io.mu, then
+// pool.mu), so the window and the pool never count its pages twice or not
+// at all: inPages + pool.UsedPages() is conserved, and admitOne never sees
+// room that the insert is about to take back.
+func (io *ioSched) release(g *extGroup, span int, c *buffer.Chunk) {
+	io.mu.Lock()
+	if c != nil && io.pass.keep {
 		io.r.pool.Insert(c)
 	}
-	io.consume(c, req, g)
+	io.inPages -= span
+	g.left--
+	var recycle []byte
+	if g.left == 0 {
+		recycle, g.data = g.data, nil
+	}
+	io.mu.Unlock()
+	if recycle != nil {
+		io.r.dev.Recycle(recycle)
+	}
 }
 
 // processResident serves one request from a chunk found in the external
@@ -259,54 +307,39 @@ func (io *ioSched) processResident(res residentReq) {
 	io.reused += res.c.NumPages
 	io.r.mx.AddReusedPages(int64(res.c.NumPages))
 	if io.s != nil {
-		io.s.submit(classExternal, func() { io.consume(res.c, res.req, nil) })
+		io.s.submit(classExternal, func() { io.consume(res.c, res.req) })
 	} else {
-		io.consume(res.c, res.req, nil)
+		io.consume(res.c, res.req)
 	}
 }
 
 // consume is the pass's consumer of one chunk, resident or just decoded:
 // the load enters it into the internal area, which recycles it; the
 // external pass runs ExternalTriangle over the candidates and unpins it.
-// Then the request retires (g is nil for residents).
-func (io *ioSched) consume(c *buffer.Chunk, req extReq, g *extGroup) {
+// Then the request retires.
+func (io *ioSched) consume(c *buffer.Chunk, req extReq) {
 	if io.pass.keep {
 		io.r.processExternal(c, req)
 		io.r.pool.Unpin(c.FirstPage)
 	} else {
 		io.r.loadChunk(c)
 	}
-	io.retire(g)
+	io.retire()
 }
 
-// retire marks one constituent done; g is nil for residents. Retiring a
-// group's last constituent frees its page budget and tries to refill the
-// read-ahead window.
-func (io *ioSched) retire(g *extGroup) {
+// retire marks one request done and refills the window: a failed segment
+// was only just released, and in the external pass a chunk was only just
+// unpinned, which admitOne may now evict.
+func (io *ioSched) retire() {
 	io.mu.Lock()
-	freed := false
-	var recycle []byte
-	if g != nil {
-		g.left--
-		if g.left == 0 {
-			io.inPages -= g.pages
-			freed = true
-			recycle, g.data = g.data, nil
-		}
-	}
 	io.remaining--
 	finished := io.remaining == 0
 	io.mu.Unlock()
-	if recycle != nil {
-		io.r.dev.Recycle(recycle)
-	}
 	if finished {
 		io.finish()
 		return
 	}
-	if freed {
-		io.pump()
-	}
+	io.pump()
 }
 
 // finish closes the pass exactly once: retire reaches zero exactly once,

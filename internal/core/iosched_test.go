@@ -486,13 +486,14 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 }
 
 // readRecorder is a PageDevice that logs every read it serves, makes each
-// take delay, and records the most pages it ever had in reads at once. It
+// take delay plus perPage per page, and records the most pages it ever had in reads at once. It
 // hooks ReadPagesInto, the read the asynchronous layer issues; ReadPages,
 // which only the disableMicroOverlap ablation reaches, passes through
 // unlogged.
 type readRecorder struct {
 	ssd.PageDevice
-	delay    time.Duration
+	delay    time.Duration // per read
+	perPage  time.Duration
 	mu       sync.Mutex
 	reads    []pageRead
 	served   int // reads served, whether or not take has cleared them
@@ -512,7 +513,7 @@ func (d *readRecorder) ReadPagesInto(buf []byte, first uint32, count int) error 
 	d.pages += count
 	d.maxPages = max(d.maxPages, d.pages)
 	d.mu.Unlock()
-	time.Sleep(d.delay)
+	time.Sleep(d.delay + time.Duration(count)*d.perPage)
 	err := d.PageDevice.ReadPagesInto(buf, first, count)
 	d.mu.Lock()
 	d.pages -= count
@@ -687,29 +688,71 @@ func TestWindowKeepsReadsInFlight(t *testing.T) {
 	}
 }
 
-// TestWindowHonoursPageBudget drives admitOne by hand for both passes:
-// whatever the state of the reads, the pages admitted and not yet retired
-// stay within the pass's budget — m_ex for the external list, MemoryPages
-// for the internal-area load — except while one group larger than the
-// budget has the window to itself.
+// TestWindowHonoursPageBudget drives admitOne and release by hand for both
+// passes. The load's window holds at most MemoryPages of admitted,
+// undecoded pages, whatever the pool holds. The external pass's window
+// shares 2·m_ex with the pool: admitted, undecoded pages plus every resident
+// chunk stay within it, a decoded chunk entering the pool as its raw pages
+// leave the window, and admission evicts the pool's unpinned chunks, never
+// a pinned one, to make room. In both passes a group admitted into an empty
+// window may exceed the budget, however large, while it has the window to
+// itself.
 func TestWindowHonoursPageBudget(t *testing.T) {
 	r, cleanup := newTestRunner(t, graph.Complete(20), 64, optRunner{mode: Serial, seams: seams{internalPages: 8, externalPages: 8}}, engine.Options{MemoryPages: 16})
 	defer cleanup()
+	if r.mEx != 8 || r.opts.MemoryPages != 16 {
+		t.Fatalf("m_ex = %d, MemoryPages = %d, want 8 and 16", r.mEx, r.opts.MemoryPages)
+	}
+	next := uint32(1000) // the first page of the next chunk the test makes
+	newChunk := func(pages int) *buffer.Chunk {
+		c := buffer.GetChunk()
+		c.FirstPage, c.NumPages = next, pages
+		next++
+		return c
+	}
+	// groups is eight reads of an eighth of the budget b, one read larger
+	// than b, and one more eighth.
+	groups := func(b int) []int { return []int{b / 8, b / 8, b / 8, b / 8, b / 8, b / 8, b / 8, b / 8, b + 1, b / 8} }
 	for _, tc := range []struct {
 		name   string
 		pass   pass
 		budget int
+		// pinned and unpinned are the one-page chunks the pool holds when
+		// the pass starts; cold is the groups an empty window then admits.
+		pinned, unpinned, cold int
 	}{
-		{"external", r.external, r.mEx},
-		{"load", r.load, r.opts.MemoryPages},
+		{"load", r.load, r.opts.MemoryPages, 2 * r.mEx, 0, 8},
+		{"external", r.external, 2 * r.mEx, 0, 0, 8},
+		{"external/trims-unpinned", r.external, 2 * r.mEx, 0, r.mEx, 8},
+		{"external/pinned-waits", r.external, 2 * r.mEx, 2 * r.mEx, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.budget
-			io := r.newIOSched(nil, 0, tc.pass)
-			for _, pages := range []int{b / 4, b / 4, b / 4, b / 4, b + 1, b / 4} {
-				io.queue = append(io.queue, extGroup{pages: pages})
+			r.pool.Clear()
+			var pinned []uint32
+			for range tc.pinned {
+				c := newChunk(1)
+				r.pool.Insert(c)
+				pinned = append(pinned, c.FirstPage)
 			}
-			var open []*extGroup // admitted, not yet retired
+			for range tc.unpinned {
+				c := newChunk(1)
+				r.pool.Insert(c)
+				r.pool.Unpin(c.FirstPage)
+			}
+			// held is what the pass's budget charges: the window, and in the
+			// external pass the pool too.
+			held := func(io *ioSched) int {
+				if tc.pass.keep {
+					return io.inPages + r.pool.UsedPages()
+				}
+				return io.inPages
+			}
+			io := r.newIOSched(0, tc.pass)
+			for _, pages := range groups(b) {
+				io.queue = append(io.queue, extGroup{pages: pages, left: 1})
+			}
+			var open []*extGroup // admitted, not yet decoded
 			admitAll := func() {
 				for {
 					io.pumping = true
@@ -718,31 +761,176 @@ func TestWindowHonoursPageBudget(t *testing.T) {
 						return
 					}
 					open = append(open, g)
-					io.inflight-- // its read completes at once; it stays unretired
-					if io.inPages > b && len(open) > 1 {
-						t.Fatalf("window holds %d pages in %d groups, budget %d", io.inPages, len(open), b)
+					io.inflight-- // its read completes at once; it stays undecoded
+					if held(io) > b && len(open) > 1 {
+						t.Fatalf("%d pages held with %d groups open, budget %d", held(io), len(open), b)
+					}
+					if g.pages > b && len(open) != 1 {
+						t.Fatalf("the %d-page group shares the window with %d others", g.pages, len(open)-1)
 					}
 				}
 			}
-			retireOldest := func() {
-				io.inPages -= open[0].pages
+			// decodeOldest decodes the oldest open group: its chunk enters
+			// the pool pinned (external pass), and is unpinned once
+			// intersected.
+			decodeOldest := func() {
+				g := open[0]
 				open = open[1:]
+				var c *buffer.Chunk
+				if tc.pass.keep {
+					c = newChunk(g.pages)
+				}
+				before := held(io)
+				io.release(g, g.pages, c)
+				if after := held(io); after > before {
+					t.Fatalf("decoding a %d-page group raised the pages held from %d to %d", g.pages, before, after)
+				}
+				if c != nil {
+					r.pool.Unpin(c.FirstPage)
+				}
 			}
 			admitAll()
-			if len(open) != 4 || io.inPages != b {
-				t.Fatalf("a cold %d-page window admitted %d groups / %d pages, want 4 / %d", b, len(open), io.inPages, b)
+			if len(open) != tc.cold {
+				t.Fatalf("a cold window admitted %d groups (%d pages, %d held), want %d", len(open), io.inPages, held(io), tc.cold)
+			}
+			for _, first := range pinned {
+				if got := r.pool.PinCount(first); got != 1 {
+					t.Fatalf("pinned chunk %d has pin count %d after admission, want 1 (-1: evicted)", first, got)
+				}
+				r.pool.Unpin(first)
 			}
 			for len(open) > 0 {
-				retireOldest()
+				decodeOldest()
 				admitAll()
-				if len(open) > 0 && open[len(open)-1].pages == b+1 && len(open) != 1 {
-					t.Fatalf("the %d-page group shares the window with %d others", b+1, len(open)-1)
-				}
 			}
 			if io.idx != len(io.queue) {
 				t.Fatalf("window stalled with %d of %d groups issued", io.idx, len(io.queue))
 			}
 		})
+	}
+}
+
+// windowSample is what a sampler beside the external passes of a run saw:
+// the peak of the window's pages plus the pool's, and, weighted by time,
+// the average reads in flight, pages on the device and pages in the window.
+type windowSample struct {
+	peak                        int
+	inflight, onDevice, inPages float64
+	d                           time.Duration
+}
+
+// sampleWindow reads io's window and the pool together under io.mu, and
+// rec's pages on the device, until the returned stop is called, which
+// folds what it saw into into.
+func sampleWindow(io *ioSched, rec *readRecorder, into *windowSample) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var inflight, onDevice, inPages float64
+		start := time.Now()
+		last := start
+		for {
+			select {
+			case <-quit:
+				into.inflight += inflight
+				into.onDevice += onDevice
+				into.inPages += inPages
+				into.d += last.Sub(start)
+				return
+			default:
+			}
+			io.mu.Lock()
+			held := io.inPages + io.r.pool.UsedPages()
+			in, window := io.inflight, io.inPages
+			io.mu.Unlock()
+			rec.mu.Lock()
+			dev := rec.pages
+			rec.mu.Unlock()
+			now := time.Now()
+			dt := now.Sub(last).Seconds()
+			last = now
+			into.peak = max(into.peak, held)
+			inflight += float64(in) * dt
+			onDevice += float64(dev) * dt
+			inPages += float64(window) * dt
+			runtime.Gosched()
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// runSampled runs OPT over st iteration by iteration, as runner.iteration
+// does, with sampleWindow beside every external pass, and returns the
+// run's triangles, its m_ex and what the sampler saw (averages divided by
+// the time sampled). Reads take rec's delay on the device.
+func runSampled(t testing.TB, st *storage.Store, rec *readRecorder, mode Mode, opts engine.Options) (int64, int, windowSample) {
+	t.Helper()
+	r := newRunner(context.Background(), st, rec, optRunner{mode: mode}, opts)
+	defer r.close()
+	var ws windowSample
+	for it, lo := 0, uint32(0); lo < st.NumPages; it++ {
+		hi, ids := r.internalRange(lo)
+		r.ctx.beginIteration(lo, hi, ids)
+		r.vexSet.Clear()
+		r.loadInternal(it, lo, hi)
+		reqs := r.buildRequests()
+		io := r.newIOSched(it, r.external)
+		stat := engine.IterationStat{Index: it}
+		stop := sampleWindow(io, rec, &ws)
+		if mode == Serial {
+			r.runSerial(io, reqs, &stat)
+		} else {
+			r.runParallel(io, reqs, &stat)
+		}
+		stop()
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		lo = hi
+	}
+	if s := ws.d.Seconds(); s > 0 {
+		ws.inflight /= s
+		ws.onDevice /= s
+		ws.inPages /= s
+	}
+	return r.triangleCount(), r.mEx, ws
+}
+
+// TestWindowAndPoolPeakWithinBudget is the shared budget's run-level
+// check: over whole runs on the sparse test store — Serial and Parallel,
+// raw and deltavarint pages, an 8 % buffer, 100 µs + 10 µs per page on the
+// device — a sampler beside every external pass never sees the window's
+// pages plus the pool's above 2·m_ex.
+func TestWindowAndPoolPeakWithinBudget(t *testing.T) {
+	g, raw := sparseStore(t)
+	dv, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "dv.optstore"), g, 512, storage.CodecDeltaVarint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.CountTrianglesReference(g)
+	for _, st := range []*storage.Store{raw, dv} {
+		base, err := st.Device()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = base.Close() }()
+		for _, mode := range []Mode{Serial, Parallel} {
+			rec := &readRecorder{PageDevice: base, delay: 100 * time.Microsecond, perPage: 10 * time.Microsecond}
+			opts := engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100}
+			tri, mEx, ws := runSampled(t, st, rec, mode, opts)
+			t.Logf("%s %v: m_ex = %d, peak %d pages; over the external passes %.2f reads in flight, %.2f pages on the device, %.2f in the window",
+				st.CodecName(), mode, mEx, ws.peak, ws.inflight, ws.onDevice, ws.inPages)
+			if tri != want {
+				t.Fatalf("%s %v: triangles = %d, want %d", st.CodecName(), mode, tri, want)
+			}
+			rec.requireReads(t)
+			if ws.peak > 2*mEx {
+				t.Errorf("%s %v: the window and the pool held %d pages at once, budget 2·m_ex = %d", st.CodecName(), mode, ws.peak, 2*mEx)
+			}
+		}
 	}
 }
 

@@ -182,9 +182,11 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		mEx = opts.MemoryPages - mIn
 	}
 	mIn, mEx = max(mIn, 1), max(mEx, 1)
-	// An external read is also capped by the window, so windowGroups of
-	// them fit m_ex. The internal-area load has nothing to overlap with: a
-	// read is capped only by its own area, and its window is the whole
+	// An external read is also capped so that windowGroups of them fit m_ex.
+	// The external pass's reads and the pool's chunks share one window of
+	// 2·m_ex pages, each page counted once: raw until it is decoded, then as
+	// a resident chunk. The internal-area load has nothing to overlap with:
+	// a read is capped only by its own area, and its window is the whole
 	// budget, since a range may span more pages than m_in and while it loads
 	// the external area is idle.
 	maxCoalesce := cmp.Or(o.seams.maxCoalescePages, defaultCoalescePages)
@@ -207,7 +209,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		vexSet:   bits.NewSet(st.NumVertices),
 		succLen:  succLen,
 		load:     pass{area: "internal", window: opts.MemoryPages, maxRead: min(maxCoalesce, mIn)},
-		external: pass{area: "external", window: mEx, maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
+		external: pass{area: "external", window: 2 * mEx, maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
 	}
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
@@ -414,10 +416,11 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 	// Lines 9–13. The internal area holds no chunk: nothing to unpin after.
 	// The external pool retains its pages for the next iteration's Δin
 	// credit.
+	io := r.newIOSched(index, r.external)
 	if r.mode == Serial {
-		r.runSerial(reqs, &stat)
+		r.runSerial(io, reqs, &stat)
 	} else {
-		r.runParallel(reqs, &stat)
+		r.runParallel(io, reqs, &stat)
 	}
 	return stat, r.err
 }
@@ -439,7 +442,7 @@ func (r *runner) loadInternal(index int, lo, hi uint32) (reused int) {
 	}
 	r.loadScratch = load
 	r.taskBounds = append(bounds, r.ctx.hiVertex)
-	io := r.newIOSched(nil, index, r.load)
+	io := r.newIOSched(index, r.load)
 	io.start(load)
 	io.wait() // line 8: wait for IdentifyExternalCandidateVertex
 	return io.reused
@@ -490,8 +493,8 @@ func (r *runner) buildRequests() []extReq {
 // runSerial executes the iteration tail in OPT_serial order: internal
 // triangulation first (single-threaded), then the external triangulation
 // with micro-level overlap only — coalesced reads kept in flight by the
-// I/O scheduler while the callback thread intersects.
-func (r *runner) runSerial(reqs []extReq, stat *engine.IterationStat) {
+// I/O scheduler io while the callback thread intersects.
+func (r *runner) runSerial(io *ioSched, reqs []extReq, stat *engine.IterationStat) {
 	t0 := time.Now()
 	for i := 1; i < len(r.taskBounds); i++ {
 		if err := r.gctx.Err(); err != nil {
@@ -504,7 +507,6 @@ func (r *runner) runSerial(reqs []extReq, stat *engine.IterationStat) {
 	r.mx.AddSerialWork(stat.InternalTime)
 
 	t1 := time.Now()
-	io := r.newIOSched(nil, stat.Index, r.external)
 	io.start(reqs)
 	io.wait()
 	stat.ExternalTime = time.Since(t1)
@@ -513,8 +515,9 @@ func (r *runner) runSerial(reqs []extReq, stat *engine.IterationStat) {
 
 // runParallel executes the iteration tail with the macro-level overlap:
 // internal and external triangulation proceed concurrently on a morphing
-// worker pool (Algorithm 3 lines 9–11, §3.4).
-func (r *runner) runParallel(reqs []extReq, stat *engine.IterationStat) {
+// worker pool (Algorithm 3 lines 9–11, §3.4); io runs its external work
+// as external-class tasks.
+func (r *runner) runParallel(io *ioSched, reqs []extReq, stat *engine.IterationStat) {
 	var onTask func(taskClass, time.Duration)
 	if r.opts.CollectIterStats && r.opts.Events != nil {
 		onTask = func(class taskClass, d time.Duration) {
@@ -529,7 +532,7 @@ func (r *runner) runParallel(reqs []extReq, stat *engine.IterationStat) {
 		// initial read window — then submit the internal tasks, one per chunk of
 		// the range. The scheduler closes classExternal when the last
 		// request retires (immediately, when the list is empty).
-		io := r.newIOSched(s, stat.Index, r.external)
+		io.s = s
 		io.start(reqs)
 		for i := 1; i < len(r.taskBounds); i++ {
 			from, to := r.taskBounds[i-1], r.taskBounds[i]
