@@ -18,7 +18,7 @@ import (
 // TestInternalAreaFitsItsBudget drives every iteration of a run by hand on
 // the sparse and dense stores under all three models, and holds each
 // internal range to the rule of DESIGN.md §5:
-//   - the range contains the planner's (rangeEnd over the degrees) at the
+//   - the range contains the planner's (rangeEnd over the degree prefix) at the
 //     same lo, and is exactly planAreas' first range in the first iteration;
 //   - the bytes the area holds, its ids and one span entry per vertex, stay
 //     within what the m_in pages at lo decode to — and areaWords, what the
@@ -59,12 +59,13 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model engine.Model) {
 	r := newRunner(context.Background(), st, rec, serial, engine.Options{Model: model, MemoryPages: m})
 	defer r.close()
 	plan := planAreas(st, model, m)
+	pp, _ := newPagePrefix(st)
 
 	longer := 0
 	it := 0
 	for lo := uint32(0); lo < st.NumPages; it++ {
 		hi, ids := r.internalRange(lo)
-		planHi, _ := rangeEnd(st, lo, r.mIn, st.DegreeOf)
+		planHi, _ := rangeEnd(st, lo, r.mIn, pp.degrees, pp.degrees)
 		if hi < planHi || (it == 0 && hi != plan.first) {
 			t.Fatalf("iteration %d: range [%d,%d), the planner's is [%d,%d), its first [0,%d)", it, lo, hi, lo, planHi, plan.first)
 		}

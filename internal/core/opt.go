@@ -184,8 +184,9 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	mIn, mEx = max(mIn, 1), max(mEx, 1)
 	// An external read is also capped so that windowGroups of them fit m_ex.
 	// The external pass's reads and the pool's chunks share one window of
-	// 2·m_ex pages, each page counted once: raw until it is decoded, then as
-	// a resident chunk. The internal-area load has nothing to overlap with:
+	// externalWindow(m_ex) = 2·m_ex pages — the window the planner priced —
+	// each page counted once: raw until it is decoded, then as a resident
+	// chunk. The internal-area load has nothing to overlap with:
 	// a read is capped only by its own area, and its window is the whole
 	// budget, since a range may span more pages than m_in and while it loads
 	// the external area is idle.
@@ -209,7 +210,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		vexSet:   bits.NewSet(st.NumVertices),
 		succLen:  succLen,
 		load:     pass{area: "internal", window: opts.MemoryPages, maxRead: min(maxCoalesce, mIn)},
-		external: pass{area: "external", window: 2 * mEx, maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
+		external: pass{area: "external", window: externalWindow(mEx), maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
 	}
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
@@ -351,36 +352,36 @@ const recordWords = 8
 // ids: the [start, end) of n≻(v) in Ctx.ids.
 const areaWords = 2
 
+// rangeSum returns Σ of some per-vertex quantity over the records starting
+// in the aligned page range [lo, hi).
+type rangeSum func(lo, hi uint32) int
+
 // rangeEnd returns the end of the internal range of the iteration that
 // starts at page lo, and Σ size(v) over its vertices (DESIGN.md §5).
 // The budget is what m_in pages at lo decode to: Σ (|n(v)| + recordWords)
-// over the records of internalRangeEnd, from the degree directory. The
+// over the records of internalRangeEnd, degrees giving the first term. The
 // range then grows chunk by chunk while Σ (size(v) + areaWords) fits the
-// budget. Both callers pass a size no larger than the degree — the runner
-// the |n≻(v)| it has learned (internalRange), the planner the degree itself
-// — so a range never ends before internalRangeEnd, and the runner's never
-// before the planner's at the same lo.
-func rangeEnd(st *storage.Store, lo uint32, mIn int, size func(v uint32) int) (hi uint32, ids int) {
-	first := st.FirstRecordOf(lo)
-	budget := 0
-	for v, end := first, st.FirstRecordOf(internalRangeEnd(st, lo, mIn)); v < end; v++ {
-		budget += st.DegreeOf(v) + recordWords
-	}
-	held, v := 0, first
+// budget, sizes giving the first term per chunk. Both callers pass sizes no
+// larger than the degrees — the runner the |n≻(v)| it has learned
+// (internalRange), the planner the degrees themselves — so a range never
+// ends before internalRangeEnd, and the runner's never before the
+// planner's at the same lo. The rule costs one sum for the budget and one
+// per chunk of the range: O(range) pages on the planner's prefix sums,
+// whatever the degrees.
+func rangeEnd(st *storage.Store, lo uint32, mIn int, degrees, sizes rangeSum) (hi uint32, ids int) {
+	end := internalRangeEnd(st, lo, mIn)
+	budget := degrees(lo, end) + recordWords*int(st.FirstRecordOf(end)-st.FirstRecordOf(lo))
+	held := 0
 	for hi = lo; hi < st.NumPages; {
 		next := hi + uint32(st.AlignedRange(hi, 1))
-		end := st.FirstRecordOf(next)
-		chunk := 0
-		for u := v; u < end; u++ {
-			chunk += size(u)
-		}
-		cost := chunk + areaWords*int(end-v)
+		chunk := sizes(hi, next)
+		cost := chunk + areaWords*int(st.FirstRecordOf(next)-st.FirstRecordOf(hi))
 		if held+cost > budget {
 			break
 		}
 		held += cost
 		ids += chunk
-		hi, v = next, end
+		hi = next
 	}
 	return hi, ids
 }
@@ -390,7 +391,27 @@ func rangeEnd(st *storage.Store, lo uint32, mIn int, size func(v uint32) int) (h
 // the learned succLen. Nothing is decoded before the first iteration, so
 // its range is exactly the planner's first.
 func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
-	return rangeEnd(r.st, lo, r.mIn, func(v uint32) int { return int(r.succLen[v]) })
+	return rangeEnd(r.st, lo, r.mIn, r.degreeSum, r.succSum)
+}
+
+// degreeSum is the runner's rangeSum of |n(v)|, read off the degree
+// directory vertex by vertex.
+func (r *runner) degreeSum(lo, hi uint32) int {
+	sum := 0
+	for v, end := r.st.FirstRecordOf(lo), r.st.FirstRecordOf(hi); v < end; v++ {
+		sum += r.st.DegreeOf(v)
+	}
+	return sum
+}
+
+// succSum is the runner's rangeSum of succLen, what its vertices cost the
+// internal area as far as the run knows.
+func (r *runner) succSum(lo, hi uint32) int {
+	sum := 0
+	for v, end := r.st.FirstRecordOf(lo), r.st.FirstRecordOf(hi); v < end; v++ {
+		sum += int(r.succLen[v])
+	}
+	return sum
 }
 
 // iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi),

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"github.com/optlab/opt/internal/engine"
@@ -96,9 +98,9 @@ func TestPlanBoundsOtherModels(t *testing.T) {
 	}
 }
 
-// TestPlanLegalAreas covers the corners: budgets too small to split eight
-// ways, and a store whose largest chunk leaves no room to grow the internal
-// area, must still resolve to two areas of at least one page that sum to m.
+// TestPlanLegalAreas covers the corners: budgets of a few pages, and a
+// store whose largest chunk leaves no room to grow the internal area, must
+// still resolve to two areas of at least one page that sum to m.
 func TestPlanLegalAreas(t *testing.T) {
 	_, st := rmatStore(t, 31, 128)
 	for m := 2; m <= 4; m++ {
@@ -147,5 +149,147 @@ func TestExplicitAreasBypassPlanner(t *testing.T) {
 			t.Errorf("%+v: areas %d/%d, want %d/%d", tc.seams, r.mIn, r.mEx, tc.mIn, tc.mEx)
 		}
 		cleanup()
+	}
+}
+
+// TestPlanWalksAreBounded: planAreas walks the store once per legal split
+// from m/2 up, but never more than planSteps + 1 times — from budgets of a
+// few pages, through those with more than planSteps legal splits above
+// m/2, to m ≫ P — and every plan still spends the budget.
+func TestPlanWalksAreBounded(t *testing.T) {
+	_, st := rmatStore(t, 31, 1024)
+	_, maxSpan := newPagePrefix(st)
+	budgets := []int{100 * int(st.NumPages), 1000 * int(st.NumPages)}
+	for m := 1; m <= 200; m++ {
+		budgets = append(budgets, m)
+	}
+	for _, m := range budgets {
+		p := planAreas(st, engine.ModelEdge, m)
+		legal := max(0, m-2*maxSpan-m/2) + 1
+		if want := min(legal, planSteps+1); p.walks != want {
+			t.Errorf("m=%d: %d walks, want %d (%d legal splits)", m, p.walks, want, legal)
+		}
+		if p.mIn+p.mEx != max(m, 2) || p.mIn < max(1, m/2) {
+			t.Errorf("m=%d: plan %+v", m, p)
+		}
+	}
+}
+
+// TestPlannedRunAdmitsThePricedWindow: the window the planner prices a
+// read's latency over is the one a planned run's external pass admits —
+// W pages into an empty window and pool, and not one more.
+func TestPlannedRunAdmitsThePricedWindow(t *testing.T) {
+	_, st := sparseStore(t)
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	for _, pct := range []int{8, 15, 50} {
+		m := int(st.NumPages) * pct / 100
+		plan := planAreas(st, engine.ModelEdge, m)
+		r := newRunner(context.Background(), st, base, parallel, engine.Options{Threads: 2, MemoryPages: m})
+		if r.mIn != plan.mIn || r.mEx != plan.mEx {
+			t.Errorf("m=%d: the run split %d/%d, planned %d/%d", m, r.mIn, r.mEx, plan.mIn, plan.mEx)
+		}
+		w := externalWindow(plan.mEx)
+		io := r.newIOSched(0, r.external)
+		io.mu.Lock()
+		fits, over := io.fits(w), io.fits(w+1)
+		io.mu.Unlock()
+		if !fits || over {
+			t.Errorf("m=%d: the external pass admits %d pages: %v, %d: %v; the plan priced a window of %d",
+				m, w, fits, w+1, over, w)
+		}
+		r.close()
+	}
+}
+
+// TestRangeEndSumsAgree: the range rule gives the same (hi, ids) at every
+// lo whether its sums come from the planner's prefix sums or from the
+// runner's per-vertex loops — both with every vertex charged its degree
+// (the planner, and the runner's first iteration) and with the |n≻| a run
+// learns — on raw and deltavarint stores of 128-, 1024- and 4096-byte
+// pages, at m_in ∈ {1, m/2, m − 1}.
+func TestRangeEndSumsAgree(t *testing.T) {
+	raw, err := gen.RMAT(gen.DefaultRMAT(1<<12, 30_000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := graph.DegreeOrder(raw)
+	for _, codec := range storage.Codecs() {
+		for _, pageSize := range []int{128, 1024, 4096} {
+			t.Run(fmt.Sprintf("%s/%d", codec, pageSize), func(t *testing.T) {
+				st, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "g.optstore"), g, pageSize, codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkRangeEndSums(t, g, st)
+			})
+		}
+	}
+}
+
+func checkRangeEndSums(t *testing.T, g *graph.Graph, st *storage.Store) {
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	pp, _ := newPagePrefix(st)
+	// succBelow[v] is Σ |n≻(u)| over u < v, the sums of a run that has
+	// decoded every vertex.
+	succBelow := make([]int, st.NumVertices+1)
+	for v := range st.NumVertices {
+		succBelow[v+1] = succBelow[v] + len(nsucc(g.Neighbors(uint32(v)), uint32(v)))
+	}
+	succ := func(lo, hi uint32) int { return succBelow[st.FirstRecordOf(hi)] - succBelow[st.FirstRecordOf(lo)] }
+
+	m := max(3, int(st.NumPages)*8/100)
+	for _, mIn := range []int{1, m / 2, m - 1} {
+		r := newRunner(context.Background(), st, base, serial, engine.Options{MemoryPages: m})
+		r.mIn = mIn
+		ranges := 0
+		for lo := uint32(0); lo < st.NumPages; lo++ {
+			if !st.StartsRecord(lo) {
+				continue
+			}
+			hi, ids := rangeEnd(st, lo, mIn, pp.degrees, pp.degrees)
+			if rhi, rids := r.internalRange(lo); rhi != hi || rids != ids {
+				t.Fatalf("m_in=%d, lo=%d, degrees: loops give (%d, %d), prefix sums (%d, %d)", mIn, lo, rhi, rids, hi, ids)
+			}
+			ranges++
+		}
+		for v := range r.succLen {
+			r.succLen[v] = uint32(len(nsucc(g.Neighbors(uint32(v)), uint32(v))))
+		}
+		for lo := uint32(0); lo < st.NumPages; lo++ {
+			if !st.StartsRecord(lo) {
+				continue
+			}
+			hi, ids := rangeEnd(st, lo, mIn, pp.degrees, succ)
+			if rhi, rids := r.internalRange(lo); rhi != hi || rids != ids {
+				t.Fatalf("m_in=%d, lo=%d, |n≻|: loops give (%d, %d), prefix sums (%d, %d)", mIn, lo, rhi, rids, hi, ids)
+			}
+		}
+		r.close()
+		if ranges < 2 {
+			t.Fatalf("%d record starts: the fixture exercises nothing", ranges)
+		}
+	}
+}
+
+// planSink keeps BenchmarkPlanAreas' calls from being optimised away.
+var planSink areaPlan
+
+// BenchmarkPlanAreas is the planner on the dense-cpu benchmark shape
+// (≈ 860 pages, a 15 % buffer): one call per run of every planned OPT job.
+func BenchmarkPlanAreas(b *testing.B) {
+	st := denseStore(b, 1)
+	m := int(float64(st.NumPages) * 0.15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		planSink = planAreas(st, engine.ModelEdge, m)
 	}
 }
