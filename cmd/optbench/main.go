@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -74,7 +75,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or csv")
 		timeout  = flag.Duration("timeout", 0, "cancel the sweep after this duration (0 = no limit)")
 		jsonOut  = flag.String("json", "BENCH.json", "write machine-readable results to this file ('' disables)")
-		baseline = flag.String("baseline", "", "gate the experiment a committed BENCH_<id>.json holds: its same-run elapsed ratio must not regress against the file's")
+		baseline = flag.String("baseline", "", "gate the experiment a committed BENCH_<id>.json holds: the median of its same-run elapsed ratio over 3 runs must not regress against the file's")
 		regress  = flag.Float64("regress", 0.25, "fail if the gated ratio exceeds the baseline's by more than this fraction")
 		backend  = flag.String("backend", "", "device backend every experiment opens stores through: portable, native, auto ('' = $OPT_BACKEND, then portable)")
 	)
@@ -187,7 +188,14 @@ func main() {
 		if err := json.Unmarshal(data, &base); err != nil {
 			fail(fmt.Errorf("%s: %v", *baseline, err))
 		}
-		verdict, err := gate(&report, &base, *regress)
+		rerun := func(id string) (*jsonExperiment, error) {
+			t, err := h.Table(id)
+			if err != nil {
+				return nil, err
+			}
+			return &jsonExperiment{ID: t.ID, Header: t.Header, Rows: t.Rows, Ratio: t.Ratio}, nil
+		}
+		verdict, err := gate(&report, &base, *regress, rerun)
 		if err != nil {
 			fail(fmt.Errorf("%s: %v", *baseline, err))
 		}
@@ -246,12 +254,19 @@ func ratioOf(e *jsonExperiment, r bench.Ratio) (ratio float64, ok bool, err erro
 	return sum[r.Num] / sum[r.Den], true, nil
 }
 
+// gateRuns is how many same-run ratios the baseline gate takes the median
+// of: the sweep's own run of the gated experiment plus gateRuns-1 reruns.
+// One ratio on a shared host can swing past its bound on noise alone; the
+// median of three does not move with one slow run.
+const gateRuns = 3
+
 // gate is the one baseline check: base holds one experiment, the fresh
 // report must have run the same experiment under the same config, and the
-// fresh run's ratio (see ratioOf) must not exceed the ratio computed from
-// base's rows by more than tol. It returns the verdict line to print; a
-// run without numerator rows skips the check rather than failing it.
-func gate(cur, base *jsonReport, tol float64) (string, error) {
+// median of gateRuns fresh ratios (see ratioOf) — the report's run plus
+// reruns from rerun — must not exceed the ratio computed from base's rows
+// by more than tol. It returns the verdict line to print; a run without
+// numerator rows skips the check rather than failing it.
+func gate(cur, base *jsonReport, tol float64, rerun func(id string) (*jsonExperiment, error)) (string, error) {
 	if len(base.Experiments) != 1 {
 		return "", fmt.Errorf("baseline holds %d experiments, want exactly one", len(base.Experiments))
 	}
@@ -283,10 +298,28 @@ func gate(cur, base *jsonReport, tol float64) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("baseline has no %s rows; regenerate it where that variant runs", got.Ratio.Num)
 	}
-	if gotRatio > wantRatio*(1+tol) {
-		return "", fmt.Errorf("%s %.3f regressed beyond %.0f%% of the baseline's %.3f", name, gotRatio, tol*100, wantRatio)
+	ratios := []float64{gotRatio}
+	for len(ratios) < gateRuns {
+		e, err := rerun(got.ID)
+		if err != nil {
+			return "", err
+		}
+		r, ok, err := ratioOf(e, *got.Ratio)
+		if err != nil {
+			return "", err
+		}
+		if !ok {
+			return "", fmt.Errorf("a rerun of %s has no %s rows", got.ID, got.Ratio.Num)
+		}
+		ratios = append(ratios, r)
 	}
-	return fmt.Sprintf("%s %.3f within %.0f%% of the baseline's %.3f", name, gotRatio, tol*100, wantRatio), nil
+	runs := fmt.Sprintf("%.3f", ratios)
+	sort.Float64s(ratios)
+	median := ratios[len(ratios)/2]
+	if median > wantRatio*(1+tol) {
+		return "", fmt.Errorf("%s median %.3f of %s regressed beyond %.0f%% of the baseline's %.3f", name, median, runs, tol*100, wantRatio)
+	}
+	return fmt.Sprintf("%s median %.3f of %s within %.0f%% of the baseline's %.3f", name, median, runs, tol*100, wantRatio), nil
 }
 
 func writeJSON(path string, r *jsonReport) error {

@@ -10,14 +10,10 @@
 // was reported, and 2 on a load or typecheck failure.
 //
 // The analyzers share a whole-module Program of interprocedural summaries
-// (DESIGN.md §13). -summary-cache FILE persists those summaries keyed by a
-// fingerprint of every analyzed source file: a warm, matching cache skips
-// the bottom-up fixpoint; any source change invalidates it wholesale.
-// -parallel N fans the per-package analyzer runs over N workers (findings
-// are position-sorted, so the output is identical at any width).
-// -debug-summary dumps each function's computed summary as JSON, one per
-// line, instead of running the analyzers. -graph dumps the module's
-// lock-order graph (DESIGN.md §16) as GraphViz DOT instead of findings.
+// (DESIGN.md §13), computed once per run. -parallel N fans the per-package
+// analyzer runs over N workers (findings are position-sorted, so the
+// output is identical at any width). -graph dumps the module's lock-order
+// graph (DESIGN.md §16) as GraphViz DOT instead of findings.
 // -rules prints the registered analyzer table — one "name<TAB>doc" line
 // per rule, or a JSON array under -json — without loading any packages.
 //
@@ -26,8 +22,6 @@
 //	go run ./cmd/optlint ./...
 //	go run ./cmd/optlint -fix ./internal/server
 //	go run ./cmd/optlint -sarif ./... > optlint.sarif
-//	go run ./cmd/optlint -summary-cache /tmp/optlint.summaries ./...
-//	go run ./cmd/optlint -debug-summary ./internal/core
 //	go run ./cmd/optlint -graph ./... | dot -Tsvg > locks.svg
 //	go run ./cmd/optlint -rules -json
 package main
@@ -39,7 +33,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"github.com/optlab/opt/internal/lint"
 )
@@ -49,8 +42,6 @@ func main() {
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log (for code scanning upload)")
 	applyFix := flag.Bool("fix", false, "apply suggested fixes in place, then report the remaining findings")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "number of concurrent per-package analyzer workers")
-	cacheFile := flag.String("summary-cache", "", "read/write interprocedural summaries at this path, keyed by a source fingerprint")
-	debugSummary := flag.Bool("debug-summary", false, "print every function summary as JSON (one per line) and exit")
 	dumpGraph := flag.Bool("graph", false, "print the module's lock-order graph as GraphViz DOT and exit")
 	listRules := flag.Bool("rules", false, "print the analyzer table (name and one-line doc) and exit; -json for machine-readable output")
 	flag.Parse()
@@ -90,16 +81,7 @@ func main() {
 			return nil, false, err
 		}
 		analyzers = lint.Default(loader.ModulePath())
-		prog, err := buildProgram(pkgs, *cacheFile)
-		if err != nil {
-			return nil, false, err
-		}
-		if *debugSummary {
-			if err := prog.DebugSummaries(os.Stdout); err != nil {
-				return nil, false, err
-			}
-			os.Exit(0)
-		}
+		prog := lint.BuildProgram(pkgs)
 		if *dumpGraph {
 			if err := prog.WriteLockGraphDOT(os.Stdout); err != nil {
 				return nil, false, err
@@ -160,51 +142,6 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// buildProgram computes the whole-module summaries, warm-starting from (and
-// refreshing) cacheFile when one is configured. The cold/warm timing line on
-// stderr is what CI reads to confirm the cache is doing its job.
-func buildProgram(pkgs []*lint.Package, cacheFile string) (*lint.Program, error) {
-	if cacheFile == "" {
-		return lint.BuildProgram(pkgs), nil
-	}
-	fp, err := lint.Fingerprint(pkgs, os.ReadFile)
-	if err != nil {
-		return nil, err
-	}
-	var cached map[string]*lint.FuncSummary
-	state := "cold (no cache)"
-	if f, err := os.Open(cacheFile); err == nil {
-		gotFP, sums, rerr := lint.ReadSummaryCache(f)
-		_ = f.Close()
-		switch {
-		case rerr != nil:
-			state = "cold (unreadable cache)"
-		case gotFP != fp:
-			state = "cold (stale cache)"
-		default:
-			cached, state = sums, "warm"
-		}
-	}
-	start := time.Now()
-	prog := lint.BuildProgramCached(pkgs, cached)
-	fmt.Fprintf(os.Stderr, "optlint: summary cache %s: %d summaries in %s\n",
-		state, len(prog.Summaries), time.Since(start).Round(time.Millisecond))
-	if cached == nil {
-		f, err := os.Create(cacheFile)
-		if err != nil {
-			return nil, err
-		}
-		werr := lint.WriteSummaryCache(f, fp, prog)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, werr
-		}
-	}
-	return prog, nil
 }
 
 // writeRules prints the registered analyzer table: one "name<TAB>doc"

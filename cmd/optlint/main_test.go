@@ -247,57 +247,20 @@ func TestDriverLockGraph(t *testing.T) {
 	}
 }
 
-// TestDriverSummaryCache: a cold run reports itself as cold and writes the
-// cache file; a warm run reports warm and reaches the same verdict.
-func TestDriverSummaryCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "optlint.summaries")
-	out, stderr, code := runOptlint(t, "-summary-cache", cache, "./internal/events")
+// TestDriverFlags pins the driver's flag set: -h lists exactly the six
+// modes.
+func TestDriverFlags(t *testing.T) {
+	_, stderr, code := runOptlint(t, "-h")
 	if code != 0 {
-		t.Fatalf("cold run exited %d\nstderr: %s", code, stderr)
+		t.Fatalf("-h exited %d\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "summary cache cold (no cache)") {
-		t.Errorf("cold run stderr missing the cold timing line:\n%s", stderr)
+	var flags []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
+		}
 	}
-	if fi, err := os.Stat(cache); err != nil || fi.Size() == 0 {
-		t.Fatalf("cold run did not write the cache file: %v", err)
-	}
-	out2, stderr2, code2 := runOptlint(t, "-summary-cache", cache, "./internal/events")
-	if code2 != 0 {
-		t.Fatalf("warm run exited %d\nstderr: %s", code2, stderr2)
-	}
-	if !strings.Contains(stderr2, "summary cache warm") {
-		t.Errorf("warm run stderr missing the warm timing line:\n%s", stderr2)
-	}
-	if out != out2 {
-		t.Errorf("warm run report differs from cold run:\ncold:\n%s\nwarm:\n%s", out, out2)
-	}
-
-	// The same sources summarised by a linter with other fact semantics:
-	// only the fingerprint's version prefix differs, and the cache must not
-	// be trusted.
-	raw, err := os.ReadFile(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		Fingerprint string          `json:"fingerprint"`
-		Summaries   json.RawMessage `json:"summaries"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	version, digest, ok := strings.Cut(file.Fingerprint, "-")
-	if !ok || !strings.HasPrefix(version, "v") {
-		t.Fatalf("cache fingerprint %q carries no version prefix", file.Fingerprint)
-	}
-	file.Fingerprint = version + "0-" + digest
-	if raw, err = json.Marshal(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cache, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, stderr3, _ := runOptlint(t, "-summary-cache", cache, "./internal/events"); !strings.Contains(stderr3, "summary cache cold (stale cache)") {
-		t.Errorf("a cache written under another summary version was not read as cold:\n%s", stderr3)
+	if got, want := strings.Join(flags, " "), "-fix -graph -json -parallel -rules -sarif"; got != want {
+		t.Errorf("-h lists flags %q, want %q", got, want)
 	}
 }

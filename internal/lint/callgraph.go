@@ -23,8 +23,6 @@ import (
 //
 //	pkgpath.Func                  top-level function
 //	(pkgpath.Type).Method         method (pointer and value receivers alike)
-//
-// which is also the shape the summary cache serializes.
 
 // FuncInfo is one analyzed function declaration with its body.
 type FuncInfo struct {
@@ -57,7 +55,7 @@ func (fi *FuncInfo) held() *lockFlow {
 
 // Program is the module-wide view the interprocedural analyzers share: an
 // index of function declarations, a call graph over them, and one summary
-// per function (computed bottom-up over SCCs, or loaded from cache).
+// per function (computed bottom-up over SCCs).
 type Program struct {
 	// ByKey indexes every analyzed function declaration.
 	ByKey map[string]*FuncInfo
@@ -68,9 +66,8 @@ type Program struct {
 	methods     map[string]map[string]string // "pkgpath.Type" → method name → key
 	order       [][]string                   // SCCs of the call graph, callees first
 
-	// Module-wide lock-order graph (lockorder.go), rebuilt from summaries
-	// on every run — including warm-cache runs, since the edge facts ride
-	// in the serialized summaries.
+	// Module-wide lock-order graph (lockorder.go), the union of the
+	// summaries' edge facts.
 	lockNodes  []string
 	lockAdj    map[string][]string
 	lockWit    map[[2]string]lockWitness
@@ -108,14 +105,6 @@ func funcKey(fn *types.Func) string {
 // BuildProgram indexes pkgs, resolves the call graph, and computes every
 // function summary bottom-up.
 func BuildProgram(pkgs []*Package) *Program {
-	return BuildProgramCached(pkgs, nil)
-}
-
-// BuildProgramCached is BuildProgram with a warm-start: when cached (keyed
-// like Summaries) covers every indexed function, the fixpoint is skipped
-// entirely and the cached summaries are used as-is. A partial or stale
-// cache is ignored and the summaries are recomputed from source.
-func BuildProgramCached(pkgs []*Package, cached map[string]*FuncSummary) *Program {
 	p := &Program{
 		ByKey:       map[string]*FuncInfo{},
 		Summaries:   map[string]*FuncSummary{},
@@ -160,26 +149,9 @@ func BuildProgramCached(pkgs []*Package, cached map[string]*FuncSummary) *Progra
 		p.resolveCallees(fi)
 	}
 	p.order = p.sccOrder()
-	if cached != nil && p.cacheCovers(cached) {
-		for key := range p.ByKey {
-			p.Summaries[key] = cached[key]
-		}
-	} else {
-		p.computeSummaries()
-	}
+	p.computeSummaries()
 	p.buildLockGraph()
 	return p
-}
-
-// cacheCovers reports whether cached has an entry for every indexed
-// function.
-func (p *Program) cacheCovers(cached map[string]*FuncSummary) bool {
-	for key := range p.ByKey {
-		if cached[key] == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // resolveCallees records fi's outgoing edges: every statically resolved

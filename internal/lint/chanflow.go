@@ -281,3 +281,14 @@ func inLoop(par map[ast.Node]ast.Node, n ast.Node) bool {
 	}
 	return false
 }
+
+// isWaitGroupMethod reports whether call invokes the named method on a
+// sync.WaitGroup.
+func isWaitGroupMethod(info *types.Info, call *ast.CallExpr, name string) bool {
+	fn, ok := funcFor(info, call)
+	if !ok || fn.Name() != name {
+		return false
+	}
+	pkg, typ, isMethod := methodOn(fn)
+	return isMethod && pkg == "sync" && typ == "WaitGroup"
+}

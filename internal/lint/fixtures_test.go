@@ -161,10 +161,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"poolpair", lint.NewPoolpair("github.com/optlab/opt/internal/buffer")},
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
-		{"gojoin", lint.NewGojoin()},
 		{"lockorder", lint.NewLockorder()},
 		{"chanflow", lint.NewChanflow(nil)},
-		{"waitjoin", lint.NewWaitjoin()},
 	}
 	for _, tc := range cases {
 		for _, variant := range []string{"bad", "ok"} {
@@ -222,10 +220,9 @@ func TestConcurrencyDeterminism(t *testing.T) {
 		loadFixture(t, "lockorder", "bad"),
 		loadFixture(t, "chanflow", "bad"),
 		loadFixture(t, "lockheld", "bad"),
-		loadFixture(t, "waitjoin", "bad"),
 	}
 	strict := []string{"fixture/lockheld"}
-	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld(strict), lint.NewChanflow(strict), lint.NewWaitjoin()}
+	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld(strict), lint.NewChanflow(strict)}
 	var base string
 	for _, workers := range []int{1, 2, 8} {
 		var out strings.Builder
@@ -297,8 +294,8 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 	want := []string{
 		"ctxflow", "lockheld", "ioconfine", "closecheck", "eventkind",
-		"cancelfree", "poolpair", "atomicfield", "condguard", "gojoin",
-		"lockorder", "chanflow", "waitjoin",
+		"cancelfree", "poolpair", "atomicfield", "condguard", "lockorder",
+		"chanflow",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)

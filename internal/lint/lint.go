@@ -47,8 +47,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAt records a finding at an already-resolved position — the shape
-// used by analyzers replaying facts from (possibly cached) summaries,
-// which carry positions rather than token.Pos values.
+// used by analyzers replaying facts from summaries, which carry positions
+// rather than token.Pos values.
 func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 	p.report(Finding{Pos: pos, Rule: p.rule, Message: fmt.Sprintf(format, args...)})
 }
@@ -79,8 +79,8 @@ func AnalyzeParallel(pkgs []*Package, analyzers []*Analyzer, workers int) []Find
 }
 
 // AnalyzeProgram runs the analyzers over pkgs against an already-built
-// Program — the entry point for drivers that warm-start summaries from a
-// cache.
+// Program — the entry point for drivers that also use the Program itself
+// (the lock-order graph dump).
 func AnalyzeProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer, workers int) []Finding {
 	if workers < 1 {
 		workers = 1

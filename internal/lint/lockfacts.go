@@ -27,11 +27,11 @@ import (
 // "" and simply contributes no abstract fact — conservative for false
 // positives, which is the house rule for every optlint analyzer.
 
-// LockSite is one source position carried inside cached summaries.
+// LockSite is one source position carried inside summaries.
 type LockSite struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 func (s LockSite) String() string {
@@ -57,15 +57,15 @@ func (s LockSite) compare(o LockSite) int {
 // LockAcq is one may-acquire fact: the function (or a callee reached via
 // Chain) may acquire Lock in the caller's dynamic extent.
 type LockAcq struct {
-	Lock string `json:"lock"`
+	Lock string
 	// Write is true for Lock, false for RLock.
-	Write bool `json:"write,omitempty"`
+	Write bool
 	// Site is the position of the acquiring Lock/RLock call itself.
-	Site LockSite `json:"site"`
+	Site LockSite
 	// Chain lists the callee keys from the summarized function down to
 	// the function containing the call at Site; empty for a direct
 	// acquisition.
-	Chain []string `json:"chain,omitempty"`
+	Chain []string
 }
 
 // describe renders "pkg.B at file:1:2 (via f → g)" for witness messages.
@@ -98,17 +98,16 @@ func (a LockAcq) compare(b LockAcq) int {
 // function at HeldSite) is definitely held, the function may acquire
 // Acq.Lock (directly or through Acq.Chain).
 type LockEdge struct {
-	Held     string   `json:"held"`
-	HeldSite LockSite `json:"heldSite"`
-	Acq      LockAcq  `json:"acq"`
+	Held     string
+	HeldSite LockSite
+	Acq      LockAcq
 }
 
 // LockReport is a finding computed during summary construction (self
-// deadlock, read-to-write upgrade) and kept in the cache so warm runs
-// still report it; the lockorder analyzer replays it.
+// deadlock, read-to-write upgrade); the lockorder analyzer replays it.
 type LockReport struct {
-	Site LockSite `json:"site"`
-	Msg  string   `json:"msg"`
+	Site LockSite
+	Msg  string
 }
 
 // Caps keeping summaries bounded under recursion and deterministic under

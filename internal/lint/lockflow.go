@@ -11,7 +11,7 @@ import (
 // The concurrency-fact core (DESIGN.md §16): the two questions every lock
 // rule asks of a function body — which mutexes are definitely held at this
 // node, and does this node block — are answered here once. The
-// lockheld/chanflow checker, condguard, waitjoin and the summary scans
+// lockheld/chanflow checker, condguard and the summary scans
 // (scanBlocks, scanHeld, scanLockFacts) all read these results.
 
 const (

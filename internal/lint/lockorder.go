@@ -39,9 +39,8 @@ type lockCycle struct {
 }
 
 // buildLockGraph unions every summary's AcqEdges into the module lock
-// graph and enumerates its cycles. Called from BuildProgramCached after
-// summaries exist — the facts live in the (cache-serialized) summaries,
-// so warm-cache runs rebuild the graph without rerunning the fixpoint.
+// graph and enumerates its cycles. Called from BuildProgram once the
+// summaries exist.
 func (p *Program) buildLockGraph() {
 	p.lockAdj = map[string][]string{}
 	p.lockWit = map[[2]string]lockWitness{}

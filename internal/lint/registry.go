@@ -36,10 +36,8 @@ func Default(module string) []*Analyzer {
 		NewPoolpair(module + "/internal/buffer"),
 		NewAtomicfield(),
 		NewCondguard(),
-		NewGojoin(),
 		// The whole-module concurrency layer (DESIGN.md §16).
 		NewLockorder(),
 		NewChanflow(strict),
-		NewWaitjoin(),
 	}
 }

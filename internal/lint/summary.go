@@ -1,14 +1,8 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/types"
-	"io"
 	"reflect"
 	"sort"
 )
@@ -31,14 +25,14 @@ import (
 type ParamFacts struct {
 	// Released: the value is handed back to its pool (buffer.PutChunk,
 	// sync.Pool.Put, or transitively a callee that releases it).
-	Released bool `json:"released,omitempty"`
+	Released bool
 	// Escapes: the bare value is stored, captured, appended, sent, or
 	// passed somewhere unknown — ownership visibly leaves the function.
-	Escapes bool `json:"escapes,omitempty"`
+	Escapes bool
 	// Returned: the bare value is returned to the caller.
-	Returned bool `json:"returned,omitempty"`
+	Returned bool
 	// Called: the value is invoked as a function (discharges a cancel).
-	Called bool `json:"called,omitempty"`
+	Called bool
 }
 
 // borrows reports whether the facts amount to a pure borrow: the callee
@@ -50,47 +44,45 @@ func (f ParamFacts) borrows() bool {
 
 // UncoveredOp is one lock-requiring operation (sync.Cond notify, or a call
 // to a requires-held function) at a site where no mutex is definitely
-// held; positions are retained so cached summaries can still report.
+// held; positions are retained so callers' reports can name the site.
 type UncoveredOp struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Desc string `json:"desc"`
+	File string
+	Line int
+	Col  int
+	Desc string
 }
 
 // FuncSummary is the compositional summary of one function.
 type FuncSummary struct {
-	Key     string       `json:"key"`
-	HasRecv bool         `json:"hasRecv,omitempty"`
-	Params  []ParamFacts `json:"params,omitempty"`
+	HasRecv bool
+	Params  []ParamFacts
 	// OwnedResults[i]: on every normal return path, result i carries a
 	// fresh pool obligation (buffer.GetChunk / sync.Pool Get) the caller
 	// must discharge. Mixed nil-or-owned results stay false.
-	OwnedResults []bool `json:"ownedResults,omitempty"`
+	OwnedResults []bool
 	// CancelResults[i]: on every normal return path, result i is a context
 	// cancel func the caller must call.
-	CancelResults []bool `json:"cancelResults,omitempty"`
+	CancelResults []bool
 	// Blocks: every path from entry to the normal exit performs a
 	// potentially blocking operation (send, receive, select without
 	// default, Wait/Drain, or a callee that Blocks).
-	Blocks    bool   `json:"blocks,omitempty"`
-	BlocksWhy string `json:"blocksWhy,omitempty"`
+	Blocks    bool
+	BlocksWhy string
 	// RequiresHeld: the function performs a sync.Cond notify/Wait or calls
 	// a requires-held function at a site with no mutex definitely held —
 	// the obligation to hold L moves to the callers.
-	RequiresHeld bool          `json:"requiresHeld,omitempty"`
-	HeldWhy      string        `json:"heldWhy,omitempty"`
-	Uncovered    []UncoveredOp `json:"uncovered,omitempty"`
+	RequiresHeld bool
+	HeldWhy      string
+	Uncovered    []UncoveredOp
 	// Acquires: abstract locks the function may take in its dynamic extent,
 	// directly or through callees (lockfacts.go); Chain names the call path.
-	Acquires []LockAcq `json:"acquires,omitempty"`
+	Acquires []LockAcq
 	// AcqEdges: lock-order facts "may acquire Acq while Held is definitely
 	// held" — the module-wide lock graph is the union of these.
-	AcqEdges []LockEdge `json:"acqEdges,omitempty"`
+	AcqEdges []LockEdge
 	// LockReports: conflicts proven outright during the scan (self-deadlock,
-	// RLock→Lock upgrade), replayed by the lockorder analyzer so warm-cache
-	// runs still report them.
-	LockReports []LockReport `json:"lockReports,omitempty"`
+	// RLock→Lock upgrade), replayed by the lockorder analyzer.
+	LockReports []LockReport
 }
 
 // argSlot maps a call-site argument index onto a summary slot; -1 when the
@@ -172,7 +164,7 @@ func paramObjects(fi *FuncInfo) []types.Object {
 // result shapes in place.
 func emptySummary(fi *FuncInfo) *FuncSummary {
 	sig, _ := fi.Fn.Type().(*types.Signature)
-	s := &FuncSummary{Key: fi.Key, HasRecv: sig != nil && sig.Recv() != nil}
+	s := &FuncSummary{HasRecv: sig != nil && sig.Recv() != nil}
 	s.Params = make([]ParamFacts, len(paramObjects(fi)))
 	if sig != nil && sig.Results().Len() > 0 {
 		n := sig.Results().Len()
@@ -615,87 +607,4 @@ func isPoolGetCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	pkg, typ, isMethod := methodOn(fn)
 	return isMethod && pkg == "sync" && typ == "Pool"
-}
-
-// --- summary cache ---------------------------------------------------------
-
-// summaryCacheFile is the on-disk shape of -summary-cache.
-type summaryCacheFile struct {
-	Fingerprint string                  `json:"fingerprint"`
-	Summaries   map[string]*FuncSummary `json:"summaries"`
-}
-
-// summaryVersion names the semantics of the summary facts. Bump it whenever
-// a change to the linter alters what any fact means (last: Blocks learned
-// range-over-channel and select {}), so caches computed by an older
-// binary over the same sources read as stale.
-const summaryVersion = 2
-
-// Fingerprint digests the exact file set of pkgs (paths and contents, in
-// sorted order) via the injected reader, prefixed "v<summaryVersion>-";
-// the summary cache is valid only while the fingerprint matches.
-func Fingerprint(pkgs []*Package, read func(string) ([]byte, error)) (string, error) {
-	names := map[string]bool{}
-	for _, pkg := range pkgs {
-		if pkg == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			if tf := pkg.Fset.File(f.Pos()); tf != nil {
-				names[tf.Name()] = true
-			}
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, name := range sorted {
-		content, err := read(name)
-		if err != nil {
-			return "", fmt.Errorf("lint: fingerprinting %s: %w", name, err)
-		}
-		io.WriteString(h, name)
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(content)))
-		h.Write(lenBuf[:])
-		h.Write(content)
-	}
-	return fmt.Sprintf("v%d-%s", summaryVersion, hex.EncodeToString(h.Sum(nil))), nil
-}
-
-// WriteSummaryCache serializes the program's summaries under fingerprint.
-func WriteSummaryCache(w io.Writer, fingerprint string, p *Program) error {
-	return json.NewEncoder(w).Encode(summaryCacheFile{Fingerprint: fingerprint, Summaries: p.Summaries})
-}
-
-// ReadSummaryCache decodes a summary cache written by WriteSummaryCache.
-func ReadSummaryCache(r io.Reader) (fingerprint string, summaries map[string]*FuncSummary, err error) {
-	var f summaryCacheFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return "", nil, fmt.Errorf("lint: decoding summary cache: %w", err)
-	}
-	return f.Fingerprint, f.Summaries, nil
-}
-
-// DebugSummaries writes every summary, one JSON object per line in key
-// order — the -debug-summary dump.
-func (p *Program) DebugSummaries(w io.Writer) error {
-	keys := make([]string, 0, len(p.Summaries))
-	for k := range p.Summaries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b, err := json.Marshal(p.Summaries[k])
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -123,51 +120,5 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d round=%d findings diverge:\nbase=%v\ngot =%v", workers, round, base, got)
 			}
 		}
-	}
-}
-
-// summariesJSON renders a summary map in canonical form (JSON object keys
-// are sorted), so maps that differ only in nil-versus-empty slices after a
-// cache round trip still compare equal.
-func summariesJSON(t *testing.T, m map[string]*lint.FuncSummary) string {
-	t.Helper()
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatalf("marshal summaries: %v", err)
-	}
-	return string(b)
-}
-
-// TestSummaryCacheRoundTrip: fingerprint stability, write/read identity,
-// and a warm BuildProgramCached producing the same summaries as the cold
-// fixpoint.
-func TestSummaryCacheRoundTrip(t *testing.T) {
-	pkgs, prog := loadModule(t)
-	fp, err := lint.Fingerprint(pkgs, os.ReadFile)
-	if err != nil {
-		t.Fatalf("fingerprint: %v", err)
-	}
-	fp2, err := lint.Fingerprint(pkgs, os.ReadFile)
-	if err != nil || fp != fp2 {
-		t.Fatalf("fingerprint not stable: %q vs %q (err %v)", fp, fp2, err)
-	}
-	var buf bytes.Buffer
-	if err := lint.WriteSummaryCache(&buf, fp, prog); err != nil {
-		t.Fatalf("writing cache: %v", err)
-	}
-	gotFP, sums, err := lint.ReadSummaryCache(&buf)
-	if err != nil {
-		t.Fatalf("reading cache: %v", err)
-	}
-	if gotFP != fp {
-		t.Fatalf("cache fingerprint = %q, want %q", gotFP, fp)
-	}
-	warm := lint.BuildProgramCached(pkgs, sums)
-	cold, warmed := summariesJSON(t, prog.Summaries), summariesJSON(t, warm.Summaries)
-	if cold != warmed {
-		t.Fatalf("warm-start summaries differ from cold fixpoint")
-	}
-	if g := warm.Summaries[keyGetWork]; g == nil || len(g.OwnedResults) != 1 || !g.OwnedResults[0] {
-		t.Fatalf("warm program lost %s OwnedResults", keyGetWork)
 	}
 }

@@ -1,6 +1,7 @@
 // Package bad holds the blocking-under-mutex shapes chanflow must flag:
-// send, receive, select without default, WaitGroup.Wait, and a call to
-// an in-module function whose summary proves it always blocks.
+// send, receive, select without default, WaitGroup.Wait (also joining
+// goroutines that need the held lock), and a call to an in-module
+// function whose summary proves it always blocks.
 package bad
 
 import "sync"
@@ -88,4 +89,49 @@ func crossUnlock(a, b *hub) {
 	b.mu.Unlock()
 	a.ch <- 1 // want "blocking channel send while holding a\\.mu"
 	a.mu.Unlock()
+}
+
+// Joining goroutines that need the held lock is a wait-for cycle: the
+// workers park in Lock, Wait parks forever. The held-lock rule flags the
+// Wait whatever the workers do, so both spawn shapes are caught: a
+// literal locking through a helper, and a named worker locking directly.
+type pool struct {
+	mu    sync.Mutex
+	items []int
+}
+
+func (p *pool) add(v int) {
+	p.mu.Lock()
+	p.items = append(p.items, v)
+	p.mu.Unlock()
+}
+
+func flush(p *pool) {
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.add(1)
+		}()
+	}
+	p.mu.Lock()
+	wg.Wait() // want "sync\\.WaitGroup\\.Wait while holding p\\.mu: a blocked goroutine wedges every waiter of the lock"
+	p.mu.Unlock()
+}
+
+func worker(p *pool, wg *sync.WaitGroup) {
+	defer wg.Done()
+	p.mu.Lock()
+	p.items = append(p.items, 0)
+	p.mu.Unlock()
+}
+
+func run(p *pool) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go worker(p, &wg)
+	p.mu.Lock()
+	wg.Wait() // want "sync\\.WaitGroup\\.Wait while holding p\\.mu: a blocked goroutine wedges every waiter of the lock"
+	p.mu.Unlock()
 }

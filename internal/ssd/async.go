@@ -61,7 +61,7 @@ type ringDevice interface {
 	RingEnabled() bool
 	RingSlots() int
 	PrepareRead(tag uint64, buf []byte, first uint32, count int) error
-	Submit() (int, error)
+	Submit() error
 	SubmitNop(tag uint64) error
 	WaitCQE() (tag uint64, n int, err error, ok bool)
 }
@@ -109,6 +109,7 @@ type AsyncDevice struct {
 	ring     ringDevice
 	slots    *ringSlots
 	slotFree chan uint64
+	staged   int // reads prepared since the last flush; submitter only
 }
 
 type completion struct {
@@ -373,6 +374,7 @@ func (d *AsyncDevice) stageOne(req request) {
 		d.compl <- d.readDone(req, buf, err)
 		return
 	}
+	d.staged++
 	d.slots.set(slot, req, buf)
 }
 
@@ -389,15 +391,17 @@ func (d *AsyncDevice) acquireSlot() uint64 {
 	}
 }
 
-// flushBatch pushes every staged SQE to the kernel in one enter call. A
-// submit failure is only reachable once the ring fd is gone; the
-// outstanding slots are failed so nothing hangs.
+// flushBatch pushes every staged SQE to the kernel in one enter call. The
+// batch is counted before the enter: once the SQEs reach the kernel the
+// reaper can complete them, and a Drain that returns must already see the
+// batch they came in. A submit failure is only reachable once the ring fd
+// is gone; the outstanding slots are failed so nothing hangs.
 func (d *AsyncDevice) flushBatch() {
-	n, err := d.ring.Submit()
-	if n > 0 {
-		d.note(events.SubmittedBatch, int64(n))
+	if d.staged > 0 {
+		d.note(events.SubmittedBatch, int64(d.staged))
+		d.staged = 0
 	}
-	if err != nil {
+	if err := d.ring.Submit(); err != nil {
 		d.failOutstanding(err)
 	}
 }

@@ -454,32 +454,29 @@ func (d *nativeDevice) PrepareRead(tag uint64, buf []byte, first uint32, count i
 // wake the reaper at shutdown.
 func (d *nativeDevice) SubmitNop(tag uint64) error {
 	if d.ring.sqFull() {
-		if _, err := d.Submit(); err != nil {
+		if err := d.Submit(); err != nil {
 			return err
 		}
 	}
 	d.ring.stage(ioUringSQE{opcode: ioringOpNop, fd: -1, userData: tag})
-	_, err := d.Submit()
-	return err
+	return d.Submit()
 }
 
-// Submit pushes every staged SQE to the kernel in one io_uring_enter call,
-// returning how many were consumed. Submitter-goroutine only.
-func (d *nativeDevice) Submit() (int, error) {
+// Submit pushes every staged SQE to the kernel in one io_uring_enter call.
+// Submitter-goroutine only.
+func (d *nativeDevice) Submit() error {
 	r := d.ring
-	total := 0
 	for r.staged > 0 {
 		n, err := ioUringEnter(r.fd, r.staged, 0, 0)
 		if err == syscall.EINTR || err == syscall.EAGAIN {
 			continue
 		}
 		if err != nil {
-			return total, fmt.Errorf("ssd: io_uring_enter: %w", err)
+			return fmt.Errorf("ssd: io_uring_enter: %w", err)
 		}
 		r.staged -= uint32(n)
-		total += n
 	}
-	return total, nil
+	return nil
 }
 
 // WaitCQE blocks for one completion. ok is false when the ring itself

@@ -229,9 +229,19 @@ func TestSyncDeviceReads(t *testing.T) {
 // device apart from AsyncDevice: building one, reading through it and
 // closing what it reads leaves the goroutine count where it was. The
 // AsyncDevice over the same file shows the count does move when a device
-// starts goroutines.
+// starts goroutines, and that its Close joins every one of them.
+//
+// The test runs on one P, so no goroutine runs alongside it. One that
+// signals Close runs on to its return before the test is scheduled again,
+// so the count after Close is exact. One that Close does not wait for is
+// still queued behind the dispatcher when Close returns, so a lost join is
+// a count off by that goroutine. The race detector shuffles the run queue,
+// and the unjoined goroutine then gets to run first in most rounds, so the
+// async device is opened and closed asyncRounds times.
 func TestSyncDeviceStartsNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	const asyncRounds = 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := settledGoroutines()
 	fd, err := OpenFileDevice(patternFile(t, 0, 64, 8), 0, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -245,17 +255,43 @@ func TestSyncDeviceStartsNoGoroutines(t *testing.T) {
 	if during := runtime.NumGoroutine(); during != before {
 		t.Fatalf("goroutines %d with a sync device open, %d before", during, before)
 	}
-	ad := NewAsyncDevice(fd, AsyncOptions{QueueDepth: 2})
-	if during := runtime.NumGoroutine(); during <= before {
-		t.Fatalf("goroutines %d with an async device open, %d before: the count cannot tell", during, before)
+	for round := 0; round < asyncRounds; round++ {
+		// Start each round on a fresh time slice. The scheduler preempts
+		// a goroutine whose P has not switched time slices for 10 ms, and
+		// a goroutine woken from a sleep inherits its slice, so without
+		// this the round after a sleep can be preempted at once: a device
+		// goroutine preempted just after signalling Close would still
+		// count when Close returns.
+		runtime.Gosched()
+		ad := NewAsyncDevice(fd, AsyncOptions{QueueDepth: 2})
+		if during := runtime.NumGoroutine(); during <= before {
+			t.Fatalf("goroutines %d with an async device open, %d before: the count cannot tell", during, before)
+		}
+		ad.Close()
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("round %d: goroutines %d after closing, %d before", round, after, before)
+		}
 	}
-	ad.Close()
 	if err := fd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("goroutines %d after closing, %d before", after, before)
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// a few milliseconds. A goroutine the previous test has already joined
+// still counts until it has finished returning, so a count taken at once
+// can be one high.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline, same := time.Now().Add(time.Second), 0; same < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
 	}
+	return n
 }
 
 func TestAsyncMetricsCounts(t *testing.T) {
@@ -276,6 +312,100 @@ func TestAsyncMetricsCounts(t *testing.T) {
 	}
 	if m.PagesRead() != 10 {
 		t.Fatalf("PagesRead = %d, want 10", m.PagesRead())
+	}
+}
+
+// ringFake is a ringDevice over a memDevice whose Submit completes every
+// staged read before it returns: the kernel's fastest case, in which a
+// callback, and a Drain, can finish before the enter call is back. Submit
+// also records whether the reads it hands over were already counted in a
+// batch.
+type ringFake struct {
+	*memDevice
+	mx        *metrics.Collector
+	staged    []ringFakeSQE
+	cqes      chan ringFakeSQE
+	submitted int64        // reads handed over so far; submitter only
+	uncounted atomic.Int64 // Submit calls that found their reads uncounted
+}
+
+type ringFakeSQE struct {
+	tag   uint64
+	buf   []byte
+	first uint32
+	count int
+}
+
+func newRingFake(mem *memDevice, mx *metrics.Collector, slots int) *ringFake {
+	return &ringFake{memDevice: mem, mx: mx, cqes: make(chan ringFakeSQE, slots+1)}
+}
+
+func (r *ringFake) RingEnabled() bool { return true }
+func (r *ringFake) RingSlots() int    { return cap(r.cqes) - 1 }
+
+func (r *ringFake) PrepareRead(tag uint64, buf []byte, first uint32, count int) error {
+	r.staged = append(r.staged, ringFakeSQE{tag, buf, first, count})
+	return nil
+}
+
+func (r *ringFake) Submit() error {
+	r.submitted += int64(len(r.staged))
+	if r.mx.BatchedReads() < r.submitted {
+		r.uncounted.Add(1)
+	}
+	for _, s := range r.staged {
+		r.cqes <- s
+	}
+	r.staged = r.staged[:0]
+	return nil
+}
+
+func (r *ringFake) SubmitNop(tag uint64) error {
+	r.cqes <- ringFakeSQE{tag: tag}
+	return nil
+}
+
+func (r *ringFake) WaitCQE() (uint64, int, error, bool) {
+	s := <-r.cqes
+	if s.tag == nopTag {
+		return s.tag, 0, nil, true
+	}
+	err := r.ReadPagesInto(s.buf, s.first, s.count)
+	return s.tag, len(s.buf), err, true
+}
+
+// TestRingBatchCountedBeforeSubmit pins the ring engine's batch accounting
+// against a device that completes reads inside the enter call: every batch
+// is counted before its reads reach the device, so the counters are exact
+// as soon as Drain returns.
+func TestRingBatchCountedBeforeSubmit(t *testing.T) {
+	mx := metrics.NewCollector()
+	ring := newRingFake(newMemDevice(64, 32), mx, 4)
+	d := NewAsyncDevice(ring, AsyncOptions{Metrics: mx})
+	defer d.Close()
+	if d.ring == nil {
+		t.Fatal("ring engine not engaged")
+	}
+	var bad atomic.Int64
+	for round := 0; round < 4; round++ {
+		for p := uint32(0); p < 32; p += 2 {
+			first := p
+			d.AsyncRead(first, 2, func(data []byte, err error) {
+				if err != nil || data[0] != byte(first) || data[64] != byte(first+1) {
+					bad.Add(1)
+				}
+			})
+		}
+		d.Drain()
+		if got, want := mx.BatchedReads(), int64((round+1)*16); got != want {
+			t.Fatalf("round %d: %d reads counted in batches after Drain, want %d", round, got, want)
+		}
+	}
+	if bad.Load() != 0 {
+		t.Fatalf("%d reads failed or returned the wrong pages", bad.Load())
+	}
+	if n := ring.uncounted.Load(); n != 0 {
+		t.Fatalf("%d submits handed over reads no batch had counted", n)
 	}
 }
 
