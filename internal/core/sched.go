@@ -55,9 +55,9 @@ func (s *sched) submit(class taskClass, run func()) {
 	s.mu.Lock()
 	s.queues[class] = append(s.queues[class], run)
 	s.inflight[class]++
-	// Broadcast under the mutex: an unlocked notify can fire between a
-	// worker's predicate check and its park, and that worker sleeps through
-	// the wakeup.
+	// Broadcast under the mutex, as condguard requires. The queues only
+	// change under s.mu and Cond.Wait takes its notify ticket before it
+	// unlocks, so no worker can sleep through this wakeup either way.
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

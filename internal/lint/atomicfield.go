@@ -6,35 +6,29 @@ import (
 	"go/types"
 )
 
-// NewAtomicfield builds the atomicfield analyzer: once any code in a
-// package passes a struct field's address to a sync/atomic function
-// (atomic.AddInt64(&x.n, 1), atomic.LoadUint32(&x.flag), …), every other
-// access to that field in the package must also go through sync/atomic.
-// A mixed plain read or write is a data race the compiler accepts and
-// `-race` only reports if the two accesses actually collide during a test
-// run — exactly the latent-race class the typed atomic.Int64 fields of
-// the metrics collector and AsyncDevice were introduced to rule out.
-//
-// Composite-literal keys (Field: value in a constructor, before the value
-// is shared) are exempt, as is test code: tests read counters after
-// goroutines have joined, a pattern that is sequenced, not racy. The
-// durable fix is migrating the field to the sync/atomic typed API, which
-// makes non-atomic access unrepresentable; this rule holds the line until
-// then.
+// NewAtomicfield builds the atomicfield analyzer: passing a struct
+// field's address to a sync/atomic function (atomic.AddInt64(&x.n, 1),
+// atomic.LoadUint32(&x.flag), …) is a finding. Such a field can also be
+// read or written plainly, and a mixed plain access is a data race the
+// compiler accepts and `-race` reports only if the two accesses collide
+// during a test run: a plain read after a join passes every suite. The
+// typed API (atomic.Int64, atomic.Bool, …) makes the plain access
+// unrepresentable, and every product field already uses it. Test code is
+// exempt.
 func NewAtomicfield() *Analyzer {
 	return &Analyzer{
 		Name: "atomicfield",
-		Doc:  "a struct field accessed via sync/atomic anywhere must be accessed atomically everywhere",
+		Doc:  "a struct field is never passed by address to a sync/atomic function: use a typed atomic field",
 		Run:  runAtomicfield,
 	}
 }
 
 func runAtomicfield(pass *Pass) {
 	info := pass.Pkg.Info
-	// Pass 1: collect the fields whose address reaches a sync/atomic call,
-	// with the first such position for the report.
-	atomicFields := map[*types.Var]token.Pos{}
-	forEachNonTestFile(pass, func(file *ast.File) {
+	for i, file := range pass.Pkg.Files {
+		if pass.Pkg.IsTest[i] {
+			continue
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isAtomicCall(info, call) {
@@ -42,47 +36,11 @@ func runAtomicfield(pass *Pass) {
 			}
 			for _, arg := range call.Args {
 				if fld := addressedField(info, arg); fld != nil {
-					if _, seen := atomicFields[fld]; !seen {
-						atomicFields[fld] = call.Pos()
-					}
+					pass.Reportf(arg.Pos(), "field %s passed by address to sync/atomic; declare it with a typed atomic (atomic.Int64, …) so no plain access compiles", fld.Name())
 				}
 			}
 			return true
 		})
-	})
-	if len(atomicFields) == 0 {
-		return
-	}
-	// Pass 2: every other use of those fields must sit under & in a
-	// sync/atomic argument.
-	forEachNonTestFile(pass, func(file *ast.File) {
-		par := parents(file)
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fld := fieldOf(info, sel)
-			if fld == nil {
-				return true
-			}
-			first, isAtomic := atomicFields[fld]
-			if !isAtomic || isAtomicArg(info, par, sel) {
-				return true
-			}
-			pass.Reportf(sel.Pos(), "non-atomic access to field %s, which is accessed with sync/atomic at %s (mixed access races; use sync/atomic or a typed atomic field)",
-				fld.Name(), pass.Pkg.Fset.Position(first))
-			return true
-		})
-	})
-}
-
-// forEachNonTestFile visits the package's non-test files.
-func forEachNonTestFile(pass *Pass, visit func(*ast.File)) {
-	for i, file := range pass.Pkg.Files {
-		if !pass.Pkg.IsTest[i] {
-			visit(file)
-		}
 	}
 }
 
@@ -97,7 +55,8 @@ func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	return fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
 }
 
-// addressedField resolves &x.f arguments to the field's object.
+// addressedField resolves a &x.f argument to the struct field it names,
+// nil for any other argument.
 func addressedField(info *types.Info, arg ast.Expr) *types.Var {
 	ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
 	if !ok || ue.Op != token.AND {
@@ -107,44 +66,10 @@ func addressedField(info *types.Info, arg ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	return fieldOf(info, sel)
-}
-
-// fieldOf resolves a selector to the struct field it names, or nil when
-// the selector is a method, package member, or unresolved.
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
 		if v, ok := selection.Obj().(*types.Var); ok && v.IsField() {
 			return v
 		}
 	}
 	return nil
-}
-
-// isAtomicArg reports whether sel appears as &sel directly inside a
-// sync/atomic call's argument list.
-func isAtomicArg(info *types.Info, par map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
-	// Climb through parens: (&x.f) is still fine.
-	up := par[sel]
-	for {
-		if p, ok := up.(*ast.ParenExpr); ok {
-			up = par[p]
-			continue
-		}
-		break
-	}
-	ue, ok := up.(*ast.UnaryExpr)
-	if !ok || ue.Op != token.AND {
-		return false
-	}
-	up = par[ue]
-	for {
-		if p, ok := up.(*ast.ParenExpr); ok {
-			up = par[p]
-			continue
-		}
-		break
-	}
-	call, ok := up.(*ast.CallExpr)
-	return ok && isAtomicCall(info, call)
 }

@@ -62,9 +62,8 @@ type Program struct {
 	// Summaries holds one FuncSummary per ByKey entry.
 	Summaries map[string]*FuncSummary
 
-	callerCount map[string]int               // statically resolved call sites per callee
-	methods     map[string]map[string]string // "pkgpath.Type" → method name → key
-	order       [][]string                   // SCCs of the call graph, callees first
+	methods map[string]map[string]string // "pkgpath.Type" → method name → key
+	order   [][]string                   // SCCs of the call graph, callees first
 
 	// Module-wide lock-order graph (lockorder.go), the union of the
 	// summaries' edge facts.
@@ -106,10 +105,9 @@ func funcKey(fn *types.Func) string {
 // function summary bottom-up.
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
-		ByKey:       map[string]*FuncInfo{},
-		Summaries:   map[string]*FuncSummary{},
-		callerCount: map[string]int{},
-		methods:     map[string]map[string]string{},
+		ByKey:     map[string]*FuncInfo{},
+		Summaries: map[string]*FuncSummary{},
+		methods:   map[string]map[string]string{},
 	}
 	for _, pkg := range pkgs {
 		if pkg == nil {
@@ -170,9 +168,6 @@ func (p *Program) resolveCallees(fi *FuncInfo) {
 				seen[key] = true
 				fi.callees = append(fi.callees, key)
 			}
-		}
-		if key, ok := p.staticCallee(fi.Pkg.Info, call); ok {
-			p.callerCount[key]++
 		}
 		return true
 	})
@@ -244,9 +239,6 @@ func (p *Program) mayCallees(info *types.Info, call *ast.CallExpr) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Callers returns how many statically resolved call sites target key.
-func (p *Program) Callers(key string) int { return p.callerCount[key] }
 
 // Summary returns the summary for key, nil when the function is not part
 // of the program.

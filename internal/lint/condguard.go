@@ -2,13 +2,11 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // NewCondguard builds the condguard analyzer, the PageBudget discipline
-// as a machine-checked rule:
+// as a machine-checked rule, checked one function body at a time:
 //
 //   - sync.Cond.Wait must execute inside a `for` loop (the predicate must
 //     be re-checked after every wakeup — Wait returns on Broadcast and on
@@ -17,22 +15,17 @@ import (
 //   - Wait, Signal and Broadcast all require a sync.Mutex/RWMutex to be
 //     definitely held at the call (must-held over the function's cfg).
 //
-// Signal/Broadcast under L is stricter than the sync package demands, and
-// deliberately so: an unlocked Signal can fire between a waiter's
-// predicate check and its park — the lost-wakeup window that stalls a
-// condvar-arbitrated budget under exactly the heavy-traffic interleavings
-// the roadmap targets. Holding L for the notify closes the window; the
-// cost is nanoseconds on a path that just took the lock anyway.
-//
-// v3 makes the held requirement interprocedural through the Program's
-// summaries (DESIGN.md §13): a helper whose cond op runs without a local
-// lock is no longer reported at the op when the module calls it — the
-// obligation propagates to its callers (RequiresHeld), and the finding
-// lands at whichever call site up the chain neither holds a mutex nor has
-// callers of its own to pass the duty to. Functions nobody calls (module
-// roots, exported API) still report at the op itself, with the v2
-// message. The Wait-inside-a-for-loop rule stays local: looping is a
-// property of the waiting function, not of its callers.
+// Signal/Broadcast under L is stricter than the sync package demands.
+// Cond.Wait takes its notify ticket before it unlocks L, so while the
+// predicate changes only under L no notify can fall between a waiter's
+// check and its park. A predicate that changes outside L (a context's
+// Err, an atomic flag) opens that window: the change and an unlocked
+// notify can both land after the waiter's check and before its Wait, and
+// the waiter parks on a predicate that is already true. Holding L for the
+// notify closes it, and the rule cannot tell the two kinds of predicate
+// apart; the cost is nanoseconds on a path that just took the lock anyway.
+// A helper that notifies without a lock of its own is reported at the
+// notify, whatever its callers hold.
 func NewCondguard() *Analyzer {
 	return &Analyzer{
 		Name: "condguard",
@@ -43,79 +36,31 @@ func NewCondguard() *Analyzer {
 
 func runCondguard(pass *Pass) {
 	info := pass.Pkg.Info
-	// Map function bodies of this package to their interprocedural
-	// summaries; literals and unkeyed declarations fall back to the local
-	// v2 analysis below.
-	byBody := map[*ast.BlockStmt]*FuncInfo{}
-	if pass.Prog != nil {
-		for _, fi := range pass.Prog.ByKey {
-			if fi.Pkg == pass.Pkg && fi.Decl.Body != nil {
-				byBody[fi.Decl.Body] = fi
-			}
-		}
-	}
 	for _, file := range pass.Pkg.Files {
 		funcBodies(file, func(body *ast.BlockStmt) {
 			// Gather the cond-method calls of this function (not of nested
 			// literals, which get their own visit).
-			type condCall struct {
-				call *ast.CallExpr
-				name string // Wait, Signal, Broadcast
-			}
-			var calls []condCall
+			var calls []*ast.CallExpr
 			topLevelStmts(body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if name := condMethod(info, call); name != "" {
-						calls = append(calls, condCall{call: call, name: name})
-					}
+				if call, ok := n.(*ast.CallExpr); ok && condMethod(info, call) != "" {
+					calls = append(calls, call)
 				}
 				return true
 			})
-			if len(calls) > 0 {
-				par := parents(body)
-				for _, cc := range calls {
-					if cc.name == "Wait" && !insideForLoop(body, par, cc.call) {
-						pass.Reportf(cc.call.Pos(), "sync.Cond.Wait outside a for loop; the predicate must be re-checked after every wakeup")
-					}
-				}
-			}
-			if fi, ok := byBody[body]; ok {
-				reportUncoveredHeld(pass, fi)
-				return
-			}
 			if len(calls) == 0 {
 				return
 			}
+			par := parents(body)
 			flow := mustHeld(buildCFG(body, info), info)
-			for _, cc := range calls {
-				if len(flow.heldAt(cc.call)) == 0 {
-					pass.Reportf(cc.call.Pos(), "sync.Cond.%s without holding a mutex; notify under L or a waiter can miss the wakeup", cc.name)
+			for _, call := range calls {
+				name := condMethod(info, call)
+				if name == "Wait" && !insideForLoop(body, par, call) {
+					pass.Reportf(call.Pos(), "sync.Cond.Wait outside a for loop; the predicate must be re-checked after every wakeup")
+				}
+				if len(flow.heldAt(call)) == 0 {
+					pass.Reportf(call.Pos(), "sync.Cond.%s without holding a mutex; notify under L or a waiter can miss the wakeup", name)
 				}
 			}
-		})
-	}
-}
-
-// reportUncoveredHeld emits the summary's uncovered requires-held
-// operations of fi — cond ops and calls to requires-held callees with no
-// mutex definitely held — but only when nothing in the module calls fi:
-// for called functions the obligation has already propagated into each
-// caller's own summary, and reporting here too would double up (or blame
-// a helper whose callers all hold the lock correctly).
-func reportUncoveredHeld(pass *Pass, fi *FuncInfo) {
-	s := pass.Prog.Summaries[fi.Key]
-	if s == nil || !s.RequiresHeld || pass.Prog.Callers(fi.Key) > 0 {
-		return
-	}
-	for _, op := range s.Uncovered {
-		msg := op.Desc + "; acquire the mutex before the call"
-		if name, isCond := strings.CutPrefix(op.Desc, "sync.Cond."); isCond {
-			msg = "sync.Cond." + name + " without holding a mutex; notify under L or a waiter can miss the wakeup"
-		}
-		pass.report(Finding{
-			Pos:     token.Position{Filename: op.File, Line: op.Line, Column: op.Col},
-			Rule:    "condguard",
-			Message: msg,
 		})
 	}
 }

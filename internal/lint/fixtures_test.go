@@ -153,7 +153,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		analyzer *lint.Analyzer
 	}{
 		{"ctxflow", lint.NewCtxflow()},
-		{"lockheld", lint.NewLockheld([]string{"fixture/lockheld"})},
+		{"lockheld", lint.NewLockheld()},
 		{"ioconfine", lint.NewIoconfine([]string{"fixture/other"})},
 		{"closecheck", lint.NewClosecheck([]string{"fixture/closecheck"})},
 		{"eventkind", lint.NewEventkind("github.com/optlab/opt/internal/events")},
@@ -162,7 +162,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
 		{"lockorder", lint.NewLockorder()},
-		{"chanflow", lint.NewChanflow(nil)},
 	}
 	for _, tc := range cases {
 		for _, variant := range []string{"bad", "ok"} {
@@ -177,12 +176,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 
 // TestInterprocFixtures exercises the summary layer across package
 // boundaries: the helper package's summaries (ownership transfer, pure
-// borrow, transitive requires-held) drive findings — and
-// silence — in the packages that call it. The helper itself must stay
-// clean, which the shared diffWant enforces since its files carry no want
-// comments.
+// borrow) drive findings — and silence — in the packages that call it.
+// The helper's own findings (condguard's unlocked notify) are diffed
+// against the helper's want comments, whichever package calls it.
 func TestInterprocFixtures(t *testing.T) {
 	helper := loadFixture(t, "interproc", "helper")
+	helperDir := filepath.Join("testdata", "interproc", "helper")
 	analyzers := []*lint.Analyzer{
 		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
 		lint.NewCondguard(),
@@ -190,8 +189,16 @@ func TestInterprocFixtures(t *testing.T) {
 	for _, variant := range []string{"bad", "ok"} {
 		t.Run(variant, func(t *testing.T) {
 			pkg := loadFixture(t, "interproc", variant)
-			findings := lint.Analyze([]*lint.Package{helper, pkg}, analyzers)
-			diffWant(t, filepath.Join("testdata", "interproc", variant), findings)
+			var inHelper, inPkg []lint.Finding
+			for _, f := range lint.Analyze([]*lint.Package{helper, pkg}, analyzers) {
+				if filepath.Dir(f.Pos.Filename) == helperDir {
+					inHelper = append(inHelper, f)
+				} else {
+					inPkg = append(inPkg, f)
+				}
+			}
+			diffWant(t, helperDir, inHelper)
+			diffWant(t, filepath.Join("testdata", "interproc", variant), inPkg)
 		})
 	}
 }
@@ -218,11 +225,9 @@ func TestConcurrencyDeterminism(t *testing.T) {
 		loadFixture(t, "lockorder", "multihelper"),
 		loadFixture(t, "lockorder", "multi"),
 		loadFixture(t, "lockorder", "bad"),
-		loadFixture(t, "chanflow", "bad"),
 		loadFixture(t, "lockheld", "bad"),
 	}
-	strict := []string{"fixture/lockheld"}
-	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld(strict), lint.NewChanflow(strict)}
+	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld()}
 	var base string
 	for _, workers := range []int{1, 2, 8} {
 		var out strings.Builder
@@ -271,18 +276,37 @@ func TestIoconfineScoping(t *testing.T) {
 	}
 }
 
+// TestAtomicfieldExemptsTestFiles proves the ban skips test code: the
+// testcode fixture makes the same sync/atomic call on a field's address in
+// a product file and in a _test.go file, and only the product file's call
+// is reported.
+func TestAtomicfieldExemptsTestFiles(t *testing.T) {
+	pkg := loadFixture(t, "atomicfield", "testcode")
+	tests := 0
+	for _, isTest := range pkg.IsTest {
+		if isTest {
+			tests++
+		}
+	}
+	if tests != 1 {
+		t.Fatalf("testcode fixture loaded %d _test.go files, want 1", tests)
+	}
+	findings := lint.Analyze([]*lint.Package{pkg}, []*lint.Analyzer{lint.NewAtomicfield()})
+	diffWant(t, filepath.Join("testdata", "atomicfield", "testcode"), findings)
+}
+
 // TestDefaultRegistry pins the shipped rule set, and that the held-lock
-// checker's two registrations split the module along one strict list: the
-// same violating package reports under exactly one of lockheld/chanflow
-// wherever it sits, never both and never neither. The obligation checker's
-// two registrations differ in scope instead: poolpair leaves the pool's own
-// package alone, cancelfree looks everywhere.
+// checker is registered once and reports every want line of its violating
+// fixture wherever the package sits: in the overlap-critical packages and
+// outside them alike. The obligation checker's two registrations differ in
+// scope instead: poolpair leaves the pool's own package alone, cancelfree
+// looks everywhere.
 func TestDefaultRegistry(t *testing.T) {
 	var names []string
 	var heldLock, owned []*lint.Analyzer
 	for _, a := range lint.Default("github.com/optlab/opt") {
 		names = append(names, a.Name)
-		if a.Name == "lockheld" || a.Name == "chanflow" {
+		if a.Name == "lockheld" {
 			heldLock = append(heldLock, a)
 		}
 		if a.Name == "poolpair" || a.Name == "cancelfree" {
@@ -295,25 +319,21 @@ func TestDefaultRegistry(t *testing.T) {
 	want := []string{
 		"ctxflow", "lockheld", "ioconfine", "closecheck", "eventkind",
 		"cancelfree", "poolpair", "atomicfield", "condguard", "lockorder",
-		"chanflow",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)
 	}
-	for path, rule := range map[string]string{
-		"github.com/optlab/opt/internal/core/fixture":   "lockheld",
-		"github.com/optlab/opt/internal/ssd/fixture":    "lockheld",
-		"github.com/optlab/opt/internal/engine/fixture": "lockheld",
-		"github.com/optlab/opt/internal/server/fixture": "chanflow",
-		"github.com/optlab/opt/fixture":                 "chanflow",
+	wantLines := len(wantAt(t, filepath.Join("testdata", "lockheld", "bad")))
+	for _, path := range []string{
+		"github.com/optlab/opt/internal/core/fixture",
+		"github.com/optlab/opt/internal/ssd/fixture",
+		"github.com/optlab/opt/internal/engine/fixture",
+		"github.com/optlab/opt/internal/server/fixture",
+		"github.com/optlab/opt/fixture",
 	} {
-		pkg := loadFixtureAs(t, "chanflow", "bad", path)
-		rules := map[string]int{}
-		for _, f := range lint.Analyze([]*lint.Package{pkg}, heldLock) {
-			rules[f.Rule]++
-		}
-		if len(rules) != 1 || rules[rule] == 0 {
-			t.Errorf("package %s: findings by rule = %v, want only %s", path, rules, rule)
+		pkg := loadFixtureAs(t, "lockheld", "bad", path)
+		if got := len(lint.Analyze([]*lint.Package{pkg}, heldLock)); got != wantLines {
+			t.Errorf("package %s: %d lockheld findings, want %d (one per want line)", path, got, wantLines)
 		}
 	}
 	for path, want := range map[string]string{

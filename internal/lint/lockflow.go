@@ -10,9 +10,9 @@ import (
 
 // The concurrency-fact core (DESIGN.md §16): the two questions every lock
 // rule asks of a function body — which mutexes are definitely held at this
-// node, and does this node block — are answered here once. The
-// lockheld/chanflow checker, condguard and the summary scans
-// (scanBlocks, scanHeld, scanLockFacts) all read these results.
+// node, and does this node block — are answered here once. lockheld,
+// condguard and the summary scans (scanBlocks, scanLockFacts) all read
+// these results.
 
 const (
 	opNone = iota
@@ -209,10 +209,10 @@ type blockOp struct {
 	// comm: node is (part of) a select clause's comm statement — the
 	// select's own decision, not an independent operation.
 	comm bool
-	// strictOnly: node cannot be proven to block (a select with a default,
-	// a function-typed field called back) and is banned under a lock only
-	// in the overlap-critical packages.
-	strictOnly bool
+	// callback: a call through a function-typed struct field. It may block,
+	// so lockheld bans it under a lock, but it cannot be proven to, so the
+	// Blocks summary ignores it.
+	callback bool
 }
 
 // blockingOps is the one blocking-op vocabulary. It lists, in source order
@@ -220,10 +220,10 @@ type blockOp struct {
 // that may park the goroutine: channel send, channel receive, range over a
 // channel, select without a default (select {} included), a call to a
 // method named Wait or Drain (sync.Cond.Wait exempt: it releases the
-// mutex while parked), and a call to an in-module function whose summary
-// says it always blocks — plus the two strictOnly shapes. The call of a go
-// statement runs on another goroutine and is not an operation here; its
-// arguments still are.
+// mutex while parked), a call to an in-module function whose summary says
+// it always blocks, and a callback. A select with a default is not listed:
+// no path through it parks. The call of a go statement runs on another
+// goroutine and is not an operation here; its arguments still are.
 //
 // at is the node itself except where the CFG has no node for it: a range
 // statement is represented by its operand, a select by its first comm
@@ -255,13 +255,14 @@ func (p *Program) blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
 			}
 		case *ast.SelectStmt:
 			op := blockOp{node: x, pos: x.Select, desc: "select {} (blocks forever)"}
+			hasDefault := false
 			for _, clause := range x.Body.List {
 				cc, ok := clause.(*ast.CommClause)
 				if !ok {
 					continue
 				}
 				if cc.Comm == nil {
-					op.strictOnly = true
+					hasDefault = true
 					continue
 				}
 				if op.at == nil {
@@ -274,12 +275,12 @@ func (p *Program) blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
 					return true
 				})
 			}
-			if op.strictOnly {
-				op.desc = "select (blocking channel operation)"
-			} else if len(x.Body.List) > 0 {
+			if len(x.Body.List) > 0 {
 				op.desc = "select without default (blocks until a case is ready)"
 			}
-			add(op)
+			if !hasDefault {
+				add(op)
+			}
 		case *ast.CallExpr:
 			if spawned[x] {
 				return true
@@ -300,7 +301,7 @@ func (p *Program) blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
 				// completion-callback shape.
 				if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 					if _, isFunc := s.Type().Underlying().(*types.Signature); isFunc {
-						add(blockOp{node: x, pos: x.Pos(), desc: "callback field " + types.ExprString(sel) + " invoked", strictOnly: true})
+						add(blockOp{node: x, pos: x.Pos(), desc: "callback field " + types.ExprString(sel) + " invoked", callback: true})
 					}
 				}
 			}

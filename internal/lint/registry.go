@@ -5,17 +5,9 @@ package lint
 // encode PR-1's layering decisions; DESIGN.md ("Enforced invariants") maps
 // each rule to the paper section it protects.
 func Default(module string) []*Analyzer {
-	// The overlap-critical packages, named once: the held-lock checker
-	// reports there as lockheld (strict) and everywhere else as chanflow,
-	// so no package is covered by both registrations or by neither.
-	strict := []string{
-		module + "/internal/core",
-		module + "/internal/ssd",
-		module + "/internal/engine",
-	}
 	return []*Analyzer{
 		NewCtxflow(),
-		NewLockheld(strict),
+		NewLockheld(),
 		NewIoconfine([]string{
 			// internal/ssd covers the native Linux backend too: the raw
 			// io_uring/preadv/O_DIRECT syscalls in native_linux.go stay
@@ -36,8 +28,7 @@ func Default(module string) []*Analyzer {
 		NewPoolpair(module + "/internal/buffer"),
 		NewAtomicfield(),
 		NewCondguard(),
-		// The whole-module concurrency layer (DESIGN.md §16).
+		// The whole-module lock-order graph (DESIGN.md §16).
 		NewLockorder(),
-		NewChanflow(strict),
 	}
 }

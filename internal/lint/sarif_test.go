@@ -24,7 +24,7 @@ func TestWriteSARIF(t *testing.T) {
 		{
 			Pos:     token.Position{Filename: "internal/server/manager.go", Line: 12, Column: 1},
 			Rule:    lint.SuppressRule,
-			Message: "unused optlint:ignore chanflow directive",
+			Message: "unused optlint:ignore lockheld directive",
 		},
 	}
 	var buf bytes.Buffer

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Per-function summaries (DESIGN.md §13). A summary is everything a caller
@@ -12,7 +11,7 @@ import (
 // RacerD-compositional style: obligation transfer (does passing a value in
 // release it, consume it, or merely borrow it?), result ownership (does the
 // callee hand back a pool obligation or a cancel func?) and lock effects
-// (does it block? does it require the caller to hold a mutex?).
+// (does it block? which locks does it take, in what order?).
 //
 // Facts are may-facts unless stated otherwise, and every fact is monotone
 // from an all-false bottom, so the SCC fixpoint in computeSummaries
@@ -42,16 +41,6 @@ func (f ParamFacts) borrows() bool {
 	return !f.Released && !f.Escapes && !f.Returned && !f.Called
 }
 
-// UncoveredOp is one lock-requiring operation (sync.Cond notify, or a call
-// to a requires-held function) at a site where no mutex is definitely
-// held; positions are retained so callers' reports can name the site.
-type UncoveredOp struct {
-	File string
-	Line int
-	Col  int
-	Desc string
-}
-
 // FuncSummary is the compositional summary of one function.
 type FuncSummary struct {
 	HasRecv bool
@@ -68,12 +57,6 @@ type FuncSummary struct {
 	// default, Wait/Drain, or a callee that Blocks).
 	Blocks    bool
 	BlocksWhy string
-	// RequiresHeld: the function performs a sync.Cond notify/Wait or calls
-	// a requires-held function at a site with no mutex definitely held —
-	// the obligation to hold L moves to the callers.
-	RequiresHeld bool
-	HeldWhy      string
-	Uncovered    []UncoveredOp
 	// Acquires: abstract locks the function may take in its dynamic extent,
 	// directly or through callees (lockfacts.go); Chain names the call path.
 	Acquires []LockAcq
@@ -186,7 +169,6 @@ func (p *Program) computeSummary(fi *FuncInfo) *FuncSummary {
 	p.scanValueFacts(fi, slotOf, s)
 	p.scanResultFacts(fi, s)
 	p.scanBlocks(fi, s)
-	p.scanHeld(fi, s)
 	p.scanLockFacts(fi, s)
 	return s
 }
@@ -506,7 +488,7 @@ func (p *Program) scanBlocks(fi *FuncInfo, s *FuncSummary) {
 	blocking := map[ast.Node]bool{}
 	why := ""
 	for _, op := range p.blockingOps(fi.Pkg.Info, fi.Decl.Body) {
-		if op.strictOnly {
+		if op.callback {
 			continue
 		}
 		blocking[g.enclosing(op.at)] = true
@@ -517,61 +499,6 @@ func (p *Program) scanBlocks(fi *FuncInfo, s *FuncSummary) {
 	if why != "" && !g.reachesExitWithout(func(n ast.Node) bool { return blocking[n] }) {
 		s.Blocks = true
 		s.BlocksWhy = why
-	}
-}
-
-// --- requires-held facts ---------------------------------------------------
-
-// scanHeld computes RequiresHeld: sync.Cond operations and calls to
-// requires-held callees at sites with no mutex definitely held. The
-// positions are kept so condguard can report inside functions nobody
-// calls.
-func (p *Program) scanHeld(fi *FuncInfo, s *FuncSummary) {
-	info := fi.Pkg.Info
-	type op struct {
-		call *ast.CallExpr
-		desc string
-	}
-	var ops []op
-	topLevelStmts(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name := condMethod(info, call); name != "" {
-			ops = append(ops, op{call, "sync.Cond." + name})
-			return true
-		}
-		if key, ok := p.staticCallee(info, call); ok {
-			if cs := p.Summaries[key]; cs != nil && cs.RequiresHeld {
-				ops = append(ops, op{call, "call to " + key + ", which needs the caller to hold a mutex (" + cs.HeldWhy + ")"})
-			}
-		}
-		return true
-	})
-	if len(ops) == 0 {
-		return
-	}
-	for _, o := range ops {
-		if len(fi.held().heldAt(o.call)) > 0 {
-			continue
-		}
-		pos := fi.Pkg.Fset.Position(o.call.Pos())
-		s.Uncovered = append(s.Uncovered, UncoveredOp{File: pos.Filename, Line: pos.Line, Col: pos.Column, Desc: o.desc})
-	}
-	if len(s.Uncovered) > 0 {
-		sort.Slice(s.Uncovered, func(i, j int) bool {
-			a, b := s.Uncovered[i], s.Uncovered[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Col < b.Col
-		})
-		s.RequiresHeld = true
-		s.HeldWhy = s.Uncovered[0].Desc
 	}
 }
 

@@ -3,21 +3,14 @@ package ok
 import "sync/atomic"
 
 type counter struct {
-	hits  int64
+	n     atomic.Int64
 	plain int64 // never touched atomically; plain access everywhere is fine
 }
 
-func (c *counter) Observe() {
-	atomic.AddInt64(&c.hits, 1)
-}
+// The typed atomic API needs no rule: non-atomic access is inexpressible.
+func (c *counter) Observe() { c.n.Add(1) }
 
-func (c *counter) Snapshot() int64 {
-	return atomic.LoadInt64(&c.hits)
-}
-
-func (c *counter) Swap() int64 {
-	return atomic.SwapInt64((&c.hits), 0) // parens around the address are fine
-}
+func (c *counter) Snapshot() int64 { return c.n.Load() }
 
 func (c *counter) Bump() {
 	c.plain++
@@ -25,12 +18,12 @@ func (c *counter) Bump() {
 
 // Composite-literal keys name the field without accessing shared state.
 func Fresh() *counter {
-	return &counter{hits: 0, plain: 0}
+	return &counter{plain: 0}
 }
 
-// The typed atomic API needs no rule: non-atomic access is inexpressible.
-type typedCounter struct {
-	n atomic.Int64
+// A local's address is not a field's: nothing else can reach it.
+func Local() int64 {
+	var n int64
+	atomic.AddInt64(&n, 1)
+	return n
 }
-
-func (t *typedCounter) Observe() { t.n.Add(1) }

@@ -21,8 +21,10 @@ func (q *queue) PopIf() int {
 	return v
 }
 
-// Signal after Unlock: the notify can land in the window between a
-// waiter's predicate check and its park.
+// Signal after Unlock. Safe here, as items only change under q.mu, but
+// the rule cannot tell this predicate from one that changes outside the
+// lock, where the unlocked notify can fall between a waiter's check and
+// its Wait.
 func (q *queue) Push(v int) {
 	q.mu.Lock()
 	q.items = append(q.items, v)

@@ -1,6 +1,7 @@
 // Package helper provides cross-package callees whose summaries the
-// interprocedural fixture tests consume: an ownership sink, a pure
-// borrow, and a transitively lock-requiring notify.
+// interprocedural fixture tests consume: an ownership sink and a pure
+// borrow. Its notify without a lock is condguard's finding at the notify
+// itself, whatever the callers hold.
 package helper
 
 import (
@@ -21,8 +22,9 @@ func BorrowChunk(c *buffer.Chunk) int {
 	return c.NumPages
 }
 
-// Notify signals without locking: the held obligation propagates to every
-// caller (RequiresHeld).
+// Notify signals without locking. The lock belongs next to the notify,
+// so the finding is here even though ok.guardedNotify holds a mutex
+// across the call.
 func Notify(c *sync.Cond) {
-	c.Signal()
+	c.Signal() // want "sync\\.Cond\\.Signal without holding a mutex"
 }

@@ -24,7 +24,8 @@ func borrowThenRelease() int {
 	return n
 }
 
-// guardedNotify holds the mutex across the transitively-requiring call.
+// guardedNotify holds a mutex across the call; condguard still reports
+// helper.Notify's own unlocked Signal (see the helper's want line).
 func guardedNotify(mu *sync.Mutex, c *sync.Cond) {
 	mu.Lock()
 	helper.Notify(c)

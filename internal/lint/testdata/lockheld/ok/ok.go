@@ -1,3 +1,7 @@
+// Package ok holds the shapes lockheld must accept: a select with a
+// default clause, the lock released before the operation, sync.Cond.Wait,
+// a goroutine spawned under the lock, ranges over slices and maps, and a
+// call to a function with a path that does not park.
 package ok
 
 import "sync"
@@ -18,6 +22,27 @@ func (w *worker) condWait() {
 		w.cond.Wait()
 	}
 	w.mu.Unlock()
+}
+
+// trySend and tryRecv never block: the default clause makes the channel
+// operation best-effort, the SSE hub's shape.
+func (w *worker) trySend() {
+	w.mu.Lock()
+	select {
+	case w.ch <- 1:
+	default:
+	}
+	w.mu.Unlock()
+}
+
+func (w *worker) tryRecv() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case v := <-w.ch:
+		_ = v
+	default:
+	}
 }
 
 // unlockFirst releases before blocking.
@@ -46,4 +71,41 @@ func (w *worker) spawn() {
 	w.mu.Lock()
 	go func() { w.ch <- 1 }()
 	w.mu.Unlock()
+}
+
+// index ranges over a slice and a map under the lock: only a range over a
+// channel parks.
+type index struct {
+	mu    sync.Mutex
+	items []int
+	byKey map[string]int
+}
+
+func (x *index) total() (sum int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, v := range x.items {
+		sum += v
+	}
+	for _, v := range x.byKey {
+		sum += v
+	}
+	return sum
+}
+
+// poll has a path that does not park (the default clause), so calling it
+// under the lock is not a call to an always-blocking function.
+func poll(c chan int) int {
+	select {
+	case v := <-c:
+		return v
+	default:
+		return 0
+	}
+}
+
+func (w *worker) pollUnderLock() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return poll(w.ch)
 }

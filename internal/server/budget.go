@@ -19,9 +19,6 @@ type PageBudget struct {
 	total int // 0 = unlimited
 	inUse int
 	high  int // high-water mark of inUse
-	// onChange, when non-nil, observes every acquire/release with the lock
-	// held (test accounting hook — it must not call back into the budget).
-	onChange func(inUse, total int)
 }
 
 // NewPageBudget returns a budget of total pages. total 0 disables
@@ -34,15 +31,6 @@ func NewPageBudget(total int) *PageBudget {
 
 // Total returns the configured budget (0 = unlimited).
 func (b *PageBudget) Total() int { return b.total }
-
-// SetHook installs fn as the accounting observer. It is called with the
-// budget lock held on every acquire and release; tests use it to assert
-// the in-use sum never exceeds the total.
-func (b *PageBudget) SetHook(fn func(inUse, total int)) {
-	b.mu.Lock()
-	b.onChange = fn
-	b.mu.Unlock()
-}
 
 // InUse returns the pages currently acquired.
 func (b *PageBudget) InUse() int {
@@ -69,7 +57,11 @@ func (b *PageBudget) Acquire(ctx context.Context, n int) error {
 		return fmt.Errorf("%w: job needs %d pages, global budget is %d", ErrBudgetTooLarge, n, b.total)
 	}
 	// Wake the cond wait when ctx is cancelled, so a drain or DELETE does
-	// not leave a worker parked here forever.
+	// not leave a worker parked here forever. ctx.Err() is a predicate that
+	// changes outside b.mu, so the Broadcast takes the lock: otherwise the
+	// cancel and its Broadcast could both land after the loop below checked
+	// ctx.Err() and before Wait took its notify ticket, and the waiter would
+	// park on a context that is already done.
 	stop := context.AfterFunc(ctx, func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -92,9 +84,6 @@ func (b *PageBudget) Acquire(ctx context.Context, n int) error {
 	if b.inUse > b.high {
 		b.high = b.inUse
 	}
-	if b.onChange != nil {
-		b.onChange(b.inUse, b.total)
-	}
 	return nil
 }
 
@@ -105,11 +94,8 @@ func (b *PageBudget) Release(n int) {
 	b.inUse -= n
 	if b.inUse < 0 {
 		// A release without a matching acquire is a manager bug; clamp so
-		// accounting stays sane and make it visible to the hook.
+		// accounting stays sane.
 		b.inUse = 0
-	}
-	if b.onChange != nil {
-		b.onChange(b.inUse, b.total)
 	}
 	b.cond.Broadcast()
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -41,6 +40,53 @@ func TestPageBudgetAcquireRelease(t *testing.T) {
 	b.Release(6)
 	if got := b.InUse(); got != 0 {
 		t.Fatalf("InUse after release = %d, want 0", got)
+	}
+}
+
+// TestPageBudgetHighWater pins the peak accounting the server tests read
+// after a run: the mark rises with every acquire that sets a new peak,
+// survives releases, and neither a rejected nor a cancelled acquire moves it.
+func TestPageBudgetHighWater(t *testing.T) {
+	b := NewPageBudget(10)
+	ctx := context.Background()
+	steps := []struct {
+		acquire, release int
+		wantHigh         int
+	}{
+		{acquire: 3, wantHigh: 3},
+		{acquire: 4, wantHigh: 7},
+		{release: 4, wantHigh: 7},
+		{acquire: 2, wantHigh: 7},
+		{acquire: 5, wantHigh: 10},
+		{release: 10, wantHigh: 10},
+	}
+	for i, s := range steps {
+		if s.acquire > 0 {
+			if err := b.Acquire(ctx, s.acquire); err != nil {
+				t.Fatalf("step %d: Acquire(%d): %v", i, s.acquire, err)
+			}
+		}
+		if s.release > 0 {
+			b.Release(s.release)
+		}
+		if got := b.HighWater(); got != s.wantHigh {
+			t.Fatalf("step %d: HighWater = %d, want %d", i, got, s.wantHigh)
+		}
+	}
+	if got := b.InUse(); got != 0 {
+		t.Fatalf("InUse = %d, want 0", got)
+	}
+
+	if err := b.Acquire(ctx, 11); !errors.Is(err, ErrBudgetTooLarge) {
+		t.Fatalf("Acquire(11) on total 10 = %v, want ErrBudgetTooLarge", err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := b.Acquire(cancelled, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Acquire on a cancelled context = %v, want context.Canceled", err)
+	}
+	if got, inUse := b.HighWater(), b.InUse(); got != 10 || inUse != 0 {
+		t.Fatalf("after failed acquires HighWater = %d, InUse = %d, want 10 and 0", got, inUse)
 	}
 }
 
@@ -92,32 +138,5 @@ func TestPageBudgetUnlimited(t *testing.T) {
 	}
 	if b.InUse() != 0 {
 		t.Fatal("releases did not return the pages")
-	}
-}
-
-func TestPageBudgetHookObservesEveryTransition(t *testing.T) {
-	b := NewPageBudget(8)
-	var calls []int
-	var mu sync.Mutex
-	b.SetHook(func(inUse, total int) {
-		mu.Lock()
-		calls = append(calls, inUse)
-		mu.Unlock()
-	})
-	ctx := context.Background()
-	_ = b.Acquire(ctx, 3)
-	_ = b.Acquire(ctx, 5)
-	b.Release(5)
-	b.Release(3)
-	want := []int{3, 8, 3, 0}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", calls, want)
-		}
 	}
 }

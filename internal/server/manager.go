@@ -58,10 +58,6 @@ type Config struct {
 	EventBuffer int
 	// TempDir hosts per-job scratch directories (default: os.TempDir()).
 	TempDir string
-	// OnBudget, when non-nil, observes every budget acquire/release as
-	// (inUse, total) — the accounting hook the backpressure tests assert
-	// the never-exceeded invariant through.
-	OnBudget func(inUse, total int)
 	// WrapDevice, when non-nil, wraps every job's page device before the
 	// run starts — the fault-injection seam the distributed chaos tests use
 	// to make one agent's reads fail mid-shard.
@@ -124,7 +120,6 @@ func New(cfg Config) *Manager {
 		m.agents = cluster.NewDefaultHTTPClient()
 		m.cfg.Dispatcher = &cluster.HTTPDispatcher{Client: m.agents}
 	}
-	m.budget.SetHook(cfg.OnBudget)
 	m.rootCtx, m.cancelJobs = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)

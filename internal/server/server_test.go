@@ -66,9 +66,21 @@ func (blockingRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDe
 	return &engine.Result{Triangles: 1, Iterations: 1}, ctx.Err()
 }
 
+// ctxRunner hands its run context to the test through runCtx and returns
+// at once.
+type ctxRunner struct{}
+
+var runCtx = make(chan context.Context, 1)
+
+func (ctxRunner) Run(ctx context.Context, st *storage.Store, dev ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
+	runCtx <- ctx
+	return &engine.Result{}, nil
+}
+
 func init() {
 	engine.Register(engine.Info{Name: "test-gated", Parallel: true}, gatedRunner{})
 	engine.Register(engine.Info{Name: "test-blocking"}, blockingRunner{})
+	engine.Register(engine.Info{Name: "test-ctx"}, ctxRunner{})
 }
 
 // buildStore writes g into a fresh slotted-page store file and returns its
@@ -146,24 +158,11 @@ func TestBackpressureE2E(t *testing.T) {
 		perJobPages = 8
 		totalPages  = 2 * perJobPages // exactly two concurrent budgets
 	)
-	// The hook runs under the budget lock, so plain fields are safe.
-	var (
-		maxInUse int
-		violated bool
-	)
 	baseline := runtime.NumGoroutine()
 	m := server.New(server.Config{
 		Workers:    2,
 		QueueDepth: 2,
 		TotalPages: totalPages,
-		OnBudget: func(inUse, total int) {
-			if inUse > maxInUse {
-				maxInUse = inUse
-			}
-			if inUse > total {
-				violated = true
-			}
-		},
 	})
 	ts := httptest.NewServer(server.NewHandler(m))
 	defer ts.Close()
@@ -240,15 +239,10 @@ func TestBackpressureE2E(t *testing.T) {
 	}
 
 	// Budget invariant: with the pool parked, both budgets were held at
-	// once (high water = total), and the hook never saw an overshoot.
-	if violated {
-		t.Fatalf("page budget exceeded: hook saw in-use > %d", totalPages)
-	}
-	if maxInUse != totalPages {
-		t.Fatalf("budget high water %d, want %d (two concurrent jobs)", maxInUse, totalPages)
-	}
+	// once, and in-use never went above the total: the high-water mark,
+	// kept under the budget lock, is exactly the total.
 	if hw := m.Budget().HighWater(); hw != totalPages {
-		t.Fatalf("Budget().HighWater() = %d, want %d", hw, totalPages)
+		t.Fatalf("Budget().HighWater() = %d, want %d (two concurrent jobs, never more)", hw, totalPages)
 	}
 
 	// Graceful drain: nothing in flight, so the pool winds down well
@@ -302,6 +296,33 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
+// TestJobContextReleasedOnFinish pins that a job's run context is released
+// when the job ends, not at drain: it is a child of the manager's root
+// context, and one left live keeps its timer and its place among the
+// root's children until Drain.
+func TestJobContextReleasedOnFinish(t *testing.T) {
+	path := buildStore(t, graph.Complete(6), 128)
+	m := server.New(server.Config{Workers: 1, QueueDepth: 1, DefaultTimeout: time.Hour})
+	defer m.Drain(5 * time.Second)
+
+	j, err := m.Submit(server.Spec{Store: path, Algorithm: "test-ctx"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctx context.Context
+	select {
+	case ctx = <-runCtx:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the runner never started")
+	}
+	<-j.Done()
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the job's run context is still live 5 s after the job finished")
+	}
+}
+
 // TestResultCache pins the digest-keyed fast path: an identical spec over
 // the same store is served 200 from the cache without re-running, while
 // any spec difference forces a fresh 202 run.
@@ -351,22 +372,16 @@ func TestResultCache(t *testing.T) {
 }
 
 // TestBudgetSerializesJobs runs two jobs whose budgets cannot coexist: the
-// second must wait for the first to release its pages, and the accounting
-// hook must never observe in-use above the total.
+// second must wait for the first to release its pages, so the budget's
+// high-water mark never goes above the total.
 func TestBudgetSerializesJobs(t *testing.T) {
 	g := graph.Complete(12)
 	want := graph.CountTrianglesReference(g)
 	path := buildStore(t, g, 128)
-	var maxInUse int
 	m := server.New(server.Config{
 		Workers:    2,
 		QueueDepth: 2,
 		TotalPages: 8,
-		OnBudget: func(inUse, total int) {
-			if inUse > maxInUse {
-				maxInUse = inUse
-			}
-		},
 	})
 	defer m.Drain(5 * time.Second)
 
@@ -388,8 +403,8 @@ func TestBudgetSerializesJobs(t *testing.T) {
 			t.Fatalf("job %s: %d triangles, want %d", j.ID, res.Triangles, want)
 		}
 	}
-	if maxInUse > 8 {
-		t.Fatalf("budget high water %d with total 8: jobs were not serialized", maxInUse)
+	if hw := m.Budget().HighWater(); hw != 8 {
+		t.Fatalf("budget high water %d with total 8 and two 8-page jobs: want 8, the jobs one at a time", hw)
 	}
 }
 

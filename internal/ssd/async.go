@@ -476,9 +476,11 @@ func newReqQueue() *reqQueue {
 func (q *reqQueue) push(r request) {
 	q.mu.Lock()
 	q.items = append(q.items, r)
-	// Signal under the mutex: an unlocked notify can land between a
-	// worker's emptiness check and its park, and the request sits unserved
-	// until the next push.
+	// Signal under the mutex, as condguard requires. The items only change
+	// under q.mu, and Cond.Wait takes its notify ticket before it unlocks,
+	// so a Signal after Unlock would reach a worker that found the queue
+	// empty too; the lost wakeup needs a predicate that changes outside
+	// the lock, which the rule cannot tell apart from this one.
 	q.cond.Signal()
 	q.mu.Unlock()
 }
