@@ -10,7 +10,8 @@
 // was reported, and 2 on a load or typecheck failure.
 //
 // The analyzers share a whole-module Program of interprocedural summaries
-// (DESIGN.md §13), computed once per run. -parallel N fans the per-package
+// (DESIGN.md §13) — blocking and lock facts, read by lockheld and
+// lockorder — computed once per run. -parallel N fans the per-package
 // analyzer runs over N workers (findings are position-sorted, so the
 // output is identical at any width). -graph dumps the module's lock-order
 // graph (DESIGN.md §16) as GraphViz DOT instead of findings.

@@ -130,11 +130,9 @@ func TestDriverTypecheckFailure(t *testing.T) {
 
 // TestDriverParallelDeterminism runs the parallel driver repeatedly over a
 // finding-rich tree and demands byte-identical reports: the worker pool
-// must not reorder or drop findings. (interproc/bad imports its helper by
-// the fixture-only path fixture/interproc/helper, which the go tool cannot
-// resolve, so the driver takes lockheld/bad's findings instead.)
+// must not reorder or drop findings.
 func TestDriverParallelDeterminism(t *testing.T) {
-	patterns := []string{"./internal/lint/testdata/poolpair/bad", "./internal/lint/testdata/lockheld/bad"}
+	patterns := []string{"./internal/lint/testdata/condguard/bad", "./internal/lint/testdata/lockheld/bad"}
 	base, _, code := runOptlint(t, append([]string{"-parallel", "1"}, patterns...)...)
 	if code != 1 {
 		t.Fatalf("baseline exit = %d, want 1 (fixture tree must have findings)", code)

@@ -2,6 +2,8 @@
 
 package buffer
 
+import "sync/atomic"
+
 // PoisonVertex is what every neighbour slot of a recycled chunk reads as
 // under -tags optpoison. No store holds that many vertices, so a reader
 // that kept an Adj slice (or a Recs header) past PutChunk fails loudly — an
@@ -20,3 +22,15 @@ func poison(c *Chunk) {
 	}
 	c.Recs = nil
 }
+
+// live counts the chunks GetChunk handed out that PutChunk has not taken
+// back yet.
+var live atomic.Int64
+
+func trackLive(delta int64) { live.Add(delta) }
+
+// LiveChunks returns how many chunks are out of the free list right now.
+// A test binary whose runs have all ended reads 0 unless some path dropped
+// a chunk instead of recycling it; internal/core and internal/difftest
+// check it after their last test.
+func LiveChunks() int64 { return live.Load() }

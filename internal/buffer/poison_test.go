@@ -115,3 +115,23 @@ func TestPutChunkPoisonsRetainedSlices(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveChunksCountsHandedOut pins the leak count the core and difftest
+// suites check after their last test: GetChunk adds one, PutChunk takes one
+// back, PutChunk(nil) takes nothing.
+func TestLiveChunksCountsHandedOut(t *testing.T) {
+	base := LiveChunks()
+	a, b := GetChunk(), GetChunk()
+	if got := LiveChunks() - base; got != 2 {
+		t.Fatalf("after two GetChunk: %d live, want 2", got)
+	}
+	PutChunk(a)
+	PutChunk(nil)
+	if got := LiveChunks() - base; got != 1 {
+		t.Fatalf("after one PutChunk: %d live, want 1", got)
+	}
+	PutChunk(b)
+	if got := LiveChunks() - base; got != 0 {
+		t.Fatalf("after both PutChunk: %d live, want 0", got)
+	}
+}

@@ -42,6 +42,7 @@ func GetChunk() *Chunk {
 	c.NumPages = 0
 	c.Recs = c.Recs[:0]
 	c.Arena = c.Arena[:0]
+	trackLive(1)
 	return c
 }
 
@@ -51,7 +52,8 @@ func GetChunk() *Chunk {
 // graphs (the Arena holds no pointers, so its capacity is retained as is).
 // Built with -tags optpoison, the arena is also overwritten so that a
 // reader that kept a slice past this call sees PoisonVertex, not stale or
-// recycled neighbours (poison_on.go).
+// recycled neighbours, and the chunk leaves the LiveChunks count
+// (poison_on.go).
 func PutChunk(c *Chunk) {
 	if c == nil {
 		return
@@ -62,6 +64,7 @@ func PutChunk(c *Chunk) {
 	c.Recs = c.Recs[:0]
 	c.Arena = c.Arena[:0]
 	poison(c)
+	trackLive(-1)
 	chunkFree.Put(c)
 }
 

@@ -966,7 +966,8 @@ func TestExternalPathSteadyStateAllocs(t *testing.T) {
 
 // TestCloseRecyclesResidentChunks checks the last leg of the chunk-ownership
 // rule: what is still resident in the external area when the run ends goes
-// back to the free list, except a chunk somebody still pins.
+// back to the free list, except a chunk somebody still pins — which its
+// pinner, here the test, recycles.
 func TestCloseRecyclesResidentChunks(t *testing.T) {
 	r, cleanup := newTestRunner(t, graph.Complete(20), 64, serial, engine.Options{MemoryPages: 16})
 	newChunk := func(first uint32) *buffer.Chunk {
@@ -985,6 +986,7 @@ func TestCloseRecyclesResidentChunks(t *testing.T) {
 	if len(pinned.Recs) != 1 {
 		t.Error("pinned chunk was recycled at close")
 	}
+	buffer.PutChunk(pinned)
 }
 
 // benchSparse is the two sparse benchmark workloads as a Go benchmark —

@@ -525,13 +525,11 @@ func (r *runner) runSerial(io *ioSched, reqs []extReq, stat *engine.IterationSta
 		r.triangulateInternal(r.taskBounds[i-1], r.taskBounds[i])
 	}
 	stat.InternalTime = time.Since(t0)
-	r.mx.AddSerialWork(stat.InternalTime)
 
 	t1 := time.Now()
 	io.start(reqs)
 	io.wait()
 	stat.ExternalTime = time.Since(t1)
-	r.mx.AddSerialWork(stat.ExternalTime)
 }
 
 // runParallel executes the iteration tail with the macro-level overlap:
@@ -572,7 +570,6 @@ func (r *runner) runParallel(io *ioSched, reqs []extReq, stat *engine.IterationS
 	if m := s.morphCount(); m > 0 {
 		r.note(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
 	}
-	r.mx.AddParallelWork(stat.InternalTime + stat.ExternalTime)
 }
 
 // triangulateInternal is one internal task: InternalTriangle (Algorithm 5)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +119,47 @@ var errWriterFull = errSentinel("writer full")
 type errSentinel string
 
 func (e errSentinel) Error() string { return string(e) }
+
+// TestNestedWriterReusesBuffers checks that Emit hands its buffer back to
+// the pool on both of its paths: one goroutine emitting in a loop keeps
+// reusing one buffer, whether its emits only append or every 16th fills
+// the buffer and flushes it. The output cannot show a lost Put — Close
+// flushes every buffer ever created — only the count of buffers can, and
+// the loop stops as soon as the bound is crossed, so a leaking Emit costs
+// no more than the bound's worth of 68 KiB buffers.
+func TestNestedWriterReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const emits = 20000
+	small, full := []uint32{3, 4}, make([]uint32, flushThreshold/4)
+	for _, tc := range []struct {
+		name       string
+		flushEvery int
+	}{{"append", emits + 1}, {"flush", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := NewNestedWriter(io.Discard)
+			buffers := func() int {
+				nw.bufs.Lock()
+				defer nw.bufs.Unlock()
+				return len(nw.bufs.all)
+			}
+			for i := 1; i <= emits; i++ {
+				ws := small
+				if i%tc.flushEvery == 0 {
+					ws = full
+				}
+				nw.Emit(1, 2, ws)
+				if n := buffers(); n > emits/100 {
+					t.Fatalf("%d buffers after %d emits from one goroutine, want at most %d for all %d", n, i, emits/100, emits)
+				}
+			}
+			if err := nw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
 
 func TestNestedWriterPropagatesError(t *testing.T) {
 	nw := NewNestedWriter(&failingWriter{after: 10})

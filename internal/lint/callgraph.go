@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the whole-module half of the analysis framework
@@ -26,11 +25,10 @@ import (
 
 // FuncInfo is one analyzed function declaration with its body.
 type FuncInfo struct {
-	Key    string
-	Fn     *types.Func
-	Decl   *ast.FuncDecl
-	Pkg    *Package
-	IsTest bool // declared in a _test.go file
+	Key  string
+	Fn   *types.Func
+	Decl *ast.FuncDecl
+	Pkg  *Package
 
 	callees []string  // sorted unique callee keys within the program
 	graph   *cfg      // lazily built body CFG, shared by the summary passes
@@ -113,7 +111,7 @@ func BuildProgram(pkgs []*Package) *Program {
 		if pkg == nil {
 			continue
 		}
-		for i, file := range pkg.Files {
+		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -130,7 +128,7 @@ func BuildProgram(pkgs []*Package) *Program {
 				if _, dup := p.ByKey[key]; dup {
 					continue // first unit wins (base package vs its test unit)
 				}
-				p.ByKey[key] = &FuncInfo{Key: key, Fn: fn, Decl: fd, Pkg: pkg, IsTest: pkg.IsTest[i]}
+				p.ByKey[key] = &FuncInfo{Key: key, Fn: fn, Decl: fd, Pkg: pkg}
 			}
 		}
 	}
@@ -240,10 +238,6 @@ func (p *Program) mayCallees(info *types.Info, call *ast.CallExpr) []string {
 	return out
 }
 
-// Summary returns the summary for key, nil when the function is not part
-// of the program.
-func (p *Program) Summary(key string) *FuncSummary { return p.Summaries[key] }
-
 // sccOrder returns the call graph's strongly connected components in
 // reverse topological order: every edge leaving an SCC points at an earlier
 // component, so processing in order sees callee summaries before caller
@@ -302,14 +296,4 @@ func tarjanSCC(nodes []string, succ func(string) []string) [][]string {
 		}
 	}
 	return order
-}
-
-// pathSuffixWithin reports whether import path p is, or is beneath, a
-// package whose path ends in suffix (e.g. "internal/buffer"). The
-// program-level intrinsics match by suffix so they hold under any module
-// path — including the fixture loader, whose packages import the real
-// module packages.
-func pathSuffixWithin(p, suffix string) bool {
-	p = strings.TrimSuffix(p, "_test")
-	return p == suffix || strings.HasSuffix(p, "/"+suffix)
 }

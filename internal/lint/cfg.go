@@ -5,19 +5,19 @@ import (
 	"go/types"
 )
 
-// This file is the control-flow substrate of the dataflow analyzers
-// (cancelfree, poolpair, condguard). It lowers one function body into a
+// This file is the control-flow substrate of the dataflow analyses (the
+// Blocks summary, lockheld, condguard). It lowers one function body into a
 // conventional basic-block graph over the go/ast statement nodes — no
 // SSA, no third-party dependency — precise enough to answer the two
-// questions the rules ask: "can control reach the function's normal exit
-// from here without passing a node for which pred holds?" (obligation
-// analysis) and "which locks are definitely held at this statement?"
+// questions they ask: "can control reach the function's normal exit
+// from entry without passing a node for which pred holds?" (does every
+// path block?) and "which locks are definitely held at this statement?"
 // (must-held analysis, lockflow.go).
 //
 // Panics and calls that never return (os.Exit, log.Fatal*, runtime.Goexit,
-// testing's Fatal/Skip family) end their block without an exit edge: an
-// obligation dropped on a panic path is not a leak the rules care about,
-// matching how -race and the e2e leak checks would never observe it.
+// testing's Fatal/Skip family) end their block without an exit edge: a
+// path that never returns neither blocks its caller nor releases a lock
+// the caller could observe.
 
 // cfgBlock is one basic block: statements (and guard expressions) in
 // execution order, then unconditional transfer to one of succs.
@@ -75,8 +75,7 @@ func buildCFG(body *ast.BlockStmt, info *types.Info) *cfg {
 		if tgt, ok := b.labels[p.label]; ok {
 			b.link(p.from, tgt)
 		}
-		// An unresolved goto (malformed source) leaves the block dead-ended,
-		// which is the conservative choice for obligation analysis.
+		// An unresolved goto (malformed source) leaves the block dead-ended.
 	}
 	return b.g
 }

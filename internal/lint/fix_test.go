@@ -19,7 +19,6 @@ func TestSuggestedFixes(t *testing.T) {
 		analyzer *lint.Analyzer
 	}{
 		{"closecheck", lint.NewClosecheck([]string{"fixture/closecheck"})},
-		{"cancelfree", lint.NewCancelfree()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.rule, func(t *testing.T) {

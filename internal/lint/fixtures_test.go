@@ -157,8 +157,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"ioconfine", lint.NewIoconfine([]string{"fixture/other"})},
 		{"closecheck", lint.NewClosecheck([]string{"fixture/closecheck"})},
 		{"eventkind", lint.NewEventkind("github.com/optlab/opt/internal/events")},
-		{"cancelfree", lint.NewCancelfree()},
-		{"poolpair", lint.NewPoolpair("github.com/optlab/opt/internal/buffer")},
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
 		{"lockorder", lint.NewLockorder()},
@@ -175,17 +173,14 @@ func TestAnalyzerFixtures(t *testing.T) {
 }
 
 // TestInterprocFixtures exercises the summary layer across package
-// boundaries: the helper package's summaries (ownership transfer, pure
-// borrow) drive findings — and silence — in the packages that call it.
-// The helper's own findings (condguard's unlocked notify) are diffed
-// against the helper's want comments, whichever package calls it.
+// boundaries: the helper package's Blocks facts drive lockheld's findings —
+// and silence — in the packages that call it. The helper's own findings
+// (condguard's unlocked notify) are diffed against the helper's want
+// comments, whichever package calls it.
 func TestInterprocFixtures(t *testing.T) {
 	helper := loadFixture(t, "interproc", "helper")
 	helperDir := filepath.Join("testdata", "interproc", "helper")
-	analyzers := []*lint.Analyzer{
-		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
-		lint.NewCondguard(),
-	}
+	analyzers := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard()}
 	for _, variant := range []string{"bad", "ok"} {
 		t.Run(variant, func(t *testing.T) {
 			pkg := loadFixture(t, "interproc", variant)
@@ -298,19 +293,14 @@ func TestAtomicfieldExemptsTestFiles(t *testing.T) {
 // TestDefaultRegistry pins the shipped rule set, and that the held-lock
 // checker is registered once and reports every want line of its violating
 // fixture wherever the package sits: in the overlap-critical packages and
-// outside them alike. The obligation checker's two registrations differ in
-// scope instead: poolpair leaves the pool's own package alone, cancelfree
-// looks everywhere.
+// outside them alike.
 func TestDefaultRegistry(t *testing.T) {
 	var names []string
-	var heldLock, owned []*lint.Analyzer
+	var heldLock []*lint.Analyzer
 	for _, a := range lint.Default("github.com/optlab/opt") {
 		names = append(names, a.Name)
 		if a.Name == "lockheld" {
 			heldLock = append(heldLock, a)
-		}
-		if a.Name == "poolpair" || a.Name == "cancelfree" {
-			owned = append(owned, a)
 		}
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %s is missing Doc or Run", a.Name)
@@ -318,7 +308,7 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 	want := []string{
 		"ctxflow", "lockheld", "ioconfine", "closecheck", "eventkind",
-		"cancelfree", "poolpair", "atomicfield", "condguard", "lockorder",
+		"atomicfield", "condguard", "lockorder",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)
@@ -334,28 +324,6 @@ func TestDefaultRegistry(t *testing.T) {
 		pkg := loadFixtureAs(t, "lockheld", "bad", path)
 		if got := len(lint.Analyze([]*lint.Package{pkg}, heldLock)); got != wantLines {
 			t.Errorf("package %s: %d lockheld findings, want %d (one per want line)", path, got, wantLines)
-		}
-	}
-	for path, want := range map[string]string{
-		"github.com/optlab/opt/internal/buffer/fixture": "cancelfree",
-		"github.com/optlab/opt/internal/core/fixture":   "cancelfree,poolpair",
-	} {
-		pkgs := []*lint.Package{
-			loadFixtureAs(t, "poolpair", "bad", path+"/pool"),
-			loadFixtureAs(t, "cancelfree", "bad", path+"/cancel"),
-		}
-		rules := map[string]bool{}
-		for _, f := range lint.Analyze(pkgs, owned) {
-			rules[f.Rule] = true
-		}
-		var got []string
-		for _, name := range []string{"cancelfree", "poolpair"} {
-			if rules[name] {
-				got = append(got, name)
-			}
-		}
-		if strings.Join(got, ",") != want {
-			t.Errorf("packages under %s: obligation rules that fired = %v, want %s", path, got, want)
 		}
 	}
 }

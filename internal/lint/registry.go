@@ -24,8 +24,6 @@ func Default(module string) []*Analyzer {
 			module + "/internal/storage",
 		}),
 		NewEventkind(module + "/internal/events"),
-		NewCancelfree(),
-		NewPoolpair(module + "/internal/buffer"),
 		NewAtomicfield(),
 		NewCondguard(),
 		// The whole-module lock-order graph (DESIGN.md §16).

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,12 +10,10 @@ import (
 )
 
 // Summary-layer tests against the real tree: the facts the interprocedural
-// analyzers depend on must hold for the actual core/buffer code, not just
-// fixtures.
+// analyzers depend on must hold for the actual code, not just fixtures.
 
 const (
-	keyGetWork    = "(github.com/optlab/opt/internal/core.Ctx).getWork"
-	keyPutWork    = "(github.com/optlab/opt/internal/core.Ctx).putWork"
+	keyDrain      = "(github.com/optlab/opt/internal/ssd.AsyncDevice).Drain"
 	keyPoolInsert = "(github.com/optlab/opt/internal/buffer.Pool).Insert"
 )
 
@@ -41,53 +40,39 @@ func loadModule(t *testing.T) ([]*lint.Package, *lint.Program) {
 	return modulePkgs, moduleProg
 }
 
-// TestRealTreeSummaries pins the cross-function facts the acceptance bar
-// names: getWork owns its result through the type-asserted sync.Pool
-// Get (the transfer per-function v2 could not prove), putWork releases
-// its argument, and Pool.Insert stores the chunk it is given.
+// TestRealTreeSummaries pins one fact of each kind the summaries carry, on
+// the real tree: AsyncDevice.Drain always blocks (lockheld reports a
+// caller that holds a mutex across it), and Pool.Insert acquires the
+// pool's mutex (lockorder's graph has it as a node).
 func TestRealTreeSummaries(t *testing.T) {
 	_, prog := loadModule(t)
-	get := prog.Summaries[keyGetWork]
-	if get == nil {
-		t.Fatalf("no summary for %s", keyGetWork)
+	drain := prog.Summaries[keyDrain]
+	if drain == nil {
+		t.Fatalf("no summary for %s", keyDrain)
 	}
-	if len(get.OwnedResults) != 1 || !get.OwnedResults[0] {
-		t.Errorf("%s OwnedResults = %v, want [true] (sync.Pool Get behind a type assertion transfers ownership)",
-			keyGetWork, get.OwnedResults)
-	}
-	put := prog.Summaries[keyPutWork]
-	if put == nil {
-		t.Fatalf("no summary for %s", keyPutWork)
-	}
-	if len(put.Params) != 2 || !put.Params[1].Released {
-		t.Errorf("%s Params = %+v, want parameter w Released via sync.Pool Put", keyPutWork, put.Params)
+	if !drain.Blocks {
+		t.Errorf("%s Blocks = false, want true (it waits for every pending callback)", keyDrain)
 	}
 	ins := prog.Summaries[keyPoolInsert]
 	if ins == nil {
 		t.Fatalf("no summary for %s", keyPoolInsert)
 	}
-	if len(ins.Params) != 2 || !ins.Params[1].Escapes {
-		t.Errorf("%s Params = %+v, want the chunk parameter Escapes (stored in the pool)", keyPoolInsert, ins.Params)
+	var locks []string
+	for _, a := range ins.Acquires {
+		locks = append(locks, a.Lock)
+	}
+	if len(locks) != 1 || !strings.HasSuffix(locks[0], ".mu") {
+		t.Errorf("%s acquires %v, want the pool's mu alone", keyPoolInsert, locks)
 	}
 }
 
-// TestCoreDecodePathClean pins the other half of the acceptance bar: the
-// real decode → repoint → consume → recycle cycle in internal/core passes
-// poolpair with zero findings and zero suppressions.
-func TestCoreDecodePathClean(t *testing.T) {
+// TestRealTreeClean runs the shipped rule set over the whole module, as
+// CI's lint step does: no finding survives the tree's suppressions.
+func TestRealTreeClean(t *testing.T) {
 	pkgs, prog := loadModule(t)
-	var core []*lint.Package
-	for _, p := range pkgs {
-		if p.Path == "github.com/optlab/opt/internal/core" {
-			core = append(core, p)
-		}
-	}
-	if len(core) == 0 {
-		t.Fatal("no core package loaded")
-	}
-	an := []*lint.Analyzer{lint.NewPoolpair("github.com/optlab/opt/internal/buffer")}
-	for _, f := range lint.AnalyzeProgram(prog, core, an, 2) {
-		t.Errorf("unexpected finding on the core decode path: %s", f)
+	findings := lint.AnalyzeProgram(prog, pkgs, lint.Default("github.com/optlab/opt"), 2)
+	for _, f := range lint.ApplySuppressions(pkgs, findings) {
+		t.Errorf("finding on the real tree: %s", f)
 	}
 }
 
@@ -97,12 +82,9 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	pkgs := []*lint.Package{
 		loadFixture(t, "interproc", "helper"),
 		loadFixture(t, "interproc", "bad"),
-		loadFixture(t, "poolpair", "bad"),
+		loadFixture(t, "condguard", "bad"),
 	}
-	an := []*lint.Analyzer{
-		lint.NewPoolpair("github.com/optlab/opt/internal/buffer"),
-		lint.NewCondguard(),
-	}
+	an := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard()}
 	render := func(fs []lint.Finding) []string {
 		out := make([]string, len(fs))
 		for i, f := range fs {

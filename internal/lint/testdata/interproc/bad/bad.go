@@ -1,15 +1,15 @@
-// Package bad violates the interprocedural contract helper's summaries
-// describe: a borrow mistaken for a hand-off.
+// Package bad blocks under a mutex through a callee in another package:
+// only helper.Next's summary shows that the call always blocks.
 package bad
 
 import (
+	"sync"
+
 	"fixture/interproc/helper"
-	"github.com/optlab/opt/internal/buffer"
 )
 
-// borrowLeak never releases its chunk: per-function v2 treated any
-// mention as a hand-off, but BorrowChunk's summary proves a pure borrow.
-func borrowLeak() int {
-	c := buffer.GetChunk() // want "chunk from buffer\\.GetChunk is not handed back via buffer\\.PutChunk"
-	return helper.BorrowChunk(c)
+func nextLocked(mu *sync.Mutex, c chan int) int {
+	mu.Lock()
+	defer mu.Unlock()
+	return helper.Next(c) // want "call to fixture/interproc/helper\\.Next, which always blocks \\(blocking channel receive\\) while holding mu"
 }

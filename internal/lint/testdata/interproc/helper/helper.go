@@ -1,25 +1,25 @@
 // Package helper provides cross-package callees whose summaries the
-// interprocedural fixture tests consume: an ownership sink and a pure
-// borrow. Its notify without a lock is condguard's finding at the notify
-// itself, whatever the callers hold.
+// interprocedural fixture tests consume: one that always blocks and one
+// that never does. Its notify without a lock is condguard's finding at the
+// notify itself, whatever the callers hold.
 package helper
 
-import (
-	"sync"
+import "sync"
 
-	"github.com/optlab/opt/internal/buffer"
-)
-
-// Consume takes ownership of c and releases it — callers' poolpair
-// obligations discharge through this summary (Released).
-func Consume(c *buffer.Chunk) {
-	buffer.PutChunk(c)
+// Next always blocks: its only path receives from c. Callers that hold a
+// mutex across the call block under it.
+func Next(c chan int) int {
+	return <-c
 }
 
-// BorrowChunk only reads through c: its summary proves a pure borrow, so
-// passing a chunk here discharges nothing at the caller.
-func BorrowChunk(c *buffer.Chunk) int {
-	return c.NumPages
+// TryNext never blocks: the select has a default clause.
+func TryNext(c chan int) (int, bool) {
+	select {
+	case v := <-c:
+		return v, true
+	default:
+		return 0, false
+	}
 }
 
 // Notify signals without locking. The lock belongs next to the notify,

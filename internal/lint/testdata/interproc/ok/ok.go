@@ -1,27 +1,21 @@
-// Package ok satisfies the interprocedural contracts: every obligation
-// helper's summaries impose is met, so nothing may be reported.
+// Package ok calls helper's functions the way their summaries allow:
+// the blocking one with no lock held, the non-blocking one under a lock.
 package ok
 
 import (
 	"sync"
 
 	"fixture/interproc/helper"
-	"github.com/optlab/opt/internal/buffer"
 )
 
-// handOff discharges its pool obligation through helper.Consume's
-// Released summary — a cross-package ownership transfer.
-func handOff() {
-	c := buffer.GetChunk()
-	helper.Consume(c)
+func next(c chan int) int {
+	return helper.Next(c)
 }
 
-// borrowThenRelease borrows via the helper and still releases itself.
-func borrowThenRelease() int {
-	c := buffer.GetChunk()
-	n := helper.BorrowChunk(c)
-	buffer.PutChunk(c)
-	return n
+func tryNextLocked(mu *sync.Mutex, c chan int) (int, bool) {
+	mu.Lock()
+	defer mu.Unlock()
+	return helper.TryNext(c)
 }
 
 // guardedNotify holds a mutex across the call; condguard still reports

@@ -23,8 +23,6 @@ type Collector struct {
 	triangles     atomic.Int64
 	reusedPages   atomic.Int64 // internal-area loads served from buffered frames (Δin_io)
 	ioWait        atomic.Int64 // nanoseconds spent blocked on I/O completion
-	parallelWork  atomic.Int64 // nanoseconds of parallelisable work (intersections)
-	serialWork    atomic.Int64 // nanoseconds of inherently serial work
 	iterations    atomic.Int64 // completed outer-loop iterations (event-fed)
 	morphs        atomic.Int64 // thread-morph transitions (event-fed)
 
@@ -118,12 +116,6 @@ func (c *Collector) AddDirectFallbacks(n int64) { c.directFallbacks.Add(n) }
 
 // AddIOWait records d spent blocked waiting for I/O.
 func (c *Collector) AddIOWait(d time.Duration) { c.ioWait.Add(int64(d)) }
-
-// AddParallelWork records d of parallelisable CPU work.
-func (c *Collector) AddParallelWork(d time.Duration) { c.parallelWork.Add(int64(d)) }
-
-// AddSerialWork records d of inherently serial work.
-func (c *Collector) AddSerialWork(d time.Duration) { c.serialWork.Add(int64(d)) }
 
 // Event implements events.Sink, so a Collector can be attached directly to
 // the execution engine's event layer and accumulate progress counters.
@@ -245,8 +237,6 @@ func (c *Collector) Reset() {
 	c.triangles.Store(0)
 	c.reusedPages.Store(0)
 	c.ioWait.Store(0)
-	c.parallelWork.Store(0)
-	c.serialWork.Store(0)
 	c.iterations.Store(0)
 	c.morphs.Store(0)
 	c.coalescedReads.Store(0)
@@ -290,9 +280,7 @@ type Snapshot struct {
 	ShardsRetried    int64 `json:"shards_retried"`
 	ShardsMerged     int64 `json:"shards_merged"`
 
-	IOWait       time.Duration `json:"io_wait_ns"`
-	ParallelWork time.Duration `json:"parallel_work_ns"`
-	SerialWork   time.Duration `json:"serial_work_ns"`
+	IOWait time.Duration `json:"io_wait_ns"`
 }
 
 // Snapshot returns a copy of the current counter values.
@@ -322,9 +310,7 @@ func (c *Collector) Snapshot() Snapshot {
 		ShardsRetried:    c.shardsRetried.Load(),
 		ShardsMerged:     c.shardsMerged.Load(),
 
-		IOWait:       time.Duration(c.ioWait.Load()),
-		ParallelWork: time.Duration(c.parallelWork.Load()),
-		SerialWork:   time.Duration(c.serialWork.Load()),
+		IOWait: time.Duration(c.ioWait.Load()),
 	}
 }
 

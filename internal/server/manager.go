@@ -305,27 +305,29 @@ func (m *Manager) worker() {
 
 // run drives one admitted job of either kind through its lifecycle: run
 // context, hand-over of the cancel func, the kind's runner, terminal state.
+// The run context derives from the manager's root context, so a forced
+// drain cancels it, and is bounded by the spec's timeout or, when the spec
+// carries none, by Config.DefaultTimeout. Both context constructors are
+// called here, not in a helper, so that go vet's lostcancel sees their
+// cancel funcs.
 func (m *Manager) run(j *Job) {
-	ctx, cancel := m.jobContext(j.timeout)
+	timeout := j.timeout
+	if timeout == 0 {
+		timeout = m.cfg.DefaultTimeout
+	}
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(m.rootCtx, timeout)
+	} else {
+		ctx, cancel = context.WithCancel(m.rootCtx)
+	}
 	defer cancel()
 	if !j.begin(cancel) {
 		return // a DELETE finalized the job while it waited
 	}
 	out, err := j.kind.run(ctx, m, j)
 	j.finish(stateFor(err), out, err)
-}
-
-// jobContext derives a job's run context from the manager's root context,
-// so a forced drain cancels it, bounded by the spec's timeout or, when the
-// spec carries none, by Config.DefaultTimeout.
-func (m *Manager) jobContext(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout == 0 {
-		timeout = m.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
-		return context.WithTimeout(m.rootCtx, timeout)
-	}
-	return context.WithCancel(m.rootCtx)
 }
 
 // parseDuration parses the optional Go-duration spec field named field;

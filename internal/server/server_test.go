@@ -299,27 +299,38 @@ func TestCancelQueued(t *testing.T) {
 // TestJobContextReleasedOnFinish pins that a job's run context is released
 // when the job ends, not at drain: it is a child of the manager's root
 // context, and one left live keeps its timer and its place among the
-// root's children until Drain.
+// root's children until Drain. Both of Manager.run's constructors are
+// covered: WithTimeout under a default timeout, WithCancel without one.
 func TestJobContextReleasedOnFinish(t *testing.T) {
 	path := buildStore(t, graph.Complete(6), 128)
-	m := server.New(server.Config{Workers: 1, QueueDepth: 1, DefaultTimeout: time.Hour})
-	defer m.Drain(5 * time.Second)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{{"timeout", time.Hour}, {"no-timeout", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := server.New(server.Config{Workers: 1, QueueDepth: 1, DefaultTimeout: tc.timeout})
+			defer m.Drain(5 * time.Second)
 
-	j, err := m.Submit(server.Spec{Store: path, Algorithm: "test-ctx"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ctx context.Context
-	select {
-	case ctx = <-runCtx:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the runner never started")
-	}
-	<-j.Done()
-	select {
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("the job's run context is still live 5 s after the job finished")
+			j, err := m.Submit(server.Spec{Store: path, Algorithm: "test-ctx"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctx context.Context
+			select {
+			case ctx = <-runCtx:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the runner never started")
+			}
+			if _, hasDeadline := ctx.Deadline(); hasDeadline != (tc.timeout > 0) {
+				t.Fatalf("run context has a deadline = %v, want %v", hasDeadline, tc.timeout > 0)
+			}
+			<-j.Done()
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("the job's run context is still live 5 s after the job finished")
+			}
+		})
 	}
 }
 
