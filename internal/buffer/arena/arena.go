@@ -19,18 +19,22 @@ import (
 	"unsafe"
 )
 
-// maxPerClass bounds each size-class free list; buffers released beyond it
-// are dropped for the GC. The async device keeps at most ring-depth buffers
-// in flight, so the bound only matters when a workload's read sizes shift.
-const maxPerClass = 64
+// maxRetained bounds the bytes of idle buffers an arena keeps, over all
+// its size classes; a buffer released beyond it is dropped for the GC. The
+// ssd layer keeps one arena for the whole process, so the bound is what a
+// daemon retains between runs, whatever its stores, read sizes and job
+// count. A warm OPT run holds far less than the bound in flight, so its
+// read loop still recycles every buffer.
+const maxRetained = 1 << 20
 
 // Arena recycles byte buffers whose backing arrays start on an alignment
 // boundary. It is safe for concurrent use.
 type Arena struct {
 	align int
 
-	mu   sync.Mutex
-	free map[int][][]byte // size class → released full-capacity slices
+	mu       sync.Mutex
+	free     map[int][][]byte // size class → released full-capacity slices
+	retained int              // bytes on the free lists
 
 	allocs   int64 // fresh allocations (cache misses)
 	recycles int64 // acquisitions served from a free list
@@ -71,6 +75,7 @@ func (a *Arena) Acquire(n int) []byte {
 		b := l[len(l)-1]
 		l[len(l)-1] = nil
 		a.free[size] = l[:len(l)-1]
+		a.retained -= size
 		a.recycles++
 		a.mu.Unlock()
 		return b[:n]
@@ -96,8 +101,9 @@ func (a *Arena) Release(b []byte) {
 		return
 	}
 	a.mu.Lock()
-	if len(a.free[size]) < maxPerClass {
+	if a.retained+size <= maxRetained {
 		a.free[size] = append(a.free[size], full)
+		a.retained += size
 	}
 	a.mu.Unlock()
 }

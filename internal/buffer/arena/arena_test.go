@@ -104,3 +104,46 @@ func TestConcurrentUse(t *testing.T) {
 		<-done
 	}
 }
+
+// TestRetentionBounded pins what one process-wide arena may keep: however
+// many buffers are released at once, from however many goroutines, the
+// free lists hold at most maxRetained bytes over all classes, and the rest
+// go to the GC.
+func TestRetentionBounded(t *testing.T) {
+	a := New(4096)
+	const size = 64 << 10
+	held := 2 * maxRetained / size
+	bufs := make([][]byte, held)
+	for i := range bufs {
+		bufs[i] = a.Acquire(size)
+	}
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := g; i < held; i += 4 {
+				a.Release(bufs[i])
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	if n := len(a.free[size]); n*size != maxRetained || a.retained != maxRetained {
+		t.Fatalf("%d buffers of %d bytes released, %d retained (%d bytes counted); want %d bytes", held, size, n, a.retained, maxRetained)
+	}
+	a.Release(a.Acquire(4096)) // another class, with no room left
+	if len(a.free[4096]) != 0 {
+		t.Fatal("a full arena retained a buffer of another class")
+	}
+	before, _ := a.Stats()
+	for i := 0; i <= maxRetained/size; i++ {
+		a.Acquire(size)
+	}
+	if allocs, _ := a.Stats(); allocs-before != 1 {
+		t.Fatalf("%d acquisitions after the releases took %d fresh buffers, want 1", maxRetained/size+1, allocs-before)
+	}
+	if a.retained != 0 {
+		t.Fatalf("empty free lists count %d bytes", a.retained)
+	}
+}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
@@ -55,14 +57,30 @@ func (shardRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevi
 }
 
 // blockRecs holds n≻(v) of every vertex of one block — all the edge
-// iterator reads of a record — indexed by v - lo. Entries outside the block
-// are nil.
+// iterator reads of a record — as consecutive runs of one id arena:
+// n≻(v) is ids[off[v-lo]:off[v-lo+1]].
 type blockRecs struct {
 	lo, hi uint32
-	succ   [][]uint32
+	off    []int
+	ids    []uint32
 }
 
-func (b *blockRecs) of(v uint32) []uint32 { return b.succ[v-b.lo] }
+func (b *blockRecs) of(v uint32) []uint32 {
+	i := v - b.lo
+	return b.ids[b.off[i]:b.off[i+1]:b.off[i+1]]
+}
+
+// loadScratch is what a block load reuses from chunk to chunk: the read
+// buffer and the decoded records with their neighbor arena. Tasks share
+// them through scratchPool, so an agent's warm task allocates little more
+// than its blocks' id arenas.
+type loadScratch struct {
+	buf   []byte
+	recs  []storage.VertexRec
+	arena []uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(loadScratch) }}
 
 // CountShard counts the triangles owned by one block-pair task of grid
 // over the store: triangles whose base edge (u, v), u < v, has
@@ -82,16 +100,15 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 	if chunk < 1 {
 		chunk = 1
 	}
-	blockI, err := loadBlock(ctx, st, dev, grid, shard.I, chunk)
+	sc := scratchPool.Get().(*loadScratch)
+	blockI, err := loadBlock(ctx, st, dev, grid, shard.I, chunk, sc)
+	blockJ := blockI
+	if err == nil && shard.J != shard.I {
+		blockJ, err = loadBlock(ctx, st, dev, grid, shard.J, chunk, sc)
+	}
+	scratchPool.Put(sc)
 	if err != nil {
 		return 0, err
-	}
-	blockJ := blockI
-	if shard.J != shard.I {
-		blockJ, err = loadBlock(ctx, st, dev, grid, shard.J, chunk)
-		if err != nil {
-			return 0, err
-		}
 	}
 
 	// The engine's edge kernel, record by record: u's partners in block J
@@ -128,31 +145,54 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 }
 
 // loadBlock reads and decodes the vertex records of grid block i, issuing
-// device reads of at most chunk pages (extended to record-run boundaries).
-func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int) (*blockRecs, error) {
+// device reads of at most chunk pages (extended to record-run boundaries)
+// into sc's buffer and decoding them into sc's records. Only n≻(v) of the
+// block's vertices is copied out, into one arena sized by their degrees.
+func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int, sc *loadScratch) (*blockRecs, error) {
 	lo, hi := grid.Range(i)
-	b := &blockRecs{lo: lo, hi: hi, succ: make([][]uint32, hi-lo)}
+	b := &blockRecs{lo: lo, hi: hi, off: make([]int, hi-lo+1)}
 	if lo >= hi {
 		return b, nil
 	}
+	deg := 0
+	for v := lo; v < hi; v++ {
+		deg += st.DegreeOf(v)
+	}
+	b.ids = make([]uint32, 0, deg)
 	p := st.FirstPageOf(lo)
 	for p < st.NumPages && st.FirstRecordOf(p) < hi {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		n := st.AlignedRange(p, chunk)
-		data, err := dev.ReadPages(p, n)
-		if err != nil {
+		size := n * st.PageSize
+		sc.buf = slices.Grow(sc.buf[:0], size)[:size]
+		if err := dev.ReadPagesInto(sc.buf, p, n); err != nil {
 			return nil, fmt.Errorf("cluster: reading pages [%d, %d) of block %d: %w", p, p+uint32(n), i, err)
 		}
-		recs, err := st.Decode(data)
+		var err error
+		sc.recs, sc.arena, err = st.DecodeAppend(sc.recs[:0], sc.arena[:0], sc.buf)
+		if err == nil && sc.recs[0].ID != st.FirstRecordOf(p) {
+			// Store.DecodeAppend holds the span to the directories; that
+			// it is the span asked for is this caller's check, and the
+			// offsets below rely on it.
+			err = fmt.Errorf("%w: pages start with record %d, page %d with %d",
+				storage.ErrCorruptPage, sc.recs[0].ID, p, st.FirstRecordOf(p))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: decoding pages [%d, %d) of block %d: %w", p, p+uint32(n), i, err)
 		}
-		for _, r := range recs {
-			if r.ID >= lo && r.ID < hi {
-				b.succ[r.ID-lo] = r.Adj[intersect.UpperBound(r.Adj, r.ID):]
+		// The span's records are consecutive ids, and the spans follow one
+		// another, so the block's vertices arrive in order, each once.
+		for _, r := range sc.recs {
+			if r.ID < lo {
+				continue
 			}
+			if r.ID >= hi {
+				break
+			}
+			b.ids = append(b.ids, r.Adj[intersect.UpperBound(r.Adj, r.ID):]...)
+			b.off[r.ID-lo+1] = len(b.ids)
 		}
 		p += uint32(n)
 	}

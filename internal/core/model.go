@@ -68,13 +68,16 @@ type Ctx struct {
 	out      Output      // nil: count only, nothing is emitted per pair
 
 	// mx holds the run's totals: every work tally is flushed into it.
-	mx    *metrics.Collector
-	works sync.Pool // *work
+	mx *metrics.Collector
+	// works is a pointer so that the runtime's pool registry, which keeps
+	// a pool reachable for two GC cycles after its last use, holds only
+	// work states, not a finished run's internal area.
+	works *sync.Pool // *work
 }
 
 func newCtx(store *storage.Store, out Output, mx *metrics.Collector) *Ctx {
 	c := &Ctx{store: store, out: out, mx: mx}
-	c.works.New = func() any { return &work{buf: make([]uint32, 0, 256)} }
+	c.works = &sync.Pool{New: func() any { return &work{buf: make([]uint32, 0, 256)} }}
 	return c
 }
 

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -142,5 +145,26 @@ func TestPartnerRange(t *testing.T) {
 		if listed[i] != want[i] {
 			t.Fatalf("listed %v, want %v", listed, want)
 		}
+	}
+}
+
+// TestFinishedCtxIsCollectable pins that a finished run's context — the
+// internal area with it — is garbage at the first collection after the
+// run. The runtime's pool registry keeps a pool that served a Put reachable
+// for two cycles; with the pool embedded in the Ctx, that kept each
+// finished run's area alive as well, and a daemon that allocates little per
+// job collects seldom, so the areas of many finished jobs piled up in its
+// heap.
+func TestFinishedCtxIsCollectable(t *testing.T) {
+	c := newCtx(nil, nil, metrics.NewCollector())
+	c.putWork(c.getWork())
+	collected := make(chan struct{})
+	runtime.SetFinalizer(c, func(*Ctx) { close(collected) })
+	c = nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a finished run's Ctx survived a collection")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/ssd"
@@ -134,16 +133,9 @@ func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error)
 	if m.cfg.WrapDevice != nil {
 		dev = m.cfg.WrapDevice(dev)
 	}
-	tempDir, err := os.MkdirTemp(m.cfg.TempDir, "optd-job-")
-	if err != nil {
-		_ = dev.Close()
-		return outcome{}, err
-	}
-	defer func() { _ = os.RemoveAll(tempDir) }()
-
 	opts := r.spec.Options
 	opts.MemoryPages = r.pages
-	opts.TempDir = tempDir
+	opts.TempDir = m.cfg.TempDir
 	opts.Events = j.sink()
 
 	j.markRunning()

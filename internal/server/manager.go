@@ -8,10 +8,12 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,7 +58,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// EventBuffer is the per-job event ring/channel capacity (default 256).
 	EventBuffer int
-	// TempDir hosts per-job scratch directories (default: os.TempDir()).
+	// TempDir is every job's engine.Options.TempDir (default:
+	// os.TempDir()). The runners that write files, CC and GraphChi-Tri,
+	// make and remove their own subdirectory in it per run.
 	TempDir string
 	// WrapDevice, when non-nil, wraps every job's page device before the
 	// run starts — the fault-injection seam the distributed chaos tests use
@@ -103,6 +107,7 @@ func New(cfg Config) *Manager {
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 256
 	}
+	cfg.TempDir = cmp.Or(cfg.TempDir, os.TempDir())
 	m := &Manager{
 		cfg:    cfg,
 		budget: NewPageBudget(cfg.TotalPages),

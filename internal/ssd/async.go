@@ -87,10 +87,11 @@ const nopTag = ^uint64(0)
 // asynchronous requests (Algorithm 9 lines 9–13) without deadlock because
 // the submission queue is unbounded.
 //
-// Every read lands in a buffer from an aligned arena. AsyncReadOwned hands
-// it to the callback to keep until it is given back through Recycle;
-// AsyncRead recycles it as soon as the callback returns, so the data slice
-// it delivers is valid only for the duration of the callback.
+// Every read lands in a buffer from readArena, the one aligned arena every
+// device of the process shares. AsyncReadOwned hands it to the callback to
+// keep until it is given back through Recycle; AsyncRead recycles it as
+// soon as the callback returns, so the data slice it delivers is valid
+// only for the duration of the callback.
 //
 // The embedded SyncDevice is the blocking path, ReadPages, through the same
 // latency model and outlets.
@@ -102,7 +103,6 @@ type AsyncDevice struct {
 	pending sync.WaitGroup
 	workers sync.WaitGroup // worker/ring engine goroutines, joined by Close
 	once    sync.Once
-	pool    *arena.Arena
 
 	// Ring engine: set when dev is a ringDevice with a live ring and the
 	// latency model is zero.
@@ -111,6 +111,12 @@ type AsyncDevice struct {
 	slotFree chan uint64
 	staged   int // reads prepared since the last flush; submitter only
 }
+
+// readArena holds the read buffers of every AsyncDevice in the process. A
+// device lives for one run, and a daemon runs job after job: buffers a run
+// releases serve the next run's reads, whichever store it reads, and the
+// arena's byte bound caps what stays retained between runs.
+var readArena = arena.New(DirectAlign)
 
 type completion struct {
 	data []byte
@@ -129,7 +135,6 @@ func NewAsyncDevice(dev PageDevice, opts AsyncOptions) *AsyncDevice {
 		queue:      newReqQueue(),
 		done:       make(chan struct{}),
 		compl:      make(chan completion, opts.QueueDepth*2),
-		pool:       arena.New(DirectAlign),
 	}
 	if ip, ok := dev.(InfoProvider); ok {
 		if info := ip.BackendInfo(); info.Backend == BackendNative && !info.Direct {
@@ -186,9 +191,9 @@ func (d *AsyncDevice) AsyncRead(first uint32, count int, cb func(data []byte, er
 }
 
 // Recycle returns a buffer delivered by an AsyncReadOwned callback to the
-// device's arena. nil and foreign buffers are ignored, so error-path
+// read arena. nil and foreign buffers are ignored, so error-path
 // callers need no guards.
-func (d *AsyncDevice) Recycle(data []byte) { d.pool.Release(data) }
+func (d *AsyncDevice) Recycle(data []byte) { readArena.Release(data) }
 
 // AsyncReadScatter submits one asynchronous vectored read covering
 // len(spans) consecutive page runs: segment i spans spans[i] pages and
@@ -274,7 +279,7 @@ func (d *AsyncDevice) serveCancelled(req request) bool {
 func (d *AsyncDevice) read(req request) completion {
 	var buf []byte
 	if req.count > 0 {
-		buf = d.pool.Acquire(req.count * d.PageSize())
+		buf = readArena.Acquire(req.count * d.PageSize())
 	}
 	return d.readDone(req, buf, d.dev.ReadPagesInto(buf, req.first, req.count))
 }
@@ -284,7 +289,7 @@ func (d *AsyncDevice) read(req request) completion {
 // straight back to the arena.
 func (d *AsyncDevice) readDone(req request, buf []byte, err error) completion {
 	if err != nil {
-		d.pool.Release(buf)
+		readArena.Release(buf)
 		return completion{err: err, cb: req.cb}
 	}
 	d.note(events.PagesRead, int64(req.count))
@@ -368,7 +373,7 @@ func (d *AsyncDevice) stageOne(req request) {
 		return
 	}
 	slot := d.acquireSlot()
-	buf := d.pool.Acquire(req.count * d.PageSize())
+	buf := readArena.Acquire(req.count * d.PageSize())
 	if err := d.ring.PrepareRead(slot, buf, req.first, req.count); err != nil {
 		d.slotFree <- slot
 		d.compl <- d.readDone(req, buf, err)

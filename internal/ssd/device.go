@@ -91,14 +91,44 @@ func (d *SyncDevice) NumPages() uint32 { return d.dev.NumPages() }
 // the read and its simulated latency. Once the device context is done it
 // fails fast with the context's error.
 func (d *SyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	if err := d.opts.Context.Err(); err != nil {
+	sw, err := d.start(count)
+	if err != nil {
 		return nil, err
+	}
+	data, err := d.dev.ReadPages(first, count)
+	d.finish(sw, count, err)
+	return data, err
+}
+
+// ReadPagesInto is ReadPages into buf, which must hold at least
+// count*PageSize() bytes; only that prefix is written. A caller that reads
+// chunk after chunk reuses one buffer instead of allocating one per read.
+func (d *SyncDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
+	sw, err := d.start(count)
+	if err != nil {
+		return err
+	}
+	err = d.dev.ReadPagesInto(buf, first, count)
+	d.finish(sw, count, err)
+	return err
+}
+
+// start charges a count-page read to the latency model, or fails fast with
+// the context's error once the device context is done.
+func (d *SyncDevice) start(count int) (metrics.Stopwatch, error) {
+	if err := d.opts.Context.Err(); err != nil {
+		return metrics.Stopwatch{}, err
 	}
 	sw := metrics.StartStopwatch()
 	d.mu.Lock()
 	d.th.Charge(d.opts.Latency.Cost(count))
 	d.mu.Unlock()
-	data, err := d.dev.ReadPages(first, count)
+	return sw, nil
+}
+
+// finish accounts a read that start began: one synchronous read and its
+// wait, and its pages when it succeeded.
+func (d *SyncDevice) finish(sw metrics.Stopwatch, count int, err error) {
 	if m := d.opts.Metrics; m != nil {
 		m.AddSyncReads(1)
 		m.AddIOWait(sw.Elapsed())
@@ -106,7 +136,6 @@ func (d *SyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
 	if err == nil {
 		d.note(events.PagesRead, int64(count))
 	}
-	return data, err
 }
 
 // note accounts one device-level observation — pages transferred by any

@@ -2,7 +2,9 @@ package ssd
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -215,23 +217,64 @@ func TestAsyncReadFromCallbackChaining(t *testing.T) {
 // TestSyncDeviceReads checks the synchronous path: content, one sync read
 // and its pages on the collector, and the simulated latency charged to the
 // caller.
+// TestSyncDeviceReads pins the contract both synchronous read paths share:
+// each read charges the latency model and counts one synchronous read, a
+// successful one counts its pages, and a done context fails fast — no
+// read, no charge, no count, and ReadPagesInto's buffer untouched.
 func TestSyncDeviceReads(t *testing.T) {
-	m := metrics.NewCollector()
-	lat := Latency{PerRead: 2 * SleepQuantum}
-	d := NewSyncDevice(newMemDevice(64, 4), AsyncOptions{Latency: lat, Metrics: m})
-	start := time.Now()
-	got, err := d.ReadPages(2, 2)
-	if err != nil {
-		t.Fatal(err)
+	paths := map[string]func(d *SyncDevice, first uint32, count int) ([]byte, error){
+		"ReadPages": (*SyncDevice).ReadPages,
+		"ReadPagesInto": func(d *SyncDevice, first uint32, count int) ([]byte, error) {
+			buf := make([]byte, 4*64)
+			buf[0] = 0xEE
+			err := d.ReadPagesInto(buf, first, count)
+			if err != nil && buf[0] != 0xEE {
+				return nil, fmt.Errorf("a failed read wrote the buffer: %w", err)
+			}
+			return buf[:count*64], err
+		},
 	}
-	if elapsed := time.Since(start); elapsed < lat.PerRead-SleepQuantum {
-		t.Fatalf("a %v read returned after %v", lat.PerRead, elapsed)
-	}
-	if got[0] != 2 || got[64] != 3 {
-		t.Fatal("sync read content wrong")
-	}
-	if m.SyncReads() != 1 || m.PagesRead() != 2 || m.AsyncReads() != 0 {
-		t.Fatalf("metrics: sync=%d read=%d async=%d", m.SyncReads(), m.PagesRead(), m.AsyncReads())
+	for name, read := range paths {
+		t.Run(name, func(t *testing.T) {
+			m := metrics.NewCollector()
+			lat := Latency{PerRead: 2 * SleepQuantum}
+			ctx, cancel := context.WithCancel(context.Background())
+			d := NewSyncDevice(newMemDevice(64, 4), AsyncOptions{Latency: lat, Metrics: m, Context: ctx})
+
+			start := time.Now()
+			got, err := read(d, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed < lat.PerRead-SleepQuantum {
+				t.Fatalf("a %v read returned after %v", lat.PerRead, elapsed)
+			}
+			if got[0] != 2 || got[64] != 3 {
+				t.Fatal("read content wrong")
+			}
+			if m.SyncReads() != 1 || m.PagesRead() != 2 || m.AsyncReads() != 0 || m.IOWait() <= 0 {
+				t.Fatalf("metrics: sync=%d read=%d async=%d wait=%v", m.SyncReads(), m.PagesRead(), m.AsyncReads(), m.IOWait())
+			}
+
+			if _, err := read(d, 3, 2); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("read past the end: err = %v, want ErrOutOfRange", err)
+			}
+			if m.SyncReads() != 2 || m.PagesRead() != 2 {
+				t.Fatalf("a failed read: sync=%d read=%d, want 2 and 2", m.SyncReads(), m.PagesRead())
+			}
+
+			cancel()
+			start = time.Now()
+			if _, err := read(d, 0, 1); !errors.Is(err, context.Canceled) {
+				t.Fatalf("read on a done context: err = %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed >= lat.PerRead {
+				t.Fatalf("read on a done context took %v, the latency model charges %v", elapsed, lat.PerRead)
+			}
+			if m.SyncReads() != 2 || m.PagesRead() != 2 {
+				t.Fatalf("a read on a done context was counted: sync=%d read=%d", m.SyncReads(), m.PagesRead())
+			}
+		})
 	}
 }
 
@@ -643,12 +686,12 @@ func TestAsyncReadRecycles(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		round()
 	}
-	before, _ := d.pool.Stats()
+	before, _ := readArena.Stats()
 	const rounds = 20
 	for i := 0; i < rounds; i++ {
 		round()
 	}
-	if after, _ := d.pool.Stats(); after-before >= 16 {
+	if after, _ := readArena.Stats(); after-before >= 16 {
 		t.Fatalf("%d warm rounds of 16 reads took %d fresh arena buffers", rounds, after-before)
 	}
 }
