@@ -87,8 +87,10 @@ var scratchPool = sync.Pool{New: func() any { return new(loadScratch) }}
 // block(u) = shard.I and block(v) = shard.J. memPages bounds the pages a
 // single device read may cover (0 selects a small default); dev accounts
 // the pages read; sink (may be nil) receives TrianglesFound progress; res
-// (may be nil) accumulates the Eq. 3 CPU cost. On cancellation or a device
-// error the count so far is returned alongside the error.
+// (may be nil) accumulates the Eq. 3 CPU cost. A task is its one
+// iteration, so the sink gets one TrianglesFound with the count returned,
+// also when cancellation stops the kernel loop early and that count is
+// partial. A device error stops the load, before any triangle is counted.
 func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, shard Shard, memPages int, sink events.Sink, res *engine.Result) (int64, error) {
 	if shard.I < 0 || shard.J < shard.I || shard.J >= grid.Dim {
 		return 0, fmt.Errorf("cluster: shard (%d, %d) outside 0 ≤ i ≤ j < %d", shard.I, shard.J, grid.Dim)
@@ -118,30 +120,26 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 	var probe intersect.Prober
 	var total int64
 	for u := blockI.lo; u < blockI.hi; u++ {
-		if err := ctx.Err(); err != nil {
-			return total, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		nsU := blockI.of(u)
 		first := intersect.LowerBound(nsU, blockJ.lo)
 		partners := nsU[first : first+intersect.LowerBound(nsU[first:], blockJ.hi)]
 		set := probe.Fix(nsU, len(partners), st.NumVertices)
-		var row int64
 		for i, v := range partners {
 			rest, nsV := nsU[first+i+1:], blockJ.of(v)
-			row += int64(intersect.AdaptiveBitmapCount(nsV, rest, set))
+			total += int64(intersect.AdaptiveBitmapCount(nsV, rest, set))
 			if res != nil {
 				res.IntersectOps += intersect.MinCost(rest, nsV)
 			}
 		}
 		intersect.Unfix(set, nsU)
-		if row > 0 {
-			total += row
-			if sink != nil {
-				sink.Event(events.Event{Kind: events.TrianglesFound, Algorithm: ShardRunnerName, N: row})
-			}
-		}
 	}
-	return total, nil
+	if total > 0 && sink != nil {
+		sink.Event(events.Event{Kind: events.TrianglesFound, Algorithm: ShardRunnerName, N: total})
+	}
+	return total, err
 }
 
 // loadBlock reads and decodes the vertex records of grid block i, issuing

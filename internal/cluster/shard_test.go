@@ -12,6 +12,7 @@ import (
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
+	"github.com/optlab/opt/internal/testutil"
 )
 
 const testPageSize = 128
@@ -243,6 +244,65 @@ func TestCountShardCancellation(t *testing.T) {
 	cancel()
 	if _, err := CountShard(ctx, st, syncDev(dev), grid, Shard{}, 0, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAt is a context that cancels itself on the at-th call of its Err
+// method (never when at is 0) and counts the calls: a cancellation that
+// lands at the same point of CountShard's loops in every run.
+type cancelAt struct {
+	context.Context
+	cancel    context.CancelFunc
+	calls, at int
+}
+
+func newCancelAt(at int) *cancelAt {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAt{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *cancelAt) Err() error {
+	if c.calls++; c.calls == c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCountShardCancelKeepsTallies cancels a grid-1 task after its block
+// is loaded, halfway through the kernel's rows: the partial count
+// CountShard returns must be exactly what its sink received, in its one
+// TrianglesFound event.
+func TestCountShardCancelKeepsTallies(t *testing.T) {
+	g := workloads(t)["rmat"]
+	st, base := buildStore(t, g, storage.CodecRaw)
+	grid, err := NewGrid(1, st.NumVertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &ssd.FaultyDevice{PageDevice: base}
+	dry := newCancelAt(0)
+	full, err := CountShard(dry, st, syncDev(counted), grid, Shard{}, 4, nil, nil)
+	dry.cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The load checks the context once per read, the kernel once per row.
+	loaded := int(counted.Reads())
+	if rows := dry.calls - loaded; rows < 2 {
+		t.Fatalf("%d context checks after %d reads: no row to cancel at", rows, loaded)
+	}
+	ctx := newCancelAt(loaded + (dry.calls-loaded)/2)
+	defer ctx.cancel()
+	sink := &testutil.TriangleSink{}
+	got, err := CountShard(ctx, st, syncDev(base), grid, Shard{}, 4, sink, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got <= 0 || got >= full {
+		t.Fatalf("cancelled halfway through the rows, the task counted %d of %d triangles", got, full)
+	}
+	if events, received := sink.Counts(); received != got || events != 1 {
+		t.Fatalf("partial count %d, the sink received %d in %d events, want it in 1", got, received, events)
 	}
 }
 

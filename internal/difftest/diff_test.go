@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
+	"github.com/optlab/opt/internal/testutil"
 
 	// Every algorithm package registers its Runner in init; the sweep
 	// enumerates the registry, so importing one here adds it to the matrix.
@@ -152,16 +154,21 @@ func TestAllAlgorithmsMatchReference(t *testing.T) {
 // Collector attached as the run's event sink must see the page I/O the
 // Result reports: every runner keeps its own collector private and counts
 // what its events say, so a sink is the one outside outlet, and it cannot
-// double a count.
+// double a count. Progress has the granularity of Algorithm 3's outer
+// loop: at most one TrianglesFound per iteration (one for a run of none,
+// such as a Shard2D task's single one), their N adding up to the count, so
+// what retains a run's events — an optd job's replay ring — holds a few
+// per iteration, whatever the graph's size.
 func count(t *testing.T, name string, g *graph.Graph, codec string, budget int) int64 {
 	t.Helper()
 	st, dev := buildStoreCodec(t, g, codec)
 	sink := metrics.NewCollector()
+	progress := &testutil.TriangleSink{}
 	res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
 		MemoryPages: budget,
 		TempDir:     t.TempDir(),
 		Codec:       codec,
-		Events:      sink,
+		Events:      events.Tee(sink, progress),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +179,13 @@ func count(t *testing.T, name string, g *graph.Graph, codec string, budget int) 
 	if sink.PagesRead() != res.PagesRead || sink.PagesWritten() != res.PagesWritten {
 		t.Fatalf("sink counted %d pages read, %d written; the result has %d, %d",
 			sink.PagesRead(), sink.PagesWritten(), res.PagesRead, res.PagesWritten)
+	}
+	found, sum := progress.Counts()
+	if limit := max(1, res.Iterations); found > limit {
+		t.Fatalf("%d TrianglesFound events over %d iterations, want ≤ %d", found, res.Iterations, limit)
+	}
+	if sum != res.Triangles {
+		t.Fatalf("TrianglesFound events sum to %d, the result counts %d", sum, res.Triangles)
 	}
 	return res.Triangles
 }

@@ -14,7 +14,9 @@ import (
 // never blocks, whatever the consumers do — by fanning out through
 // bounded per-subscriber channels that drop (and count) events when a
 // slow client falls behind, while a bounded replay ring preserves the
-// most recent history for late subscribers.
+// most recent history for late subscribers. A closed hub keeps the ring
+// alone, oldest event first and exactly as long as the history, for as
+// long as the manager retains the job.
 type eventHub struct {
 	mu     sync.Mutex
 	ring   []events.Event // last ≤ maxLen events; once full, ring[head] is the oldest
@@ -60,20 +62,28 @@ func (h *eventHub) Event(e events.Event) {
 	}
 }
 
+// closedEvents is the live channel of every subscription to a closed hub.
+var closedEvents = func() chan events.Event {
+	ch := make(chan events.Event)
+	close(ch)
+	return ch
+}()
+
 // Subscribe returns the replayable history plus a live channel. The
 // channel is closed when the hub closes (job reached a terminal state) or
 // when the returned cancel function runs. Subscribing to a closed hub
 // still returns the history with an already-closed channel, so a client
-// attaching after completion sees the full (bounded) stream.
+// attaching after completion sees the full (bounded) stream; that replay
+// is the closed hub's own ring, which nothing writes again, so the caller
+// must not modify it.
 func (h *eventHub) Subscribe() (replay []events.Event, ch <-chan events.Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed {
+		return h.ring, closedEvents, func() {}
+	}
 	replay = append(append([]events.Event(nil), h.ring[h.head:]...), h.ring[:h.head]...)
 	s := &subscriber{ch: make(chan events.Event, h.maxLen)}
-	if h.closed {
-		close(s.ch)
-		return replay, s.ch, func() {}
-	}
 	h.subs[s] = struct{}{}
 	return replay, s.ch, func() {
 		h.mu.Lock()
@@ -86,7 +96,10 @@ func (h *eventHub) Subscribe() (replay []events.Event, ch <-chan events.Event, c
 }
 
 // Close ends the stream: every subscriber channel is closed after the
-// events already fanned out, and further Event calls are ignored.
+// events already fanned out, and further Event calls are ignored. The
+// ring is compacted to its length with the oldest event at index 0: a
+// finished job keeps its history, not the slack a full ring would have
+// needed.
 func (h *eventHub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -96,8 +109,11 @@ func (h *eventHub) Close() {
 	h.closed = true
 	for s := range h.subs {
 		close(s.ch)
-		delete(h.subs, s)
 	}
+	h.subs = nil
+	ring := make([]events.Event, len(h.ring))
+	copy(ring[copy(ring, h.ring[h.head:]):], h.ring[:h.head])
+	h.ring, h.head = ring, 0
 }
 
 // writeSSE writes one server-sent event frame.
