@@ -12,74 +12,77 @@ package events
 
 import "time"
 
-// Kind identifies what happened.
-type Kind uint8
+// Kind identifies what happened. Its field is unexported, so no other
+// package can make a Kind: the kinds declared below are the only ones
+// there are, and the zero Kind is RunStart. They are vars, so the compiler
+// does not stop a package reassigning one; review guards against that.
+type Kind struct{ id uint8 }
 
 // Event kinds. The N payload field holds the kind-specific count noted in
-// parentheses.
-const (
+// parentheses. Each id indexes kindNames.
+var (
 	// RunStart marks the beginning of an engine run.
-	RunStart Kind = iota
+	RunStart = Kind{}
 	// RunEnd marks the end of a run (N = total triangles; Elapsed = wall).
-	RunEnd
+	RunEnd = Kind{1}
 	// IterationStart marks the beginning of one outer-loop iteration or
 	// block (N = internal/block pages where known).
-	IterationStart
+	IterationStart = Kind{2}
 	// IterationEnd marks the end of an iteration (N = triangles found in
 	// the iteration; Elapsed = iteration wall time).
-	IterationEnd
+	IterationEnd = Kind{3}
 	// PagesRead reports completed page reads (N = pages).
-	PagesRead
+	PagesRead = Kind{4}
 	// PagesWritten reports completed page writes (N = pages).
-	PagesWritten
+	PagesWritten = Kind{5}
 	// TrianglesFound reports discovered triangles (N = triangles).
-	TrianglesFound
+	TrianglesFound = Kind{6}
 	// Morph reports thread-morphing activity: workers that switched task
 	// class during an iteration (N = morph transitions; §3.4).
-	Morph
+	Morph = Kind{7}
 	// CoalescedRead reports one vectored device read that merged several
 	// consecutive-page chunk requests of the request list L into a single
 	// submission (N = pages covered by the read).
-	CoalescedRead
+	CoalescedRead = Kind{8}
 	// PrefetchHit reports read-ahead completions whose data was consumed:
 	// the read was issued while another was still in flight, and its chunks
 	// went on to be processed (N = reads).
-	PrefetchHit
+	PrefetchHit = Kind{9}
 	// PrefetchWasted reports read-ahead completions whose data was dropped
 	// — the run was cancelled or the read failed before its chunks could be
 	// processed (N = reads).
-	PrefetchWasted
+	PrefetchWasted = Kind{10}
 	// SubmittedBatch reports one io_uring submission batch: a single
 	// io_uring_enter call that pushed several staged reads to the kernel at
 	// once (N = SQEs in the batch).
-	SubmittedBatch
+	SubmittedBatch = Kind{11}
 	// RingDepth reports, once per device open, the depth of the native
 	// backend's completion ring (N = SQ entries). Absent when the run uses
 	// the portable worker-pool engine.
-	RingDepth
+	RingDepth = Kind{12}
 	// DirectFallback reports that a native device wanted O_DIRECT but fell
 	// back to buffered reads — the store offset or page size is unaligned,
 	// or the filesystem rejected the open (N = 1 per open).
-	DirectFallback
+	DirectFallback = Kind{13}
 	// ShardDispatched reports one shard-pair task sent to an agent by the
 	// distributed coordinator (Iteration = task index; N = attempt number,
 	// 1 for the first dispatch).
-	ShardDispatched
+	ShardDispatched = Kind{14}
 	// ShardRetried reports a shard-pair task re-dispatched after an agent
 	// failure or a straggler deadline (Iteration = task index; N = attempt
 	// number of the replacement dispatch).
-	ShardRetried
+	ShardRetried = Kind{15}
 	// ShardMerged reports a shard-pair task result merged exactly once into
 	// the distributed total (Iteration = task index; N = triangles the task
 	// contributed; Elapsed = the task's agent-side wall time).
-	ShardMerged
+	ShardMerged = Kind{16}
 	// TaskDone reports one finished unit of parallelisable work — a chunk
 	// task of OPT's scheduler, one streamed record of a GraphChi-Tri batch —
 	// and is emitted only by a run that collects iteration stats
 	// (Iteration = the barrier group the task belongs to: OPT's outer
 	// iteration, GraphChi-Tri's batch; N = the task class, TaskInternal or
 	// TaskExternal; Elapsed = the task's measured duration).
-	TaskDone
+	TaskDone = Kind{17}
 )
 
 // Task classes, the N of a TaskDone event: the two thread roles of §3.2.
@@ -88,49 +91,18 @@ const (
 	TaskExternal
 )
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case RunStart:
-		return "run-start"
-	case RunEnd:
-		return "run-end"
-	case IterationStart:
-		return "iteration-start"
-	case IterationEnd:
-		return "iteration-end"
-	case PagesRead:
-		return "pages-read"
-	case PagesWritten:
-		return "pages-written"
-	case TrianglesFound:
-		return "triangles-found"
-	case Morph:
-		return "morph"
-	case CoalescedRead:
-		return "coalesced-read"
-	case PrefetchHit:
-		return "prefetch-hit"
-	case PrefetchWasted:
-		return "prefetch-wasted"
-	case SubmittedBatch:
-		return "submitted-batch"
-	case RingDepth:
-		return "ring-depth"
-	case DirectFallback:
-		return "direct-fallback"
-	case ShardDispatched:
-		return "shard-dispatched"
-	case ShardRetried:
-		return "shard-retried"
-	case ShardMerged:
-		return "shard-merged"
-	case TaskDone:
-		return "task-done"
-	default:
-		return "unknown-event"
-	}
+// kindNames spells each kind, indexed by its id: the wire name of optd's
+// SSE stream and persisted job reports.
+var kindNames = [...]string{
+	"run-start", "run-end", "iteration-start", "iteration-end",
+	"pages-read", "pages-written", "triangles-found", "morph",
+	"coalesced-read", "prefetch-hit", "prefetch-wasted", "submitted-batch",
+	"ring-depth", "direct-fallback", "shard-dispatched", "shard-retried",
+	"shard-merged", "task-done",
 }
+
+// String implements fmt.Stringer.
+func (k Kind) String() string { return kindNames[k.id] }
 
 // MarshalText implements encoding.TextMarshaler, so JSON-encoded events —
 // the optd SSE stream, persisted job reports — carry stable kind names

@@ -2,10 +2,11 @@ package events
 
 import "testing"
 
-// TestKindNames: every declared kind has its own spelling — not the
-// fallback — and MarshalText, the wire form of optd's SSE stream, carries
-// it. The first value past the last declared kind must be the fallback, so
-// a kind added without a String case fails here.
+// TestKindNames: every declared kind carries its golden spelling, the wire
+// form of optd's SSE stream, through String and MarshalText; the kinds are
+// distinct, numbered in declaration order, and name every entry of the
+// table, so a kind added without a name, or a name without a kind, fails
+// here.
 func TestKindNames(t *testing.T) {
 	kinds := []struct {
 		kind Kind
@@ -30,24 +31,23 @@ func TestKindNames(t *testing.T) {
 		{ShardMerged, "shard-merged"},
 		{TaskDone, "task-done"},
 	}
-	const fallback = "unknown-event"
-	seen := map[string]Kind{}
-	for i, k := range kinds {
-		if int(k.kind) != i {
-			t.Fatalf("%s is kind %d, the table lists it at %d: a kind is missing from this test", k.name, k.kind, i)
-		}
-		if got := k.kind.String(); got != k.name || got == fallback {
-			t.Errorf("Kind(%d).String() = %q, want %q", k.kind, got, k.name)
-		}
-		if prev, dup := seen[k.name]; dup {
-			t.Errorf("kinds %d and %d share the spelling %q", prev, k.kind, k.name)
-		}
-		seen[k.name] = k.kind
-		if text, err := k.kind.MarshalText(); err != nil || string(text) != k.name {
-			t.Errorf("Kind(%d).MarshalText() = %q, %v; want %q", k.kind, text, err, k.name)
-		}
+	if len(kindNames) != len(kinds) {
+		t.Fatalf("kindNames has %d entries, the declared kinds are %d", len(kindNames), len(kinds))
 	}
-	if got := Kind(len(kinds)).String(); got != fallback {
-		t.Errorf("Kind(%d) is declared (%q) but not in this test's table", len(kinds), got)
+	for i, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			if int(k.kind.id) != i {
+				t.Fatalf("%s has id %d, want %d (its place in declaration order)", k.name, k.kind.id, i)
+			}
+			if got := k.kind.String(); got != k.name {
+				t.Errorf("String() = %q, want %q", got, k.name)
+			}
+			if text, err := k.kind.MarshalText(); err != nil || string(text) != k.name {
+				t.Errorf("MarshalText() = %q, %v; want %q", text, err, k.name)
+			}
+		})
+	}
+	if (Kind{}) != RunStart {
+		t.Errorf("the zero Kind is %s, want run-start", Kind{})
 	}
 }

@@ -18,7 +18,7 @@ import (
 func NewAtomicfield() *Analyzer {
 	return &Analyzer{
 		Name: "atomicfield",
-		Doc:  "a struct field is never passed by address to a sync/atomic function: use a typed atomic field",
+		Doc:  "no field passed by address to a `sync/atomic` function: typed atomics only",
 		Run:  runAtomicfield,
 	}
 }

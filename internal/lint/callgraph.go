@@ -65,7 +65,6 @@ type Program struct {
 
 	// Module-wide lock-order graph (lockorder.go), the union of the
 	// summaries' edge facts.
-	lockNodes  []string
 	lockAdj    map[string][]string
 	lockWit    map[[2]string]lockWitness
 	lockCycles []lockCycle

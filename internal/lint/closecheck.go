@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -20,7 +19,7 @@ func NewClosecheck(pkgs []string) *Analyzer {
 	cc := &closecheck{pkgs: pkgs}
 	return &Analyzer{
 		Name: "closecheck",
-		Doc:  "Close/Drain/Flush errors on ssd/diskio/storage types must be checked or explicitly discarded",
+		Doc:  "`Close`/`Drain`/`Flush` errors checked or explicitly `_ =` discarded",
 		Run:  cc.run,
 	}
 }
@@ -33,11 +32,9 @@ func (cc *closecheck) run(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
-			fixable := false // `_ =` only rewrites a plain statement, not defer/go
 			switch st := n.(type) {
 			case *ast.ExprStmt:
 				call, _ = st.X.(*ast.CallExpr)
-				fixable = true
 			case *ast.DeferStmt:
 				call = st.Call
 			case *ast.GoStmt:
@@ -49,18 +46,7 @@ func (cc *closecheck) run(pass *Pass) {
 				return true
 			}
 			if recv, method, ok := cc.target(pass.Pkg.Info, call); ok {
-				f := Finding{
-					Pos:     pass.Pkg.Fset.Position(call.Pos()),
-					Rule:    "closecheck",
-					Message: fmt.Sprintf("error result of %s.%s() is unchecked (check it or discard with `_ =`)", recv, method),
-				}
-				if fixable {
-					f.Fix = &Fix{
-						Message: "discard the error explicitly with `_ =`",
-						Edits:   []TextEdit{{Pos: call.Pos(), End: call.Pos(), NewText: "_ = "}},
-					}
-				}
-				pass.report(f)
+				pass.Reportf(call.Pos(), "error result of %s.%s() is unchecked (check it or discard with `_ =`)", recv, method)
 			}
 			return true
 		})

@@ -29,7 +29,7 @@ import (
 func NewCondguard() *Analyzer {
 	return &Analyzer{
 		Name: "condguard",
-		Doc:  "sync.Cond.Wait needs a predicate-rechecking for loop with L held; Signal/Broadcast require L",
+		Doc:  "`Cond.Wait` in a predicate-rechecking `for` with the lock held; `Signal`/`Broadcast` under the lock",
 		Run:  runCondguard,
 	}
 }

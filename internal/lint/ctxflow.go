@@ -19,7 +19,7 @@ import (
 func NewCtxflow() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
-		Doc:  "a ctx-taking function must pass its context on, never context.Background()/TODO()",
+		Doc:  "`context.Background()`/`TODO()` never replaces an in-scope ctx parameter",
 		Run:  runCtxflow,
 	}
 }

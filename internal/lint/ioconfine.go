@@ -26,7 +26,7 @@ func NewIoconfine(allow []string) *Analyzer {
 	io := &ioconfine{allow: allow}
 	return &Analyzer{
 		Name: "ioconfine",
-		Doc:  "direct os file access and syscall use are confined to the I/O-layer packages",
+		Doc:  "raw file/syscall I/O confined to the device layers and `cmd/`",
 		Run:  io.run,
 	}
 }

@@ -1,25 +1,20 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"path/filepath"
+	"sort"
 	"strings"
-	"sync"
 )
 
-// Finding is one rule violation at a source position. Fix, when non-nil,
-// is a mechanical remediation `optlint -fix` can apply; it never appears
-// in the -json schema.
+// Finding is one rule violation at a source position.
 type Finding struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	Fix     *Fix
 }
 
 // String renders the driver's line format: file:line:col: [rule] message.
@@ -57,59 +52,42 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 type Analyzer struct {
 	// Name is the rule identifier printed in findings.
 	Name string
-	// Doc is a one-line description for -help style listings.
+	// Doc is the one-line description README's analyzer table repeats.
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
 
-// Analyze runs every analyzer over every package and returns the findings
-// sorted by position. The whole-module Program (call graph + summaries) is
-// built first so every pass sees interprocedural facts.
+// Analyze builds the whole-module Program (call graph + summaries), so
+// every pass sees interprocedural facts, then runs every analyzer over
+// every package and returns the findings sorted by position.
 func Analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return AnalyzeParallel(pkgs, analyzers, 1)
-}
-
-// AnalyzeParallel is Analyze with the per-package analyzer runs fanned out
-// over a bounded worker pool. Findings are deterministic regardless of
-// workers: results are collected per package and sorted by position at the
-// end, and the shared Program is immutable once built.
-func AnalyzeParallel(pkgs []*Package, analyzers []*Analyzer, workers int) []Finding {
-	return AnalyzeProgram(BuildProgram(pkgs), pkgs, analyzers, workers)
-}
-
-// AnalyzeProgram runs the analyzers over pkgs against an already-built
-// Program — the entry point for drivers that also use the Program itself
-// (the lock-order graph dump).
-func AnalyzeProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer, workers int) []Finding {
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([][]Finding, len(pkgs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
+	prog := BuildProgram(pkgs)
+	var out []Finding
+	for _, pkg := range pkgs {
 		if pkg == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var found []Finding
-			for _, a := range analyzers {
-				a.Run(&Pass{Pkg: pkg, Prog: prog, rule: a.Name, report: func(f Finding) { found = append(found, f) }})
-			}
-			results[i] = found
-		}(i, pkg)
+		for _, a := range analyzers {
+			a.Run(&Pass{Pkg: pkg, Prog: prog, rule: a.Name, report: func(f Finding) { out = append(out, f) }})
+		}
 	}
-	wg.Wait()
-	var out []Finding
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	sortFindings(out)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
+	})
 	return out
 }
 
@@ -121,42 +99,6 @@ func Relativize(findings []Finding, base string) {
 			findings[i].Pos.Filename = rel
 		}
 	}
-}
-
-// WriteText writes one finding per line in file:line:col: [rule] message
-// form.
-func WriteText(w io.Writer, findings []Finding) error {
-	for _, f := range findings {
-		if _, err := fmt.Fprintln(w, f.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonFinding is the stable -json schema for editor/tooling integration.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-// WriteJSON writes the findings as a JSON array of
-// {file, line, col, rule, message} objects (an empty array when clean),
-// followed by a newline.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-			Rule: f.Rule, Message: f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // pathWithin reports whether import path p equals prefix or lies beneath

@@ -62,13 +62,12 @@ type Package struct {
 
 // Loader loads and typechecks packages of one module.
 type Loader struct {
-	// Fset is shared by every parsed file, so finding positions from
+	// fset is shared by every parsed file, so finding positions from
 	// different packages are comparable.
-	Fset *token.FileSet
+	fset *token.FileSet
 
 	openExport func(path string) (io.ReadCloser, error)
 	modulePath string
-	moduleDir  string
 	dir        string
 	mods       map[string]*listPkg       // module packages by import path
 	export     map[string]string         // non-module import path → export data file
@@ -91,7 +90,7 @@ func NewLoader(dir string, openExport func(path string) (io.ReadCloser, error), 
 		patterns = []string{"./..."}
 	}
 	l := &Loader{
-		Fset:       token.NewFileSet(),
+		fset:       token.NewFileSet(),
 		openExport: openExport,
 		dir:        dir,
 		mods:       map[string]*listPkg{},
@@ -118,7 +117,7 @@ func NewLoader(dir string, openExport func(path string) (io.ReadCloser, error), 
 		}
 		if p.Module != nil && !p.Standard {
 			if l.modulePath == "" {
-				l.modulePath, l.moduleDir = p.Module.Path, p.Module.Dir
+				l.modulePath = p.Module.Path
 			}
 			l.mods[p.ImportPath] = &p
 			continue
@@ -130,7 +129,7 @@ func NewLoader(dir string, openExport func(path string) (io.ReadCloser, error), 
 	if l.modulePath == "" {
 		return nil, fmt.Errorf("lint: no module packages matched %v in %s", patterns, dir)
 	}
-	l.gc = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := l.export[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
@@ -171,9 +170,6 @@ func runGo(dir string, args ...string) (string, error) {
 
 // ModulePath returns the module path of the loaded module.
 func (l *Loader) ModulePath() string { return l.modulePath }
-
-// ModuleDir returns the module root directory.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
 
 // Load typechecks every package selected by the loader's patterns and
 // returns the analysis units in deterministic order: each package with its
@@ -260,9 +256,9 @@ func (l *Loader) check(importPath, dir string, names []string) (*Package, error)
 	if len(names) == 0 {
 		return nil, nil
 	}
-	p := &Package{Path: importPath, Fset: l.Fset}
+	p := &Package{Path: importPath, Fset: l.fset}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
@@ -282,7 +278,7 @@ func (l *Loader) check(importPath, dir string, names []string) (*Package, error)
 		Importer: importerFunc(l.importable),
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
-	p.Types, _ = conf.Check(importPath, l.Fset, p.Files, p.Info)
+	p.Types, _ = conf.Check(importPath, l.fset, p.Files, p.Info)
 	if len(terrs) > 0 {
 		return nil, fmt.Errorf("lint: type errors in %s (first of %d): %v", importPath, len(terrs), terrs[0])
 	}

@@ -14,7 +14,7 @@ import "go/ast"
 func NewLockheld() *Analyzer {
 	return &Analyzer{
 		Name: "lockheld",
-		Doc:  "no blocking operation (send/recv/range/select without default/Wait/Drain/callback) while holding a mutex",
+		Doc:  "no blocking operation (send, receive, range over a channel, `select` without `default` incl. `select {}`, `Wait`/`Drain`, always-blocking call, callback) under a held mutex, in every package",
 		Run: func(pass *Pass) {
 			for _, file := range pass.Pkg.Files {
 				funcBodies(file, func(body *ast.BlockStmt) {

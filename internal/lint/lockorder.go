@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -16,7 +15,7 @@ import (
 // for each of its edges, so the report *is* the repro recipe. The graph
 // and its cycles are computed once, single-threaded, in
 // buildLockGraph — the analyzer merely replays the findings owned by its
-// package, which keeps output byte-identical at any -parallel width.
+// package.
 
 // lockWitness is the representative evidence for one graph edge.
 type lockWitness struct {
@@ -49,20 +48,12 @@ func (p *Program) buildLockGraph() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	nodeSet := map[string]bool{}
 	for _, key := range keys {
 		s := p.Summaries[key]
 		if s == nil {
 			continue
 		}
-		// Every acquired lock is a node even without order edges, so the
-		// -graph dump doubles as the module's lock inventory.
-		for _, a := range s.Acquires {
-			nodeSet[a.Lock] = true
-		}
 		for _, e := range s.AcqEdges {
-			nodeSet[e.Held] = true
-			nodeSet[e.Acq.Lock] = true
 			id := [2]string{e.Held, e.Acq.Lock}
 			if _, dup := p.lockWit[id]; dup {
 				continue // first witness in sorted key order wins
@@ -71,21 +62,10 @@ func (p *Program) buildLockGraph() {
 			p.lockAdj[e.Held] = append(p.lockAdj[e.Held], e.Acq.Lock)
 		}
 	}
-	p.lockNodes = make([]string, 0, len(nodeSet))
-	for n := range nodeSet {
-		p.lockNodes = append(p.lockNodes, n)
-	}
-	sort.Strings(p.lockNodes)
 	for _, adj := range p.lockAdj {
 		sort.Strings(adj)
 	}
 	p.lockCycles = p.findLockCycles()
-}
-
-// lockSCCs returns the lock graph's strongly connected components; sorted
-// nodes and adjacency keep the order deterministic.
-func (p *Program) lockSCCs() [][]string {
-	return tarjanSCC(p.lockNodes, func(v string) []string { return p.lockAdj[v] })
 }
 
 // findLockCycles enumerates the graph's elementary cycles: the SCCs over
@@ -93,7 +73,14 @@ func (p *Program) lockSCCs() [][]string {
 // v⇝u return path, canonicalized by rotation and deduplicated — each
 // distinct node sequence is reported exactly once.
 func (p *Program) findLockCycles() []lockCycle {
-	sccs := p.lockSCCs()
+	// Only a lock with an outgoing edge can lie on a cycle; sorted nodes
+	// and adjacency keep the SCC order deterministic.
+	nodes := make([]string, 0, len(p.lockAdj))
+	for n := range p.lockAdj {
+		nodes = append(nodes, n)
+	}
+	sort.Strings(nodes)
+	sccs := tarjanSCC(nodes, func(v string) []string { return p.lockAdj[v] })
 	var cycles []lockCycle
 	seen := map[string]bool{}
 	for _, scc := range sccs {
@@ -216,58 +203,6 @@ func rotateToMin(cyc []string) []string {
 	return out
 }
 
-// WriteLockGraphDOT renders the lock-order graph as GraphViz DOT: one
-// node per abstract lock, one labeled edge per acquisition-order fact,
-// cycle edges highlighted. This is the `optlint -graph` output DESIGN.md
-// §16 renders the sanctioned lock hierarchy from.
-func (p *Program) WriteLockGraphDOT(w io.Writer) error {
-	cyclic := map[[2]string]bool{}
-	for _, scc := range p.lockSCCs() {
-		if len(scc) < 2 {
-			continue
-		}
-		in := map[string]bool{}
-		for _, n := range scc {
-			in[n] = true
-		}
-		for _, u := range scc {
-			for _, v := range p.lockAdj[u] {
-				if in[v] {
-					cyclic[[2]string{u, v}] = true
-				}
-			}
-		}
-	}
-	if _, err := fmt.Fprintln(w, "digraph lockorder {"); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  rankdir=LR;")
-	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
-	for _, n := range p.lockNodes {
-		fmt.Fprintf(w, "  %q;\n", n)
-	}
-	for _, u := range p.lockNodes {
-		for _, v := range p.lockAdj[u] {
-			wit := p.lockWit[[2]string{u, v}]
-			attr := fmt.Sprintf("label=%q", wit.Owner)
-			if cyclic[[2]string{u, v}] {
-				attr += ", color=red, penwidth=2"
-			}
-			if _, err := fmt.Fprintf(w, "  %q -> %q [%s];\n", u, v, attr); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
-// LockGraphSize reports the graph's shape (nodes, edges, cycles) for
-// driver logging.
-func (p *Program) LockGraphSize() (nodes, edges, cycles int) {
-	return len(p.lockNodes), len(p.lockWit), len(p.lockCycles)
-}
-
 // --- analyzer ---------------------------------------------------------------
 
 // NewLockorder returns the lockorder analyzer: module-wide ABBA deadlock
@@ -276,7 +211,7 @@ func (p *Program) LockGraphSize() (nodes, edges, cycles int) {
 func NewLockorder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "detect lock-order cycles (ABBA deadlocks) across the whole module, plus same-lock reacquisition and RLock→Lock upgrades",
+		Doc:  "module-wide lock-order graph: ABBA cycles with two-path witnesses, same-lock reacquisition, `RLock`→`Lock` upgrades",
 		Run: func(pass *Pass) {
 			if pass.Prog == nil {
 				return

@@ -23,7 +23,6 @@ func Default(module string) []*Analyzer {
 			module + "/internal/diskio",
 			module + "/internal/storage",
 		}),
-		NewEventkind(module + "/internal/events"),
 		NewAtomicfield(),
 		NewCondguard(),
 		// The whole-module lock-order graph (DESIGN.md §16).

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -67,40 +66,10 @@ func TestRealTreeSummaries(t *testing.T) {
 }
 
 // TestRealTreeClean runs the shipped rule set over the whole module, as
-// CI's lint step does: no finding survives the tree's suppressions.
+// CI's lint step does: the tree has no finding.
 func TestRealTreeClean(t *testing.T) {
-	pkgs, prog := loadModule(t)
-	findings := lint.AnalyzeProgram(prog, pkgs, lint.Default("github.com/optlab/opt"), 2)
-	for _, f := range lint.ApplySuppressions(pkgs, findings) {
+	pkgs, _ := loadModule(t)
+	for _, f := range lint.Analyze(pkgs, lint.Default("github.com/optlab/opt")) {
 		t.Errorf("finding on the real tree: %s", f)
-	}
-}
-
-// TestAnalyzeParallelDeterminism: identical findings whatever the worker
-// count, across repeated runs — the bar for parallelizing the driver.
-func TestAnalyzeParallelDeterminism(t *testing.T) {
-	pkgs := []*lint.Package{
-		loadFixture(t, "interproc", "helper"),
-		loadFixture(t, "interproc", "bad"),
-		loadFixture(t, "condguard", "bad"),
-	}
-	an := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard()}
-	render := func(fs []lint.Finding) []string {
-		out := make([]string, len(fs))
-		for i, f := range fs {
-			out[i] = f.String()
-		}
-		return out
-	}
-	base := render(lint.AnalyzeParallel(pkgs, an, 1))
-	if len(base) == 0 {
-		t.Fatal("determinism test needs a non-empty finding set")
-	}
-	for _, workers := range []int{2, 8} {
-		for round := 0; round < 3; round++ {
-			if got := render(lint.AnalyzeParallel(pkgs, an, workers)); !reflect.DeepEqual(base, got) {
-				t.Fatalf("workers=%d round=%d findings diverge:\nbase=%v\ngot =%v", workers, round, base, got)
-			}
-		}
 	}
 }

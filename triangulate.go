@@ -188,8 +188,10 @@ type Event = events.Event
 // EventKind identifies what an Event reports.
 type EventKind = events.Kind
 
-// Event kinds, re-exported for OnEvent consumers.
-const (
+// Event kinds, re-exported for OnEvent consumers. They are vars because
+// events.Kind has no constants: its declared values are the only kinds.
+// Read them; never assign to them.
+var (
 	EventRunStart       = events.RunStart
 	EventRunEnd         = events.RunEnd
 	EventIterationStart = events.IterationStart
