@@ -143,9 +143,10 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 }
 
 // loadBlock reads and decodes the vertex records of grid block i, issuing
-// device reads of at most chunk pages (extended to record-run boundaries)
-// into sc's buffer and decoding them into sc's records. Only n≻(v) of the
-// block's vertices is copied out, into one arena sized by their degrees.
+// device reads of at most chunk pages (extended to record-run boundaries,
+// clipped at the end of the block's last record) into sc's buffer and
+// decoding them into sc's records. Only n≻(v) of the block's vertices is
+// copied out, into one arena sized by their degrees.
 func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int, sc *loadScratch) (*blockRecs, error) {
 	lo, hi := grid.Range(i)
 	b := &blockRecs{lo: lo, hi: hi, off: make([]int, hi-lo+1)}
@@ -157,12 +158,12 @@ func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid
 		deg += st.DegreeOf(v)
 	}
 	b.ids = make([]uint32, 0, deg)
-	p := st.FirstPageOf(lo)
-	for p < st.NumPages && st.FirstRecordOf(p) < hi {
+	p, last := st.FirstPageOf(lo), st.FirstPageOf(hi-1)+uint32(st.SpanOf(hi-1))
+	for p < last {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n := st.AlignedRange(p, chunk)
+		n := min(st.AlignedRange(p, chunk), int(last-p))
 		size := n * st.PageSize
 		sc.buf = slices.Grow(sc.buf[:0], size)[:size]
 		if err := dev.ReadPagesInto(sc.buf, p, n); err != nil {

@@ -80,6 +80,50 @@ func TestCountShardMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestShardTaskReadsOnlyItsBlocks: a task reads exactly the pages its
+// block(s) span, once each, whatever the chunk budget — a chunk larger
+// than the rest of the store must not read past the block's last record.
+func TestShardTaskReadsOnlyItsBlocks(t *testing.T) {
+	g := workloads(t)["rmat"]
+	for _, codec := range testCodecs {
+		st, dev := buildStore(t, g, codec)
+		for _, dim := range []int{1, 2, 3} {
+			grid, err := NewGrid(dim, st.NumVertices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// pages[i] is the set of pages holding a record of block i.
+			pages := make([]map[uint32]bool, dim)
+			for i := range pages {
+				pages[i] = map[uint32]bool{}
+				lo, hi := grid.Range(i)
+				for v := lo; v < hi; v++ {
+					for k := 0; k < st.SpanOf(v); k++ {
+						pages[i][st.FirstPageOf(v)+uint32(k)] = true
+					}
+				}
+			}
+			for _, memPages := range []int{0, 4, 2*int(st.NumPages) + 2} {
+				for _, s := range grid.Shards() {
+					want := len(pages[s.I])
+					if s.J != s.I {
+						want += len(pages[s.J])
+					}
+					res, err := engine.Run(context.Background(), ShardRunnerName, st, dev, engine.Options{
+						ShardGrid: dim, ShardI: s.I, ShardJ: s.J, MemoryPages: memPages,
+					})
+					if err != nil {
+						t.Fatalf("%s dim=%d m=%d shard %+v: %v", codec, dim, memPages, s, err)
+					}
+					if res.PagesRead != int64(want) {
+						t.Errorf("%s dim=%d m=%d shard %+v: read %d pages, its blocks span %d", codec, dim, memPages, s, res.PagesRead, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardRunnerViaEngine drives the registered Shard2D runner through the
 // engine front door: the default 1×1 grid is a full count, and explicit
 // (grid, i, j) options count exactly that task.

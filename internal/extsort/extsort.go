@@ -15,17 +15,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"github.com/optlab/opt/internal/diskio"
+	"github.com/optlab/opt/internal/radix"
 )
 
 // Sorter accumulates uint64 keys and streams them back in ascending order
-// using at most ~8·RunSize bytes of memory plus merge buffers.
+// using at most ~8·RunSize bytes of memory plus merge buffers. The budget
+// is shared: a run holds RunSize/2 keys and the radix sort's scratch buffer
+// the other half.
 type Sorter struct {
 	dir     string
-	runSize int
+	runLen  int // keys per run
 	buf     []uint64
+	scratch []uint64 // radix.Sort's second buffer, grown to len(buf) on use
 	runs    []string
 	closed  bool
 
@@ -58,13 +61,15 @@ func (s *Sorter) tick() error {
 // DefaultRunSize is the default in-memory run length (keys).
 const DefaultRunSize = 1 << 22 // 32 MiB of keys
 
-// NewSorter creates a Sorter spilling runs into dir. runSize ≤ 0 selects
+// NewSorter creates a Sorter spilling runs into dir. runSize is the
+// in-memory budget in keys, runs and sort scratch together; ≤ 0 selects
 // DefaultRunSize.
 func NewSorter(dir string, runSize int) *Sorter {
 	if runSize <= 0 {
 		runSize = DefaultRunSize
 	}
-	return &Sorter{dir: dir, runSize: runSize, buf: make([]uint64, 0, min(runSize, 1<<20))}
+	runLen := max(runSize/2, 1)
+	return &Sorter{dir: dir, runLen: runLen, buf: make([]uint64, 0, min(runLen, 1<<20))}
 }
 
 // Push adds one key.
@@ -76,7 +81,7 @@ func (s *Sorter) Push(key uint64) error {
 		return err
 	}
 	s.buf = append(s.buf, key)
-	if len(s.buf) >= s.runSize {
+	if len(s.buf) >= s.runLen {
 		return s.spill()
 	}
 	return nil
@@ -87,7 +92,7 @@ func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	slices.Sort(s.buf)
+	s.sortBuf()
 	f, err := diskio.CreateTempRaw(s.dir, "extsort-run-*")
 	if err != nil {
 		return err
@@ -125,7 +130,7 @@ func (s *Sorter) Sort(fn func(key uint64) error) error {
 
 	// Common case: everything fit in memory.
 	if len(s.runs) == 0 {
-		slices.Sort(s.buf)
+		s.sortBuf()
 		for _, k := range s.buf {
 			if err := s.tick(); err != nil {
 				return err
@@ -187,6 +192,15 @@ func (s *Sorter) cleanup() {
 	}
 	s.runs = nil
 	s.buf = nil
+	s.scratch = nil
+}
+
+// sortBuf sorts the buffered run in place.
+func (s *Sorter) sortBuf() {
+	if cap(s.scratch) < len(s.buf) {
+		s.scratch = make([]uint64, len(s.buf))
+	}
+	radix.Sort(s.buf, s.scratch[:len(s.buf)])
 }
 
 // Runs reports the number of spilled run files (for tests).

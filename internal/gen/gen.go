@@ -61,7 +61,7 @@ func RMAT(p RMATParams) (*graph.Graph, error) {
 		levels++
 	}
 	n := p.NumVertices
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := newFloatStream(p.Seed)
 	b := graph.NewBuilder(n)
 	for i := int64(0); i < p.NumEdges; i++ {
 		u, v := rmatSample(rng, levels, p)
@@ -78,7 +78,10 @@ func RMAT(p RMATParams) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
-func rmatSample(rng *rand.Rand, levels int, p RMATParams) (graph.VertexID, graph.VertexID) {
+// rmatSample descends levels quadrants. The quadrant is read from the three
+// threshold comparisons as bits rather than branched on: the draws are
+// uniform, so a branch on them is mispredicted about half the time.
+func rmatSample(rng *floatStream, levels int, p RMATParams) (graph.VertexID, graph.VertexID) {
 	var u, v uint32
 	a, bb, c := p.A, p.B, p.C
 	for l := 0; l < levels; l++ {
@@ -92,25 +95,80 @@ func rmatSample(rng *rand.Rand, levels int, p RMATParams) (graph.VertexID, graph
 			ra, rb, rc = ra/norm, rb/norm, rc/norm
 		}
 		r := rng.Float64()
-		u <<= 1
-		v <<= 1
-		switch {
-		case r < ra:
-			// quadrant a: (0,0)
-		case r < ra+rb:
-			v |= 1
-		case r < ra+rb+rc:
-			u |= 1
-		default:
-			u |= 1
-			v |= 1
-		}
+		// Quadrants a (0,0), b (0,1), c (1,0), d (1,1) lie below ra,
+		// ra+rb, ra+rb+rc and 1; the three comparisons are monotone, so
+		// u's bit is "at least c" and v's is "b, or at least d".
+		geA, geB, geC := bit(r >= ra), bit(r >= ra+rb), bit(r >= ra+rb+rc)
+		u = u<<1 | geB
+		v = v<<1 | (geA ^ geB) | geC
 	}
 	return u, v
 }
 
-func mutate(rng *rand.Rand, x, noise float64) float64 {
+// bit converts a comparison to 0 or 1 without a branch.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func mutate(rng *floatStream, x, noise float64) float64 {
 	return x * (1 - noise/2 + rng.Float64()*noise)
+}
+
+// floatStream yields exactly the values rand.New(rand.NewSource(seed))
+// .Float64() would, without an interface call per draw. math/rand keeps
+// that seeded stream fixed (Rand.Float64: "we want to preserve that value
+// stream"): its source is the additive lagged-Fibonacci generator
+// y[k] = y[k−607] + y[k−273] (mod 2⁶⁴), and Float64 is the low 63 bits of
+// y[k] over 2⁶³, drawn again on the one value that rounds to 1. The first
+// 607 values come from the library source itself; floatStream continues
+// the recurrence 607 values at a time.
+type floatStream struct {
+	y   [floatLag]uint64 // the next values to hand out, y[pos:]
+	pos int
+}
+
+const (
+	floatLag = 607 // the generator's long lag
+	floatTap = 273 // its short lag
+)
+
+func newFloatStream(seed int64) *floatStream {
+	src := rand.NewSource(seed).(rand.Source64)
+	s := &floatStream{}
+	for i := range s.y {
+		s.y[i] = src.Uint64()
+	}
+	return s
+}
+
+// Float64 returns the next value in [0, 1).
+func (s *floatStream) Float64() float64 {
+	for {
+		if s.pos == floatLag {
+			s.refill()
+		}
+		f := float64(int64(s.y[s.pos]&(1<<63-1))) / (1 << 63)
+		s.pos++
+		if f != 1 {
+			return f
+		}
+	}
+}
+
+// refill replaces the block y[k−607 … k−1] by y[k … k+606] in place: a
+// value's short-lag partner still sits in the old block for the first 273
+// positions and in the new one after.
+func (s *floatStream) refill() {
+	for i := 0; i < floatTap; i++ {
+		s.y[i] += s.y[i+floatLag-floatTap]
+	}
+	for i := floatTap; i < floatLag; i++ {
+		s.y[i] += s.y[i-floatTap]
+	}
+	s.pos = 0
 }
 
 // ErdosRenyi generates a G(n, m) random graph: m edge samples drawn

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/optlab/opt/internal/graph"
@@ -183,5 +184,38 @@ func TestProxyPreservesDensityAndOrdering(t *testing.T) {
 	}
 	if _, err := d.Proxy(0); err == nil {
 		t.Error("Proxy(0): want error")
+	}
+}
+
+// BenchmarkRMAT times the benchmark's dense-cpu generation phase: the
+// twitter-density R-MAT proxy at 12 000 vertices, sampled and then
+// degree-ordered.
+func BenchmarkRMAT(b *testing.B) {
+	d, err := DatasetByName("twitter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultRMAT(12000, int64(12000*d.Density), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := RMAT(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graph.DegreeOrder(g)
+	}
+}
+
+// TestFloatStreamMatchesMathRand: R-MAT's own continuation of math/rand's
+// generator must hand out the library's Float64 stream value for value.
+func TestFloatStreamMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, 103, -5, 1 << 40} {
+		ref := rand.New(rand.NewSource(seed))
+		s := newFloatStream(seed)
+		for i := 0; i < 1_200_000; i++ {
+			if got, want := s.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d, draw %d: %v, want %v", seed, i, got, want)
+			}
+		}
 	}
 }

@@ -11,7 +11,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"github.com/optlab/opt/internal/radix"
 )
 
 // VertexID identifies a vertex after relabeling. The ordering of VertexIDs
@@ -105,8 +108,8 @@ func (g *Graph) String() string {
 // Builder accumulates edges and produces a simplified Graph (sorted lists,
 // duplicates and self-loops removed).
 type Builder struct {
-	n     int
-	edges []Edge
+	n    int
+	keys []uint64 // one u<<32 | v per AddEdge, u < v
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -124,59 +127,45 @@ func (b *Builder) AddEdge(u, v VertexID) error {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges = append(b.edges, Edge{u, v})
+	b.keys = append(b.keys, uint64(u)<<32|uint64(v))
 	return nil
 }
 
 // NumPendingEdges returns the number of edge records accumulated so far
 // (before deduplication).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
+func (b *Builder) NumPendingEdges() int { return len(b.keys) }
 
 // Build produces the Graph. The Builder may be reused afterwards.
+//
+// The edges are kept as packed u<<32 | v keys with u < v; sorting and
+// compacting the keys removes the duplicates, and one counting pass over
+// the sorted keys fills the CSR arrays. Every list comes out sorted without
+// a per-list sort: keys ascend by (u, v), so list x first receives its
+// smaller neighbours (from the keys (u, x), ascending in u, all of which
+// precede the keys (x, ·)) and then its larger ones (from the keys (x, v),
+// ascending in v).
 func (b *Builder) Build() *Graph {
-	deg := make([]int64, b.n)
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	// Deduplicate in place.
-	uniq := b.edges[:0]
-	var prev Edge
-	for i, e := range b.edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		uniq = append(uniq, e)
-		prev = e
-	}
-	b.edges = uniq
-	for _, e := range b.edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
+	radix.Sort(b.keys, make([]uint64, len(b.keys)))
+	b.keys = slices.Compact(b.keys)
 	offsets := make([]int64, b.n+1)
+	for _, k := range b.keys {
+		offsets[k>>32+1]++
+		offsets[uint32(k)+1]++
+	}
 	for i := 0; i < b.n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
+		offsets[i+1] += offsets[i]
 	}
 	adj := make([]uint32, offsets[b.n])
 	fill := make([]int64, b.n)
 	copy(fill, offsets[:b.n])
-	for _, e := range b.edges {
-		adj[fill[e.U]] = e.V
-		fill[e.U]++
-		adj[fill[e.V]] = e.U
-		fill[e.V]++
+	for _, k := range b.keys {
+		u, v := uint32(k>>32), uint32(k)
+		adj[fill[u]] = v
+		fill[u]++
+		adj[fill[v]] = u
+		fill[v]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	// Each list already ends up sorted for U-side entries, but V-side
-	// entries interleave; sort every list to guarantee the invariant.
-	for v := 0; v < b.n; v++ {
-		l := g.adj[offsets[v]:offsets[v+1]]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
-	return g
+	return &Graph{offsets: offsets, adj: adj}
 }
 
 // FromEdges builds a Graph directly from an edge slice.

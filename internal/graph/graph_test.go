@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -173,6 +174,30 @@ func TestDegreeOrderInvariants(t *testing.T) {
 	}
 }
 
+// TestRankByDegreeMatchesStableSort: the counting sort must give exactly
+// the (degree, id) order of a stable comparison sort, including degrees
+// of 2¹⁶ and more (its second digit pass) and degrees at or above the
+// vertex count (as repeated input edges produce).
+func TestRankByDegreeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, maxDeg := range []int{0, 1, 3, 200, 1 << 16, 1<<16 + 3, 1 << 31} {
+		for _, n := range []int{0, 1, 2, 50, 3000} {
+			deg := make([]uint32, n)
+			for v := range deg {
+				deg[v] = uint32(rng.Intn(maxDeg + 1))
+			}
+			want := make([]VertexID, n)
+			for v := range want {
+				want[v] = VertexID(v)
+			}
+			sort.SliceStable(want, func(i, j int) bool { return deg[want[i]] < deg[want[j]] })
+			if got := RankByDegree(deg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("max degree %d, n=%d: rank order differs from the stable sort", maxDeg, n)
+			}
+		}
+	}
+}
+
 func TestDegreeOrderReducesNSuccCost(t *testing.T) {
 	// On a hub-heavy graph, degree ordering should give the hub an id with
 	// small n≻.
@@ -299,5 +324,41 @@ func TestTransitivityEmptyGraph(t *testing.T) {
 	g := mustGraph(t, 3, nil)
 	if got := Transitivity(g); got != 0 {
 		t.Fatalf("Transitivity(empty) = %v, want 0", got)
+	}
+}
+
+// skewedEdges draws m edges over n vertices with one endpoint biased
+// towards low ids, duplicates and self-loops included.
+func skewedEdges(n, m int, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, m)
+	for i := range edges {
+		r := rng.Float64()
+		edges[i] = Edge{VertexID(rng.Intn(n)), VertexID(r * r * float64(n))}
+	}
+	return edges
+}
+
+// BenchmarkBuild times Builder.Build on a multigraph of the dense-cpu
+// workload's size (12 000 vertices, 423 k edge samples).
+func BenchmarkBuild(b *testing.B) {
+	edges := skewedEdges(12000, 423_000, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromEdges(12000, edges); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDegreeOrder times the Schank–Wagner relabeling of the same graph.
+func BenchmarkDegreeOrder(b *testing.B) {
+	g, err := FromEdges(12000, skewedEdges(12000, 423_000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DegreeOrder(g)
 	}
 }

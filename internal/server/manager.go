@@ -38,6 +38,10 @@ var (
 	ErrBudgetTooLarge = errors.New("server: job exceeds global page budget")
 	// ErrNotFound: no job with that id → 404.
 	ErrNotFound = errors.New("server: no such job")
+	// ErrForced finishes a job whose runner was still running drainGrace
+	// after Drain's deadline cancelled it: the runner ignored its context,
+	// and Drain stopped waiting for it. It wraps context.Canceled.
+	ErrForced = fmt.Errorf("server: forced off by drain, the runner ignored cancellation: %w", context.Canceled)
 )
 
 // Config sizes the manager. Zero values select the documented defaults.
@@ -271,13 +275,22 @@ func (m *Manager) Jobs() []*Job {
 	return append([]*Job(nil), m.order...)
 }
 
+// drainGrace is how long Drain waits for the runners after its deadline
+// has cancelled every job. A runner that honours its context returns
+// within one iteration, milliseconds on the stores optd serves; one still
+// running after this ignored the cancel.
+const drainGrace = 500 * time.Millisecond
+
 // Drain shuts the manager down gracefully: admission stops immediately
 // (Submit and SubmitDist fail with ErrDraining), in-flight and queued jobs
 // get up to deadline to finish, then every remaining job context is
-// cancelled and Drain waits for the pool workers and the coordinator
-// goroutines to wind down — the engine contract bounds that by one
-// iteration per job. It reports whether the deadline forced cancellation.
-// Drain is idempotent; concurrent calls share the outcome.
+// cancelled and Drain waits up to drainGrace more for the pool workers and
+// the coordinator goroutines to wind down — the engine contract bounds
+// that by one iteration per job. A job still unfinished then (its runner
+// ignored the cancel, or it is queued behind one that did) is finished as
+// canceled with ErrForced, and Drain returns without joining its
+// goroutine. It reports whether the deadline forced cancellation. Drain is
+// idempotent; concurrent calls share the outcome.
 func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	m.mu.Lock()
 	if !m.draining {
@@ -286,12 +299,27 @@ func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	}
 	m.mu.Unlock()
 
-	// Past the deadline every job context is cancelled, which bounds the
-	// wait below by one iteration per job. Stop reports false exactly when
-	// that cancellation already fired.
+	// Past the deadline every job context is cancelled. Stop reports false
+	// exactly when that cancellation already fired.
 	timer := time.AfterFunc(deadline, m.cancelJobs)
-	m.wg.Wait()
-	forced = !timer.Stop()
+	joined := make(chan struct{})
+	go func() { // exits when the last runner does, which a stuck one may delay past Drain
+		m.wg.Wait()
+		close(joined)
+	}()
+	giveUp := time.NewTimer(deadline + drainGrace)
+	defer giveUp.Stop()
+	select {
+	case <-joined:
+		forced = !timer.Stop()
+	case <-giveUp.C:
+		forced = true
+		for _, j := range m.Jobs() {
+			if !j.State().Terminal() {
+				j.finish(StateCanceled, outcome{}, ErrForced)
+			}
+		}
+	}
 	m.cancelJobs()
 	if m.agents != nil {
 		m.agents.CloseIdleConnections()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/optlab/opt/internal/extsort"
 	"github.com/optlab/opt/internal/graph"
@@ -27,9 +26,9 @@ type StreamBuildOptions struct {
 	// TempDir holds the external-sort runs and the staged data pages;
 	// defaults to the store's directory.
 	TempDir string
-	// RunSize is the external sorter's in-memory run length in keys
-	// (≤ 0 selects the default ~32 MiB). Small values are used by tests to
-	// force spills.
+	// RunSize is the external sorter's in-memory budget in keys, a run
+	// and its sort scratch together (≤ 0 selects the default ~32 MiB).
+	// Small values are used by tests to force spills.
 	RunSize int
 	// DegreeOrder applies the Schank–Wagner relabeling (computed from the
 	// first pass's degree counts) before writing. Strongly recommended:
@@ -124,17 +123,7 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 	// Ordering permutation: newID[orig].
 	newID := make([]uint32, n)
 	if opts.DegreeOrder {
-		perm := make([]uint32, n)
-		for i := range perm {
-			perm[i] = uint32(i)
-		}
-		sort.SliceStable(perm, func(i, j int) bool {
-			if deg[perm[i]] != deg[perm[j]] {
-				return deg[perm[i]] < deg[perm[j]]
-			}
-			return perm[i] < perm[j]
-		})
-		for rank, orig := range perm {
+		for rank, orig := range graph.RankByDegree(deg) {
 			newID[orig] = uint32(rank)
 		}
 	} else {
@@ -299,7 +288,7 @@ func (e EdgeListFileScanner) Scan(fn func(u, v uint32) error) error {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := sc.Text()
+		text := sc.Bytes()
 		i := 0
 		for i < len(text) && (text[i] == ' ' || text[i] == '\t') {
 			i++
@@ -324,7 +313,7 @@ func (e EdgeListFileScanner) Scan(fn func(u, v uint32) error) error {
 
 // parseUint32 reads one base-10 uint32 from the front of s, returning the
 // remainder after any following whitespace.
-func parseUint32(s string) (uint32, string, error) {
+func parseUint32(s []byte) (uint32, []byte, error) {
 	i := 0
 	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
 		i++
@@ -334,12 +323,12 @@ func parseUint32(s string) (uint32, string, error) {
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		x = x*10 + uint64(s[i]-'0')
 		if x > 1<<32-1 {
-			return 0, "", fmt.Errorf("vertex id overflows uint32")
+			return 0, nil, fmt.Errorf("vertex id overflows uint32")
 		}
 		i++
 	}
 	if i == start {
-		return 0, "", fmt.Errorf("expected a number, got %q", s)
+		return 0, nil, fmt.Errorf("expected a number, got %q", s)
 	}
 	return uint32(x), s[i:], nil
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/optlab/opt/internal/gen"
@@ -224,11 +225,11 @@ func TestEdgeListFileScanner(t *testing.T) {
 }
 
 func TestParseUint32(t *testing.T) {
-	if _, _, err := parseUint32("99999999999"); err == nil {
+	if _, _, err := parseUint32([]byte("99999999999")); err == nil {
 		t.Fatal("overflow: want error")
 	}
-	x, rest, err := parseUint32("  42 7")
-	if err != nil || x != 42 || rest != " 7" {
+	x, rest, err := parseUint32([]byte("  42 7"))
+	if err != nil || x != 42 || string(rest) != " 7" {
 		t.Fatalf("parseUint32 = %d, %q, %v", x, rest, err)
 	}
 }
@@ -278,4 +279,41 @@ func TestStreamingTriangleCounts(t *testing.T) {
 	if got := graph.CountTrianglesReference(b.Build()); got != want {
 		t.Fatalf("triangles = %d, want %d", got, want)
 	}
+}
+
+// BenchmarkStreamingBuild times the benchmark's dense-cpu store build: the
+// degree-ordered twitter-density R-MAT proxy at 12 000 vertices, written as
+// a "u v" text edge list and built into a raw store from the file.
+func BenchmarkStreamingBuild(b *testing.B) {
+	d, err := gen.DatasetByName("twitter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Proxy(12000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	el := filepath.Join(dir, "g.el")
+	var text []byte
+	g.Edges(func(u, v graph.VertexID) bool {
+		text = strconv.AppendUint(text, uint64(u), 10)
+		text = append(text, ' ')
+		text = strconv.AppendUint(text, uint64(v), 10)
+		text = append(text, '\n')
+		return true
+	})
+	if err := os.WriteFile(el, text, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildFileStreaming(filepath.Join(dir, "g.optstore"), EdgeListFileScanner{Path: el}, StreamBuildOptions{
+			PageSize: 4096, TempDir: dir, DegreeOrder: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
