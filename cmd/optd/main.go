@@ -115,9 +115,12 @@ func main() {
 		defer cancel()
 		shutdownDone <- srv.Shutdown(sctx)
 	}()
-	forced := mgr.Drain(*drainTimeout)
+	forced, abandoned := mgr.Drain(*drainTimeout)
 	if err := <-shutdownDone; err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "optd: http shutdown: %v\n", err)
+	}
+	if len(abandoned) > 0 {
+		fmt.Fprintf(os.Stderr, "optd: jobs %s forced off: their runners ignored cancellation\n", strings.Join(abandoned, ", "))
 	}
 	if forced {
 		fmt.Fprintln(os.Stderr, "optd: drain deadline reached; in-flight jobs cancelled, partial results kept")

@@ -15,6 +15,7 @@ func FuzzRadixSort(f *testing.F) {
 	f.Add([]byte("0123456789abcdefghijklmnopqrstuv"), uint8(3), ^uint64(0))
 	f.Add([]byte("zyxwvutsrqponmlkjihgfedcba987654zyxwvuts"), uint8(1), uint64(0x0000_ffff_0000_ffff))
 	f.Add(make([]byte, 200), uint8(7), uint64(0xff00))
+	f.Add([]byte("abcdefg3abcdefg1abcdefg2"), uint8(0), ^uint64(0)) // one varying byte: an odd pass count
 	f.Fuzz(func(t *testing.T, data []byte, runRaw uint8, mask uint64) {
 		runSize := 0 // the default budget: one in-memory run
 		if runRaw%4 != 0 {

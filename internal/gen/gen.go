@@ -80,7 +80,7 @@ func RMAT(p RMATParams) (*graph.Graph, error) {
 
 // rmatSample descends levels quadrants. The quadrant is read from the three
 // threshold comparisons as bits rather than branched on: the draws are
-// uniform, so a branch on them is mispredicted about half the time.
+// random, so a branch on them is mispredicted on a large share of levels.
 func rmatSample(rng *floatStream, levels int, p RMATParams) (graph.VertexID, graph.VertexID) {
 	var u, v uint32
 	a, bb, c := p.A, p.B, p.C
@@ -117,10 +117,10 @@ func mutate(rng *floatStream, x, noise float64) float64 {
 	return x * (1 - noise/2 + rng.Float64()*noise)
 }
 
-// floatStream yields exactly the values rand.New(rand.NewSource(seed))
-// .Float64() would, without an interface call per draw. math/rand keeps
-// that seeded stream fixed (Rand.Float64: "we want to preserve that value
-// stream"): its source is the additive lagged-Fibonacci generator
+// floatStream yields the values rand.New(rand.NewSource(seed)).Float64()
+// would, in the same order, without an interface call per draw. math/rand
+// keeps that seeded stream fixed (Rand.Float64: "we want to preserve that
+// value stream"): its source is the additive lagged-Fibonacci generator
 // y[k] = y[k−607] + y[k−273] (mod 2⁶⁴), and Float64 is the low 63 bits of
 // y[k] over 2⁶³, drawn again on the one value that rounds to 1. The first
 // 607 values come from the library source itself; floatStream continues

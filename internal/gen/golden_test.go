@@ -29,9 +29,8 @@ func edgeListDigest(g *graph.Graph) string {
 // rows are the benchmark's own graphs (dataset density, vertex count, seed
 // 1, degree-ordered as the benchmark orders them), so a generator or
 // builder change that re-draws a graph fails here before it silently
-// re-bases every benchmark number. The digests were recorded before the
-// ingest path was rewritten for speed and must never be edited to make a
-// change pass: a new digest means a different graph.
+// re-bases every benchmark number. Never edit a digest to make a change
+// pass: a new digest means a different graph.
 func TestGeneratorsGolden(t *testing.T) {
 	proxy := func(dataset string, vertices int) func() (*graph.Graph, error) {
 		return func() (*graph.Graph, error) {

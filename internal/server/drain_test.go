@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -34,8 +35,8 @@ func (r *stuckRunner) status(env JobStatus, out outcome) any { return env }
 
 // TestDrainGivesUpOnRunnerIgnoringCancel: a runner that never looks at its
 // context must not turn Drain into a hang. Drain returns after its
-// deadline plus drainGrace, reports the drain as forced, and finishes the
-// stuck job and the one queued behind it as canceled with ErrForced.
+// deadline plus drainGrace, reports the drain as forced, and finishes and
+// names the stuck job and the one queued behind it (canceled, ErrForced).
 func TestDrainGivesUpOnRunnerIgnoringCancel(t *testing.T) {
 	m := New(Config{Workers: 1})
 	stuck := &stuckRunner{running: make(chan struct{}), release: make(chan struct{})}
@@ -51,11 +52,15 @@ func TestDrainGivesUpOnRunnerIgnoringCancel(t *testing.T) {
 	}
 
 	start := time.Now()
-	if !m.Drain(50 * time.Millisecond) {
-		t.Error("Drain past a stuck runner reported no forced cancellation")
-	}
+	forced, abandoned := m.Drain(50 * time.Millisecond)
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Drain(50ms) took %v with a runner ignoring its context, want < 1s", d)
+	}
+	if !forced {
+		t.Error("Drain past a stuck runner reported no forced cancellation")
+	}
+	if want := []string{running.ID, queued.ID}; !slices.Equal(abandoned, want) {
+		t.Errorf("Drain named %v as forced off, want %v", abandoned, want)
 	}
 	for _, j := range []*Job{running, queued} {
 		if _, err := j.Result(); j.State() != StateCanceled || !errors.Is(err, ErrForced) || !errors.Is(err, context.Canceled) {

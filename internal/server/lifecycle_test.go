@@ -444,7 +444,7 @@ func TestJobLifecycle(t *testing.T) {
 			j := k.submit(t, m, ts, "", true)
 			waitState(t, m, j.ID, "running")
 			start := time.Now()
-			if forced := m.Drain(100 * time.Millisecond); !forced {
+			if forced, _ := m.Drain(100 * time.Millisecond); !forced {
 				t.Fatal("drain with a blocked job must report forced cancellation")
 			}
 			if d := time.Since(start); d > 5*time.Second {
@@ -455,7 +455,7 @@ func TestJobLifecycle(t *testing.T) {
 				t.Fatalf("POST %s after drain = %d, want 503", k.mount, code)
 			}
 			// Idempotent: a second drain returns immediately without forcing.
-			if m.Drain(time.Second) {
+			if forced, _ := m.Drain(time.Second); forced {
 				t.Fatal("second drain reported forced")
 			}
 		})

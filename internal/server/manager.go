@@ -289,9 +289,10 @@ const drainGrace = 500 * time.Millisecond
 // that by one iteration per job. A job still unfinished then (its runner
 // ignored the cancel, or it is queued behind one that did) is finished as
 // canceled with ErrForced, and Drain returns without joining its
-// goroutine. It reports whether the deadline forced cancellation. Drain is
+// goroutine. It reports whether the deadline forced cancellation and
+// names the jobs it finished with ErrForced, in submission order. Drain is
 // idempotent; concurrent calls share the outcome.
-func (m *Manager) Drain(deadline time.Duration) (forced bool) {
+func (m *Manager) Drain(deadline time.Duration) (forced bool, abandoned []string) {
 	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
@@ -317,6 +318,7 @@ func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 		for _, j := range m.Jobs() {
 			if !j.State().Terminal() {
 				j.finish(StateCanceled, outcome{}, ErrForced)
+				abandoned = append(abandoned, j.ID)
 			}
 		}
 	}
@@ -324,7 +326,7 @@ func (m *Manager) Drain(deadline time.Duration) (forced bool) {
 	if m.agents != nil {
 		m.agents.CloseIdleConnections()
 	}
-	return forced
+	return forced, abandoned
 }
 
 // worker pulls admitted jobs off the bounded queue until it closes at

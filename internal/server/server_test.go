@@ -248,7 +248,7 @@ func TestBackpressureE2E(t *testing.T) {
 	// Graceful drain: nothing in flight, so the pool winds down well
 	// within the deadline and no goroutines outlive the manager.
 	start := time.Now()
-	if forced := m.Drain(5 * time.Second); forced {
+	if forced, _ := m.Drain(5 * time.Second); forced {
 		t.Fatal("idle drain hit the deadline")
 	}
 	if d := time.Since(start); d > 5*time.Second {

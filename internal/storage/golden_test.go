@@ -52,8 +52,7 @@ func writeGoldenEdgeList(t *testing.T, path string) {
 
 // TestStreamingBuildGolden pins the streaming builder's store file bit for
 // bit, for both codecs, whether the external sort stays in memory or
-// spills. The digests were recorded before the ingest path was rewritten
-// for speed; a new digest means a different store, and every benchmark
+// spills. A new digest means a different store, and every benchmark
 // number built on it would silently re-base.
 func TestStreamingBuildGolden(t *testing.T) {
 	dir := t.TempDir()
