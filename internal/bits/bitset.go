@@ -83,6 +83,34 @@ func (s *Set) AppendMembers(dst, list []uint32) []uint32 {
 	return dst
 }
 
+// CountMembersAbove returns how many elements of list greater than v are in
+// the set. list must be ascending: it is walked from its end and the walk
+// stops at the first element ≤ v, so the cost is the suffix above v plus one
+// comparison, with no search for where that suffix starts. Elements out of
+// range count as absent.
+func (s *Set) CountMembersAbove(list []uint32, v uint32) int {
+	words := s.words
+	n := 0
+	for i := len(list) - 1; i >= 0 && list[i] > v; i-- {
+		x := list[i]
+		if w := int(x / wordBits); w < len(words) {
+			n += int(words[w] >> (x % wordBits) & 1)
+		}
+	}
+	return n
+}
+
+// AppendMembersAbove appends to dst the elements of list greater than v that
+// are in the set, in list order. list must be ascending; like
+// CountMembersAbove it finds the suffix above v by walking back from the end.
+func (s *Set) AppendMembersAbove(dst, list []uint32, v uint32) []uint32 {
+	i := len(list)
+	for i > 0 && list[i-1] > v {
+		i--
+	}
+	return s.AppendMembers(dst, list[i:])
+}
+
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0

@@ -59,7 +59,7 @@ type pass struct {
 // descending page order.
 type ioSched struct {
 	r    *runner
-	s    *sched // set by runParallel; nil in Serial mode and for the load: work runs on the callback thread
+	s    *sched // set by OPT's two passes; nil in OPT_serial: work runs on the callback thread
 	iter int    // iteration index stamped on the events this scheduler emits
 	pass pass
 	// reused is the pages served from the external pool, written by start
@@ -81,12 +81,13 @@ func (r *runner) newIOSched(iter int, p pass) *ioSched {
 }
 
 // start coalesces the request list, consumes the pool-resident requests,
-// and then issues the initial read window. Residents come first because
-// the load's consumer, loadChunk, writes the internal area without a lock:
-// with s == nil it would otherwise run on the caller while a read's
-// callback runs it too. So start holds the pumper role from the outset,
-// and a resident's retire cannot issue a read. start returns without
-// waiting for completions; wait blocks until every constituent has retired.
+// and then issues the initial read window. With a task scheduler both are
+// tasks. Without one — OPT_serial, whose consumers run one chunk at a time —
+// the residents are consumed on the caller, so they come first: start holds
+// the pumper role from the outset, and neither a resident's retire nor
+// anything else can issue a read, whose callback would run a consumer
+// beside the caller's. start returns without waiting for completions; wait
+// blocks until every constituent has retired.
 func (io *ioSched) start(reqs []extReq) {
 	groups, residents := io.r.coalesce(reqs, io.pass)
 	io.mu.Lock()
@@ -242,8 +243,8 @@ func (io *ioSched) readDone(g *extGroup, err error) {
 }
 
 // handleSeg consumes one segment of a completed group read: decode, then
-// the pass's consumer. In Parallel mode the external pass's CPU work runs
-// as an external-class task; otherwise it runs on the caller (the device's
+// the pass's consumer. In Parallel mode either pass's CPU work runs as an
+// external-class task; otherwise it runs on the caller (the device's
 // callback thread), with no closure, so that path allocates nothing per
 // chunk.
 func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
@@ -322,7 +323,7 @@ func (io *ioSched) consume(c *buffer.Chunk, req extReq) {
 		io.r.processExternal(c, req)
 		io.r.pool.Unpin(c.FirstPage)
 	} else {
-		io.r.loadChunk(c)
+		io.r.loadChunk(c, req)
 	}
 	io.retire()
 }

@@ -324,11 +324,12 @@ func TestExternalSteadyStateAllocs(t *testing.T) {
 	defer buffer.PutChunk(c)
 	// The lower half of the vertices is internal, the upper half external.
 	mid := st.FirstPageOf(300)
-	r.ctx.beginIteration(0, mid, 0)
+	r.ctx.beginIteration(0, mid, r.succSum(0, mid))
 	var cands []uint32
+	at := 0
 	for _, rec := range c.Recs {
 		if r.ctx.InInternal(rec.ID) {
-			r.ctx.addInternal(rec)
+			at = r.ctx.addInternal(rec, at)
 		} else {
 			cands = append(cands, rec.ID)
 		}

@@ -120,7 +120,9 @@ func (w *work) found(c *Ctx, u, v uint32, ws []uint32) {
 }
 
 // beginIteration resets the internal area for a new page range whose lists
-// n≻ hold at most ids ids in all, so the arena is sized once per iteration.
+// n≻ hold at most ids ids in all: the arena is that long, sized once per
+// iteration, and the load places each chunk's lists at their own offset
+// into it.
 func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 	c.loPage, c.hiPage = lo, hi
 	c.loVertex = c.store.FirstRecordOf(lo)
@@ -132,19 +134,23 @@ func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 		c.span = c.span[:n]
 		clear(c.span)
 	}
-	c.ids = slices.Grow(c.ids[:0], ids)
+	c.ids = slices.Grow(c.ids[:0], ids)[:ids]
 }
 
 // addInternal registers a decoded record in the internal area, split once:
 // every model reads only n≻ of an internal vertex, so that suffix is copied
-// into the id arena and the record's chunk can be recycled as soon as its
-// external candidates are identified. It is called only from the load
-// phase, one record at a time (the device's callback thread), in whatever
-// order the chunks complete.
-func (c *Ctx) addInternal(rec storage.VertexRec) {
-	start := len(c.ids)
-	c.ids = append(c.ids, nsucc(rec.Adj, rec.ID)...)
-	c.span[rec.ID-c.loVertex] = [2]uint32{uint32(start), uint32(len(c.ids))}
+// into the id arena at at, and the record's chunk can be recycled as soon as
+// its external candidates are identified. It returns where the next list
+// goes. It is called only from the load phase, in whatever order the chunks
+// complete and on whatever thread loads them: each chunk writes its own
+// region of the arena, which starts at the offset the load gave it, and its
+// own entries of span, so concurrent chunks share nothing.
+func (c *Ctx) addInternal(rec storage.VertexRec, at int) int {
+	ns := nsucc(rec.Adj, rec.ID)
+	end := at + len(ns)
+	copy(c.ids[at:end], ns)
+	c.span[rec.ID-c.loVertex] = [2]uint32{uint32(at), uint32(end)}
+	return end
 }
 
 // InInternal reports whether n(v) is resident in the internal area: one
@@ -178,6 +184,19 @@ func (w *work) pair(c *Ctx, u, v uint32, stream, fixed []uint32, set *bits.Set) 
 		return
 	}
 	w.buf = intersect.AdaptiveBitmap(w.buf[:0], stream, fixed, set)
+	w.found(c, u, v, w.buf)
+}
+
+// probeAbove is pair against a set holding n≻(v), streaming the ids of
+// nsU above v: the walk starts at nsU's end and stops at the first id ≤ v,
+// so the pair pays no search for where that suffix starts. The listed ids
+// come out in list order, as pair's do.
+func (w *work) probeAbove(c *Ctx, u, v uint32, nsU []uint32, set *bits.Set) {
+	if c.out == nil {
+		w.triangles += int64(set.CountMembersAbove(nsU, v))
+		return
+	}
+	w.buf = set.AppendMembersAbove(w.buf[:0], nsU, v)
 	w.found(c, u, v, w.buf)
 }
 
@@ -219,8 +238,9 @@ func (edgeIteratorModel) ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *
 
 // ExternalTriangle is Algorithms 9 (lines 4–7) and 10: for the external
 // record v, the u ∈ n≺(v) with n(u) internal form V_req^v; intersect
-// n≻(u) ∩ n≻(v) for each. Nothing ≤ v is in n≻(v), so n≻(u) is cut to the
-// ids above v first.
+// n≻(u) ∩ n≻(v) for each. Nothing ≤ v is in n≻(v), so only the ids of
+// n≻(u) above v are streamed: merged pairs cut n≻(u) there first, probed
+// pairs walk it back from its end and stop at the first id ≤ v.
 func (edgeIteratorModel) ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec) {
 	partners, rest := ctx.internalPreds(v)
 	if len(partners) == 0 {
@@ -234,7 +254,11 @@ func (edgeIteratorModel) ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec
 	for _, u := range partners {
 		nsU := ctx.internalSucc(u)
 		w.ops += intersect.MinCost(nsU, nsV)
-		w.pair(ctx, u, v.ID, nsucc(nsU, v.ID), nsV, set)
+		if set == nil {
+			w.pair(ctx, u, v.ID, nsucc(nsU, v.ID), nsV, nil)
+		} else {
+			w.probeAbove(ctx, u, v.ID, nsU, set)
+		}
 	}
 	intersect.Unfix(set, nsV)
 }

@@ -111,11 +111,13 @@ func (o optRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevi
 // extReq is one element of the request list L of Algorithm 4: a chunk to
 // load into the external area together with V_ex^i, the candidate vertices
 // whose records it holds. The internal-area load is a list of them too, one
-// per chunk of its range, with no candidates.
+// per chunk of its range, with no candidates and the offset in Ctx.ids where
+// the chunk's lists n≻ go.
 type extReq struct {
 	first uint32
 	span  int
 	cands []uint32 // sorted
+	at    int      // load only
 }
 
 type runner struct {
@@ -149,6 +151,15 @@ type runner struct {
 	// one internal task per chunk.
 	vexSet     *bits.Set
 	taskBounds []uint32
+
+	// candSets are the load's candidate sets: vexSet, and one more for each
+	// load task that started while all the others were held — at most
+	// Threads in all, each |V|/8 bytes. candFree holds those no running
+	// task holds; every load starts with all of them free, and ends by
+	// OR-merging the extra sets into vexSet and emptying them.
+	candMu   sync.Mutex
+	candSets []*bits.Set
+	candFree []*bits.Set
 
 	// Backing arrays of the request lists and the coalescer, reused across
 	// iterations (sub-slices alias the shared arrays, so each is rebuilt
@@ -220,6 +231,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		Events:     opts.Events,
 	})
 	r.prefetchDepth = cmp.Or(o.seams.prefetchDepth, r.dev.QueueDepth())
+	r.candSets = []*bits.Set{r.vexSet}
 	var out Output
 	if opts.OnTriangles != nil {
 		out = FuncOutput(opts.OnTriangles)
@@ -450,34 +462,78 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 // as the scheduler's load pass over one request per chunk (DESIGN.md §9),
 // and returns the pages taken from the external area without I/O — the Δin
 // credit of the Algorithm 4 loading order. The rest arrive in coalesced
-// reads. With no task scheduler every chunk is loaded on the callback
-// thread, IdentifyExternalCandidateVertex (Algorithm 7) included.
+// reads. Each request carries where its chunk's lists n≻ start in the
+// arena: the sum of succLen over the chunks before it, which bounds what
+// they hold. OPT_serial loads every chunk on the callback thread; OPT runs
+// each chunk — decode, the internal area's copy and
+// IdentifyExternalCandidateVertex (Algorithm 7) — as a task on all of its
+// workers, as it runs the external pass. The load has one class of task, so
+// every worker takes it up, whatever the morphing policy.
 func (r *runner) loadInternal(index int, lo, hi uint32) (reused int) {
 	bounds := r.taskBounds[:0]
 	load := r.loadScratch[:0]
+	at := 0
 	for p := lo; p < hi; {
 		bounds = append(bounds, r.st.FirstRecordOf(p))
-		span := r.st.AlignedRange(p, 1)
-		load = append(load, extReq{first: p, span: span})
-		p += uint32(span)
+		next := p + uint32(r.st.AlignedRange(p, 1))
+		load = append(load, extReq{first: p, span: int(next - p), at: at})
+		at += r.succSum(p, next)
+		p = next
 	}
 	r.loadScratch = load
 	r.taskBounds = append(bounds, r.ctx.hiVertex)
+	r.candFree = append(r.candFree[:0], r.candSets...)
 	io := r.newIOSched(index, r.load)
-	io.start(load)
-	io.wait() // line 8: wait for IdentifyExternalCandidateVertex
+	if r.mode == Serial {
+		io.start(load)
+		io.wait() // line 8: wait for IdentifyExternalCandidateVertex
+		return io.reused
+	}
+	s := newSched(true, nil)
+	s.queues[classExternal] = make([]func(), 0, len(load)) // a task per chunk at most: the queue never grows
+	s.run(r.opts.Threads, func() {
+		io.s = s
+		s.close(classInternal)
+		io.start(load)
+	})
+	// Line 8: every task has run; V_ex is the union of the tasks' sets.
+	for _, set := range r.candSets[1:] {
+		r.vexSet.Or(set)
+		set.Clear()
+	}
 	return io.reused
 }
 
 // loadChunk enters a decoded chunk into the internal area — n≻ of every
-// record copied, the external candidates identified from the whole list —
-// and recycles it: nothing reads the chunk after this.
-func (r *runner) loadChunk(c *buffer.Chunk) {
+// record copied to the chunk's offset, the external candidates identified
+// from the whole list into a candidate set no other task holds — and
+// recycles it: nothing reads the chunk after this.
+func (r *runner) loadChunk(c *buffer.Chunk, req extReq) {
+	vex := r.takeCands()
+	at := req.at
 	for _, rec := range c.Recs {
-		r.ctx.addInternal(rec)
-		r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
+		at = r.ctx.addInternal(rec, at)
+		r.model.ExternalCandidates(r.ctx, rec, vex)
 	}
+	r.candMu.Lock()
+	r.candFree = append(r.candFree, vex)
+	r.candMu.Unlock()
 	buffer.PutChunk(c)
+}
+
+// takeCands hands a load task a candidate set no other task holds, adding
+// one to candSets when every set is held.
+func (r *runner) takeCands() *bits.Set {
+	r.candMu.Lock()
+	defer r.candMu.Unlock()
+	if n := len(r.candFree); n > 0 {
+		set := r.candFree[n-1]
+		r.candFree = r.candFree[:n-1]
+		return set
+	}
+	set := bits.NewSet(r.st.NumVertices)
+	r.candSets = append(r.candSets, set)
+	return set
 }
 
 // buildRequests groups V_ex by chunk into the ascending-page request list

@@ -125,8 +125,9 @@ func TestRequestListMatchesSortedReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						at := 0
 						for _, rec := range c.Recs {
-							r.ctx.addInternal(rec)
+							at = r.ctx.addInternal(rec, at)
 							r.model.ExternalCandidates(r.ctx, rec, r.vexSet)
 						}
 						got, want := r.buildRequests(), sortedReference(r.ctx, model, c.Recs)

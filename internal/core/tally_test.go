@@ -111,9 +111,9 @@ func TestCancelKeepsTallies(t *testing.T) {
 // internal area of ids [10, 20). The Ctx's store has no vertices, so filling
 // a membership set would panic: two partners or fewer must merge.
 func TestPartnerRange(t *testing.T) {
-	ctx := &Ctx{store: &storage.Store{}, loVertex: 10, hiVertex: 20, span: make([][2]uint32, 10)}
-	ctx.addInternal(storage.VertexRec{ID: 12, Adj: []uint32{15, 30, 60, 70}})
-	ctx.addInternal(storage.VertexRec{ID: 15, Adj: []uint32{16, 60, 80}})
+	ctx := &Ctx{store: &storage.Store{}, loVertex: 10, hiVertex: 20, span: make([][2]uint32, 10), ids: make([]uint32, 7)}
+	at := ctx.addInternal(storage.VertexRec{ID: 12, Adj: []uint32{15, 30, 60, 70}}, 0)
+	ctx.addInternal(storage.VertexRec{ID: 15, Adj: []uint32{16, 60, 80}}, at)
 	var listed [][3]uint32
 	ctx.out = FuncOutput(func(u, v uint32, ws []uint32) {
 		for _, w := range ws {

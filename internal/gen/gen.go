@@ -218,10 +218,11 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
-	adj := make([]map[uint32]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[uint32]struct{})
-	}
+	// adj holds each vertex's neighbours in the order their edges were
+	// added, so triad formation's k-th neighbour is a function of the seed;
+	// edges holds every edge once, as (min, max), for the duplicate check.
+	adj := make([][]uint32, n)
+	edges := make(map[[2]uint32]struct{})
 	// repeated holds each vertex once per degree unit: sampling from it is
 	// preferential attachment.
 	var repeated []uint32
@@ -229,11 +230,13 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 		if u == v {
 			return false
 		}
-		if _, dup := adj[u][v]; dup {
+		key := [2]uint32{min(u, v), max(u, v)}
+		if _, dup := edges[key]; dup {
 			return false
 		}
-		adj[u][v] = struct{}{}
-		adj[v][u] = struct{}{}
+		edges[key] = struct{}{}
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
 		repeated = append(repeated, u, v)
 		return true
 	}
@@ -257,14 +260,7 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 				// Triad formation: pick a random neighbor of lastTarget.
 				nbrs := adj[lastTarget]
 				if len(nbrs) > 0 {
-					k := rng.Intn(len(nbrs))
-					for w := range nbrs {
-						if k == 0 {
-							target = w
-							break
-						}
-						k--
-					}
+					target = nbrs[rng.Intn(len(nbrs))]
 				} else {
 					target = repeated[rng.Intn(len(repeated))]
 				}
@@ -281,7 +277,7 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
-		for v := range adj[u] {
+		for _, v := range adj[u] {
 			if uint32(u) < v {
 				if err := b.AddEdge(uint32(u), v); err != nil {
 					return nil, err

@@ -56,12 +56,14 @@ func TestGeneratorsGolden(t *testing.T) {
 		{"rmat/lj-16000", proxy("lj", 16000), 222833, "1f29d86bc8350b97da295be0ae980cfacf9bcefa70f179b6a13c31a660c97d18"},
 		{"rmat/twitter-12000", proxy("twitter", 12000), 402943, "b819ac448a40ba4647b38d4c54583ed1968150d677bc5754aa59be436f5b6c01"},
 		{"erdos-renyi", func() (*graph.Graph, error) { return ErdosRenyi(1500, 9000, 4) }, 8950, "3f825d994ddf2c29072b71766788d6de7446475606dcf10d69d83119ec43f9ea"},
-		// TriadProb 0: triad formation picks a neighbour by map iteration
-		// order, which Go randomises, so only the pure preferential
-		// attachment graph is reproducible run to run.
 		{"holme-kim", func() (*graph.Graph, error) {
 			return HolmeKim(HolmeKimParams{NumVertices: 1500, M: 4, TriadProb: 0, Seed: 6})
 		}, 5990, "cafea9489ef3b23f2485de88e16dc3c359c5b322f83ee33e0c35caaca9d7ac3c"},
+		// Triad formation picks the k-th neighbour of the last target in the
+		// order its edges were added.
+		{"holme-kim/triad-0.5", func() (*graph.Graph, error) {
+			return HolmeKim(HolmeKimParams{NumVertices: 1500, M: 4, TriadProb: 0.5, Seed: 6})
+		}, 5990, "c9f66a92227082b710057418171f5ee1d1cae080e72d87155536b92f625d82bd"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
