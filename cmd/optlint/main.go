@@ -4,10 +4,7 @@
 // Findings print one per line as "file:line:col: [rule] message". The
 // exit status is 0 when the tree is clean, 1 when any finding was
 // reported, and 2 on a load or typecheck failure. It takes no flags.
-//
-// The analyzers share a whole-module Program of interprocedural summaries
-// (DESIGN.md §13) — blocking and lock facts, read by lockheld and
-// lockorder — computed once per run.
+// Every analyzer reads one function body at a time (DESIGN.md §13).
 //
 // Usage:
 //

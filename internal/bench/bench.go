@@ -17,11 +17,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -163,7 +163,7 @@ func (t *Table) Render(w io.Writer) error {
 // Harness caches generated graphs and stores across experiments.
 type Harness struct {
 	cfg     Config
-	mu      sync.Mutex
+	mu      lockdep.Mutex[Harness]
 	graphs  map[string]*graph.Graph
 	stores  map[string]*storage.Store
 	workDir string

@@ -9,14 +9,15 @@
 // performs zero heap allocations. That preserves the 0 allocs/op contract
 // the I/O scheduler pinned in PR 3.
 //
-// The package is a leaf below both ssd and buffer: it imports nothing from
-// the repository, so ssd can use it without creating the
+// The package is a leaf below both ssd and buffer: of the repository it
+// imports only lockdep, so ssd can use it without creating the
 // ssd → buffer → storage → ssd cycle.
 package arena
 
 import (
-	"sync"
 	"unsafe"
+
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // maxRetained bounds the bytes of idle buffers an arena keeps, over all
@@ -32,7 +33,7 @@ const maxRetained = 1 << 20
 type Arena struct {
 	align int
 
-	mu       sync.Mutex
+	mu       lockdep.Mutex[Arena]
 	free     map[int][][]byte // size class → released full-capacity slices
 	retained int              // bytes on the free lists
 

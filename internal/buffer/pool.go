@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -76,7 +77,7 @@ type entry struct {
 // Pool is a page-budgeted chunk cache with pinning and FIFO eviction of
 // unpinned chunks. It is safe for concurrent use.
 type Pool struct {
-	mu       sync.Mutex
+	mu       lockdep.Mutex[Pool]
 	capPages int
 	used     int
 	chunks   map[uint32]*entry

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"sort"
-	"sync"
+
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // Ledger is the exactly-once merge accounting of a distributed job. Every
@@ -13,7 +14,7 @@ import (
 // count. The Duplicates counter is the observable proof: a chaos run that
 // provokes a duplicate delivery must raise it while leaving Total exact.
 type Ledger struct {
-	mu         sync.Mutex
+	mu         lockdep.Mutex[Ledger]
 	pending    map[TaskID]struct{}
 	results    map[TaskID]TaskResultMessage
 	total      int64

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
@@ -347,6 +348,37 @@ func TestCountShardCancelKeepsTallies(t *testing.T) {
 	}
 	if events, received := sink.Counts(); received != got || events != 1 {
 		t.Fatalf("partial count %d, the sink received %d in %d events, want it in 1", got, received, events)
+	}
+}
+
+// TestCancelShardRunnerAfterLoad cancels a Shard2D task through the engine
+// once its block is loaded — the sink cancels on the PagesRead event of the
+// last page — so only the kernel's row loop can observe it: the run context
+// must reach CountShard, which then stops before counting a triangle and
+// reports context.Canceled.
+func TestCancelShardRunnerAfterLoad(t *testing.T) {
+	testutil.LeakCheck(t, "cancelled shard task")
+	g := workloads(t)["rmat"]
+	st, dev := buildStore(t, g, storage.CodecRaw)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var read int64
+	sink := events.Func(func(e events.Event) {
+		if e.Kind == events.PagesRead {
+			if read += e.N; read == int64(st.NumPages) {
+				cancel()
+			}
+		}
+	})
+	res, err := engine.Run(ctx, ShardRunnerName, st, dev, engine.Options{Events: sink})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if read != int64(st.NumPages) {
+		t.Fatalf("cancelled after %d of %d pages: the load did not finish", read, st.NumPages)
+	}
+	if res == nil || res.Triangles != 0 {
+		t.Fatalf("cancelled before the first row, the task reported %+v", res)
 	}
 }
 

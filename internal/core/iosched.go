@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/optlab/opt/internal/buffer"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // extGroup is one coalesced external read: a maximal run of
@@ -66,7 +66,7 @@ type ioSched struct {
 	// on the caller before the first read is issued.
 	reused int
 
-	mu        sync.Mutex
+	mu        lockdep.Mutex[ioSched]
 	queue     []extGroup // issue order (descending page); queue[idx:] unissued
 	idx       int
 	inflight  int  // coalesced reads submitted but not yet completed

@@ -50,13 +50,13 @@ func loadSnapshots(t *testing.T, st *storage.Store, o optRunner, opts engine.Opt
 	return snaps
 }
 
-// TestInternalLoadParallelMatchesSerial: OPT loads the internal area on all
-// of its workers — each chunk's lists at their own offset into the arena,
-// candidates into a set per running task, merged once per load — and
-// OPT_serial on the callback thread alone. After every iteration's load
-// both must hold the same n≻ for every internal vertex (the graph's own)
-// and the same V_ex, at 1, 2 and 4 threads, on either codec, under every
-// model.
+// TestInternalLoadParallelMatchesSerial: OPT on more than one thread loads
+// the internal area on all of its workers — each chunk's lists at their own
+// offset into the arena, candidates into a set per running task, merged
+// once per load — and OPT_serial on the callback thread alone, as OPT on
+// one thread does. After every iteration's load both must hold the same n≻
+// for every internal vertex (the graph's own) and the same V_ex, at 2 and 4
+// threads, on either codec, under every model.
 func TestInternalLoadParallelMatchesSerial(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<11, 14_000, 5))
 	if err != nil {
@@ -82,7 +82,7 @@ func TestInternalLoadParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-			for _, threads := range []int{1, 2, 4} {
+			for _, threads := range []int{2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/threads=%d", codec, modelNames[model], threads), func(t *testing.T) {
 					opts := opts
 					opts.Threads = threads
@@ -144,5 +144,54 @@ func TestInternalLoadParallelSteadyStateAllocs(t *testing.T) {
 	}
 	if limit := reads + float64(chunks) + 12; allocs > limit {
 		t.Fatalf("%.0f allocations, want ≤ %.0f reads + %d chunks + 12", allocs, reads, chunks)
+	}
+}
+
+// TestTailPassSteadyStateAllocs pins what a warm iteration tail under the
+// task scheduler allocates: the scheduler, its workers and the pass, one
+// task closure per internal chunk and per external request, one completion
+// closure per coalesced read, and the external pool's entry for each chunk
+// decoded rather than found resident, beside a fixed 11 (the scheduler, its
+// two queues, its workers, the pass). The queues are sized for every task
+// the tail submits, so no submit grows one: queues grown from empty cost an
+// allocation per doubling, 12 more per tail here.
+func TestTailPassSteadyStateAllocs(t *testing.T) {
+	if raceEnabled || poisonEnabled {
+		t.Skip("race instrumentation and the optpoison guard both make recycled chunks allocate")
+	}
+	_, st := sparseStore(t)
+	dev, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dev.Close() }()
+	r := newRunner(context.Background(), st, dev, parallel, engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100})
+	defer r.close()
+	hi, ids := r.internalRange(0)
+	r.ctx.beginIteration(0, hi, ids)
+	r.vexSet.Clear()
+	r.loadInternal(0, 0, hi)
+	reqs := r.buildRequests()
+	var stat engine.IterationStat
+	residents := 0
+	tail := func() {
+		for _, q := range reqs {
+			if r.pool.Contains(q.first) {
+				residents++
+			}
+		}
+		r.runParallel(r.newIOSched(0, r.external), reqs, &stat)
+	}
+	tail() // grows the pool, the scratch and the device's arena
+	before, residents := r.mx.AsyncReads(), 0
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, tail)
+	perRun := func(n int64) float64 { return float64(n) / (runs + 1) } // AllocsPerRun calls once more to warm up
+	reads := perRun(r.mx.AsyncReads() - before)
+	expected := reads + float64(len(r.taskBounds)-1+2*len(reqs)) - perRun(int64(residents))
+	t.Logf("a warm tail of %d chunks and %d requests in %.0f reads on 2 threads allocates %.0f times, %.1f beyond the expected",
+		len(r.taskBounds)-1, len(reqs), reads, allocs, allocs-expected)
+	if allocs > expected+14 {
+		t.Fatalf("%.0f allocations, want ≤ %.0f expected + 14: does a submit grow a queue?", allocs, expected)
 	}
 }

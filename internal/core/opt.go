@@ -12,6 +12,7 @@ import (
 	"github.com/optlab/opt/internal/buffer"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
@@ -157,7 +158,7 @@ type runner struct {
 	// Threads in all, each |V|/8 bytes. candFree holds those no running
 	// task holds; every load starts with all of them free, and ends by
 	// OR-merging the extra sets into vexSet and emptying them.
-	candMu   sync.Mutex
+	candMu   lockdep.Mutex[runner]
 	candSets []*bits.Set
 	candFree []*bits.Set
 
@@ -464,11 +465,13 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 // credit of the Algorithm 4 loading order. The rest arrive in coalesced
 // reads. Each request carries where its chunk's lists n≻ start in the
 // arena: the sum of succLen over the chunks before it, which bounds what
-// they hold. OPT_serial loads every chunk on the callback thread; OPT runs
-// each chunk — decode, the internal area's copy and
-// IdentifyExternalCandidateVertex (Algorithm 7) — as a task on all of its
-// workers, as it runs the external pass. The load has one class of task, so
-// every worker takes it up, whatever the morphing policy.
+// they hold. OPT_serial, and OPT on one thread, load every chunk on the
+// callback thread: a scheduler with one worker would only add a closure, a
+// submit and a wake-up per chunk. OPT on more threads runs each chunk —
+// decode, the internal area's copy and IdentifyExternalCandidateVertex
+// (Algorithm 7) — as a task on all of its workers, as it runs the external
+// pass. The load has one class of task, so every worker takes it up,
+// whatever the morphing policy.
 func (r *runner) loadInternal(index int, lo, hi uint32) (reused int) {
 	bounds := r.taskBounds[:0]
 	load := r.loadScratch[:0]
@@ -484,7 +487,7 @@ func (r *runner) loadInternal(index int, lo, hi uint32) (reused int) {
 	r.taskBounds = append(bounds, r.ctx.hiVertex)
 	r.candFree = append(r.candFree[:0], r.candSets...)
 	io := r.newIOSched(index, r.load)
-	if r.mode == Serial {
+	if r.mode == Serial || r.opts.Threads == 1 {
 		io.start(load)
 		io.wait() // line 8: wait for IdentifyExternalCandidateVertex
 		return io.reused
@@ -601,6 +604,9 @@ func (r *runner) runParallel(io *ioSched, reqs []extReq, stat *engine.IterationS
 	}
 	// A single worker has to run both classes whatever the policy says.
 	s := newSched(!r.opts.DisableMorphing || r.opts.Threads == 1, onTask)
+	// A task per internal chunk and one per request: the queues never grow.
+	s.queues[classInternal] = make([]func(), 0, len(r.taskBounds)-1)
+	s.queues[classExternal] = make([]func(), 0, len(reqs))
 	s.run(r.opts.Threads, func() {
 		// DelegateExternalTriangle (line 9) precedes InternalTriangle
 		// (line 10): start the I/O scheduler — resident chunks plus the

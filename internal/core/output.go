@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // Output receives discovered triangles in the paper's nested representation:
@@ -26,7 +28,7 @@ type Triangle struct {
 // CollectingOutput accumulates expanded triangles for tests and the
 // examples. Not intended for billion-triangle runs.
 type CollectingOutput struct {
-	mu  sync.Mutex
+	mu  lockdep.Mutex[CollectingOutput]
 	tri []Triangle
 }
 
@@ -69,16 +71,20 @@ func (f FuncOutput) Emit(u, v uint32, ws []uint32) { f(u, v, ws) }
 // bulk, reproducing the paper's buffered bulk-write scheme; the Table 3
 // experiment writes through this sink to a second device.
 type NestedWriter struct {
-	mu      sync.Mutex
+	mu      lockdep.Mutex[NestedWriter]
 	w       *bufio.Writer
 	err     error
 	n       atomic.Int64
 	bufPool sync.Pool
-	bufs    struct {
-		sync.Mutex
-		all []*[]byte // every buffer ever created, for Close-time flushing
-	}
-	bytes atomic.Int64
+	bufs    nestedBufs
+	bytes   atomic.Int64
+}
+
+// nestedBufs is every buffer a NestedWriter ever created, for Close-time
+// flushing.
+type nestedBufs struct {
+	lockdep.Mutex[nestedBufs]
+	all []*[]byte
 }
 
 // flushThreshold is the per-goroutine buffer size that triggers a bulk

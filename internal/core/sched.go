@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"time"
+
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // taskClass distinguishes the two thread roles of §3.2: internal
@@ -23,7 +25,7 @@ const (
 // the other queue (§3.4), unless morphing is disabled (the Figure 4
 // without-morphing configuration, where an idle thread stays idle).
 type sched struct {
-	mu       sync.Mutex
+	mu       lockdep.Mutex[sched]
 	cond     *sync.Cond
 	queues   [2][]func() // one task is a chunk's worth of records; the index is its class
 	closed   [2]bool     // no more tasks of this class will arrive

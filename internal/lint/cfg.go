@@ -5,19 +5,17 @@ import (
 	"go/types"
 )
 
-// This file is the control-flow substrate of the dataflow analyses (the
-// Blocks summary, lockheld, condguard). It lowers one function body into a
-// conventional basic-block graph over the go/ast statement nodes — no
-// SSA, no third-party dependency — precise enough to answer the two
-// questions they ask: "can control reach the function's normal exit
-// from entry without passing a node for which pred holds?" (does every
-// path block?) and "which locks are definitely held at this statement?"
-// (must-held analysis, lockflow.go).
+// This file is the control-flow substrate of the dataflow analyses
+// (lockheld, condguard). It lowers one function body into a conventional
+// basic-block graph over the go/ast statement nodes — no SSA, no
+// third-party dependency — precise enough to answer the question they
+// ask: "which locks are definitely held at this statement?" (must-held
+// analysis, lockflow.go).
 //
 // Panics and calls that never return (os.Exit, log.Fatal*, runtime.Goexit,
 // testing's Fatal/Skip family) end their block without an exit edge: a
-// path that never returns neither blocks its caller nor releases a lock
-// the caller could observe.
+// path that never returns releases no lock a later statement could
+// observe.
 
 // cfgBlock is one basic block: statements (and guard expressions) in
 // execution order, then unconditional transfer to one of succs.

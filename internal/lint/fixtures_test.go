@@ -152,13 +152,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 		rule     string
 		analyzer *lint.Analyzer
 	}{
-		{"ctxflow", lint.NewCtxflow()},
 		{"lockheld", lint.NewLockheld()},
 		{"ioconfine", lint.NewIoconfine([]string{"fixture/other"})},
 		{"closecheck", lint.NewClosecheck([]string{"fixture/closecheck"})},
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
-		{"lockorder", lint.NewLockorder()},
 	}
 	for _, tc := range cases {
 		for _, variant := range []string{"bad", "ok"} {
@@ -171,61 +169,18 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestInterprocFixtures exercises the summary layer across package
-// boundaries: the helper package's Blocks facts drive lockheld's findings —
-// and silence — in the packages that call it. The helper's own findings
-// (condguard's unlocked notify) are diffed against the helper's want
-// comments, whichever package calls it.
-func TestInterprocFixtures(t *testing.T) {
-	helper := loadFixture(t, "interproc", "helper")
-	helperDir := filepath.Join("testdata", "interproc", "helper")
-	analyzers := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard()}
-	for _, variant := range []string{"bad", "ok"} {
-		t.Run(variant, func(t *testing.T) {
-			pkg := loadFixture(t, "interproc", variant)
-			var inHelper, inPkg []lint.Finding
-			for _, f := range lint.Analyze([]*lint.Package{helper, pkg}, analyzers) {
-				if filepath.Dir(f.Pos.Filename) == helperDir {
-					inHelper = append(inHelper, f)
-				} else {
-					inPkg = append(inPkg, f)
-				}
-			}
-			diffWant(t, helperDir, inHelper)
-			diffWant(t, filepath.Join("testdata", "interproc", variant), inPkg)
-		})
-	}
-}
-
-// TestLockorderCrossPackage proves the lock-order graph spans package
-// boundaries: the cycle closes between fixture/lockorder/multi and
-// fixture/lockorder/multihelper, and the witness chain names the
-// acquisition site inside the helper package plus the call (LockShared)
-// that reaches it. The helper package itself must stay silent — the
-// cycle is owned by the anchor witness in multi.
-func TestLockorderCrossPackage(t *testing.T) {
-	helper := loadFixture(t, "lockorder", "multihelper")
-	pkg := loadFixture(t, "lockorder", "multi")
-	findings := lint.Analyze([]*lint.Package{helper, pkg}, []*lint.Analyzer{lint.NewLockorder()})
-	diffWant(t, filepath.Join("testdata", "lockorder", "multi"), findings)
-}
-
 // TestAnalyzeDeterminism: two sequential runs over the same packages give
-// byte-identical reports. The fixture mix puts the findings lockorder
-// precomputes in the Program (the cross-package cycle) beside the ones
-// lockheld, condguard and the summaries report per package, so an order
-// that leaked from a map would show here.
+// byte-identical reports. The fixture mix puts several rules' findings in
+// several packages, so an order that leaked from a map would show here.
 func TestAnalyzeDeterminism(t *testing.T) {
 	pkgs := []*lint.Package{
-		loadFixture(t, "lockorder", "multihelper"),
-		loadFixture(t, "lockorder", "multi"),
-		loadFixture(t, "lockorder", "bad"),
 		loadFixture(t, "lockheld", "bad"),
-		loadFixture(t, "interproc", "helper"),
-		loadFixture(t, "interproc", "bad"),
 		loadFixture(t, "condguard", "bad"),
+		loadFixture(t, "atomicfield", "bad"),
+		loadFixture(t, "closecheck", "bad"),
 	}
-	analyzers := []*lint.Analyzer{lint.NewLockorder(), lint.NewLockheld(), lint.NewCondguard()}
+	analyzers := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard(), lint.NewAtomicfield(),
+		lint.NewClosecheck([]string{"fixture/closecheck"})}
 	render := func() string {
 		var out strings.Builder
 		for _, f := range lint.Analyze(pkgs, analyzers) {
@@ -289,8 +244,7 @@ func TestDefaultRegistry(t *testing.T) {
 		}
 	}
 	want := []string{
-		"ctxflow", "lockheld", "ioconfine", "closecheck",
-		"atomicfield", "condguard", "lockorder",
+		"lockheld", "ioconfine", "closecheck", "atomicfield", "condguard",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)

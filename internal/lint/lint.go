@@ -24,10 +24,7 @@ func (f Finding) String() string {
 
 // Pass carries one package through one analyzer.
 type Pass struct {
-	Pkg *Package
-	// Prog is the whole-module view (call graph + per-function summaries)
-	// shared by every package's pass; analyzers read it, never write it.
-	Prog   *Program
+	Pkg    *Package
 	rule   string
 	report func(Finding)
 }
@@ -41,13 +38,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a finding at an already-resolved position — the shape
-// used by analyzers replaying facts from summaries, which carry positions
-// rather than token.Pos values.
-func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
-	p.report(Finding{Pos: pos, Rule: p.rule, Message: fmt.Sprintf(format, args...)})
-}
-
 // Analyzer is one registered rule.
 type Analyzer struct {
 	// Name is the rule identifier printed in findings.
@@ -58,18 +48,16 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Analyze builds the whole-module Program (call graph + summaries), so
-// every pass sees interprocedural facts, then runs every analyzer over
-// every package and returns the findings sorted by position.
+// Analyze runs every analyzer over every package and returns the findings
+// sorted by position.
 func Analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	prog := BuildProgram(pkgs)
 	var out []Finding
 	for _, pkg := range pkgs {
 		if pkg == nil {
 			continue
 		}
 		for _, a := range analyzers {
-			a.Run(&Pass{Pkg: pkg, Prog: prog, rule: a.Name, report: func(f Finding) { out = append(out, f) }})
+			a.Run(&Pass{Pkg: pkg, rule: a.Name, report: func(f Finding) { out = append(out, f) }})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -10,9 +10,8 @@ import (
 
 // The concurrency-fact core (DESIGN.md §16): the two questions every lock
 // rule asks of a function body — which mutexes are definitely held at this
-// node, and does this node block — are answered here once. lockheld,
-// condguard and the summary scans (scanBlocks, scanLockFacts) all read
-// these results.
+// node, and does this node block — are answered here once. lockheld and
+// condguard read these results.
 
 const (
 	opNone = iota
@@ -22,20 +21,19 @@ const (
 
 // heldLock is one mutex in a must-held set.
 type heldLock struct {
-	recv  string    // printed receiver expression: the set's key and the name in messages
-	id    string    // abstract identity (lockfacts.go), "" when the receiver has none
-	write bool      // Lock/Unlock rather than RLock/RUnlock
-	pos   token.Pos // the acquiring call
+	recv  string // printed receiver expression: the set's key and the name in messages
+	write bool   // Lock/Unlock rather than RLock/RUnlock
 }
 
 // mutexOp classifies call as acquiring or releasing a sync.Mutex/RWMutex
-// and describes the lock it operates on.
+// and describes the lock it operates on. A lockdep.Mutex is one in the
+// normal build: its Lock and Unlock are sync.Mutex's, promoted.
 func mutexOp(info *types.Info, call *ast.CallExpr) (heldLock, int) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return heldLock{}, opNone
 	}
-	l := heldLock{pos: call.Pos()}
+	var l heldLock
 	var op int
 	switch sel.Sel.Name {
 	case "Lock":
@@ -58,19 +56,12 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (heldLock, int) {
 		return heldLock{}, opNone
 	}
 	l.recv = types.ExprString(sel.X)
-	// A promoted method (type T struct{ sync.Mutex }; t.Lock()) reaches the
-	// mutex through embedded fields recorded in the selection's index path.
-	if s, ok := info.Selections[sel]; ok && len(s.Index()) > 1 {
-		l.id = fieldPathIdent(s.Recv(), s.Index()[:len(s.Index())-1])
-	} else {
-		l.id = lockIdentOf(info, sel.X)
-	}
 	return l, op
 }
 
 // heldSet is a must-held lock set keyed by printed receiver, so that
 // a.mu.Lock(); b.mu.Unlock() leaves a.mu held even when both are the same
-// field of one type; byIdentity projects it for the cross-function facts.
+// field of one type.
 type heldSet map[string]heldLock
 
 func (s heldSet) clone() heldSet {
@@ -118,7 +109,7 @@ func (s heldSet) apply(n ast.Node, info *types.Info) {
 		case *ast.CallExpr:
 			switch l, op := mutexOp(info, c); op {
 			case opLock:
-				// A re-acquire keeps the stronger (and earlier) hold.
+				// A re-acquire keeps the stronger hold.
 				if prev, ok := s[l.recv]; !ok || !prev.write {
 					s[l.recv] = l
 				}
@@ -138,22 +129,6 @@ func (s heldSet) names() string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ", ")
-}
-
-// byIdentity re-keys the set by abstract lock identity, dropping locks
-// that have none. Two receivers naming one identity collapse onto the
-// stronger, then earlier, hold.
-func (s heldSet) byIdentity() map[string]heldLock {
-	out := make(map[string]heldLock, len(s))
-	for _, l := range s {
-		if l.id == "" {
-			continue
-		}
-		if prev, ok := out[l.id]; !ok || (l.write && !prev.write) || (l.write == prev.write && l.pos < prev.pos) {
-			out[l.id] = l
-		}
-	}
-	return out
 }
 
 // lockFlow is the must-held analysis of one function body: the locks
@@ -209,10 +184,6 @@ type blockOp struct {
 	// comm: node is (part of) a select clause's comm statement — the
 	// select's own decision, not an independent operation.
 	comm bool
-	// callback: a call through a function-typed struct field. It may block,
-	// so lockheld bans it under a lock, but it cannot be proven to, so the
-	// Blocks summary ignores it.
-	callback bool
 }
 
 // blockingOps is the one blocking-op vocabulary. It lists, in source order
@@ -220,15 +191,16 @@ type blockOp struct {
 // that may park the goroutine: channel send, channel receive, range over a
 // channel, select without a default (select {} included), a call to a
 // method named Wait or Drain (sync.Cond.Wait exempt: it releases the
-// mutex while parked), a call to an in-module function whose summary says
-// it always blocks, and a callback. A select with a default is not listed:
-// no path through it parks. The call of a go statement runs on another
-// goroutine and is not an operation here; its arguments still are.
+// mutex while parked), and a call through a function-typed struct field,
+// which may block. A select with a default is not listed: no path through
+// it parks. Callees are not looked into. The call of a go statement runs
+// on another goroutine and is not an operation here; its arguments still
+// are.
 //
 // at is the node itself except where the CFG has no node for it: a range
 // statement is represented by its operand, a select by its first comm
 // statement (every clause starts from the same state).
-func (p *Program) blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
+func blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
 	var ops []blockOp
 	comm := map[ast.Node]bool{}
 	spawned := map[*ast.CallExpr]bool{}
@@ -291,17 +263,13 @@ func (p *Program) blockingOps(info *types.Info, body *ast.BlockStmt) []blockOp {
 					if pkg, typ, ok := methodOn(fn); !ok || pkg != "sync" || typ != "Cond" {
 						add(blockOp{node: x, pos: x.Pos(), desc: "blocking " + types.ExprString(sel.X) + "." + name + "()"})
 					}
-				} else if key, ok := p.staticCallee(info, x); ok {
-					if cs := p.Summaries[key]; cs != nil && cs.Blocks {
-						add(blockOp{node: x, pos: x.Pos(), desc: "call to " + key + ", which always blocks (" + cs.BlocksWhy + ")"})
-					}
 				}
 			} else if isSel {
 				// A call through a function-typed struct field — the paper's
 				// completion-callback shape.
 				if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 					if _, isFunc := s.Type().Underlying().(*types.Signature); isFunc {
-						add(blockOp{node: x, pos: x.Pos(), desc: "callback field " + types.ExprString(sel) + " invoked", callback: true})
+						add(blockOp{node: x, pos: x.Pos(), desc: "callback field " + types.ExprString(sel) + " invoked"})
 					}
 				}
 			}

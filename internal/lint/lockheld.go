@@ -14,7 +14,7 @@ import "go/ast"
 func NewLockheld() *Analyzer {
 	return &Analyzer{
 		Name: "lockheld",
-		Doc:  "no blocking operation (send, receive, range over a channel, `select` without `default` incl. `select {}`, `Wait`/`Drain`, always-blocking call, callback) under a held mutex, in every package",
+		Doc:  "no blocking operation (send, receive, range over a channel, `select` without `default` incl. `select {}`, `Wait`/`Drain`, callback) under a held mutex, in every package",
 		Run: func(pass *Pass) {
 			for _, file := range pass.Pkg.Files {
 				funcBodies(file, func(body *ast.BlockStmt) {
@@ -42,7 +42,7 @@ func checkHeldOps(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 	var flow *lockFlow
-	for _, op := range pass.Prog.blockingOps(info, body) {
+	for _, op := range blockingOps(info, body) {
 		if op.comm {
 			continue
 		}

@@ -6,7 +6,6 @@ package lint
 // each rule to the paper section it protects.
 func Default(module string) []*Analyzer {
 	return []*Analyzer{
-		NewCtxflow(),
 		NewLockheld(),
 		NewIoconfine([]string{
 			// internal/ssd covers the native Linux backend too: the raw
@@ -25,7 +24,5 @@ func Default(module string) []*Analyzer {
 		}),
 		NewAtomicfield(),
 		NewCondguard(),
-		// The whole-module lock-order graph (DESIGN.md §16).
-		NewLockorder(),
 	}
 }

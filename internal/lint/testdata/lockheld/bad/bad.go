@@ -1,8 +1,7 @@
 // Package bad holds the blocking-under-mutex shapes lockheld must flag:
 // send (on a buffered channel too), receive, range over a channel, select
 // without default, WaitGroup.Wait (also joining goroutines that need the
-// held lock), a callback field, and a call to an in-module function whose
-// summary proves it always blocks.
+// held lock) and a callback field.
 package bad
 
 import "sync"
@@ -46,22 +45,6 @@ func (w *worker) drainAll() {
 	}
 }
 
-// park's only path is an empty select and forever's a range over a
-// channel: both are summarised as always blocking, naming the operation.
-func park() { select {} }
-
-func forever(c chan int) {
-	for range c {
-	}
-}
-
-func (w *worker) callsBlocking() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	forever(w.ch) // want "call to fixture/lockheld/bad\\.forever, which always blocks \\(blocking range over channel\\) while holding w\\.mu"
-	park()        // want "call to fixture/lockheld/bad\\.park, which always blocks \\(select \\{\\} \\(blocks forever\\)\\) while holding w\\.mu"
-}
-
 // The same shapes reached through a parameter instead of a receiver.
 type hub struct {
 	mu sync.Mutex
@@ -96,19 +79,6 @@ func waitUnderLock(h *hub, wg *sync.WaitGroup) {
 	h.mu.Unlock()
 }
 
-// drainOne blocks on every path — its summary carries Blocks, so calling
-// it under the lock is as bad as the receive itself.
-func drainOne(h *hub) int {
-	return <-h.ch
-}
-
-func callBlockingUnderLock(h *hub) int {
-	h.mu.Lock()
-	v := drainOne(h) // want "call to fixture/lockheld/bad\\.drainOne, which always blocks .* while holding h\\.mu"
-	h.mu.Unlock()
-	return v
-}
-
 func rangeUnderLock(h *hub) (sum int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -121,13 +91,6 @@ func rangeUnderLock(h *hub) (sum int) {
 func parkUnderLock(h *hub) {
 	h.mu.Lock()
 	select {} // want "select \\{\\} \\(blocks forever\\) while holding h\\.mu"
-}
-
-func callParkedUnderLock(h *hub) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	forever(h.ch) // want "call to fixture/lockheld/bad\\.forever, which always blocks \\(blocking range over channel\\) while holding h\\.mu"
-	park()        // want "call to fixture/lockheld/bad\\.park, which always blocks \\(select \\{\\} \\(blocks forever\\)\\) while holding h\\.mu"
 }
 
 // Held sets are keyed by receiver: unlocking b's mutex does not release

@@ -1,7 +1,6 @@
 // Package ok holds the shapes lockheld must accept: a select with a
 // default clause, the lock released before the operation, sync.Cond.Wait,
-// a goroutine spawned under the lock, ranges over slices and maps, and a
-// call to a function with a path that does not park.
+// a goroutine spawned under the lock, and ranges over slices and maps.
 package ok
 
 import "sync"
@@ -91,21 +90,4 @@ func (x *index) total() (sum int) {
 		sum += v
 	}
 	return sum
-}
-
-// poll has a path that does not park (the default clause), so calling it
-// under the lock is not a call to an always-blocking function.
-func poll(c chan int) int {
-	select {
-	case v := <-c:
-		return v
-	default:
-		return 0
-	}
-}
-
-func (w *worker) pollUnderLock() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return poll(w.ch)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // PageBudget arbitrates the global memory-page budget shared by every
@@ -14,7 +16,7 @@ import (
 // never exceeds the configured total — the multi-tenant analogue of the
 // paper's single-run bound.
 type PageBudget struct {
-	mu    sync.Mutex
+	mu    lockdep.Mutex[PageBudget]
 	cond  *sync.Cond
 	total int // 0 = unlimited
 	inUse int

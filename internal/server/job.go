@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/optlab/opt/internal/cluster"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/metrics"
 )
 
@@ -104,7 +104,7 @@ type Job struct {
 	hub       *eventHub
 	collector *metrics.Collector
 
-	mu       sync.Mutex
+	mu       lockdep.Mutex[Job]
 	state    State
 	cancel   context.CancelFunc // non-nil once the run context exists
 	out      outcome

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/cluster"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -89,7 +90,7 @@ type Manager struct {
 	rootCtx    context.Context // parent of every job context; cancelled at the drain deadline
 	cancelJobs context.CancelFunc
 
-	mu       sync.Mutex
+	mu       lockdep.Mutex[Manager]
 	draining bool
 	seq      map[string]int64  // last id number handed out, per job kind
 	jobs     map[string]*Job   // every tracked job, local and distributed

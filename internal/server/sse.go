@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 )
 
 // eventHub is the job-scoped bridge between the engine's events.Sink and
@@ -18,7 +18,7 @@ import (
 // alone, oldest event first and exactly as long as the history, for as
 // long as the manager retains the job.
 type eventHub struct {
-	mu     sync.Mutex
+	mu     lockdep.Mutex[eventHub]
 	ring   []events.Event // last ≤ maxLen events; once full, ring[head] is the oldest
 	head   int
 	maxLen int

@@ -7,6 +7,7 @@ import (
 
 	"github.com/optlab/opt/internal/buffer/arena"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/metrics"
 )
 
@@ -300,7 +301,7 @@ func (d *AsyncDevice) readDone(req request, buf []byte, err error) completion {
 // their request and arena buffer. The submitter fills entries, the reaper
 // takes them; the mutex publishes the entry across that goroutine pair.
 type ringSlots struct {
-	mu      sync.Mutex
+	mu      lockdep.Mutex[ringSlots]
 	entries []slotEntry
 }
 
@@ -465,7 +466,7 @@ func (d *AsyncDevice) dispatcher() {
 // the head index behind rather than re-slicing, so the backing array keeps
 // its capacity and a steady-state submit/complete loop stops allocating.
 type reqQueue struct {
-	mu     sync.Mutex
+	mu     lockdep.Mutex[reqQueue]
 	cond   *sync.Cond
 	items  []request
 	head   int

@@ -24,9 +24,9 @@ package ssd
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/lockdep"
 	"github.com/optlab/opt/internal/metrics"
 )
 
@@ -68,7 +68,7 @@ type SyncDevice struct {
 	dev  PageDevice
 	opts AsyncOptions
 
-	mu sync.Mutex
+	mu lockdep.Mutex[SyncDevice]
 	th Throttle
 }
 
