@@ -621,37 +621,47 @@ func TestInternalLoadCoalescesByItsOwnArea(t *testing.T) {
 // allocates: the pass's scheduler and one completion closure per coalesced
 // read, nothing per chunk — a consumer wrapped in a closure on the
 // callback path would cost one allocation per chunk, and the range has
-// several times more chunks than reads.
+// several times more chunks than reads. OPT on one thread loads on the
+// callback thread as OPT_serial does, so it is held to the same bound: a
+// one-worker task scheduler would add a task closure per chunk.
 func TestInternalLoadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled || poisonEnabled {
 		t.Skip("race instrumentation and the optpoison guard both make recycled chunks allocate")
 	}
 	_, st := sparseStore(t)
-	dev, err := st.Device()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = dev.Close() }()
-	r := newRunner(context.Background(), st, dev, serial, engine.Options{MemoryPages: int(st.NumPages) * 8 / 100})
-	defer r.close()
-	hi, ids := r.internalRange(0)
-	load := func() {
-		r.ctx.beginIteration(0, hi, ids)
-		r.vexSet.Clear()
-		r.loadInternal(0, 0, hi)
-	}
-	load() // grows the scratch, the free lists and the device's arena
-	before := r.mx.AsyncReads()
-	const runs = 10
-	allocs := testing.AllocsPerRun(runs, load)
-	reads := float64(r.mx.AsyncReads()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
-	chunks := len(r.taskBounds) - 1
-	t.Logf("a warm load of %d chunks in %.0f reads allocates %.0f times", chunks, reads, allocs)
-	if chunks < 2*int(reads)+8 {
-		t.Fatalf("%d chunks in %.0f reads: the fixture exercises nothing", chunks, reads)
-	}
-	if allocs > reads+4 {
-		t.Fatalf("%.0f allocations, want ≤ %.0f reads + 4", allocs, reads)
+	for _, tc := range []struct {
+		name    string
+		o       optRunner
+		threads int
+	}{{"serial", serial, 0}, {"opt/threads=1", parallel, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, err := st.Device()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = dev.Close() }()
+			r := newRunner(context.Background(), st, dev, tc.o, engine.Options{Threads: tc.threads, MemoryPages: int(st.NumPages) * 8 / 100})
+			defer r.close()
+			hi, ids := r.internalRange(0)
+			load := func() {
+				r.ctx.beginIteration(0, hi, ids)
+				r.vexSet.Clear()
+				r.loadInternal(0, 0, hi)
+			}
+			load() // grows the scratch, the free lists and the device's arena
+			before := r.mx.AsyncReads()
+			const runs = 10
+			allocs := testing.AllocsPerRun(runs, load)
+			reads := float64(r.mx.AsyncReads()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
+			chunks := len(r.taskBounds) - 1
+			t.Logf("a warm load of %d chunks in %.0f reads allocates %.0f times", chunks, reads, allocs)
+			if chunks < 2*int(reads)+8 {
+				t.Fatalf("%d chunks in %.0f reads: the fixture exercises nothing", chunks, reads)
+			}
+			if allocs > reads+4 {
+				t.Fatalf("%.0f allocations, want ≤ %.0f reads + 4", allocs, reads)
+			}
+		})
 	}
 }
 

@@ -55,8 +55,8 @@ func loadSnapshots(t *testing.T, st *storage.Store, o optRunner, opts engine.Opt
 // offset into the arena, candidates into a set per running task, merged
 // once per load — and OPT_serial on the callback thread alone, as OPT on
 // one thread does. After every iteration's load both must hold the same n≻
-// for every internal vertex (the graph's own) and the same V_ex, at 2 and 4
-// threads, on either codec, under every model.
+// for every internal vertex (the graph's own) and the same V_ex, at 1, 2
+// and 4 threads, on either codec, under every model.
 func TestInternalLoadParallelMatchesSerial(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<11, 14_000, 5))
 	if err != nil {
@@ -82,7 +82,7 @@ func TestInternalLoadParallelMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-			for _, threads := range []int{2, 4} {
+			for _, threads := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/threads=%d", codec, modelNames[model], threads), func(t *testing.T) {
 					opts := opts
 					opts.Threads = threads

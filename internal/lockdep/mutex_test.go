@@ -18,3 +18,30 @@ func TestMutexIsASyncMutex(t *testing.T) {
 	l.Lock()
 	l.Unlock()
 }
+
+// A sync.Cond over a Mutex waits and wakes in either build: Wait unlocks
+// and relocks through the Mutex, so under the witness a waiter does not
+// keep the lock on its held list while it sleeps, and its relock is not a
+// second acquisition of a lock it holds.
+func TestMutexBacksACond(t *testing.T) {
+	var m Mutex[struct{ cond int }]
+	c := sync.NewCond(&m)
+	ready, done := false, make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Lock()
+		for !ready {
+			c.Wait()
+		}
+		m.Unlock()
+	}()
+	for i := 0; i < 2; i++ {
+		m.Lock()
+		ready = i == 1
+		c.Broadcast()
+		m.Unlock()
+	}
+	<-done
+	m.Lock() // the waiter's relock was released with its Unlock
+	m.Unlock()
+}
