@@ -51,12 +51,16 @@ func main() {
 
 	// Degree distribution summary from the directory (no page I/O).
 	maxDeg, isolated := 0, 0
+	maxSucc, succSum := 0, int64(0)
 	runVerts := 0
 	for v := 0; v < st.NumVertices; v++ {
 		d := st.DegreeOf(uint32(v))
 		if d > maxDeg {
 			maxDeg = d
 		}
+		n := st.SuccOf(uint32(v))
+		maxSucc = max(maxSucc, n)
+		succSum += int64(n)
 		if d == 0 {
 			isolated++
 		}
@@ -65,6 +69,10 @@ func main() {
 		}
 	}
 	fmt.Printf("max degree   %d\n", maxDeg)
+	// |n≻(v)|, what OPT's internal area holds of v; the sum is |E| (Open
+	// checked it).
+	fmt.Printf("Σ|n≻|        %d\n", succSum)
+	fmt.Printf("max |n≻|     %d\n", maxSucc)
 	fmt.Printf("isolated     %d\n", isolated)
 	fmt.Printf("run records  %d (adjacency lists spanning multiple pages)\n", runVerts)
 
@@ -106,7 +114,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "optinfo: INTEGRITY FAILURE: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("verify       OK: %d records, %d edges, symmetric, sorted, aligned\n",
+	fmt.Printf("verify       OK: %d records, %d edges, symmetric, sorted, split, aligned\n",
 		rep.Vertices, rep.Edges)
 }
 

@@ -69,6 +69,8 @@ func PutChunk(c *Chunk) {
 	chunkFree.Put(c)
 }
 
+// entry is a resident chunk and its pin count, held by value in the pool's
+// map: admitting a chunk allocates nothing once the map has grown.
 type entry struct {
 	chunk *Chunk
 	pins  int
@@ -80,7 +82,7 @@ type Pool struct {
 	mu       lockdep.Mutex[Pool]
 	capPages int
 	used     int
-	chunks   map[uint32]*entry
+	chunks   map[uint32]entry
 	fifo     []uint32 // insertion order, candidates for eviction
 	overflow int      // pages held beyond capacity because everything was pinned
 }
@@ -93,7 +95,7 @@ func NewPool(capPages int) *Pool {
 	if capPages < 1 {
 		capPages = 1
 	}
-	return &Pool{capPages: capPages, chunks: make(map[uint32]*entry)}
+	return &Pool{capPages: capPages, chunks: make(map[uint32]entry)}
 }
 
 // Capacity returns the pool's page budget.
@@ -133,7 +135,7 @@ func (p *Pool) Insert(c *Chunk) int {
 		}
 		evicted++
 	}
-	p.chunks[c.FirstPage] = &entry{chunk: c, pins: 1}
+	p.chunks[c.FirstPage] = entry{chunk: c, pins: 1}
 	p.fifo = append(p.fifo, c.FirstPage)
 	p.used += c.NumPages
 	return evicted
@@ -180,6 +182,7 @@ func (p *Pool) Lookup(first uint32) *Chunk {
 		return nil
 	}
 	e.pins++
+	p.chunks[first] = e
 	return e.chunk
 }
 
@@ -205,6 +208,7 @@ func (p *Pool) Unpin(first uint32) {
 		panic(fmt.Sprintf("buffer: unpin of unpinned chunk %d", first))
 	}
 	e.pins--
+	p.chunks[first] = e
 }
 
 // PinCount returns the current pin count of the chunk starting at first,

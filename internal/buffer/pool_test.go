@@ -348,6 +348,38 @@ func TestPoolTrimToAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPoolInsertAllocatesNothing checks that admitting a chunk into a warm
+// pool allocates nothing: the pool keeps its entries by value, and the
+// external pass inserts every chunk it decodes. The keys rotate through
+// fresh pages, as a run's do, with 64 chunks resident; each chunk leaves
+// through Take, so no chunk is recycled and only the pool's own
+// bookkeeping is counted.
+func TestPoolInsertAllocatesNothing(t *testing.T) {
+	const resident = 64
+	p := NewPool(resident + 1)
+	chunks := make([]*Chunk, resident+1)
+	for i := range chunks {
+		chunks[i] = &Chunk{NumPages: 1}
+	}
+	next := uint32(0)
+	cycle := func() {
+		c := chunks[next%uint32(len(chunks))]
+		c.FirstPage = next
+		p.Insert(c)
+		p.Unpin(next)
+		if next >= resident {
+			p.Take(next - resident)
+		}
+		next++
+	}
+	for range 100 * resident {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(10*resident, cycle); allocs != 0 {
+		t.Fatalf("a warm Insert allocates %v times, want 0", allocs)
+	}
+}
+
 // TestPoolRecyclesWhatItDrops pins the chunk-ownership rule: a chunk the
 // pool lets go of while nobody pins it — evicted by Insert or TrimTo, or
 // removed by Clear — is handed to PutChunk, a pinned chunk never is, and a

@@ -153,11 +153,11 @@ func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid
 	if lo >= hi {
 		return b, nil
 	}
-	deg := 0
+	succ := 0
 	for v := lo; v < hi; v++ {
-		deg += st.DegreeOf(v)
+		succ += st.SuccOf(v)
 	}
-	b.ids = make([]uint32, 0, deg)
+	b.ids = make([]uint32, 0, succ)
 	p, last := st.FirstPageOf(lo), st.FirstPageOf(hi-1)+uint32(st.SpanOf(hi-1))
 	for p < last {
 		if err := ctx.Err(); err != nil {
@@ -190,7 +190,7 @@ func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid
 			if r.ID >= hi {
 				break
 			}
-			b.ids = append(b.ids, r.Adj[intersect.UpperBound(r.Adj, r.ID):]...)
+			b.ids = append(b.ids, st.Successors(r)...)
 			b.off[r.ID-lo+1] = len(b.ids)
 		}
 		p += uint32(n)

@@ -278,6 +278,47 @@ func TestCountShardWrongPages(t *testing.T) {
 	}
 }
 
+// TestCountShardShiftedSuccessors: a store whose successor directory moves
+// two entries by +1 and −1, still summing to |E|, must fail every block-pair
+// task that loads either vertex's block with storage.ErrCorruptPage — the
+// block load takes n≻ off the directory, so a lying entry would copy a
+// neighbor below the vertex into n≻ or drop one above it — and leave every
+// other task's count exact.
+func TestCountShardShiftedSuccessors(t *testing.T) {
+	g := workloads(t)["rmat"]
+	for _, codec := range testCodecs {
+		st, _ := buildStore(t, g, codec)
+		bad, up, down := testutil.ShiftedSuccStore(t, st)
+		dev, err := bad.Device()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = dev.Close() }()
+		for _, dim := range []int{1, 2} {
+			grid, err := NewGrid(dim, bad.NumVertices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds := func(block int, v uint32) bool { lo, hi := grid.Range(block); return lo <= v && v < hi }
+			for _, s := range grid.Shards() {
+				lying := holds(s.I, up) || holds(s.I, down) || holds(s.J, up) || holds(s.J, down)
+				got, err := CountShard(context.Background(), bad, syncDev(dev), grid, s, 4, nil, nil)
+				if lying && !errors.Is(err, storage.ErrCorruptPage) {
+					t.Fatalf("%s/dim=%d: shard %+v holds vertex %d or %d: err = %v, want storage.ErrCorruptPage", codec, dim, s, up, down, err)
+				}
+				if !lying {
+					if err != nil {
+						t.Fatalf("%s/dim=%d: shard %+v: %v", codec, dim, s, err)
+					}
+					if want := grid.CountShardRef(g, s.I, s.J); got != want {
+						t.Fatalf("%s/dim=%d: shard %+v counted %d, want %d", codec, dim, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCountShardCancellation(t *testing.T) {
 	g := workloads(t)["k20"]
 	st, dev := buildStore(t, g, storage.CodecRaw)

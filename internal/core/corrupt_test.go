@@ -91,10 +91,12 @@ func swappedStore(t *testing.T, g *graph.Graph, v uint32, codec string) *storage
 }
 
 // TestCorruptRecordFailsRun overwrites a record id or a neighbor id in a
-// valid store, or swaps two neighbours of a record. The ids index memory
+// valid store, swaps two neighbours of a record, or moves two entries of
+// the successor directory by +1 and −1. The ids index memory
 // downstream — the internal area by record, the candidate and probe bitsets
 // by neighbor — and every bound that cuts a list, every kernel and every
-// learned |n≻| assumes a sorted one, so the run must end with
+// n≻ taken off the successor directory assumes a sorted one split there,
+// so the run must end with
 // storage.ErrCorruptPage and whatever it had counted, on the page's first
 // decode (an early page is loaded as internal area, a late one read as an
 // external chunk), not with an index panic on a device goroutine or a
@@ -132,6 +134,11 @@ func TestCorruptRecordFailsRun(t *testing.T) {
 		// Vertex 717: a swap that does not crash the unchecked kernels but
 		// makes them miss a triangle in every mode on either codec.
 		cases = append(cases, corruption{codec + "/swapped-neighbors", swappedStore(t, g, 717, codec)})
+		// A successor directory that sums to |E| but splits two lists in
+		// the wrong place: the load would copy a neighbor below the vertex
+		// into n≻, or drop one above it.
+		shifted, _, _ := testutil.ShiftedSuccStore(t, st)
+		cases = append(cases, corruption{codec + "/shifted-successors", shifted})
 		for _, c := range cases {
 			for _, o := range []optRunner{serial, parallel} {
 				t.Run(c.name+"/"+o.mode.String(), func(t *testing.T) {

@@ -120,7 +120,7 @@ func (w *work) found(c *Ctx, u, v uint32, ws []uint32) {
 }
 
 // beginIteration resets the internal area for a new page range whose lists
-// n≻ hold at most ids ids in all: the arena is that long, sized once per
+// n≻ hold ids ids in all: the arena is that long, sized once per
 // iteration, and the load places each chunk's lists at their own offset
 // into it.
 func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
@@ -146,7 +146,7 @@ func (c *Ctx) beginIteration(lo, hi uint32, ids int) {
 // region of the arena, which starts at the offset the load gave it, and its
 // own entries of span, so concurrent chunks share nothing.
 func (c *Ctx) addInternal(rec storage.VertexRec, at int) int {
-	ns := nsucc(rec.Adj, rec.ID)
+	ns := c.store.Successors(rec)
 	end := at + len(ns)
 	copy(c.ids[at:end], ns)
 	c.span[rec.ID-c.loVertex] = [2]uint32{uint32(at), uint32(end)}
@@ -166,13 +166,11 @@ func (c *Ctx) internalSucc(v uint32) []uint32 {
 	return c.ids[s[0]:s[1]:s[1]]
 }
 
-// internalPreds returns the u ∈ n≺(v) with n(u) internal — one contiguous
-// sub-slice of v's sorted list, found by its two bounds — and what follows
-// it in the list.
-func (c *Ctx) internalPreds(v storage.VertexRec) (preds, rest []uint32) {
+// internalPreds returns the u ∈ n≺(v) with n(u) internal: one contiguous
+// sub-slice of v's sorted list, found by its two bounds.
+func (c *Ctx) internalPreds(v storage.VertexRec) []uint32 {
 	a := v.Adj[intersect.LowerBound(v.Adj, c.loVertex):]
-	k := intersect.LowerBound(a, min(c.hiVertex, v.ID))
-	return a[:k], a[k:]
+	return a[:intersect.LowerBound(a, min(c.hiVertex, v.ID))]
 }
 
 // pair tallies one intersection of a record — the pair's triangles are
@@ -200,7 +198,9 @@ func (w *work) probeAbove(c *Ctx, u, v uint32, nsU []uint32, set *bits.Set) {
 	w.found(c, u, v, w.buf)
 }
 
-// nsucc returns n≻(v): the suffix of adj with ids greater than v.
+// nsucc returns the suffix of the sorted list adj with ids greater than v,
+// found by binary search; n≻(v) of a record is Store.Successors, with no
+// search.
 func nsucc(adj []uint32, v uint32) []uint32 {
 	return adj[intersect.UpperBound(adj, v):]
 }
@@ -242,11 +242,11 @@ func (edgeIteratorModel) ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *
 // n≻(u) above v are streamed: merged pairs cut n≻(u) there first, probed
 // pairs walk it back from its end and stop at the first id ≤ v.
 func (edgeIteratorModel) ExternalTriangle(ctx *Ctx, w *work, v storage.VertexRec) {
-	partners, rest := ctx.internalPreds(v)
+	partners := ctx.internalPreds(v)
 	if len(partners) == 0 {
 		return
 	}
-	nsV := nsucc(rest, v.ID)
+	nsV := ctx.store.Successors(v)
 	// v is the fixed side here: Algorithm 10 intersects n≻(v) against every
 	// internal partner u ∈ V_req^v.
 	set := w.probe.Fix(nsV, len(partners), ctx.store.NumVertices)
@@ -289,9 +289,11 @@ func (vertexIteratorModel) ExternalTriangle(ctx *Ctx, w *work, u storage.VertexR
 
 // vertexIteratorPairs performs the shared pair-checking kernel of
 // Algorithms 11 and 13. A triangle Δuvw is reported exactly once over the
-// whole run: in the single iteration whose internal area holds n(v).
+// whole run: in the single iteration whose internal area holds n(v). u.Adj
+// is a decoded list or, from InternalTriangle, n≻(u) itself; either way it
+// ends with n≻(u).
 func vertexIteratorPairs(ctx *Ctx, w *work, u storage.VertexRec) {
-	ns := nsucc(u.Adj, u.ID)
+	ns := ctx.store.Successors(u)
 	if len(ns) < 2 {
 		return
 	}

@@ -140,11 +140,6 @@ type runner struct {
 	load, external pass
 	prefetchDepth  int
 
-	// succLen[v] is |n≻(v)| once any chunk holding v has been decoded, and
-	// |n(v)| before: what v costs the internal area, as far as the run
-	// knows (internalRange).
-	succLen []uint32
-
 	// Per-iteration state. vexSet is V_ex: the models add candidates straight
 	// into it, and since records are stored in id order its members read
 	// ascending are already the request list's page order. taskBounds holds
@@ -203,10 +198,6 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	// budget, since a range may span more pages than m_in and while it loads
 	// the external area is idle.
 	maxCoalesce := cmp.Or(o.seams.maxCoalescePages, defaultCoalescePages)
-	succLen := make([]uint32, st.NumVertices)
-	for v := range succLen {
-		succLen[v] = uint32(st.DegreeOf(uint32(v)))
-	}
 	mx := metrics.NewCollector()
 	r := &runner{
 		gctx:     ctx,
@@ -220,7 +211,6 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		mEx:      mEx,
 		pool:     buffer.NewPool(mEx),
 		vexSet:   bits.NewSet(st.NumVertices),
-		succLen:  succLen,
 		load:     pass{area: "internal", window: opts.MemoryPages, maxRead: min(maxCoalesce, mIn)},
 		external: pass{area: "external", window: externalWindow(mEx), maxRead: min(maxCoalesce, max(1, mEx/windowGroups)), keep: true},
 	}
@@ -267,9 +257,10 @@ func (r *runner) fail(err error) {
 // has exactly one implementation. Store.DecodeAppend holds the records to
 // the directories, which everything downstream indexes by — record ids into
 // the internal area, neighbor ids into the candidate and probe sets — and
-// every bound and kernel relies on sorted lists; what only the caller can
-// check is that the device returned the pages asked for. Every decode also
-// tells the run |n≻(v)| of its records (succLen).
+// every bound and kernel relies on sorted lists split where the successor
+// directory says (Store.Successors, and the arena offsets of the load);
+// what only the caller can check is that the device returned the pages
+// asked for.
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {
 	c := buffer.GetChunk()
 	recs, arena, err := r.st.DecodeAppend(c.Recs, c.Arena, data)
@@ -281,9 +272,6 @@ func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk
 	if err != nil {
 		buffer.PutChunk(c)
 		return nil, err
-	}
-	for _, rec := range recs {
-		r.succLen[rec.ID] = uint32(len(nsucc(rec.Adj, rec.ID)))
 	}
 	c.FirstPage = first
 	c.NumPages = span
@@ -375,11 +363,11 @@ type rangeSum func(lo, hi uint32) int
 // over the records of internalRangeEnd, degrees giving the first term. The
 // range then grows chunk by chunk while Σ (size(v) + areaWords) fits the
 // budget, sizes giving the first term per chunk. Both callers pass sizes no
-// larger than the degrees — the runner the |n≻(v)| it has learned
-// (internalRange), the planner the degrees themselves — so a range never
-// ends before internalRangeEnd, and the runner's never before the
-// planner's at the same lo. The rule costs one sum for the budget and one
-// per chunk of the range: O(range) pages on the planner's prefix sums,
+// larger than the degrees — the runner |n≻(v)| from the successor
+// directory (internalRange), the planner the degrees themselves — so a
+// range never ends before internalRangeEnd, and the runner's never before
+// the planner's at the same lo. The rule costs one sum for the budget and
+// one per chunk of the range: O(range) pages on the planner's prefix sums,
 // whatever the degrees.
 func rangeEnd(st *storage.Store, lo uint32, mIn int, degrees, sizes rangeSum) (hi uint32, ids int) {
 	end := internalRangeEnd(st, lo, mIn)
@@ -400,9 +388,10 @@ func rangeEnd(st *storage.Store, lo uint32, mIn int, degrees, sizes rangeSum) (h
 }
 
 // internalRange returns the end of the internal range of the iteration that
-// starts at page lo, and the ids its lists n≻ hold at most: rangeEnd over
-// the learned succLen. Nothing is decoded before the first iteration, so
-// its range is exactly the planner's first.
+// starts at page lo, and the ids its lists n≻ hold: rangeEnd charging each
+// vertex |n≻(v)| from the successor directory. The ranges are a function of
+// the directories and m_in alone, exact from the first iteration, and never
+// shorter than the planner's at the same lo.
 func (r *runner) internalRange(lo uint32) (hi uint32, ids int) {
 	return rangeEnd(r.st, lo, r.mIn, r.degreeSum, r.succSum)
 }
@@ -417,18 +406,18 @@ func (r *runner) degreeSum(lo, hi uint32) int {
 	return sum
 }
 
-// succSum is the runner's rangeSum of succLen, what its vertices cost the
-// internal area as far as the run knows.
+// succSum is the runner's rangeSum of |n≻(v)|, what its vertices' lists
+// cost the internal area.
 func (r *runner) succSum(lo, hi uint32) int {
 	sum := 0
 	for v, end := r.st.FirstRecordOf(lo), r.st.FirstRecordOf(hi); v < end; v++ {
-		sum += int(r.succLen[v])
+		sum += r.st.SuccOf(v)
 	}
 	return sum
 }
 
 // iteration performs lines 5–13 of Algorithm 3 for the page range [lo, hi),
-// whose lists n≻ hold at most ids ids.
+// whose lists n≻ hold ids ids.
 func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationStat, error) {
 	stat := engine.IterationStat{Index: index, InternalPages: int(hi - lo)}
 	loadStart := time.Now()
@@ -464,8 +453,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 // and returns the pages taken from the external area without I/O — the Δin
 // credit of the Algorithm 4 loading order. The rest arrive in coalesced
 // reads. Each request carries where its chunk's lists n≻ start in the
-// arena: the sum of succLen over the chunks before it, which bounds what
-// they hold. OPT_serial, and OPT on one thread, load every chunk on the
+// arena: the sum of |n≻| over the chunks before it. OPT_serial, and OPT on one thread, load every chunk on the
 // callback thread: a scheduler with one worker would only add a closure, a
 // submit and a wake-up per chunk. OPT on more threads runs each chunk —
 // decode, the internal area's copy and IdentifyExternalCandidateVertex

@@ -12,11 +12,12 @@ import (
 // for VertexIterator≻ (n≺), all of the store for the MGT instance. So the
 // pages a run reads and the iterations it takes are a function of m_in and
 // the directories alone, given its ranges. The planner takes them from the
-// run's own rule, rangeEnd, charging every vertex its degree: that is
-// exactly a run's first range, and its later ranges are longer, since the
-// run charges the |n≻| it has learned by then (runner.internalRange), so
-// the prediction is an upper bound on both. planAreas evaluates it for
-// every legal split of the budget before any I/O and keeps the cheapest:
+// run's own rule, rangeEnd, charging every vertex its degree, where the run
+// charges |n≻| from the successor directory (runner.internalRange): no
+// planned range is longer than the run's at the same lo, so the prediction
+// is an upper bound on the run's iterations and pages. planAreas evaluates
+// it for every legal split of the budget before any I/O and keeps the
+// cheapest:
 //
 //	cost(m_in) = pages · (1 + planReadCost/W) + iterations · planIterCost
 //

@@ -25,12 +25,12 @@ func rmatStore(t testing.TB, seed int64, pageSize int) (*graph.Graph, *storage.S
 }
 
 // TestPlanPredictsRun pins what makes the planner a planner: from the
-// directories alone it predicts the run's first internal range exactly and
-// bounds its iteration count and its EdgeIterator≻ request list from
-// above. Later ranges are longer than the planner's, since the run charges
-// them the |n≻| it has learned where the planner charges the degree
-// (DESIGN.md §5), so the bounds are not tight. The areas it returns spend
-// the budget exactly.
+// directories alone it bounds the run's first internal range from below
+// and its iteration count and its EdgeIterator≻ request list from above.
+// The run's ranges are longer than the planner's, since the run charges
+// each vertex its |n≻| where the planner charges the degree (DESIGN.md §5),
+// so the bounds are not tight. The areas it returns spend the budget
+// exactly.
 func TestPlanPredictsRun(t *testing.T) {
 	for _, seed := range []int64{31, 42} {
 		for _, pageSize := range []int{128, 1024} {
@@ -57,16 +57,16 @@ func TestPlanPredictsRun(t *testing.T) {
 	}
 }
 
-// checkPlanBounds holds a run to its plan: the first internal range is the
-// planner's, and neither the iterations nor the external requests exceed
-// the planned ones.
+// checkPlanBounds holds a run to its plan: the first internal range
+// contains the planner's, and neither the iterations nor the external
+// requests exceed the planned ones.
 func checkPlanBounds(t *testing.T, st *storage.Store, plan areaPlan, res *engine.Result) {
 	t.Helper()
 	if len(res.IterStats) == 0 {
 		t.Fatal("run recorded no iteration")
 	}
-	if got, want := res.IterStats[0].InternalPages, int(plan.first); got != want {
-		t.Errorf("first internal range = %d pages, planned %d", got, want)
+	if got, want := res.IterStats[0].InternalPages, int(plan.first); got < want {
+		t.Errorf("first internal range = %d pages, planned ≥ %d", got, want)
 	}
 	var reqs int64
 	for _, s := range res.IterStats {
@@ -206,11 +206,11 @@ func TestPlannedRunAdmitsThePricedWindow(t *testing.T) {
 }
 
 // TestRangeEndSumsAgree: the range rule gives the same (hi, ids) at every
-// lo whether its sums come from the planner's prefix sums or from the
-// runner's per-vertex loops — both with every vertex charged its degree
-// (the planner, and the runner's first iteration) and with the |n≻| a run
-// learns — on raw and deltavarint stores of 128-, 1024- and 4096-byte
-// pages, at m_in ∈ {1, m/2, m − 1}.
+// lo whether its sums come from prefix sums or from the runner's per-vertex
+// loops over the directories — both with every vertex charged its degree
+// (the planner) and with its |n≻| (the runner, whose successor directory
+// must agree with the graph's lists) — on raw and deltavarint stores of
+// 128-, 1024- and 4096-byte pages, at m_in ∈ {1, m/2, m − 1}.
 func TestRangeEndSumsAgree(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<12, 30_000, 9))
 	if err != nil {
@@ -237,8 +237,8 @@ func checkRangeEndSums(t *testing.T, g *graph.Graph, st *storage.Store) {
 	}
 	defer func() { _ = base.Close() }()
 	pp, _ := newPagePrefix(st)
-	// succBelow[v] is Σ |n≻(u)| over u < v, the sums of a run that has
-	// decoded every vertex.
+	// succBelow[v] is Σ |n≻(u)| over u < v, from the graph itself rather
+	// than the store's successor directory.
 	succBelow := make([]int, st.NumVertices+1)
 	for v := range st.NumVertices {
 		succBelow[v+1] = succBelow[v] + len(nsucc(g.Neighbors(uint32(v)), uint32(v)))
@@ -255,19 +255,11 @@ func checkRangeEndSums(t *testing.T, g *graph.Graph, st *storage.Store) {
 				continue
 			}
 			hi, ids := rangeEnd(st, lo, mIn, pp.degrees, pp.degrees)
-			if rhi, rids := r.internalRange(lo); rhi != hi || rids != ids {
+			if rhi, rids := rangeEnd(st, lo, mIn, r.degreeSum, r.degreeSum); rhi != hi || rids != ids {
 				t.Fatalf("m_in=%d, lo=%d, degrees: loops give (%d, %d), prefix sums (%d, %d)", mIn, lo, rhi, rids, hi, ids)
 			}
 			ranges++
-		}
-		for v := range r.succLen {
-			r.succLen[v] = uint32(len(nsucc(g.Neighbors(uint32(v)), uint32(v))))
-		}
-		for lo := uint32(0); lo < st.NumPages; lo++ {
-			if !st.StartsRecord(lo) {
-				continue
-			}
-			hi, ids := rangeEnd(st, lo, mIn, pp.degrees, succ)
+			hi, ids = rangeEnd(st, lo, mIn, pp.degrees, succ)
 			if rhi, rids := r.internalRange(lo); rhi != hi || rids != ids {
 				t.Fatalf("m_in=%d, lo=%d, |n≻|: loops give (%d, %d), prefix sums (%d, %d)", mIn, lo, rhi, rids, hi, ids)
 			}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -108,10 +109,24 @@ func TestCancelKeepsTallies(t *testing.T) {
 }
 
 // TestPartnerRange drives Algorithm 10 on hand-made records against an
-// internal area of ids [10, 20). The Ctx's store has no vertices, so filling
-// a membership set would panic: two partners or fewer must merge.
+// internal area of ids [10, 20). The successor directory is that of a store
+// whose lists n≻ of 12, 15 and 50 end the records below; its vertex count is
+// then cleared, so filling a membership set would panic: two partners or
+// fewer must merge.
 func TestPartnerRange(t *testing.T) {
-	ctx := &Ctx{store: &storage.Store{}, loVertex: 10, hiVertex: 20, span: make([][2]uint32, 10), ids: make([]uint32, 7)}
+	var edges []graph.Edge
+	for u, ns := range map[uint32][]uint32{12: {15, 30, 60, 70}, 15: {16, 60, 80}, 50: {60, 80}} {
+		for _, v := range ns {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	g, err := graph.FromEdges(81, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := *buildStore(t, g, 128)
+	st.NumVertices = 0
+	ctx := &Ctx{store: &st, loVertex: 10, hiVertex: 20, span: make([][2]uint32, 10), ids: make([]uint32, 7)}
 	at := ctx.addInternal(storage.VertexRec{ID: 12, Adj: []uint32{15, 30, 60, 70}}, 0)
 	ctx.addInternal(storage.VertexRec{ID: 15, Adj: []uint32{16, 60, 80}}, at)
 	var listed [][3]uint32

@@ -40,8 +40,9 @@ func swappedStore(t *testing.T, g *graph.Graph, v uint32, codec string) *storage
 // TestCorruptListFailsEveryRunner is the decode contract across the
 // registry: a store whose list of vertex 717 holds two neighbours swapped —
 // a swap that makes unchecked kernels miss a triangle rather than crash —
-// must end every registered runner, on either codec, with
-// storage.ErrCorruptPage and a partial Result, and leak no goroutine.
+// and a store whose successor directory moves two entries by +1 and −1,
+// still summing to |E|, must end every registered runner, on either codec,
+// with storage.ErrCorruptPage and a partial Result, and leak no goroutine.
 // Store.Decode is the one check every reader's pages go through.
 func TestCorruptListFailsEveryRunner(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 8000, 17))
@@ -50,34 +51,47 @@ func TestCorruptListFailsEveryRunner(t *testing.T) {
 	}
 	g, _ := graph.DegreeOrder(raw)
 	for _, codec := range codecs {
-		st := swappedStore(t, g, 717, codec)
-		for _, name := range engine.Names() {
-			t.Run(fmt.Sprintf("%s/%s", codec, name), func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				dev, err := st.Device()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
-					MemoryPages: int(st.NumPages) / 8,
-					TempDir:     t.TempDir(),
-				})
-				if cerr := dev.Close(); cerr != nil {
-					t.Fatal(cerr)
-				}
-				if !errors.Is(err, storage.ErrCorruptPage) {
-					var got int64
-					if res != nil {
-						got = res.Triangles
-					}
-					t.Fatalf("err = %v (%d triangles, %d in the intact graph), want storage.ErrCorruptPage",
-						err, got, graph.CountTrianglesReference(g))
-				}
-				if res == nil {
-					t.Fatal("no partial result alongside the error")
-				}
-				testutil.WaitGoroutines(t, baseline, name+" after a corrupt list")
-			})
+		st, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "g.optstore"), g, 256, codec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		shifted, _, _ := testutil.ShiftedSuccStore(t, st)
+		for _, c := range []struct {
+			prefix string
+			st     *storage.Store
+		}{{codec, swappedStore(t, g, 717, codec)}, {codec + "/shifted-successors", shifted}} {
+			checkCorruptFailsEveryRunner(t, g, c.prefix, c.st)
+		}
+	}
+}
+
+func checkCorruptFailsEveryRunner(t *testing.T, g *graph.Graph, prefix string, st *storage.Store) {
+	for _, name := range engine.Names() {
+		t.Run(fmt.Sprintf("%s/%s", prefix, name), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			dev, err := st.Device()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
+				MemoryPages: int(st.NumPages) / 8,
+				TempDir:     t.TempDir(),
+			})
+			if cerr := dev.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			if !errors.Is(err, storage.ErrCorruptPage) {
+				var got int64
+				if res != nil {
+					got = res.Triangles
+				}
+				t.Fatalf("err = %v (%d triangles, %d in the intact graph), want storage.ErrCorruptPage",
+					err, got, graph.CountTrianglesReference(g))
+			}
+			if res == nil {
+				t.Fatal("no partial result alongside the error")
+			}
+			testutil.WaitGoroutines(t, baseline, name+" after a corrupt list")
+		})
 	}
 }

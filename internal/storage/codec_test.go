@@ -3,12 +3,15 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/ssd"
 )
 
 func TestCodecRegistry(t *testing.T) {
@@ -51,38 +54,98 @@ func TestBuildFileCodecValidation(t *testing.T) {
 	}
 }
 
-// rewriteHeaderV1 turns a raw-codec v2 store file into the v1 layout: the
-// pages are bit-identical, only the header magic/version differ (v1 kept
-// the codec bytes zero).
-func rewriteHeaderV1(t *testing.T, path string) {
+// writeLegacy writes s, a store built by this package, to path in the
+// layout of format version 1 or 2: the header of that version, 8-byte vertex
+// entries without the successor count, the page directory, padding up to the
+// next ssd.DirectAlign boundary, and s's data pages unchanged. A v1 file
+// keeps the codec bytes zero and holds raw pages only.
+func writeLegacy(t testing.TB, s *Store, path string, version int) {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data[0:8], storeMagicV1)
-	binary.LittleEndian.PutUint32(data[8:], storeVersionV1)
-	binary.LittleEndian.PutUint16(data[48:], 0)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	end := dirEnd(version, s.NumVertices, s.NumPages)
+	dataOffset := (end + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
+	out := make([]byte, dataOffset, dataOffset+int64(s.NumPages)*int64(s.PageSize))
+	copy(out, data[:headerSize])
+	copy(out[0:8], storeMagicStem+string(rune('0'+version)))
+	binary.LittleEndian.PutUint32(out[8:], uint32(version))
+	binary.LittleEndian.PutUint64(out[40:], uint64(dataOffset))
+	if version == storeVersionV1 {
+		binary.LittleEndian.PutUint16(out[48:], 0)
+	}
+	for v := 0; v < s.NumVertices; v++ {
+		binary.LittleEndian.PutUint32(out[headerSize+8*v:], s.firstPage[v])
+		binary.LittleEndian.PutUint32(out[headerSize+8*v+4:], s.degree[v])
+	}
+	for p, v := range s.pageFirst {
+		binary.LittleEndian.PutUint32(out[headerSize+8*s.NumVertices+4*p:], v)
+	}
+	out = append(out, data[s.dataOffset:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestOpenV1Store(t *testing.T) {
-	g := graph.PaperExample()
-	path := filepath.Join(t.TempDir(), "v1.optstore")
-	if _, err := BuildFileCodec(path, g, 64, CodecRaw); err != nil {
+// TestOpenV1Store and TestOpenV2Store open legacy files of graphs a v3
+// build also wrote — the paper's example, and an R-MAT graph whose hubs
+// span runs of pages — and hold them to the v3 store: the same successor
+// directory, derived from the pages, beside the same directories and lists.
+// A legacy page that breaks the directories fails Open, since the
+// derivation decodes every page.
+func TestOpenV1Store(t *testing.T) { checkLegacyStores(t, storeVersionV1, []string{CodecRaw}) }
+
+func TestOpenV2Store(t *testing.T) { checkLegacyStores(t, storeVersionV2, codecNames) }
+
+func checkLegacyStores(t *testing.T, version int, codecs []string) {
+	raw, err := gen.RMAT(gen.DefaultRMAT(256, 2000, 3))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rewriteHeaderV1(t, path)
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("opening v1 store: %v", err)
+	rmat, _ := graph.DegreeOrder(raw)
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		pageSize int
+	}{{"paper", graph.PaperExample(), 64}, {"rmat", rmat, 128}} {
+		for _, codec := range codecs {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, codec), func(t *testing.T) {
+				dir := t.TempDir()
+				v3, err := BuildFileCodec(filepath.Join(dir, "v3.optstore"), tc.g, tc.pageSize, codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, "legacy.optstore")
+				writeLegacy(t, v3, path, version)
+				s, err := Open(path)
+				if err != nil {
+					t.Fatalf("opening a v%d store: %v", version, err)
+				}
+				if s.Version() != version || s.CodecName() != codec {
+					t.Fatalf("v%d store reports v%d/%s, want v%d/%s", version, s.Version(), s.CodecName(), version, codec)
+				}
+				if !slices.Equal(s.succ, v3.succ) || !slices.Equal(s.degree, v3.degree) ||
+					!slices.Equal(s.firstPage, v3.firstPage) || !slices.Equal(s.pageFirst, v3.pageFirst) {
+					t.Fatal("the legacy store's directories differ from the v3 build's")
+				}
+				verifyMatchesGraph(t, tc.g, s)
+
+				// Push page 0's first record id past |V|.
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(data[s.dataOffset+pageHeaderSize:], uint32(s.NumVertices))
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Open(path); !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("opening a v%d store with a corrupt page: err = %v, want ErrCorruptPage", version, err)
+				}
+			})
+		}
 	}
-	if s.Version() != storeVersionV1 || s.CodecName() != CodecRaw {
-		t.Fatalf("v1 store reports v%d/%s, want v1/raw", s.Version(), s.CodecName())
-	}
-	verifyMatchesGraph(t, g, s)
 }
 
 func TestOpenRejectsUnknownVersionAndCodec(t *testing.T) {
@@ -116,7 +179,7 @@ func TestOpenRejectsUnknownVersionAndCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Open(p); !errors.Is(err, ErrUnknownVersion) {
-		t.Fatalf("v2 magic with version 7 err = %v, want ErrUnknownVersion", err)
+		t.Fatalf("v3 magic with version 7 err = %v, want ErrUnknownVersion", err)
 	}
 
 	data, p = build("badcodec")

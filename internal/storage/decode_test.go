@@ -96,7 +96,8 @@ func TestStoreBytesPinned(t *testing.T) {
 
 // TestOpenChecksDirectories corrupts one directory entry of a valid store at
 // a time: Open must name the directory, not hand out a Store whose
-// FirstPageOf / FirstRecordOf answers index out of range later.
+// FirstPageOf / FirstRecordOf answers index out of range later, or whose
+// successor directory promises more ids than a list holds.
 func TestOpenChecksDirectories(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(256, 2000, 3))
 	if err != nil {
@@ -112,8 +113,8 @@ func TestOpenChecksDirectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vertexDir := func(v int) int { return headerSize + 8*v }
-	pageDir := func(p int) int { return headerSize + 8*s.NumVertices + 4*p }
+	vertexDir := func(v int) int { return headerSize + 12*v }
+	pageDir := func(p int) int { return headerSize + 12*s.NumVertices + 4*p }
 	contPage := -1
 	for p := range s.pageFirst {
 		if s.pageFirst[p] == NoRecord {
@@ -134,6 +135,8 @@ func TestOpenChecksDirectories(t *testing.T) {
 		{"page 0 starts no record", pageDir(0), NoRecord},
 		{"page starts beyond |V|", pageDir(int(s.NumPages) - 1), uint32(s.NumVertices)},
 		{"page directory decreases", pageDir(contPage), 0},
+		{"successors beyond the degree", vertexDir(10) + 8, s.degree[10] + 1},
+		{"successors do not sum to |E|", vertexDir(s.NumVertices-1) + 8, s.succ[s.NumVertices-1] + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := append([]byte(nil), valid...)
@@ -183,9 +186,17 @@ func TestDecodeChecksRecords(t *testing.T) {
 				t.Fatalf("two clean halves: %d records, %v", len(recs), err)
 			}
 
-			// The one-page chunk at mid, and the vertex whose record starts it.
+			// The one-page chunk at mid, the vertex whose record starts it, and
+			// the chunk's first vertex with ids on both sides of it.
 			v := s.FirstRecordOf(mid)
 			one := data[int(mid)*ps : int(mid)*ps+s.AlignedRange(mid, 1)*ps]
+			split := v
+			for split < s.FirstRecordOf(mid+uint32(s.AlignedRange(mid, 1))) && (s.succ[split] == 0 || s.succ[split] == s.degree[split]) {
+				split++
+			}
+			if split == s.FirstRecordOf(mid+uint32(s.AlignedRange(mid, 1))) {
+				t.Fatal("no record of the chunk has neighbors on both sides")
+			}
 			for _, tc := range []struct {
 				name  string
 				patch func(c *Store)
@@ -197,10 +208,12 @@ func TestDecodeChecksRecords(t *testing.T) {
 					next := mid + uint32(s.AlignedRange(mid, 1))
 					c.pageFirst[next]++
 				}, one},
+				{"successor directory one long", func(c *Store) { c.succ[split]++ }, one},
+				{"successor directory one short", func(c *Store) { c.succ[split]-- }, one},
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					c := *s
-					c.degree, c.pageFirst = slices.Clone(s.degree), slices.Clone(s.pageFirst)
+					c.degree, c.pageFirst, c.succ = slices.Clone(s.degree), slices.Clone(s.pageFirst), slices.Clone(s.succ)
 					tc.patch(&c)
 					if _, err := c.Decode(tc.data); !errors.Is(err, ErrCorruptPage) {
 						t.Fatalf("Decode = %v, want ErrCorruptPage", err)

@@ -162,12 +162,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzOpenStore feeds Open arbitrary bytes, and valid stores with a few
-// bytes overwritten (an empty raw selects one of the two valid stores by
+// bytes overwritten (an empty raw selects one of the two valid v3 stores by
 // off's parity; patch lands at off): Open must reject or parse without
 // panicking, and every answer of a store that opened must be in range —
 // FirstPageOf and SpanOf inside the store, the aligned ranges from page 0
-// covering it with non-empty steps, and each range's
-// [FirstRecordOf(lo), FirstRecordOf(hi)) an ascending slice of the vertices.
+// covering it with non-empty steps, each range's [FirstRecordOf(lo),
+// FirstRecordOf(hi)) an ascending slice of the vertices, and the successor
+// directory within the degrees and summing to |E|. The seeds include
+// successor entries beyond their degree, one off the sum, and two moved by
+// +1 and −1 (which Open accepts: decoding those records fails), and v2
+// files, whose successor directory Open derives from the pages.
 func FuzzOpenStore(f *testing.F) {
 	g := graph.PaperExample()
 	var valids [][]byte
@@ -187,23 +191,52 @@ func FuzzOpenStore(f *testing.F) {
 		// One directory entry at a time: a vertex's first page, then a
 		// page's first record, pushed out of range and out of order.
 		i := uint32(len(valids) - 1)
-		vertexDir, pageDir := uint32(headerSize), uint32(headerSize+8*s.NumVertices)
-		f.Add([]byte{}, vertexDir+8*2+i, []byte{0xff, 0xff})
-		f.Add([]byte{}, vertexDir+8*uint32(s.NumVertices-1)+i, []byte{0})
+		vertexDir, pageDir := uint32(headerSize), uint32(headerSize+12*s.NumVertices)
+		f.Add([]byte{}, vertexDir+12*2+i, []byte{0xff, 0xff})
+		f.Add([]byte{}, vertexDir+12*uint32(s.NumVertices-1)+i, []byte{0})
 		f.Add([]byte{}, pageDir+i, []byte{0xff, 0xff, 0xff, 0xff})
 		f.Add([]byte{}, pageDir+4*(s.NumPages-1)+i, []byte{0xff, 0xff, 0xff, 0x7f})
 		f.Add([]byte{}, 16+i, []byte{0xff}) // the header's vertex count
+		// The successor directory: an entry beyond its degree, one that
+		// breaks the sum, and two neighbours' entries moved by +1 and −1.
+		// The patches start at the entry itself, so off's parity is the
+		// entry's; the valid store it selects holds the same directory.
+		succAt := func(v int) uint32 { return vertexDir + 12*uint32(v) + 8 }
+		f.Add(valid, succAt(2), []byte{0xff, 0xff, 0xff, 0x7f})
+		f.Add(valid, succAt(s.NumVertices-1), []byte{byte(s.succ[s.NumVertices-1] + 1), 0, 0, 0})
+		for v := 0; v+1 < s.NumVertices; v++ {
+			if s.succ[v] < s.degree[v] && s.succ[v+1] > 0 {
+				patch := slices.Clone(valid[succAt(v) : succAt(v+1)+4])
+				binary.LittleEndian.PutUint32(patch, s.succ[v]+1)
+				binary.LittleEndian.PutUint32(patch[12:], s.succ[v+1]-1)
+				f.Add(valid, succAt(v), patch)
+				break
+			}
+		}
+		// A v2 file of the same store, intact and with its first page's
+		// first record id pushed past |V|.
+		v2 := filepath.Join(f.TempDir(), "v2.optstore")
+		writeLegacy(f, s, v2, storeVersionV2)
+		legacy, err := readFile(v2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dataOffset := uint32(binary.LittleEndian.Uint64(legacy[40:]))
+		f.Add(legacy, uint32(0), []byte{})
+		f.Add(legacy, dataOffset+pageHeaderSize, []byte{0xff, 0xff, 0xff, 0xff})
 	}
 	f.Add([]byte("OPTSTOR1garbage"), uint32(0), []byte{})
 	f.Add([]byte("OPTSTOR2garbage"), uint32(0), []byte{})
+	f.Add([]byte("OPTSTOR3garbage"), uint32(0), []byte{})
 	f.Add([]byte("OPTSTOR9garbage"), uint32(0), []byte{})
 	f.Add([]byte{}, uint32(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte, off uint32, patch []byte) {
 		if len(raw) == 0 {
-			raw = slices.Clone(valids[off%2])
+			raw = valids[off%2]
 		}
 		if int(off) < len(raw) {
+			raw = slices.Clone(raw) // seeds share their stores' bytes
 			copy(raw[off:], patch)
 		}
 		p := filepath.Join(t.TempDir(), "fuzz.optstore")
@@ -214,12 +247,20 @@ func FuzzOpenStore(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var succSum int64
 		for v := 0; v < s.NumVertices; v++ {
 			first, span := s.FirstPageOf(uint32(v)), s.SpanOf(uint32(v))
 			if first >= s.NumPages || span < 1 || int64(first)+int64(span) > int64(s.NumPages) {
 				t.Fatalf("vertex %d: pages [%d,+%d) of %d", v, first, span, s.NumPages)
 			}
-			_ = s.DegreeOf(uint32(v))
+			succ, deg := s.SuccOf(uint32(v)), s.DegreeOf(uint32(v))
+			if succ > deg {
+				t.Fatalf("vertex %d: %d successors of %d neighbors", v, succ, deg)
+			}
+			succSum += int64(succ)
+		}
+		if succSum != s.NumEdges {
+			t.Fatalf("the successor directory sums to %d, the store has %d edges", succSum, s.NumEdges)
 		}
 		next := uint32(0)
 		for pg := uint32(0); pg < s.NumPages; {

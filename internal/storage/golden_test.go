@@ -53,22 +53,31 @@ func writeGoldenEdgeList(t *testing.T, path string) {
 // TestStreamingBuildGolden pins the streaming builder's store file bit for
 // bit, for both codecs, whether the external sort stays in memory or
 // spills. A new digest means a different store, and every benchmark
-// number built on it would silently re-base.
+// number built on it would silently re-base. The data region — the pages
+// from dataOffset on — is pinned on its own as well: it has been the same
+// since format v2, whose whole-file digests were d874f458… (raw) and
+// f5be9c8c… (deltavarint); format v3 changed only the header and the
+// vertex directory.
 func TestStreamingBuildGolden(t *testing.T) {
 	dir := t.TempDir()
 	el := filepath.Join(dir, "golden.el")
 	writeGoldenEdgeList(t, el)
 	want := map[string]string{
-		CodecRaw:         "d874f4581fd141719278496873d5629cc602af4adbff11cff1775c2836c13de6",
-		CodecDeltaVarint: "f5be9c8cda737580959f7ceddd2315695a94f47f5cf7937ee7c28c8b838f773f",
+		CodecRaw:         "60754eab1e20503e61719375772cab7325adab1139638266fd7b29ed9387c507",
+		CodecDeltaVarint: "73ef60613496db54d5e82594beaa38220b52dabe855c175dfbfde8dd641c280b",
+	}
+	wantData := map[string]string{
+		CodecRaw:         "d94cf310270bff6d55134e1932228609afa07647aeb6d1afe3ac7c0b1ae62569",
+		CodecDeltaVarint: "590a7b38c28a352c8fe6ab4edd2544711b6d541ecca9f889e0280d07f54365ce",
 	}
 	for _, codec := range []string{CodecRaw, CodecDeltaVarint} {
 		for _, runSize := range []int{0, 1000} {
 			t.Run(fmt.Sprintf("%s/run%d", codec, runSize), func(t *testing.T) {
 				path := filepath.Join(dir, fmt.Sprintf("%s-%d.optstore", codec, runSize))
-				if _, err := BuildFileStreaming(path, EdgeListFileScanner{Path: el}, StreamBuildOptions{
+				s, err := BuildFileStreaming(path, EdgeListFileScanner{Path: el}, StreamBuildOptions{
 					PageSize: 1024, TempDir: dir, RunSize: runSize, DegreeOrder: true, Codec: codec,
-				}); err != nil {
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
 				b, err := os.ReadFile(path)
@@ -78,6 +87,10 @@ func TestStreamingBuildGolden(t *testing.T) {
 				sum := sha256.Sum256(b)
 				if got := hex.EncodeToString(sum[:]); got != want[codec] {
 					t.Errorf("store file digest %s, want %s", got, want[codec])
+				}
+				sum = sha256.Sum256(b[s.dataOffset:])
+				if got := hex.EncodeToString(sum[:]); got != wantData[codec] {
+					t.Errorf("data region digest %s, want %s", got, wantData[codec])
 				}
 			})
 		}

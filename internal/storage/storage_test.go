@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/optlab/opt/internal/gen"
@@ -38,9 +39,12 @@ func buildAndOpenCodec(t *testing.T, g *graph.Graph, pageSize int, codec string)
 		opened.NumEdges != built.NumEdges || opened.PageSize != built.PageSize {
 		t.Fatalf("reopened store differs: %+v vs %+v", opened, built)
 	}
-	if opened.CodecName() != codec || opened.Version() != storeVersionV2 {
+	if opened.CodecName() != codec || opened.Version() != storeVersionV3 {
 		t.Fatalf("reopened store codec/version = %s/v%d, want %s/v%d",
-			opened.CodecName(), opened.Version(), codec, storeVersionV2)
+			opened.CodecName(), opened.Version(), codec, storeVersionV3)
+	}
+	if !slices.Equal(opened.succ, built.succ) {
+		t.Fatal("reopened successor directory differs from the built one")
 	}
 	return opened
 }
@@ -95,6 +99,15 @@ func verifyMatchesGraph(t *testing.T, g *graph.Graph, s *Store) {
 	for v := 0; v < g.NumVertices(); v++ {
 		if s.DegreeOf(graph.VertexID(v)) != g.Degree(graph.VertexID(v)) {
 			t.Fatalf("DegreeOf(%d) = %d, want %d", v, s.DegreeOf(graph.VertexID(v)), g.Degree(graph.VertexID(v)))
+		}
+		above := 0
+		for _, w := range g.Neighbors(graph.VertexID(v)) {
+			if w > uint32(v) {
+				above++
+			}
+		}
+		if s.SuccOf(graph.VertexID(v)) != above {
+			t.Fatalf("SuccOf(%d) = %d, want %d", v, s.SuccOf(graph.VertexID(v)), above)
 		}
 	}
 }
@@ -401,8 +414,7 @@ func TestStoreDataAligned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirEnd := headerSize + int64(8*built.NumVertices) + int64(4)*int64(built.NumPages)
-			for i := dirEnd; i < built.dataOffset; i++ {
+			for i := dirEnd(built.Version(), built.NumVertices, built.NumPages); i < built.dataOffset; i++ {
 				if raw[i] != 0 {
 					t.Fatalf("padding byte %d is %#x, want zero", i, raw[i])
 				}
@@ -441,7 +453,7 @@ func TestOpenUnpaddedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirEnd := headerSize + int64(8*s.NumVertices) + int64(4)*int64(s.NumPages)
+	dirEnd := dirEnd(s.Version(), s.NumVertices, s.NumPages)
 	if dataOffset == dirEnd {
 		t.Skip("store landed on the alignment boundary with no padding")
 	}

@@ -8,16 +8,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/ssd"
 )
 
-// Store file layout (v2):
+// Store file layout (v3):
 //
-//	header (64 bytes): magic "OPTSTOR2", version, pageSize, numVertices,
+//	header (64 bytes): magic "OPTSTOR3", version, pageSize, numVertices,
 //	                   numPages, numEdges, dirOffset, dataOffset, codec id
-//	vertex directory:  numVertices × (firstPage uint32, degree uint32)
+//	vertex directory:  numVertices × (firstPage uint32, degree uint32,
+//	                   succ uint32), succ = |n≻(v)|
 //	page directory:    numPages × (firstRecord uint32; NoRecord for
 //	                   continuation pages)
 //	padding:           zero bytes up to the next ssd.DirectAlign boundary,
@@ -25,23 +27,41 @@ import (
 //	data pages:        numPages × pageSize
 //
 // dataOffset in the header is authoritative; readers accept both padded
-// files and the unpadded layout older writers produced. v1 files
-// ("OPTSTOR1", no codec field) remain readable: their pages are
-// bit-identical to v2 pages under the raw codec.
+// files and the unpadded layout older writers produced. v2 files
+// ("OPTSTOR2") have the same header and pages but an 8-byte vertex entry
+// without succ, v1 files ("OPTSTOR1") also no codec field and always raw
+// pages; both remain readable, and Open derives their successor directory
+// from the pages (deriveSucc), so every open Store has one.
 const (
 	storeMagicV1   = "OPTSTOR1"
 	storeMagicV2   = "OPTSTOR2"
+	storeMagicV3   = "OPTSTOR3"
 	storeMagicStem = "OPTSTOR"
 	headerSize     = 64
 	storeVersionV1 = 1
 	storeVersionV2 = 2
+	storeVersionV3 = 3
 )
+
+// vertexEntrySize returns the bytes of one vertex directory entry in a
+// store file of the given version.
+func vertexEntrySize(version int) int64 {
+	if version >= storeVersionV3 {
+		return 12
+	}
+	return 8
+}
+
+// dirEnd returns where a store file's directories end.
+func dirEnd(version, numVertices int, numPages uint32) int64 {
+	return headerSize + vertexEntrySize(version)*int64(numVertices) + 4*int64(numPages)
+}
 
 // DefaultPageSize is used when BuildFile is given a page size of 0.
 const DefaultPageSize = 8192
 
 // Store describes an on-disk slotted-page graph. The vertex and page
-// directories are memory resident (8 bytes and 4 bytes per entry), as in
+// directories are memory resident (12 bytes and 4 bytes per entry), as in
 // the paper's implementation; the data pages are read through an
 // ssd.PageDevice.
 type Store struct {
@@ -55,14 +75,15 @@ type Store struct {
 	dataOffset  int64
 	firstPage   []uint32 // vertex id -> first data page of its record
 	degree      []uint32 // vertex id -> |n(v)|
+	succ        []uint32 // vertex id -> |n≻(v)|
 	pageFirst   []uint32 // page id -> first record starting there, or NoRecord
 }
 
-// Version returns the store file format version (1 or 2); a zero-value
+// Version returns the store file format version (1, 2 or 3); a zero-value
 // Store reports the current version.
 func (s *Store) Version() int {
 	if s.version == 0 {
-		return storeVersionV2
+		return storeVersionV3
 	}
 	return s.version
 }
@@ -102,12 +123,14 @@ func BuildFileCodec(path string, g *graph.Graph, pageSize int, codecName string)
 	n := g.NumVertices()
 	firstPage := make([]uint32, n)
 	degree := make([]uint32, n)
+	succ := make([]uint32, n)
 	for v := 0; v < n; v++ {
 		adj := g.Neighbors(graph.VertexID(v))
 		// The record's start page is a write-time fact the writer reports;
 		// with variable-width codecs it cannot be recomputed from degrees.
 		firstPage[v] = w.appendRecord(uint32(v), adj)
 		degree[v] = uint32(len(adj))
+		succ[v] = successors(adj, uint32(v))
 	}
 	pages, pageFirst := w.finish()
 
@@ -117,10 +140,11 @@ func BuildFileCodec(path string, g *graph.Graph, pageSize int, codecName string)
 		NumVertices: n,
 		NumEdges:    g.NumEdges(),
 		NumPages:    uint32(len(pages)),
-		version:     storeVersionV2,
+		version:     storeVersionV3,
 		codec:       codec,
 		firstPage:   firstPage,
 		degree:      degree,
+		succ:        succ,
 		pageFirst:   pageFirst,
 	}
 	readers := make([]io.Reader, len(pages))
@@ -145,8 +169,8 @@ func (s *Store) writeFile(pages io.Reader) (err error) {
 	// Round the data region up to the O_DIRECT alignment: with an aligned
 	// page size this is what lets the native backend open the store
 	// O_DIRECT instead of demoting to buffered reads (DESIGN.md §14).
-	dirEnd := headerSize + int64(8*s.NumVertices) + int64(4)*int64(s.NumPages)
-	s.dataOffset = (dirEnd + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
+	end := dirEnd(storeVersionV3, s.NumVertices, s.NumPages)
+	s.dataOffset = (end + ssd.DirectAlign - 1) &^ int64(ssd.DirectAlign-1)
 
 	tmp, err := os.CreateTemp(filepath.Dir(s.Path), filepath.Base(s.Path)+".tmp-*")
 	if err != nil {
@@ -165,7 +189,7 @@ func (s *Store) writeFile(pages io.Reader) (err error) {
 	if err = s.writeDirectories(bw); err != nil {
 		return err
 	}
-	if _, err = bw.Write(make([]byte, s.dataOffset-dirEnd)); err != nil {
+	if _, err = bw.Write(make([]byte, s.dataOffset-end)); err != nil {
 		return err
 	}
 	if _, err = io.Copy(bw, pages); err != nil {
@@ -185,8 +209,8 @@ func (s *Store) writeFile(pages io.Reader) (err error) {
 
 func (s *Store) writeHeader(w io.Writer) error {
 	var h [headerSize]byte
-	copy(h[0:8], storeMagicV2)
-	binary.LittleEndian.PutUint32(h[8:], storeVersionV2)
+	copy(h[0:8], storeMagicV3)
+	binary.LittleEndian.PutUint32(h[8:], storeVersionV3)
 	binary.LittleEndian.PutUint32(h[12:], uint32(s.PageSize))
 	binary.LittleEndian.PutUint32(h[16:], uint32(s.NumVertices))
 	binary.LittleEndian.PutUint32(h[20:], s.NumPages)
@@ -199,10 +223,11 @@ func (s *Store) writeHeader(w io.Writer) error {
 }
 
 func (s *Store) writeDirectories(w io.Writer) error {
-	buf := make([]byte, 8*s.NumVertices)
+	buf := make([]byte, 12*s.NumVertices)
 	for v := 0; v < s.NumVertices; v++ {
-		binary.LittleEndian.PutUint32(buf[8*v:], s.firstPage[v])
-		binary.LittleEndian.PutUint32(buf[8*v+4:], s.degree[v])
+		binary.LittleEndian.PutUint32(buf[12*v:], s.firstPage[v])
+		binary.LittleEndian.PutUint32(buf[12*v+4:], s.degree[v])
+		binary.LittleEndian.PutUint32(buf[12*v+8:], s.succ[v])
 	}
 	if _, err := w.Write(buf); err != nil {
 		return err
@@ -215,11 +240,14 @@ func (s *Store) writeDirectories(w io.Writer) error {
 	return err
 }
 
-// Open reads the directories of a store file built by BuildFile. Both v1
-// ("OPTSTOR1", always raw pages) and v2 ("OPTSTOR2", codec id in the
-// header) files are accepted; unknown versions and codec ids are rejected
-// with ErrUnknownVersion / ErrUnknownCodec, directories that are not those
-// of records stored in id order with ErrCorruptDirectory.
+// Open reads the directories of a store file built by BuildFile. v1
+// ("OPTSTOR1", always raw pages), v2 ("OPTSTOR2", codec id in the header)
+// and v3 ("OPTSTOR3", successor directory) files are accepted; unknown
+// versions and codec ids are rejected with ErrUnknownVersion /
+// ErrUnknownCodec, directories that are not those of records stored in id
+// order with ErrCorruptDirectory. A v1 or v2 file has no successor
+// directory: Open derives it from the pages in one sequential pass, which
+// holds every page to the directories as Decode does.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -239,9 +267,9 @@ func Open(path string) (*Store, error) {
 			return nil, fmt.Errorf("%w: %s: v1 magic with version field %d", ErrUnknownVersion, path, version)
 		}
 		codec = rawCodecInst
-	case storeMagicV2:
-		if version != storeVersionV2 {
-			return nil, fmt.Errorf("%w: %s: v2 magic with version field %d", ErrUnknownVersion, path, version)
+	case storeMagicV2, storeMagicV3:
+		if want := uint32(magic[7] - '0'); version != want {
+			return nil, fmt.Errorf("%w: %s: v%d magic with version field %d", ErrUnknownVersion, path, want, version)
 		}
 		codec, err = codecByID(binary.LittleEndian.Uint16(h[48:]))
 		if err != nil {
@@ -274,24 +302,31 @@ func Open(path string) (*Store, error) {
 	}
 	// dataOffset must cover the directories and may include up to one
 	// DirectAlign round of padding (older writers wrote none).
-	dirEnd := headerSize + int64(8)*int64(s.NumVertices) + int64(4)*int64(s.NumPages)
-	if s.dataOffset < dirEnd || s.dataOffset >= dirEnd+ssd.DirectAlign {
-		return nil, fmt.Errorf("storage: %s: data offset %d outside [%d, %d)", path, s.dataOffset, dirEnd, dirEnd+ssd.DirectAlign)
+	end := dirEnd(s.version, s.NumVertices, s.NumPages)
+	if s.dataOffset < end || s.dataOffset >= end+ssd.DirectAlign {
+		return nil, fmt.Errorf("storage: %s: data offset %d outside [%d, %d)", path, s.dataOffset, end, end+ssd.DirectAlign)
 	}
 	wantSize := s.dataOffset + int64(s.NumPages)*int64(s.PageSize)
 	if fi.Size() < wantSize {
 		return nil, fmt.Errorf("storage: %s: file is %d bytes, header implies %d", path, fi.Size(), wantSize)
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
-	buf := make([]byte, 8*s.NumVertices)
+	entry := int(vertexEntrySize(s.version))
+	buf := make([]byte, entry*s.NumVertices)
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, fmt.Errorf("storage: reading vertex directory: %w", err)
 	}
 	s.firstPage = make([]uint32, s.NumVertices)
 	s.degree = make([]uint32, s.NumVertices)
 	for v := 0; v < s.NumVertices; v++ {
-		s.firstPage[v] = binary.LittleEndian.Uint32(buf[8*v:])
-		s.degree[v] = binary.LittleEndian.Uint32(buf[8*v+4:])
+		s.firstPage[v] = binary.LittleEndian.Uint32(buf[entry*v:])
+		s.degree[v] = binary.LittleEndian.Uint32(buf[entry*v+4:])
+	}
+	if s.version >= storeVersionV3 {
+		s.succ = make([]uint32, s.NumVertices)
+		for v := range s.succ {
+			s.succ[v] = binary.LittleEndian.Uint32(buf[entry*v+8:])
+		}
 	}
 	pbuf := make([]byte, 4*s.NumPages)
 	if _, err := io.ReadFull(br, pbuf); err != nil {
@@ -304,7 +339,59 @@ func Open(path string) (*Store, error) {
 	if err := s.checkDirectories(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	if s.succ == nil {
+		if _, err := br.Discard(int(s.dataOffset - end)); err != nil {
+			return nil, fmt.Errorf("storage: %s: skipping to the data pages: %w", path, err)
+		}
+		if err := s.deriveSucc(br); err != nil {
+			return nil, fmt.Errorf("storage: %s: deriving the successor directory: %w", path, err)
+		}
+	}
 	return s, nil
+}
+
+// deriveSucc fills the successor directory of a v1 or v2 store from its
+// data pages, read in order from r: one pass, a few aligned pages at a time,
+// every span held to the directories as Decode holds it.
+func (s *Store) deriveSucc(r io.Reader) error {
+	succ := make([]uint32, s.NumVertices)
+	var (
+		data  []byte
+		recs  []VertexRec
+		arena []uint32
+	)
+	for p := uint32(0); p < s.NumPages; {
+		n := s.AlignedRange(p, 16)
+		data = slices.Grow(data[:0], n*s.PageSize)[:n*s.PageSize]
+		if _, err := io.ReadFull(r, data); err != nil {
+			return err
+		}
+		var err error
+		recs, arena, err = s.DecodeAppend(recs[:0], arena[:0], data)
+		if err == nil && recs[0].ID != s.FirstRecordOf(p) {
+			err = fmt.Errorf("%w: pages [%d,+%d) start with record %d, page %d with %d",
+				ErrCorruptPage, p, n, recs[0].ID, p, s.FirstRecordOf(p))
+		}
+		if err != nil {
+			return fmt.Errorf("pages [%d,+%d): %w", p, n, err)
+		}
+		for _, rec := range recs {
+			succ[rec.ID] = successors(rec.Adj, rec.ID)
+		}
+		p += uint32(n)
+	}
+	s.succ = succ
+	return nil
+}
+
+// successors returns |n≻(v)| of v's sorted list adj: how many of its ids
+// are above v.
+func successors(adj []uint32, v uint32) uint32 {
+	i, self := slices.BinarySearch(adj, v)
+	if self {
+		i++
+	}
+	return uint32(len(adj) - i)
 }
 
 // checkDirectories verifies what every reader of the directories relies on,
@@ -314,7 +401,11 @@ func Open(path string) (*Store, error) {
 // vertex, and page 0 starts a record. Ascending vertex id is then ascending
 // page (core builds its request list on that without sorting), and
 // FirstPageOf, AlignedRange and [FirstRecordOf(lo), FirstRecordOf(hi)) are
-// in range for whatever a caller derives from them.
+// in range for whatever a caller derives from them. A successor directory,
+// when the file has one, counts each edge once, at its lower endpoint: no
+// entry exceeds its degree, and the entries sum to |E|. That they split
+// each list where its ids pass the vertex is checked per record on decode
+// (checkRecords).
 func (s *Store) checkDirectories() error {
 	var prev uint32
 	for v, p := range s.firstPage {
@@ -336,6 +427,19 @@ func (s *Store) checkDirectories() error {
 		}
 		prev = v
 	}
+	if s.succ == nil {
+		return nil
+	}
+	var sum int64
+	for v, n := range s.succ {
+		if n > s.degree[v] {
+			return fmt.Errorf("%w: vertex %d has %d successors of %d neighbors", ErrCorruptDirectory, v, n, s.degree[v])
+		}
+		sum += int64(n)
+	}
+	if sum != s.NumEdges {
+		return fmt.Errorf("%w: the successor directory holds %d edges, the header %d", ErrCorruptDirectory, sum, s.NumEdges)
+	}
 	return nil
 }
 
@@ -356,6 +460,17 @@ func (s *Store) FirstPageOf(v graph.VertexID) uint32 { return s.firstPage[v] }
 
 // DegreeOf returns |n(v)|.
 func (s *Store) DegreeOf(v graph.VertexID) int { return int(s.degree[v]) }
+
+// SuccOf returns |n≻(v)|, read off the successor directory.
+func (s *Store) SuccOf(v graph.VertexID) int { return int(s.succ[v]) }
+
+// Successors returns n≻(v) of a record v whose Adj ends with it: the last
+// SuccOf(v.ID) ids, with no search. That is every record DecodeAppend
+// returns — it checked that the successor directory splits the list there —
+// and any n≻(v) itself.
+func (s *Store) Successors(v VertexRec) []uint32 {
+	return v.Adj[len(v.Adj)-int(s.succ[v.ID]):]
+}
 
 // SpanOf returns the number of pages v's record occupies, derived from the
 // page directory (with variable-width codecs the span is not a function of
@@ -427,8 +542,10 @@ func (s *Store) DecodeAppend(dst []VertexRec, arena []uint32, data []byte) ([]Ve
 // vertex has a record, the span then holds exactly the records
 // [FirstRecordOf(p0), FirstRecordOf(p0+pages)) in id order. Each list must
 // be as long as the degree directory says, strictly ascending, and so below
-// |V| when its last id is. Whether p0 is the page the caller asked for is
-// the caller's check.
+// |V| when its last id is; and its last SuccOf ids must be exactly those
+// above the record's id, one comparison on each side of the split, so that
+// Successors needs no search. Whether p0 is the page the caller asked for
+// is the caller's check.
 func (s *Store) checkRecords(recs []VertexRec, pages int) error {
 	if pages == 0 {
 		return nil
@@ -466,6 +583,13 @@ func (s *Store) checkRecords(recs []VertexRec, pages int) error {
 		}
 		if int(prev) >= s.NumVertices {
 			return fmt.Errorf("%w: record %d holds neighbor %d of %d vertices", ErrCorruptPage, rec.ID, prev, s.NumVertices)
+		}
+		if s.succ == nil { // deriveSucc is reading the pages that fill it
+			continue
+		}
+		if k := len(adj) - int(s.succ[rec.ID]); (k > 0 && adj[k-1] >= rec.ID) || (k < len(adj) && adj[k] <= rec.ID) {
+			return fmt.Errorf("%w: record %d holds %d neighbors, its successor directory entry %d does not split them at the record",
+				ErrCorruptPage, rec.ID, len(adj), s.succ[rec.ID])
 		}
 	}
 	return nil

@@ -171,6 +171,7 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 
 	firstPage := make([]uint32, n)
 	exactDeg := make([]uint32, n)
+	succ := make([]uint32, n)
 	var edges int64
 
 	var curID int64 = -1
@@ -178,6 +179,7 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 	var last uint64
 	emitRecord := func(id uint32) {
 		exactDeg[id] = uint32(len(curAdj))
+		succ[id] = successors(curAdj, id)
 		edges += int64(len(curAdj))
 		firstPage[id] = w.appendRecord(id, curAdj)
 		curAdj = curAdj[:0]
@@ -227,10 +229,11 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 		NumVertices: n,
 		NumEdges:    edges / 2,
 		NumPages:    w.emitted,
-		version:     storeVersionV2,
+		version:     storeVersionV3,
 		codec:       codec,
 		firstPage:   firstPage,
 		degree:      exactDeg,
+		succ:        succ,
 		pageFirst:   pageFirst,
 	}
 	if _, err := stage.Seek(0, io.SeekStart); err != nil {

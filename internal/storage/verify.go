@@ -23,7 +23,8 @@ type VerifyReport struct {
 //
 //   - every page range decodes, and Decode holds its records to the
 //     directories: in id order, every id once, each list as long as its
-//     degree, strictly increasing and below |V|,
+//     degree, strictly increasing and below |V|, and split by the
+//     successor directory exactly where its ids pass the record's own,
 //   - each record lies in the page range the vertex directory names,
 //   - no list holds a self-loop,
 //   - every edge appears in both endpoints' lists (symmetry).
