@@ -13,14 +13,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	opt "github.com/optlab/opt"
 	"github.com/optlab/opt/cmd/internal/cli"
+	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/engine"
 )
 
@@ -77,24 +78,7 @@ func main() {
 		}
 	}
 
-	var lf *os.File
-	var mu sync.Mutex
-	if *list != "" {
-		lf, err = os.Create(*list)
-		if err != nil {
-			fail(err)
-		}
-		defer lf.Close()
-		bw := newNestedFileWriter(lf)
-		opts.OnTriangles = func(u, v uint32, ws []uint32) {
-			mu.Lock()
-			bw.emit(u, v, ws)
-			mu.Unlock()
-		}
-		defer bw.flush()
-	}
-
-	res, err := opt.TriangulateContext(ctx, st, opts)
+	res, err := triangulate(ctx, st, opts, *list)
 	if err != nil && res == nil {
 		fail(err)
 	}
@@ -147,40 +131,26 @@ func parseAlgo(s string) (opt.Algorithm, error) {
 	}
 }
 
-// nestedFileWriter buffers nested records into a file in the same compact
-// binary form the library's NestedWriter uses.
-type nestedFileWriter struct {
-	f   *os.File
-	buf []byte
-}
-
-func newNestedFileWriter(f *os.File) *nestedFileWriter {
-	return &nestedFileWriter{f: f, buf: make([]byte, 0, 1<<20)}
-}
-
-func (w *nestedFileWriter) emit(u, v uint32, ws []uint32) {
-	w.buf = appendU32(w.buf, u)
-	w.buf = appendU32(w.buf, v)
-	w.buf = appendU32(w.buf, uint32(len(ws)))
-	for _, x := range ws {
-		w.buf = appendU32(w.buf, x)
+// triangulate runs opts over st, listing the triangles in the nested
+// binary form (core.NewNestedWriter) to the file at list when it is not
+// empty. The listing is flushed and closed before it returns, on every
+// path, so a partial run's file holds exactly its partial count; a failed
+// close joins the run's error.
+func triangulate(ctx context.Context, st *opt.Store, opts opt.Options, list string) (*opt.Result, error) {
+	if list == "" {
+		return opt.TriangulateContext(ctx, st, opts)
 	}
-	if len(w.buf) >= 1<<20 {
-		w.flush()
+	f, err := os.Create(list)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (w *nestedFileWriter) flush() {
-	if len(w.buf) > 0 {
-		if _, err := w.f.Write(w.buf); err != nil {
-			fail(err)
-		}
-		w.buf = w.buf[:0]
+	nw := core.NewNestedWriter(f)
+	opts.OnTriangles = nw.Emit
+	res, err := opt.TriangulateContext(ctx, st, opts)
+	if werr := errors.Join(nw.Close(), f.Close()); werr != nil {
+		err = errors.Join(err, fmt.Errorf("writing %s: %w", list, werr))
 	}
-}
-
-func appendU32(b []byte, x uint32) []byte {
-	return append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+	return res, err
 }
 
 func fail(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	opt "github.com/optlab/opt"
 	"github.com/optlab/opt/cmd/internal/cli"
+	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/engine"
 )
 
@@ -114,35 +116,45 @@ func TestParseModel(t *testing.T) {
 	}
 }
 
-func TestNestedFileWriter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.tri")
-	f, err := os.Create(path)
+// TestPartialListingHoldsPartialCount: a run that times out mid-way still
+// leaves its -list file flushed and closed, holding exactly the triangles
+// of the partial count it reports.
+func TestPartialListingHoldsPartialCount(t *testing.T) {
+	g, err := opt.GenerateRMAT(opt.RMATConfig{Vertices: 1 << 10, Edges: 12000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newNestedFileWriter(f)
-	w.emit(1, 2, []uint32{3, 4})
-	w.emit(5, 6, []uint32{7})
-	w.flush()
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	st, err := opt.BuildStore(filepath.Join(t.TempDir(), "g.optstore"), g.DegreeOrdered(), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Records: (1,2,2,3,4) and (5,6,1,7) -> 9 uint32s = 36 bytes.
-	if len(data) != 36 {
-		t.Fatalf("wrote %d bytes, want 36", len(data))
-	}
-	if data[0] != 1 || data[4] != 2 || data[8] != 2 || data[12] != 3 || data[16] != 4 {
-		t.Fatalf("first record bytes wrong: %v", data[:20])
-	}
-}
-
-func TestAppendU32(t *testing.T) {
-	b := appendU32(nil, 0x04030201)
-	if len(b) != 4 || b[0] != 1 || b[1] != 2 || b[2] != 3 || b[3] != 4 {
-		t.Fatalf("appendU32 = %v", b)
+	for _, algo := range []opt.Algorithm{opt.OPT, opt.OPTSerial, opt.MGT, opt.CCSeq, opt.CCDS} {
+		t.Run(algo.String(), func(t *testing.T) {
+			list := filepath.Join(t.TempDir(), "tri.bin")
+			ctx, stop := cli.SignalContext(context.Background(), 300*time.Millisecond)
+			defer stop()
+			res, err := triangulate(ctx, st, opt.Options{
+				Algorithm: algo, Threads: 2, MemoryPages: 4,
+				Latency: opt.DeviceLatency{PerRead: time.Millisecond},
+			}, list)
+			if !errors.Is(err, context.DeadlineExceeded) || res == nil {
+				t.Fatalf("res %v, err %v; want a partial result of a timed-out run", res, err)
+			}
+			f, err := os.Open(list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var listed int64
+			if err := core.ReadNested(f, func(u, v uint32, ws []uint32) error {
+				listed += int64(len(ws))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if listed != res.Triangles || listed == 0 {
+				t.Fatalf("listing holds %d triangles, the partial report %d", listed, res.Triangles)
+			}
+		})
 	}
 }

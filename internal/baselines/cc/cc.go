@@ -227,7 +227,7 @@ func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []gr
 // iterate performs one partition-identify-shrink round: read curPath,
 // write the shrunken remainder to nextPath, and return the triangles found
 // plus the number of edges remaining. Triangles are listed to out when it is
-// non-nil.
+// non-nil; on an error the count is of the triangles already listed.
 func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (int64, int64, error) {
 	r, err := diskio.NewStreamReader(curPath, cm)
 	if err != nil {
@@ -297,7 +297,7 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 	// Stream the rest; find cross triangles and write the remainder.
 	w, err := diskio.NewStreamWriter(nextPath, cm)
 	if err != nil {
-		return 0, 0, err
+		return tris, 0, err
 	}
 	var edgesLeft int64
 	for {
@@ -306,7 +306,7 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 			break
 		}
 		if err != nil {
-			return 0, 0, err
+			return tris, 0, err
 		}
 		for _, u := range npred(adj, id) {
 			if adjU, ok := inM[u]; ok {
@@ -324,13 +324,13 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 		}
 		if len(kept) > 0 {
 			if err := w.WriteRecord(id, kept); err != nil {
-				return 0, 0, err
+				return tris, 0, err
 			}
 			edgesLeft += int64(len(nsucc(kept, id)))
 		}
 	}
 	if err := w.Close(); err != nil {
-		return 0, 0, err
+		return tris, 0, err
 	}
 	return tris, edgesLeft, nil
 }

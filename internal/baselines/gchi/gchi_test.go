@@ -2,14 +2,18 @@ package gchi
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"github.com/optlab/opt/internal/diskio"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/metrics"
+	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -93,5 +97,37 @@ func TestGraphChiTaskDonePerRecord(t *testing.T) {
 	whole, batches := run(2, 4*int(st.NumPages), true)
 	if whole.Iterations != 1 || records(batches) != nonIsolated {
 		t.Errorf("whole-graph pivot: %d blocks, %d TaskDone events; want 1 and %d", whole.Iterations, records(batches), nonIsolated)
+	}
+}
+
+// TestRemainderCloseFaults: a working file whose close fails fails the
+// step that wrote it, the conversion and a shrink alike, so a short file
+// never passes for a finished one.
+func TestRemainderCloseFaults(t *testing.T) {
+	raw, _ := gen.RMAT(gen.DefaultRMAT(256, 2000, 5))
+	g, _ := graph.DegreeOrder(raw)
+	st, err := storage.BuildFile(filepath.Join(t.TempDir(), "g.optstore"), g, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dev.Close() }()
+	cm := diskio.CostModel{PageSize: st.PageSize, Metrics: metrics.NewCollector()}
+	clean, faulty := t.TempDir(), t.TempDir()
+	defer diskio.FailClosesUnder(faulty)()
+
+	if err := convertStore(st, dev, filepath.Join(faulty, "work-0.ccg"), cm); !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("convertStore = %v, want ssd.ErrInjected", err)
+	}
+	cur := filepath.Join(clean, "work-0.ccg")
+	if err := convertStore(st, dev, cur, cm); err != nil {
+		t.Fatal(err)
+	}
+	pivot := map[uint32][]uint32{0: nil}
+	if _, err := shrink(cur, filepath.Join(faulty, "work-1.ccg"), pivot, cm); !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("shrink = %v, want ssd.ErrInjected", err)
 	}
 }

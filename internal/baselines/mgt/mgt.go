@@ -122,7 +122,8 @@ func loadBlock(st *storage.Store, dev *ssd.SyncDevice, lo, hi uint32) (*block, e
 
 // scan streams the whole graph synchronously and applies the
 // vertex-iterator pair kernel against the block, listing what it finds to
-// out when out is non-nil.
+// out when out is non-nil; on an error the count is of the triangles
+// already listed.
 func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
 	var total int64
 	var ws []uint32
@@ -133,14 +134,14 @@ func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collecto
 		count := st.AlignedRange(p, scanSpan)
 		data, err := dev.ReadPages(p, count)
 		if err != nil {
-			return 0, fmt.Errorf("mgt: scanning pages [%d,+%d): %w", p, count, err)
+			return total, fmt.Errorf("mgt: scanning pages [%d,+%d): %w", p, count, err)
 		}
 		recs, err := st.Decode(data)
 		if err != nil {
-			return 0, err
+			return total, err
 		}
 		for _, u := range recs {
-			ns := nsucc(u.Adj, u.ID)
+			ns := st.Successors(u)
 			for i, v := range ns {
 				if !b.contains(v) {
 					continue
@@ -168,8 +169,4 @@ func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collecto
 		p += uint32(count)
 	}
 	return total, nil
-}
-
-func nsucc(adj []uint32, v uint32) []uint32 {
-	return adj[intersect.UpperBound(adj, v):]
 }

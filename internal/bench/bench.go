@@ -262,15 +262,6 @@ func (h *Harness) storeCodec(name string, g *graph.Graph, codec string) (*storag
 	return st, nil
 }
 
-// device opens a store's page device through the configured backend.
-func (h *Harness) device(st *storage.Store) (ssd.PageDevice, error) {
-	b, err := ssd.ParseBackend(h.cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	return st.DeviceBackend(b)
-}
-
 // proxyStore returns both the proxy graph and its store.
 func (h *Harness) proxyStore(name string) (*graph.Graph, *storage.Store, error) {
 	g, err := h.proxy(name)

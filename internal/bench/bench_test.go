@@ -2,10 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/optlab/opt/internal/core"
+	"github.com/optlab/opt/internal/diskio"
 	"github.com/optlab/opt/internal/ssd"
 )
 
@@ -222,6 +227,44 @@ func TestTableRenderCSV(t *testing.T) {
 	for _, want := range []string{"a,b\n", `"with,comma"`, `"with""quote"`, "# a note"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("csv missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestListingSinkCloseFault: Table 3's listing sink, synchronous and
+// asynchronous, reports a listing file whose close fails, and writes a
+// readable listing when it does not.
+func TestListingSinkCloseFault(t *testing.T) {
+	clean, faulty := t.TempDir(), t.TempDir()
+	defer diskio.FailClosesUnder(faulty)()
+	for _, async := range []bool{false, true} {
+		for _, dir := range []string{clean, faulty} {
+			path := filepath.Join(dir, fmt.Sprintf("list-%v.bin", async))
+			s, err := newListingSink(path, async, ssd.Latency{}, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Emit(1, 2, []uint32{3, 4})
+			err = s.Close()
+			if dir == faulty {
+				if !errors.Is(err, ssd.ErrInjected) {
+					t.Fatalf("async=%v: Close = %v, want ssd.ErrInjected", async, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := diskio.OpenRaw(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int
+			err = core.ReadNested(f, func(u, v uint32, ws []uint32) error { n += len(ws); return nil })
+			_ = f.Close() // read only
+			if err != nil || n != 2 {
+				t.Fatalf("async=%v: listing holds %d triangles (%v), want 2", async, n, err)
+			}
 		}
 	}
 }

@@ -60,18 +60,14 @@ func budget(st *storage.Store, frac float64) int {
 }
 
 // run executes the registered algorithm name the way opttri and optd do:
-// engine.Run over a device opened through the configured backend, under
-// the harness's latency model. The paper tables therefore measure the
-// program users run, not a private instantiation of it.
+// engine.RunStore through the configured backend, under the harness's
+// latency model. The paper tables therefore measure the program users run,
+// not a private instantiation of it.
 func (h *Harness) run(name string, st *storage.Store, opts engine.Options) (*runResult, error) {
-	base, err := h.device(st)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = base.Close() }() // read-only benchmark device
 	opts.Latency = h.cfg.Latency
 	opts.TempDir = h.workDir
-	res, err := engine.Run(h.ctx(), name, st, base, opts)
+	opts.Backend = h.cfg.Backend
+	res, err := engine.RunStore(h.ctx(), name, st, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +165,7 @@ func (h *Harness) runGChi(st *storage.Store, memPages, threads int) (*runResult,
 // pages a read, through the latency model: the load phase of the in-memory
 // references.
 func (h *Harness) sweep(st *storage.Store, mx *metrics.Collector) error {
-	base, err := h.device(st)
+	base, err := st.DeviceBackend(ssd.Backend(h.cfg.Backend))
 	if err != nil {
 		return err
 	}

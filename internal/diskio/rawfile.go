@@ -1,6 +1,14 @@
 package diskio
 
-import "os"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+
+	"github.com/optlab/opt/internal/ssd"
+)
 
 // RawFile is a plain OS file handle for scratch artifacts that live
 // outside the paged store: external-sort run files, benchmark listing
@@ -11,7 +19,28 @@ import "os"
 // that need counted, latency-modelled access use StreamReader/StreamWriter
 // or an ssd device instead.
 type RawFile struct {
-	f *os.File
+	f         *os.File
+	failClose bool // created under the close-fault directory
+}
+
+// closeFaultDir is the directory set by FailClosesUnder, or nil.
+var closeFaultDir atomic.Pointer[string]
+
+// FailClosesUnder makes Close fail with ssd.ErrInjected, after closing the
+// file, for every RawFile and StreamWriter created under dir until the
+// returned function runs. It is the close-fault seam of the failure tests:
+// only tests call it, so a dropped Close or Flush error on a written file
+// fails a test instead of passing with a short file.
+func FailClosesUnder(dir string) (restore func()) {
+	clean := filepath.Clean(dir) + string(filepath.Separator)
+	closeFaultDir.Store(&clean)
+	return func() { closeFaultDir.Store(nil) }
+}
+
+// created wraps a file just created for writing.
+func created(f *os.File) *RawFile {
+	dir := closeFaultDir.Load()
+	return &RawFile{f: f, failClose: dir != nil && strings.HasPrefix(filepath.Clean(f.Name()), *dir)}
 }
 
 // CreateRaw creates or truncates the named scratch file.
@@ -20,7 +49,7 @@ func CreateRaw(path string) (*RawFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RawFile{f: f}, nil
+	return created(f), nil
 }
 
 // CreateTempRaw creates a new scratch file in dir with a name built from
@@ -30,7 +59,7 @@ func CreateTempRaw(dir, pattern string) (*RawFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RawFile{f: f}, nil
+	return created(f), nil
 }
 
 // OpenRaw opens the named scratch file for reading.
@@ -49,7 +78,13 @@ func (r *RawFile) Read(p []byte) (int, error) { return r.f.Read(p) }
 func (r *RawFile) Write(p []byte) (int, error) { return r.f.Write(p) }
 
 // Close releases the handle.
-func (r *RawFile) Close() error { return r.f.Close() }
+func (r *RawFile) Close() error {
+	err := r.f.Close()
+	if err == nil && r.failClose {
+		err = fmt.Errorf("diskio: closing %s: %w", r.f.Name(), ssd.ErrInjected)
+	}
+	return err
+}
 
 // Name returns the path the file was opened with.
 func (r *RawFile) Name() string { return r.f.Name() }

@@ -83,7 +83,7 @@ func (cm CostModel) chargePages(th *ssd.Throttle, n int64, reqPages int) int {
 // StreamWriter writes working-file records with page-granular cost
 // accounting.
 type StreamWriter struct {
-	f        *os.File
+	f        *RawFile
 	bw       *bufio.Writer
 	bytes    int64
 	reqPages int
@@ -96,7 +96,7 @@ func NewStreamWriter(path string, cm CostModel) (*StreamWriter, error) {
 	if cm.PageSize <= 0 {
 		return nil, fmt.Errorf("diskio: page size %d", cm.PageSize)
 	}
-	f, err := os.Create(path)
+	f, err := CreateRaw(path)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func (w *StreamWriter) Close() error {
 	}
 	w.th.Flush()
 	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
+		_ = w.f.Close() // the flush error is the one to report
 		return err
 	}
 	return w.f.Close()
@@ -160,6 +160,7 @@ func (w *StreamWriter) Close() error {
 type StreamReader struct {
 	f        *os.File
 	br       *bufio.Reader
+	body     []byte // ReadRecord's scratch, at most bodyChunk bytes
 	bytes    int64
 	reqPages int
 	th       ssd.Throttle
@@ -178,6 +179,9 @@ func NewStreamReader(path string, cm CostModel) (*StreamReader, error) {
 	return &StreamReader{f: f, br: bufio.NewReaderSize(f, 1<<20), cm: cm}, nil
 }
 
+// bodyChunk is how many record-body bytes ReadRecord reads at a time.
+const bodyChunk = 1 << 16
+
 // ReadRecord returns the next (id, adj) record, or io.EOF at end of file.
 func (r *StreamReader) ReadRecord() (uint32, []uint32, error) {
 	if err := r.cm.err(); err != nil {
@@ -191,14 +195,22 @@ func (r *StreamReader) ReadRecord() (uint32, []uint32, error) {
 		return 0, nil, err
 	}
 	id := binary.LittleEndian.Uint32(hdr[0:])
-	deg := int(binary.LittleEndian.Uint32(hdr[4:]))
-	body := make([]byte, 4*deg)
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		return 0, nil, fmt.Errorf("diskio: truncated record body: %w", err)
-	}
-	adj := make([]uint32, deg)
-	for i := range adj {
-		adj[i] = binary.LittleEndian.Uint32(body[4*i:])
+	deg := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	// The degree comes off the disk: grow adj as the body arrives, so a
+	// corrupt one cannot demand a huge allocation before the file runs dry.
+	adj := make([]uint32, 0, min(deg, bodyChunk/4))
+	for left := 4 * deg; left > 0; {
+		n := min(left, bodyChunk)
+		if int64(len(r.body)) < n {
+			r.body = make([]byte, n)
+		}
+		if _, err := io.ReadFull(r.br, r.body[:n]); err != nil {
+			return 0, nil, fmt.Errorf("diskio: truncated record body: %w", err)
+		}
+		for i := int64(0); i < n; i += 4 {
+			adj = append(adj, binary.LittleEndian.Uint32(r.body[i:]))
+		}
+		left -= n
 	}
 	before := r.bytes / int64(r.cm.PageSize)
 	r.bytes += int64(8 + 4*deg)

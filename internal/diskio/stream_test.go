@@ -1,10 +1,12 @@
 package diskio
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -182,5 +184,65 @@ func TestStreamTruncatedBody(t *testing.T) {
 	defer func() { _ = r2.Close() }()
 	if _, _, err := r2.ReadRecord(); err == nil {
 		t.Fatal("truncated header: want error")
+	}
+	// A header claiming 2³²-1 neighbours over a 4-byte body: an error,
+	// after reading no more than the file holds.
+	if err := os.WriteFile(path, []byte{7, 0, 0, 0, 255, 255, 255, 255, 1, 0, 0, 0}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r3, err := NewStreamReader(path, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r3.Close() }()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = r3.ReadRecord()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("huge degree over a short body: want error")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("huge degree allocated %d bytes before failing", grown)
+	}
+}
+
+// TestFailClosesUnder pins the close-fault seam: files created under the
+// directory fail Close with ssd.ErrInjected, anything else closes cleanly,
+// and the restore function turns the seam off.
+func TestFailClosesUnder(t *testing.T) {
+	faulty, clean := t.TempDir(), t.TempDir()
+	restore := FailClosesUnder(faulty)
+	defer restore()
+	cm := CostModel{PageSize: 64}
+	w, err := NewStreamWriter(filepath.Join(faulty, "s.ccg"), cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRecord(1, []uint32{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("StreamWriter.Close under the fault directory = %v, want ssd.ErrInjected", err)
+	}
+	f, err := CreateTempRaw(faulty, "raw-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("RawFile.Close under the fault directory = %v, want ssd.ErrInjected", err)
+	}
+	if f, err = CreateRaw(filepath.Join(clean, "raw")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("RawFile.Close outside the fault directory = %v", err)
+	}
+	restore()
+	if f, err = CreateRaw(filepath.Join(faulty, "after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("RawFile.Close after restore = %v", err)
 	}
 }

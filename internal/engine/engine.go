@@ -110,8 +110,7 @@ type Options struct {
 	// Backend selects how the store device reaches the disk: "portable",
 	// "native", "auto", or empty for the ssd package's default resolution
 	// (the OPT_BACKEND environment variable, then portable). Validate
-	// rejects unknown names; callers that open the device themselves pass
-	// the same value to Store.DeviceBackend.
+	// rejects unknown names; RunStore opens the store's device through it.
 	Backend string `json:"backend,omitempty"`
 	// TempDir holds working files for runners that rewrite the graph.
 	TempDir string `json:"-"`
@@ -311,4 +310,25 @@ func Run(ctx context.Context, name string, st *storage.Store, dev ssd.PageDevice
 		}
 	}
 	return res, err
+}
+
+// RunStore is Run over st's own device, the path every front end takes: it
+// opens the device through the backend opts.Backend names, hands it to wrap
+// when wrap is non-nil (optd's Config.WrapDevice), runs name over it and
+// closes it. A failed close is the run's error unless the run failed first:
+// the OS may not have released the descriptor.
+func RunStore(ctx context.Context, name string, st *storage.Store, opts Options, wrap func(ssd.PageDevice) ssd.PageDevice) (res *Result, err error) {
+	dev, err := st.DeviceBackend(ssd.Backend(opts.Backend))
+	if err != nil {
+		return nil, fmt.Errorf("engine: opening the store device: %w", err)
+	}
+	if wrap != nil {
+		dev = wrap(dev)
+	}
+	defer func() {
+		if cerr := dev.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return Run(ctx, name, st, dev, opts)
 }

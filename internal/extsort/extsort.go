@@ -75,7 +75,7 @@ func NewSorter(dir string, runSize int) *Sorter {
 // Push adds one key.
 func (s *Sorter) Push(key uint64) error {
 	if s.closed {
-		return fmt.Errorf("extsort: push after Sort")
+		return fmt.Errorf("extsort: push after Sort or Close")
 	}
 	if err := s.tick(); err != nil {
 		return err
@@ -87,7 +87,8 @@ func (s *Sorter) Push(key uint64) error {
 	return nil
 }
 
-// spill sorts the buffer and writes it as a run file.
+// spill sorts the buffer and writes it as a run file. A run that fails to
+// write is removed at once: it is not in s.runs, so Close would miss it.
 func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
@@ -101,17 +102,15 @@ func (s *Sorter) spill() error {
 	var scratch [8]byte
 	for _, k := range s.buf {
 		binary.LittleEndian.PutUint64(scratch[:], k)
-		if _, err := bw.Write(scratch[:]); err != nil {
-			_ = f.Close()
-			return err
-		}
+		_, _ = bw.Write(scratch[:]) // a write error sticks: Flush returns it
 	}
-	if err := bw.Flush(); err != nil {
-		_ = f.Close()
-		return err
+	err = bw.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("extsort: writing run: %w", err)
 	}
 	s.runs = append(s.runs, f.Name())
 	s.buf = s.buf[:0]
@@ -123,10 +122,9 @@ func (s *Sorter) spill() error {
 // run files are removed.
 func (s *Sorter) Sort(fn func(key uint64) error) error {
 	if s.closed {
-		return fmt.Errorf("extsort: Sort called twice")
+		return fmt.Errorf("extsort: Sort after Sort or Close")
 	}
-	s.closed = true
-	defer s.cleanup()
+	defer s.Close()
 
 	// Common case: everything fit in memory.
 	if len(s.runs) == 0 {
@@ -186,7 +184,12 @@ func (s *Sorter) Sort(fn func(key uint64) error) error {
 	return nil
 }
 
-func (s *Sorter) cleanup() {
+// Close removes every run file and drops the buffers; Push and Sort fail
+// afterwards. It is safe after Sort and more than once, so a caller defers
+// it right after NewSorter and an abandoned sort (a failed Push, a
+// cancelled scan) leaves no run behind.
+func (s *Sorter) Close() {
+	s.closed = true
 	for _, path := range s.runs {
 		os.Remove(path)
 	}

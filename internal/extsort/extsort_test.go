@@ -1,9 +1,14 @@
 package extsort
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
+
+	"github.com/optlab/opt/internal/diskio"
+	"github.com/optlab/opt/internal/ssd"
 )
 
 func collect(t *testing.T, s *Sorter) []uint64 {
@@ -87,6 +92,45 @@ func TestSorterMisuse(t *testing.T) {
 	}
 	if err := s.Sort(func(uint64) error { return nil }); err == nil {
 		t.Fatal("Sort twice: want error")
+	}
+}
+
+// TestSorterLeavesNoRun: a run whose close fails is reported and removed
+// by spill itself, and Close removes the runs of a sort never finished.
+func TestSorterLeavesNoRun(t *testing.T) {
+	empty := func(dir string) {
+		t.Helper()
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%d files left in %s", len(entries), dir)
+		}
+	}
+	dir := t.TempDir()
+	restore := diskio.FailClosesUnder(dir)
+	s := NewSorter(dir, 8) // a run every 4 keys
+	var err error
+	for i := 0; i < 4 && err == nil; i++ {
+		err = s.Push(uint64(i))
+	}
+	restore()
+	if !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("Push spilling a run whose close fails = %v, want ssd.ErrInjected", err)
+	}
+	empty(dir)
+
+	s = NewSorter(dir, 8)
+	for i := 0; i < 20; i++ {
+		if err := s.Push(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Runs() != 5 {
+		t.Fatalf("spilled %d runs, want 5", s.Runs())
+	}
+	s.Close()
+	s.Close()
+	empty(dir)
+	if err := s.Push(1); err == nil {
+		t.Fatal("Push after Close: want error")
 	}
 }
 

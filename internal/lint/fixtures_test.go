@@ -154,7 +154,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"lockheld", lint.NewLockheld()},
 		{"ioconfine", lint.NewIoconfine([]string{"fixture/other"})},
-		{"closecheck", lint.NewClosecheck([]string{"fixture/closecheck"})},
 		{"atomicfield", lint.NewAtomicfield()},
 		{"condguard", lint.NewCondguard()},
 	}
@@ -177,10 +176,8 @@ func TestAnalyzeDeterminism(t *testing.T) {
 		loadFixture(t, "lockheld", "bad"),
 		loadFixture(t, "condguard", "bad"),
 		loadFixture(t, "atomicfield", "bad"),
-		loadFixture(t, "closecheck", "bad"),
 	}
-	analyzers := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard(), lint.NewAtomicfield(),
-		lint.NewClosecheck([]string{"fixture/closecheck"})}
+	analyzers := []*lint.Analyzer{lint.NewLockheld(), lint.NewCondguard(), lint.NewAtomicfield()}
 	render := func() string {
 		var out strings.Builder
 		for _, f := range lint.Analyze(pkgs, analyzers) {
@@ -244,7 +241,7 @@ func TestDefaultRegistry(t *testing.T) {
 		}
 	}
 	want := []string{
-		"lockheld", "ioconfine", "closecheck", "atomicfield", "condguard",
+		"lockheld", "ioconfine", "atomicfield", "condguard",
 	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Default() = %v, want %v", names, want)

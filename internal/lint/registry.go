@@ -17,11 +17,6 @@ func Default(module string) []*Analyzer {
 			module + "/internal/storage",
 			module + "/cmd",
 		}),
-		NewClosecheck([]string{
-			module + "/internal/ssd",
-			module + "/internal/diskio",
-			module + "/internal/storage",
-		}),
 		NewAtomicfield(),
 		NewCondguard(),
 	}

@@ -111,8 +111,8 @@ func (r *localRun) place(m *Manager, j *Job) (*outcome, error) {
 	}
 }
 
-// run executes the job end to end: budget acquisition, device open, engine
-// dispatch, and the result-cache fill.
+// run executes the job end to end: budget acquisition, the engine run over
+// the store's device, and the result-cache fill.
 func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error) {
 	// The budget wait happens while still queued: pages are only held by
 	// running jobs, so the in-use sum tracks actual concurrent budgets.
@@ -121,28 +121,20 @@ func (r *localRun) run(ctx context.Context, m *Manager, j *Job) (outcome, error)
 	}
 	defer m.budget.Release(r.pages)
 
-	b, err := ssd.ParseBackend(r.spec.Backend)
-	if err != nil {
-		// Unreachable after admission validation; belt and braces.
-		return outcome{}, fmt.Errorf("server: job %s: %w", j.ID, err)
-	}
-	dev, err := r.store.DeviceBackend(b)
-	if err != nil {
-		return outcome{}, fmt.Errorf("server: job %s opening device: %w", j.ID, err)
-	}
-	if m.cfg.WrapDevice != nil {
-		dev = m.cfg.WrapDevice(dev)
-	}
 	opts := r.spec.Options
 	opts.MemoryPages = r.pages
 	opts.TempDir = m.cfg.TempDir
 	opts.Events = j.sink()
 
-	j.markRunning()
-	res, err := engine.Run(ctx, r.spec.Algorithm, r.store, dev, opts)
-	if cerr := dev.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
+	res, err := engine.RunStore(ctx, r.spec.Algorithm, r.store, opts, func(dev ssd.PageDevice) ssd.PageDevice {
+		// Running from here: the device is open and the engine dispatches
+		// next, so a DELETE from now on finds the runner started.
+		j.markRunning()
+		if m.cfg.WrapDevice != nil {
+			dev = m.cfg.WrapDevice(dev)
+		}
+		return dev
+	})
 	out := outcome{result: res}
 	if err == nil {
 		snap := j.collector.Snapshot()

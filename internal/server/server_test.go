@@ -382,6 +382,31 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
+// TestDeviceCloseFailureFailsJob wraps every job's device in one whose
+// Close fails: the job that ran cleanly must still fail with the close
+// error, and its result must not enter the cache.
+func TestDeviceCloseFailureFailsJob(t *testing.T) {
+	path := buildStore(t, graph.Complete(12), 128)
+	m := server.New(server.Config{Workers: 1, QueueDepth: 4, WrapDevice: func(d ssd.PageDevice) ssd.PageDevice {
+		return &ssd.FaultyDevice{PageDevice: d, FailClose: true}
+	}})
+	defer m.Drain(5 * time.Second)
+	spec := server.Spec{Store: path, Algorithm: "MGT", Options: engine.Options{MemoryPages: 4}}
+	for i := 0; i < 2; i++ {
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if _, err := j.Result(); !errors.Is(err, ssd.ErrInjected) || j.State().String() != "failed" {
+			t.Fatalf("job %s: state %v, err %v; want failed with ssd.ErrInjected", j.ID, j.State(), err)
+		}
+	}
+	if hits := m.Stats().CacheHits; hits != 0 {
+		t.Fatalf("CacheHits = %d: a run whose device failed to close was cached", hits)
+	}
+}
+
 // TestBudgetSerializesJobs runs two jobs whose budgets cannot coexist: the
 // second must wait for the first to release its pages, so the budget's
 // high-water mark never goes above the total.

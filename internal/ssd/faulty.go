@@ -8,9 +8,10 @@ import (
 // ErrInjected is returned by FaultyDevice for injected failures.
 var ErrInjected = errors.New("ssd: injected fault")
 
-// FaultyDevice wraps a PageDevice and fails reads according to a schedule.
-// It is used by the failure-injection tests to verify that every disk-based
-// algorithm surfaces I/O errors instead of silently miscounting.
+// FaultyDevice wraps a PageDevice and fails reads according to a schedule,
+// and its Close when FailClose is set. It is used by the failure-injection
+// tests to verify that every disk-based algorithm and every layer that
+// opens a device surfaces I/O errors instead of silently miscounting.
 type FaultyDevice struct {
 	PageDevice
 	// FailEveryN makes every Nth read fail (1-based count). 0 disables.
@@ -22,6 +23,9 @@ type FaultyDevice struct {
 	// FailPage makes any read covering this page fail when FailPageSet.
 	FailPage    uint32
 	FailPageSet bool
+	// FailClose makes Close return ErrInjected once the wrapped device is
+	// closed.
+	FailClose bool
 
 	reads atomic.Int64
 }
@@ -52,6 +56,16 @@ func (d *FaultyDevice) ReadPagesInto(buf []byte, first uint32, count int) error 
 		return ErrInjected
 	}
 	return d.PageDevice.ReadPagesInto(buf, first, count)
+}
+
+// Close closes the wrapped device and, when FailClose is set, reports
+// ErrInjected in place of its success.
+func (d *FaultyDevice) Close() error {
+	err := d.PageDevice.Close()
+	if err == nil && d.FailClose {
+		err = ErrInjected
+	}
+	return err
 }
 
 // BackendInfo forwards the wrapped device's backend description, defaulting

@@ -502,6 +502,16 @@ func TestFaultyDevice(t *testing.T) {
 	if _, err := fp.ReadPages(0, 3); err != nil {
 		t.Fatalf("read not covering page 5 failed: %v", err)
 	}
+	if err := fp.Close(); err != nil {
+		t.Fatalf("Close without FailClose = %v", err)
+	}
+	fc := &FaultyDevice{PageDevice: newMemDevice(64, 8), FailClose: true}
+	if _, err := fc.ReadPages(0, 8); err != nil {
+		t.Fatalf("FailClose must not fail reads: %v", err)
+	}
+	if err := fc.Close(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Close with FailClose = %v, want ErrInjected", err)
+	}
 }
 
 func TestLatencyCost(t *testing.T) {

@@ -134,6 +134,7 @@ func BuildFileStreamingContext(ctx context.Context, path string, src EdgeScanner
 
 	// Pass 2: external sort of both edge directions under the new ids.
 	sorter := extsort.NewSorter(opts.TempDir, opts.RunSize)
+	defer sorter.Close()
 	sorter.SetContext(ctx)
 	if err := src.Scan(func(u, v uint32) error {
 		if err := ctxTick(); err != nil {

@@ -301,32 +301,15 @@ func Triangulate(s *Store, opts Options) (*Result, error) {
 // one iteration and returns the partial Result accumulated so far together
 // with an error satisfying errors.Is(err, ctx.Err()); no goroutines are
 // leaked.
-func TriangulateContext(ctx context.Context, s *Store, opts Options) (res *Result, err error) {
+func TriangulateContext(ctx context.Context, s *Store, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := s.st
-	backend, err := ssd.ParseBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	base, err := st.DeviceBackend(backend)
-	if err != nil {
-		return nil, err
-	}
-	// A failed close means the OS may not have released the descriptor;
-	// surface it, but never at the cost of masking the run's own error.
-	defer func() {
-		if cerr := base.Close(); err == nil {
-			err = cerr
-		}
-	}()
-
 	var sink events.Sink
 	if opts.OnEvent != nil {
 		sink = events.Func(opts.OnEvent)
 	}
-	eres, err := engine.Run(ctx, opts.Algorithm.String(), st, base, engine.Options{
+	eres, err := engine.RunStore(ctx, opts.Algorithm.String(), s.st, engine.Options{
 		Model:            opts.Model,
 		Threads:          opts.Threads,
 		MemoryPages:      opts.MemoryPages,
@@ -343,7 +326,7 @@ func TriangulateContext(ctx context.Context, s *Store, opts Options) (res *Resul
 		ShardI:           opts.ShardI,
 		ShardJ:           opts.ShardJ,
 		Events:           sink,
-	})
+	}, nil)
 	if eres == nil {
 		return nil, err
 	}
