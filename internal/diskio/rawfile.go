@@ -19,16 +19,15 @@ import (
 // that need counted, latency-modelled access use StreamReader/StreamWriter
 // or an ssd device instead.
 type RawFile struct {
-	f         *os.File
-	failClose bool // created under the close-fault directory
+	f *os.File
 }
 
 // closeFaultDir is the directory set by FailClosesUnder, or nil.
 var closeFaultDir atomic.Pointer[string]
 
 // FailClosesUnder makes Close fail with ssd.ErrInjected, after closing the
-// file, for every RawFile and StreamWriter created under dir until the
-// returned function runs. It is the close-fault seam of the failure tests:
+// file, for every RawFile and StreamWriter under dir until the returned
+// function runs. It is the close-fault seam of the failure tests:
 // only tests call it, so a dropped Close or Flush error on a written file
 // fails a test instead of passing with a short file.
 func FailClosesUnder(dir string) (restore func()) {
@@ -37,19 +36,13 @@ func FailClosesUnder(dir string) (restore func()) {
 	return func() { closeFaultDir.Store(nil) }
 }
 
-// created wraps a file just created for writing.
-func created(f *os.File) *RawFile {
-	dir := closeFaultDir.Load()
-	return &RawFile{f: f, failClose: dir != nil && strings.HasPrefix(filepath.Clean(f.Name()), *dir)}
-}
-
 // CreateRaw creates or truncates the named scratch file.
 func CreateRaw(path string) (*RawFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return created(f), nil
+	return &RawFile{f: f}, nil
 }
 
 // CreateTempRaw creates a new scratch file in dir with a name built from
@@ -59,7 +52,7 @@ func CreateTempRaw(dir, pattern string) (*RawFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return created(f), nil
+	return &RawFile{f: f}, nil
 }
 
 // OpenRaw opens the named scratch file for reading.
@@ -80,7 +73,7 @@ func (r *RawFile) Write(p []byte) (int, error) { return r.f.Write(p) }
 // Close releases the handle.
 func (r *RawFile) Close() error {
 	err := r.f.Close()
-	if err == nil && r.failClose {
+	if dir := closeFaultDir.Load(); err == nil && dir != nil && strings.HasPrefix(r.f.Name(), *dir) {
 		err = fmt.Errorf("diskio: closing %s: %w", r.f.Name(), ssd.ErrInjected)
 	}
 	return err
