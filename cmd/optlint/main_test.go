@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,9 +16,21 @@ import (
 
 var (
 	buildOnce sync.Once
+	binDir    string // where optlintBin built the driver; removed by TestMain
 	binPath   string
 	buildErr  error
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		if err := os.RemoveAll(binDir); err != nil && code == 0 {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
 
 // optlintBin compiles the driver once per test run; the tests exec the
 // binary directly because `go run` does not propagate exit status 2.
@@ -27,12 +40,11 @@ func optlintBin(t *testing.T) string {
 		t.Skip("spawns the go tool")
 	}
 	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "optlint-bin-")
-		if err != nil {
-			buildErr = err
+		binDir, buildErr = os.MkdirTemp("", "optlint-bin-")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "optlint")
+		binPath = filepath.Join(binDir, "optlint")
 		cmd := exec.Command("go", "build", "-o", binPath, ".")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			buildErr = err

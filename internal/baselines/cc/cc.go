@@ -21,6 +21,7 @@ package cc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -108,7 +109,7 @@ func (v Variant) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice
 		perm, toOrig = dsPermutation(st)
 	}
 	cur := filepath.Join(dir, "iter-0.ccg")
-	if err := convertStore(st, base, cur, perm, cm); err != nil {
+	if err := ConvertStore(ctx, st, base, cur, perm, cm); err != nil {
 		return finish(err)
 	}
 
@@ -163,33 +164,28 @@ func dsPermutation(st *storage.Store) (perm, toOrig []graph.VertexID) {
 	return perm, toOrig
 }
 
-// convertStore reads every page of st through a latency-accounted device
-// and writes the stream-format working file (applying perm when non-nil).
-func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, cm diskio.CostModel) error {
+// ConvertStore reads every page of st through a latency-accounted device
+// over base and writes the stream-format working file at path, applying
+// perm (original id -> processing id) when it is non-nil. It is the first
+// pass of CC-Seq, CC-DS and GraphChi-Tri alike. The writer is closed on
+// every path, and a failed close fails the conversion.
+func ConvertStore(ctx context.Context, st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, cm diskio.CostModel) (err error) {
 	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
-		Latency: cm.Latency, Metrics: cm.Metrics, Context: cm.Context, Events: cm.Events,
+		Latency: cm.Latency, Metrics: cm.Metrics, Context: ctx, Events: cm.Events,
 	})
 	w, err := diskio.NewStreamWriter(path, cm)
 	if err != nil {
 		return err
 	}
+	defer func() { err = errors.Join(err, w.Close()) }()
 	// With a permutation the records must be emitted in processing order;
-	// buffer them. Without one, stream directly.
-	var buffered map[uint32][]uint32
+	// buffer them by processing id. Without one, stream directly.
+	var buffered [][]uint32
 	if perm != nil {
-		buffered = make(map[uint32][]uint32, st.NumVertices)
+		buffered = make([][]uint32, st.NumVertices)
 	}
-	var p uint32
-	for p < st.NumPages {
-		count := st.AlignedRange(p, 1)
-		data, err := dev.ReadPages(p, count)
-		if err != nil {
-			return fmt.Errorf("cc: reading pages [%d,+%d): %w", p, count, err)
-		}
-		recs, err := st.Decode(data)
-		if err != nil {
-			return err
-		}
+	var sc storage.Scanner
+	err = sc.Scan(ctx, st, dev, 0, st.NumPages, 1, func(recs []storage.VertexRec) error {
 		for _, r := range recs {
 			if len(r.Adj) == 0 {
 				continue
@@ -205,30 +201,25 @@ func convertStore(st *storage.Store, base ssd.PageDevice, path string, perm []gr
 				adj[i] = uint32(perm[x])
 			}
 			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-			buffered[uint32(perm[r.ID])] = adj
+			buffered[perm[r.ID]] = adj
 		}
-		p += uint32(count)
-	}
-	if perm != nil {
-		ids := make([]uint32, 0, len(buffered))
-		for id := range buffered {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if err := w.WriteRecord(id, buffered[id]); err != nil {
-				return err
-			}
+		return nil
+	})
+	for id := 0; err == nil && id < len(buffered); id++ {
+		if len(buffered[id]) > 0 {
+			err = w.WriteRecord(uint32(id), buffered[id])
 		}
 	}
-	return w.Close()
+	return err
 }
 
 // iterate performs one partition-identify-shrink round: read curPath,
 // write the shrunken remainder to nextPath, and return the triangles found
 // plus the number of edges remaining. Triangles are listed to out when it is
-// non-nil; on an error the count is of the triangles already listed.
-func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (int64, int64, error) {
+// non-nil; on an error the count is of the triangles already listed. The
+// remainder's writer is closed on every path, and a failed close fails the
+// iteration.
+func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (tris, edgesLeft int64, err error) {
 	r, err := diskio.NewStreamReader(curPath, cm)
 	if err != nil {
 		return 0, 0, err
@@ -271,7 +262,6 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 		out(u, v, ws)
 	}
 
-	var tris int64
 	var buf []uint32
 	intersectEmit := func(u uint32, adjU []uint32, v uint32, adjV []uint32) {
 		nsU := nsucc(adjU, u)
@@ -299,7 +289,7 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 	if err != nil {
 		return tris, 0, err
 	}
-	var edgesLeft int64
+	defer func() { err = errors.Join(err, w.Close()) }()
 	for {
 		id, adj, err := r.ReadRecord()
 		if err == io.EOF {
@@ -328,9 +318,6 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 			}
 			edgesLeft += int64(len(nsucc(kept, id)))
 		}
-	}
-	if err := w.Close(); err != nil {
-		return tris, 0, err
 	}
 	return tris, edgesLeft, nil
 }

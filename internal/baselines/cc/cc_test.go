@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -32,11 +33,11 @@ func TestRemainderCloseFaults(t *testing.T) {
 	clean, faulty := t.TempDir(), t.TempDir()
 	defer diskio.FailClosesUnder(faulty)()
 
-	if err := convertStore(st, dev, filepath.Join(faulty, "iter-0.ccg"), nil, cm); !errors.Is(err, ssd.ErrInjected) {
-		t.Fatalf("convertStore = %v, want ssd.ErrInjected", err)
+	if err := ConvertStore(context.Background(), st, dev, filepath.Join(faulty, "iter-0.ccg"), nil, cm); !errors.Is(err, ssd.ErrInjected) {
+		t.Fatalf("ConvertStore = %v, want ssd.ErrInjected", err)
 	}
 	cur := filepath.Join(clean, "iter-0.ccg")
-	if err := convertStore(st, dev, cur, nil, cm); err != nil {
+	if err := ConvertStore(context.Background(), st, dev, cur, nil, cm); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := iterate(cur, filepath.Join(faulty, "iter-1.ccg"), 4*int64(st.PageSize), cm, nil, nil); !errors.Is(err, ssd.ErrInjected) {

@@ -8,7 +8,10 @@ package baselines_test
 
 import (
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -199,6 +202,53 @@ func TestBaselinesOnFaultyDevice(t *testing.T) {
 		faulty := &ssd.FaultyDevice{PageDevice: dev, FailEveryN: tc.every}
 		if _, err := run(t, tc.name, st, faulty, engine.Options{MemoryPages: 4}); err == nil {
 			t.Errorf("%s on faulty device: want error", tc.name)
+		}
+	}
+}
+
+// TestCancelledIterationClosesFiles: a CC-Seq, CC-DS or GraphChi-Tri run
+// cancelled in the middle of an iteration, while it streams one working file
+// into the next, leaves no file descriptor open. The stream's reads and
+// writes fail with the context's error there, and the writer is closed on
+// that path as on every other. Each run cancels at a later page written.
+func TestCancelledIterationClosesFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts the descriptors in /proc/self/fd")
+	}
+	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 3))
+	g, _ := graph.DegreeOrder(raw)
+	st, dev := buildStore(t, g, 128)
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	baseline := openFiles()
+	for _, name := range []string{"CC-Seq", "CC-DS", "GraphChi-Tri"} {
+		for i := int64(0); i < 5; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var iterating atomic.Bool
+			var written atomic.Int64
+			sink := events.Func(func(e events.Event) {
+				switch e.Kind {
+				case events.IterationStart:
+					iterating.Store(true)
+				case events.PagesWritten:
+					if iterating.Load() && written.Add(1) > i {
+						cancel()
+					}
+				}
+			})
+			_, err := engine.Run(ctx, name, st, dev, engine.Options{MemoryPages: 4, TempDir: t.TempDir(), Events: sink})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, cancelled at page %d written: err = %v, want context.Canceled", name, i+1, err)
+			}
+			if n := openFiles(); n != baseline {
+				t.Fatalf("%s, cancelled at page %d written: %d descriptors open, %d before the runs", name, i+1, n, baseline)
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ package gchi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/optlab/opt/internal/baselines/cc"
 	"github.com/optlab/opt/internal/diskio"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
@@ -84,7 +86,7 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 		return res, err
 	}
 	cur := filepath.Join(dir, "work-0.ccg")
-	if err := convertStore(st, base, cur, cm); err != nil {
+	if err := cc.ConvertStore(ctx, st, base, cur, nil, cm); err != nil {
 		return finish(err)
 	}
 
@@ -136,40 +138,6 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 			return finish(nil)
 		}
 	}
-}
-
-// convertStore reads every store page through a latency-accounted device
-// and writes the working file.
-func convertStore(st *storage.Store, base ssd.PageDevice, path string, cm diskio.CostModel) error {
-	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
-		Latency: cm.Latency, Metrics: cm.Metrics, Context: cm.Context, Events: cm.Events,
-	})
-	w, err := diskio.NewStreamWriter(path, cm)
-	if err != nil {
-		return err
-	}
-	var p uint32
-	for p < st.NumPages {
-		count := st.AlignedRange(p, 1)
-		data, err := dev.ReadPages(p, count)
-		if err != nil {
-			return fmt.Errorf("gchi: reading pages [%d,+%d): %w", p, count, err)
-		}
-		recs, err := st.Decode(data)
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if len(r.Adj) == 0 {
-				continue
-			}
-			if err := w.WriteRecord(r.ID, r.Adj); err != nil {
-				return err
-			}
-		}
-		p += uint32(count)
-	}
-	return w.Close()
 }
 
 // loadPivot reads the pivot block (the id-order prefix) into memory,
@@ -292,8 +260,9 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threa
 }
 
 // shrink streams the whole file once more and writes the remainder with
-// every pivot-incident edge removed.
-func shrink(curPath, nextPath string, pivot map[uint32][]uint32, cm diskio.CostModel) (int64, error) {
+// every pivot-incident edge removed. The writer is closed on every path,
+// and a failed close fails the shrink.
+func shrink(curPath, nextPath string, pivot map[uint32][]uint32, cm diskio.CostModel) (edgesLeft int64, err error) {
 	r, err := diskio.NewStreamReader(curPath, cm)
 	if err != nil {
 		return 0, err
@@ -303,7 +272,7 @@ func shrink(curPath, nextPath string, pivot map[uint32][]uint32, cm diskio.CostM
 	if err != nil {
 		return 0, err
 	}
-	var edgesLeft int64
+	defer func() { err = errors.Join(err, w.Close()) }()
 	for {
 		id, adj, err := r.ReadRecord()
 		if err == io.EOF {
@@ -327,9 +296,6 @@ func shrink(curPath, nextPath string, pivot map[uint32][]uint32, cm diskio.CostM
 			}
 			edgesLeft += int64(len(nsucc(kept, id)))
 		}
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
 	}
 	return edgesLeft, nil
 }

@@ -63,6 +63,7 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 		res.Iterations = blocks
 		return res, err
 	}
+	var sc storage.Scanner
 	var lo uint32
 	for lo < st.NumPages {
 		if err := ctx.Err(); err != nil {
@@ -77,7 +78,7 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 		if err != nil {
 			return finish(err)
 		}
-		t, err := scan(st, dev, block, mx, opts.OnTriangles)
+		t, err := scan(ctx, st, dev, &sc, block, mx, opts.OnTriangles)
 		mx.AddTriangles(t)
 		if t > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: blocks, N: t})
@@ -109,9 +110,9 @@ func loadBlock(st *storage.Store, dev *ssd.SyncDevice, lo, hi uint32) (*block, e
 	if err != nil {
 		return nil, fmt.Errorf("mgt: loading block [%d, %d): %w", lo, hi, err)
 	}
-	recs, err := st.Decode(data)
+	recs, _, err := st.DecodeAt(nil, nil, lo, data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mgt: decoding block [%d, %d): %w", lo, hi, err)
 	}
 	b := &block{adj: make(map[uint32][]uint32, len(recs)), lo: lo, hi: hi, st: st}
 	for _, r := range recs {
@@ -120,26 +121,15 @@ func loadBlock(st *storage.Store, dev *ssd.SyncDevice, lo, hi uint32) (*block, e
 	return b, nil
 }
 
-// scan streams the whole graph synchronously and applies the
+// scan streams the whole graph synchronously through sc and applies the
 // vertex-iterator pair kernel against the block, listing what it finds to
 // out when out is non-nil; on an error the count is of the triangles
-// already listed.
-func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
+// already listed. MGT re-reads every page of the graph per block, including
+// the block's own pages: the strict (1 + ⌈P/m⌉)·P(G) behaviour of Eq. 7.
+func scan(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, sc *storage.Scanner, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
 	var total int64
 	var ws []uint32
-	var p uint32
-	for p < st.NumPages {
-		// MGT re-reads every page of the graph per block, including the
-		// block's own pages: the strict (1 + ⌈P/m⌉)·P(G) behaviour of Eq. 7.
-		count := st.AlignedRange(p, scanSpan)
-		data, err := dev.ReadPages(p, count)
-		if err != nil {
-			return total, fmt.Errorf("mgt: scanning pages [%d,+%d): %w", p, count, err)
-		}
-		recs, err := st.Decode(data)
-		if err != nil {
-			return total, err
-		}
+	err := sc.Scan(ctx, st, dev, 0, st.NumPages, scanSpan, func(recs []storage.VertexRec) error {
 		for _, u := range recs {
 			ns := st.Successors(u)
 			for i, v := range ns {
@@ -166,7 +156,10 @@ func scan(st *storage.Store, dev *ssd.SyncDevice, b *block, mx *metrics.Collecto
 				}
 			}
 		}
-		p += uint32(count)
+		return nil
+	})
+	if err != nil {
+		return total, fmt.Errorf("mgt: scanning: %w", err)
 	}
 	return total, nil
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"github.com/optlab/opt/internal/engine"
@@ -70,17 +69,10 @@ func (b *blockRecs) of(v uint32) []uint32 {
 	return b.ids[b.off[i]:b.off[i+1]:b.off[i+1]]
 }
 
-// loadScratch is what a block load reuses from chunk to chunk: the read
-// buffer and the decoded records with their neighbor arena. Tasks share
-// them through scratchPool, so an agent's warm task allocates little more
-// than its blocks' id arenas.
-type loadScratch struct {
-	buf   []byte
-	recs  []storage.VertexRec
-	arena []uint32
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(loadScratch) }}
+// scanners holds the storage.Scanner a block load reads through: its read
+// buffer, records and neighbor arena carry over from task to task, so an
+// agent's warm task allocates little more than its blocks' id arenas.
+var scanners = sync.Pool{New: func() any { return new(storage.Scanner) }}
 
 // CountShard counts the triangles owned by one block-pair task of grid
 // over the store: triangles whose base edge (u, v), u < v, has
@@ -98,17 +90,14 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 	if grid.N != st.NumVertices {
 		return 0, fmt.Errorf("cluster: grid over %d vertices, store has %d", grid.N, st.NumVertices)
 	}
-	chunk := memPages / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	sc := scratchPool.Get().(*loadScratch)
+	chunk := max(memPages/2, 1)
+	sc := scanners.Get().(*storage.Scanner)
 	blockI, err := loadBlock(ctx, st, dev, grid, shard.I, chunk, sc)
 	blockJ := blockI
 	if err == nil && shard.J != shard.I {
 		blockJ, err = loadBlock(ctx, st, dev, grid, shard.J, chunk, sc)
 	}
-	scratchPool.Put(sc)
+	scanners.Put(sc)
 	if err != nil {
 		return 0, err
 	}
@@ -142,12 +131,11 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 	return total, err
 }
 
-// loadBlock reads and decodes the vertex records of grid block i, issuing
-// device reads of at most chunk pages (extended to record-run boundaries,
-// clipped at the end of the block's last record) into sc's buffer and
-// decoding them into sc's records. Only n≻(v) of the block's vertices is
-// copied out, into one arena sized by their degrees.
-func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int, sc *loadScratch) (*blockRecs, error) {
+// loadBlock reads and decodes the vertex records of grid block i through
+// sc, in spans of at most chunk pages that end at the block's last record.
+// Only n≻(v) of the block's vertices is copied out, into one arena sized by
+// their successor counts.
+func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, i, chunk int, sc *storage.Scanner) (*blockRecs, error) {
 	lo, hi := grid.Range(i)
 	b := &blockRecs{lo: lo, hi: hi, off: make([]int, hi-lo+1)}
 	if lo >= hi {
@@ -158,32 +146,11 @@ func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid
 		succ += st.SuccOf(v)
 	}
 	b.ids = make([]uint32, 0, succ)
-	p, last := st.FirstPageOf(lo), st.FirstPageOf(hi-1)+uint32(st.SpanOf(hi-1))
-	for p < last {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := min(st.AlignedRange(p, chunk), int(last-p))
-		size := n * st.PageSize
-		sc.buf = slices.Grow(sc.buf[:0], size)[:size]
-		if err := dev.ReadPagesInto(sc.buf, p, n); err != nil {
-			return nil, fmt.Errorf("cluster: reading pages [%d, %d) of block %d: %w", p, p+uint32(n), i, err)
-		}
-		var err error
-		sc.recs, sc.arena, err = st.DecodeAppend(sc.recs[:0], sc.arena[:0], sc.buf)
-		if err == nil && sc.recs[0].ID != st.FirstRecordOf(p) {
-			// Store.DecodeAppend holds the span to the directories; that
-			// it is the span asked for is this caller's check, and the
-			// offsets below rely on it.
-			err = fmt.Errorf("%w: pages start with record %d, page %d with %d",
-				storage.ErrCorruptPage, sc.recs[0].ID, p, st.FirstRecordOf(p))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decoding pages [%d, %d) of block %d: %w", p, p+uint32(n), i, err)
-		}
-		// The span's records are consecutive ids, and the spans follow one
-		// another, so the block's vertices arrive in order, each once.
-		for _, r := range sc.recs {
+	last := st.FirstPageOf(hi-1) + uint32(st.SpanOf(hi-1))
+	// DecodeAt holds each span to the pages read, and the spans follow one
+	// another, so the block's vertices arrive in order, each once.
+	err := sc.Scan(ctx, st, dev, st.FirstPageOf(lo), last, chunk, func(recs []storage.VertexRec) error {
+		for _, r := range recs {
 			if r.ID < lo {
 				continue
 			}
@@ -193,7 +160,10 @@ func loadBlock(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid
 			b.ids = append(b.ids, st.Successors(r)...)
 			b.off[r.ID-lo+1] = len(b.ids)
 		}
-		p += uint32(n)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: loading block %d: %w", i, err)
 	}
 	return b, nil
 }

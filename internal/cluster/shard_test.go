@@ -232,35 +232,16 @@ func TestCountShardDeviceFault(t *testing.T) {
 	}
 }
 
-// shiftedDevice answers every read of page p with page p+1 (wrapping): a
-// device that returns well-formed pages, only not the ones asked for.
-type shiftedDevice struct{ ssd.PageDevice }
-
-func (d shiftedDevice) shift(first uint32) uint32 { return (first + 1) % d.NumPages() }
-
-func (d shiftedDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	return d.PageDevice.ReadPages(d.shift(first), count)
-}
-
-func (d shiftedDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
-	return d.PageDevice.ReadPagesInto(buf, d.shift(first), count)
-}
-
 // TestCountShardWrongPages pins the check the block layout rests on: a
 // span whose records are consistent with the directories but start at
 // another page than the one read is ErrCorruptPage, never an index panic
-// from offsets filled out of order. Every page of this store starts a
-// record, so each one-page read of the shifted device decodes cleanly.
+// from offsets filled out of order. Every task loads a page past page 0,
+// and the device answers the first such read with the pages from page 0.
 func TestCountShardWrongPages(t *testing.T) {
 	g := workloads(t)["rmat"]
 	st, err := storage.BuildFileCodec(filepath.Join(t.TempDir(), "g.optstore"), g, 4096, storage.CodecRaw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for p := uint32(0); p < st.NumPages; p++ {
-		if !st.StartsRecord(p) {
-			t.Fatalf("page %d of %d continues a record; the test needs every page to start one", p, st.NumPages)
-		}
 	}
 	dev, err := st.Device()
 	if err != nil {
@@ -272,8 +253,9 @@ func TestCountShardWrongPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range grid.Shards() {
-		if _, err := CountShard(context.Background(), st, syncDev(shiftedDevice{dev}), grid, s, 2, nil, nil); !errors.Is(err, storage.ErrCorruptPage) {
-			t.Fatalf("shard %+v: err = %v, want storage.ErrCorruptPage", s, err)
+		wrong := testutil.NewWrongPagesDevice(dev, st)
+		if _, err := CountShard(context.Background(), st, syncDev(wrong), grid, s, 2, nil, nil); !errors.Is(err, storage.ErrCorruptPage) || !wrong.Redirected() {
+			t.Fatalf("shard %+v: err = %v (a read redirected: %t), want storage.ErrCorruptPage", s, err, wrong.Redirected())
 		}
 	}
 }

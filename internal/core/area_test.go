@@ -92,7 +92,7 @@ func checkAreaBudget(t *testing.T, st *storage.Store, model engine.Model) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := st.Decode(data)
+		recs, _, err := st.DecodeAt(nil, nil, lo, data)
 		if err != nil {
 			t.Fatal(err)
 		}

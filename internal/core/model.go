@@ -28,7 +28,7 @@ type Model interface {
 	// ExternalCandidates adds to vex the external candidate vertices derived
 	// from the freshly loaded internal record u, whole list included
 	// (ExternalCandidateVertexImpl in Algorithm 7). u.Adj is strictly
-	// ascending and below vex.Len(): Store.DecodeAppend checked it.
+	// ascending and below vex.Len(): Store.DecodeAt checked it.
 	ExternalCandidates(ctx *Ctx, u storage.VertexRec, vex *bits.Set)
 	// ExternalTriangle identifies the external triangles contributed by the
 	// external-area record v (ExternalTriangleImpl in Algorithm 9).

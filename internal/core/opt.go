@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -254,21 +253,16 @@ func (r *runner) fail(err error) {
 // the caller on success and never otherwise. Both the internal-area
 // callback and the external I/O scheduler funnel through here, so the
 // decode/repoint/recycle discipline the optpoison build checks at run time
-// has exactly one implementation. Store.DecodeAppend holds the records to
-// the directories, which everything downstream indexes by — record ids into
-// the internal area, neighbor ids into the candidate and probe sets — and
-// every bound and kernel relies on sorted lists split where the successor
-// directory says (Store.Successors, and the arena offsets of the load);
-// what only the caller can check is that the device returned the pages
-// asked for.
+// has exactly one implementation. Store.DecodeAt holds the records to the
+// directories and to the pages asked for, which everything downstream
+// indexes by — record ids into the internal area, neighbor ids into the
+// candidate and probe sets — and every bound and kernel relies on sorted
+// lists split where the successor directory says (Store.Successors, and
+// the arena offsets of the load).
 func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk, error) {
 	c := buffer.GetChunk()
-	recs, arena, err := r.st.DecodeAppend(c.Recs, c.Arena, data)
+	recs, arena, err := r.st.DecodeAt(c.Recs, c.Arena, first, data)
 	c.Recs, c.Arena = recs, arena
-	if err == nil && recs[0].ID != r.st.FirstRecordOf(first) {
-		err = fmt.Errorf("%w: pages [%d,+%d) start with record %d, page %d with %d",
-			storage.ErrCorruptPage, first, span, recs[0].ID, first, r.st.FirstRecordOf(first))
-	}
 	if err != nil {
 		buffer.PutChunk(c)
 		return nil, err

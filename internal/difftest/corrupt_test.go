@@ -12,6 +12,7 @@ import (
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
+	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 	"github.com/optlab/opt/internal/testutil"
 )
@@ -41,9 +42,11 @@ func swappedStore(t *testing.T, g *graph.Graph, v uint32, codec string) *storage
 // registry: a store whose list of vertex 717 holds two neighbours swapped —
 // a swap that makes unchecked kernels miss a triangle rather than crash —
 // and a store whose successor directory moves two entries by +1 and −1,
-// still summing to |E|, must end every registered runner, on either codec,
-// with storage.ErrCorruptPage and a partial Result, and leak no goroutine.
-// Store.Decode is the one check every reader's pages go through.
+// still summing to |E|, and an intact store behind a device that answers
+// one read with a clean span from page 0 (testutil.WrongPagesDevice) must
+// end every registered runner, on either codec, with storage.ErrCorruptPage
+// and a partial Result, and leak no goroutine. Store.DecodeAt is the one
+// check every reader's pages go through.
 func TestCorruptListFailsEveryRunner(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 8000, 17))
 	if err != nil {
@@ -60,18 +63,27 @@ func TestCorruptListFailsEveryRunner(t *testing.T) {
 			prefix string
 			st     *storage.Store
 		}{{codec, swappedStore(t, g, 717, codec)}, {codec + "/shifted-successors", shifted}} {
-			checkCorruptFailsEveryRunner(t, g, c.prefix, c.st)
+			checkCorruptFailsEveryRunner(t, g, c.prefix, c.st, nil)
 		}
+		checkCorruptFailsEveryRunner(t, g, codec+"/wrong-pages", st, func(dev ssd.PageDevice) ssd.PageDevice {
+			return testutil.NewWrongPagesDevice(dev, st)
+		})
 	}
 }
 
-func checkCorruptFailsEveryRunner(t *testing.T, g *graph.Graph, prefix string, st *storage.Store) {
+// checkCorruptFailsEveryRunner runs every registered runner over st's
+// device, handed to wrap first when wrap is non-nil.
+func checkCorruptFailsEveryRunner(t *testing.T, g *graph.Graph, prefix string, st *storage.Store, wrap func(ssd.PageDevice) ssd.PageDevice) {
 	for _, name := range engine.Names() {
 		t.Run(fmt.Sprintf("%s/%s", prefix, name), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
+			var dev ssd.PageDevice
 			dev, err := st.Device()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if wrap != nil {
+				dev = wrap(dev)
 			}
 			res, err := engine.Run(context.Background(), name, st, dev, engine.Options{
 				MemoryPages: int(st.NumPages) / 8,

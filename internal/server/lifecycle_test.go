@@ -182,8 +182,10 @@ type jobKind struct {
 	// partial returns the triangles a cancelled job kept and its error.
 	partial func(j *server.Job) (int64, error)
 	// counted is the progress kind that shows a parked job's one triangle
-	// is part of its outcome, so cancelling keeps it; "" when the runner
-	// returns the triangle with its partial result itself.
+	// is part of its outcome, so cancelling keeps it: for a local job the
+	// run-start frame, which engine.Run emits after its pre-dispatch context
+	// check, so the runner that returns the triangle with its partial result
+	// is already running.
 	counted string
 	// finished checks the kind's own part of a completed job: progress
 	// kinds seen on the stream and the final status document.
@@ -211,6 +213,7 @@ var jobKinds = []jobKind{
 			}
 			return res.Triangles, err
 		},
+		counted: "run-start",
 		finished: func(t *testing.T, kinds map[string]int, raw []byte) {
 			if kinds["run-start"] != 1 || kinds["run-end"] != 1 {
 				t.Errorf("progress kinds %v, want one run-start and one run-end", kinds)
@@ -401,10 +404,8 @@ func TestJobLifecycle(t *testing.T) {
 			m, ts, _ := k.fixture(t, true, server.Config{})
 			j := k.submit(t, m, ts, "", true)
 			waitState(t, m, j.ID, "running")
-			if k.counted != "" {
-				if kinds, _ := follow(t, ts, k.mount+"/"+j.ID+"/events", k.counted); kinds[k.counted] == 0 {
-					t.Fatalf("event stream ended without %s (progress %v)", k.counted, kinds)
-				}
+			if kinds, _ := follow(t, ts, k.mount+"/"+j.ID+"/events", k.counted); kinds[k.counted] == 0 {
+				t.Fatalf("event stream ended without %s (progress %v)", k.counted, kinds)
 			}
 			callStatus(t, ts, http.MethodDelete, k.mount+"/"+j.ID, nil, http.StatusAccepted)
 			k.wantCanceled(t, j, context.Canceled)

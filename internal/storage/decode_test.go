@@ -153,7 +153,7 @@ func TestOpenChecksDirectories(t *testing.T) {
 	}
 }
 
-// TestDecodeChecksRecords holds Store.Decode to the directories. A clean
+// TestDecodeChecksRecords holds Store.DecodeAt to the directories. A clean
 // span decodes, and DecodeAppend onto the records of another span checks
 // only what it appended; then each case patches one thing of a valid store
 // — a directory entry, or a neighbor id past |V| in raw page bytes, or two
@@ -190,6 +190,13 @@ func TestDecodeChecksRecords(t *testing.T) {
 			// the chunk's first vertex with ids on both sides of it.
 			v := s.FirstRecordOf(mid)
 			one := data[int(mid)*ps : int(mid)*ps+s.AlignedRange(mid, 1)*ps]
+			// The clean span is still the wrong one at any other page.
+			if _, _, err := s.DecodeAt(nil, nil, mid, one); err != nil {
+				t.Fatalf("the span of page %d: %v", mid, err)
+			}
+			if _, _, err := s.DecodeAt(nil, nil, 0, one); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("the span of page %d read as page 0: %v, want ErrCorruptPage", mid, err)
+			}
 			split := v
 			for split < s.FirstRecordOf(mid+uint32(s.AlignedRange(mid, 1))) && (s.succ[split] == 0 || s.succ[split] == s.degree[split]) {
 				split++
@@ -215,8 +222,8 @@ func TestDecodeChecksRecords(t *testing.T) {
 					c := *s
 					c.degree, c.pageFirst, c.succ = slices.Clone(s.degree), slices.Clone(s.pageFirst), slices.Clone(s.succ)
 					tc.patch(&c)
-					if _, err := c.Decode(tc.data); !errors.Is(err, ErrCorruptPage) {
-						t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+					if _, _, err := c.DecodeAt(nil, nil, mid, tc.data); !errors.Is(err, ErrCorruptPage) {
+						t.Fatalf("DecodeAt = %v, want ErrCorruptPage", err)
 					}
 				})
 			}
@@ -228,8 +235,8 @@ func TestDecodeChecksRecords(t *testing.T) {
 						t.Fatal("the fixture's first record has no neighbor to patch")
 					}
 					putUint32(page[pageHeaderSize+recHeaderSize+4*int(deg-1):], NoRecord)
-					if _, err := s.Decode(page); !errors.Is(err, ErrCorruptPage) {
-						t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+					if _, _, err := s.DecodeAt(nil, nil, 0, page); !errors.Is(err, ErrCorruptPage) {
+						t.Fatalf("DecodeAt = %v, want ErrCorruptPage", err)
 					}
 				})
 			}
@@ -252,8 +259,8 @@ func TestDecodeChecksRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := bad.Decode(span); !errors.Is(err, ErrCorruptPage) {
-					t.Fatalf("Decode = %v, want ErrCorruptPage", err)
+				if _, _, err := bad.DecodeAt(nil, nil, first, span); !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("DecodeAt = %v, want ErrCorruptPage", err)
 				}
 			})
 		})

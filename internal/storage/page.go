@@ -182,17 +182,11 @@ func (w *pageWriter) finish() ([][]byte, []uint32) {
 	return w.pages, w.firstRec
 }
 
-// DecodeRange decodes the records of a contiguous span of raw pages
-// (len(data) must be a multiple of pageSize) under the given codec. The
-// span must begin at a record boundary and must not cut a record run short;
-// use Store.AlignedRange to obtain such spans.
-func DecodeRange(c Codec, pageSize int, data []byte) ([]VertexRec, error) {
-	recs, _, err := DecodeRangeAppend(nil, nil, c, pageSize, data)
-	return recs, err
-}
-
-// DecodeRangeAppend is DecodeRange appending records onto dst and neighbor
-// values onto arena; each returned record's Adj sub-slices the returned
+// DecodeRangeAppend decodes the records of a contiguous span of raw pages
+// (len(data) must be a multiple of pageSize) under the given codec,
+// appending records onto dst and neighbor values onto arena. The span must
+// begin at a record boundary and must not cut a record run short; use
+// Store.AlignedRange to obtain such spans. Each returned record's Adj sub-slices the returned
 // arena, so callers recycling both slices across reads allocate nothing at
 // steady state. On error the records decoded so far are still returned
 // (with valid Adj views) alongside the error.

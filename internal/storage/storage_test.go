@@ -65,7 +65,7 @@ func readAll(t *testing.T, s *Store) map[uint32][]uint32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := s.Decode(data)
+	recs, _, err := s.DecodeAt(nil, nil, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSpanOfMatchesDirectory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				recs, err := s.Decode(data)
+				recs, _, err := s.DecodeAt(nil, nil, first, data)
 				if err != nil {
 					t.Fatalf("vertex %d: decoding its span: %v", v, err)
 				}
@@ -276,8 +276,8 @@ func TestDecodeMisalignedRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Decode(data); !errors.Is(err, ErrMisaligned) {
-		t.Fatalf("Decode mid-run err = %v, want ErrMisaligned", err)
+	if _, _, err := s.DecodeAt(nil, nil, 1, data); !errors.Is(err, ErrMisaligned) {
+		t.Fatalf("DecodeAt mid-run err = %v, want ErrMisaligned", err)
 	}
 }
 
@@ -297,8 +297,8 @@ func TestDecodeTruncatedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Decode(data); !errors.Is(err, ErrTruncatedRun) {
-		t.Fatalf("Decode truncated run err = %v, want ErrTruncatedRun", err)
+	if _, _, err := s.DecodeAt(nil, nil, s.FirstPageOf(0), data); !errors.Is(err, ErrTruncatedRun) {
+		t.Fatalf("DecodeAt truncated run err = %v, want ErrTruncatedRun", err)
 	}
 }
 
@@ -345,7 +345,7 @@ func TestStoreOnGeneratedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := s.Decode(data)
+		recs, _, err := s.DecodeAt(nil, nil, pid, data)
 		if err != nil {
 			t.Fatalf("decode range [%d,+%d): %v", pid, count, err)
 		}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -247,7 +248,7 @@ func (s *Store) writeDirectories(w io.Writer) error {
 // ErrUnknownCodec, directories that are not those of records stored in id
 // order with ErrCorruptDirectory. A v1 or v2 file has no successor
 // directory: Open derives it from the pages in one sequential pass, which
-// holds every page to the directories as Decode does.
+// holds every page to the directories as DecodeAt does.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -352,7 +353,7 @@ func Open(path string) (*Store, error) {
 
 // deriveSucc fills the successor directory of a v1 or v2 store from its
 // data pages, read in order from r: one pass, a few aligned pages at a time,
-// every span held to the directories as Decode holds it.
+// every span held to the directories and to its page by DecodeAt.
 func (s *Store) deriveSucc(r io.Reader) error {
 	succ := make([]uint32, s.NumVertices)
 	var (
@@ -367,12 +368,7 @@ func (s *Store) deriveSucc(r io.Reader) error {
 			return err
 		}
 		var err error
-		recs, arena, err = s.DecodeAppend(recs[:0], arena[:0], data)
-		if err == nil && recs[0].ID != s.FirstRecordOf(p) {
-			err = fmt.Errorf("%w: pages [%d,+%d) start with record %d, page %d with %d",
-				ErrCorruptPage, p, n, recs[0].ID, p, s.FirstRecordOf(p))
-		}
-		if err != nil {
+		if recs, arena, err = s.DecodeAt(recs[:0], arena[:0], p, data); err != nil {
 			return fmt.Errorf("pages [%d,+%d): %w", p, n, err)
 		}
 		for _, rec := range recs {
@@ -515,17 +511,11 @@ func (s *Store) AlignedRange(start uint32, count int) int {
 	return int(end - int64(start))
 }
 
-// Decode decodes a raw page span read from the device, where data begins at
-// a page boundary, dispatching to the store's codec, and holds the records
-// to the directories (checkRecords). See DecodeRange.
-func (s *Store) Decode(data []byte) ([]VertexRec, error) {
-	recs, _, err := s.DecodeAppend(nil, nil, data)
-	return recs, err
-}
-
-// DecodeAppend is Decode appending records onto dst and neighbors onto
-// arena; see DecodeRangeAppend. Only the records this call appends are
-// checked.
+// DecodeAppend decodes a raw page span read from the device, where data
+// begins at a page boundary, dispatching to the store's codec, appending
+// records onto dst and neighbors onto arena (see DecodeRangeAppend), and
+// holds the records this call appends to the directories (checkRecords).
+// Which page the span was read from it cannot know: readers call DecodeAt.
 func (s *Store) DecodeAppend(dst []VertexRec, arena []uint32, data []byte) ([]VertexRec, []uint32, error) {
 	n := len(dst)
 	recs, arena, err := DecodeRangeAppend(dst, arena, s.codecOrRaw(), s.PageSize, data)
@@ -533,6 +523,70 @@ func (s *Store) DecodeAppend(dst []VertexRec, arena []uint32, data []byte) ([]Ve
 		err = s.checkRecords(recs[n:], len(data)/s.PageSize)
 	}
 	return recs, arena, err
+}
+
+// DecodeAt is DecodeAppend of a span read from page first on: it also holds
+// the span to that page, so a device that answers with other pages — a span
+// that decodes cleanly and agrees with the directories, but starts
+// elsewhere — is ErrCorruptPage, never records at the wrong ids. It is the
+// one place a reader's position is checked.
+func (s *Store) DecodeAt(dst []VertexRec, arena []uint32, first uint32, data []byte) ([]VertexRec, []uint32, error) {
+	n := len(dst)
+	recs, arena, err := s.DecodeAppend(dst, arena, data)
+	if err == nil && len(recs) > n && recs[n].ID != s.FirstRecordOf(first) {
+		err = fmt.Errorf("%w: pages [%d,+%d) start with record %d, page %d with %d",
+			ErrCorruptPage, first, len(data)/s.PageSize, recs[n].ID, first, s.FirstRecordOf(first))
+	}
+	return recs, arena, err
+}
+
+// Scanner is the sequential reader of a store's pages: the scans of MGT and
+// Verify, the working-file conversion of the iterative baselines and the
+// Shard2D block loads all read through one. Its zero value is ready to use;
+// it keeps its read buffer, records and neighbor arena from span to span and
+// from scan to scan, so a warm scan allocates nothing. A Scanner is not safe
+// for concurrent use.
+type Scanner struct {
+	buf   []byte
+	recs  []VertexRec
+	arena []uint32
+}
+
+// pageReader is the read a Scanner issues: ssd.PageDevice's, and
+// ssd.SyncDevice's, which charges it to the run's latency model.
+type pageReader interface {
+	ReadPagesInto(buf []byte, first uint32, count int) error
+}
+
+// Scan reads the pages [lo, hi) of st through dev in order, in spans of at
+// most span pages, each extended to a record boundary (AlignedRange) and
+// clipped at hi, and hands each span's records to fn. lo must start a
+// record. Every span is decoded by DecodeAt, so fn sees only records held
+// to the directories and to the pages read. The records and their lists
+// are the Scanner's and valid until fn returns. Scan stops at the first
+// error: ctx's, before a read; the read's or the decode's, wrapped with the
+// span; or fn's, as it is.
+func (sc *Scanner) Scan(ctx context.Context, st *Store, dev pageReader, lo, hi uint32, span int, fn func([]VertexRec) error) error {
+	for p := lo; p < hi; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := min(st.AlignedRange(p, span), int(hi-p))
+		size := n * st.PageSize
+		sc.buf = slices.Grow(sc.buf[:0], size)[:size]
+		if err := dev.ReadPagesInto(sc.buf, p, n); err != nil {
+			return fmt.Errorf("storage: reading pages [%d,+%d): %w", p, n, err)
+		}
+		var err error
+		if sc.recs, sc.arena, err = st.DecodeAt(sc.recs[:0], sc.arena[:0], p, sc.buf); err != nil {
+			return fmt.Errorf("storage: decoding pages [%d,+%d): %w", p, n, err)
+		}
+		if err := fn(sc.recs); err != nil {
+			return err
+		}
+		p += uint32(n)
+	}
+	return nil
 }
 
 // checkRecords holds the records decoded from a span of pages to the
@@ -545,7 +599,7 @@ func (s *Store) DecodeAppend(dst []VertexRec, arena []uint32, data []byte) ([]Ve
 // |V| when its last id is; and its last SuccOf ids must be exactly those
 // above the record's id, one comparison on each side of the split, so that
 // Successors needs no search. Whether p0 is the page the caller asked for
-// is the caller's check.
+// is DecodeAt's check.
 func (s *Store) checkRecords(recs []VertexRec, pages int) error {
 	if pages == 0 {
 		return nil

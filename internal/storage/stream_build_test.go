@@ -264,7 +264,7 @@ func TestStreamingTriangleCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := s.Decode(data)
+	recs, _, err := s.DecodeAt(nil, nil, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -9,59 +10,40 @@ import (
 
 // VerifyReport summarises a full-store integrity check.
 type VerifyReport struct {
-	Vertices    int
-	Edges       int64 // directed adjacency entries / 2
-	Pages       uint32
-	RunPages    uint32 // pages belonging to multi-page records
-	SharedPages uint32 // slotted pages holding ≥ 2 records
-	MaxDegree   int
-	Asymmetric  int64 // directed entries without a reverse entry
+	Vertices   int
+	Edges      int64 // directed adjacency entries / 2
+	MaxDegree  int
+	Asymmetric int64 // directed entries without a reverse entry
 }
 
 // Verify scans every data page of the store and checks the on-disk
 // invariants:
 //
-//   - every page range decodes, and Decode holds its records to the
-//     directories: in id order, every id once, each list as long as its
-//     degree, strictly increasing and below |V|, and split by the
-//     successor directory exactly where its ids pass the record's own,
-//   - each record lies in the page range the vertex directory names,
+//   - every page range decodes, and DecodeAt holds its records to the
+//     directories and to the pages read: in id order, every id once, each
+//     record in the page range the vertex directory names, each list as
+//     long as its degree, strictly increasing and below |V|, and split by
+//     the successor directory exactly where its ids pass the record's own,
 //   - no list holds a self-loop,
 //   - every edge appears in both endpoints' lists (symmetry).
 //
 // It is the fsck for store files, used by cmd/optinfo -verify.
 func Verify(s *Store, dev ssd.PageDevice) (*VerifyReport, error) {
-	rep := &VerifyReport{Vertices: s.NumVertices, Pages: s.NumPages}
+	rep := &VerifyReport{Vertices: s.NumVertices}
 	adj := make(map[uint32][]uint32, s.NumVertices)
-	var pid uint32
-	for pid < s.NumPages {
-		count := s.AlignedRange(pid, 8)
-		data, err := dev.ReadPages(pid, count)
-		if err != nil {
-			return nil, fmt.Errorf("storage: verify read [%d,+%d): %w", pid, count, err)
-		}
-		recs, err := s.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("storage: verify decode [%d,+%d): %w", pid, count, err)
-		}
+	var sc Scanner
+	err := sc.Scan(context.TODO(), s, dev, 0, s.NumPages, 8, func(recs []VertexRec) error {
 		for _, r := range recs {
-			fp := s.FirstPageOf(r.ID)
-			if fp < pid || fp >= pid+uint32(count) {
-				return nil, fmt.Errorf("storage: vertex %d directory page %d outside its range [%d,+%d)", r.ID, fp, pid, count)
-			}
 			if _, self := slices.BinarySearch(r.Adj, r.ID); self {
-				return nil, fmt.Errorf("storage: vertex %d has a self-loop", r.ID)
+				return fmt.Errorf("storage: vertex %d has a self-loop", r.ID)
 			}
 			rep.MaxDegree = max(rep.MaxDegree, len(r.Adj))
-			adj[r.ID] = r.Adj
+			adj[r.ID] = slices.Clone(r.Adj)
 		}
-		// Page classification.
-		for p := pid; p < pid+uint32(count); p++ {
-			if !s.StartsRecord(p) {
-				rep.RunPages++
-			}
-		}
-		pid += uint32(count)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(adj) != s.NumVertices {
 		return nil, fmt.Errorf("storage: decoded %d records, directory says %d", len(adj), s.NumVertices)

@@ -42,7 +42,7 @@ func TestVerifyChecksSuccessorSplit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := bad.Decode(data); !errors.Is(err, storage.ErrCorruptPage) {
+				if _, _, err := bad.DecodeAt(nil, nil, first, data); !errors.Is(err, storage.ErrCorruptPage) {
 					t.Fatalf("decoding the chunk of vertex %d: err = %v, want storage.ErrCorruptPage", v, err)
 				}
 			}

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"io"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"github.com/optlab/opt/internal/diskio"
+	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -62,6 +64,43 @@ func ShiftedSuccStore(t testing.TB, st *storage.Store) (bad *storage.Store, up, 
 }
 
 const noVertex = ^uint32(0)
+
+// WrongPagesDevice answers one read with other pages than the ones asked
+// for: the first read of count pages from a page p > 0 such that the count
+// pages from page 0 end at a record boundary gets those pages instead. That
+// span decodes cleanly and agrees with the store's directories — only the
+// reader knows it asked for page p — so every reader must report it as
+// storage.ErrCorruptPage rather than take its records for p's.
+type WrongPagesDevice struct {
+	ssd.PageDevice
+	st   *storage.Store
+	done atomic.Bool
+}
+
+// NewWrongPagesDevice wraps dev, a device over st's pages.
+func NewWrongPagesDevice(dev ssd.PageDevice, st *storage.Store) *WrongPagesDevice {
+	return &WrongPagesDevice{PageDevice: dev, st: st}
+}
+
+// Redirected reports whether the device has answered its one wrong read.
+func (d *WrongPagesDevice) Redirected() bool { return d.done.Load() }
+
+func (d *WrongPagesDevice) at(first uint32, count int) uint32 {
+	if first == 0 || d.st.AlignedRange(0, count) != count || !d.done.CompareAndSwap(false, true) {
+		return first
+	}
+	return 0
+}
+
+// ReadPages implements ssd.PageDevice.
+func (d *WrongPagesDevice) ReadPages(first uint32, count int) ([]byte, error) {
+	return d.PageDevice.ReadPages(d.at(first, count), count)
+}
+
+// ReadPagesInto implements ssd.PageDevice.
+func (d *WrongPagesDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
+	return d.PageDevice.ReadPagesInto(buf, d.at(first, count), count)
+}
 
 func readFile(path string) ([]byte, error) {
 	f, err := diskio.OpenRaw(path)
