@@ -82,19 +82,18 @@ func (v Variant) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice
 
 	mx := metrics.NewCollector()
 	cm := diskio.CostModel{
-		PageSize: st.PageSize, Latency: opts.Latency, Metrics: mx,
-		Context: ctx, Events: opts.Events,
+		PageSize: st.PageSize, Latency: opts.Latency,
+		Context: ctx, Events: events.Tee(mx, opts.Events),
 	}
 	emit := func(e events.Event) {
-		if opts.Events != nil {
-			e.Algorithm = v.String()
-			opts.Events.Event(e)
-		}
+		e.Algorithm = v.String()
+		cm.Events.Event(e)
 	}
 	iterations := 0
+	var ops int64
 	finish := func(err error) (*engine.Result, error) {
 		res := engine.NewResult(mx)
-		res.Iterations = iterations
+		res.Iterations, res.IntersectOps = iterations, ops
 		return res, err
 	}
 
@@ -124,8 +123,7 @@ func (v Variant) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice
 		itStart := time.Now()
 		emit(events.Event{Kind: events.IterationStart, Iteration: iter - 1})
 		next := filepath.Join(dir, fmt.Sprintf("iter-%d.ccg", iter))
-		tris, edgesLeft, err := iterate(cur, next, budgetBytes, cm, opts.OnTriangles, toOrig)
-		mx.AddTriangles(tris)
+		tris, edgesLeft, err := iterate(cur, next, budgetBytes, cm, &ops, opts.OnTriangles, toOrig)
 		if tris > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: iter - 1, N: tris})
 		}
@@ -171,7 +169,7 @@ func dsPermutation(st *storage.Store) (perm, toOrig []graph.VertexID) {
 // every path, and a failed close fails the conversion.
 func ConvertStore(ctx context.Context, st *storage.Store, base ssd.PageDevice, path string, perm []graph.VertexID, cm diskio.CostModel) (err error) {
 	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
-		Latency: cm.Latency, Metrics: cm.Metrics, Context: ctx, Events: cm.Events,
+		Latency: cm.Latency, Context: ctx, Events: cm.Events,
 	})
 	w, err := diskio.NewStreamWriter(path, cm)
 	if err != nil {
@@ -215,11 +213,12 @@ func ConvertStore(ctx context.Context, st *storage.Store, base ssd.PageDevice, p
 
 // iterate performs one partition-identify-shrink round: read curPath,
 // write the shrunken remainder to nextPath, and return the triangles found
-// plus the number of edges remaining. Triangles are listed to out when it is
+// plus the number of edges remaining, adding the Eq. 3 cost of its
+// intersections to ops. Triangles are listed to out when it is
 // non-nil; on an error the count is of the triangles already listed. The
 // remainder's writer is closed on every path, and a failed close fails the
 // iteration.
-func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (tris, edgesLeft int64, err error) {
+func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, ops *int64, out func(u, v uint32, ws []uint32), toOrig []graph.VertexID) (tris, edgesLeft int64, err error) {
 	r, err := diskio.NewStreamReader(curPath, cm)
 	if err != nil {
 		return 0, 0, err
@@ -266,7 +265,7 @@ func iterate(curPath, nextPath string, budgetBytes int64, cm diskio.CostModel, o
 	intersectEmit := func(u uint32, adjU []uint32, v uint32, adjV []uint32) {
 		nsU := nsucc(adjU, u)
 		nsV := nsucc(adjV, v)
-		cm.Metrics.AddIntersect(intersect.MinCost(nsU, nsV))
+		*ops += intersect.MinCost(nsU, nsV)
 		buf = intersect.Adaptive(buf[:0], nsU, nsV)
 		if len(buf) > 0 {
 			tris += int64(len(buf))

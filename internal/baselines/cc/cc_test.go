@@ -9,7 +9,6 @@ import (
 	"github.com/optlab/opt/internal/diskio"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -29,7 +28,7 @@ func TestRemainderCloseFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = dev.Close() }()
-	cm := diskio.CostModel{PageSize: st.PageSize, Metrics: metrics.NewCollector()}
+	cm := diskio.CostModel{PageSize: st.PageSize}
 	clean, faulty := t.TempDir(), t.TempDir()
 	defer diskio.FailClosesUnder(faulty)()
 
@@ -40,7 +39,7 @@ func TestRemainderCloseFaults(t *testing.T) {
 	if err := ConvertStore(context.Background(), st, dev, cur, nil, cm); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := iterate(cur, filepath.Join(faulty, "iter-1.ccg"), 4*int64(st.PageSize), cm, nil, nil); !errors.Is(err, ssd.ErrInjected) {
+	if _, _, err := iterate(cur, filepath.Join(faulty, "iter-1.ccg"), 4*int64(st.PageSize), cm, new(int64), nil, nil); !errors.Is(err, ssd.ErrInjected) {
 		t.Fatalf("iterate = %v, want ssd.ErrInjected", err)
 	}
 }

@@ -70,19 +70,18 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 
 	mx := metrics.NewCollector()
 	cm := diskio.CostModel{
-		PageSize: st.PageSize, Latency: opts.Latency, Metrics: mx,
-		Context: ctx, Events: opts.Events,
+		PageSize: st.PageSize, Latency: opts.Latency,
+		Context: ctx, Events: events.Tee(mx, opts.Events),
 	}
 	emit := func(e events.Event) {
-		if opts.Events != nil {
-			e.Algorithm = "GraphChi-Tri"
-			opts.Events.Event(e)
-		}
+		e.Algorithm = "GraphChi-Tri"
+		cm.Events.Event(e)
 	}
 	iterations := 0
+	var ops int64
 	finish := func(err error) (*engine.Result, error) {
 		res := engine.NewResult(mx)
-		res.Iterations = iterations
+		res.Iterations, res.IntersectOps = iterations, ops
 		return res, err
 	}
 	cur := filepath.Join(dir, "work-0.ccg")
@@ -114,8 +113,8 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 		if err != nil {
 			return finish(err)
 		}
-		tris, n, err := identify(cur, pivot, cm, threads, batches, onRecord)
-		mx.AddTriangles(tris)
+		tris, o, n, err := identify(cur, pivot, cm, threads, batches, onRecord)
+		ops += o
 		batches += n
 		if tris > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: iter - 1, N: tris})
@@ -171,10 +170,9 @@ type rec struct {
 }
 
 // countRecord is the per-record kernel: for the streamed record v, every
-// u ∈ n≺(v) ∩ pivot contributes |n≻(u) ∩ n≻(v)| triangles. buf is the
-// calling thread's scratch, returned for reuse.
-func countRecord(pivot map[uint32][]uint32, mx *metrics.Collector, buf []uint32, v rec) (int64, []uint32) {
-	var local int64
+// u ∈ n≺(v) ∩ pivot contributes |n≻(u) ∩ n≻(v)| triangles, at the Eq. 3
+// cost ops. buf is the calling thread's scratch, returned for reuse.
+func countRecord(pivot map[uint32][]uint32, buf []uint32, v rec) (tris, ops int64, _ []uint32) {
 	nsV := nsucc(v.adj, v.id)
 	for _, u := range npred(v.adj, v.id) {
 		adjU, ok := pivot[u]
@@ -182,29 +180,28 @@ func countRecord(pivot map[uint32][]uint32, mx *metrics.Collector, buf []uint32,
 			continue
 		}
 		nsU := nsucc(adjU, u)
-		mx.AddIntersect(intersect.MinCost(nsU, nsV))
+		ops += intersect.MinCost(nsU, nsV)
 		buf = intersect.Adaptive(buf[:0], nsU, nsV)
-		local += int64(len(buf))
+		tris += int64(len(buf))
 	}
-	return local, buf
+	return tris, ops, buf
 }
 
 // identify streams the whole file and counts triangles whose lowest vertex
 // is in the pivot, one countRecord per streamed record. Batches of records
 // are processed by threads goroutines with a barrier between batches (the
-// enforced sequential order); it returns the count and the number of
-// batches. With onRecord set, every record is timed and reported under its
-// batch's index, counted from firstBatch.
-func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threads, firstBatch int, onRecord func(batch int, d time.Duration)) (int64, int, error) {
+// enforced sequential order); it returns the count, the Eq. 3 cost of the
+// batches processed and their number. With onRecord set, every record is
+// timed and reported under its batch's index, counted from firstBatch.
+func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threads, firstBatch int, onRecord func(batch int, d time.Duration)) (tris, ops int64, batches int, err error) {
 	r, err := diskio.NewStreamReader(path, cm)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer func() { _ = r.Close() }() // read-only pass; nothing to lose on close
 
-	batches := 0
 	batch := make([]rec, 0, batchRecords)
-	partial := make([]int64, threads)
+	partial := make([]struct{ tris, ops int64 }, threads)
 
 	processBatch := func() {
 		if len(batch) == 0 {
@@ -219,19 +216,20 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threa
 			go func() {
 				defer wg.Done()
 				var buf []uint32
-				var local, n int64
+				local := partial[t]
 				for i := t; i < len(batch); i += threads {
 					var start time.Time
 					if onRecord != nil {
 						start = time.Now()
 					}
-					n, buf = countRecord(pivot, cm.Metrics, buf, batch[i])
-					local += n
+					var n, o int64
+					n, o, buf = countRecord(pivot, buf, batch[i])
+					local.tris, local.ops = local.tris+n, local.ops+o
 					if onRecord != nil {
 						onRecord(index, time.Since(start))
 					}
 				}
-				partial[t] += local
+				partial[t] = local
 			}()
 		}
 		wg.Wait() // barrier: sequential-order enforcement between batches
@@ -244,7 +242,10 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threa
 			break
 		}
 		if err != nil {
-			return 0, 0, err
+			for _, p := range partial { // the batches processed did their work
+				ops += p.ops
+			}
+			return 0, ops, batches, err
 		}
 		batch = append(batch, rec{id: id, adj: adj})
 		if len(batch) >= batchRecords {
@@ -252,11 +253,10 @@ func identify(path string, pivot map[uint32][]uint32, cm diskio.CostModel, threa
 		}
 	}
 	processBatch()
-	var total int64
-	for _, x := range partial {
-		total += x
+	for _, p := range partial {
+		tris, ops = tris+p.tris, ops+p.ops
 	}
-	return total, batches, nil
+	return tris, ops, batches, nil
 }
 
 // shrink streams the whole file once more and writes the remainder with

@@ -13,7 +13,6 @@ import (
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 )
@@ -116,7 +115,7 @@ func TestRemainderCloseFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = dev.Close() }()
-	cm := diskio.CostModel{PageSize: st.PageSize, Metrics: metrics.NewCollector()}
+	cm := diskio.CostModel{PageSize: st.PageSize}
 	clean, faulty := t.TempDir(), t.TempDir()
 	defer diskio.FailClosesUnder(faulty)()
 

@@ -3,7 +3,6 @@ package inmem
 import (
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 // ForwardCount implements the compact-forward algorithm (Latapy, TCS 2008
@@ -14,7 +13,7 @@ import (
 // when its highest-ordered edge (y, z) is processed: both A-lists then
 // contain x. Under the degree ordering it matches EdgeIterator≻'s O(α|E|)
 // bound with a smaller working set.
-func ForwardCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
+func ForwardCount(g *graph.Graph, emit Emit, cost *Cost) int64 {
 	n := g.NumVertices()
 	a := make([][]uint32, n) // A(v): processed neighbors of v with lower id
 	var total int64
@@ -23,9 +22,7 @@ func ForwardCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
 		u := graph.VertexID(ui)
 		for _, v := range g.NeighborsAfter(u) {
 			au, av := a[u], a[v]
-			if mx != nil {
-				mx.AddIntersect(intersect.MinCost(au, av))
-			}
+			cost.add(intersect.MinCost(au, av))
 			buf = intersect.Adaptive(buf[:0], au, av)
 			if len(buf) > 0 {
 				total += int64(len(buf))
@@ -40,9 +37,6 @@ func ForwardCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
 			// A(v) stays sorted).
 			a[v] = append(a[v], uint32(u))
 		}
-	}
-	if mx != nil {
-		mx.AddTriangles(total)
 	}
 	return total
 }

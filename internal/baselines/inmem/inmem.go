@@ -13,23 +13,34 @@ import (
 	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/graph"
 	"github.com/optlab/opt/internal/intersect"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 // Emit receives nested-representation triangles. A nil Emit counts only.
 type Emit func(u, v uint32, ws []uint32)
 
+// Cost tallies the intersections a method performs and their min-model
+// cost (Eq. 3). The methods add to it; a nil *Cost tallies nothing.
+type Cost struct {
+	Calls, Ops int64
+}
+
+// add tallies one intersection of min-model cost ops.
+func (c *Cost) add(ops int64) {
+	if c != nil {
+		c.Calls++
+		c.Ops += ops
+	}
+}
+
 // EdgeIteratorCount runs Algorithm 2: for each edge (u, v), output
 // n≻(u) ∩ n≻(v). Returns the triangle count.
-func EdgeIteratorCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
+func EdgeIteratorCount(g *graph.Graph, emit Emit, cost *Cost) int64 {
 	var total int64
 	var buf []uint32
 	g.Edges(func(u, v graph.VertexID) bool {
 		nsU := g.NeighborsAfter(u)
 		nsV := g.NeighborsAfter(v)
-		if mx != nil {
-			mx.AddIntersect(intersect.MinCost(nsU, nsV))
-		}
+		cost.add(intersect.MinCost(nsU, nsV))
 		buf = intersect.Adaptive(buf[:0], nsU, nsV)
 		if len(buf) > 0 {
 			total += int64(len(buf))
@@ -39,15 +50,12 @@ func EdgeIteratorCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
 		}
 		return true
 	})
-	if mx != nil {
-		mx.AddTriangles(total)
-	}
 	return total
 }
 
 // VertexIteratorCount runs Algorithm 1: for each vertex u and ordered pair
 // (v, w) ∈ n≻(u) × n≻(u), test (v, w) ∈ E.
-func VertexIteratorCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64 {
+func VertexIteratorCount(g *graph.Graph, emit Emit, cost *Cost) int64 {
 	var total int64
 	var buf []uint32
 	n := g.NumVertices()
@@ -59,9 +67,7 @@ func VertexIteratorCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64
 			if len(rest) == 0 {
 				continue
 			}
-			if mx != nil {
-				mx.AddIntersect(int64(len(rest)))
-			}
+			cost.add(int64(len(rest)))
 			buf = buf[:0]
 			adjV := g.Neighbors(v)
 			for _, w := range rest {
@@ -77,21 +83,19 @@ func VertexIteratorCount(g *graph.Graph, emit Emit, mx *metrics.Collector) int64
 			}
 		}
 	}
-	if mx != nil {
-		mx.AddTriangles(total)
-	}
 	return total
 }
 
 // EdgeIteratorParallel runs Algorithm 2 with the edge loop partitioned over
 // vertices across threads goroutines.
-func EdgeIteratorParallel(g *graph.Graph, threads int, mx *metrics.Collector) int64 {
+func EdgeIteratorParallel(g *graph.Graph, threads int, cost *Cost) int64 {
 	if threads < 1 {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
 	var wg sync.WaitGroup
 	totals := make([]int64, threads)
+	costs := make([]Cost, threads)
 	for t := 0; t < threads; t++ {
 		t := t
 		wg.Add(1)
@@ -99,28 +103,27 @@ func EdgeIteratorParallel(g *graph.Graph, threads int, mx *metrics.Collector) in
 			defer wg.Done()
 			var buf []uint32
 			var local int64
+			var c Cost
 			for ui := t; ui < n; ui += threads {
 				u := graph.VertexID(ui)
 				nsU := g.NeighborsAfter(u)
 				for _, v := range nsU {
 					nsV := g.NeighborsAfter(v)
-					if mx != nil {
-						mx.AddIntersect(intersect.MinCost(nsU, nsV))
-					}
+					c.add(intersect.MinCost(nsU, nsV))
 					buf = intersect.Adaptive(buf[:0], nsU, nsV)
 					local += int64(len(buf))
 				}
 			}
-			totals[t] = local
+			totals[t], costs[t] = local, c
 		}()
 	}
 	wg.Wait()
 	var total int64
-	for _, x := range totals {
+	for t, x := range totals {
 		total += x
-	}
-	if mx != nil {
-		mx.AddTriangles(total)
+		if cost != nil {
+			cost.Calls, cost.Ops = cost.Calls+costs[t].Calls, cost.Ops+costs[t].Ops
+		}
 	}
 	return total
 }
@@ -131,7 +134,7 @@ func EdgeIteratorParallel(g *graph.Graph, threads int, mx *metrics.Collector) in
 // boolean matrix multiplication (bitset rows), and triangles containing at
 // least one low-degree vertex via the vertex-iterator with the ordering
 // constraint. It counts only — AYZ is not a listing method (§5.3).
-func AYZCount(g *graph.Graph, mx *metrics.Collector) int64 {
+func AYZCount(g *graph.Graph, cost *Cost) int64 {
 	const omega = 2.804 // Strassen exponent, as in the paper
 	n := g.NumVertices()
 	m := float64(g.NumEdges())
@@ -172,9 +175,7 @@ func AYZCount(g *graph.Graph, mx *metrics.Collector) int64 {
 		for _, w := range g.Neighbors(v) {
 			if j, ok := hidx[w]; ok && j > i {
 				c := int64(rows[i].AndCount(rows[j]))
-				if mx != nil {
-					mx.AddIntersect(c)
-				}
+				cost.add(c)
 				highTris += c
 			}
 		}
@@ -195,9 +196,7 @@ func AYZCount(g *graph.Graph, mx *metrics.Collector) int64 {
 			if len(rest) == 0 {
 				continue
 			}
-			if mx != nil {
-				mx.AddIntersect(int64(len(rest)))
-			}
+			cost.add(int64(len(rest)))
 			adjV := g.Neighbors(v)
 			for _, w := range rest {
 				if !intersect.Contains(adjV, w) {
@@ -211,9 +210,6 @@ func AYZCount(g *graph.Graph, mx *metrics.Collector) int64 {
 		}
 	}
 	total := highTris + lowTris
-	if mx != nil {
-		mx.AddTriangles(total)
-	}
 	return total
 }
 
@@ -225,12 +221,12 @@ type IdealResult struct {
 }
 
 // Ideal triangulates g as the ideal method: it charges one sequential read
-// of all pages (P(G)) to the metrics collector and then runs the in-memory
+// of all pages (P(G)) to the result and then runs the in-memory
 // EdgeIterator≻ at the Eq. 3 cost — through the kernel OPT's edge-iterator
 // model runs (intersect.Prober, AdaptiveBitmap), so Cost_ideal stays a
 // lower bound of what OPT can reach. EdgeIteratorCount, the oracle, shares
 // none of it. loadPages is P(G) for the store representation in use.
-func Ideal(g *graph.Graph, loadPages int64, emit Emit, mx *metrics.Collector) IdealResult {
+func Ideal(g *graph.Graph, loadPages int64, emit Emit, cost *Cost) IdealResult {
 	var probe intersect.Prober
 	var buf []uint32
 	var total, calls, ops int64
@@ -257,10 +253,8 @@ func Ideal(g *graph.Graph, loadPages int64, emit Emit, mx *metrics.Collector) Id
 		}
 		intersect.Unfix(set, nsU)
 	}
-	if mx != nil {
-		mx.AddPagesRead(loadPages)
-		mx.AddIntersections(calls, ops)
-		mx.AddTriangles(total)
+	if cost != nil {
+		cost.Calls, cost.Ops = cost.Calls+calls, cost.Ops+ops
 	}
 	return IdealResult{Triangles: total, PagesRead: loadPages}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/optlab/opt/internal/gen"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 func testGraphs(t *testing.T) map[string]*graph.Graph {
@@ -84,25 +83,24 @@ func TestVertexIteratorEmits(t *testing.T) {
 
 func TestMetricsCostModel(t *testing.T) {
 	g := graph.PaperExample()
-	mx := metrics.NewCollector()
-	EdgeIteratorCount(g, nil, mx)
-	if mx.Triangles() != 5 {
-		t.Fatalf("metrics triangles = %d", mx.Triangles())
+	var cost Cost
+	if got := EdgeIteratorCount(g, nil, &cost); got != 5 {
+		t.Fatalf("triangles = %d, want 5", got)
 	}
-	if mx.Intersections() != int64(g.NumEdges()) {
-		t.Fatalf("intersections = %d, want one per edge = %d", mx.Intersections(), g.NumEdges())
+	if cost.Calls != int64(g.NumEdges()) {
+		t.Fatalf("intersections = %d, want one per edge = %d", cost.Calls, g.NumEdges())
 	}
-	if mx.IntersectOps() == 0 {
-		t.Fatal("IntersectOps = 0")
+	if cost.Ops == 0 {
+		t.Fatal("Ops = 0")
 	}
 	// Both iterators record their cost; the VI collector must also be
 	// populated. (The paper's ~20% EI-vs-VI wall-time gap comes from the
 	// heavier per-operation cost of VI's pair probes, not the op count.)
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 8000, 5))
 	og, _ := graph.DegreeOrder(raw)
-	mxVI := metrics.NewCollector()
-	VertexIteratorCount(og, nil, mxVI)
-	if mxVI.IntersectOps() == 0 {
+	var costVI Cost
+	VertexIteratorCount(og, nil, &costVI)
+	if costVI.Ops == 0 {
 		t.Fatal("VI recorded no cost")
 	}
 }
@@ -112,25 +110,34 @@ func TestDegreeOrderingReducesCost(t *testing.T) {
 	// graphs (§2.2).
 	raw, _ := gen.RMAT(gen.DefaultRMAT(1<<11, 30_000, 9))
 	ordered, _ := graph.DegreeOrder(raw)
-	mxRaw := metrics.NewCollector()
-	mxOrd := metrics.NewCollector()
-	EdgeIteratorCount(raw, nil, mxRaw)
-	EdgeIteratorCount(ordered, nil, mxOrd)
-	if mxOrd.IntersectOps() >= mxRaw.IntersectOps() {
-		t.Fatalf("degree ordering did not reduce cost: %d >= %d",
-			mxOrd.IntersectOps(), mxRaw.IntersectOps())
+	var costRaw, costOrd Cost
+	EdgeIteratorCount(raw, nil, &costRaw)
+	EdgeIteratorCount(ordered, nil, &costOrd)
+	if costOrd.Ops >= costRaw.Ops {
+		t.Fatalf("degree ordering did not reduce cost: %d >= %d", costOrd.Ops, costRaw.Ops)
+	}
+	// The parallel edge iterator does the same intersections.
+	var costPar Cost
+	if got, want := EdgeIteratorParallel(ordered, 3, &costPar), EdgeIteratorCount(ordered, nil, nil); got != want {
+		t.Fatalf("parallel edge iterator counted %d, want %d", got, want)
+	}
+	if costPar != costOrd {
+		t.Fatalf("parallel edge iterator cost %+v, sequential %+v", costPar, costOrd)
 	}
 }
 
 func TestIdeal(t *testing.T) {
 	g := graph.PaperExample()
-	mx := metrics.NewCollector()
-	res := Ideal(g, 42, nil, mx)
+	var cost, edge Cost
+	res := Ideal(g, 42, nil, &cost)
 	if res.Triangles != 5 {
 		t.Fatalf("Ideal triangles = %d, want 5", res.Triangles)
 	}
-	if res.PagesRead != 42 || mx.PagesRead() != 42 {
-		t.Fatalf("Ideal pages = %d / %d, want 42", res.PagesRead, mx.PagesRead())
+	if res.PagesRead != 42 {
+		t.Fatalf("Ideal pages = %d, want 42", res.PagesRead)
+	}
+	if EdgeIteratorCount(g, nil, &edge); cost.Ops != edge.Ops {
+		t.Fatalf("Ideal cost %d, the edge iterator's %d", cost.Ops, edge.Ops)
 	}
 }
 
@@ -187,11 +194,11 @@ func TestForwardEmitsOrderedTriangles(t *testing.T) {
 
 func TestForwardMetrics(t *testing.T) {
 	g := graph.Complete(10)
-	mx := metrics.NewCollector()
-	if got := ForwardCount(g, nil, mx); got != 120 {
+	var cost Cost
+	if got := ForwardCount(g, nil, &cost); got != 120 {
 		t.Fatalf("Forward(K10) = %d, want 120", got)
 	}
-	if mx.Triangles() != 120 || mx.Intersections() == 0 {
-		t.Fatalf("metrics not recorded: %+v", mx.Snapshot())
+	if cost.Calls == 0 {
+		t.Fatalf("cost not recorded: %+v", cost)
 	}
 }

@@ -44,23 +44,22 @@ func init() {
 // alongside an error satisfying errors.Is(err, ctx.Err()).
 func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, opts engine.Options) (*engine.Result, error) {
 	mx := metrics.NewCollector()
+	sink := events.Tee(mx, opts.Events)
 	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{
 		Latency: opts.Latency,
-		Metrics: mx,
 		Context: ctx,
-		Events:  opts.Events,
+		Events:  sink,
 	})
 
 	emit := func(e events.Event) {
-		if opts.Events != nil {
-			e.Algorithm = "MGT"
-			opts.Events.Event(e)
-		}
+		e.Algorithm = "MGT"
+		sink.Event(e)
 	}
 	blocks := 0
+	var ops int64
 	finish := func(err error) (*engine.Result, error) {
 		res := engine.NewResult(mx)
-		res.Iterations = blocks
+		res.Iterations, res.IntersectOps = blocks, ops
 		return res, err
 	}
 	var sc storage.Scanner
@@ -78,8 +77,8 @@ func (runner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevice, o
 		if err != nil {
 			return finish(err)
 		}
-		t, err := scan(ctx, st, dev, &sc, block, mx, opts.OnTriangles)
-		mx.AddTriangles(t)
+		t, o, err := scan(ctx, st, dev, &sc, block, opts.OnTriangles)
+		ops += o
 		if t > 0 {
 			emit(events.Event{Kind: events.TrianglesFound, Iteration: blocks, N: t})
 		}
@@ -123,13 +122,13 @@ func loadBlock(st *storage.Store, dev *ssd.SyncDevice, lo, hi uint32) (*block, e
 
 // scan streams the whole graph synchronously through sc and applies the
 // vertex-iterator pair kernel against the block, listing what it finds to
-// out when out is non-nil; on an error the count is of the triangles
-// already listed. MGT re-reads every page of the graph per block, including
+// out when out is non-nil. It returns the triangles and the Eq. 3 cost of
+// the pairs tested; on an error the count is of the triangles already
+// listed. MGT re-reads every page of the graph per block, including
 // the block's own pages: the strict (1 + ⌈P/m⌉)·P(G) behaviour of Eq. 7.
-func scan(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, sc *storage.Scanner, b *block, mx *metrics.Collector, out func(u, v uint32, ws []uint32)) (int64, error) {
-	var total int64
+func scan(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, sc *storage.Scanner, b *block, out func(u, v uint32, ws []uint32)) (total, ops int64, err error) {
 	var ws []uint32
-	err := sc.Scan(ctx, st, dev, 0, st.NumPages, scanSpan, func(recs []storage.VertexRec) error {
+	err = sc.Scan(ctx, st, dev, 0, st.NumPages, scanSpan, func(recs []storage.VertexRec) error {
 		for _, u := range recs {
 			ns := st.Successors(u)
 			for i, v := range ns {
@@ -140,7 +139,7 @@ func scan(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, sc *stora
 				if len(rest) == 0 {
 					continue
 				}
-				mx.AddIntersect(int64(len(rest)))
+				ops += int64(len(rest))
 				adjV := b.adj[v]
 				ws = ws[:0]
 				for _, w := range rest {
@@ -159,7 +158,7 @@ func scan(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, sc *stora
 		return nil
 	})
 	if err != nil {
-		return total, fmt.Errorf("mgt: scanning: %w", err)
+		return total, ops, fmt.Errorf("mgt: scanning: %w", err)
 	}
-	return total, nil
+	return total, ops, nil
 }

@@ -178,7 +178,7 @@ func (h *Harness) runDeviceCell(st *storage.Store, backend ssd.Backend, evict bo
 		info = ip.BackendInfo()
 	}
 	mx := metrics.NewCollector()
-	ad := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 8, Metrics: mx})
+	ad := ssd.NewAsyncDevice(base, ssd.AsyncOptions{QueueDepth: 8, Events: mx})
 	defer ad.Close()
 
 	order := deviceOrder(st)
@@ -187,6 +187,7 @@ func (h *Harness) runDeviceCell(st *storage.Store, backend ssd.Backend, evict bo
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var elapsed time.Duration
+	var reads int64
 	for pass := 0; pass < devicePasses; pass++ {
 		if evict {
 			// Outside the clock: eviction cost is setup, not device time.
@@ -195,7 +196,7 @@ func (h *Harness) runDeviceCell(st *storage.Store, backend ssd.Backend, evict bo
 			}
 		}
 		digest := pass == 0 // content is pass-invariant; digest once
-		sw := metrics.StartStopwatch()
+		start := time.Now()
 		for _, first := range order {
 			count := st.AlignedRange(first, deviceSpan)
 			first := first
@@ -211,17 +212,18 @@ func (h *Harness) runDeviceCell(st *storage.Store, backend ssd.Backend, evict bo
 			})
 		}
 		ad.Drain()
-		elapsed += sw.Elapsed()
+		elapsed += time.Since(start)
+		reads += int64(len(order))
 	}
 	runtime.ReadMemStats(&after)
 	if failed.Load() > 0 {
-		return nil, fmt.Errorf("%d of %d reads failed: %v", failed.Load(), mx.AsyncReads(), firstErr.Load())
+		return nil, fmt.Errorf("%d of %d reads failed: %v", failed.Load(), reads, firstErr.Load())
 	}
 	return &deviceCell{
 		checksum:  sum.Load(),
 		elapsed:   elapsed,
-		reads:     mx.AsyncReads(),
-		batches:   mx.SubmittedBatches(),
+		reads:     reads,
+		batches:   mx.Snapshot().SubmittedBatches,
 		pagesRead: mx.PagesRead(),
 		allocs:    after.Mallocs - before.Mallocs,
 		info:      info,

@@ -9,7 +9,6 @@ import (
 	"github.com/optlab/opt/internal/core"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 	"github.com/optlab/opt/internal/storage"
 
@@ -163,14 +162,14 @@ func (h *Harness) runGChi(st *storage.Store, memPages, threads int) (*runResult,
 
 // sweep reads every page of the store once, synchronously and in order, 16
 // pages a read, through the latency model: the load phase of the in-memory
-// references.
-func (h *Harness) sweep(st *storage.Store, mx *metrics.Collector) error {
+// references, P(G) pages read.
+func (h *Harness) sweep(st *storage.Store) error {
 	base, err := st.DeviceBackend(ssd.Backend(h.cfg.Backend))
 	if err != nil {
 		return err
 	}
 	defer func() { _ = base.Close() }() // read-only benchmark device
-	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: h.cfg.Latency, Metrics: mx})
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: h.cfg.Latency})
 	for p := uint32(0); p < st.NumPages; {
 		count := st.AlignedRange(p, 16)
 		if _, err := dev.ReadPages(p, count); err != nil {
@@ -185,14 +184,14 @@ func (h *Harness) sweep(st *storage.Store, mx *metrics.Collector) error {
 // in-memory EdgeIterator≻ at the Eq. 3 cost (inmem.Ideal: the kernel OPT
 // itself runs).
 func (h *Harness) runIdeal(g *graph.Graph, st *storage.Store) (*runResult, error) {
-	sw := metrics.StartStopwatch()
-	if err := h.sweep(st, nil); err != nil {
+	start := time.Now()
+	if err := h.sweep(st); err != nil {
 		return nil, err
 	}
 	res := inmem.Ideal(g, int64(st.NumPages), nil, nil)
 	return &runResult{
 		Triangles: res.Triangles,
-		Elapsed:   sw.Elapsed(),
+		Elapsed:   time.Since(start),
 		PagesRead: res.PagesRead,
 	}, nil
 }
@@ -200,19 +199,18 @@ func (h *Harness) runIdeal(g *graph.Graph, st *storage.Store) (*runResult, error
 // runInMemory measures an in-memory baseline including its load time
 // (§5.3: "in-memory methods include graph loading times").
 func (h *Harness) runInMemory(g *graph.Graph, st *storage.Store, method string) (*runResult, error) {
-	mx := metrics.NewCollector()
-	sw := metrics.StartStopwatch()
-	if err := h.sweep(st, mx); err != nil {
+	start := time.Now()
+	if err := h.sweep(st); err != nil {
 		return nil, err
 	}
 	var tris int64
 	switch method {
 	case "vertex":
-		tris = inmem.VertexIteratorCount(g, nil, mx)
+		tris = inmem.VertexIteratorCount(g, nil, nil)
 	case "ayz":
-		tris = inmem.AYZCount(g, mx)
+		tris = inmem.AYZCount(g, nil)
 	default:
-		tris = inmem.EdgeIteratorCount(g, nil, mx)
+		tris = inmem.EdgeIteratorCount(g, nil, nil)
 	}
-	return &runResult{Triangles: tris, Elapsed: sw.Elapsed(), PagesRead: mx.PagesRead()}, nil
+	return &runResult{Triangles: tris, Elapsed: time.Since(start), PagesRead: int64(st.NumPages)}, nil
 }

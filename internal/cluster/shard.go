@@ -44,10 +44,12 @@ func (shardRunner) Run(ctx context.Context, st *storage.Store, base ssd.PageDevi
 		return nil, err
 	}
 	mx := metrics.NewCollector()
-	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: opts.Latency, Metrics: mx, Context: ctx, Events: opts.Events})
-	res := &engine.Result{}
-	count, err := CountShard(ctx, st, dev, grid, Shard{I: opts.ShardI, J: opts.ShardJ}, opts.MemoryPages, opts.Events, res)
-	res.Triangles, res.PagesRead = count, mx.PagesRead()
+	sink := events.Tee(mx, opts.Events)
+	dev := ssd.NewSyncDevice(base, ssd.AsyncOptions{Latency: opts.Latency, Context: ctx, Events: sink})
+	var ops int64
+	_, err = CountShard(ctx, st, dev, grid, Shard{I: opts.ShardI, J: opts.ShardJ}, opts.MemoryPages, sink, &ops)
+	res := engine.NewResult(mx)
+	res.IntersectOps = ops
 	if err != nil {
 		return res, err
 	}
@@ -78,12 +80,12 @@ var scanners = sync.Pool{New: func() any { return new(storage.Scanner) }}
 // over the store: triangles whose base edge (u, v), u < v, has
 // block(u) = shard.I and block(v) = shard.J. memPages bounds the pages a
 // single device read may cover (0 selects a small default); dev accounts
-// the pages read; sink (may be nil) receives TrianglesFound progress; res
+// the pages read; sink (may be nil) receives TrianglesFound progress; ops
 // (may be nil) accumulates the Eq. 3 CPU cost. A task is its one
 // iteration, so the sink gets one TrianglesFound with the count returned,
 // also when cancellation stops the kernel loop early and that count is
 // partial. A device error stops the load, before any triangle is counted.
-func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, shard Shard, memPages int, sink events.Sink, res *engine.Result) (int64, error) {
+func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, grid Grid, shard Shard, memPages int, sink events.Sink, ops *int64) (int64, error) {
 	if shard.I < 0 || shard.J < shard.I || shard.J >= grid.Dim {
 		return 0, fmt.Errorf("cluster: shard (%d, %d) outside 0 ≤ i ≤ j < %d", shard.I, shard.J, grid.Dim)
 	}
@@ -119,8 +121,8 @@ func CountShard(ctx context.Context, st *storage.Store, dev *ssd.SyncDevice, gri
 		for i, v := range partners {
 			rest, nsV := nsU[first+i+1:], blockJ.of(v)
 			total += int64(intersect.AdaptiveBitmapCount(nsV, rest, set))
-			if res != nil {
-				res.IntersectOps += intersect.MinCost(rest, nsV)
+			if ops != nil {
+				*ops += intersect.MinCost(rest, nsV)
 			}
 		}
 		intersect.Unfix(set, nsU)

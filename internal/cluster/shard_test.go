@@ -58,15 +58,15 @@ func TestCountShardMatchesOracle(t *testing.T) {
 						}
 						var sum int64
 						for _, s := range grid.Shards() {
-							res := &engine.Result{}
-							got, err := CountShard(context.Background(), st, dev, grid, s, memPages, nil, res)
+							var ops int64
+							got, err := CountShard(context.Background(), st, dev, grid, s, memPages, nil, &ops)
 							if err != nil {
 								t.Fatalf("shard %+v: %v", s, err)
 							}
 							if ref := grid.CountShardRef(g, s.I, s.J); got != ref {
 								t.Fatalf("shard %+v: counted %d, oracle says %d", s, got, ref)
 							}
-							if got > 0 && res.IntersectOps == 0 {
+							if got > 0 && ops == 0 {
 								t.Fatalf("shard %+v: %d triangles with zero intersect ops", s, got)
 							}
 							sum += got

@@ -186,7 +186,7 @@ func (io *ioSched) issueGroup(g *extGroup) {
 		return
 	}
 	if len(g.reqs) > 1 {
-		r.note(events.Event{Kind: events.CoalescedRead, Iteration: io.iter, N: int64(g.pages)})
+		r.emit(events.Event{Kind: events.CoalescedRead, Iteration: io.iter, N: int64(g.pages)})
 	}
 	if r.seams.disableMicroOverlap {
 		// Ablation: synchronous vectored read, no overlap — completions run
@@ -237,7 +237,7 @@ func (io *ioSched) readDone(g *extGroup, err error) {
 		if err != nil {
 			kind = events.PrefetchWasted
 		}
-		r.note(events.Event{Kind: kind, Iteration: io.iter, N: 1})
+		r.emit(events.Event{Kind: kind, Iteration: io.iter, N: 1})
 	}
 	io.pump()
 }
@@ -306,7 +306,6 @@ func (io *ioSched) release(g *extGroup, span int, c *buffer.Chunk) {
 // handleSeg it runs the consumer inline when there is no task scheduler.
 func (io *ioSched) processResident(res residentReq) {
 	io.reused += res.c.NumPages
-	io.r.mx.AddReusedPages(int64(res.c.NumPages))
 	if io.s != nil {
 		io.s.submit(classExternal, func() { io.consume(res.c, res.req) })
 	} else {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,32 +182,38 @@ func TestOPTCoalescingReducesReads(t *testing.T) {
 	st := buildStore(t, g, 128)
 	budget := int(st.NumPages)/4 + 2
 
-	run := func(o optRunner) (*engine.Result, *metrics.Collector) {
-		res, mx, err := runFile(st, o, engine.Options{MemoryPages: budget})
+	base, err := st.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = base.Close() }()
+	run := func(o optRunner) (*engine.Result, metrics.Snapshot, int64) {
+		dev := &readCounter{PageDevice: base}
+		res, mx, err := runWith(context.Background(), st, dev, o, engine.Options{MemoryPages: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, mx
+		return res, mx.Snapshot(), dev.reads.Load()
 	}
-	baseRes, baseMx := run(optRunner{mode: Serial, seams: seams{maxCoalescePages: 1, prefetchDepth: 1}})
-	coalRes, coalMx := run(serial)
+	baseRes, baseMx, baseReads := run(optRunner{mode: Serial, seams: seams{maxCoalescePages: 1, prefetchDepth: 1}})
+	coalRes, coalMx, coalReads := run(serial)
 
 	if baseRes.Triangles != coalRes.Triangles {
 		t.Fatalf("triangles diverge: baseline %d, coalesced %d", baseRes.Triangles, coalRes.Triangles)
 	}
-	if baseMx.CoalescedReads() != 0 {
-		t.Fatalf("baseline coalesced %d reads with maxCoalescePages=1", baseMx.CoalescedReads())
+	if baseMx.CoalescedReads != 0 {
+		t.Fatalf("baseline coalesced %d reads with maxCoalescePages=1", baseMx.CoalescedReads)
 	}
-	if coalMx.CoalescedReads() == 0 {
+	if coalMx.CoalescedReads == 0 {
 		t.Fatal("coalesced run recorded no coalesced reads")
 	}
-	if coalMx.CoalescedPages() <= coalMx.CoalescedReads() {
-		t.Fatalf("coalesced pages %d should exceed coalesced reads %d", coalMx.CoalescedPages(), coalMx.CoalescedReads())
+	if coalMx.CoalescedPages <= coalMx.CoalescedReads {
+		t.Fatalf("coalesced pages %d should exceed coalesced reads %d", coalMx.CoalescedPages, coalMx.CoalescedReads)
 	}
-	if base, coal := baseMx.AsyncReads(), coalMx.AsyncReads(); coal*3 > base {
-		t.Fatalf("read submissions: baseline %d, coalesced %d — want >= 3x reduction", base, coal)
+	if coalReads*3 > baseReads {
+		t.Fatalf("device reads: baseline %d, coalesced %d — want >= 3x reduction", baseReads, coalReads)
 	}
-	if base, coal := baseMx.PagesRead(), coalMx.PagesRead(); coal > base {
+	if base, coal := baseRes.PagesRead, coalRes.PagesRead; coal > base {
 		t.Fatalf("coalescing increased pages read: %d > %d", coal, base)
 	}
 }
@@ -227,18 +234,17 @@ func TestOPTPrefetchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mx.PrefetchHits() == 0 {
+	if s := mx.Snapshot(); s.PrefetchHits == 0 {
 		t.Fatal("default read-ahead recorded no prefetch hits")
-	}
-	if mx.PrefetchWasted() != 0 {
-		t.Fatalf("error-free run wasted %d prefetches", mx.PrefetchWasted())
+	} else if s.PrefetchWasted != 0 {
+		t.Fatalf("error-free run wasted %d prefetches", s.PrefetchWasted)
 	}
 
 	if _, mx, err = runFile(st, optRunner{mode: Serial, seams: seams{prefetchDepth: 1}}, engine.Options{MemoryPages: budget}); err != nil {
 		t.Fatal(err)
 	}
-	if mx.PrefetchHits() != 0 || mx.PrefetchWasted() != 0 {
-		t.Fatalf("prefetchDepth=1 still prefetched: hits=%d wasted=%d", mx.PrefetchHits(), mx.PrefetchWasted())
+	if s := mx.Snapshot(); s.PrefetchHits != 0 || s.PrefetchWasted != 0 {
+		t.Fatalf("prefetchDepth=1 still prefetched: hits=%d wasted=%d", s.PrefetchHits, s.PrefetchWasted)
 	}
 }
 
@@ -425,7 +431,7 @@ func BenchmarkOPTSerialCoalesced(b *testing.B) {
 // CoalescedRead, Prefetch* and Morph event is stamped with the index of the
 // IterationStart…IterationEnd bracket it fires in — from the I/O scheduler
 // as much as from the internal-area loader — and the collector's counters
-// equal the sums of those events, since both are fed by one runner.note.
+// equal the sums of those events, since both hang off the run's one sink.
 func TestSchedulerEventsCarryIteration(t *testing.T) {
 	raw, err := gen.RMAT(gen.DefaultRMAT(1<<10, 12_000, 42))
 	if err != nil {
@@ -458,7 +464,8 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 				}
 			})
 			o := optRunner{mode: mode, seams: seams{maxCoalescePages: 4}}
-			res, mx, err := runFile(st, o, engine.Options{Threads: 2, MemoryPages: budget, Events: rec})
+			res, c, err := runFile(st, o, engine.Options{Threads: 2, MemoryPages: budget, Events: rec})
+			mx := c.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -472,11 +479,11 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 				name      string
 				got, want int64
 			}{
-				{"CoalescedReads", mx.CoalescedReads(), counts[events.CoalescedRead]},
-				{"CoalescedPages", mx.CoalescedPages(), sums[events.CoalescedRead]},
-				{"PrefetchHits", mx.PrefetchHits(), sums[events.PrefetchHit]},
-				{"PrefetchWasted", mx.PrefetchWasted(), sums[events.PrefetchWasted]},
-				{"Morphs", mx.Morphs(), sums[events.Morph]},
+				{"CoalescedReads", mx.CoalescedReads, counts[events.CoalescedRead]},
+				{"CoalescedPages", mx.CoalescedPages, sums[events.CoalescedRead]},
+				{"PrefetchHits", mx.PrefetchHits, sums[events.PrefetchHit]},
+				{"PrefetchWasted", mx.PrefetchWasted, sums[events.PrefetchWasted]},
+				{"Morphs", mx.Morphs, sums[events.Morph]},
 			} {
 				if c.got != c.want {
 					t.Errorf("collector %s = %d, events sum to %d", c.name, c.got, c.want)
@@ -484,6 +491,19 @@ func TestSchedulerEventsCarryIteration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readCounter is a PageDevice that counts the reads it serves through
+// ReadPagesInto, the read the asynchronous layer issues, without
+// allocating: the allocation pins read it around their runs.
+type readCounter struct {
+	ssd.PageDevice
+	reads atomic.Int64
+}
+
+func (d *readCounter) ReadPagesInto(buf []byte, first uint32, count int) error {
+	d.reads.Add(1)
+	return d.PageDevice.ReadPagesInto(buf, first, count)
 }
 
 // readRecorder is a PageDevice that logs every read it serves, makes each
@@ -640,7 +660,8 @@ func TestInternalLoadSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { _ = dev.Close() }()
-			r := newRunner(context.Background(), st, dev, tc.o, engine.Options{Threads: tc.threads, MemoryPages: int(st.NumPages) * 8 / 100})
+			rc := &readCounter{PageDevice: dev}
+			r := newRunner(context.Background(), st, rc, tc.o, engine.Options{Threads: tc.threads, MemoryPages: int(st.NumPages) * 8 / 100})
 			defer r.close()
 			hi, ids := r.internalRange(0)
 			load := func() {
@@ -649,10 +670,10 @@ func TestInternalLoadSteadyStateAllocs(t *testing.T) {
 				r.loadInternal(0, 0, hi)
 			}
 			load() // grows the scratch, the free lists and the device's arena
-			before := r.mx.AsyncReads()
+			before := rc.reads.Load()
 			const runs = 10
 			allocs := testing.AllocsPerRun(runs, load)
-			reads := float64(r.mx.AsyncReads()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
+			reads := float64(rc.reads.Load()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
 			chunks := len(r.taskBounds) - 1
 			t.Logf("a warm load of %d chunks in %.0f reads allocates %.0f times", chunks, reads, allocs)
 			if chunks < 2*int(reads)+8 {
@@ -670,8 +691,7 @@ func TestInternalLoadSteadyStateAllocs(t *testing.T) {
 // all device reads are issued while another read of the same pass is still
 // on the device (a window that holds one group at a time scores ≈ 0.1
 // here). The internal-area load goes through the same window, so its
-// read-ahead counts too. Every read the scheduler submits must reach the
-// device.
+// read-ahead counts too.
 func TestWindowKeepsReadsInFlight(t *testing.T) {
 	g, st := sparseStore(t)
 	base, err := st.Device()
@@ -690,12 +710,9 @@ func TestWindowKeepsReadsInFlight(t *testing.T) {
 		t.Fatalf("triangles = %d, want %d", res.Triangles, want)
 	}
 	rec.requireReads(t)
-	if got := int64(len(rec.take())); got != mx.AsyncReads() {
-		t.Fatalf("the device served %d reads, the scheduler submitted %d", got, mx.AsyncReads())
-	}
-	if share := float64(mx.PrefetchHits()) / float64(mx.AsyncReads()); share < 0.3 {
-		t.Fatalf("%d of %d reads were issued with another in flight (%.2f), want ≥ 0.30",
-			mx.PrefetchHits(), mx.AsyncReads(), share)
+	reads, hits := len(rec.take()), mx.Snapshot().PrefetchHits
+	if share := float64(hits) / float64(reads); share < 0.3 {
+		t.Fatalf("%d of %d reads were issued with another in flight (%.2f), want ≥ 0.30", hits, reads, share)
 	}
 }
 

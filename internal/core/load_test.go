@@ -124,7 +124,8 @@ func TestInternalLoadParallelSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = dev.Close() }()
-	r := newRunner(context.Background(), st, dev, parallel, engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100})
+	rc := &readCounter{PageDevice: dev}
+	r := newRunner(context.Background(), st, rc, parallel, engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100})
 	defer r.close()
 	hi, ids := r.internalRange(0)
 	load := func() {
@@ -133,10 +134,10 @@ func TestInternalLoadParallelSteadyStateAllocs(t *testing.T) {
 		r.loadInternal(0, 0, hi)
 	}
 	load() // grows the scratch, the free lists, the candidate sets and the device's arena
-	before := r.mx.AsyncReads()
+	before := rc.reads.Load()
 	const runs = 10
 	allocs := testing.AllocsPerRun(runs, load)
-	reads := float64(r.mx.AsyncReads()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
+	reads := float64(rc.reads.Load()-before) / (runs + 1) // AllocsPerRun calls once more to warm up
 	chunks := len(r.taskBounds) - 1
 	t.Logf("a warm load of %d chunks in %.0f reads on 2 threads allocates %.0f times", chunks, reads, allocs)
 	if chunks < 2*int(reads)+8 {
@@ -165,7 +166,8 @@ func TestTailPassSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = dev.Close() }()
-	r := newRunner(context.Background(), st, dev, parallel, engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100})
+	rc := &readCounter{PageDevice: dev}
+	r := newRunner(context.Background(), st, rc, parallel, engine.Options{Threads: 2, MemoryPages: int(st.NumPages) * 8 / 100})
 	defer r.close()
 	hi, ids := r.internalRange(0)
 	r.ctx.beginIteration(0, hi, ids)
@@ -175,11 +177,11 @@ func TestTailPassSteadyStateAllocs(t *testing.T) {
 	var stat engine.IterationStat
 	tail := func() { r.runParallel(r.newIOSched(0, r.external), reqs, &stat) }
 	tail() // grows the pool, the scratch and the device's arena
-	before := r.mx.AsyncReads()
+	before := rc.reads.Load()
 	const runs = 10
 	allocs := testing.AllocsPerRun(runs, tail)
 	perRun := func(n int64) float64 { return float64(n) / (runs + 1) } // AllocsPerRun calls once more to warm up
-	reads := perRun(r.mx.AsyncReads() - before)
+	reads := perRun(rc.reads.Load() - before)
 	expected := reads + float64(len(r.taskBounds)-1+len(reqs))
 	t.Logf("a warm tail of %d chunks and %d requests in %.0f reads on 2 threads allocates %.0f times, %.1f beyond the expected",
 		len(r.taskBounds)-1, len(reqs), reads, allocs, allocs-expected)

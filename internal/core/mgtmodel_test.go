@@ -49,7 +49,7 @@ func TestMGTInstanceParallel(t *testing.T) {
 func TestMGTInstanceDoesNoInternalWork(t *testing.T) {
 	g := graph.Complete(12)
 	st := buildStore(t, g, 64)
-	res, mx, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 4})
+	res, _, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestMGTInstanceDoesNoInternalWork(t *testing.T) {
 	}
 	// All pair work happens in ExternalTriangle; with a K12 and a tiny
 	// buffer, external requests must dominate page reads.
-	if mx.AsyncReads() == 0 {
-		t.Fatal("MGT instance issued no reads")
+	if res.PagesRead == 0 {
+		t.Fatal("MGT instance read no pages")
 	}
 }
 
@@ -70,12 +70,12 @@ func TestMGTInstanceIOCheaperThanFullRescan(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(512, 5000, 3))
 	g, _ := graph.DegreeOrder(raw)
 	st := buildStore(t, g, 128)
-	res, mx, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 8})
+	res, _, err := runFile(st, serial, engine.Options{Model: engine.ModelMGTInstance, MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bound := int64(res.Iterations+1) * int64(st.NumPages)
-	if got := mx.PagesRead() - mx.ReusedPages(); got > bound {
+	if got := res.PagesRead - res.ReusedPages; got > bound {
 		t.Fatalf("instance read %d pages, exceeding the Eq. 7 bound %d", got, bound)
 	}
 }

@@ -9,11 +9,11 @@ package core
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/optlab/opt/internal/bits"
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/intersect"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
 
@@ -67,16 +67,16 @@ type Ctx struct {
 	ids      []uint32    // the lists n≻ back to back; reused across iterations
 	out      Output      // nil: count only, nothing is emitted per pair
 
-	// mx holds the run's totals: every work tally is flushed into it.
-	mx *metrics.Collector
+	// The run's totals: every task's work tally is flushed into them.
+	calls, ops, triangles atomic.Int64
 	// works is a pointer so that the runtime's pool registry, which keeps
 	// a pool reachable for two GC cycles after its last use, holds only
 	// work states, not a finished run's internal area.
 	works *sync.Pool // *work
 }
 
-func newCtx(store *storage.Store, out Output, mx *metrics.Collector) *Ctx {
-	c := &Ctx{store: store, out: out, mx: mx}
+func newCtx(store *storage.Store, out Output) *Ctx {
+	c := &Ctx{store: store, out: out}
 	c.works = &sync.Pool{New: func() any { return &work{buf: make([]uint32, 0, 256)} }}
 	return c
 }
@@ -101,8 +101,9 @@ func (c *Ctx) getWork() *work {
 
 // putWork flushes w's tally into the run's totals and returns w.
 func (c *Ctx) putWork(w *work) {
-	c.mx.AddIntersections(w.calls, w.ops)
-	c.mx.AddTriangles(w.triangles)
+	c.calls.Add(w.calls)
+	c.ops.Add(w.ops)
+	c.triangles.Add(w.triangles)
 	w.calls, w.ops, w.triangles = 0, 0, 0
 	c.works.Put(w)
 }

@@ -129,10 +129,14 @@ type runner struct {
 	opts  engine.Options
 	model Model
 	ctx   *Ctx
-	mx    *metrics.Collector
+	mx    *metrics.Collector // counts the events of sink
+	sink  events.Sink        // mx and Options.Events: every event of the run
 	mIn   int
 	mEx   int
 	pool  *buffer.Pool // external area, persists across iterations
+	// reused is the run's Δin credit: the pages both passes of every
+	// iteration took from the external pool without I/O.
+	reused int64
 
 	// The two reads of an iteration through the I/O scheduler, and its
 	// read-ahead, resolved from the seams (DESIGN.md §9).
@@ -198,6 +202,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	// the external area is idle.
 	maxCoalesce := cmp.Or(o.seams.maxCoalescePages, defaultCoalescePages)
 	mx := metrics.NewCollector()
+	sink := events.Tee(mx, opts.Events)
 	r := &runner{
 		gctx:     ctx,
 		st:       st,
@@ -206,6 +211,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 		opts:     opts,
 		model:    NewModel(opts.Model),
 		mx:       mx,
+		sink:     sink,
 		mIn:      mIn,
 		mEx:      mEx,
 		pool:     buffer.NewPool(mEx),
@@ -216,9 +222,8 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	r.dev = ssd.NewAsyncDevice(base, ssd.AsyncOptions{
 		QueueDepth: opts.QueueDepth,
 		Latency:    opts.Latency,
-		Metrics:    mx,
 		Context:    ctx,
-		Events:     opts.Events,
+		Events:     sink,
 	})
 	r.prefetchDepth = cmp.Or(o.seams.prefetchDepth, r.dev.QueueDepth())
 	r.candSets = []*bits.Set{r.vexSet}
@@ -226,7 +231,7 @@ func newRunner(ctx context.Context, st *storage.Store, base ssd.PageDevice, o op
 	if opts.OnTriangles != nil {
 		out = FuncOutput(opts.OnTriangles)
 	}
-	r.ctx = newCtx(st, out, mx)
+	r.ctx = newCtx(st, out)
 	return r
 }
 
@@ -272,25 +277,16 @@ func (r *runner) decodeChunk(first uint32, span int, data []byte) (*buffer.Chunk
 	return c, nil
 }
 
-// emit forwards one progress event to the configured sink, if any.
+// emit stamps one event with the runner's name and hands it to the run's
+// sink. Events fire per read, per iteration or per task, never per
+// intersection.
 func (r *runner) emit(e events.Event) {
-	if s := r.opts.Events; s != nil {
-		e.Algorithm = r.mode.String()
-		s.Event(e)
-	}
-}
-
-// note records one scheduler event (coalesced read, prefetch outcome, morph)
-// with both observers, the progress sink and the metrics collector, so a
-// counter cannot disagree with the sum of its events. These fire per read
-// or per iteration, never per intersection.
-func (r *runner) note(e events.Event) {
-	r.emit(e)
-	r.mx.Event(e)
+	e.Algorithm = r.mode.String()
+	r.sink.Event(e)
 }
 
 // triangleCount returns the triangles of every task finished so far.
-func (r *runner) triangleCount() int64 { return r.mx.Triangles() }
+func (r *runner) triangleCount() int64 { return r.ctx.triangles.Load() }
 
 // run is Algorithm 3's outer loop.
 func (r *runner) run() (*engine.Result, error) {
@@ -328,6 +324,7 @@ func (r *runner) run() (*engine.Result, error) {
 	}
 	res := engine.NewResult(r.mx)
 	res.Iterations, res.IterStats = iterations, iterStats
+	res.IntersectOps, res.ReusedPages = r.ctx.ops.Load(), r.reused
 	return res, r.err
 }
 
@@ -422,6 +419,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 
 	stat.ReusedPages = r.loadInternal(index, lo, hi)
 	stat.LoadTime = time.Since(loadStart)
+	r.reused += int64(stat.ReusedPages)
 	if r.err != nil {
 		return stat, r.err
 	}
@@ -439,6 +437,7 @@ func (r *runner) iteration(index int, lo, hi uint32, ids int) (engine.IterationS
 	} else {
 		r.runParallel(io, reqs, &stat)
 	}
+	r.reused += int64(io.reused)
 	return stat, r.err
 }
 
@@ -612,7 +611,7 @@ func (r *runner) runParallel(io *ioSched, reqs []extReq, stat *engine.IterationS
 	stat.InternalTime = s.classWork(classInternal)
 	stat.ExternalTime = s.classWork(classExternal)
 	if m := s.morphCount(); m > 0 {
-		r.note(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
+		r.emit(events.Event{Kind: events.Morph, Iteration: stat.Index, N: m})
 	}
 }
 

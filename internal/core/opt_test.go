@@ -212,18 +212,18 @@ func TestOPTReusedPagesCredit(t *testing.T) {
 	raw, _ := gen.RMAT(gen.DefaultRMAT(1<<10, 20_000, 3))
 	g, _ := graph.DegreeOrder(raw)
 	st := buildStore(t, g, 256)
-	_, mx, err := runFile(st, serial, engine.Options{MemoryPages: int(st.NumPages) / 5})
+	res, _, err := runFile(st, serial, engine.Options{MemoryPages: int(st.NumPages) / 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mx.ReusedPages() == 0 {
+	if res.ReusedPages == 0 {
 		t.Fatal("expected a non-zero Δin page-reuse credit")
 	}
 	// Reuse must shrink total I/O below one full read per... at most the
 	// graph size plus external rereads; just check pages read < async model
 	// without reuse would need: pagesRead + reused >= P(G).
-	if mx.PagesRead()+mx.ReusedPages() < int64(st.NumPages) {
-		t.Fatalf("pages read %d + reused %d < P(G) %d", mx.PagesRead(), mx.ReusedPages(), st.NumPages)
+	if res.PagesRead+res.ReusedPages < int64(st.NumPages) {
+		t.Fatalf("pages read %d + reused %d < P(G) %d", res.PagesRead, res.ReusedPages, st.NumPages)
 	}
 }
 

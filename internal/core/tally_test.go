@@ -11,16 +11,14 @@ import (
 	"github.com/optlab/opt/internal/engine"
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/graph"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/storage"
 )
 
 // TestTalliesExact pins what counting per task must not change: on the
 // dense-cpu benchmark graph (seed 1, ≈ 860 pages) every mode and thread
 // count, counting or listing, reports the same Triangles, IntersectOps
-// (Eq. 3 on the uncut lists) and Intersections — the values the per-pair
-// atomics of the parent commit produced — and the TrianglesFound events sum
-// to the result.
+// (Eq. 3 on the uncut lists) and intersections — the values counting per
+// pair produced — and the TrianglesFound events sum to the result.
 func TestTalliesExact(t *testing.T) {
 	const triangles, ops, calls = 498_402, 13_128_492, 402_943
 	st := denseStore(t, 1)
@@ -51,18 +49,25 @@ func TestTalliesExact(t *testing.T) {
 					found.Add(e.N)
 				}
 			})
-			res, mx, err := runFile(st, run.o, opts)
+			dev, err := st.Device()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Triangles != triangles || mx.Triangles() != triangles {
-				t.Errorf("Triangles = %d (collector %d), want %d", res.Triangles, mx.Triangles(), triangles)
+			defer func() { _ = dev.Close() }()
+			r := newRunner(context.Background(), st, dev, run.o, opts)
+			res, err := r.run()
+			r.close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := mx.IntersectOps(); got != ops {
-				t.Errorf("IntersectOps = %d, want %d", got, ops)
+			if res.Triangles != triangles || r.ctx.triangles.Load() != triangles {
+				t.Errorf("Triangles = %d (tally %d), want %d", res.Triangles, r.ctx.triangles.Load(), triangles)
 			}
-			if got := mx.Intersections(); got != calls {
-				t.Errorf("Intersections = %d, want %d", got, calls)
+			if res.IntersectOps != ops || r.ctx.ops.Load() != ops {
+				t.Errorf("IntersectOps = %d (tally %d), want %d", res.IntersectOps, r.ctx.ops.Load(), ops)
+			}
+			if got := r.ctx.calls.Load(); got != calls {
+				t.Errorf("intersections = %d, want %d", got, calls)
 			}
 			if got := found.Load(); got != res.Triangles {
 				t.Errorf("TrianglesFound events sum to %d, result has %d", got, res.Triangles)
@@ -171,7 +176,7 @@ func TestPartnerRange(t *testing.T) {
 // job collects seldom, so the areas of many finished jobs piled up in its
 // heap.
 func TestFinishedCtxIsCollectable(t *testing.T) {
-	c := newCtx(nil, nil, metrics.NewCollector())
+	c := newCtx(nil, nil)
 	c.putWork(c.getWork())
 	collected := make(chan struct{})
 	runtime.SetFinalizer(c, func(*Ctx) { close(collected) })

@@ -149,6 +149,40 @@ func TestAllAlgorithmsMatchReference(t *testing.T) {
 	}
 }
 
+// TestSerialPagesReadDeterministic pins that OPT_serial at QueueDepth 1
+// reads the same pages, and takes the same Δin credit, on every run of the
+// powerlaw workload. The external pool evicts in insertion order, and a
+// chunk enters it when its read has completed and been decoded: with one
+// device channel reads complete in issue order, and OPT_serial decodes on
+// the callback thread, so the pool's contents are a function of the store
+// and the options. With more channels, or OPT's workers decoding, that
+// order, and PagesRead with it, varies from run to run (DESIGN.md §9).
+func TestSerialPagesReadDeterministic(t *testing.T) {
+	g := workloads(t)[3]
+	if g.name != "powerlaw" {
+		t.Fatalf("workload 3 is %s, want powerlaw", g.name)
+	}
+	st, dev := buildStore(t, g.g)
+	for _, budget := range []int{4, 16} {
+		var first *engine.Result
+		for run := 0; run < 4; run++ {
+			res, err := engine.Run(context.Background(), "OPT_serial", st, dev, engine.Options{MemoryPages: budget, QueueDepth: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res
+				t.Logf("m=%d: %d pages read, %d reused", budget, res.PagesRead, res.ReusedPages)
+				continue
+			}
+			if res.PagesRead != first.PagesRead || res.ReusedPages != first.ReusedPages {
+				t.Fatalf("m=%d run %d: %d pages read, %d reused; run 0: %d, %d",
+					budget, run, res.PagesRead, res.ReusedPages, first.PagesRead, first.ReusedPages)
+			}
+		}
+	}
+}
+
 // count stores g under codec, runs algorithm name over it with a budget of
 // budget pages (0: the default fraction) and returns the triangle count. A
 // Collector attached as the run's event sink must see the page I/O the

@@ -1,9 +1,9 @@
 // Package diskio provides the sequential working-file format shared by the
 // iterative "slow group" baselines (CC-Seq, CC-DS, GraphChi-Tri): a flat
 // sequence of (id, deg, neighbors…) little-endian uint32 records. Reads and
-// writes are charged to a metrics collector at page granularity and pass
-// through the simulated device-latency model, so remainder-file I/O costs
-// are comparable with the slotted-page stores used by OPT and MGT.
+// writes are reported as page events and pass through the simulated
+// device-latency model, so remainder-file I/O costs are comparable with the
+// slotted-page stores used by OPT and MGT.
 package diskio
 
 import (
@@ -16,24 +16,24 @@ import (
 	"time"
 
 	"github.com/optlab/opt/internal/events"
-	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/ssd"
 )
+
+// readAhead is the number of pages per priced device request: streams
+// read and write sequentially, so the fixed PerRead latency is paid once
+// per readAhead pages rather than per page.
+const readAhead = 16
 
 // CostModel bundles the per-page accounting applied to stream I/O.
 type CostModel struct {
 	PageSize int
 	Latency  ssd.Latency
-	Metrics  *metrics.Collector
-	// ReadAhead is the number of pages per priced device request: streams
-	// read and write sequentially, so the fixed PerRead latency is paid
-	// once per ReadAhead pages rather than per page. Default 16.
-	ReadAhead int
 	// Context, if non-nil, cancels the stream: ReadRecord and WriteRecord
 	// fail with the context's error once it is done, so the iterative
 	// baselines stop within one record of cancellation.
 	Context context.Context
-	// Events, if non-nil, receives PagesRead/PagesWritten progress events.
+	// Events, if non-nil, receives PagesRead/PagesWritten events: a
+	// runner's one sink, its collector included.
 	Events events.Sink
 }
 
@@ -52,26 +52,17 @@ func (cm CostModel) emit(kind events.Kind, n int64) {
 	}
 }
 
-// readAhead returns the effective read-ahead window.
-func (cm CostModel) readAhead() int {
-	if cm.ReadAhead <= 0 {
-		return 16
-	}
-	return cm.ReadAhead
-}
-
 // chargePages charges the latency of n sequential pages to th, amortising
-// PerRead over the read-ahead window. reqPages tracks pages since the last
+// PerRead over the readAhead window. reqPages tracks pages since the last
 // priced request and is returned updated.
 func (cm CostModel) chargePages(th *ssd.Throttle, n int64, reqPages int) int {
 	if cm.Latency.PerRead == 0 && cm.Latency.PerPage == 0 {
 		return reqPages
 	}
-	ra := cm.readAhead()
 	d := time.Duration(n) * cm.Latency.PerPage
 	for i := int64(0); i < n; i++ {
 		reqPages++
-		if reqPages >= ra {
+		if reqPages >= readAhead {
 			d += cm.Latency.PerRead
 			reqPages = 0
 		}
@@ -130,9 +121,6 @@ func (w *StreamWriter) WriteRecord(id uint32, adj []uint32) error {
 func (w *StreamWriter) charge(pages int64) {
 	if pages <= 0 {
 		return
-	}
-	if w.cm.Metrics != nil {
-		w.cm.Metrics.AddPagesWritten(pages)
 	}
 	w.cm.emit(events.PagesWritten, pages)
 	w.reqPages = w.cm.chargePages(&w.th, pages, w.reqPages)
@@ -215,9 +203,6 @@ func (r *StreamReader) ReadRecord() (uint32, []uint32, error) {
 	before := r.bytes / int64(r.cm.PageSize)
 	r.bytes += int64(8 + 4*deg)
 	if pages := r.bytes/int64(r.cm.PageSize) - before; pages > 0 {
-		if r.cm.Metrics != nil {
-			r.cm.Metrics.AddPagesRead(pages)
-		}
 		r.cm.emit(events.PagesRead, pages)
 		r.reqPages = r.cm.chargePages(&r.th, pages, r.reqPages)
 	}

@@ -17,7 +17,7 @@ import (
 func TestStreamRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ccg")
 	mx := metrics.NewCollector()
-	cm := CostModel{PageSize: 64, Metrics: mx}
+	cm := CostModel{PageSize: 64, Events: mx}
 	w, err := NewStreamWriter(path, cm)
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +96,12 @@ func TestStreamBadPageSize(t *testing.T) {
 func TestStreamLatencyCharging(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lat.ccg")
 	mx := metrics.NewCollector()
-	cm := CostModel{
-		PageSize:  64,
-		Latency:   ssd.Latency{PerRead: 100 * time.Microsecond, PerPage: 50 * time.Microsecond},
-		Metrics:   mx,
-		ReadAhead: 4,
-	}
+	lat := ssd.Latency{PerRead: time.Millisecond, PerPage: 10 * time.Microsecond}
+	cm := CostModel{PageSize: 64, Latency: lat, Events: mx}
+	// 20 records × 128B = 2560B = 40 pages, PerRead paid once per readAhead
+	// pages: 40×10µs + 2×1ms = 2.4ms each way.
+	const pages = 40
+	want := pages*lat.PerPage + pages/readAhead*lat.PerRead
 	w, err := NewStreamWriter(path, cm)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +116,11 @@ func TestStreamLatencyCharging(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// 20 records × 128B = 2560B = 40 pages; cost = 40×50µs + 10×100µs = 3ms.
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Fatalf("write latency undercharged: %v", elapsed)
+	if elapsed := time.Since(start); elapsed < want {
+		t.Fatalf("write latency undercharged: %v, want ≥ %v", elapsed, want)
 	}
-	if mx.PagesWritten() != 40 {
-		t.Fatalf("PagesWritten = %d, want 40", mx.PagesWritten())
+	if mx.PagesWritten() != pages {
+		t.Fatalf("PagesWritten = %d, want %d", mx.PagesWritten(), pages)
 	}
 
 	r, err := NewStreamReader(path, cm)
@@ -139,8 +138,11 @@ func TestStreamLatencyCharging(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Fatalf("read latency undercharged: %v", elapsed)
+	if elapsed := time.Since(start); elapsed < want {
+		t.Fatalf("read latency undercharged: %v, want ≥ %v", elapsed, want)
+	}
+	if mx.PagesRead() != pages {
+		t.Fatalf("PagesRead = %d, want %d", mx.PagesRead(), pages)
 	}
 }
 

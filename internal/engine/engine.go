@@ -167,23 +167,19 @@ type Result struct {
 	IterStats []IterationStat `json:"iter_stats,omitempty"`
 }
 
-// NewResult returns the Result of a run whose counters mx collected: its
-// triangles, page I/O, Δin credit and Eq. 3 cost. The runner adds what only
-// it knows (Iterations, IterStats); Run stamps Algorithm and Elapsed.
+// NewResult returns the Result of a run whose events mx counted: its
+// triangles and page I/O. The runner adds what only it tallies
+// (Iterations, IntersectOps, ReusedPages, IterStats); Run stamps Algorithm
+// and Elapsed.
 func NewResult(mx *metrics.Collector) *Result {
-	return &Result{
-		Triangles:    mx.Triangles(),
-		PagesRead:    mx.PagesRead(),
-		PagesWritten: mx.PagesWritten(),
-		ReusedPages:  mx.ReusedPages(),
-		IntersectOps: mx.IntersectOps(),
-	}
+	return &Result{Triangles: mx.Triangles(), PagesRead: mx.PagesRead(), PagesWritten: mx.PagesWritten()}
 }
 
 // Runner executes one triangulation algorithm over a store whose data
 // pages are served by dev. A registered Runner is the algorithm's entry:
 // it reads Options directly and builds its Result from a private
-// metrics.Collector. Implementations must honour ctx: on
+// metrics.Collector on its one event sink, events.Tee(collector,
+// Options.Events). Implementations must honour ctx: on
 // cancellation they return promptly (within one iteration) with a partial
 // Result and an error satisfying errors.Is(err, ctx.Err()), and must not
 // leak goroutines on any path.

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"github.com/optlab/opt/internal/engine"
+	"github.com/optlab/opt/internal/events"
+	"github.com/optlab/opt/internal/graph"
+	"github.com/optlab/opt/internal/metrics"
 	"github.com/optlab/opt/internal/server"
 
 	_ "github.com/optlab/opt/internal/core" // registers "OPT"
@@ -147,4 +152,103 @@ func TestIterStatsWireNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	walk(whole)
+}
+
+// eventFedKeys returns the metrics keys some event kind feeds: a collector
+// that saw one event of every kind has exactly those keys non-zero.
+func eventFedKeys(t *testing.T) map[string]bool {
+	t.Helper()
+	mx := metrics.NewCollector()
+	for _, k := range []events.Kind{
+		events.RunStart, events.RunEnd, events.IterationStart, events.IterationEnd,
+		events.PagesRead, events.PagesWritten, events.TrianglesFound, events.Morph,
+		events.CoalescedRead, events.PrefetchHit, events.PrefetchWasted, events.SubmittedBatch,
+		events.RingDepth, events.DirectFallback, events.ShardDispatched, events.ShardRetried,
+		events.ShardMerged, events.TaskDone,
+	} {
+		mx.Event(events.Event{Kind: k, N: 1, Elapsed: 1})
+	}
+	raw, err := json.Marshal(mx.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]int64
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	fed := map[string]bool{}
+	for k, v := range snap {
+		if v != 0 {
+			fed[k] = true
+		}
+	}
+	return fed
+}
+
+// TestJobMetricsMatchResult pins a finished job's "metrics" object to the
+// one instrumentation path: every key it carries is fed by an event kind,
+// and every key it shares with "result" holds the result's value. OPT is
+// the headline runner and CC-Seq writes pages, so between them pages_read,
+// pages_written and triangles are all non-zero; a cache hit serves the
+// same document.
+func TestJobMetricsMatchResult(t *testing.T) {
+	fed := eventFedKeys(t)
+	g := graph.Complete(30)
+	want := graph.CountTrianglesReference(g)
+	path := buildStore(t, g, 128)
+	m := server.New(server.Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(server.NewHandler(m))
+	defer ts.Close()
+	defer m.Drain(5 * time.Second)
+
+	for _, algo := range []string{"OPT", "CC-Seq"} {
+		t.Run(algo, func(t *testing.T) {
+			spec := server.Spec{Store: path, Algorithm: algo, Options: engine.Options{Threads: 2, MemoryPages: 6}}
+			code, posted, _ := postJob(t, ts, spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit = %d, want 202", code)
+			}
+			waitState(t, m, posted.ID, "done")
+			_, got := call(t, ts, http.MethodGet, "/jobs/"+posted.ID, nil)
+			code, hit := call(t, ts, http.MethodPost, "/jobs", spec)
+			if code != http.StatusOK {
+				t.Fatalf("identical resubmit = %d, want 200 (cache hit): %s", code, hit)
+			}
+			for what, raw := range map[string][]byte{"GET": got, "cache hit": hit} {
+				var doc struct {
+					Metrics map[string]int64           `json:"metrics"`
+					Result  map[string]json.RawMessage `json:"result"`
+				}
+				if err := json.Unmarshal(raw, &doc); err != nil {
+					t.Fatalf("%s: %v in %s", what, err, raw)
+				}
+				shared := map[string]bool{}
+				for k, v := range doc.Metrics {
+					if !fed[k] {
+						t.Errorf("%s: metrics key %q = %d is fed by no event kind", what, k, v)
+					}
+					r, ok := doc.Result[k]
+					if !ok {
+						continue
+					}
+					shared[k] = true
+					var rv int64
+					if err := json.Unmarshal(r, &rv); err != nil || rv != v {
+						t.Errorf("%s: metrics %q = %d, result %q = %s", what, k, v, k, r)
+					}
+				}
+				for _, k := range []string{"pages_read", "pages_written", "triangles"} {
+					if !shared[k] {
+						t.Errorf("%s: key %q missing from metrics or result in %s", what, k, raw)
+					}
+				}
+				if doc.Metrics["triangles"] != want || doc.Metrics["pages_read"] == 0 {
+					t.Errorf("%s: metrics %v, want %d triangles and pages read", what, doc.Metrics, want)
+				}
+				if algo == "CC-Seq" && doc.Metrics["pages_written"] == 0 {
+					t.Errorf("%s: CC-Seq wrote no pages: %v", what, doc.Metrics)
+				}
+			}
+		})
+	}
 }

@@ -35,7 +35,7 @@ type AsyncOptions struct {
 	// device: simulated per-channel latency and kernel completion order
 	// cannot coexist.
 	Latency Latency
-	// Metrics, if non-nil, receives page-read and async counters.
+	// Metrics, if non-nil, counts the device's events beside Events.
 	Metrics *metrics.Collector
 	// Context, if non-nil, cancels the device: once it is done, queued and
 	// newly submitted requests complete immediately with the context's
@@ -95,7 +95,7 @@ const nopTag = ^uint64(0)
 // only for the duration of the callback.
 //
 // The embedded SyncDevice is the blocking path, ReadPages, through the same
-// latency model and outlets.
+// latency model and sink.
 type AsyncDevice struct {
 	*SyncDevice
 	queue   *reqQueue
@@ -175,9 +175,6 @@ func (d *AsyncDevice) QueueDepth() int { return d.opts.QueueDepth }
 // coalesced read's segments on worker goroutines after the callback has
 // moved on.
 func (d *AsyncDevice) AsyncReadOwned(first uint32, count int, cb func(data []byte, err error)) {
-	if m := d.opts.Metrics; m != nil {
-		m.AddAsyncReads(1)
-	}
 	d.pending.Add(1)
 	d.queue.push(request{first: first, count: count, cb: cb})
 }

@@ -27,7 +27,6 @@ import (
 
 	"github.com/optlab/opt/internal/events"
 	"github.com/optlab/opt/internal/lockdep"
-	"github.com/optlab/opt/internal/metrics"
 )
 
 // PageDevice is synchronous, read-only page-granular storage.
@@ -67,18 +66,24 @@ var (
 type SyncDevice struct {
 	dev  PageDevice
 	opts AsyncOptions
+	sink events.Sink // Metrics and Events, the device's one outlet (nil: none)
 
 	mu lockdep.Mutex[SyncDevice]
 	th Throttle
 }
 
 // NewSyncDevice returns a synchronous device over dev. Of opts it uses
-// Latency, Metrics, Context and Events.
+// Latency, Context, and Metrics and Events, which it folds into the one
+// sink every event of the device goes to.
 func NewSyncDevice(dev PageDevice, opts AsyncOptions) *SyncDevice {
 	if opts.Context == nil {
 		opts.Context = context.Background()
 	}
-	return &SyncDevice{dev: dev, opts: opts}
+	sink := opts.Events
+	if opts.Metrics != nil { // a nil *Collector in the interface is not a nil Sink
+		sink = events.Tee(opts.Metrics, opts.Events)
+	}
+	return &SyncDevice{dev: dev, opts: opts, sink: sink}
 }
 
 // PageSize returns the backing device's page size.
@@ -91,12 +96,11 @@ func (d *SyncDevice) NumPages() uint32 { return d.dev.NumPages() }
 // the read and its simulated latency. Once the device context is done it
 // fails fast with the context's error.
 func (d *SyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
-	sw, err := d.start(count)
-	if err != nil {
+	if err := d.start(count); err != nil {
 		return nil, err
 	}
 	data, err := d.dev.ReadPages(first, count)
-	d.finish(sw, count, err)
+	d.finish(count, err)
 	return data, err
 }
 
@@ -104,49 +108,37 @@ func (d *SyncDevice) ReadPages(first uint32, count int) ([]byte, error) {
 // count*PageSize() bytes; only that prefix is written. A caller that reads
 // chunk after chunk reuses one buffer instead of allocating one per read.
 func (d *SyncDevice) ReadPagesInto(buf []byte, first uint32, count int) error {
-	sw, err := d.start(count)
-	if err != nil {
+	if err := d.start(count); err != nil {
 		return err
 	}
-	err = d.dev.ReadPagesInto(buf, first, count)
-	d.finish(sw, count, err)
+	err := d.dev.ReadPagesInto(buf, first, count)
+	d.finish(count, err)
 	return err
 }
 
 // start charges a count-page read to the latency model, or fails fast with
 // the context's error once the device context is done.
-func (d *SyncDevice) start(count int) (metrics.Stopwatch, error) {
+func (d *SyncDevice) start(count int) error {
 	if err := d.opts.Context.Err(); err != nil {
-		return metrics.Stopwatch{}, err
+		return err
 	}
-	sw := metrics.StartStopwatch()
 	d.mu.Lock()
 	d.th.Charge(d.opts.Latency.Cost(count))
 	d.mu.Unlock()
-	return sw, nil
+	return nil
 }
 
-// finish accounts a read that start began: one synchronous read and its
-// wait, and its pages when it succeeded.
-func (d *SyncDevice) finish(sw metrics.Stopwatch, count int, err error) {
-	if m := d.opts.Metrics; m != nil {
-		m.AddSyncReads(1)
-		m.AddIOWait(sw.Elapsed())
-	}
+// finish accounts the pages of a read that start began, when it succeeded.
+func (d *SyncDevice) finish(count int, err error) {
 	if err == nil {
 		d.note(events.PagesRead, int64(count))
 	}
 }
 
-// note accounts one device-level observation — pages transferred by any
-// read path, or a native-backend event — on both outlets: the run's
-// collector and the event sink.
+// note reports one device-level observation — pages transferred by any
+// read path, or a native-backend event — to the device's sink.
 func (d *SyncDevice) note(kind events.Kind, n int64) {
-	e := events.Event{Kind: kind, Iteration: -1, N: n}
-	if m := d.opts.Metrics; m != nil {
-		m.Event(e)
-	}
-	if s := d.opts.Events; s != nil {
-		s.Event(e)
+	if d.sink != nil {
+		d.sink.Event(events.Event{Kind: kind, Iteration: -1, N: n})
 	}
 }

@@ -92,9 +92,9 @@ func TestNativeRingThroughAsync(t *testing.T) {
 	if ad.ring == nil {
 		t.Fatal("ring engine not engaged")
 	}
-	if ringDepthEvents.Load() != 1 || mx.RingDepth() != int64(d.RingSlots()) {
+	if ringDepthEvents.Load() != 1 || mx.Snapshot().RingDepth != int64(d.RingSlots()) {
 		t.Fatalf("ring depth reporting: %d events, metric %d, want 1 and %d",
-			ringDepthEvents.Load(), mx.RingDepth(), d.RingSlots())
+			ringDepthEvents.Load(), mx.Snapshot().RingDepth, d.RingSlots())
 	}
 
 	var bad atomic.Int64
@@ -125,13 +125,13 @@ func TestNativeRingThroughAsync(t *testing.T) {
 	if got, want := mx.PagesRead(), int64(8*32*4); got != want {
 		t.Fatalf("PagesRead = %d, want %d", got, want)
 	}
-	if mx.SubmittedBatches() == 0 || mx.BatchedReads() != int64(8*32) {
+	if mx.Snapshot().SubmittedBatches == 0 || mx.Snapshot().BatchedReads != int64(8*32) {
 		t.Fatalf("batches = %d covering %d reads, want >0 covering %d",
-			mx.SubmittedBatches(), mx.BatchedReads(), 8*32)
+			mx.Snapshot().SubmittedBatches, mx.Snapshot().BatchedReads, 8*32)
 	}
-	if submittedBatches.Load() != mx.SubmittedBatches() {
+	if submittedBatches.Load() != mx.Snapshot().SubmittedBatches {
 		t.Fatalf("event/metric batch counts diverge: %d vs %d",
-			submittedBatches.Load(), mx.SubmittedBatches())
+			submittedBatches.Load(), mx.Snapshot().SubmittedBatches)
 	}
 }
 
@@ -231,9 +231,9 @@ func TestDirectFallback(t *testing.T) {
 		}),
 	})
 	ad.Close()
-	if fallbacks.Load() != 1 || mx.DirectFallbacks() != 1 {
+	if fallbacks.Load() != 1 || mx.Snapshot().DirectFallbacks != 1 {
 		t.Fatalf("fallback reporting: %d events, metric %d, want 1 and 1",
-			fallbacks.Load(), mx.DirectFallbacks())
+			fallbacks.Load(), mx.Snapshot().DirectFallbacks)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // whose segments arrive in order, each a sub-slice of the one read buffer
 // with the right pages.
 func TestAsyncReadScatter(t *testing.T) {
-	base := newMemDevice(64, 16)
+	base := &countingDevice{PageDevice: newMemDevice(64, 16)}
 	mx := metrics.NewCollector()
-	d := NewAsyncDevice(base, AsyncOptions{Metrics: mx})
+	d := NewAsyncDevice(base, AsyncOptions{Events: mx})
 	defer d.Close()
 
 	spans := []int{1, 2, 3}
@@ -53,8 +53,8 @@ func TestAsyncReadScatter(t *testing.T) {
 		}
 		first += uint32(spans[i])
 	}
-	if mx.AsyncReads() != 1 {
-		t.Fatalf("async reads = %d, want 1 (one submission for the whole group)", mx.AsyncReads())
+	if n := base.reads.Load(); n != 1 {
+		t.Fatalf("device reads = %d, want 1 (one read for the whole group)", n)
 	}
 	if mx.PagesRead() != 6 {
 		t.Fatalf("pages read = %d, want 6", mx.PagesRead())

@@ -252,15 +252,15 @@ func TestSyncDeviceReads(t *testing.T) {
 			if got[0] != 2 || got[64] != 3 {
 				t.Fatal("read content wrong")
 			}
-			if m.SyncReads() != 1 || m.PagesRead() != 2 || m.AsyncReads() != 0 || m.IOWait() <= 0 {
-				t.Fatalf("metrics: sync=%d read=%d async=%d wait=%v", m.SyncReads(), m.PagesRead(), m.AsyncReads(), m.IOWait())
+			if m.PagesRead() != 2 {
+				t.Fatalf("pages read = %d, want 2", m.PagesRead())
 			}
 
 			if _, err := read(d, 3, 2); !errors.Is(err, ErrOutOfRange) {
 				t.Fatalf("read past the end: err = %v, want ErrOutOfRange", err)
 			}
-			if m.SyncReads() != 2 || m.PagesRead() != 2 {
-				t.Fatalf("a failed read: sync=%d read=%d, want 2 and 2", m.SyncReads(), m.PagesRead())
+			if m.PagesRead() != 2 {
+				t.Fatalf("a failed read counted its pages: %d read, want 2", m.PagesRead())
 			}
 
 			cancel()
@@ -271,8 +271,8 @@ func TestSyncDeviceReads(t *testing.T) {
 			if elapsed := time.Since(start); elapsed >= lat.PerRead {
 				t.Fatalf("read on a done context took %v, the latency model charges %v", elapsed, lat.PerRead)
 			}
-			if m.SyncReads() != 2 || m.PagesRead() != 2 {
-				t.Fatalf("a read on a done context was counted: sync=%d read=%d", m.SyncReads(), m.PagesRead())
+			if m.PagesRead() != 2 {
+				t.Fatalf("a read on a done context was counted: %d pages read, want 2", m.PagesRead())
 			}
 		})
 	}
@@ -347,24 +347,47 @@ func settledGoroutines() int {
 	return n
 }
 
+// TestAsyncMetricsCounts: every read reaches the device once, and its
+// pages reach each collector on the device's one sink once, whether it is
+// handed over as Metrics or inside Events; with neither, nothing is counted
+// and nothing fails.
 func TestAsyncMetricsCounts(t *testing.T) {
-	mem := newMemDevice(64, 10)
-	m := metrics.NewCollector()
-	d := NewAsyncDevice(mem, AsyncOptions{QueueDepth: 4, Metrics: m})
-	defer d.Close()
-	for p := uint32(0); p < 10; p += 2 {
-		d.AsyncRead(p, 2, func(_ []byte, err error) {
-			if err != nil {
-				t.Error(err)
+	for _, tc := range []struct {
+		name            string
+		metrics, events bool
+	}{{"Metrics", true, false}, {"Events", false, true}, {"both", true, true}, {"neither", false, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &countingDevice{PageDevice: newMemDevice(64, 10)}
+			opts := AsyncOptions{QueueDepth: 4}
+			var counted []*metrics.Collector
+			if tc.metrics {
+				opts.Metrics = metrics.NewCollector()
+				counted = append(counted, opts.Metrics)
+			}
+			if tc.events {
+				m := metrics.NewCollector()
+				opts.Events = m
+				counted = append(counted, m)
+			}
+			d := NewAsyncDevice(mem, opts)
+			defer d.Close()
+			for p := uint32(0); p < 10; p += 2 {
+				d.AsyncRead(p, 2, func(_ []byte, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			d.Drain()
+			if got := mem.reads.Load(); got != 5 {
+				t.Fatalf("the device served %d reads, want 5", got)
+			}
+			for _, m := range counted {
+				if got := m.PagesRead(); got != 10 {
+					t.Fatalf("PagesRead = %d, want 10", got)
+				}
 			}
 		})
-	}
-	d.Drain()
-	if m.AsyncReads() != 5 {
-		t.Fatalf("AsyncReads = %d, want 5", m.AsyncReads())
-	}
-	if m.PagesRead() != 10 {
-		t.Fatalf("PagesRead = %d, want 10", m.PagesRead())
 	}
 }
 
@@ -403,7 +426,7 @@ func (r *ringFake) PrepareRead(tag uint64, buf []byte, first uint32, count int) 
 
 func (r *ringFake) Submit() error {
 	r.submitted += int64(len(r.staged))
-	if r.mx.BatchedReads() < r.submitted {
+	if r.mx.Snapshot().BatchedReads < r.submitted {
 		r.uncounted.Add(1)
 	}
 	for _, s := range r.staged {
@@ -450,7 +473,7 @@ func TestRingBatchCountedBeforeSubmit(t *testing.T) {
 			})
 		}
 		d.Drain()
-		if got, want := mx.BatchedReads(), int64((round+1)*16); got != want {
+		if got, want := mx.Snapshot().BatchedReads, int64((round+1)*16); got != want {
 			t.Fatalf("round %d: %d reads counted in batches after Drain, want %d", round, got, want)
 		}
 	}
